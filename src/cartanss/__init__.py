@@ -34,11 +34,13 @@ from .model import (
     validate_model,
 )
 from .qlinalg import Matrix, Subspace, kernel_basis, quotient_map, rref, sum_and_intersect
+from .reports import CertificateError
 from .specseq import (
     FilteredComplex,
     SpectralPage,
     abutment_check,
     cartan_filtration,
+    iter_pages,
     limit_page,
     page,
 )
@@ -49,6 +51,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BasicComplex",
+    "CertificateError",
     "ChiElement",
     "EquivariantModel",
     "FilteredComplex",
@@ -74,6 +77,7 @@ __all__ = [
     "filtration_degree",
     "get_model",
     "invariant_subcomplex",
+    "iter_pages",
     "kernel_basis",
     "lie_cohomology",
     "limit_page",

@@ -40,8 +40,8 @@ from .model import (
 from .liealg import validate_lie
 from .qlinalg import Matrix
 from .reports import ValidationReport
-from .specseq import AbutmentReport, AbutmentRow, cartan_filtration, limit_page, page
-from .verify import E2Report, basic_cohomology, d2_transgression, e2_tensor_check
+from .specseq import AbutmentReport, AbutmentRow, cartan_filtration, iter_pages, limit_page
+from .verify import E2Report, _e2_frames, d2_transgression, e2_tensor_check
 
 
 class ModelFileError(Exception):
@@ -236,21 +236,38 @@ class PipelineReport:
     basic_cohomology: tuple[int, ...]
 
 
-def build_pipeline_report(model: EquivariantModel, max_r: int | None = None) -> PipelineReport:
-    """Full analysis of a validated model; callers must have validated first."""
+def build_pipeline_report(
+    model: EquivariantModel,
+    max_r: int | None = None,
+    lie_validation: ValidationReport | None = None,
+    model_validation: ValidationReport | None = None,
+) -> PipelineReport:
+    """Full analysis of a validated model; callers must have validated first.
+
+    Validation reports the caller already has are reused instead of being
+    computed again.  Every page is built once: each is summarised as it is
+    produced, and only page 2 (for the tensor frames) outlives the search
+    for the stable page.
+    """
+    if lie_validation is None:
+        lie_validation = validate_lie(model.lie)
+    if model_validation is None:
+        model_validation = validate_model(model)
     fc = cartan_filtration(model)
-    stable, r_stab = limit_page(fc)
-    last = r_stab if max_r is None else min(max_r, r_stab)
     summaries = []
-    for r in range(0, last + 1):
-        pg = page(fc, r)
-        summaries.append(
-            PageSummary(
-                r,
-                pg.dims(),
-                {pq: rk for pq, rk in pg.dr_ranks().items() if rk},
-            )
-        )
+    page2 = None
+
+    def summarised(pages):
+        nonlocal page2
+        for pg in pages:
+            ranks = {pq: rk for pq, rk in pg.dr_ranks().items() if rk}
+            summaries.append(PageSummary(pg.r, pg.dims(), ranks))
+            if pg.r == 2:
+                page2 = pg
+            yield pg
+
+    stable, r_stab = limit_page(fc, summarised(iter_pages(fc)))
+    last = r_stab if max_r is None else min(max_r, r_stab)
     hdims = total_cohomology(model)
     sums = [0] * len(hdims)
     for (p, q), d in stable.dims().items():
@@ -259,20 +276,21 @@ def build_pipeline_report(model: EquivariantModel, max_r: int | None = None) -> 
         tuple(AbutmentRow(k, sums[k], hdims[k]) for k in range(len(hdims))),
         r_stab,
     )
-    e2rep = e2_tensor_check(model)
-    trans = d2_transgression(model) if e2rep.passed else {}
+    frames = _e2_frames(model, page2)
+    e2rep = e2_tensor_check(model, frames)
+    trans = d2_transgression(model, frames) if e2rep.passed else {}
     return PipelineReport(
         name=model.name,
-        lie_validation=validate_lie(model.lie),
-        model_validation=validate_model(model),
-        pages=tuple(summaries),
+        lie_validation=lie_validation,
+        model_validation=model_validation,
+        pages=tuple(s for s in summaries if s.r <= last),
         stabilization=r_stab,
         einf_dims=stable.dims(),
         abutment=abutment,
         e2=e2rep,
         transgression=trans,
         total_cohomology=hdims,
-        basic_cohomology=basic_cohomology(model).dims,
+        basic_cohomology=frames.basic.dims,
     )
 
 
@@ -430,7 +448,7 @@ def cmd_pages(path: str, max_r: int | None, fmt: str) -> int:
             print(line, file=sys.stderr)
         print(f"{model.name}: INVALID, no pages computed", file=sys.stderr)
         return 1
-    rep = build_pipeline_report(model, max_r)
+    rep = build_pipeline_report(model, max_r, lie_rep, model_rep)
     if fmt == "machine":
         print(json.dumps(machine_document(rep), indent=2))
     else:
@@ -460,7 +478,7 @@ def _run_card(spec: str, fmt: str) -> int:
             print(line, file=sys.stderr)
         return 1
     results = [("validation", True)]
-    rep = build_pipeline_report(model)
+    rep = build_pipeline_report(model, None, lie_rep, model_rep)
     exp = card.expected
     results.append(
         ("total cohomology", rep.total_cohomology == tuple(exp.total_cohomology))

@@ -19,6 +19,7 @@ from math import comb
 from .liealg import LieData, lie_cohomology
 from .model import BasicComplex, EquivariantModel
 from .qlinalg import Matrix, as_q, inverse
+from .reports import CertificateError
 
 MODEL_NAMES = (
     "hopf",
@@ -204,7 +205,12 @@ def get_model(name: str, param=None, *, basic=None, lie=None) -> ModelCard:
         card = _group_card(
             LieData.abelian(n), f"group_torus({n})", DESCRIPTIONS["group_torus"]
         )
-        assert card.expected.total_cohomology == tuple(comb(n, k) for k in range(n + 1))
+        binomials = tuple(comb(n, k) for k in range(n + 1))
+        if card.expected.total_cohomology != binomials:
+            raise CertificateError(
+                f"group_torus({n}): algebra cohomology "
+                f"{card.expected.total_cohomology} is not the binomials {binomials}"
+            )
         return card
     if name == "trivial_product":
         if param is not None:

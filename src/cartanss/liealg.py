@@ -385,6 +385,36 @@ def invariant_subcomplex(L: LieData) -> tuple[Subspace, ...]:
     return tuple(out)
 
 
+def _first_jacobi_failure(L: LieData) -> tuple | None:
+    """(a, b, e, k, s) for the lexicographically first nonzero cyclic sum s.
+
+    The cyclic sum at (a, b, e, k) is
+        sum_m c[a][b][m] c[m][e][k] + c[b][e][m] c[m][a][k] + c[e][a][m] c[m][b][k];
+    each product pairs a nonzero c[x][y][m] with a nonzero c[m][z][k], so
+    only products of nonzero entries are formed.
+    """
+    nonzero = [
+        (x + 1, y + 1, m + 1, v)
+        for x, plane in enumerate(L.c)
+        for y, row in enumerate(plane)
+        for m, v in enumerate(row)
+        if v
+    ]
+    by_first: dict[int, list] = {}
+    for x, y, m, v in nonzero:
+        by_first.setdefault(x, []).append((y, m, v))
+    sums: dict[tuple[int, int, int, int], Fraction] = {}
+    for x, y, m, v in nonzero:
+        for z, k, w in by_first.get(m, ()):
+            # c[x][y][m] c[m][z][k] is the first, second and third term at
+            # (a,b,e) = (x,y,z), (z,x,y) and (y,z,x) respectively
+            vw = v * w
+            for key in ((x, y, z, k), (z, x, y, k), (y, z, x, k)):
+                sums[key] = sums.get(key, _ZERO) + vw
+    bad = min((key for key, s in sums.items() if s), default=None)
+    return None if bad is None else bad + (sums[bad],)
+
+
 def validate_lie(L: LieData) -> ValidationReport:
     """Check bracket antisymmetry, full antisymmetry, Jacobi, and delta^2 = 0."""
     checks = []
@@ -430,28 +460,7 @@ def validate_lie(L: LieData) -> ValidationReport:
         )
     )
 
-    jac = None
-    for a in range(1, L.n + 1):
-        for b in range(1, L.n + 1):
-            for e in range(1, L.n + 1):
-                for k in range(1, L.n + 1):
-                    s = sum(
-                        (
-                            L.bracket_coeff(a, b, m) * L.bracket_coeff(m, e, k)
-                            + L.bracket_coeff(b, e, m) * L.bracket_coeff(m, a, k)
-                            + L.bracket_coeff(e, a, m) * L.bracket_coeff(m, b, k)
-                        )
-                        for m in range(1, L.n + 1)
-                    )
-                    if s:
-                        jac = (a, b, e, k, s)
-                        break
-                if jac:
-                    break
-            if jac:
-                break
-        if jac:
-            break
+    jac = _first_jacobi_failure(L)
     checks.append(
         CheckResult(
             "jacobi identity",

@@ -15,6 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .reports import CertificateError
+
 Q = Fraction
 
 _ZERO = Fraction(0)
@@ -34,7 +36,7 @@ def as_q(value) -> Fraction:
     raise TypeError(f"expected an exact rational, got {value!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Matrix:
     """Immutable dense matrix over Fraction, row-major."""
 
@@ -211,7 +213,7 @@ def inverse(m: Matrix) -> Matrix:
     return Matrix.of([row[m.cols:] for row in red.data], cols=m.cols)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Subspace:
     """Subspace of Q^ambient_dim, stored by its RREF row basis (canonical)."""
 
@@ -341,7 +343,7 @@ def quotient_map(v: Subspace, w: Subspace) -> tuple[Matrix, Matrix]:
     c_mat = Matrix.of(rows, cols=d)
     red, pivots = Matrix.hstack(c_mat, Matrix.identity(c_mat.rows)).rref()
     if len(pivots) != c_mat.rows or any(p >= d for p in pivots):
-        raise AssertionError("combined basis was not independent")
+        raise CertificateError("quotient_map: combined basis was not independent")
     nb = c_mat.rows
     proj_rows = []
     for i in range(nb - k, nb):

@@ -1,4 +1,4 @@
-"""Validation check bookkeeping shared by the algebra and model validators."""
+"""Validation check bookkeeping shared by the validators, and the certificate error."""
 
 from __future__ import annotations
 
@@ -34,3 +34,23 @@ class ValidationReport:
         out = [f"{self.subject}: {head}"]
         out.extend("  " + c.line() for c in self.checks)
         return out
+
+
+class CertificateError(RuntimeError):
+    """An internal identity of the exact computation does not hold.
+
+    Raised explicitly rather than by `assert`, so the check still runs under
+    `python -O`.  `cell` is the (p, q) spot and `page` the page index where
+    the identity broke, when the failure has one.
+    """
+
+    def __init__(self, what: str, cell: tuple[int, int] | None = None,
+                 page: int | None = None):
+        self.cell = cell
+        self.page = page
+        where = []
+        if page is not None:
+            where.append(f"page E_{page}")
+        if cell is not None:
+            where.append(f"cell (p,q)=({cell[0]},{cell[1]})")
+        super().__init__(what + (f" at {', '.join(where)}" if where else ""))

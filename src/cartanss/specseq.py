@@ -11,15 +11,24 @@ differential d_r : E_r^{p,q} -> E_r^{p+r, q-r+1} is induced by d on
 representatives; every quotient is realized by explicit coset representatives
 plus a coordinate projection, so induced maps are honest matrices.
 
+Every filtration level here is a coordinate prefix: F^p C^m is spanned by the
+first k(p, m) basis vectors.  So Z_r is the kernel of the block of d with
+rows k(p+r, m+1): and columns :k(p, m), padded with zeros, and the divisor is
+the plain span of its two parts; no subspace intersection is needed.
+
 The filtration of the invariant-forms model is by chi-count complement:
-F^p C^m is spanned by monomials of horizontal degree >= p.  Page r = 0 and
-r = 1 are bookkeeping pages of the bigraded model; the geometric content
-starts at r = 2, which is where stabilization is searched for.
+F^p C^m is spanned by monomials of horizontal degree >= p, which come first
+in the monomial basis.  Page r = 0 and r = 1 are bookkeeping pages of the
+bigraded model; the geometric content starts at r = 2, which is where
+stabilization is searched for.  `iter_pages` builds the pages one after
+another over one cache of Z spaces, so a run builds each page once.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 from .model import (
     EquivariantModel,
@@ -28,22 +37,24 @@ from .model import (
     total_cohomology,
     total_matrix,
 )
-from .qlinalg import Matrix, Subspace, image, preimage, quotient_map, sum_and_intersect
+from .qlinalg import Matrix, Subspace, kernel_basis, quotient_map
+from .reports import CertificateError
 
 
 @dataclass(frozen=True)
 class FilteredComplex:
-    """Finite cochain complex over Q with a decreasing, exhaustive filtration.
+    """Finite cochain complex over Q with a decreasing, exhaustive prefix filtration.
 
     dims[m] is the ambient dimension of C^m for 0 <= m <= max_degree;
     d[m] maps C^m to C^(m+1) (the top one has zero rows);
-    filtration[m][p] is F^p C^m for 0 <= p <= m+1 (F^(m+1) = 0).
+    prefix[m][p] = k(p, m) for 0 <= p <= m+1: F^p C^m is spanned by the
+    first k(p, m) coordinates, with k(0, m) = dims[m] and k(m+1, m) = 0.
     labels[m] optionally names the coordinates of C^m.
     """
 
     dims: tuple[int, ...]
     d: tuple[Matrix, ...]
-    filtration: tuple[tuple[Subspace, ...], ...]
+    prefix: tuple[tuple[int, ...], ...]
     labels: tuple[tuple, ...] = field(default=())
 
     @property
@@ -60,16 +71,19 @@ class FilteredComplex:
             return self.d[m]
         return Matrix.zero(self.ambient(m + 1), self.ambient(m))
 
-    def filt(self, p: int, m: int) -> Subspace:
-        """F^p C^m with the conventions F^p = C for p <= 0 and F^p = 0 deep enough."""
+    def cut(self, p: int, m: int) -> int:
+        """k(p, m) = dim F^p C^m, with F^p = C for p <= 0 and F^p = 0 deep enough."""
         if m < 0 or m > self.max_degree:
-            return Subspace.zero(self.ambient(m))
+            return 0
         if p <= 0:
-            return Subspace.full(self.dims[m])
-        levels = self.filtration[m]
-        if p >= len(levels):
-            return Subspace.zero(self.dims[m])
-        return levels[p]
+            return self.dims[m]
+        levels = self.prefix[m]
+        return levels[p] if p < len(levels) else 0
+
+    def filt(self, p: int, m: int) -> Subspace:
+        """F^p C^m as a subspace: the first cut(p, m) coordinate vectors."""
+        n = self.ambient(m)
+        return Subspace(n, Matrix(Matrix.identity(n).data[: self.cut(p, m)], n))
 
     def check_structure(self) -> None:
         """Assert shapes, decreasing filtration, and d-compatibility (test hook)."""
@@ -79,15 +93,15 @@ class FilteredComplex:
             target = self.dims[m + 1] if m + 1 <= self.max_degree else 0
             if self.d[m].rows != target:
                 raise AssertionError(f"d[{m}] row count mismatch")
-            levels = self.filtration[m]
-            if levels[0].dim != self.dims[m] or levels[-1].dim != 0:
+            levels = self.prefix[m]
+            if levels[0] != self.dims[m] or levels[-1] != 0:
                 raise AssertionError(f"filtration of C^{m} must run from full to zero")
             for p in range(len(levels) - 1):
-                if not levels[p].contains(levels[p + 1]):
+                if levels[p] < levels[p + 1]:
                     raise AssertionError(f"filtration not decreasing at F^{p + 1} C^{m}")
             for p in range(len(levels)):
-                img = image(self.dmat(m), levels[p])
-                if not self.filt(p, m + 1).contains(img):
+                k = levels[p]
+                if any(x for row in self.d[m].data[self.cut(p, m + 1):] for x in row[:k]):
                     raise AssertionError(f"d does not preserve F^{p} at degree {m}")
 
 
@@ -95,32 +109,24 @@ def cartan_filtration(model: EquivariantModel) -> FilteredComplex:
     """Filtration by horizontal degree of the invariant-forms model.
 
     Monomial bases are ordered by descending horizontal degree, so each F^p
-    is a coordinate-prefix subspace.  The model must pass validate_model.
+    is a coordinate prefix.  The model must pass validate_model.
     """
     top = max_total_degree(model)
     dims = []
     dmats = []
-    levels_all = []
+    prefix = []
     labels = []
     for m in range(top + 1):
         basis = monomial_basis(model, m)
+        degrees = [model.basic.degree_of(g) for g, _ in basis]
         dims.append(len(basis))
         labels.append(basis)
         dmats.append(total_matrix(model, m))
-        levels = []
-        for p in range(m + 2):
-            prefix = sum(
-                1 for g, _ in basis if model.basic.degree_of(g) >= p
-            )
-            rows = [
-                [1 if j == i else 0 for j in range(len(basis))] for i in range(prefix)
-            ]
-            levels.append(Subspace.from_rows(len(basis), rows))
-        levels_all.append(tuple(levels))
-    return FilteredComplex(tuple(dims), tuple(dmats), tuple(levels_all), tuple(labels))
+        prefix.append(tuple(sum(1 for deg in degrees if deg >= p) for p in range(m + 2)))
+    return FilteredComplex(tuple(dims), tuple(dmats), tuple(prefix), tuple(labels))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PageCell:
     """One spot E_r^{p,q}: ambient data plus the quotient presentation."""
 
@@ -150,19 +156,34 @@ class SpectralPage:
 
 
 def _z_space(fc: FilteredComplex, r: int, p: int, m: int, cache: dict) -> Subspace:
-    """Z_r at filtration p, total degree m: F^p meeting d^{-1}(F^{p+r})."""
+    """Z_r at filtration p, total degree m: F^p meeting d^{-1}(F^{p+r}).
+
+    x lies in F^p exactly when it is zero past k(p, m), and d x lies in
+    F^(p+r) exactly when the rows of d past k(p+r, m+1) kill it, so Z_r is
+    the kernel of that block of d.  Zero columns appended to a reduced
+    echelon basis leave it reduced, so the result is the canonical basis.
+    """
     key = (r, p, m)
     hit = cache.get(key)
     if hit is not None:
         return hit
-    if fc.ambient(m) == 0:
-        out = Subspace.zero(0)
-    else:
-        fp = fc.filt(p, m)
-        pre = preimage(fc.dmat(m), fc.filt(p + r, m + 1))
-        _, out = sum_and_intersect(fp, pre)
+    k = fc.cut(p, m)
+    block = Matrix(tuple(row[:k] for row in fc.dmat(m).data[fc.cut(p + r, m + 1):]), k)
+    pad = (Fraction(0),) * (fc.ambient(m) - k)
+    ker = kernel_basis(block).basis.data
+    out = Subspace(fc.ambient(m), Matrix(tuple(row + pad for row in ker), fc.ambient(m)))
     cache[key] = out
     return out
+
+
+def _divisor(fc: FilteredComplex, r: int, p: int, m: int, cache: dict) -> Subspace:
+    """d Z_{r-1}^{p-r+1} + Z_{r-1}^{p+1} in C^m, as the span of both bases."""
+    dm = fc.dmat(m - 1)
+    born = _z_space(fc, r - 1, p - r + 1, m - 1, cache)
+    other = _z_space(fc, r - 1, p + 1, m, cache)
+    rows = [dm.apply(row) for row in born.basis.data]
+    rows.extend(other.basis.data)
+    return Subspace.from_rows(fc.ambient(m), rows)
 
 
 def page(fc: FilteredComplex, r: int, _cache: dict | None = None) -> SpectralPage:
@@ -176,11 +197,9 @@ def page(fc: FilteredComplex, r: int, _cache: dict | None = None) -> SpectralPag
         for p in range(m + 1):
             q = m - p
             z = _z_space(fc, r, p, m, cache)
-            born = image(fc.dmat(m - 1), _z_space(fc, r - 1, p - r + 1, m - 1, cache))
-            other = _z_space(fc, r - 1, p + 1, m, cache)
-            divisor, _ = sum_and_intersect(born, other)
+            divisor = _divisor(fc, r, p, m, cache)
             if not z.contains(divisor):
-                raise AssertionError(f"divisor escapes Z_{r} at (p,q)=({p},{q})")
+                raise CertificateError(f"divisor escapes Z_{r}", (p, q), r)
             reps, proj = quotient_map(z, divisor)
             cells[(p, q)] = PageCell(p, q, reps.rows, reps, proj, z, divisor)
     dr: dict[tuple[int, int], Matrix] = {}
@@ -196,30 +215,48 @@ def page(fc: FilteredComplex, r: int, _cache: dict | None = None) -> SpectralPag
         for rep in cell.reps.data:
             y = dm.apply(rep)
             if not tgt.z_space.contains_vector(y):
-                raise AssertionError(f"d of a representative escapes Z at ({p},{q})")
+                raise CertificateError("d of a representative escapes Z", (p, q), r)
             cols.append(tgt.proj.apply(y))
         data = [[cols[j][i] for j in range(len(cols))] for i in range(tgt.dim)]
         dr[(p, q)] = Matrix.of(data, cols=cell.dim)
     return SpectralPage(r, cells, dr)
 
 
-def limit_page(fc: FilteredComplex) -> tuple[SpectralPage, int]:
-    """First stable page: smallest r >= 2 with d_r = 0 and dims(E_r) = dims(E_{r+1}).
+def iter_pages(fc: FilteredComplex, start: int = 0) -> Iterator[SpectralPage]:
+    """Pages E_start, E_start+1, ... without end, each built once.
 
-    For a finite filtered complex this is reached no later than max_degree + 2.
+    Page r needs Z_r and Z_(r-1), so one Z cache is shared along the way and
+    the spaces of earlier pages are dropped as soon as no later page needs
+    them.
     """
     cache: dict = {}
-    r = 2
-    current = page(fc, r, cache)
-    bound = fc.max_degree + 2
+    r = start
     while True:
-        nxt = page(fc, r + 1, cache)
-        if current.dr_is_zero() and current.dims() == nxt.dims():
-            return current, r
-        if r >= bound:
-            raise AssertionError("spectral sequence failed to stabilize in bound")
-        current = nxt
+        yield page(fc, r, cache)
+        for key in [key for key in cache if key[0] < r]:
+            del cache[key]
         r += 1
+
+
+def limit_page(
+    fc: FilteredComplex, pages: Iterable[SpectralPage] | None = None
+) -> tuple[SpectralPage, int]:
+    """First stable page: smallest r >= 2 with d_r = 0 and dims(E_r) = dims(E_{r+1}).
+
+    `pages` runs over consecutive pages of fc, iter_pages(fc, 2) when omitted;
+    only the current and the next page are held.  For a finite filtered
+    complex stability is reached no later than max_degree + 2.
+    """
+    bound = fc.max_degree + 2
+    current = None
+    for nxt in iter_pages(fc, 2) if pages is None else pages:
+        if current is not None and current.r >= 2:
+            if current.dr_is_zero() and current.dims() == nxt.dims():
+                return current, current.r
+            if current.r >= bound:
+                raise CertificateError("spectral sequence failed to stabilize", page=current.r)
+        current = nxt
+    raise ValueError("the pages ran out before the spectral sequence stabilized")
 
 
 def homology_dims(pg: SpectralPage) -> dict[tuple[int, int], int]:

@@ -21,6 +21,7 @@ from fractions import Fraction
 from .liealg import chi_from_vector, delta_matrix, invariant_subcomplex
 from .model import EquivariantModel, ModelElement, element_to_vector
 from .qlinalg import Matrix, Subspace, image, inverse, kernel_basis, quotient_map
+from .reports import CertificateError
 from .specseq import SpectralPage, cartan_filtration, page
 
 _ZERO = Fraction(0)
@@ -119,7 +120,9 @@ def _lie_realization_ok(model, inv) -> bool:
 
 
 @dataclass(frozen=True)
-class _E2Frames:
+class E2Frames:
+    """Page 2 with the tensor frames F(alpha (x) beta) of every cell."""
+
     page2: SpectralPage
     cells: tuple[E2Cell, ...]
     f_matrices: dict = field(compare=False)
@@ -127,9 +130,10 @@ class _E2Frames:
     invariants: tuple = field(compare=False)
 
 
-def _e2_frames(model: EquivariantModel) -> _E2Frames:
-    fc = cartan_filtration(model)
-    pg2 = page(fc, 2)
+def _e2_frames(model: EquivariantModel, pg2: SpectralPage | None = None) -> E2Frames:
+    """Frames of the comparison map on page 2; pass pg2 when it is already built."""
+    if pg2 is None:
+        pg2 = page(cartan_filtration(model), 2)
     bc = basic_cohomology(model)
     inv = invariant_subcomplex(model.lie)
     n = model.lie.n
@@ -146,20 +150,24 @@ def _e2_frames(model: EquivariantModel) -> _E2Frames:
                     beta = chi_from_vector(beta_row, n, q)
                     vec = _tensor_vector(model, alpha, gens_p, beta, q, p + q)
                     if not cell.z_space.contains_vector(vec):
-                        raise AssertionError(
-                            f"tensor representative not d-compatible at ({p},{q})"
+                        raise CertificateError(
+                            "tensor representative not d-compatible", (p, q), 2
                         )
                     cols.append(cell.proj.apply(vec))
             data = [[cols[j][i] for j in range(prod)] for i in range(cell.dim)]
             fmat = Matrix.of(data, cols=prod)
             cells.append(E2Cell(p, q, prod, cell.dim, fmat.rank()))
             fmats[(p, q)] = fmat
-    return _E2Frames(pg2, tuple(cells), fmats, bc, inv)
+    return E2Frames(pg2, tuple(cells), fmats, bc, inv)
 
 
-def e2_tensor_check(model: EquivariantModel) -> E2Report:
-    """Verdict on E_2 ~= H(B, d_hor) (x) H(algebra), cell by cell."""
-    frames = _e2_frames(model)
+def e2_tensor_check(model: EquivariantModel, frames: E2Frames | None = None) -> E2Report:
+    """Verdict on E_2 ~= H(B, d_hor) (x) H(algebra), cell by cell.
+
+    frames, when given, must be _e2_frames(model) already computed.
+    """
+    if frames is None:
+        frames = _e2_frames(model)
     ok = all(c.ok for c in frames.cells)
     return E2Report(
         frames.cells,
@@ -168,15 +176,18 @@ def e2_tensor_check(model: EquivariantModel) -> E2Report:
     )
 
 
-def d2_transgression(model: EquivariantModel) -> dict[tuple[int, int], Matrix]:
+def d2_transgression(
+    model: EquivariantModel, frames: E2Frames | None = None
+) -> dict[tuple[int, int], Matrix]:
     """d_2 written in the tensor bases, per source cell with nonzero product dim.
 
     Entry at (p, q) maps H^p(B) (x) H^q to H^(p+2)(B) (x) H^(q-1) coordinates:
     inverse(frame_target) @ d_2 @ frame_source.  Requires the tensor check to
     pass, otherwise the frames are not invertible and there is no honest
-    change of basis.
+    change of basis.  frames, when given, must be _e2_frames(model).
     """
-    frames = _e2_frames(model)
+    if frames is None:
+        frames = _e2_frames(model)
     bad = next((c for c in frames.cells if not c.ok), None)
     if bad is not None:
         raise ValueError(

@@ -6,6 +6,7 @@ import json
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -311,3 +312,63 @@ def test_module_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "hopf" in proc.stdout
+
+
+COUNTED = (
+    ("specseq", "cartan_filtration"),
+    ("liealg", "validate_lie"),
+    ("model", "validate_model"),
+    ("specseq", "page"),
+    ("verify", "_e2_frames"),
+)
+
+
+def count_calls(monkeypatch):
+    """Wrap every module-namespace name bound to a counted function; name -> call args."""
+    import importlib
+
+    modules = [importlib.import_module("cartanss")] + [
+        importlib.import_module(f"cartanss.{m}")
+        for m in ("cli", "library", "liealg", "model", "qlinalg", "specseq", "verify")
+    ]
+    calls = {}
+    for layer, fname in COUNTED:
+        original = getattr(importlib.import_module(f"cartanss.{layer}"), fname)
+        calls[fname] = []
+
+        def counted(*args, _fn=original, _log=calls[fname], **kwargs):
+            _log.append(args)
+            return _fn(*args, **kwargs)
+
+        for mod in modules:
+            for attr, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, attr, counted)
+    return calls
+
+
+@pytest.mark.parametrize("source", ["sample_models/hopf.json", "group_torus:3"])
+def test_pages_computes_every_stage_once(tmp_path, monkeypatch, capsys, source):
+    if source.endswith(".json"):
+        path = str(Path(__file__).resolve().parent.parent / source)
+    else:
+        name, _, param = source.partition(":")
+        path = str(tmp_path / "model.json")
+        save_model_file(get_model(name, int(param)).model, path)
+    calls = count_calls(monkeypatch)
+    assert main(["pages", path, "--format", "machine"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert [len(calls[f]) for f in ("cartan_filtration", "validate_lie", "validate_model",
+                                     "_e2_frames")] == [1, 1, 1, 1]
+    # pages 0 .. stabilization + 1, the last one only to see that nothing moves
+    assert [args[1] for args in calls["page"]] == list(range(doc["stabilization"] + 2))
+
+
+def test_examples_run_computes_every_stage_once(monkeypatch, capsys):
+    calls = count_calls(monkeypatch)
+    assert main(["examples", "--run", "group_torus:3", "--format", "machine"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["passed"] is True
+    assert {f: len(c) for f, c in calls.items() if f != "page"} == {
+        "cartan_filtration": 1, "validate_lie": 1, "validate_model": 1, "_e2_frames": 1}
+    assert [args[1] for args in calls["page"]] == [0, 1, 2, 3]

@@ -2,11 +2,18 @@
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
+import cartanss
+from cartanss import library
 from cartanss.liealg import LieData, lie_cohomology, validate_lie
 from cartanss.library import (
     MODEL_NAMES,
@@ -16,6 +23,7 @@ from cartanss.library import (
     random_trivial_product,
 )
 from cartanss.model import BasicComplex, total_cohomology, validate_model
+from cartanss.reports import CertificateError
 from cartanss.specseq import abutment_check
 from cartanss.verify import e2_tensor_check
 
@@ -137,3 +145,47 @@ def test_random_trivial_product_is_seed_deterministic():
     assert a.lie == b.lie
     c = random_trivial_product(random.Random(100)).model
     assert (c.basic, c.lie) != (a.basic, a.lie) or c == a  # different seed, usually different data
+
+
+def test_torus_card_cross_check_is_a_typed_error(monkeypatch):
+    monkeypatch.setattr(library, "comb", lambda n, k: 0)
+    with pytest.raises(CertificateError, match=r"group_torus\(2\).*not the binomials \(0, 0, 0\)"):
+        get_model("group_torus", 2)
+
+
+OPTIMIZED_SCRIPT = textwrap.dedent(
+    """
+    from cartanss import library
+    from cartanss.qlinalg import Matrix
+    from cartanss.reports import CertificateError
+    from cartanss.specseq import FilteredComplex, page
+
+    if __debug__:
+        raise SystemExit("expected to run under python -O")
+    library.comb = lambda n, k: 0
+    try:
+        library.get_model("group_torus", 2)
+    except CertificateError as exc:
+        print("library:", exc)
+    one = Matrix.of([[1]])
+    broken = FilteredComplex((1, 1, 1), (one, one, Matrix.zero(0, 1)),
+                             ((1, 0), (1, 0, 0), (1, 0, 0, 0)))
+    try:
+        page(broken, 1)
+    except CertificateError as exc:
+        print("specseq:", exc)
+    """
+)
+
+
+def test_certificate_checks_still_fire_under_python_O():
+    src = str(Path(cartanss.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    proc = subprocess.run([sys.executable, "-O", "-c", OPTIMIZED_SCRIPT],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "library: group_torus(2): algebra cohomology (1, 2, 1) is not the binomials (0, 0, 0)",
+        "specseq: divisor escapes Z_1 at page E_1, cell (p,q)=(0,1)",
+    ]

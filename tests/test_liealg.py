@@ -278,7 +278,45 @@ def test_validate_lie_mutated_jacobi_fails_jacobi_and_delta_squared():
     assert got["jacobi identity"] is False
     assert got["delta squared"] is False
     jac = next(c for c in rep.checks if c.name == "jacobi identity")
-    assert "cyclic sum" in jac.detail
+    assert jac.detail == "cyclic sum is -1 at (a,b,e,k)=(1,2,3,3)"
+
+
+def _dense_jacobi_detail(L):
+    """The Jacobi check as the plain O(n^5) loop over every index."""
+    c = L.bracket_coeff
+    idx = range(1, L.n + 1)
+    for a in idx:
+        for b in idx:
+            for e in idx:
+                for k in idx:
+                    s = sum(
+                        c(a, b, m) * c(m, e, k) + c(b, e, m) * c(m, a, k)
+                        + c(e, a, m) * c(m, b, k)
+                        for m in idx
+                    )
+                    if s:
+                        return f"cyclic sum is {s} at (a,b,e,k)=({a},{b},{e},{k})"
+    return ""
+
+
+def test_sparse_jacobi_check_matches_the_dense_loop():
+    rng = random.Random(20261018)
+    algebras = [su2_lie(), heisenberg_lie(), rescaled_su2_lie(), mutated_jacobi_lie(),
+                LieData.abelian(3)]
+    for _ in range(40):
+        n = rng.randint(1, 4)
+        slots = [(a, b, k) for a in range(1, n + 1) for b in range(1, n + 1)
+                 for k in range(1, n + 1)]
+        entries = {s: Q(rng.choice([1, -1, 2, -3]), rng.choice([1, 2]))
+                   for s in rng.sample(slots, min(len(slots), rng.randint(0, 5)))}
+        algebras.append(LieData.from_structure_constants(n, entries, completion="none"))
+    failing = 0
+    for L in algebras:
+        jac = next(c for c in validate_lie(L).checks if c.name == "jacobi identity")
+        assert jac.detail == _dense_jacobi_detail(L)
+        assert jac.passed == (jac.detail == "")
+        failing += not jac.passed
+    assert failing > 10
 
 
 def test_jacobi_holds_iff_delta_squares_to_zero():

@@ -7,11 +7,18 @@ import random
 import pytest
 
 from cartanss.library import MODEL_NAMES, get_model, random_trivial_product
-from cartanss.model import monomial_basis
+from cartanss.liealg import LieData
+from cartanss.model import BasicComplex, EquivariantModel, monomial_basis
+from cartanss.qlinalg import Matrix, Subspace, image, preimage, sum_and_intersect
+from cartanss.reports import CertificateError
 from cartanss.specseq import (
+    FilteredComplex,
+    _divisor,
+    _z_space,
     abutment_check,
     cartan_filtration,
     homology_dims,
+    iter_pages,
     limit_page,
     page,
 )
@@ -167,3 +174,107 @@ def test_abutment_check_per_card():
         assert tuple(r.cohomology_dim for r in rep.rows) == card.expected.total_cohomology
         assert tuple(r.stable_total for r in rep.rows) == card.expected.total_cohomology
         assert rep.stabilization == card.expected.stabilization
+
+
+def sphere_model(k):
+    """S^(2k+1) as a circle bundle over CP^k: Euler chain 1 -> v1 -> ... -> vk."""
+    gens = [("1", 0)] + [(f"v{j}", 2 * j) for j in range(1, k + 1)]
+    euler = [(1, j - 1, j, 1) for j in range(1, k + 1)]
+    return EquivariantModel(f"sphere_{2 * k + 1}", LieData.abelian(1),
+                            BasicComplex.build(gens, euler=euler))
+
+
+def differential_test_models():
+    rng = random.Random(20261018)
+    models = [get_model(name).model for name in MODEL_NAMES]
+    models += [random_trivial_product(rng, tag=f"z{i}").model for i in range(20)]
+    models += [sphere_model(k) for k in range(1, 5)]
+    return models
+
+
+def oracle_z_space(fc, r, p, m):
+    """Z_r by its definition: F^p meeting the preimage of F^(p+r), by Zassenhaus."""
+    if fc.ambient(m) == 0:
+        return Subspace.zero(0)
+    return sum_and_intersect(fc.filt(p, m), preimage(fc.dmat(m), fc.filt(p + r, m + 1)))[1]
+
+
+def test_prefix_kernel_z_space_matches_the_intersection_definition():
+    checked = 0
+    for model in differential_test_models():
+        fc = cartan_filtration(model)
+        top = fc.max_degree
+        for r in range(-1, top + 3):
+            cache = {}
+            for m in range(-1, top + 2):
+                # p = -1 stands for every p <= 0, where F^p is all of C^m
+                for p in range(-1, m + 3):
+                    assert _z_space(fc, r, p, m, cache) == oracle_z_space(fc, r, p, m), (
+                        model.name, r, p, m)
+                    checked += 1
+    assert checked > 5000
+
+
+def test_divisor_span_matches_the_zassenhaus_sum():
+    checked = 0
+    for model in differential_test_models():
+        fc = cartan_filtration(model)
+        top = fc.max_degree
+        for r in range(0, top + 3):
+            cache = {}
+            for m in range(top + 1):
+                for p in range(m + 1):
+                    born = image(fc.dmat(m - 1), oracle_z_space(fc, r - 1, p - r + 1, m - 1))
+                    other = oracle_z_space(fc, r - 1, p + 1, m)
+                    want, _ = sum_and_intersect(born, other)
+                    assert _divisor(fc, r, p, m, cache) == want, (model.name, r, p, m)
+                    checked += 1
+    assert checked > 1000
+
+
+def test_iter_pages_equals_pages_built_alone():
+    for model in (get_model("hopf").model, sphere_model(2), get_model("trivial_product").model):
+        fc = cartan_filtration(model)
+        pages = iter_pages(fc)
+        for r in range(fc.max_degree + 3):
+            assert next(pages) == page(fc, r), (model.name, r)
+
+
+def test_limit_page_consumes_a_given_page_iterator():
+    fc = cartan_filtration(get_model("hopf").model)
+    seen = []
+
+    def watched(pages):
+        for pg in pages:
+            seen.append(pg.r)
+            yield pg
+
+    stable, r_stab = limit_page(fc, watched(iter_pages(fc)))
+    assert r_stab == 3 and stable == page(fc, 3)
+    assert seen == [0, 1, 2, 3, 4]
+
+
+def test_filtration_stores_prefix_lengths():
+    fc = cartan_filtration(get_model("hopf").model)
+    # C^2 = span(v (x) 1): horizontal degree 2, so F^0 = F^1 = F^2 = C^2
+    assert fc.prefix[2] == (1, 1, 1, 0)
+    for m in range(fc.max_degree + 1):
+        for p in range(-1, m + 3):
+            assert fc.filt(p, m).dim == fc.cut(p, m)
+            assert fc.filt(p, m) == Subspace.from_rows(
+                fc.ambient(m), Matrix.identity(fc.ambient(m)).data[: fc.cut(p, m)])
+
+
+def bad_complex():
+    """Q -> Q -> Q with both maps the identity, so d^2 != 0; trivial filtration."""
+    one = Matrix.of([[1]])
+    return FilteredComplex((1, 1, 1), (one, one, Matrix.zero(0, 1)),
+                           ((1, 0), (1, 0, 0), (1, 0, 0, 0)))
+
+
+def test_a_broken_divisor_is_a_typed_error_naming_cell_and_page():
+    with pytest.raises(CertificateError) as info:
+        page(bad_complex(), 1)
+    err = info.value
+    assert (err.cell, err.page) == ((0, 1), 1)
+    assert str(err) == "divisor escapes Z_1 at page E_1, cell (p,q)=(0,1)"
