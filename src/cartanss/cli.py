@@ -18,7 +18,8 @@ antisymmetry orbit (c[b][a][k] = -v is filled in); listing an orbit twice is a
 parse error.  Unknown keys anywhere are parse errors.
 
 Exit codes: 0 success, 1 a validation or expectation failure, 2 parse or
-usage error.
+usage error, or a model with more than model.MAX_AMBIENT_DIM monomials
+(refused before any of them is listed).
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from .liealg import LieData
 from .model import (
     BasicComplex,
     EquivariantModel,
+    size_error,
     total_cohomology,
     validate_model,
 )
@@ -268,7 +270,7 @@ def build_pipeline_report(
 
     stable, r_stab = limit_page(fc, summarised(iter_pages(fc)))
     last = r_stab if max_r is None else min(max_r, r_stab)
-    hdims = total_cohomology(model)
+    hdims = total_cohomology(model, fc.d)
     sums = [0] * len(hdims)
     for (p, q), d in stable.dims().items():
         sums[p + q] += d
@@ -418,11 +420,21 @@ def render_table(rep: PipelineReport) -> str:
 # commands
 
 
+def _too_large(model: EquivariantModel) -> bool:
+    """Report a model above the size limit; checked before anything is enumerated."""
+    msg = size_error(model.basic.num_generators, model.lie.n)
+    if msg:
+        print(f"input error: {msg}", file=sys.stderr)
+    return msg is not None
+
+
 def cmd_validate(path: str) -> int:
     try:
         model = load_model_file(path)
     except ModelFileError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
+        return 2
+    if _too_large(model):
         return 2
     lie_rep = validate_lie(model.lie)
     model_rep = validate_model(model)
@@ -440,6 +452,8 @@ def cmd_pages(path: str, max_r: int | None, fmt: str) -> int:
         model = load_model_file(path)
     except ModelFileError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
+        return 2
+    if _too_large(model):
         return 2
     lie_rep = validate_lie(model.lie)
     model_rep = validate_model(model)
@@ -466,7 +480,7 @@ def _run_card(spec: str, fmt: str) -> int:
             print(f"usage error: parameter must be an integer: {param_text!r}", file=sys.stderr)
             return 2
     try:
-        card = get_model(name, param)
+        card = get_model(name, param)  # refuses a torus rank above the size limit
     except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

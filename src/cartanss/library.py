@@ -17,7 +17,7 @@ from fractions import Fraction
 from math import comb
 
 from .liealg import LieData, lie_cohomology
-from .model import BasicComplex, EquivariantModel
+from .model import BasicComplex, EquivariantModel, size_error
 from .qlinalg import Matrix, as_q, inverse
 from .reports import CertificateError
 
@@ -177,9 +177,10 @@ def get_model(name: str, param=None, *, basic=None, lie=None) -> ModelCard:
     """Look up a library card by name, with the card's parameter if it takes one.
 
     weighted_hopf takes a nonzero integer weight (default 2); group_torus takes
-    the torus rank n >= 1 (default 2); trivial_product accepts a custom
-    (basic, lie) pair with zero Euler operators.  Unknown names and invalid
-    parameters raise ValueError.
+    the torus rank n >= 1 (default 2), up to the size limit of
+    model.MAX_AMBIENT_DIM; trivial_product accepts a custom (basic, lie) pair
+    with zero Euler operators.  Unknown names and invalid parameters raise
+    ValueError.
     """
     if name == "hopf":
         if param is not None:
@@ -202,6 +203,9 @@ def get_model(name: str, param=None, *, basic=None, lie=None) -> ModelCard:
         n = 2 if param is None else param
         if not isinstance(n, int) or isinstance(n, bool) or n < 1:
             raise ValueError(f"torus rank must be a positive integer: {param!r}")
+        too_large = size_error(1, n)
+        if too_large:
+            raise ValueError(too_large)
         card = _group_card(
             LieData.abelian(n), f"group_torus({n})", DESCRIPTIONS["group_torus"]
         )

@@ -29,7 +29,7 @@ lexicographically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, permutations
 
@@ -104,9 +104,6 @@ class ChiElement:
 
     def degrees(self) -> set[int]:
         return {len(I) for I in self.coeffs}
-
-    def homogeneous_component(self, q: int) -> "ChiElement":
-        return ChiElement({I: v for I, v in self.coeffs.items() if len(I) == q})
 
     def __add__(self, other: "ChiElement") -> "ChiElement":
         out = dict(self.coeffs)
@@ -192,10 +189,15 @@ def contract(i: int, a: ChiElement) -> ChiElement:
 
 @dataclass(frozen=True)
 class LieData:
-    """Structure constants of an n-dimensional metric Lie algebra, 0-based storage."""
+    """Structure constants of an n-dimensional metric Lie algebra, 0-based storage.
+
+    delta_gens[k - 1] = delta chi_k is built once, at construction, from the
+    nonzero constants; it is derived data and takes no part in equality.
+    """
 
     n: int
     c: tuple[tuple[tuple[Fraction, ...], ...], ...]
+    delta_gens: tuple[ChiElement, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not isinstance(self.n, int) or self.n < 1:
@@ -205,6 +207,13 @@ class LieData:
             for plane in self.c
         ):
             raise ValueError("structure constant array must be n x n x n")
+        terms: list[dict[MultiIndex, Fraction]] = [{} for _ in range(self.n)]
+        for a, plane in enumerate(self.c):
+            for b in range(a + 1, self.n):
+                for k, v in enumerate(plane[b]):
+                    if v:
+                        terms[k][(a + 1, b + 1)] = v
+        object.__setattr__(self, "delta_gens", tuple(ChiElement(t) for t in terms))
 
     def bracket_coeff(self, a: int, b: int, k: int) -> Fraction:
         """c[a][b][k] with 1-based indices."""
@@ -278,14 +287,8 @@ def _perm_sign(perm) -> int:
 
 
 def delta_gen(L: LieData, k: int) -> ChiElement:
-    """delta chi_k = sum_{a<b} c[a][b][k] chi_a ^ chi_b."""
-    out = {}
-    for a in range(1, L.n + 1):
-        for b in range(a + 1, L.n + 1):
-            v = L.bracket_coeff(a, b, k)
-            if v:
-                out[(a, b)] = v
-    return ChiElement(out)
+    """delta chi_k = sum_{a<b} c[a][b][k] chi_a ^ chi_b, from L's table."""
+    return L.delta_gens[k - 1]
 
 
 def ce_delta(L: LieData, a: ChiElement) -> ChiElement:

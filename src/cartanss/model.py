@@ -339,6 +339,26 @@ def max_total_degree(model: EquivariantModel) -> int:
     return model.basic.max_degree + model.lie.n
 
 
+# Largest total number of monomials a model may have.  Every library card and
+# benchmark model has at most 2^8 = 256; a model with lie.n = 40 would have
+# 2^40 multi-indices, and enumerating them would exhaust memory.
+MAX_AMBIENT_DIM = 1 << 13
+
+
+def size_error(num_generators: int, n: int) -> str | None:
+    """Why num_generators x 2^n monomials are too many, or None within MAX_AMBIENT_DIM.
+
+    Decided from the two counts alone, before any multi-index is listed; n is
+    compared first, so a huge n never builds a huge integer.
+    """
+    if n < MAX_AMBIENT_DIM.bit_length() and num_generators << n <= MAX_AMBIENT_DIM:
+        return None
+    return (
+        f"model too large: ambient dimension {num_generators} x 2^{n} "
+        f"(basic generators x multi-indices) exceeds the limit {MAX_AMBIENT_DIM}"
+    )
+
+
 def element_to_vector(model: EquivariantModel, x: ModelElement, k: int) -> tuple[Fraction, ...]:
     pos = {key: i for i, key in enumerate(monomial_basis(model, k))}
     v = [_ZERO] * len(pos)
@@ -371,15 +391,18 @@ def total_matrix(model: EquivariantModel, k: int) -> Matrix:
     return Matrix.of(data, cols=len(src))
 
 
-def total_cohomology(model: EquivariantModel) -> tuple[int, ...]:
+def total_cohomology(model: EquivariantModel, dmats=None) -> tuple[int, ...]:
     """Cohomology dimensions of (total complex, total_d), degree by degree.
 
     Straight rank computation, independent of any filtration: the abutment
-    oracle for the spectral machinery.
+    oracle for the spectral machinery.  dmats, when given, are the matrices
+    total_matrix(model, k) for k = 0..max_total_degree(model), already built.
     """
     top = max_total_degree(model)
     dims = [len(monomial_basis(model, k)) for k in range(top + 2)]
-    ranks = [total_matrix(model, k).rank() for k in range(top + 1)]
+    if dmats is None:
+        dmats = [total_matrix(model, k) for k in range(top + 1)]
+    ranks = [m.rank() for m in dmats]
     out = []
     for k in range(top + 1):
         prev = ranks[k - 1] if k > 0 else 0

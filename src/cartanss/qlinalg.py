@@ -8,14 +8,22 @@ which makes subspace equality a plain structural comparison.
 
 Conventions: vectors are coordinate tuples, a linear map is a Matrix acting on
 column vectors, and a Subspace keeps its basis as matrix rows.
+
+The matrices of the spectral sequence are mostly zero, so the hot paths skip
+zeros: `Matrix.apply` and `Subspace.contains_vector` visit only the nonzero
+entries of the vector, a Subspace keeps a sparse copy of its echelon rows
+once it has been used, and `sparse_columns`/`apply_columns` apply a map from
+the nonzero entries of its columns.  `quotient_map` builds v/w in one pass of
+a sparse echelon over w's rows and then v's, with no row reduction per
+representative.  `preimage` and `sum_and_intersect` no longer run in the
+engine; they stay as the definitions the tests check it against.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from bisect import bisect_left
+from dataclasses import dataclass, field
 from fractions import Fraction
-
-from .reports import CertificateError
 
 Q = Fraction
 
@@ -34,6 +42,35 @@ def as_q(value) -> Fraction:
     if isinstance(value, str):
         return Fraction(value)
     raise TypeError(f"expected an exact rational, got {value!r}")
+
+
+def nonzero_entries(vec) -> dict[int, Fraction]:
+    """The nonzero coordinates of vec, as column -> value in increasing column order."""
+    return {j: as_q(x) for j, x in enumerate(vec) if x}
+
+
+SparseColumns = tuple[tuple[tuple[int, Fraction], ...], ...]
+
+
+def sparse_columns(m: "Matrix") -> SparseColumns:
+    """Per column of m, the (row, value) pairs of its nonzero entries."""
+    return tuple(
+        tuple((i, row[j]) for i, row in enumerate(m.data) if row[j]) for j in range(m.cols)
+    )
+
+
+def apply_columns(cols: SparseColumns, rows: int, vec) -> tuple[Fraction, ...]:
+    """m @ vec for m given by sparse_columns(m) and its row count.
+
+    Only columns that have a nonzero entry are visited, and only where vec is
+    nonzero, so a zero map costs one pass over its empty columns.
+    """
+    out = [_ZERO] * rows
+    for col, x in zip(cols, vec):
+        if col and x:
+            for i, a in col:
+                out[i] += a * x
+    return tuple(out)
 
 
 @dataclass(frozen=True, slots=True)
@@ -109,12 +146,6 @@ class Matrix:
     def column(self, j: int) -> tuple[Fraction, ...]:
         return tuple(r[j] for r in self.data)
 
-    def transpose(self) -> "Matrix":
-        return Matrix(
-            tuple(tuple(self.data[i][j] for i in range(self.rows)) for j in range(self.cols)),
-            self.rows,
-        )
-
     def is_zero(self) -> bool:
         return all(x == 0 for r in self.data for x in r)
 
@@ -131,10 +162,6 @@ class Matrix:
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         return self + (-other)
-
-    def scaled(self, c) -> "Matrix":
-        c = as_q(c)
-        return Matrix(tuple(tuple(c * x for x in r) for r in self.data), self.cols)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
@@ -154,11 +181,19 @@ class Matrix:
         return Matrix(tuple(out), other.cols)
 
     def apply(self, vec) -> tuple[Fraction, ...]:
-        """Matrix times column vector."""
+        """Matrix times column vector; only the nonzero entries of vec are visited."""
         if len(vec) != self.cols:
             raise ValueError(f"vector length {len(vec)} != {self.cols} columns")
-        v = [as_q(x) for x in vec]
-        return tuple(sum((a * b for a, b in zip(r, v) if a and b), _ZERO) for r in self.data)
+        nz = nonzero_entries(vec).items()
+        out = []
+        for r in self.data:
+            acc = _ZERO
+            for j, x in nz:
+                a = r[j]
+                if a:
+                    acc += a * x
+            out.append(acc)
+        return tuple(out)
 
     def rref(self) -> tuple["Matrix", tuple[int, ...]]:
         """Reduced row echelon form and the pivot column indices."""
@@ -215,10 +250,29 @@ def inverse(m: Matrix) -> Matrix:
 
 @dataclass(frozen=True, slots=True)
 class Subspace:
-    """Subspace of Q^ambient_dim, stored by its RREF row basis (canonical)."""
+    """Subspace of Q^ambient_dim, stored by its RREF row basis (canonical).
+
+    The sparse form of the basis (each row's pivot and its other nonzero
+    entries) is derived on first use and kept; it is not part of equality.
+    """
 
     ambient_dim: int
     basis: Matrix
+    _echelon: tuple | None = field(default=None, init=False, repr=False, compare=False)
+
+    def echelon(self) -> tuple[tuple[int, dict[int, Fraction]], ...]:
+        """(pivot, {column: value} past the pivot) for each basis row, in order."""
+        ech = self._echelon
+        if ech is None:
+            rows = []
+            for row in self.basis.data:
+                entries = nonzero_entries(row)
+                pivot = next(iter(entries))
+                del entries[pivot]  # the leading entry of an RREF row is 1
+                rows.append((pivot, entries))
+            ech = tuple(rows)
+            object.__setattr__(self, "_echelon", ech)
+        return ech
 
     @classmethod
     def from_rows(cls, ambient_dim: int, rows) -> "Subspace":
@@ -243,13 +297,9 @@ class Subspace:
     def contains_vector(self, vec) -> bool:
         if len(vec) != self.ambient_dim:
             raise ValueError("ambient dimension mismatch")
-        v = [as_q(x) for x in vec]
-        for row in self.basis.data:
-            p = next(j for j, x in enumerate(row) if x)
-            c = v[p]
-            if c:
-                v = [a - c * b for a, b in zip(v, row)]
-        return not any(v)
+        residual = nonzero_entries(vec)
+        _eliminate(residual, self.echelon())
+        return not any(residual.values())
 
     def contains(self, other: "Subspace") -> bool:
         if other.ambient_dim != self.ambient_dim:
@@ -313,6 +363,25 @@ def sum_and_intersect(a: Subspace, b: Subspace) -> tuple[Subspace, Subspace]:
     return Subspace.from_rows(d, sum_rows), Subspace.from_rows(d, int_rows)
 
 
+def _eliminate(x: dict[int, Fraction], rows) -> list[tuple[int, Fraction]]:
+    """Reduce x in place by echelon rows (pivot, tail) given in increasing pivot order.
+
+    Each row is 1 at its pivot, zero before it and `tail` past it, so a row
+    changes x only past its pivot and one pass in pivot order reduces x fully.
+    Returns (position in rows, multiplier) for every row subtracted; entries
+    of x that cancel are left behind as zeros.
+    """
+    used = []
+    for pos, (pivot, tail) in enumerate(rows):
+        c = x.pop(pivot, None)
+        if c:
+            for j, a in tail.items():
+                y = x.get(j)
+                x[j] = -c * a if y is None else y - c * a
+            used.append((pos, c))
+    return used
+
+
 def quotient_map(v: Subspace, w: Subspace) -> tuple[Matrix, Matrix]:
     """Coset representatives and coordinate projection for v/w.
 
@@ -320,37 +389,55 @@ def quotient_map(v: Subspace, w: Subspace) -> tuple[Matrix, Matrix]:
     basis of v/w, and proj is a k x ambient matrix such that for any x in v
     the quotient coordinates of [x] are proj @ x.  In particular
     proj @ x = 0 iff x in w, and proj @ reps[i] = e_i.
+
+    One pass: w's rows, then v's basis rows in order, go into one sparse
+    echelon whose rows carry their class modulo w as coordinates along the
+    representatives.  A row of v that the echelon does not reduce to zero is
+    the next representative (the first k rows of v independent modulo w);
+    one that it does reduce has its class read off the multipliers.  Since
+    x in v is the sum of x[pivot] times v's basis rows, proj @ x weighs those
+    classes by x at v's pivot columns.  The echelon also counts dim(v + w),
+    which equals dim v exactly when w lies in v; that is the containment
+    check, and a failing one raises ValueError.
     """
     if v.ambient_dim != w.ambient_dim:
         raise ValueError("ambient dimension mismatch")
-    if not v.contains(w):
-        raise ValueError("quotient undefined: denominator is not contained in numerator")
     d = v.ambient_dim
-    rows = [list(r) for r in w.basis.data]
-    reps: list[list[Fraction]] = []
-    current = Subspace.from_rows(d, rows)
-    for cand in v.basis.data:
-        if not current.contains_vector(cand):
-            reps.append(list(cand))
-            rows.append(list(cand))
-            current = Subspace.from_rows(d, rows)
+    rows = list(w.echelon())
+    pivots = [pivot for pivot, _ in rows]
+    tags: list[dict[int, Fraction]] = [{} for _ in rows]  # class of each echelon row
+    reps = []
+    classes = []  # class of each basis row of v
+    for (vpivot, vtail), vrow in zip(v.echelon(), v.basis.data):
+        x = {vpivot: _ONE, **vtail}
+        acc: dict[int, Fraction] = {}
+        for pos, c in _eliminate(x, rows):
+            for i, t in tags[pos].items():
+                acc[i] = acc.get(i, _ZERO) + c * t
+        residual = {j: a for j, a in x.items() if a}
+        if not residual:
+            classes.append(acc)
+            continue
+        # residual = vrow - (rows subtracted), so its class is e_i - acc
+        i = len(reps)
+        reps.append(vrow)
+        classes.append({i: _ONE})
+        pivot = min(residual)
+        lead = residual.pop(pivot)
+        tag = {i: _ONE / lead}
+        tag.update((j, -a / lead) for j, a in acc.items())
+        pos = bisect_left(pivots, pivot)
+        pivots.insert(pos, pivot)
+        rows.insert(pos, (pivot, {j: a / lead for j, a in residual.items()}))
+        tags.insert(pos, tag)
     k = len(reps)
+    if k != v.dim - w.dim:
+        raise ValueError("quotient undefined: denominator is not contained in numerator")
     if k == 0:
         return Matrix((), d), Matrix((), d)
-    # rows = w-basis then reps: independent and spanning v.  Row-reduce with a
-    # tracked transform E (R = E @ C) to read off coordinates along the pivot
-    # columns of the reduced basis.
-    c_mat = Matrix.of(rows, cols=d)
-    red, pivots = Matrix.hstack(c_mat, Matrix.identity(c_mat.rows)).rref()
-    if len(pivots) != c_mat.rows or any(p >= d for p in pivots):
-        raise CertificateError("quotient_map: combined basis was not independent")
-    nb = c_mat.rows
-    proj_rows = []
-    for i in range(nb - k, nb):
-        rowv = [_ZERO] * d
-        for l in range(nb):
-            val = red.data[l][d + i]
-            if val:
-                rowv[pivots[l]] = val
-        proj_rows.append(rowv)
-    return Matrix.of(reps, cols=d), Matrix.of(proj_rows, cols=d)
+    proj = [[_ZERO] * d for _ in range(k)]
+    for (vpivot, _), cls in zip(v.echelon(), classes):
+        for i, a in cls.items():
+            if a:
+                proj[i][vpivot] = a
+    return Matrix(tuple(reps), d), Matrix(tuple(tuple(row) for row in proj), d)

@@ -16,6 +16,14 @@ first k(p, m) basis vectors.  So Z_r is the kernel of the block of d with
 rows k(p+r, m+1): and columns :k(p, m), padded with zeros, and the divisor is
 the plain span of its two parts; no subspace intersection is needed.
 
+The differentials are very sparse (for a torus acting on itself d is zero),
+so each d^m is also kept by the nonzero entries of its columns: d Z_(r-1)
+and d_r are applied through that form, a block of d with no nonzero entry
+has all of F^p as its kernel without an elimination, and a divisor whose
+d Z_(r-1) part vanishes is Z_(r-1)^(p+1) itself.  Each cell's quotient
+E_r = Z_r / divisor comes from one pass of qlinalg.quotient_map, which is
+also the one check that the divisor lies in Z_r.
+
 The filtration of the invariant-forms model is by chi-count complement:
 F^p C^m is spanned by monomials of horizontal degree >= p, which come first
 in the monomial basis.  Page r = 0 and r = 1 are bookkeeping pages of the
@@ -37,8 +45,19 @@ from .model import (
     total_cohomology,
     total_matrix,
 )
-from .qlinalg import Matrix, Subspace, kernel_basis, quotient_map
+from .qlinalg import (
+    Matrix,
+    SparseColumns,
+    Subspace,
+    apply_columns,
+    kernel_basis,
+    quotient_map,
+    sparse_columns,
+)
 from .reports import CertificateError
+
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -50,12 +69,18 @@ class FilteredComplex:
     prefix[m][p] = k(p, m) for 0 <= p <= m+1: F^p C^m is spanned by the
     first k(p, m) coordinates, with k(0, m) = dims[m] and k(m+1, m) = 0.
     labels[m] optionally names the coordinates of C^m.
+    d_columns[m] is d[m] in column-sparse form, derived once at construction;
+    the page engine applies d only through it.
     """
 
     dims: tuple[int, ...]
     d: tuple[Matrix, ...]
     prefix: tuple[tuple[int, ...], ...]
     labels: tuple[tuple, ...] = field(default=())
+    d_columns: tuple[SparseColumns, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "d_columns", tuple(sparse_columns(m) for m in self.d))
 
     @property
     def max_degree(self) -> int:
@@ -71,6 +96,12 @@ class FilteredComplex:
             return self.d[m]
         return Matrix.zero(self.ambient(m + 1), self.ambient(m))
 
+    def apply_d(self, m: int, vec) -> tuple[Fraction, ...]:
+        """d x for x in C^m, visiting only the nonzero entries of d and x."""
+        if 0 <= m <= self.max_degree:
+            return apply_columns(self.d_columns[m], self.ambient(m + 1), vec)
+        return (_ZERO,) * self.ambient(m + 1)
+
     def cut(self, p: int, m: int) -> int:
         """k(p, m) = dim F^p C^m, with F^p = C for p <= 0 and F^p = 0 deep enough."""
         if m < 0 or m > self.max_degree:
@@ -83,7 +114,9 @@ class FilteredComplex:
     def filt(self, p: int, m: int) -> Subspace:
         """F^p C^m as a subspace: the first cut(p, m) coordinate vectors."""
         n = self.ambient(m)
-        return Subspace(n, Matrix(Matrix.identity(n).data[: self.cut(p, m)], n))
+        zeros = (_ZERO,) * n
+        rows = tuple(zeros[:i] + (_ONE,) + zeros[i + 1:] for i in range(self.cut(p, m)))
+        return Subspace(n, Matrix(rows, n))
 
     def check_structure(self) -> None:
         """Assert shapes, decreasing filtration, and d-compatibility (test hook)."""
@@ -168,20 +201,30 @@ def _z_space(fc: FilteredComplex, r: int, p: int, m: int, cache: dict) -> Subspa
     if hit is not None:
         return hit
     k = fc.cut(p, m)
-    block = Matrix(tuple(row[:k] for row in fc.dmat(m).data[fc.cut(p + r, m + 1):]), k)
-    pad = (Fraction(0),) * (fc.ambient(m) - k)
-    ker = kernel_basis(block).basis.data
-    out = Subspace(fc.ambient(m), Matrix(tuple(row + pad for row in ker), fc.ambient(m)))
+    start = fc.cut(p + r, m + 1)
+    if 0 <= m <= fc.max_degree and any(
+        i >= start for col in fc.d_columns[m][:k] for i, _ in col
+    ):
+        block = Matrix(tuple(row[:k] for row in fc.d[m].data[start:]), k)
+        pad = (_ZERO,) * (fc.ambient(m) - k)
+        ker = kernel_basis(block).basis.data
+        out = Subspace(fc.ambient(m), Matrix(tuple(row + pad for row in ker), fc.ambient(m)))
+    else:
+        out = fc.filt(p, m)  # the block is zero, so Z_r is all of F^p
     cache[key] = out
     return out
 
 
 def _divisor(fc: FilteredComplex, r: int, p: int, m: int, cache: dict) -> Subspace:
-    """d Z_{r-1}^{p-r+1} + Z_{r-1}^{p+1} in C^m, as the span of both bases."""
-    dm = fc.dmat(m - 1)
+    """d Z_{r-1}^{p-r+1} + Z_{r-1}^{p+1} in C^m, as the span of both bases.
+
+    When d kills Z_{r-1}^{p-r+1}, the span is the second space as it stands.
+    """
     born = _z_space(fc, r - 1, p - r + 1, m - 1, cache)
     other = _z_space(fc, r - 1, p + 1, m, cache)
-    rows = [dm.apply(row) for row in born.basis.data]
+    rows = [y for y in (fc.apply_d(m - 1, row) for row in born.basis.data) if any(y)]
+    if not rows:
+        return other
     rows.extend(other.basis.data)
     return Subspace.from_rows(fc.ambient(m), rows)
 
@@ -198,9 +241,10 @@ def page(fc: FilteredComplex, r: int, _cache: dict | None = None) -> SpectralPag
             q = m - p
             z = _z_space(fc, r, p, m, cache)
             divisor = _divisor(fc, r, p, m, cache)
-            if not z.contains(divisor):
-                raise CertificateError(f"divisor escapes Z_{r}", (p, q), r)
-            reps, proj = quotient_map(z, divisor)
+            try:
+                reps, proj = quotient_map(z, divisor)  # also checks divisor <= z
+            except ValueError:
+                raise CertificateError(f"divisor escapes Z_{r}", (p, q), r) from None
             cells[(p, q)] = PageCell(p, q, reps.rows, reps, proj, z, divisor)
     dr: dict[tuple[int, int], Matrix] = {}
     for (p, q), cell in cells.items():
@@ -211,9 +255,8 @@ def page(fc: FilteredComplex, r: int, _cache: dict | None = None) -> SpectralPag
             dr[(p, q)] = Matrix.zero(0 if tgt is None else tgt.dim, cell.dim)
             continue
         cols = []
-        dm = fc.dmat(p + q)
         for rep in cell.reps.data:
-            y = dm.apply(rep)
+            y = fc.apply_d(p + q, rep)
             if not tgt.z_space.contains_vector(y):
                 raise CertificateError("d of a representative escapes Z", (p, q), r)
             cols.append(tgt.proj.apply(y))
@@ -299,7 +342,7 @@ def abutment_check(model: EquivariantModel) -> AbutmentReport:
     """Compare per-degree sums over the stable page with total cohomology dims."""
     fc = cartan_filtration(model)
     stable, r_stab = limit_page(fc)
-    hdims = total_cohomology(model)
+    hdims = total_cohomology(model, fc.d)
     sums = [0] * len(hdims)
     for (p, q), d in stable.dims().items():
         sums[p + q] += d

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import json
+import os
 import re
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -20,7 +22,7 @@ from cartanss.cli import (
 )
 from cartanss.library import MODEL_NAMES, get_model, heisenberg_model
 from cartanss.liealg import LieData
-from cartanss.model import BasicComplex, EquivariantModel
+from cartanss.model import BasicComplex, EquivariantModel, max_total_degree
 
 HOPF_DOC = {
     "name": "hopf",
@@ -323,7 +325,7 @@ COUNTED = (
 )
 
 
-def count_calls(monkeypatch):
+def count_calls(monkeypatch, counted=COUNTED):
     """Wrap every module-namespace name bound to a counted function; name -> call args."""
     import importlib
 
@@ -332,7 +334,7 @@ def count_calls(monkeypatch):
         for m in ("cli", "library", "liealg", "model", "qlinalg", "specseq", "verify")
     ]
     calls = {}
-    for layer, fname in COUNTED:
+    for layer, fname in counted:
         original = getattr(importlib.import_module(f"cartanss.{layer}"), fname)
         calls[fname] = []
 
@@ -372,3 +374,98 @@ def test_examples_run_computes_every_stage_once(monkeypatch, capsys):
     assert {f: len(c) for f, c in calls.items() if f != "page"} == {
         "cartan_filtration": 1, "validate_lie": 1, "validate_model": 1, "_e2_frames": 1}
     assert [args[1] for args in calls["page"]] == [0, 1, 2, 3]
+
+
+@pytest.mark.parametrize("source", ["sample_models/hopf.json", "group_torus:3"])
+def test_pages_builds_each_total_matrix_once(tmp_path, monkeypatch, capsys, source):
+    if source.endswith(".json"):
+        path = str(Path(__file__).resolve().parent.parent / source)
+    else:
+        name, _, param = source.partition(":")
+        path = str(tmp_path / "model.json")
+        save_model_file(get_model(name, int(param)).model, path)
+    top = max_total_degree(load_model_file(path))
+    calls = count_calls(monkeypatch, (("model", "total_matrix"), ("model", "total_cohomology")))
+    assert main(["pages", path, "--format", "machine"]) == 0
+    capsys.readouterr()
+    # the filtration builds them; the abutment oracle reuses them
+    assert sorted(args[1] for args in calls["total_matrix"]) == list(range(top + 1))
+    assert len(calls["total_cohomology"]) == 1
+
+
+def source_env():
+    """The environment with this checkout's src/ first on PYTHONPATH, for subprocesses."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+
+
+ESCAPING_DIVISOR_SCRIPT = textwrap.dedent(
+    """
+    from cartanss import qlinalg, specseq
+    from cartanss.qlinalg import Matrix
+    from cartanss.reports import CertificateError
+
+    counts = {"quotient_map": 0, "contains": 0}
+    quotient_map, contains = qlinalg.quotient_map, qlinalg.Subspace.contains
+
+    def counted_quotient_map(v, w):
+        counts["quotient_map"] += 1
+        return quotient_map(v, w)
+
+    def counted_contains(self, other):
+        counts["contains"] += 1
+        return contains(self, other)
+
+    specseq.quotient_map = counted_quotient_map
+    qlinalg.Subspace.contains = counted_contains
+    # Q -> Q -> Q with both maps the identity: d^2 != 0, so at (0,1) the
+    # divisor d Z_0 = C^1 escapes Z_1 = ker d
+    one = Matrix.of([[1]])
+    broken = specseq.FilteredComplex((1, 1, 1), (one, one, Matrix.zero(0, 1)),
+                                     ((1, 0), (1, 0, 0), (1, 0, 0, 0)))
+    try:
+        specseq.page(broken, 1)
+    except CertificateError as exc:
+        print(exc)
+    print(counts["quotient_map"], counts["contains"])
+    """
+)
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_escaping_divisor_is_checked_once_per_cell(flags):
+    proc = subprocess.run([sys.executable, *flags, "-c", ESCAPING_DIVISOR_SCRIPT],
+                          capture_output=True, text=True, env=source_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    # cells (0,0) then (0,1): one quotient each, and no separate containment test
+    assert proc.stdout.splitlines() == [
+        "divisor escapes Z_1 at page E_1, cell (p,q)=(0,1)",
+        "2 0",
+    ]
+
+
+OVERSIZED_SCRIPT = textwrap.dedent(
+    """
+    import resource, sys
+    from cartanss.cli import main
+
+    # a regression here would enumerate 2^40 multi-indices: fail fast instead
+    resource.setrlimit(resource.RLIMIT_AS, (1536 << 20, 1536 << 20))
+    path = sys.argv[1]
+    for argv in (["pages", path], ["validate", path], ["examples", "--run", "group_torus:40"]):
+        print(main(argv))
+    """
+)
+
+
+def test_oversized_models_exit_2_before_enumerating(tmp_path):
+    path = write_doc(tmp_path, {"name": "huge", "lie": {"n": 40},
+                                "basic": {"generators": [{"name": "1", "degree": 0}]}})
+    proc = subprocess.run([sys.executable, "-c", OVERSIZED_SCRIPT, path],
+                          capture_output=True, text=True, env=source_env(), timeout=60)
+    assert proc.stdout.split() == ["2", "2", "2"], proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 3
+    assert all("ambient dimension 1 x 2^40" in line and "8192" in line for line in lines)
+    assert "Traceback" not in proc.stderr

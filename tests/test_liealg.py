@@ -18,6 +18,7 @@ from cartanss.liealg import (
     coadjoint,
     coadjoint_matrix,
     contract,
+    delta_gen,
     delta_matrix,
     invariant_subcomplex,
     lie_cohomology,
@@ -317,6 +318,37 @@ def test_sparse_jacobi_check_matches_the_dense_loop():
         assert jac.passed == (jac.detail == "")
         failing += not jac.passed
     assert failing > 10
+
+
+def _scanned_delta_gen(L, k):
+    """delta chi_k by the O(n^2) scan over every bracket pair."""
+    return ChiElement({
+        (a, b): L.bracket_coeff(a, b, k)
+        for a in range(1, L.n + 1)
+        for b in range(a + 1, L.n + 1)
+        if L.bracket_coeff(a, b, k)
+    })
+
+
+def test_delta_gen_table_matches_the_scan():
+    rng = random.Random(20261019)
+    algebras = [su2_lie(), heisenberg_lie(), rescaled_su2_lie(), mutated_jacobi_lie(),
+                LieData.abelian(4)]
+    for _ in range(60):
+        n = rng.randint(1, 6)
+        slots = [(a, b, k) for a in range(1, n + 1) for b in range(1, n + 1)
+                 for k in range(1, n + 1)]
+        entries = {s: Q(rng.choice([1, -1, 2, -3]), rng.choice([1, 2]))
+                   for s in rng.sample(slots, min(len(slots), rng.randint(0, 12)))}
+        algebras.append(LieData.from_structure_constants(n, entries, completion="none"))
+    nonzero = 0
+    for L in algebras:
+        for k in range(1, L.n + 1):
+            want = _scanned_delta_gen(L, k)
+            got = delta_gen(L, k)
+            assert got == want and list(got.coeffs) == list(want.coeffs), (L, k)
+            nonzero += not got.is_zero
+    assert nonzero > 50
 
 
 def test_jacobi_holds_iff_delta_squares_to_zero():

@@ -6,10 +6,12 @@ import random
 from fractions import Fraction as Q
 
 import pytest
+from oracles import seed_quotient_map
 
 from cartanss.qlinalg import (
     Matrix,
     Subspace,
+    apply_columns,
     as_q,
     image,
     inverse,
@@ -17,6 +19,7 @@ from cartanss.qlinalg import (
     preimage,
     quotient_map,
     rref,
+    sparse_columns,
     sum_and_intersect,
 )
 
@@ -195,3 +198,69 @@ def test_image_and_preimage():
             assert w.contains_vector(m.apply(r))
     assert preimage(Matrix.of([[1, 0], [0, 1]]), Subspace.full(2)) == Subspace.full(2)
     assert image(Matrix.of([[1, 2]])) == Subspace.full(1)
+
+
+def sparse_rows(rng, count, d):
+    """Rows with about half their entries zero, like the model's matrices."""
+    return [[Q(rng.randint(-3, 3), rng.randint(1, 3)) if rng.random() < 0.5 else Q(0)
+             for _ in range(d)] for _ in range(count)]
+
+
+def span_inside(rng, v, count):
+    """A subspace of v spanned by count random combinations of its basis."""
+    rows = []
+    for _ in range(count):
+        combo = [Q(0)] * v.ambient_dim
+        for row in v.basis.data:
+            c = rng.randint(-2, 2)
+            combo = [x + c * y for x, y in zip(combo, row)]
+        rows.append(combo)
+    return Subspace.from_rows(v.ambient_dim, rows)
+
+
+def test_quotient_map_matches_the_seed_algorithm_on_random_pairs():
+    rng = random.Random(20261018)
+    kinds = {"w=0": 0, "w=v": 0, "v=0": 0, "ambient 0": 0, "w not in v": 0, "proper": 0}
+    for i in range(1200):
+        d = 0 if i % 50 == 0 else rng.randint(1, 8)
+        v = Subspace.from_rows(d, sparse_rows(rng, rng.randint(0, d), d))
+        case = i % 4
+        if case == 0:
+            w = Subspace.zero(d)
+        elif case == 1:
+            w = v
+        elif case == 2:
+            w = Subspace.from_rows(d, sparse_rows(rng, rng.randint(0, d), d))
+        else:
+            w = span_inside(rng, v, rng.randint(0, v.dim))
+        kinds["ambient 0"] += d == 0
+        kinds["v=0"] += v.dim == 0
+        kinds["w=0"] += w.dim == 0
+        kinds["w=v"] += w == v
+        contained = Subspace.from_rows(d, v.basis.data + w.basis.data).dim == v.dim
+        kinds["w not in v"] += not contained
+        kinds["proper"] += contained and 0 < w.dim < v.dim
+        if not contained:
+            with pytest.raises(ValueError):
+                seed_quotient_map(v, w)
+            with pytest.raises(ValueError):
+                quotient_map(v, w)
+            continue
+        reps, proj = quotient_map(v, w)
+        want_reps, want_proj = seed_quotient_map(v, w)
+        assert (reps.data, reps.cols) == (want_reps.data, want_reps.cols), (v, w)
+        assert (proj.data, proj.cols) == (want_proj.data, want_proj.cols), (v, w)
+    assert min(kinds.values()) >= 20, kinds
+
+
+def test_sparse_columns_apply_like_the_dense_matrix():
+    rng = random.Random(29)
+    for _ in range(200):
+        rows, cols = rng.randint(0, 7), rng.randint(0, 7)
+        m = Matrix.of(sparse_rows(rng, rows, cols), cols=cols)
+        sparse = sparse_columns(m)
+        assert sum(len(c) for c in sparse) == sum(1 for r in m.data for x in r if x)
+        for vec in sparse_rows(rng, 3, cols) + [[Q(0)] * cols]:
+            dense = tuple(sum((a * x for a, x in zip(r, vec)), Q(0)) for r in m.data)
+            assert m.apply(vec) == dense
+            assert apply_columns(sparse, rows, vec) == dense

@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 
 import pytest
+from oracles import seed_quotient_map
 
 from cartanss.library import MODEL_NAMES, get_model, random_trivial_product
 from cartanss.liealg import LieData
@@ -230,6 +231,27 @@ def test_divisor_span_matches_the_zassenhaus_sum():
                     assert _divisor(fc, r, p, m, cache) == want, (model.name, r, p, m)
                     checked += 1
     assert checked > 1000
+
+
+def test_every_page_cell_matches_the_seed_quotient_and_dense_d():
+    """Cards and S^3..S^9, every cell of pages 0 .. stabilization + 1."""
+    cells = 0
+    models = [get_model(name).model for name in MODEL_NAMES]
+    models += [sphere_model(k) for k in range(1, 5)]
+    for model in models:
+        fc = cartan_filtration(model)
+        _, r_stab = limit_page(fc)
+        pages = iter_pages(fc)
+        for r in range(r_stab + 2):
+            pg = next(pages)
+            for (p, q), cell in pg.cells.items():
+                reps, proj = seed_quotient_map(cell.z_space, cell.divisor)
+                assert (cell.reps, cell.proj) == (reps, proj), (model.name, r, p, q)
+                dense = fc.dmat(p + q)
+                for row in cell.z_space.basis.data + cell.divisor.basis.data:
+                    assert fc.apply_d(p + q, row) == dense.apply(row)
+                cells += 1
+    assert cells > 300
 
 
 def test_iter_pages_equals_pages_built_alone():
