@@ -25,15 +25,26 @@ Conventions, fixed once and used everywhere downstream:
 Multi-indices are strictly increasing tuples of 1-based generator indices;
 the basis of the exterior algebra is enumerated by length, then
 lexicographically.
+
+The homotopy formula is the definition; the engine does not evaluate it.
+Each LieData carries sparse tables outside equality: delta chi_k and
+coadjoint(l, chi_i) on generators, built at construction (the latter is
+contract(l, delta chi_i), the homotopy on a generator), and delta(chi_I) for
+each multi-index I, built once on first use by the derivation rule.  Since a
+graded commutator of derivations is a derivation, coadjoint is evaluated as
+the even derivation with those generator values, each term signed by the
+position where its new generator is inserted.  The test suite checks both
+tables entry by entry against the wedge-product formulas above.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, permutations
 
-from .qlinalg import Matrix, Subspace, as_q, image, kernel_basis, quotient_map
+from .qlinalg import Matrix, Subspace, as_q, graded_cohomology, kernel_basis
 from .reports import CheckResult, ValidationReport
 
 MultiIndex = tuple[int, ...]
@@ -187,17 +198,32 @@ def contract(i: int, a: ChiElement) -> ChiElement:
     return ChiElement(out)
 
 
+Terms = tuple[tuple[MultiIndex, Fraction], ...]
+
+
 @dataclass(frozen=True)
 class LieData:
     """Structure constants of an n-dimensional metric Lie algebra, 0-based storage.
 
-    delta_gens[k - 1] = delta chi_k is built once, at construction, from the
-    nonzero constants; it is derived data and takes no part in equality.
+    Derived tables, built from the nonzero constants and taking no part in
+    equality: delta_gens[k - 1] = delta chi_k and coadjoint_gens[l - 1][i - 1]
+    = coadjoint(l, chi_i) as (k, coefficient) pairs, both at construction;
+    delta(chi_I) per multi-index I, filled by delta_terms on first use; and
+    the position of each multi-index in its degree's basis, per degree.
     """
 
     n: int
     c: tuple[tuple[tuple[Fraction, ...], ...], ...]
     delta_gens: tuple[ChiElement, ...] = field(init=False, repr=False, compare=False)
+    coadjoint_gens: tuple[tuple[tuple[tuple[int, Fraction], ...], ...], ...] = field(
+        init=False, repr=False, compare=False
+    )
+    _delta: dict[MultiIndex, Terms] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+    _positions: dict[int, dict[MultiIndex, int]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         if not isinstance(self.n, int) or self.n < 1:
@@ -213,7 +239,21 @@ class LieData:
                 for k, v in enumerate(plane[b]):
                     if v:
                         terms[k][(a + 1, b + 1)] = v
+        # coadjoint(l, chi_i) = contract(l, delta chi_i): each term
+        # v chi_a ^ chi_b gives v chi_b at l = a and -v chi_a at l = b
+        coad: list[list[dict[int, Fraction]]] = [
+            [{} for _ in range(self.n)] for _ in range(self.n)
+        ]
+        for i, t in enumerate(terms):
+            for (a, b), v in t.items():
+                coad[a - 1][i][b] = v
+                coad[b - 1][i][a] = -v
         object.__setattr__(self, "delta_gens", tuple(ChiElement(t) for t in terms))
+        object.__setattr__(
+            self,
+            "coadjoint_gens",
+            tuple(tuple(tuple(g.items()) for g in row) for row in coad),
+        )
 
     def bracket_coeff(self, a: int, b: int, k: int) -> Fraction:
         """c[a][b][k] with 1-based indices."""
@@ -291,29 +331,93 @@ def delta_gen(L: LieData, k: int) -> ChiElement:
     return L.delta_gens[k - 1]
 
 
+def _insert(J: MultiIndex, x: int) -> tuple[int, MultiIndex] | None:
+    """chi_x ^ chi_J = (-1)^s chi_K as (s, K); None when x is in J."""
+    s = bisect_left(J, x)
+    if s < len(J) and J[s] == x:
+        return None
+    return s, J[:s] + (x,) + J[s:]
+
+
+def _derive_delta(L: LieData, I: MultiIndex) -> Terms:
+    """delta(chi_I) by the derivation rule, as (multi-index, coefficient) pairs.
+
+    The j-th term (0-based) is (-1)^j chi_{I[:j]} ^ delta chi_{i_j} ^ chi_{I[j+1:]}.
+    Each chi_a ^ chi_b of delta chi_{i_j} has even degree, so it moves to the
+    front for free: the term is (-1)^j chi_a ^ chi_b ^ chi_rest, signed by
+    where b, then a, land in rest.
+    """
+    out: dict[MultiIndex, Fraction] = {}
+    for j, i in enumerate(I):
+        rest = I[:j] + I[j + 1:]
+        for (a, b), v in L.delta_gens[i - 1].coeffs.items():
+            hit = _insert(rest, b)
+            if hit is None:
+                continue
+            sb, with_b = hit
+            hit = _insert(with_b, a)
+            if hit is None:
+                continue
+            sa, K = hit
+            out[K] = out.get(K, _ZERO) + (-v if (j + sa + sb) % 2 else v)
+    return tuple((K, v) for K, v in out.items() if v)
+
+
+def delta_terms(L: LieData, I: MultiIndex) -> Terms:
+    """delta(chi_I) as (multi-index, coefficient) pairs; built once per L and I."""
+    terms = L._delta.get(I)
+    if terms is None:
+        terms = L._delta[I] = _derive_delta(L, I)
+    return terms
+
+
+def _check_direction(L: LieData, ell) -> None:
+    if not isinstance(ell, int) or isinstance(ell, bool) or not 1 <= ell <= L.n:
+        raise ValueError(f"direction index out of range: {ell!r}")
+
+
+def _coadjoint_terms(L: LieData, ell: int, I: MultiIndex) -> Terms:
+    """coadjoint(ell, chi_I) as the even derivation with L's generator values.
+
+    The j-th term replaces chi_{i_j} by chi_k in place; moving chi_k to the
+    front past j factors and then into rest gives the sign.
+    """
+    gens = L.coadjoint_gens[ell - 1]
+    out: dict[MultiIndex, Fraction] = {}
+    for j, i in enumerate(I):
+        rest = I[:j] + I[j + 1:]
+        for k, w in gens[i - 1]:
+            hit = _insert(rest, k)
+            if hit is None:
+                continue
+            sk, K = hit
+            out[K] = out.get(K, _ZERO) + (-w if (j + sk) % 2 else w)
+    return tuple((K, v) for K, v in out.items() if v)
+
+
+def _apply_terms(a: ChiElement, terms_of) -> ChiElement:
+    """The linear map sending each chi_I to terms_of(I), applied to a."""
+    out: dict[MultiIndex, Fraction] = {}
+    for I, v in a.coeffs.items():
+        for K, w in terms_of(I):
+            out[K] = out.get(K, _ZERO) + v * w
+    return ChiElement(out)
+
+
 def ce_delta(L: LieData, a: ChiElement) -> ChiElement:
     """The differential, extended over products as a graded derivation."""
-    out = ChiElement.zero()
-    for I, v in a.coeffs.items():
-        for pos, gen in enumerate(I):
-            dg = delta_gen(L, gen)
-            if dg.is_zero:
-                continue
-            sign = -1 if pos % 2 else 1
-            term = wedge(ChiElement.basis(I[:pos]), wedge(dg, ChiElement.basis(I[pos + 1:])))
-            out = out + (sign * v) * term
-    return out
+    return _apply_terms(a, lambda I: delta_terms(L, I))
 
 
 def coadjoint(L: LieData, ell: int, a: ChiElement) -> ChiElement:
     """Infinitesimal action of the ell-th direction: contract o delta + delta o contract.
 
     A degree-zero (ungraded) derivation that commutes with ce_delta; on
-    generators coadjoint(l, chi_i) = sum_k c[l][k][i] chi_k.
+    generators coadjoint(l, chi_i) = sum_k c[l][k][i] chi_k.  Evaluated as
+    that derivation from L's generator table, not through the homotopy.
     """
-    if not isinstance(ell, int) or isinstance(ell, bool) or not 1 <= ell <= L.n:
-        raise ValueError(f"direction index out of range: {ell!r}")
-    return contract(ell, ce_delta(L, a)) + ce_delta(L, contract(ell, a))
+    _check_direction(L, ell)
+    return _apply_terms(a, lambda I: _coadjoint_terms(L, ell, I))
 
 
 def chi_to_vector(a: ChiElement, n: int, q: int) -> tuple[Fraction, ...]:
@@ -335,28 +439,52 @@ def chi_from_vector(vec, n: int, q: int) -> ChiElement:
     return ChiElement({I: v for I, v in zip(idxs, vec)})
 
 
-def _matrix_of_op(op, n: int, q_src: int, q_tgt: int) -> Matrix:
-    src = multi_indices(n, q_src)
-    tgt = multi_indices(n, q_tgt)
-    cols = [chi_to_vector(op(ChiElement.basis(I)), n, q_tgt) for I in src]
-    data = [[cols[j][i] for j in range(len(src))] for i in range(len(tgt))]
-    return Matrix.of(data, cols=len(src))
+def _positions(L: LieData, q: int) -> dict[MultiIndex, int]:
+    """Multi-index -> its position in the basis of Lambda^q, built once per L and q."""
+    pos = L._positions.get(q)
+    if pos is None:
+        pos = L._positions[q] = {I: i for i, I in enumerate(multi_indices(L.n, q))}
+    return pos
+
+
+def _matrix_of_columns(columns: list[Terms], pos: dict[MultiIndex, int]) -> Matrix:
+    """Dense matrix whose j-th column has the terms columns[j], rows placed by pos."""
+    data = [[_ZERO] * len(columns) for _ in pos]
+    for j, col in enumerate(columns):
+        for K, v in col:
+            data[pos[K]][j] = v
+    return Matrix(tuple(tuple(row) for row in data), len(columns))
 
 
 def delta_matrix(L: LieData, q: int) -> Matrix:
     """Matrix of the differential Lambda^q -> Lambda^{q+1}."""
-    return _matrix_of_op(lambda x: ce_delta(L, x), L.n, q, q + 1)
+    columns = [delta_terms(L, I) for I in multi_indices(L.n, q)]
+    return _matrix_of_columns(columns, _positions(L, q + 1))
+
+
+def _coadjoint_columns(L: LieData, ell: int, q: int) -> list[Terms]:
+    return [_coadjoint_terms(L, ell, I) for I in multi_indices(L.n, q)]
 
 
 def coadjoint_matrix(L: LieData, ell: int, q: int) -> Matrix:
     """Matrix of the ell-th infinitesimal action on Lambda^q."""
-    return _matrix_of_op(lambda x: coadjoint(L, ell, x), L.n, q, q)
+    _check_direction(L, ell)
+    return _matrix_of_columns(_coadjoint_columns(L, ell, q), _positions(L, q))
 
 
 @dataclass(frozen=True)
 class LieCohomology:
     dims: tuple[int, ...]
     reps: tuple[tuple[ChiElement, ...], ...]
+
+
+def ce_cohomology(L: LieData):
+    """graded_cohomology of (Lambda g*, delta): per degree q = 0..n, (ker, im, reps, proj).
+
+    Each delta matrix is built once, as a kernel and then as the next
+    degree's image; degrees are produced lazily.
+    """
+    return graded_cohomology(delta_matrix(L, q) for q in range(L.n + 1))
 
 
 def lie_cohomology(L: LieData) -> LieCohomology:
@@ -367,25 +495,39 @@ def lie_cohomology(L: LieData) -> LieCohomology:
     """
     dims: list[int] = []
     reps: list[tuple[ChiElement, ...]] = []
-    for q in range(L.n + 1):
-        ker = kernel_basis(delta_matrix(L, q))
-        if q == 0:
-            img = Subspace.zero(ker.ambient_dim)
-        else:
-            img = image(delta_matrix(L, q - 1))
-        rep_rows, _ = quotient_map(ker, img)
+    for q, (_, _, rep_rows, _) in enumerate(ce_cohomology(L)):
         dims.append(rep_rows.rows)
         reps.append(tuple(chi_from_vector(r, L.n, q) for r in rep_rows.data))
     return LieCohomology(tuple(dims), tuple(reps))
 
 
 def invariant_subcomplex(L: LieData) -> tuple[Subspace, ...]:
-    """Per degree q, the joint kernel of all infinitesimal actions on Lambda^q."""
+    """Per degree q, the joint kernel of all infinitesimal actions on Lambda^q.
+
+    A degree whose coadjoint columns are all empty (degree 0 always, every
+    degree of an abelian algebra) is all of Lambda^q, with no elimination.
+    """
     out = []
     for q in range(L.n + 1):
-        stacked = Matrix.vstack(*[coadjoint_matrix(L, ell, q) for ell in range(1, L.n + 1)])
-        out.append(kernel_basis(stacked))
+        stacks = [_coadjoint_columns(L, ell, q) for ell in range(1, L.n + 1)]
+        if not any(col for cols in stacks for col in cols):
+            out.append(Subspace.full(len(stacks[0])))
+            continue
+        pos = _positions(L, q)
+        out.append(kernel_basis(Matrix.vstack(*(_matrix_of_columns(c, pos) for c in stacks))))
     return tuple(out)
+
+
+def first_delta_squared_failure(L: LieData) -> MultiIndex | None:
+    """The first multi-index in basis order with delta(delta chi_I) != 0, or None."""
+    for I in all_multi_indices(L.n):
+        acc: dict[MultiIndex, Fraction] = {}
+        for J, v in delta_terms(L, I):
+            for K, w in delta_terms(L, J):
+                acc[K] = acc.get(K, _ZERO) + v * w
+        if any(acc.values()):
+            return I
+    return None
 
 
 def _first_jacobi_failure(L: LieData) -> tuple | None:
@@ -474,11 +616,7 @@ def validate_lie(L: LieData) -> ValidationReport:
         )
     )
 
-    bad_idx = None
-    for I in all_multi_indices(L.n):
-        if not ce_delta(L, ce_delta(L, ChiElement.basis(I))).is_zero:
-            bad_idx = I
-            break
+    bad_idx = first_delta_squared_failure(L)
     checks.append(
         CheckResult(
             "delta squared",

@@ -28,8 +28,9 @@ from .liealg import (
     MultiIndex,
     _check_multi_index,
     all_multi_indices,
-    ce_delta,
     contract as chi_contract,
+    delta_terms,
+    first_delta_squared_failure,
     multi_indices,
 )
 from .qlinalg import Matrix, as_q
@@ -279,14 +280,16 @@ def d10(model: EquivariantModel, x: ModelElement) -> ModelElement:
 
 def one_tensor_delta(model: EquivariantModel, x: ModelElement) -> ModelElement:
     """(1 (x) delta) with the Koszul sign: g (x) chi_I -> (-1)^(deg g) g (x) delta(chi_I)."""
-    out = ModelElement.zero()
+    out: dict[tuple[int, MultiIndex], Fraction] = {}
     for (g, I), v in x.coeffs.items():
-        dI = ce_delta(model.lie, ChiElement.basis(I))
-        if dI.is_zero:
+        dI = delta_terms(model.lie, I)
+        if not dI:
             continue
-        sign = -1 if model.basic.degree_of(g) % 2 else 1
-        out = out + ModelElement({(g, J): sign * v * w for J, w in dI.coeffs.items()})
-    return out
+        sv = -v if model.basic.degree_of(g) % 2 else v
+        for J, w in dI:
+            key = (g, J)
+            out[key] = out.get(key, _ZERO) + sv * w
+    return ModelElement(out)
 
 
 def d01(model: EquivariantModel, x: ModelElement) -> ModelElement:
@@ -472,14 +475,7 @@ def validate_model(model: EquivariantModel) -> ValidationReport:
 
     checks.append(_identity_check(model, "d_hor squared", lambda x: D10(D10(x))))
 
-    bad_idx = next(
-        (
-            I
-            for I in all_multi_indices(model.lie.n)
-            if not ce_delta(model.lie, ce_delta(model.lie, ChiElement.basis(I))).is_zero
-        ),
-        None,
-    )
+    bad_idx = first_delta_squared_failure(model.lie)
     checks.append(
         CheckResult(
             "delta squared",

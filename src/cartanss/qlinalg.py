@@ -441,3 +441,21 @@ def quotient_map(v: Subspace, w: Subspace) -> tuple[Matrix, Matrix]:
             if a:
                 proj[i][vpivot] = a
     return Matrix(tuple(reps), d), Matrix(tuple(tuple(row) for row in proj), d)
+
+
+def graded_cohomology(maps):
+    """Cohomology of a cochain complex given by its differentials d_0, d_1, ...
+
+    Per degree q, in order, yields (ker d_q, im d_{q-1}, reps, proj) with
+    (reps, proj) = quotient_map(ker, im), so reps represent a basis of H^q.
+    maps may be lazy: each d_q is read once, used as a kernel and kept as the
+    next degree's image, and a consumer that stops early builds no more.
+    Raises ValueError where im d_{q-1} is not inside ker d_q (d^2 != 0).
+    """
+    below = None
+    for m in maps:
+        ker = kernel_basis(m)
+        img = Subspace.zero(m.cols) if below is None else image(below)
+        reps, proj = quotient_map(ker, img)
+        yield ker, img, reps, proj
+        below = m

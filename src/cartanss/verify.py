@@ -18,9 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .liealg import chi_from_vector, delta_matrix, invariant_subcomplex
+from .liealg import ce_cohomology, chi_from_vector, invariant_subcomplex
 from .model import EquivariantModel, ModelElement, element_to_vector
-from .qlinalg import Matrix, Subspace, image, inverse, kernel_basis, quotient_map
+from .qlinalg import Matrix, graded_cohomology, inverse
 from .reports import CertificateError
 from .specseq import SpectralPage, cartan_filtration, page
 
@@ -42,18 +42,9 @@ def basic_cohomology(model: EquivariantModel) -> GradedReps:
     d_hor^2 = 0 and clean degree bookkeeping (validate_model).
     """
     basic = model.basic
-    dims = []
-    reps = []
-    for p in range(basic.max_degree + 1):
-        ker = kernel_basis(basic.d_hor_matrix(p))
-        if p == 0:
-            img = Subspace.zero(ker.ambient_dim)
-        else:
-            img = image(basic.d_hor_matrix(p - 1))
-        rep_rows, _ = quotient_map(ker, img)
-        dims.append(rep_rows.rows)
-        reps.append(rep_rows)
-    return GradedReps(tuple(dims), tuple(reps))
+    maps = (basic.d_hor_matrix(p) for p in range(basic.max_degree + 1))
+    reps = tuple(rep_rows for _, _, rep_rows, _ in graded_cohomology(maps))
+    return GradedReps(tuple(r.rows for r in reps), reps)
 
 
 @dataclass(frozen=True)
@@ -97,15 +88,7 @@ def _tensor_vector(model, alpha_row, gens_p, beta, q, m):
 
 def _lie_realization_ok(model, inv) -> bool:
     """Invariants are closed and map isomorphically onto degree-q cohomology."""
-    L = model.lie
-    for q in range(L.n + 1):
-        ker = kernel_basis(delta_matrix(L, q))
-        img = (
-            Subspace.zero(ker.ambient_dim)
-            if q == 0
-            else image(delta_matrix(L, q - 1))
-        )
-        _, proj = quotient_map(ker, img)
+    for q, (ker, img, _, proj) in enumerate(ce_cohomology(model.lie)):
         h_dim = ker.dim - img.dim
         if inv[q].dim != h_dim:
             return False

@@ -5,13 +5,28 @@ reduction of the whole accumulated basis per accepted representative, then a
 row reduction of [C | I] to read the projection off the tracked transform.
 It shares no code with the one-pass sparse echelon of `qlinalg.quotient_map`
 beyond `Matrix.rref`, so agreement entry by entry is a real check.
+
+`wedge_ce_delta` and `homotopy_coadjoint` are the first Chevalley-Eilenberg
+operators of the package: delta by wedge products of `ChiElement`s, and the
+coadjoint action as the Cartan homotopy contract o delta + delta o contract.
+The engine reads both from sparse per-algebra tables instead; the matrices
+below are built one `chi_to_vector` column at a time, as the seed did.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction as Q
 
-from cartanss.qlinalg import Matrix, Subspace
+from cartanss.liealg import (
+    ChiElement,
+    LieData,
+    chi_to_vector,
+    contract,
+    delta_gen,
+    multi_indices,
+    wedge,
+)
+from cartanss.qlinalg import Matrix, Subspace, kernel_basis
 
 
 def seed_quotient_map(v: Subspace, w: Subspace) -> tuple[Matrix, Matrix]:
@@ -48,3 +63,70 @@ def seed_quotient_map(v: Subspace, w: Subspace) -> tuple[Matrix, Matrix]:
                 rowv[pivots[l]] = val
         proj_rows.append(rowv)
     return Matrix.of(reps, cols=d), Matrix.of(proj_rows, cols=d)
+
+
+def wedge_ce_delta(L: LieData, a: ChiElement) -> ChiElement:
+    """delta(a), each term chi_{I[:j]} ^ delta chi_{i_j} ^ chi_{I[j+1:]} by two wedges."""
+    out = ChiElement.zero()
+    for I, v in a.coeffs.items():
+        for pos, gen in enumerate(I):
+            dg = delta_gen(L, gen)
+            if dg.is_zero:
+                continue
+            sign = -1 if pos % 2 else 1
+            term = wedge(ChiElement.basis(I[:pos]), wedge(dg, ChiElement.basis(I[pos + 1:])))
+            out = out + (sign * v) * term
+    return out
+
+
+def homotopy_coadjoint(L: LieData, ell: int, a: ChiElement) -> ChiElement:
+    """coadjoint(ell, a) by its definition, contract(ell, delta a) + delta(contract(ell, a))."""
+    return contract(ell, wedge_ce_delta(L, a)) + wedge_ce_delta(L, contract(ell, a))
+
+
+def operator_matrix(op, n: int, q_src: int, q_tgt: int) -> Matrix:
+    """Matrix of op from Lambda^q_src to Lambda^q_tgt, one chi_to_vector per column."""
+    src = multi_indices(n, q_src)
+    tgt = multi_indices(n, q_tgt)
+    cols = [chi_to_vector(op(ChiElement.basis(I)), n, q_tgt) for I in src]
+    data = [[cols[j][i] for j in range(len(src))] for i in range(len(tgt))]
+    return Matrix.of(data, cols=len(src))
+
+
+def oracle_delta_matrix(L: LieData, q: int) -> Matrix:
+    return operator_matrix(lambda x: wedge_ce_delta(L, x), L.n, q, q + 1)
+
+
+def oracle_coadjoint_matrix(L: LieData, ell: int, q: int) -> Matrix:
+    return operator_matrix(lambda x: homotopy_coadjoint(L, ell, x), L.n, q, q)
+
+
+def oracle_invariant_subcomplex(L: LieData) -> tuple[Subspace, ...]:
+    """Per degree, the kernel of the stacked homotopy matrices, always by elimination."""
+    return tuple(
+        kernel_basis(
+            Matrix.vstack(*[oracle_coadjoint_matrix(L, ell, q) for ell in range(1, L.n + 1)])
+        )
+        for q in range(L.n + 1)
+    )
+
+
+def direct_sum(*algebras: LieData) -> LieData:
+    """The direct sum, each summand's basis following the previous ones."""
+    entries = {}
+    offset = 0
+    for L in algebras:
+        for a in range(1, L.n + 1):
+            for b in range(1, L.n + 1):
+                for k in range(1, L.n + 1):
+                    v = L.bracket_coeff(a, b, k)
+                    if v:
+                        entries[(a + offset, b + offset, k + offset)] = v
+        offset += L.n
+    return LieData.from_structure_constants(offset, entries, completion="none")
+
+
+def scaled(L: LieData, t) -> LieData:
+    """The bracket t [-, -]: still a Lie algebra, and ad-invariant when L is."""
+    t = Q(t)
+    return LieData(L.n, tuple(tuple(tuple(t * v for v in row) for row in plane) for plane in L.c))

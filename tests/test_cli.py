@@ -21,8 +21,9 @@ from cartanss.cli import (
     save_model_file,
 )
 from cartanss.library import MODEL_NAMES, get_model, heisenberg_model
-from cartanss.liealg import LieData
+from cartanss.liealg import LieData, all_multi_indices
 from cartanss.model import BasicComplex, EquivariantModel, max_total_degree
+from cartanss.qlinalg import Matrix
 
 HOPF_DOC = {
     "name": "hopf",
@@ -49,6 +50,14 @@ def test_load_model_document_round_trips_the_library():
         doc = model_to_document(model)
         again = load_model_document(doc)
         assert again == model, name
+
+
+def test_sample_models_round_trip_through_documents():
+    files = sorted((Path(__file__).resolve().parent.parent / "sample_models").glob("*.json"))
+    assert len(files) >= 4
+    for f in files:
+        model = load_model_document(json.loads(f.read_text()), f.stem)
+        assert load_model_document(model_to_document(model)) == model, f.name
 
 
 def test_save_and_load_model_file(tmp_path):
@@ -391,6 +400,50 @@ def test_pages_builds_each_total_matrix_once(tmp_path, monkeypatch, capsys, sour
     # the filtration builds them; the abutment oracle reuses them
     assert sorted(args[1] for args in calls["total_matrix"]) == list(range(top + 1))
     assert len(calls["total_cohomology"]) == 1
+
+
+def _rref_calls_inside(monkeypatch, function_name):
+    """Log, for every Matrix.rref call, whether function_name is on the call stack."""
+    log = []
+    rref = Matrix.rref
+
+    def logged_rref(self):
+        frame = sys._getframe(1)
+        while frame is not None and frame.f_code.co_name != function_name:
+            frame = frame.f_back
+        log.append(frame is not None)
+        return rref(self)
+
+    monkeypatch.setattr(Matrix, "rref", logged_rref)
+    return log
+
+
+@pytest.mark.parametrize("spec, eliminates", [(("group_torus", 4), False),
+                                              (("group_su2", None), True)])
+def test_invariants_are_eliminated_only_where_coadjoint_is_nonzero(
+        tmp_path, monkeypatch, capsys, spec, eliminates):
+    path = str(tmp_path / "model.json")
+    save_model_file(get_model(*spec).model, path)
+    rrefs = _rref_calls_inside(monkeypatch, "invariant_subcomplex")
+    calls = count_calls(monkeypatch, (("liealg", "invariant_subcomplex"),))
+    assert main(["pages", path, "--format", "machine"]) == 0
+    capsys.readouterr()
+    assert len(calls["invariant_subcomplex"]) == 1
+    assert len(rrefs) > 20
+    # every coadjoint matrix of an abelian algebra is zero: Lambda^q is invariant
+    assert any(rrefs) is eliminates
+
+
+def test_pages_builds_each_delta_once_per_multi_index(tmp_path, monkeypatch, capsys):
+    model = get_model("group_su2").model
+    path = str(tmp_path / "model.json")
+    save_model_file(model, path)
+    calls = count_calls(monkeypatch, (("liealg", "_derive_delta"),))
+    assert main(["pages", path, "--format", "machine"]) == 0
+    capsys.readouterr()
+    built = sorted(args[1] for args in calls["_derive_delta"])
+    # validate_lie, validate_model, total_matrix and the E_2 check all read the table
+    assert built == sorted(all_multi_indices(model.lie.n))
 
 
 def source_env():

@@ -20,6 +20,7 @@ from cartanss.liealg import (
     contract,
     delta_gen,
     delta_matrix,
+    first_delta_squared_failure,
     invariant_subcomplex,
     lie_cohomology,
     multi_indices,
@@ -31,6 +32,14 @@ from cartanss.library import (
     mutated_jacobi_lie,
     rescaled_su2_lie,
     su2_lie,
+)
+from oracles import (
+    direct_sum,
+    homotopy_coadjoint,
+    oracle_coadjoint_matrix,
+    oracle_delta_matrix,
+    oracle_invariant_subcomplex,
+    wedge_ce_delta,
 )
 
 
@@ -376,3 +385,70 @@ def test_from_structure_constants_rejects_duplicates_and_bad_indices():
         LieData.from_structure_constants(3, [(1, 2, 2, 1)], completion="full")
     with pytest.raises(ValueError, match="equal bracket"):
         LieData.from_structure_constants(3, [(1, 1, 2, 1)], completion="bracket")
+
+
+def _random_algebras(rng, count, max_n):
+    """Structure constants placed verbatim: often not antisymmetric, not Jacobi."""
+    out = []
+    for _ in range(count):
+        n = rng.randint(1, max_n)
+        slots = [(a, b, k) for a in range(1, n + 1) for b in range(1, n + 1)
+                 for k in range(1, n + 1)]
+        entries = {s: Q(rng.choice([1, -1, 2, -3]), rng.choice([1, 2]))
+                   for s in rng.sample(slots, min(len(slots), rng.randint(1, 10)))}
+        out.append(LieData.from_structure_constants(n, entries, completion="none"))
+    return out
+
+
+def test_table_matrices_match_the_wedge_and_homotopy_formulas():
+    algebras = [su2_lie(), direct_sum(su2_lie(), su2_lie()), heisenberg_lie(),
+                rescaled_su2_lie(), mutated_jacobi_lie()]
+    algebras += [LieData.abelian(n) for n in range(1, 8)]
+    algebras += _random_algebras(random.Random(20261020), 20, 4)
+    nonzero = {"delta": 0, "coadjoint": 0, "eliminated": 0}
+    for L in algebras:
+        for q in range(L.n + 1):
+            d = delta_matrix(L, q)
+            assert d == oracle_delta_matrix(L, q), (L, q)
+            nonzero["delta"] += not d.is_zero()
+            for ell in range(1, L.n + 1):
+                m = coadjoint_matrix(L, ell, q)
+                assert m == oracle_coadjoint_matrix(L, ell, q), (L, ell, q)
+                nonzero["coadjoint"] += not m.is_zero()
+        inv = invariant_subcomplex(L)
+        assert inv == oracle_invariant_subcomplex(L), L
+        nonzero["eliminated"] += any(s.dim < s.ambient_dim for s in inv)
+    assert min(nonzero.values()) > 15, nonzero
+
+
+def test_operators_on_elements_match_the_wedge_and_homotopy_formulas():
+    rng = random.Random(20261021)
+    algebras = [su2_lie(), heisenberg_lie(), mutated_jacobi_lie(),
+                direct_sum(su2_lie(), LieData.abelian(1))]
+    algebras += _random_algebras(rng, 10, 4)
+    for L in algebras:
+        for _ in range(8):
+            a = rand_chi(rng, L.n, terms=5)
+            assert ce_delta(L, a) == wedge_ce_delta(L, a)
+            for ell in range(1, L.n + 1):
+                assert coadjoint(L, ell, a) == homotopy_coadjoint(L, ell, a)
+
+
+def test_first_delta_squared_failure_matches_the_wedge_formula():
+    rng = random.Random(20261022)
+    algebras = [su2_lie(), heisenberg_lie(), rescaled_su2_lie(), mutated_jacobi_lie()]
+    algebras += _random_algebras(rng, 30, 4)
+    failing = 0
+    for L in algebras:
+        want = next((I for I in all_multi_indices(L.n)
+                     if not wedge_ce_delta(L, wedge_ce_delta(L, ChiElement.basis(I))).is_zero),
+                    None)
+        assert first_delta_squared_failure(L) == want, L
+        failing += want is not None
+    assert failing > 5
+
+
+def test_coadjoint_matrix_rejects_bad_directions():
+    for ell in (0, 4, True):
+        with pytest.raises(ValueError, match="direction index"):
+            coadjoint_matrix(su2_lie(), ell, 1)
