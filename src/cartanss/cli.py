@@ -18,8 +18,9 @@ antisymmetry orbit (c[b][a][k] = -v is filled in); listing an orbit twice is a
 parse error.  Unknown keys anywhere are parse errors.
 
 Exit codes: 0 success, 1 a validation or expectation failure, 2 parse or
-usage error, or a model with more than model.MAX_AMBIENT_DIM monomials
-(refused before any of them is listed).
+usage error, or a model with more than model.MAX_AMBIENT_DIM monomials or a
+total degree above model.MAX_TOTAL_DEGREE (refused before any monomial is
+listed).
 """
 
 from __future__ import annotations
@@ -422,7 +423,7 @@ def render_table(rep: PipelineReport) -> str:
 
 def _too_large(model: EquivariantModel) -> bool:
     """Report a model above the size limit; checked before anything is enumerated."""
-    msg = size_error(model.basic.num_generators, model.lie.n)
+    msg = size_error(model.basic.num_generators, model.lie.n, model.basic.max_degree)
     if msg:
         print(f"input error: {msg}", file=sys.stderr)
     return msg is not None

@@ -203,7 +203,7 @@ def get_model(name: str, param=None, *, basic=None, lie=None) -> ModelCard:
         n = 2 if param is None else param
         if not isinstance(n, int) or isinstance(n, bool) or n < 1:
             raise ValueError(f"torus rank must be a positive integer: {param!r}")
-        too_large = size_error(1, n)
+        too_large = size_error(1, n, 0)
         if too_large:
             raise ValueError(too_large)
         card = _group_card(

@@ -347,19 +347,32 @@ def max_total_degree(model: EquivariantModel) -> int:
 # 2^40 multi-indices, and enumerating them would exhaust memory.
 MAX_AMBIENT_DIM = 1 << 13
 
+# Largest total degree (top basic degree + lie.n) a model may reach.  The
+# largest card or benchmark model, S^25, reaches 25.  The pages visit every
+# cell (p, m) up to the top degree, so their cost grows at least with its
+# square, and a basic generator of degree 10^6 would never finish.
+MAX_TOTAL_DEGREE = 128
 
-def size_error(num_generators: int, n: int) -> str | None:
-    """Why num_generators x 2^n monomials are too many, or None within MAX_AMBIENT_DIM.
 
-    Decided from the two counts alone, before any multi-index is listed; n is
-    compared first, so a huge n never builds a huge integer.
+def size_error(num_generators: int, n: int, max_degree: int) -> str | None:
+    """Why a model is too large, or None within MAX_AMBIENT_DIM and MAX_TOTAL_DEGREE.
+
+    num_generators x 2^n monomials is the ambient dimension and
+    max_degree + n the total degree.  Decided from the counts alone, before
+    any multi-index is listed; n is compared first, so a huge n never builds
+    a huge integer.
     """
-    if n < MAX_AMBIENT_DIM.bit_length() and num_generators << n <= MAX_AMBIENT_DIM:
-        return None
-    return (
-        f"model too large: ambient dimension {num_generators} x 2^{n} "
-        f"(basic generators x multi-indices) exceeds the limit {MAX_AMBIENT_DIM}"
-    )
+    if not (n < MAX_AMBIENT_DIM.bit_length() and num_generators << n <= MAX_AMBIENT_DIM):
+        return (
+            f"model too large: ambient dimension {num_generators} x 2^{n} "
+            f"(basic generators x multi-indices) exceeds the limit {MAX_AMBIENT_DIM}"
+        )
+    if max_degree + n > MAX_TOTAL_DEGREE:
+        return (
+            f"model too large: total degree {max_degree + n} "
+            f"(top basic degree {max_degree} + lie.n {n}) exceeds the limit {MAX_TOTAL_DEGREE}"
+        )
+    return None
 
 
 def element_to_vector(model: EquivariantModel, x: ModelElement, k: int) -> tuple[Fraction, ...]:

@@ -9,14 +9,26 @@ which makes subspace equality a plain structural comparison.
 Conventions: vectors are coordinate tuples, a linear map is a Matrix acting on
 column vectors, and a Subspace keeps its basis as matrix rows.
 
+Row reduction has one core, `_echelon`, which works over the integers: each
+nonzero row is scaled by the lcm of its denominators and kept as a sparse
+{column: int} row, rows are combined fraction-free and made primitive (gcd
+content removed), and `Matrix.rref` divides each row by its pivot once, at
+the end.  The reduced echelon form is unique, so `rref`, `rank`, `inverse`,
+`Subspace.from_rows`, `image` and `quotient_map` give the same Fractions as
+dense Gauss-Jordan elimination.  A matrix with one column or at most one
+nonzero row skips the core.  `kernel_basis` reduces once: with the columns
+reversed, the kernel vectors solved from that form are already the reduced
+echelon basis of the kernel.
+
 The matrices of the spectral sequence are mostly zero, so the hot paths skip
 zeros: `Matrix.apply` and `Subspace.contains_vector` visit only the nonzero
 entries of the vector, a Subspace keeps a sparse copy of its echelon rows
 once it has been used, and `sparse_columns`/`apply_columns` apply a map from
 the nonzero entries of its columns.  `quotient_map` builds v/w in one pass of
 a sparse echelon over w's rows and then v's, with no row reduction per
-representative.  `preimage` and `sum_and_intersect` no longer run in the
-engine; they stay as the definitions the tests check it against.
+representative, and `graded_cohomology` takes a zero map's kernel and image
+without any.  `preimage` and `sum_and_intersect` no longer run in the engine;
+they stay as the definitions the tests check it against.
 """
 
 from __future__ import annotations
@@ -24,6 +36,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd, lcm
 
 Q = Fraction
 
@@ -71,6 +84,79 @@ def apply_columns(cols: SparseColumns, rows: int, vec) -> tuple[Fraction, ...]:
             for i, a in col:
                 out[i] += a * x
     return tuple(out)
+
+
+def _primitive(x: dict[int, int]) -> dict[int, int]:
+    """x divided by the gcd of its entries."""
+    g = gcd(*x.values())
+    return x if g == 1 else {j: v // g for j, v in x.items()}
+
+
+def _integer_rows(rows) -> list[dict[int, int]]:
+    """Each row of (column, Fraction) pairs as a primitive {column: int} multiple."""
+    out = []
+    for entries in rows:
+        den = lcm(*[x.denominator for _, x in entries])
+        if den == 1:
+            out.append(_primitive({j: x.numerator for j, x in entries}))
+        else:
+            out.append(_primitive({j: x.numerator * (den // x.denominator) for j, x in entries}))
+    return out
+
+
+def _combine(x: dict[int, int], row: dict[int, int], col: int) -> dict[int, int]:
+    """a x - c row, with a and c the entries at col over their gcd, so col cancels.
+
+    x may be updated in place; row is only read.
+    """
+    a, c = row[col], x[col]
+    g = gcd(a, c)
+    if g != 1:
+        a //= g
+        c //= g
+    if a != 1:
+        x = {j: a * v for j, v in x.items()}
+    for j, v in row.items():
+        w = x.get(j, 0) - c * v
+        if w:
+            x[j] = w
+        else:
+            del x[j]
+    return x
+
+
+def _echelon(rows: list[dict[int, int]]) -> list[tuple[int, dict[int, int]]]:
+    """Fraction-free reduced echelon form of integer rows, as (pivot, row) by pivot.
+
+    Rows enter one at a time.  While a row's leading column is another row's
+    pivot, that entry is cancelled by an integer combination of the two, so
+    no entry ever leaves Z; a row that survives is made primitive and keeps
+    its leading column as its pivot.  Then every entry at another row's
+    pivot is cancelled the same way, later pivots first, which leaves each
+    row a multiple of its row in the RREF: dividing by the entry at the
+    pivot gives it.
+    """
+    echelon: dict[int, dict[int, int]] = {}
+    for x in rows:
+        pivot = min(x)
+        while pivot in echelon:
+            x = _combine(x, echelon[pivot], pivot)
+            if not x:
+                break
+            pivot = min(x)
+        else:
+            echelon[pivot] = _primitive(x)
+    pivots = sorted(echelon)
+    for pivot in reversed(pivots):
+        x = echelon[pivot]
+        # a reduced row is zero at every other pivot, so cancelling one of
+        # these entries brings in no new one
+        targets = [j for j in x if j != pivot and j in echelon]
+        if targets:
+            for j in targets:
+                x = _combine(x, echelon[j], j)
+            echelon[pivot] = _primitive(x)
+    return [(pivot, echelon[pivot]) for pivot in pivots]
 
 
 @dataclass(frozen=True, slots=True)
@@ -147,7 +233,7 @@ class Matrix:
         return tuple(r[j] for r in self.data)
 
     def is_zero(self) -> bool:
-        return all(x == 0 for r in self.data for x in r)
+        return not any(map(any, self.data))
 
     def __neg__(self) -> "Matrix":
         return Matrix(tuple(tuple(-x for x in r) for r in self.data), self.cols)
@@ -196,29 +282,47 @@ class Matrix:
         return tuple(out)
 
     def rref(self) -> tuple["Matrix", tuple[int, ...]]:
-        """Reduced row echelon form and the pivot column indices."""
-        rows = [list(r) for r in self.data]
-        nr, nc = len(rows), self.cols
-        pivots: list[int] = []
-        r = 0
-        for c in range(nc):
-            if r == nr:
-                break
-            pr = next((i for i in range(r, nr) if rows[i][c] != 0), None)
-            if pr is None:
-                continue
-            rows[r], rows[pr] = rows[pr], rows[r]
-            lead = rows[r][c]
-            if lead != 1:
-                rows[r] = [x / lead for x in rows[r]]
-            prow = rows[r]
-            for i in range(nr):
-                if i != r and rows[i][c] != 0:
-                    f = rows[i][c]
-                    rows[i] = [a - f * b for a, b in zip(rows[i], prow)]
-            pivots.append(c)
-            r += 1
-        return Matrix(tuple(tuple(row) for row in rows), nc), tuple(pivots)
+        """Reduced row echelon form and the pivot column indices.
+
+        The first nonzero row, divided by its leading entry, is the whole
+        answer when it is the only one or when there is one column.  Any
+        other matrix goes through the integer elimination `_echelon`, and
+        each row is divided by its pivot once, at the end.
+        """
+        nc = self.cols
+        rows = []
+        for row in self.data:
+            entries = [(j, x) for j, x in enumerate(row) if x]
+            if entries:
+                rows.append(entries)
+        out = []
+        if len(rows) > 1 and nc > 1:
+            echelon = _echelon(_integer_rows(rows))
+            for pivot, row in echelon:
+                lead = row.pop(pivot)
+                dense = [_ZERO] * nc
+                dense[pivot] = _ONE
+                if lead == 1 or lead == -1:
+                    for j, v in row.items():
+                        dense[j] = Fraction(lead * v)
+                else:
+                    for j, v in row.items():
+                        dense[j] = Fraction(v, lead)
+                out.append(tuple(dense))
+            pivots = tuple(pivot for pivot, _ in echelon)
+        elif rows:
+            entries = rows[0]
+            pivot, lead = entries[0]
+            dense = [_ZERO] * nc
+            for j, x in entries:
+                dense[j] = x / lead
+            out.append(tuple(dense))
+            pivots = (pivot,)
+        else:
+            pivots = ()
+        if len(out) < len(self.data):
+            out.extend([(_ZERO,) * nc] * (len(self.data) - len(out)))
+        return Matrix(tuple(out), nc), pivots
 
     def rank(self) -> int:
         return len(self.rref()[1])
@@ -312,19 +416,32 @@ class Subspace:
 
 
 def kernel_basis(m: Matrix) -> Subspace:
-    """Kernel of m as a subspace of the source Q^cols."""
-    red, pivots = m.rref()
-    pivset = set(pivots)
+    """Kernel of m as a subspace of the source Q^cols, from one row reduction.
+
+    m is reduced with its columns reversed.  Solving for the pivots of that
+    form writes each kernel vector as 1 at its free column f plus entries at
+    pivot columns to the right of f only, so the vectors by ascending f are
+    already the reduced echelon basis of the kernel.
+    """
+    n = m.cols
+    last = n - 1
+    red, pivots = Matrix(tuple(row[::-1] for row in m.data), n).rref()
+    bound = {last - p for p in pivots}
     rows = []
-    for f in range(m.cols):
-        if f in pivset:
+    for f in range(n):
+        if f in bound:
             continue
-        v = [_ZERO] * m.cols
+        v = [_ZERO] * n
         v[f] = _ONE
-        for i, p in enumerate(pivots):
-            v[p] = -red.data[i][f]
-        rows.append(v)
-    return Subspace.from_rows(m.cols, rows)
+        fr = last - f
+        for row, p in zip(red.data, pivots):
+            if p >= fr:
+                break
+            a = row[fr]
+            if a:
+                v[last - p] = -a
+        rows.append(tuple(v))
+    return Subspace(n, Matrix(tuple(rows), n))
 
 
 def image(m: Matrix, sub: Subspace | None = None) -> Subspace:
@@ -450,12 +567,15 @@ def graded_cohomology(maps):
     (reps, proj) = quotient_map(ker, im), so reps represent a basis of H^q.
     maps may be lazy: each d_q is read once, used as a kernel and kept as the
     next degree's image, and a consumer that stops early builds no more.
+    A map with no nonzero entry has the whole space as kernel and the zero
+    space as image, with no elimination.
     Raises ValueError where im d_{q-1} is not inside ker d_q (d^2 != 0).
     """
-    below = None
+    below = None  # d_{q-1} when it has a nonzero entry
     for m in maps:
-        ker = kernel_basis(m)
+        nonzero = not m.is_zero()
+        ker = kernel_basis(m) if nonzero else Subspace.full(m.cols)
         img = Subspace.zero(m.cols) if below is None else image(below)
         reps, proj = quotient_map(ker, img)
         yield ker, img, reps, proj
-        below = m
+        below = m if nonzero else None

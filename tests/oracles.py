@@ -1,10 +1,18 @@
 """Reference algorithms that the engine no longer runs, kept to test it against.
 
+`seed_rref` is the first row reduction of the package: dense Gauss-Jordan
+elimination over `Fraction`, dividing and subtracting whole rows, zeros
+included.  `seed_kernel_basis` reads the kernel off it and reduces the
+vectors a second time.  The engine's `Matrix.rref` is a sparse fraction-free
+elimination over the integers instead, and `kernel_basis` reduces once, so
+these two are the definitions it is checked against.
+
 `seed_quotient_map` is the first quotient algorithm of the package: one row
 reduction of the whole accumulated basis per accepted representative, then a
 row reduction of [C | I] to read the projection off the tracked transform.
-It shares no code with the one-pass sparse echelon of `qlinalg.quotient_map`
-beyond `Matrix.rref`, so agreement entry by entry is a real check.
+Its reductions are `seed_rref`, so it shares no code with the one-pass sparse
+echelon of `qlinalg.quotient_map` nor with the integer elimination, and
+agreement entry by entry is a real check.
 
 `wedge_ce_delta` and `homotopy_coadjoint` are the first Chevalley-Eilenberg
 operators of the package: delta by wedge products of `ChiElement`s, and the
@@ -26,7 +34,103 @@ from cartanss.liealg import (
     multi_indices,
     wedge,
 )
-from cartanss.qlinalg import Matrix, Subspace, kernel_basis
+from cartanss.qlinalg import Matrix, Subspace, image, inverse, kernel_basis, rref
+
+
+def seed_rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
+    """Reduced row echelon form and pivot columns by dense Fraction elimination."""
+    rows = [list(r) for r in m.data]
+    nr, nc = len(rows), m.cols
+    pivots: list[int] = []
+    r = 0
+    for c in range(nc):
+        if r == nr:
+            break
+        pr = next((i for i in range(r, nr) if rows[i][c] != 0), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        lead = rows[r][c]
+        if lead != 1:
+            rows[r] = [x / lead for x in rows[r]]
+        prow = rows[r]
+        for i in range(nr):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], prow)]
+        pivots.append(c)
+        r += 1
+    return Matrix(tuple(tuple(row) for row in rows), nc), tuple(pivots)
+
+
+def seed_span(d: int, rows) -> Subspace:
+    """The row space of rows in Q^d, by its seed_rref basis."""
+    red, pivots = seed_rref(Matrix.of(rows, cols=d))
+    return Subspace(d, Matrix(red.data[: len(pivots)], d))
+
+
+def seed_kernel_basis(m: Matrix) -> Subspace:
+    """Kernel of m: one vector per free column of seed_rref(m), then reduced again."""
+    red, pivots = seed_rref(m)
+    pivset = set(pivots)
+    rows = []
+    for f in range(m.cols):
+        if f in pivset:
+            continue
+        v = [Q(0)] * m.cols
+        v[f] = Q(1)
+        for i, p in enumerate(pivots):
+            v[p] = -red.data[i][f]
+        rows.append(v)
+    return seed_span(m.cols, rows)
+
+
+def seed_inverse(m: Matrix) -> Matrix:
+    """m^-1 from seed_rref([m | I]); ValueError when m is singular."""
+    red, pivots = seed_rref(Matrix.hstack(m, Matrix.identity(m.rows)))
+    if pivots != tuple(range(m.cols)):
+        raise ValueError("matrix is singular")
+    return Matrix.of([row[m.cols:] for row in red.data], cols=m.cols)
+
+
+def seed_mismatches(m: Matrix) -> list[str]:
+    """The operations on m whose engine result differs from the seed one.
+
+    Compares rref (and its pivots), rank, kernel_basis, Subspace.from_rows of
+    the rows, image and, for a square m, inverse, entry by entry; an entry
+    that equals the seed value but is not a Fraction also counts.
+    """
+    def same(got: Matrix, want: Matrix) -> bool:
+        return (got.data, got.cols) == (want.data, want.cols) and all(
+            type(x) is Q for row in got.data for x in row)
+
+    bad = []
+    red, pivots = m.rref()
+    want_red, want_pivots = seed_rref(m)
+    if not same(red, want_red) or pivots != want_pivots or rref(m) != (red, pivots):
+        bad.append("rref")
+    if m.rank() != len(want_pivots):
+        bad.append("rank")
+    ker, want_ker = kernel_basis(m), seed_kernel_basis(m)
+    if ker.ambient_dim != want_ker.ambient_dim or not same(ker.basis, want_ker.basis):
+        bad.append("kernel_basis")
+    if not same(Subspace.from_rows(m.cols, m.data).basis, seed_span(m.cols, m.data).basis):
+        bad.append("from_rows")
+    if image(m) != seed_span(m.rows, [m.column(j) for j in range(m.cols)]):
+        bad.append("image")
+    if m.rows == m.cols:
+        try:
+            want_inv = seed_inverse(m)
+        except ValueError:
+            want_inv = None
+        try:
+            got_inv = inverse(m)
+        except ValueError:
+            got_inv = None
+        if (got_inv is None) != (want_inv is None) or (
+                got_inv is not None and not same(got_inv, want_inv)):
+            bad.append("inverse")
+    return bad
 
 
 def seed_quotient_map(v: Subspace, w: Subspace) -> tuple[Matrix, Matrix]:
@@ -35,13 +139,13 @@ def seed_quotient_map(v: Subspace, w: Subspace) -> tuple[Matrix, Matrix]:
         raise ValueError("ambient dimension mismatch")
     d = v.ambient_dim
     w_rows = [list(r) for r in w.basis.data]
-    if Subspace.from_rows(d, [list(r) for r in v.basis.data] + w_rows).dim != v.dim:
+    if seed_span(d, [list(r) for r in v.basis.data] + w_rows).dim != v.dim:
         raise ValueError("quotient undefined: denominator is not contained in numerator")
     rows = w_rows
     reps = []
-    current = Subspace.from_rows(d, rows)
+    current = seed_span(d, rows)
     for cand in v.basis.data:
-        grown = Subspace.from_rows(d, rows + [list(cand)])
+        grown = seed_span(d, rows + [list(cand)])
         if grown.dim > current.dim:
             reps.append(list(cand))
             rows.append(list(cand))
@@ -50,7 +154,7 @@ def seed_quotient_map(v: Subspace, w: Subspace) -> tuple[Matrix, Matrix]:
     if k == 0:
         return Matrix((), d), Matrix((), d)
     c_mat = Matrix.of(rows, cols=d)
-    red, pivots = Matrix.hstack(c_mat, Matrix.identity(c_mat.rows)).rref()
+    red, pivots = seed_rref(Matrix.hstack(c_mat, Matrix.identity(c_mat.rows)))
     nb = c_mat.rows
     if len(pivots) != nb or any(p >= d for p in pivots):
         raise AssertionError("combined basis was not independent")
@@ -104,7 +208,7 @@ def oracle_coadjoint_matrix(L: LieData, ell: int, q: int) -> Matrix:
 def oracle_invariant_subcomplex(L: LieData) -> tuple[Subspace, ...]:
     """Per degree, the kernel of the stacked homotopy matrices, always by elimination."""
     return tuple(
-        kernel_basis(
+        seed_kernel_basis(
             Matrix.vstack(*[oracle_coadjoint_matrix(L, ell, q) for ell in range(1, L.n + 1)])
         )
         for q in range(L.n + 1)

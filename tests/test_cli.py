@@ -20,9 +20,22 @@ from cartanss.cli import (
     model_to_document,
     save_model_file,
 )
-from cartanss.library import MODEL_NAMES, get_model, heisenberg_model
+from cartanss.library import (
+    MODEL_NAMES,
+    get_model,
+    heisenberg_lie,
+    heisenberg_model,
+    mutated_jacobi_lie,
+    rescaled_su2_lie,
+)
 from cartanss.liealg import LieData, all_multi_indices
-from cartanss.model import BasicComplex, EquivariantModel, max_total_degree
+from cartanss.model import (
+    MAX_TOTAL_DEGREE,
+    BasicComplex,
+    EquivariantModel,
+    max_total_degree,
+    size_error,
+)
 from cartanss.qlinalg import Matrix
 
 HOPF_DOC = {
@@ -432,6 +445,106 @@ def test_invariants_are_eliminated_only_where_coadjoint_is_nonzero(
     assert len(rrefs) > 20
     # every coadjoint matrix of an abelian algebra is zero: Lambda^q is invariant
     assert any(rrefs) is eliminates
+
+
+@pytest.mark.parametrize("spec, eliminates", [(("group_torus", 4), False),
+                                              (("group_su2", None), True)])
+def test_zero_differentials_are_not_eliminated(tmp_path, monkeypatch, capsys, spec, eliminates):
+    path = str(tmp_path / "model.json")
+    save_model_file(get_model(*spec).model, path)
+    rrefs = _rref_calls_inside(monkeypatch, "graded_cohomology")
+    assert main(["pages", path, "--format", "machine"]) == 0
+    capsys.readouterr()
+    assert len(rrefs) > 5
+    # every delta of an abelian algebra and d_hor of a point are zero maps
+    assert any(rrefs) is eliminates
+
+
+def test_each_kernel_basis_runs_one_elimination(tmp_path, monkeypatch, capsys):
+    path = str(tmp_path / "model.json")
+    save_model_file(get_model("group_su2").model, path)
+    rrefs = _rref_calls_inside(monkeypatch, "kernel_basis")
+    calls = count_calls(monkeypatch, (("qlinalg", "kernel_basis"),))
+    assert main(["pages", path, "--format", "machine"]) == 0
+    capsys.readouterr()
+    assert len(calls["kernel_basis"]) >= 5
+    assert sum(rrefs) == len(calls["kernel_basis"])
+
+
+FIXTURE_FAILURES = {
+    heisenberg_lie: [
+        "[FAIL] full antisymmetry: c[1][3][2] != -c[1][2][3] "
+        "(structure constants are not ad-invariant)",
+    ],
+    mutated_jacobi_lie: [
+        "[FAIL] full antisymmetry: c[1][3][1] != -c[1][1][3] "
+        "(structure constants are not ad-invariant)",
+        "[FAIL] jacobi identity: cyclic sum is -1 at (a,b,e,k)=(1,2,3,3)",
+        "[FAIL] delta squared: delta^2(chi[3]) != 0",
+        "[FAIL] delta squared: delta^2(chi[3]) != 0",
+        "[FAIL] bidegree (0,2) component: fails on 1 (x) chi[3] (bidegree (0,1))",
+        "[FAIL] total differential squared: fails on 1 (x) chi[3] (bidegree (0,1))",
+    ],
+    rescaled_su2_lie: [
+        "[FAIL] full antisymmetry: c[2][3][1] != -c[2][1][3] "
+        "(structure constants are not ad-invariant)",
+    ],
+}
+
+
+@pytest.mark.parametrize("fixture", list(FIXTURE_FAILURES), ids=lambda f: f.__name__)
+def test_invalid_algebra_fixtures_fail_the_same_named_identities(tmp_path, capsys, fixture):
+    path = str(tmp_path / "model.json")
+    save_model_file(EquivariantModel("mutant", fixture(), BasicComplex.build([("1", 0)])), path)
+    want = FIXTURE_FAILURES[fixture]
+    assert main(["validate", path]) == 1
+    out = capsys.readouterr().out
+    assert [line.strip() for line in out.splitlines() if "[FAIL]" in line] == want
+    assert main(["pages", path]) == 1
+    err = capsys.readouterr().err
+    assert [line.strip() for line in err.splitlines() if "[FAIL]" in line] == want
+    assert err.strip().endswith("mutant: INVALID, no pages computed")
+
+
+DEEP_SCRIPT = textwrap.dedent(
+    """
+    import sys, time
+    from cartanss.cli import main
+
+    path = sys.argv[1]
+    for argv in (["pages", path], ["validate", path]):
+        start = time.perf_counter()
+        print(main(argv), time.perf_counter() - start)
+    """
+)
+
+
+def test_models_above_the_total_degree_budget_exit_2_at_once(tmp_path):
+    path = write_doc(tmp_path, {"name": "deep", "lie": {"n": 1}, "basic": {
+        "generators": [{"name": "1", "degree": 0}, {"name": "v", "degree": 1000000}]}})
+    proc = subprocess.run([sys.executable, "-c", DEEP_SCRIPT, path],
+                          capture_output=True, text=True, env=source_env(), timeout=60)
+    results = [line.split() for line in proc.stdout.splitlines()]
+    assert [rc for rc, _ in results] == ["2", "2"], proc.stderr
+    # without the budget, pages visits every cell up to degree 10^6 and never returns
+    assert all(float(seconds) < 1 for _, seconds in results)
+    lines = proc.stderr.splitlines()
+    assert lines == [
+        "input error: model too large: total degree 1000001 "
+        f"(top basic degree 1000000 + lie.n 1) exceeds the limit {MAX_TOTAL_DEGREE}"] * 2
+
+
+def test_total_degree_budget_admits_every_card_and_benchmark_model():
+    sphere_25 = BasicComplex.build([("1", 0)] + [(f"v{j}", 2 * j) for j in range(1, 13)])
+    models = [get_model(name).model for name in MODEL_NAMES]
+    models.append(EquivariantModel("sphere_25", LieData.abelian(1), sphere_25))
+    models.append(get_model("group_torus", 8).model)
+    for model in models:
+        assert max_total_degree(model) * 4 <= MAX_TOTAL_DEGREE, model.name
+        assert size_error(model.basic.num_generators, model.lie.n,
+                          model.basic.max_degree) is None, model.name
+    assert size_error(1, 1, MAX_TOTAL_DEGREE - 1) is None
+    assert "total degree 129" in size_error(1, 1, MAX_TOTAL_DEGREE)
 
 
 def test_pages_builds_each_delta_once_per_multi_index(tmp_path, monkeypatch, capsys):

@@ -1,8 +1,9 @@
-"""Property tests of the Chevalley-Eilenberg tables on random reductive algebras.
+"""Property tests of the integer row reduction and of the Chevalley-Eilenberg tables.
 
-Each algebra is a direct sum of su(2) summands with rescaled brackets and
-abelian summands, in a drawn order.  The draws are derandomized, so a run
-checks the same examples every time.
+Matrices are small rational matrices, mostly zero, with repeated rows.  Each
+algebra is a direct sum of su(2) summands with rescaled brackets and abelian
+summands, in a drawn order.  The draws are derandomized, so a run checks the
+same examples every time.
 """
 
 from __future__ import annotations
@@ -21,9 +22,36 @@ from cartanss.liealg import (  # noqa: E402
     first_delta_squared_failure,
 )
 from cartanss.library import su2_lie  # noqa: E402
-from oracles import direct_sum, oracle_coadjoint_matrix, scaled  # noqa: E402
+from cartanss.qlinalg import Matrix  # noqa: E402
+from oracles import direct_sum, oracle_coadjoint_matrix, scaled, seed_rref  # noqa: E402
 
 SCALES = st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool)
+
+
+ENTRIES = st.one_of(st.just(0), st.just(0), st.integers(-3, 3),
+                    st.fractions(max_denominator=10**6).map(lambda x: x * 10**12))
+
+
+@st.composite
+def rational_matrices(draw) -> Matrix:
+    rows, cols = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    data = []
+    for _ in range(rows):
+        if data and draw(st.booleans()):
+            data.append(draw(st.sampled_from(data)))
+        else:
+            data.append([draw(ENTRIES) for _ in range(cols)])
+    return Matrix.of(data, cols=cols)
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(rational_matrices())
+def test_rref_is_the_seed_rref_idempotent_with_unit_pivot_columns(m):
+    red, pivots = m.rref()
+    assert (red, pivots) == seed_rref(m)
+    assert red.rref() == (red, pivots)
+    for i, p in enumerate(pivots):
+        assert red.column(p) == tuple(int(k == i) for k in range(m.rows))
 
 
 @st.composite

@@ -6,7 +6,7 @@ import random
 from fractions import Fraction as Q
 
 import pytest
-from oracles import seed_quotient_map
+from oracles import seed_mismatches, seed_quotient_map
 
 from cartanss.qlinalg import (
     Matrix,
@@ -264,3 +264,51 @@ def test_sparse_columns_apply_like_the_dense_matrix():
             dense = tuple(sum((a * x for a, x in zip(r, vec)), Q(0)) for r in m.data)
             assert m.apply(vec) == dense
             assert apply_columns(sparse, rows, vec) == dense
+
+
+def wild_matrix(rng, rows, cols):
+    """Sparse rows over a few random base rows, so often rank-deficient, with
+    repeated rows, numerators up to 10^30 and denominators up to 10^12."""
+    def entry():
+        if rng.random() < 0.4:
+            return Q(0)
+        num = rng.choice([rng.randint(-5, 5), rng.randint(-10**30, 10**30)])
+        den = rng.choice([1, rng.randint(1, 9), rng.randint(1, 10**12)])
+        return Q(num, den)
+
+    base = [[entry() for _ in range(cols)] for _ in range(rng.randint(1, max(1, rows)))]
+    data = []
+    for _ in range(rows):
+        kind = rng.random()
+        if kind < 0.5 or not data:
+            data.append(list(rng.choice(base)) if kind < 0.2 else [entry() for _ in range(cols)])
+        elif kind < 0.7:
+            data.append(list(rng.choice(data)))  # a duplicate row
+        else:
+            a, b = rng.choice(data), rng.choice(base)
+            c = Q(rng.randint(-7, 7), rng.randint(1, 10**6))
+            data.append([x + c * y for x, y in zip(a, b)])  # a dependent row
+    return Matrix.of(data, cols=cols)
+
+
+def test_integer_elimination_matches_the_seed_rref_on_wild_matrices():
+    rng = random.Random(20261019)
+    seen = {"0 x n": 0, "n x 0": 0, "rank-deficient": 0, "duplicate rows": 0,
+            "denominator > 10^9": 0, "entry > 10^25": 0, "invertible": 0}
+    for i in range(400):
+        rows = 0 if i % 40 == 0 else rng.randint(0, 7)
+        cols = 0 if i % 40 == 1 else rng.randint(0, 7)
+        if i % 5 == 0:
+            cols = rows
+        m = wild_matrix(rng, rows, cols)
+        assert seed_mismatches(m) == [], m
+        entries = [x for row in m.data for x in row]
+        seen["0 x n"] += rows == 0 and cols > 0
+        seen["n x 0"] += cols == 0 and rows > 0
+        seen["rank-deficient"] += 0 < m.rank() < min(rows, cols)
+        seen["duplicate rows"] += len(set(m.data)) < m.rows and any(entries)
+        seen["denominator > 10^9"] += any(x.denominator > 10**9 for x in entries)
+        seen["entry > 10^25"] += any(abs(x) > 10**25 for x in entries)
+        seen["invertible"] += rows == cols > 1 and m.rank() == rows
+    assert min(seen.values()) >= 8, seen
+

@@ -5,9 +5,10 @@ from __future__ import annotations
 import random
 
 import pytest
-from oracles import seed_quotient_map
+from oracles import direct_sum, seed_mismatches, seed_quotient_map
 
-from cartanss.library import MODEL_NAMES, get_model, random_trivial_product
+from cartanss.cli import main, save_model_file
+from cartanss.library import MODEL_NAMES, get_model, random_trivial_product, su2_lie
 from cartanss.liealg import LieData
 from cartanss.model import BasicComplex, EquivariantModel, monomial_basis
 from cartanss.qlinalg import Matrix, Subspace, image, preimage, sum_and_intersect
@@ -300,3 +301,30 @@ def test_a_broken_divisor_is_a_typed_error_naming_cell_and_page():
     err = info.value
     assert (err.cell, err.page) == ((0, 1), 1)
     assert str(err) == "divisor escapes Z_1 at page E_1, cell (p,q)=(0,1)"
+
+
+def test_every_matrix_reduced_by_pages_matches_the_seed_rref(tmp_path, monkeypatch, capsys):
+    """Cards, S^3..S^9 and su(2) + su(2) over a circle (128 monomials):
+    each distinct matrix `pages` reduces, against the seed code."""
+    seen = {}
+    original = Matrix.rref
+
+    def captured(self):
+        seen[self] = seen.get(self, 0) + 1
+        return original(self)
+
+    monkeypatch.setattr(Matrix, "rref", captured)
+    models = [get_model(name).model for name in MODEL_NAMES]
+    models += [sphere_model(k) for k in range(1, 5)]
+    models.append(EquivariantModel("su2_pair", direct_sum(su2_lie(), su2_lie()),
+                                   BasicComplex.build([("1", 0), ("a", 1)])))
+    for model in models:
+        path = str(tmp_path / f"{model.name}.json")
+        save_model_file(model, path)
+        assert main(["pages", path, "--format", "machine"]) == 0, model.name
+    capsys.readouterr()
+    monkeypatch.setattr(Matrix, "rref", original)
+    assert sum(seen.values()) > 700 and len(seen) > 80
+    assert max(m.rows * m.cols for m in seen) >= 2000
+    for m in seen:
+        assert seed_mismatches(m) == [], m
