@@ -18,9 +18,8 @@ vanishes, which is exactly the compatibility required of (d_hor, E_i, delta).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 
 from .liealg import (
     ChiElement,
@@ -50,11 +49,31 @@ class BasicComplex:
     Degree bookkeeping (dst one degree above src for d_hor, two for Euler) is
     deliberately not enforced here; validate_model reports it, so malformed
     models can be loaded and diagnosed rather than refused at construction.
+
+    Derived tables, built once at construction and taking no part in
+    equality: d_hor_table[src] and euler_table[(i, src)] list the
+    (dst, coeff) pairs of the entries in the order given.
     """
 
     generators: tuple[tuple[str, int], ...]
     d_hor_entries: tuple[tuple[int, int, Fraction], ...] = ()
     euler_entries: tuple[tuple[int, int, int, Fraction], ...] = ()
+    d_hor_table: dict[int, tuple[tuple[int, Fraction], ...]] = field(
+        init=False, repr=False, compare=False
+    )
+    euler_table: dict[tuple[int, int], tuple[tuple[int, Fraction], ...]] = field(
+        init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self):
+        d_hor: dict[int, list] = {}
+        for src, dst, coeff in self.d_hor_entries:
+            d_hor.setdefault(src, []).append((dst, coeff))
+        euler: dict[tuple[int, int], list] = {}
+        for i, src, dst, coeff in self.euler_entries:
+            euler.setdefault((i, src), []).append((dst, coeff))
+        object.__setattr__(self, "d_hor_table", {g: tuple(v) for g, v in d_hor.items()})
+        object.__setattr__(self, "euler_table", {k: tuple(v) for k, v in euler.items()})
 
     @classmethod
     def build(cls, generators, d_hor=(), euler=()) -> "BasicComplex":
@@ -119,7 +138,7 @@ class BasicComplex:
         pos = {g: i for i, g in enumerate(tgt)}
         data = [[_ZERO] * len(src) for _ in tgt]
         for j, g in enumerate(src):
-            for dst, coeff in _d_map(self).get(g, ()):
+            for dst, coeff in self.d_hor_table.get(g, ()):
                 if dst in pos:
                     data[pos[dst]][j] = coeff
         return Matrix.of(data, cols=len(src))
@@ -130,26 +149,10 @@ class BasicComplex:
         pos = {g: i2 for i2, g in enumerate(tgt)}
         data = [[_ZERO] * len(src) for _ in tgt]
         for j, g in enumerate(src):
-            for dst, coeff in _euler_map(self).get((i, g), ()):
+            for dst, coeff in self.euler_table.get((i, g), ()):
                 if dst in pos:
                     data[pos[dst]][j] = coeff
         return Matrix.of(data, cols=len(src))
-
-
-@lru_cache(maxsize=256)
-def _d_map(basic: BasicComplex) -> dict[int, tuple[tuple[int, Fraction], ...]]:
-    out: dict[int, list] = {}
-    for src, dst, coeff in basic.d_hor_entries:
-        out.setdefault(src, []).append((dst, coeff))
-    return {g: tuple(v) for g, v in out.items()}
-
-
-@lru_cache(maxsize=256)
-def _euler_map(basic: BasicComplex) -> dict[tuple[int, int], tuple[tuple[int, Fraction], ...]]:
-    out: dict[tuple[int, int], list] = {}
-    for i, src, dst, coeff in basic.euler_entries:
-        out.setdefault((i, src), []).append((dst, coeff))
-    return {k: tuple(v) for k, v in out.items()}
 
 
 @dataclass(frozen=True)
@@ -269,7 +272,7 @@ def contract(model: EquivariantModel, ell: int, x: ModelElement) -> ModelElement
 
 def d10(model: EquivariantModel, x: ModelElement) -> ModelElement:
     """d_hor on the basic factor, identity on the chi factor, no sign."""
-    dm = _d_map(model.basic)
+    dm = model.basic.d_hor_table
     out: dict[tuple[int, MultiIndex], Fraction] = {}
     for (g, I), v in x.coeffs.items():
         for dst, coeff in dm.get(g, ()):
@@ -299,7 +302,7 @@ def d01(model: EquivariantModel, x: ModelElement) -> ModelElement:
 
 def d21(model: EquivariantModel, x: ModelElement) -> ModelElement:
     """Euler component: sum_j (-1)^(p+j-1) E_{i_j}(g) (x) chi_{I minus i_j}."""
-    em = _euler_map(model.basic)
+    em = model.basic.euler_table
     out: dict[tuple[int, MultiIndex], Fraction] = {}
     for (g, I), v in x.coeffs.items():
         p = model.basic.degree_of(g)
@@ -348,9 +351,11 @@ def max_total_degree(model: EquivariantModel) -> int:
 MAX_AMBIENT_DIM = 1 << 13
 
 # Largest total degree (top basic degree + lie.n) a model may reach.  The
-# largest card or benchmark model, S^25, reaches 25.  The pages visit every
-# cell (p, m) up to the top degree, so their cost grows at least with its
-# square, and a basic generator of degree 10^6 would never finish.
+# largest card or benchmark model, S^25, reaches 25.  The pages build cells
+# only on the E_0 support (B^p != 0), but each page still scans every spot
+# (p, m) up to the top degree for it, the filtration and the total matrices
+# run over every degree, and stabilization may take up to top + 2 pages, so
+# a basic generator of degree 10^6 would never finish.
 MAX_TOTAL_DEGREE = 128
 
 

@@ -23,19 +23,23 @@ echelon basis of the kernel.
 The matrices of the spectral sequence are mostly zero, so the hot paths skip
 zeros: `Matrix.apply` and `Subspace.contains_vector` visit only the nonzero
 entries of the vector, a Subspace keeps a sparse copy of its echelon rows
-once it has been used, and `sparse_columns`/`apply_columns` apply a map from
-the nonzero entries of its columns.  `quotient_map` builds v/w in one pass of
-a sparse echelon over w's rows and then v's, with no row reduction per
-representative, and `graded_cohomology` takes a zero map's kernel and image
-without any.  `preimage` and `sum_and_intersect` no longer run in the engine;
-they stay as the definitions the tests check it against.
+(a kernel is born with it), and `sparse_columns` with `apply_columns` or
+`apply_sparse` apply a map from the nonzero entries of its columns.
+Elimination against an echelon visits only the rows whose pivots it meets.
+`quotient_map` builds v/w in one pass of a sparse echelon over w's rows and
+then v's, with no row reduction per representative; given a coordinate
+window it reads only the window's columns, which divides v also by its part
+that vanishes there.  `graded_cohomology` takes a zero map's kernel and
+image without any elimination.  `preimage` and `sum_and_intersect` no
+longer run in the engine; they stay as the definitions the tests check it
+against.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 
 Q = Fraction
@@ -84,6 +88,16 @@ def apply_columns(cols: SparseColumns, rows: int, vec) -> tuple[Fraction, ...]:
             for i, a in col:
                 out[i] += a * x
     return tuple(out)
+
+
+def apply_sparse(cols: SparseColumns, x: dict[int, Fraction]) -> dict[int, Fraction]:
+    """m @ x for m given by sparse_columns(m) and x by its nonzero entries, likewise."""
+    out: dict[int, Fraction] = {}
+    for j, a in x.items():
+        for i, c in cols[j]:
+            y = out.get(i)
+            out[i] = c * a if y is None else y + c * a
+    return {i: y for i, y in out.items() if y}
 
 
 def _primitive(x: dict[int, int]) -> dict[int, int]:
@@ -357,26 +371,40 @@ class Subspace:
     """Subspace of Q^ambient_dim, stored by its RREF row basis (canonical).
 
     The sparse form of the basis (each row's pivot and its other nonzero
-    entries) is derived on first use and kept; it is not part of equality.
+    entries) is given by from_echelon or derived on first use, and kept; it
+    is not part of equality.
     """
 
     ambient_dim: int
     basis: Matrix
-    _echelon: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _echelon: dict | None = field(default=None, init=False, repr=False, compare=False)
 
-    def echelon(self) -> tuple[tuple[int, dict[int, Fraction]], ...]:
-        """(pivot, {column: value} past the pivot) for each basis row, in order."""
+    def echelon(self) -> dict[int, dict[int, Fraction]]:
+        """{pivot: {column: value} past the pivot} for the basis rows, in order."""
         ech = self._echelon
         if ech is None:
-            rows = []
+            ech = {}
             for row in self.basis.data:
                 entries = nonzero_entries(row)
                 pivot = next(iter(entries))
                 del entries[pivot]  # the leading entry of an RREF row is 1
-                rows.append((pivot, entries))
-            ech = tuple(rows)
+                ech[pivot] = entries
             object.__setattr__(self, "_echelon", ech)
         return ech
+
+    @classmethod
+    def from_echelon(cls, ambient_dim: int, echelon: dict[int, dict[int, Fraction]]) -> "Subspace":
+        """The subspace whose RREF rows are given in sparse form, as echelon() returns them."""
+        rows = []
+        for pivot, tail in echelon.items():
+            row = [_ZERO] * ambient_dim
+            row[pivot] = _ONE
+            for j, a in tail.items():
+                row[j] = a
+            rows.append(tuple(row))
+        out = cls(ambient_dim, Matrix(tuple(rows), ambient_dim))
+        object.__setattr__(out, "_echelon", echelon)
+        return out
 
     @classmethod
     def from_rows(cls, ambient_dim: int, rows) -> "Subspace":
@@ -427,21 +455,20 @@ def kernel_basis(m: Matrix) -> Subspace:
     last = n - 1
     red, pivots = Matrix(tuple(row[::-1] for row in m.data), n).rref()
     bound = {last - p for p in pivots}
-    rows = []
+    echelon = {}
     for f in range(n):
         if f in bound:
             continue
-        v = [_ZERO] * n
-        v[f] = _ONE
         fr = last - f
+        tail = []
         for row, p in zip(red.data, pivots):
             if p >= fr:
                 break
             a = row[fr]
             if a:
-                v[last - p] = -a
-        rows.append(tuple(v))
-    return Subspace(n, Matrix(tuple(rows), n))
+                tail.append((last - p, -a))
+        echelon[f] = dict(reversed(tail))
+    return Subspace.from_echelon(n, echelon)
 
 
 def image(m: Matrix, sub: Subspace | None = None) -> Subspace:
@@ -480,26 +507,37 @@ def sum_and_intersect(a: Subspace, b: Subspace) -> tuple[Subspace, Subspace]:
     return Subspace.from_rows(d, sum_rows), Subspace.from_rows(d, int_rows)
 
 
-def _eliminate(x: dict[int, Fraction], rows) -> list[tuple[int, Fraction]]:
-    """Reduce x in place by echelon rows (pivot, tail) given in increasing pivot order.
+def _eliminate(
+    x: dict[int, Fraction], rows: dict[int, dict[int, Fraction]]
+) -> list[tuple[int, Fraction]]:
+    """Reduce x in place by echelon rows given as {pivot: tail}.
 
     Each row is 1 at its pivot, zero before it and `tail` past it, so a row
-    changes x only past its pivot and one pass in pivot order reduces x fully.
-    Returns (position in rows, multiplier) for every row subtracted; entries
-    of x that cancel are left behind as zeros.
+    changes x only past its pivot: taking the entries of x at pivots in
+    increasing column order reduces x fully, and visits only the rows used.
+    Returns (pivot, multiplier) for every row subtracted, in that order;
+    entries of x that cancel are left behind as zeros.
     """
+    heap = [j for j in x if j in rows]
+    heapify(heap)
     used = []
-    for pos, (pivot, tail) in enumerate(rows):
-        c = x.pop(pivot, None)
+    while heap:
+        pivot = heappop(heap)
+        c = x.pop(pivot)
         if c:
-            for j, a in tail.items():
+            for j, a in rows[pivot].items():
                 y = x.get(j)
-                x[j] = -c * a if y is None else y - c * a
-            used.append((pos, c))
+                if y is None:
+                    x[j] = -c * a
+                    if j in rows:
+                        heappush(heap, j)
+                else:
+                    x[j] = y - c * a
+            used.append((pivot, c))
     return used
 
 
-def quotient_map(v: Subspace, w: Subspace) -> tuple[Matrix, Matrix]:
+def quotient_map(v: Subspace, w, window: tuple[int, int] | None = None) -> tuple[Matrix, Matrix]:
     """Coset representatives and coordinate projection for v/w.
 
     Returns (reps, proj): reps has k = dim v - dim w rows which represent a
@@ -516,20 +554,53 @@ def quotient_map(v: Subspace, w: Subspace) -> tuple[Matrix, Matrix]:
     classes by x at v's pivot columns.  The echelon also counts dim(v + w),
     which equals dim v exactly when w lies in v; that is the containment
     check, and a failing one raises ValueError.
+
+    With window = (lo, hi), w is a list of vectors, each given by its
+    nonzero entries as {column: value}, and the quotient is
+    v / (span w + {x in v : x is zero on columns lo .. hi-1}).  The echelon
+    then reads columns lo .. hi-1 only, and the containment check is that
+    each vector of w, reduced by v's basis rows, leaves nothing.  The
+    representatives are still rows of v, chosen by the same rule, so reps
+    and proj are those of the quotient by the full divisor.
     """
-    if v.ambient_dim != w.ambient_dim:
-        raise ValueError("ambient dimension mismatch")
     d = v.ambient_dim
-    rows = list(w.echelon())
-    pivots = [pivot for pivot, _ in rows]
-    tags: list[dict[int, Fraction]] = [{} for _ in rows]  # class of each echelon row
+    if window is None:
+        if w.ambient_dim != d:
+            raise ValueError("ambient dimension mismatch")
+        rows = dict(w.echelon())
+        lo, hi = 0, d
+    else:
+        lo, hi = window
+        rows = {}
+    tags: dict[int, dict[int, Fraction]] = {pivot: {} for pivot in rows}  # class of each row
+
+    def insert(residual: dict[int, Fraction], tag: dict[int, Fraction]) -> None:
+        pivot = min(residual)
+        lead = residual.pop(pivot)
+        rows[pivot] = {j: a / lead for j, a in residual.items()}
+        tags[pivot] = {i: a / lead for i, a in tag.items()}
+
+    if window is not None:
+        for y in w:
+            if y and max(y) >= d:
+                raise ValueError("ambient dimension mismatch")
+            residual = dict(y)
+            _eliminate(residual, v.echelon())
+            if any(residual.values()):
+                raise ValueError("quotient undefined: denominator is not contained in numerator")
+            x = {j: a for j, a in y.items() if lo <= j < hi}
+            _eliminate(x, rows)
+            x = {j: a for j, a in x.items() if a}
+            if x:
+                insert(x, {})
+    wdim = len(rows)
     reps = []
     classes = []  # class of each basis row of v
-    for (vpivot, vtail), vrow in zip(v.echelon(), v.basis.data):
-        x = {vpivot: _ONE, **vtail}
+    for (vpivot, vtail), vrow in zip(v.echelon().items(), v.basis.data):
+        x = {j: a for j, a in ((vpivot, _ONE), *vtail.items()) if lo <= j < hi}
         acc: dict[int, Fraction] = {}
-        for pos, c in _eliminate(x, rows):
-            for i, t in tags[pos].items():
+        for pivot, c in _eliminate(x, rows):
+            for i, t in tags[pivot].items():
                 acc[i] = acc.get(i, _ZERO) + c * t
         residual = {j: a for j, a in x.items() if a}
         if not residual:
@@ -539,21 +610,16 @@ def quotient_map(v: Subspace, w: Subspace) -> tuple[Matrix, Matrix]:
         i = len(reps)
         reps.append(vrow)
         classes.append({i: _ONE})
-        pivot = min(residual)
-        lead = residual.pop(pivot)
-        tag = {i: _ONE / lead}
-        tag.update((j, -a / lead) for j, a in acc.items())
-        pos = bisect_left(pivots, pivot)
-        pivots.insert(pos, pivot)
-        rows.insert(pos, (pivot, {j: a / lead for j, a in residual.items()}))
-        tags.insert(pos, tag)
+        acc = {j: -a for j, a in acc.items()}
+        acc[i] = _ONE
+        insert(residual, acc)
     k = len(reps)
-    if k != v.dim - w.dim:
+    if window is None and k != v.dim - wdim:
         raise ValueError("quotient undefined: denominator is not contained in numerator")
     if k == 0:
         return Matrix((), d), Matrix((), d)
     proj = [[_ZERO] * d for _ in range(k)]
-    for (vpivot, _), cls in zip(v.echelon(), classes):
+    for vpivot, cls in zip(v.echelon(), classes):
         for i, a in cls.items():
             if a:
                 proj[i][vpivot] = a

@@ -13,21 +13,33 @@ plus a coordinate projection, so induced maps are honest matrices.
 
 Every filtration level here is a coordinate prefix: F^p C^m is spanned by the
 first k(p, m) basis vectors.  So Z_r is the kernel of the block of d with
-rows k(p+r, m+1): and columns :k(p, m), padded with zeros, and the divisor is
-the plain span of its two parts; no subspace intersection is needed.
+rows k(p+r, m+1): and columns :k(p, m), padded with zeros, and no subspace
+intersection is needed.
+
+The pages are built on the associated graded.  E_0^{p,q} = F^p C^m / F^(p+1)
+C^m is the coordinate window [k(p+1, m), k(p, m)), m = p + q; where it is
+empty, the spot is zero on every page and no cell is built.  Since
+Z_r^p meets F^(p+1) in exactly Z_(r-1)^(p+1), the divisor's second part is
+what the projection pi onto the window forgets, and
+
+    E_r^{p,q} = pi(Z_r^p) / pi(d Z_(r-1)^(p-r+1)),
+
+one pass of qlinalg.quotient_map over the window columns.  That pass also
+checks that d Z_(r-1)^(p-r+1) lies in Z_r^p, and its representatives are
+rows of Z_r^p in C^m, the same ones the full quotient would choose.
 
 The differentials are very sparse (for a torus acting on itself d is zero),
 so each d^m is also kept by the nonzero entries of its columns: d Z_(r-1)
-and d_r are applied through that form, a block of d with no nonzero entry
-has all of F^p as its kernel without an elimination, and a divisor whose
-d Z_(r-1) part vanishes is Z_(r-1)^(p+1) itself.  Each cell's quotient
-E_r = Z_r / divisor comes from one pass of qlinalg.quotient_map, which is
-also the one check that the divisor lies in Z_r.
+and d_r are applied through that form, and a block of d with no nonzero
+entry has all of F^p as its kernel without an elimination.
 
 The filtration of the invariant-forms model is by chi-count complement:
 F^p C^m is spanned by monomials of horizontal degree >= p, which come first
-in the monomial basis.  Page r = 0 and r = 1 are bookkeeping pages of the
-bigraded model; the geometric content starts at r = 2, which is where
+in the monomial basis.  The window of spot (p, q) is then B^p (x) Lambda^q,
+so only the spots with B^p != 0 and q <= n get cells, not the whole
+triangle 0 <= p <= m up to the top degree.  Page r = 0 and r = 1 are
+bookkeeping pages of the bigraded model; the geometric content starts at
+r = 2, which is where
 stabilization is searched for.  `iter_pages` builds the pages one after
 another over one cache of Z spaces, so a run builds each page once.
 """
@@ -50,6 +62,7 @@ from .qlinalg import (
     SparseColumns,
     Subspace,
     apply_columns,
+    apply_sparse,
     kernel_basis,
     quotient_map,
     sparse_columns,
@@ -113,10 +126,7 @@ class FilteredComplex:
 
     def filt(self, p: int, m: int) -> Subspace:
         """F^p C^m as a subspace: the first cut(p, m) coordinate vectors."""
-        n = self.ambient(m)
-        zeros = (_ZERO,) * n
-        rows = tuple(zeros[:i] + (_ONE,) + zeros[i + 1:] for i in range(self.cut(p, m)))
-        return Subspace(n, Matrix(rows, n))
+        return Subspace.from_echelon(self.ambient(m), {i: {} for i in range(self.cut(p, m))})
 
     def check_structure(self) -> None:
         """Assert shapes, decreasing filtration, and d-compatibility (test hook)."""
@@ -161,7 +171,7 @@ def cartan_filtration(model: EquivariantModel) -> FilteredComplex:
 
 @dataclass(frozen=True, slots=True)
 class PageCell:
-    """One spot E_r^{p,q}: ambient data plus the quotient presentation."""
+    """One spot E_r^{p,q} of the E_0 support: Z_r and the quotient presentation."""
 
     p: int
     q: int
@@ -169,7 +179,6 @@ class PageCell:
     reps: Matrix      # dim rows; coset representatives in C^(p+q) coordinates
     proj: Matrix      # quotient coordinates of any vector of z_space
     z_space: Subspace
-    divisor: Subspace
 
 
 @dataclass(frozen=True)
@@ -206,31 +215,38 @@ def _z_space(fc: FilteredComplex, r: int, p: int, m: int, cache: dict) -> Subspa
         i >= start for col in fc.d_columns[m][:k] for i, _ in col
     ):
         block = Matrix(tuple(row[:k] for row in fc.d[m].data[start:]), k)
-        pad = (_ZERO,) * (fc.ambient(m) - k)
-        ker = kernel_basis(block).basis.data
-        out = Subspace(fc.ambient(m), Matrix(tuple(row + pad for row in ker), fc.ambient(m)))
+        out = Subspace.from_echelon(fc.ambient(m), kernel_basis(block).echelon())
     else:
         out = fc.filt(p, m)  # the block is zero, so Z_r is all of F^p
     cache[key] = out
     return out
 
 
-def _divisor(fc: FilteredComplex, r: int, p: int, m: int, cache: dict) -> Subspace:
-    """d Z_{r-1}^{p-r+1} + Z_{r-1}^{p+1} in C^m, as the span of both bases.
+def _boundaries(fc: FilteredComplex, r: int, p: int, m: int, cache: dict) -> list[dict]:
+    """d Z_(r-1)^(p-r+1) in C^m: the nonzero images of that space's basis rows.
 
-    When d kills Z_{r-1}^{p-r+1}, the span is the second space as it stands.
+    Each is kept by its nonzero entries, {coordinate: value}.
     """
-    born = _z_space(fc, r - 1, p - r + 1, m - 1, cache)
-    other = _z_space(fc, r - 1, p + 1, m, cache)
-    rows = [y for y in (fc.apply_d(m - 1, row) for row in born.basis.data) if any(y)]
-    if not rows:
-        return other
-    rows.extend(other.basis.data)
-    return Subspace.from_rows(fc.ambient(m), rows)
+    if not 1 <= m <= fc.max_degree:
+        return []
+    cols = fc.d_columns[m - 1]
+    born = _z_space(fc, r - 1, p - r + 1, m - 1, cache).echelon()
+    images = (apply_sparse(cols, {pivot: _ONE, **tail}) for pivot, tail in born.items())
+    return [y for y in images if y]
 
 
 def page(fc: FilteredComplex, r: int, _cache: dict | None = None) -> SpectralPage:
-    """The full r-th page with its differential, cell by cell."""
+    """The r-th page with its differential, one cell per spot of the E_0 support.
+
+    E_0^(p,q) is F^p C^m / F^(p+1) C^m, the coordinate window
+    [k(p+1, m), k(p, m)) with m = p + q, so a spot whose window is empty is
+    zero on every page and gets no cell.  Each other spot is
+    E_r = pi(Z_r^p) / pi(d Z_(r-1)^(p-r+1)), pi the projection onto its
+    window: Z_r^p meets F^(p+1) in Z_(r-1)^(p+1), which is the rest of the
+    divisor, so quotient_map works on the window columns alone.  It still
+    checks that d Z_(r-1)^(p-r+1) lies in Z_r^p, and the representatives
+    are rows of Z_r^p in C^m.
+    """
     if r < 0:
         raise ValueError("page index must be >= 0")
     cache: dict = {} if _cache is None else _cache
@@ -239,13 +255,15 @@ def page(fc: FilteredComplex, r: int, _cache: dict | None = None) -> SpectralPag
     for m in range(top + 1):
         for p in range(m + 1):
             q = m - p
+            lo, hi = fc.cut(p + 1, m), fc.cut(p, m)
+            if lo == hi:
+                continue
             z = _z_space(fc, r, p, m, cache)
-            divisor = _divisor(fc, r, p, m, cache)
             try:
-                reps, proj = quotient_map(z, divisor)  # also checks divisor <= z
+                reps, proj = quotient_map(z, _boundaries(fc, r, p, m, cache), window=(lo, hi))
             except ValueError:
                 raise CertificateError(f"divisor escapes Z_{r}", (p, q), r) from None
-            cells[(p, q)] = PageCell(p, q, reps.rows, reps, proj, z, divisor)
+            cells[(p, q)] = PageCell(p, q, reps.rows, reps, proj, z)
     dr: dict[tuple[int, int], Matrix] = {}
     for (p, q), cell in cells.items():
         if cell.dim == 0:

@@ -125,10 +125,12 @@ def _e2_frames(model: EquivariantModel, pg2: SpectralPage | None = None) -> E2Fr
     for p in range(len(bc.dims)):
         gens_p = model.basic.gens_of_degree(p)
         for q in range(n + 1):
-            cell = pg2.cells[(p, q)]
+            # a spot outside the E_0 support has no cell: E_2 is zero there
+            cell = pg2.cells.get((p, q))
+            e2_dim = 0 if cell is None else cell.dim
             prod = bc.dims[p] * inv[q].dim
             cols = []
-            for alpha in bc.reps[p].data:
+            for alpha in bc.reps[p].data if cell is not None else ():
                 for beta_row in inv[q].basis.data:
                     beta = chi_from_vector(beta_row, n, q)
                     vec = _tensor_vector(model, alpha, gens_p, beta, q, p + q)
@@ -137,9 +139,9 @@ def _e2_frames(model: EquivariantModel, pg2: SpectralPage | None = None) -> E2Fr
                             "tensor representative not d-compatible", (p, q), 2
                         )
                     cols.append(cell.proj.apply(vec))
-            data = [[cols[j][i] for j in range(prod)] for i in range(cell.dim)]
+            data = [[cols[j][i] for j in range(prod)] for i in range(e2_dim)]
             fmat = Matrix.of(data, cols=prod)
-            cells.append(E2Cell(p, q, prod, cell.dim, fmat.rank()))
+            cells.append(E2Cell(p, q, prod, e2_dim, fmat.rank()))
             fmats[(p, q)] = fmat
     return E2Frames(pg2, tuple(cells), fmats, bc, inv)
 

@@ -19,10 +19,18 @@ operators of the package: delta by wedge products of `ChiElement`s, and the
 coadjoint action as the Cartan homotopy contract o delta + delta o contract.
 The engine reads both from sparse per-algebra tables instead; the matrices
 below are built one `chi_to_vector` column at a time, as the seed did.
+
+`oracle_page` is the page engine before it moved to the associated graded:
+every spot (p, m) of the triangle gets a cell, and each cell is the quotient
+Z_r / (d Z_{r-1}^{p-r+1} + Z_{r-1}^{p+1}) of full subspaces of C^m, the
+divisor by one row reduction of both parts stacked.  The engine's window
+quotients skip the empty spots and never form that divisor, so comparing
+the two checks the skip and the window identity at once.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction as Q
 
 from cartanss.liealg import (
@@ -34,7 +42,17 @@ from cartanss.liealg import (
     multi_indices,
     wedge,
 )
-from cartanss.qlinalg import Matrix, Subspace, image, inverse, kernel_basis, rref
+from cartanss.qlinalg import (
+    Matrix,
+    Subspace,
+    image,
+    inverse,
+    kernel_basis,
+    quotient_map,
+    rref,
+)
+from cartanss.reports import CertificateError
+from cartanss.specseq import FilteredComplex, SpectralPage, _z_space
 
 
 def seed_rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
@@ -234,3 +252,57 @@ def scaled(L: LieData, t) -> LieData:
     """The bracket t [-, -]: still a Lie algebra, and ad-invariant when L is."""
     t = Q(t)
     return LieData(L.n, tuple(tuple(tuple(t * v for v in row) for row in plane) for plane in L.c))
+
+
+def oracle_divisor(fc: FilteredComplex, r: int, p: int, m: int, cache: dict) -> Subspace:
+    """d Z_{r-1}^{p-r+1} + Z_{r-1}^{p+1} in C^m, as the span of both bases."""
+    born = _z_space(fc, r - 1, p - r + 1, m - 1, cache)
+    other = _z_space(fc, r - 1, p + 1, m, cache)
+    rows = [y for y in (fc.apply_d(m - 1, row) for row in born.basis.data) if any(y)]
+    if not rows:
+        return other
+    rows.extend(other.basis.data)
+    return Subspace.from_rows(fc.ambient(m), rows)
+
+
+@dataclass(frozen=True)
+class OracleCell:
+    p: int
+    q: int
+    dim: int
+    reps: Matrix
+    proj: Matrix
+    z_space: Subspace
+    divisor: Subspace
+
+
+def oracle_page(fc: FilteredComplex, r: int, cache: dict | None = None) -> SpectralPage:
+    """Page r with a cell at every spot 0 <= p <= m, each Z_r / divisor in full."""
+    cache = {} if cache is None else cache
+    cells = {}
+    for m in range(fc.max_degree + 1):
+        for p in range(m + 1):
+            z = _z_space(fc, r, p, m, cache)
+            divisor = oracle_divisor(fc, r, p, m, cache)
+            try:
+                reps, proj = quotient_map(z, divisor)
+            except ValueError:
+                raise CertificateError(f"divisor escapes Z_{r}", (p, m - p), r) from None
+            cells[(p, m - p)] = OracleCell(p, m - p, reps.rows, reps, proj, z, divisor)
+    dr = {}
+    for (p, q), cell in cells.items():
+        if cell.dim == 0:
+            continue
+        tgt = cells.get((p + r, q - r + 1))
+        if tgt is None or tgt.dim == 0:
+            dr[(p, q)] = Matrix.zero(0, cell.dim)
+            continue
+        cols = []
+        for rep in cell.reps.data:
+            y = fc.apply_d(p + q, rep)
+            if not tgt.z_space.contains_vector(y):
+                raise CertificateError("d of a representative escapes Z", (p, q), r)
+            cols.append(tgt.proj.apply(y))
+        dr[(p, q)] = Matrix.of([[col[i] for col in cols] for i in range(tgt.dim)],
+                               cols=cell.dim)
+    return SpectralPage(r, cells, dr)

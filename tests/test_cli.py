@@ -526,12 +526,37 @@ def test_models_above_the_total_degree_budget_exit_2_at_once(tmp_path):
                           capture_output=True, text=True, env=source_env(), timeout=60)
     results = [line.split() for line in proc.stdout.splitlines()]
     assert [rc for rc, _ in results] == ["2", "2"], proc.stderr
-    # without the budget, pages visits every cell up to degree 10^6 and never returns
+    # without the budget, the filtration alone runs over 10^6 degrees and never returns
     assert all(float(seconds) < 1 for _, seconds in results)
     lines = proc.stderr.splitlines()
     assert lines == [
         "input error: model too large: total degree 1000001 "
         f"(top basic degree 1000000 + lie.n 1) exceeds the limit {MAX_TOTAL_DEGREE}"] * 2
+
+
+def sphere(k):
+    """S^(2k+1) over CP^k: basic generators in degrees 0, 2, ..., 2k and an Euler chain."""
+    basic = BasicComplex.build([("1", 0)] + [(f"v{j}", 2 * j) for j in range(1, k + 1)],
+                               euler=[(1, j - 1, j, 1) for j in range(1, k + 1)])
+    return EquivariantModel(f"sphere_{2 * k + 1}", LieData.abelian(1), basic)
+
+
+@pytest.mark.parametrize("model, per_page, pages", [
+    # one model past the benchmark's S^25: 21 even degrees p, q = 0 or 1;
+    # d_2 kills all but two spots, so E_3 is stable
+    (sphere(20), 2 * 21, 5),
+    # a torus acting on itself has B = B^0, so only the spots (0, q)
+    (get_model("group_torus", 8).model, 9, 4),
+])
+def test_pages_build_cells_only_on_the_e0_support(tmp_path, monkeypatch, capsys,
+                                                   model, per_page, pages):
+    path = str(tmp_path / "model.json")
+    save_model_file(model, path)
+    calls = count_calls(monkeypatch, (("specseq", "PageCell"), ("specseq", "page")))
+    assert main(["pages", path, "--format", "machine"]) == 0
+    capsys.readouterr()
+    # the full triangle of spots (p, m) would be 1 + 2 + ... + (top + 1) per page
+    assert (len(calls["page"]), len(calls["PageCell"])) == (pages, per_page * pages)
 
 
 def test_total_degree_budget_admits_every_card_and_benchmark_model():
@@ -575,9 +600,9 @@ ESCAPING_DIVISOR_SCRIPT = textwrap.dedent(
     counts = {"quotient_map": 0, "contains": 0}
     quotient_map, contains = qlinalg.quotient_map, qlinalg.Subspace.contains
 
-    def counted_quotient_map(v, w):
+    def counted_quotient_map(*args, **kwargs):
         counts["quotient_map"] += 1
-        return quotient_map(v, w)
+        return quotient_map(*args, **kwargs)
 
     def counted_contains(self, other):
         counts["contains"] += 1

@@ -8,7 +8,7 @@ from fractions import Fraction as Q
 import pytest
 
 from cartanss.liealg import LieData, multi_indices
-from cartanss.library import get_model, heisenberg_model, su2_lie
+from cartanss.library import MODEL_NAMES, get_model, heisenberg_model, random_trivial_product, su2_lie
 from cartanss.model import (
     BasicComplex,
     EquivariantModel,
@@ -285,3 +285,23 @@ def test_total_d_never_lowers_horizontal_degree():
         min_p_src = min(model.basic.degree_of(g) for (g, _) in x.coeffs)
         min_p_dst = min(model.basic.degree_of(g) for (g, _) in dx.coeffs)
         assert min_p_dst >= min_p_src
+
+
+def test_basic_tables_list_every_entry_and_stay_out_of_equality():
+    rng = random.Random(20261019)
+    complexes = [get_model(name).model.basic for name in MODEL_NAMES]
+    complexes += [random_trivial_product(rng, tag=f"t{i}").model.basic for i in range(10)]
+    complexes.append(BasicComplex.build([("1", 0), ("u", 0), ("v", 2), ("w", 2)],
+                                        d_hor=[(0, 1, 3)],
+                                        euler=[(1, 0, 2, 1), (1, 0, 3, -2), (2, 1, 3, 5)]))
+    for basic in complexes:
+        want_d, want_e = {}, {}
+        for src, dst, coeff in basic.d_hor_entries:
+            want_d[src] = want_d.get(src, ()) + ((dst, coeff),)
+        for i, src, dst, coeff in basic.euler_entries:
+            want_e[(i, src)] = want_e.get((i, src), ()) + ((dst, coeff),)
+        assert basic.d_hor_table == want_d
+        assert basic.euler_table == want_e
+        twin = BasicComplex(basic.generators, basic.d_hor_entries, basic.euler_entries)
+        assert twin == basic and hash(twin) == hash(basic)
+        assert "table" not in repr(basic)

@@ -12,6 +12,7 @@ from cartanss.qlinalg import (
     Matrix,
     Subspace,
     apply_columns,
+    apply_sparse,
     as_q,
     image,
     inverse,
@@ -253,6 +254,53 @@ def test_quotient_map_matches_the_seed_algorithm_on_random_pairs():
     assert min(kinds.values()) >= 20, kinds
 
 
+def test_window_quotient_matches_the_seed_quotient_by_the_full_divisor():
+    """quotient_map(v, w, (lo, hi)) is v / (span w + {x in v : x = 0 on lo..hi-1})."""
+    rng = random.Random(20261020)
+    kinds = {"w not in v": 0, "window drops part of v": 0, "proper": 0, "empty window": 0}
+    for i in range(600):
+        d = rng.randint(1, 8)
+        v = Subspace.from_rows(d, sparse_rows(rng, rng.randint(0, d), d))
+        lo = rng.randint(0, d)
+        hi = rng.randint(lo, d)
+        if i % 5 == 0:
+            w_rows = sparse_rows(rng, rng.randint(1, 3), d)
+        else:
+            w_rows = [list(r) for r in span_inside(rng, v, rng.randint(0, v.dim)).basis.data]
+            w_rows += [[c * x for x in r] for r in w_rows[:1] for c in (0, 2)]
+        w = [{j: x for j, x in enumerate(row) if x} for row in w_rows]
+        outside = Subspace.from_rows(d, [[Q(int(j == k)) for k in range(d)]
+                                         for j in range(d) if not lo <= j < hi])
+        divisor = Subspace.from_rows(d, w_rows + list(sum_and_intersect(v, outside)[1].basis.data))
+        if not all(v.contains_vector(row) for row in w_rows):
+            kinds["w not in v"] += 1
+            with pytest.raises(ValueError):
+                quotient_map(v, w, window=(lo, hi))
+            continue
+        kinds["window drops part of v"] += divisor.dim > Subspace.from_rows(d, w_rows).dim
+        kinds["proper"] += 0 < divisor.dim < v.dim
+        kinds["empty window"] += lo == hi
+        reps, proj = quotient_map(v, w, window=(lo, hi))
+        want_reps, want_proj = seed_quotient_map(v, divisor)
+        assert (reps.data, reps.cols) == (want_reps.data, want_reps.cols), (v, w, lo, hi)
+        assert (proj.data, proj.cols) == (want_proj.data, want_proj.cols), (v, w, lo, hi)
+    assert min(kinds.values()) >= 20, kinds
+
+
+def test_sparse_echelon_round_trip():
+    rng = random.Random(31)
+    for _ in range(100):
+        d = rng.randint(0, 7)
+        sub = Subspace.from_rows(d, sparse_rows(rng, rng.randint(0, d), d))
+        ech = sub.echelon()
+        assert list(ech) == sorted(ech)
+        assert all(min(tail, default=d) > pivot for pivot, tail in ech.items())
+        again = Subspace.from_echelon(d, ech)
+        assert again == sub and again.echelon() == ech
+        ker = kernel_basis(Matrix.of(sparse_rows(rng, rng.randint(0, d), d), cols=d))
+        assert Subspace(d, ker.basis).echelon() == ker.echelon()
+
+
 def test_sparse_columns_apply_like_the_dense_matrix():
     rng = random.Random(29)
     for _ in range(200):
@@ -264,6 +312,8 @@ def test_sparse_columns_apply_like_the_dense_matrix():
             dense = tuple(sum((a * x for a, x in zip(r, vec)), Q(0)) for r in m.data)
             assert m.apply(vec) == dense
             assert apply_columns(sparse, rows, vec) == dense
+            entries = {j: x for j, x in enumerate(vec) if x}
+            assert apply_sparse(sparse, entries) == {i: x for i, x in enumerate(dense) if x}
 
 
 def wild_matrix(rng, rows, cols):

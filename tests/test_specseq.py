@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 
 import pytest
-from oracles import direct_sum, seed_mismatches, seed_quotient_map
+from oracles import direct_sum, oracle_divisor, oracle_page, seed_mismatches, seed_quotient_map
 
 from cartanss.cli import main, save_model_file
 from cartanss.library import MODEL_NAMES, get_model, random_trivial_product, su2_lie
@@ -15,7 +15,6 @@ from cartanss.qlinalg import Matrix, Subspace, image, preimage, sum_and_intersec
 from cartanss.reports import CertificateError
 from cartanss.specseq import (
     FilteredComplex,
-    _divisor,
     _z_space,
     abutment_check,
     cartan_filtration,
@@ -136,13 +135,14 @@ def test_induced_differential_ignores_divisor_perturbations():
         for r in (1, 2):
             pg = page(fc, r)
             for (p, q), cell in pg.cells.items():
-                if cell.dim == 0 or cell.divisor.dim == 0:
+                divisor = oracle_divisor(fc, r, p, p + q, {})
+                if cell.dim == 0 or divisor.dim == 0:
                     continue
                 dm = fc.dmat(p + q)
                 tgt = pg.cells.get((p + r, q - r + 1))
                 for rep in cell.reps.data:
                     noise = [0] * len(rep)
-                    for row in cell.divisor.basis.data:
+                    for row in divisor.basis.data:
                         c = rng.randint(-2, 2)
                         noise = [x + c * y for x, y in zip(noise, row)]
                     pert = [x + y for x, y in zip(rep, noise)]
@@ -229,16 +229,26 @@ def test_divisor_span_matches_the_zassenhaus_sum():
                     born = image(fc.dmat(m - 1), oracle_z_space(fc, r - 1, p - r + 1, m - 1))
                     other = oracle_z_space(fc, r - 1, p + 1, m)
                     want, _ = sum_and_intersect(born, other)
-                    assert _divisor(fc, r, p, m, cache) == want, (model.name, r, p, m)
+                    assert oracle_divisor(fc, r, p, m, cache) == want, (model.name, r, p, m)
                     checked += 1
     assert checked > 1000
 
 
+def su2_pair_model(basic_degrees):
+    """su(2) + su(2) over a basic complex with zero differential."""
+    gens = [(f"g{i}", deg) for i, deg in enumerate(basic_degrees)]
+    name = "su2_pair_" + "".join(map(str, basic_degrees))
+    return EquivariantModel(name, direct_sum(su2_lie(), su2_lie()),
+                            BasicComplex.build(gens))
+
+
 def test_every_page_cell_matches_the_seed_quotient_and_dense_d():
-    """Cards and S^3..S^9, every cell of pages 0 .. stabilization + 1."""
+    """Cards, S^3..S^25 and su(2) + su(2) over the 2-torus, every cell of
+    pages 0 .. stabilization + 1, against the full divisor of the old engine."""
     cells = 0
     models = [get_model(name).model for name in MODEL_NAMES]
-    models += [sphere_model(k) for k in range(1, 5)]
+    models += [sphere_model(k) for k in range(1, 13)]
+    models.append(su2_pair_model((0, 1, 1, 2)))
     for model in models:
         fc = cartan_filtration(model)
         _, r_stab = limit_page(fc)
@@ -246,13 +256,48 @@ def test_every_page_cell_matches_the_seed_quotient_and_dense_d():
         for r in range(r_stab + 2):
             pg = next(pages)
             for (p, q), cell in pg.cells.items():
-                reps, proj = seed_quotient_map(cell.z_space, cell.divisor)
+                divisor = oracle_divisor(fc, r, p, p + q, {})
+                reps, proj = seed_quotient_map(cell.z_space, divisor)
                 assert (cell.reps, cell.proj) == (reps, proj), (model.name, r, p, q)
                 dense = fc.dmat(p + q)
-                for row in cell.z_space.basis.data + cell.divisor.basis.data:
+                for row in cell.z_space.basis.data + divisor.basis.data:
                     assert fc.apply_d(p + q, row) == dense.apply(row)
                 cells += 1
     assert cells > 300
+
+
+def oracle_test_models():
+    rng = random.Random(20261019)
+    models = [get_model(name).model for name in MODEL_NAMES]
+    models += [sphere_model(k) for k in range(1, 13)]
+    models.append(su2_pair_model((0, 1)))
+    models += [random_trivial_product(rng, tag=f"o{i}").model for i in range(20)]
+    return models
+
+
+def test_window_pages_match_the_full_triangle_oracle():
+    """Every page up to stabilization + 1: same dims and d_r ranks as the old
+    engine, the same cells where it is built, and zero where a cell is skipped."""
+    skipped = 0
+    for model in oracle_test_models():
+        fc = cartan_filtration(model)
+        _, r_stab = limit_page(fc)
+        pages, cache = iter_pages(fc), {}
+        for r in range(r_stab + 2):
+            pg, want = next(pages), oracle_page(fc, r, cache)
+            assert pg.dims() == want.dims(), (model.name, r)
+            assert pg.dr_ranks() == want.dr_ranks(), (model.name, r)
+            for pq, cell in want.cells.items():
+                got = pg.cells.get(pq)
+                if got is None:
+                    assert cell.dim == 0, (model.name, r, pq)
+                    assert fc.cut(pq[0], sum(pq)) == fc.cut(pq[0] + 1, sum(pq))
+                    skipped += 1
+                else:
+                    assert (got.reps, got.proj, got.z_space) == (
+                        cell.reps, cell.proj, cell.z_space), (model.name, r, pq)
+            assert set(pg.cells) <= set(want.cells)
+    assert skipped > 5000
 
 
 def test_iter_pages_equals_pages_built_alone():
@@ -304,8 +349,9 @@ def test_a_broken_divisor_is_a_typed_error_naming_cell_and_page():
 
 
 def test_every_matrix_reduced_by_pages_matches_the_seed_rref(tmp_path, monkeypatch, capsys):
-    """Cards, S^3..S^9 and su(2) + su(2) over a circle (128 monomials):
-    each distinct matrix `pages` reduces, against the seed code."""
+    """Cards, S^3..S^25 and su(2) + su(2) over a circle (128 monomials) and
+    over the 2-torus (256): each distinct matrix `pages` reduces, against
+    the seed code."""
     seen = {}
     original = Matrix.rref
 
@@ -315,9 +361,8 @@ def test_every_matrix_reduced_by_pages_matches_the_seed_rref(tmp_path, monkeypat
 
     monkeypatch.setattr(Matrix, "rref", captured)
     models = [get_model(name).model for name in MODEL_NAMES]
-    models += [sphere_model(k) for k in range(1, 5)]
-    models.append(EquivariantModel("su2_pair", direct_sum(su2_lie(), su2_lie()),
-                                   BasicComplex.build([("1", 0), ("a", 1)])))
+    models += [sphere_model(k) for k in range(1, 13)]
+    models += [su2_pair_model((0, 1)), su2_pair_model((0, 1, 1, 2))]
     for model in models:
         path = str(tmp_path / f"{model.name}.json")
         save_model_file(model, path)

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from fractions import Fraction as Q
 
+import pytest
+
 from cartanss.liealg import (
     ChiElement,
     LieData,
@@ -20,7 +22,7 @@ from cartanss.model import (
     element_to_vector,
     validate_model,
 )
-from cartanss.specseq import cartan_filtration, page
+from cartanss.specseq import SpectralPage, cartan_filtration, page
 from cartanss.verify import (
     _e2_frames,
     basic_cohomology,
@@ -201,3 +203,31 @@ def test_tensor_frames_have_full_rank():
         f = frames.f_matrices[(cell.p, cell.q)]
         # frame columns are independent exactly when the check holds
         assert f.rank() == cell.product_dim == cell.e2_dim
+
+
+def test_spots_without_a_cell_count_as_zero_on_page_two():
+    # S^5 over CP^2 has no basic generator of odd degree, so page 2 has no
+    # cell at p = 1 or p = 3, and the frames read those spots as E_2 = 0
+    sphere5 = EquivariantModel("sphere_5", LieData.abelian(1), BasicComplex.build(
+        [("1", 0), ("v1", 2), ("v2", 4)], euler=[(1, 0, 1, 1), (1, 1, 2, 1)]))
+    frames = _e2_frames(sphere5)
+    assert (1, 0) not in frames.page2.cells and (3, 1) not in frames.page2.cells
+    assert e2_tensor_check(sphere5, frames).passed
+    assert {(c.p, c.q): (c.product_dim, c.e2_dim) for c in frames.cells if c.p % 2} == {
+        (1, 0): (0, 0), (1, 1): (0, 0), (3, 0): (0, 0), (3, 1): (0, 0)}
+    assert abs(d2_transgression(sphere5, frames)[(0, 1)].entry(0, 0)) == 1
+
+
+def test_a_page_missing_a_cell_fails_the_tensor_check_by_rank():
+    model = get_model("trivial_product").model
+    pg2 = page(cartan_filtration(model), 2)
+    assert pg2.cells[(1, 1)].dim == 4
+    mutated = SpectralPage(2, {pq: c for pq, c in pg2.cells.items() if pq != (1, 1)}, pg2.dr)
+    frames = _e2_frames(model, mutated)
+    rep = e2_tensor_check(model, frames)
+    assert rep.verdict == "mismatch"
+    bad = rep.first_failure()
+    assert (bad.p, bad.q, bad.product_dim, bad.e2_dim, bad.f_rank) == (1, 1, 4, 0, 0)
+    assert [(c.p, c.q) for c in rep.cells if not c.ok] == [(1, 1)]
+    with pytest.raises(ValueError, match=r"tensor check fails at \(1,1\)"):
+        d2_transgression(model, frames)
