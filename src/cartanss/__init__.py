@@ -33,7 +33,7 @@ from .model import (
     total_d,
     validate_model,
 )
-from .qlinalg import Matrix, Subspace, kernel_basis, quotient_map, rref, sum_and_intersect
+from .qlinalg import Matrix, Subspace, kernel_basis, quotient_map, rref
 from .reports import CertificateError
 from .specseq import (
     FilteredComplex,
@@ -86,7 +86,6 @@ __all__ = [
     "quotient_map",
     "random_trivial_product",
     "rref",
-    "sum_and_intersect",
     "total_cohomology",
     "total_d",
     "validate_lie",

@@ -12,21 +12,23 @@ Model files are JSON:
       }
     }
 
-All indices are 1-based.  Rationals are "num/den" strings or integers; floats
-are refused.  Each structure-constant entry [a,b,k,v] fixes its bracket
-antisymmetry orbit (c[b][a][k] = -v is filled in); listing an orbit twice is a
-parse error.  Unknown keys anywhere are parse errors.
+All indices are 1-based.  Rationals are integers or strings of ASCII digits,
+optionally signed and optionally followed by "/den"; floats, decimal strings
+and exponents are refused.  Each structure-constant entry [a,b,k,v] fixes its
+bracket antisymmetry orbit (c[b][a][k] = -v is filled in); listing an orbit
+twice is a parse error.  Unknown keys anywhere are parse errors.
 
 Exit codes: 0 success, 1 a validation or expectation failure, 2 parse or
 usage error, or a model with more than model.MAX_AMBIENT_DIM monomials or a
-total degree above model.MAX_TOTAL_DEGREE (refused before any monomial is
-listed).
+total degree above model.MAX_TOTAL_DEGREE (refused from the counts in the
+file, before the algebra is built or any monomial is listed).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -41,7 +43,6 @@ from .model import (
     validate_model,
 )
 from .liealg import validate_lie
-from .qlinalg import Matrix
 from .reports import ValidationReport
 from .specseq import AbutmentReport, AbutmentRow, cartan_filtration, iter_pages, limit_page
 from .verify import E2Report, _e2_frames, d2_transgression, e2_tensor_check
@@ -51,8 +52,17 @@ class ModelFileError(Exception):
     """Malformed model file: wrong keys, types, indices, or rationals."""
 
 
+class ModelTooLargeError(Exception):
+    """A well-formed model above model.size_error's limits, refused from its counts."""
+
+
 def _fail(where: str, msg: str):
     raise ModelFileError(f"{where}: {msg}")
+
+
+# Fraction() alone would also take decimals and exponents ("1e6000000"),
+# whose parse time grows steeply with the exponent.
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?", re.ASCII)
 
 
 def _as_rational(value, where: str) -> Fraction:
@@ -61,10 +71,12 @@ def _as_rational(value, where: str) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        if not _RATIONAL.fullmatch(value):
+            _fail(where, f"cannot parse rational {value!r}: expected digits or 'num/den'")
         try:
             return Fraction(value)
-        except (ValueError, ZeroDivisionError):
-            _fail(where, f"cannot parse rational {value!r}")
+        except (ValueError, ZeroDivisionError) as exc:
+            _fail(where, f"cannot parse rational {value!r}: {exc}")
     _fail(where, f"rationals must be integers or 'num/den' strings, got {value!r}")
 
 
@@ -88,6 +100,11 @@ def _check_keys(obj, where: str, required: tuple[str, ...], optional: tuple[str,
 
 
 def load_model_document(doc, default_name: str = "model") -> EquivariantModel:
+    """The model of a parsed model file.
+
+    Raises ModelFileError on malformed input and ModelTooLargeError on a
+    model above the size limits, the latter before the algebra is built.
+    """
     _check_keys(doc, "top level", ("lie", "basic"), ("name",))
     name = doc.get("name", default_name)
     if not isinstance(name, str) or not name:
@@ -114,7 +131,6 @@ def load_model_document(doc, default_name: str = "model") -> EquivariantModel:
             _fail(where, f"duplicate antisymmetry orbit for ({a},{b},{k})")
         seen_orbits.add(orbit)
         entries.append((a, b, k, _as_rational(entry[3], where)))
-    lie = LieData.from_structure_constants(n, entries, completion="bracket")
 
     basic_doc = doc["basic"]
     _check_keys(basic_doc, "basic", ("generators",), ("d_hor", "euler"))
@@ -155,6 +171,11 @@ def load_model_document(doc, default_name: str = "model") -> EquivariantModel:
         basic = BasicComplex.build(generators, d_hor=d_entries, euler=e_entries)
     except ValueError as exc:
         _fail("basic", str(exc))
+    # checked before the algebra exists: it stores a dense n x n x n array
+    too_large = size_error(basic.num_generators, n, basic.max_degree)
+    if too_large:
+        raise ModelTooLargeError(too_large)
+    lie = LieData.from_structure_constants(n, entries, completion="bracket")
     return EquivariantModel(name, lie, basic)
 
 
@@ -164,8 +185,10 @@ def load_model_file(path: str) -> EquivariantModel:
             doc = json.load(fh)
     except OSError as exc:
         raise ModelFileError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, bad UTF-8, or an integer past int's digit limit
         raise ModelFileError(f"{path} is not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise ModelFileError(f"{path} is not valid JSON: nested too deeply") from None
     stem = path.rsplit("/", 1)[-1].rsplit(".", 1)[0]
     return load_model_document(doc, default_name=stem or "model")
 
@@ -421,21 +444,20 @@ def render_table(rep: PipelineReport) -> str:
 # commands
 
 
-def _too_large(model: EquivariantModel) -> bool:
-    """Report a model above the size limit; checked before anything is enumerated."""
-    msg = size_error(model.basic.num_generators, model.lie.n, model.basic.max_degree)
-    if msg:
-        print(f"input error: {msg}", file=sys.stderr)
-    return msg is not None
+def _load_for_command(path: str) -> EquivariantModel | None:
+    """The model in path, or None after reporting why it cannot be used (exit 2)."""
+    try:
+        return load_model_file(path)
+    except ModelFileError as exc:
+        print(f"parse error: {exc}", file=sys.stderr)
+    except ModelTooLargeError as exc:
+        print(f"input error: {exc}", file=sys.stderr)
+    return None
 
 
 def cmd_validate(path: str) -> int:
-    try:
-        model = load_model_file(path)
-    except ModelFileError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return 2
-    if _too_large(model):
+    model = _load_for_command(path)
+    if model is None:
         return 2
     lie_rep = validate_lie(model.lie)
     model_rep = validate_model(model)
@@ -449,12 +471,8 @@ def cmd_validate(path: str) -> int:
 
 
 def cmd_pages(path: str, max_r: int | None, fmt: str) -> int:
-    try:
-        model = load_model_file(path)
-    except ModelFileError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return 2
-    if _too_large(model):
+    model = _load_for_command(path)
+    if model is None:
         return 2
     lie_rep = validate_lie(model.lie)
     model_rep = validate_model(model)

@@ -14,6 +14,15 @@ The total differential splits by chi-count into three parts:
 with p = deg g and E_i the degree +2 Euler operators on B.  total_d is their
 sum; validate_model checks that each bidegree component of total_d^2
 vanishes, which is exactly the compatibility required of (d_hor, E_i, delta).
+
+ModelElement and the operators d10, d01, d21 and total_d on it are the
+reference definitions.  The report does not build elements: each model keeps,
+outside equality and filled on first use, the sparse image of every monomial
+under d10, d01, d21 and total_d, read straight from d_hor_table, euler_table
+and delta_terms (operator_images), and the basis of each total degree with
+its position map (degree_basis), each built by one monomial_basis call.
+validate_model composes those images monomial by monomial, total_matrix fills
+its columns from them, and the tests check both against ModelElement.
 """
 
 from __future__ import annotations
@@ -155,11 +164,29 @@ class BasicComplex:
         return Matrix.of(data, cols=len(src))
 
 
+Monomial = tuple[int, MultiIndex]
+Image = dict[Monomial, Fraction]
+
+
 @dataclass(frozen=True)
 class EquivariantModel:
+    """A metric Lie algebra acting on a basic complex.
+
+    Derived tables, taking no part in equality and never built at
+    construction (so an oversized model is refused before any monomial is
+    listed): _images, the operator tables of operator_images, and _bases,
+    the per-degree bases of degree_basis.
+    """
+
     name: str
     lie: LieData
     basic: BasicComplex
+    _images: dict[str, dict[Monomial, Image]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+    _bases: dict[int, tuple[tuple[Monomial, ...], dict[Monomial, int]]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
 
 class ModelElement:
@@ -380,15 +407,17 @@ def size_error(num_generators: int, n: int, max_degree: int) -> str | None:
     return None
 
 
+def _monomial_name(model: EquivariantModel, key: Monomial) -> str:
+    g, I = key
+    return f"{model.basic.name_of(g)} (x) chi{list(I)}"
+
+
 def element_to_vector(model: EquivariantModel, x: ModelElement, k: int) -> tuple[Fraction, ...]:
     pos = {key: i for i, key in enumerate(monomial_basis(model, k))}
     v = [_ZERO] * len(pos)
     for key, val in x.coeffs.items():
         if key not in pos:
-            g, I = key
-            raise ValueError(
-                f"monomial {model.basic.name_of(g)} (x) chi{list(I)} is not in total degree {k}"
-            )
+            raise ValueError(f"monomial {_monomial_name(model, key)} is not in total degree {k}")
         v[pos[key]] = val
     return tuple(v)
 
@@ -400,16 +429,80 @@ def vector_to_element(model: EquivariantModel, vec, k: int) -> ModelElement:
     return ModelElement({key: v for key, v in zip(basis, vec)})
 
 
+def degree_basis(
+    model: EquivariantModel, k: int
+) -> tuple[tuple[Monomial, ...], dict[Monomial, int]]:
+    """monomial_basis(model, k) and each monomial's position in it, built once per degree."""
+    hit = model._bases.get(k)
+    if hit is None:
+        basis = monomial_basis(model, k)
+        hit = model._bases[k] = (basis, {key: i for i, key in enumerate(basis)})
+    return hit
+
+
+def _add(out: Image, key: Monomial, value: Fraction) -> None:
+    out[key] = out.get(key, _ZERO) + value
+
+
+def _build_images(model: EquivariantModel) -> dict[str, dict[Monomial, Image]]:
+    basic, lie = model.basic, model.lie
+    dm, em = basic.d_hor_table, basic.euler_table
+    indices = all_multi_indices(lie.n)
+    tables = {"d10": {}, "d01": {}, "d21": {}, "total": {}}
+    for g in range(basic.num_generators):
+        p = basic.degree_of(g)
+        hor = dm.get(g, ())
+        for I in indices:
+            hi: Image = {}
+            for dst, coeff in hor:
+                _add(hi, (dst, I), coeff)
+            vert = {(g, J): w if p % 2 else -w for J, w in delta_terms(lie, I)}
+            euler: Image = {}
+            for j, gen in enumerate(I):
+                hits = em.get((gen, g))
+                if not hits:
+                    continue
+                odd = (p + j) % 2
+                J = I[:j] + I[j + 1:]
+                for dst, coeff in hits:
+                    _add(euler, (dst, J), -coeff if odd else coeff)
+            x = (g, I)
+            hi, vert, euler = ({k: v for k, v in im.items() if v} for im in (hi, vert, euler))
+            tables["d10"][x] = hi
+            tables["d01"][x] = vert
+            tables["d21"][x] = euler
+            # the three parts change the chi-count by 0, +1 and -1: disjoint supports
+            tables["total"][x] = {**euler, **hi, **vert}
+    return tables
+
+
+def operator_images(model: EquivariantModel) -> dict[str, dict[Monomial, Image]]:
+    """Sparse images of every monomial under "d10", "d01", "d21" and "total" (total_d).
+
+    Each table maps (g, I) to {(g', J): coefficient} with zeros dropped, and
+    lists the monomials in generator order, then all_multi_indices order.
+    Built once per model, on first use.
+    """
+    if not model._images:
+        model._images.update(_build_images(model))
+    return model._images
+
+
 def total_matrix(model: EquivariantModel, k: int) -> Matrix:
     """Matrix of total_d from degree k to k+1 in the monomial bases."""
-    src = monomial_basis(model, k)
-    tgt_len = len(monomial_basis(model, k + 1))
-    cols = [
-        element_to_vector(model, total_d(model, ModelElement.monomial(g, I)), k + 1)
-        for g, I in src
-    ]
-    data = [[cols[j][i] for j in range(len(src))] for i in range(tgt_len)]
-    return Matrix.of(data, cols=len(src))
+    src, _ = degree_basis(model, k)
+    _, pos = degree_basis(model, k + 1)
+    total = operator_images(model)["total"]
+    data = [[_ZERO] * len(src) for _ in pos]
+    for j, x in enumerate(src):
+        for y, v in total[x].items():
+            i = pos.get(y)
+            if i is None:
+                raise ValueError(
+                    f"monomial {_monomial_name(model, y)} is not in total degree {k + 1}"
+                )
+            data[i][j] = v
+    return Matrix(tuple(tuple(row) for row in data), len(src))
 
 
 def total_cohomology(model: EquivariantModel, dmats=None) -> tuple[int, ...]:
@@ -420,7 +513,7 @@ def total_cohomology(model: EquivariantModel, dmats=None) -> tuple[int, ...]:
     total_matrix(model, k) for k = 0..max_total_degree(model), already built.
     """
     top = max_total_degree(model)
-    dims = [len(monomial_basis(model, k)) for k in range(top + 2)]
+    dims = [len(degree_basis(model, k)[0]) for k in range(top + 2)]
     if dmats is None:
         dmats = [total_matrix(model, k) for k in range(top + 1)]
     ranks = [m.rank() for m in dmats]
@@ -431,18 +524,28 @@ def total_cohomology(model: EquivariantModel, dmats=None) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _identity_check(model, name, op) -> CheckResult:
-    basic = model.basic
-    for g in range(basic.num_generators):
-        p = basic.degree_of(g)
-        for I in all_multi_indices(model.lie.n):
-            x = ModelElement.monomial(g, I)
-            if not op(x).is_zero:
-                return CheckResult(
-                    name,
-                    False,
-                    f"fails on {basic.name_of(g)} (x) chi{list(I)} (bidegree ({p},{len(I)}))",
-                )
+def _identity_check(model, name, *paths) -> CheckResult:
+    """Whether the sum of second o first over paths vanishes on every monomial.
+
+    paths are (first, second) pairs of operator_images tables; monomials are
+    visited in table order and the first one with a nonzero sum is named.
+    """
+    images = operator_images(model)
+    maps = [(images[first], images[second]) for first, second in paths]
+    for x in images["total"]:
+        acc: Image = {}
+        for first, second in maps:
+            for y, v in first[x].items():
+                for z, w in second[y].items():
+                    acc[z] = acc.get(z, _ZERO) + v * w
+        if any(acc.values()):
+            g, I = x
+            return CheckResult(
+                name,
+                False,
+                f"fails on {_monomial_name(model, x)} "
+                f"(bidegree ({model.basic.degree_of(g)},{len(I)}))",
+            )
     return CheckResult(name, True)
 
 
@@ -487,11 +590,7 @@ def validate_model(model: EquivariantModel) -> ValidationReport:
                 break
     checks.append(CheckResult("degree bookkeeping", not deg_bad, deg_bad))
 
-    D10 = lambda x: d10(model, x)  # noqa: E731
-    D01 = lambda x: d01(model, x)  # noqa: E731
-    D21 = lambda x: d21(model, x)  # noqa: E731
-
-    checks.append(_identity_check(model, "d_hor squared", lambda x: D10(D10(x))))
+    checks.append(_identity_check(model, "d_hor squared", ("d10", "d10")))
 
     bad_idx = first_delta_squared_failure(model.lie)
     checks.append(
@@ -502,35 +601,23 @@ def validate_model(model: EquivariantModel) -> ValidationReport:
         )
     )
 
+    checks.append(_identity_check(model, "bidegree (0,2) component", ("d01", "d01")))
     checks.append(
-        _identity_check(model, "bidegree (0,2) component", lambda x: D01(D01(x)))
-    )
-    checks.append(
-        _identity_check(
-            model, "bidegree (1,1) component", lambda x: D10(D01(x)) + D01(D10(x))
-        )
+        _identity_check(model, "bidegree (1,1) component", ("d01", "d10"), ("d10", "d01"))
     )
     checks.append(
         _identity_check(
             model,
             "bidegree (2,0) component",
-            lambda x: D10(D10(x)) + D21(D01(x)) + D01(D21(x)),
+            ("d10", "d10"),
+            ("d01", "d21"),
+            ("d21", "d01"),
         )
     )
     checks.append(
-        _identity_check(
-            model, "bidegree (3,-1) component", lambda x: D21(D10(x)) + D10(D21(x))
-        )
+        _identity_check(model, "bidegree (3,-1) component", ("d10", "d21"), ("d21", "d10"))
     )
-    checks.append(
-        _identity_check(model, "bidegree (4,-2) component", lambda x: D21(D21(x)))
-    )
-    checks.append(
-        _identity_check(
-            model,
-            "total differential squared",
-            lambda x: total_d(model, total_d(model, x)),
-        )
-    )
+    checks.append(_identity_check(model, "bidegree (4,-2) component", ("d21", "d21")))
+    checks.append(_identity_check(model, "total differential squared", ("total", "total")))
 
     return ValidationReport("model", tuple(checks))

@@ -1,7 +1,7 @@
 """Exact linear algebra over the rationals.
 
 Everything downstream (cochain complexes, filtrations, spectral pages) reduces
-to row reduction, kernels and subspace lattice arithmetic done here.  All
+to row reduction, kernels, images and quotients done here.  All
 coefficients are `fractions.Fraction`, so results are exact and deterministic.
 A subspace is always stored by the reduced row echelon basis of its row space,
 which makes subspace equality a plain structural comparison.
@@ -30,9 +30,9 @@ Elimination against an echelon visits only the rows whose pivots it meets.
 then v's, with no row reduction per representative; given a coordinate
 window it reads only the window's columns, which divides v also by its part
 that vanishes there.  `graded_cohomology` takes a zero map's kernel and
-image without any elimination.  `preimage` and `sum_and_intersect` no
-longer run in the engine; they stay as the definitions the tests check it
-against.
+image without any elimination.  Preimages, sums and intersections of
+subspaces are not needed by the engine; `tests/oracles.py` keeps them, by
+dense elimination, as the definitions the tests check it against.
 """
 
 from __future__ import annotations
@@ -438,10 +438,6 @@ class Subspace:
             raise ValueError("ambient dimension mismatch")
         return all(self.contains_vector(r) for r in other.basis.data)
 
-    def annihilator(self) -> Matrix:
-        """Rows spanning the orthogonal complement: x in self iff annihilator @ x = 0."""
-        return kernel_basis(self.basis).basis
-
 
 def kernel_basis(m: Matrix) -> Subspace:
     """Kernel of m as a subspace of the source Q^cols, from one row reduction.
@@ -480,31 +476,6 @@ def image(m: Matrix, sub: Subspace | None = None) -> Subspace:
             raise ValueError("ambient dimension mismatch")
         gens = [m.apply(r) for r in sub.basis.data]
     return Subspace.from_rows(m.rows, gens)
-
-
-def preimage(m: Matrix, sub: Subspace) -> Subspace:
-    """{x : m @ x in sub} as a subspace of the source."""
-    if sub.ambient_dim != m.rows:
-        raise ValueError("ambient dimension mismatch")
-    return kernel_basis(sub.annihilator() @ m)
-
-
-def sum_and_intersect(a: Subspace, b: Subspace) -> tuple[Subspace, Subspace]:
-    """(a + b, a cap b) in one Zassenhaus elimination."""
-    if a.ambient_dim != b.ambient_dim:
-        raise ValueError("ambient dimension mismatch")
-    d = a.ambient_dim
-    zero = [_ZERO] * d
-    rows = [list(r) + list(r) for r in a.basis.data]
-    rows += [list(r) + zero for r in b.basis.data]
-    red, pivots = Matrix.of(rows, cols=2 * d).rref()
-    sum_rows, int_rows = [], []
-    for i, p in enumerate(pivots):
-        if p < d:
-            sum_rows.append(red.data[i][:d])
-        else:
-            int_rows.append(red.data[i][d:])
-    return Subspace.from_rows(d, sum_rows), Subspace.from_rows(d, int_rows)
 
 
 def _eliminate(

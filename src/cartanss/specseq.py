@@ -52,8 +52,8 @@ from fractions import Fraction
 
 from .model import (
     EquivariantModel,
+    degree_basis,
     max_total_degree,
-    monomial_basis,
     total_cohomology,
     total_matrix,
 )
@@ -160,7 +160,7 @@ def cartan_filtration(model: EquivariantModel) -> FilteredComplex:
     prefix = []
     labels = []
     for m in range(top + 1):
-        basis = monomial_basis(model, m)
+        basis, _ = degree_basis(model, m)
         degrees = [model.basic.degree_of(g) for g, _ in basis]
         dims.append(len(basis))
         labels.append(basis)

@@ -18,8 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .liealg import ce_cohomology, chi_from_vector, invariant_subcomplex
-from .model import EquivariantModel, ModelElement, element_to_vector
+from .liealg import ce_cohomology, invariant_subcomplex, multi_indices
+from .model import EquivariantModel, degree_basis
 from .qlinalg import Matrix, graded_cohomology, inverse
 from .reports import CertificateError
 from .specseq import SpectralPage, cartan_filtration, page
@@ -74,16 +74,16 @@ class E2Report:
         return next((c for c in self.cells if not c.ok), None)
 
 
-def _tensor_vector(model, alpha_row, gens_p, beta, q, m):
-    """Coordinates of alpha (x) beta in total degree m."""
-    coeffs = {}
+def _tensor_vector(model, alpha_row, gens_p, beta_terms, m):
+    """Coordinates of alpha (x) beta in total degree m; beta_terms lists (I, b), b != 0."""
+    _, pos = degree_basis(model, m)
+    vec = [_ZERO] * len(pos)
     for g, a in zip(gens_p, alpha_row):
         if not a:
             continue
-        for I, b in beta.coeffs.items():
-            if len(I) == q:
-                coeffs[(g, I)] = a * b
-    return element_to_vector(model, ModelElement(coeffs), m)
+        for I, b in beta_terms:
+            vec[pos[(g, I)]] = a * b
+    return tuple(vec)
 
 
 def _lie_realization_ok(model, inv) -> bool:
@@ -122,6 +122,10 @@ def _e2_frames(model: EquivariantModel, pg2: SpectralPage | None = None) -> E2Fr
     n = model.lie.n
     cells = []
     fmats = {}
+    betas = [
+        [[(I, b) for I, b in zip(multi_indices(n, q), row) if b] for row in inv[q].basis.data]
+        for q in range(n + 1)
+    ]
     for p in range(len(bc.dims)):
         gens_p = model.basic.gens_of_degree(p)
         for q in range(n + 1):
@@ -131,9 +135,8 @@ def _e2_frames(model: EquivariantModel, pg2: SpectralPage | None = None) -> E2Fr
             prod = bc.dims[p] * inv[q].dim
             cols = []
             for alpha in bc.reps[p].data if cell is not None else ():
-                for beta_row in inv[q].basis.data:
-                    beta = chi_from_vector(beta_row, n, q)
-                    vec = _tensor_vector(model, alpha, gens_p, beta, q, p + q)
+                for beta_terms in betas[q]:
+                    vec = _tensor_vector(model, alpha, gens_p, beta_terms, p + q)
                     if not cell.z_space.contains_vector(vec):
                         raise CertificateError(
                             "tensor representative not d-compatible", (p, q), 2

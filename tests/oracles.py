@@ -20,6 +20,16 @@ coadjoint action as the Cartan homotopy contract o delta + delta o contract.
 The engine reads both from sparse per-algebra tables instead; the matrices
 below are built one `chi_to_vector` column at a time, as the seed did.
 
+`annihilator`, `preimage` and `sum_and_intersect` (Zassenhaus) are the
+subspace lattice operations that the engine no longer needs; here they
+reduce with `seed_rref` and `seed_kernel_basis` only, so the oracles built
+on them share no elimination with the engine.
+
+`oracle_total_matrix` and `oracle_identity_checks` are the model layer before
+it read the operators from per-model monomial tables: every column and every
+component of d^2 is a composition of `ModelElement` operators, one element
+per monomial per operator.
+
 `oracle_page` is the page engine before it moved to the associated graded:
 every spot (p, m) of the triangle gets a cell, and each cell is the quotient
 Z_r / (d Z_{r-1}^{p-r+1} + Z_{r-1}^{p+1}) of full subspaces of C^m, the
@@ -36,11 +46,22 @@ from fractions import Fraction as Q
 from cartanss.liealg import (
     ChiElement,
     LieData,
+    all_multi_indices,
     chi_to_vector,
     contract,
     delta_gen,
     multi_indices,
     wedge,
+)
+from cartanss.model import (
+    EquivariantModel,
+    ModelElement,
+    d01,
+    d10,
+    d21,
+    element_to_vector,
+    monomial_basis,
+    total_d,
 )
 from cartanss.qlinalg import (
     Matrix,
@@ -51,7 +72,7 @@ from cartanss.qlinalg import (
     quotient_map,
     rref,
 )
-from cartanss.reports import CertificateError
+from cartanss.reports import CertificateError, CheckResult
 from cartanss.specseq import FilteredComplex, SpectralPage, _z_space
 
 
@@ -109,6 +130,36 @@ def seed_inverse(m: Matrix) -> Matrix:
     if pivots != tuple(range(m.cols)):
         raise ValueError("matrix is singular")
     return Matrix.of([row[m.cols:] for row in red.data], cols=m.cols)
+
+
+def annihilator(w: Subspace) -> Matrix:
+    """Rows spanning the orthogonal complement: x in w iff annihilator(w) @ x = 0."""
+    return seed_kernel_basis(w.basis).basis
+
+
+def preimage(m: Matrix, sub: Subspace) -> Subspace:
+    """{x : m @ x in sub} as a subspace of the source."""
+    if sub.ambient_dim != m.rows:
+        raise ValueError("ambient dimension mismatch")
+    return seed_kernel_basis(annihilator(sub) @ m)
+
+
+def sum_and_intersect(a: Subspace, b: Subspace) -> tuple[Subspace, Subspace]:
+    """(a + b, a cap b) in one Zassenhaus elimination."""
+    if a.ambient_dim != b.ambient_dim:
+        raise ValueError("ambient dimension mismatch")
+    d = a.ambient_dim
+    zero = [Q(0)] * d
+    rows = [list(r) + list(r) for r in a.basis.data]
+    rows += [list(r) + zero for r in b.basis.data]
+    red, pivots = seed_rref(Matrix.of(rows, cols=2 * d))
+    sum_rows, int_rows = [], []
+    for i, p in enumerate(pivots):
+        if p < d:
+            sum_rows.append(red.data[i][:d])
+        else:
+            int_rows.append(red.data[i][d:])
+    return seed_span(d, sum_rows), seed_span(d, int_rows)
 
 
 def seed_mismatches(m: Matrix) -> list[str]:
@@ -252,6 +303,50 @@ def scaled(L: LieData, t) -> LieData:
     """The bracket t [-, -]: still a Lie algebra, and ad-invariant when L is."""
     t = Q(t)
     return LieData(L.n, tuple(tuple(tuple(t * v for v in row) for row in plane) for plane in L.c))
+
+
+def oracle_total_matrix(model: EquivariantModel, k: int) -> Matrix:
+    """Matrix of total_d from degree k to k+1, one ModelElement column at a time."""
+    src = monomial_basis(model, k)
+    tgt_len = len(monomial_basis(model, k + 1))
+    cols = [
+        element_to_vector(model, total_d(model, ModelElement.monomial(g, I)), k + 1)
+        for g, I in src
+    ]
+    data = [[cols[j][i] for j in range(len(src))] for i in range(tgt_len)]
+    return Matrix.of(data, cols=len(src))
+
+
+def _element_check(model: EquivariantModel, name: str, op) -> CheckResult:
+    basic = model.basic
+    for g in range(basic.num_generators):
+        p = basic.degree_of(g)
+        for I in all_multi_indices(model.lie.n):
+            if not op(ModelElement.monomial(g, I)).is_zero:
+                return CheckResult(
+                    name,
+                    False,
+                    f"fails on {basic.name_of(g)} (x) chi{list(I)} (bidegree ({p},{len(I)}))",
+                )
+    return CheckResult(name, True)
+
+
+def oracle_identity_checks(model: EquivariantModel) -> list[CheckResult]:
+    """validate_model's seven d^2 identity checks, in its order, by ModelElement composition."""
+    D10 = lambda x: d10(model, x)  # noqa: E731
+    D01 = lambda x: d01(model, x)  # noqa: E731
+    D21 = lambda x: d21(model, x)  # noqa: E731
+    T = lambda x: total_d(model, x)  # noqa: E731
+    identities = [
+        ("d_hor squared", lambda x: D10(D10(x))),
+        ("bidegree (0,2) component", lambda x: D01(D01(x))),
+        ("bidegree (1,1) component", lambda x: D10(D01(x)) + D01(D10(x))),
+        ("bidegree (2,0) component", lambda x: D10(D10(x)) + D21(D01(x)) + D01(D21(x))),
+        ("bidegree (3,-1) component", lambda x: D21(D10(x)) + D10(D21(x))),
+        ("bidegree (4,-2) component", lambda x: D21(D21(x))),
+        ("total differential squared", lambda x: T(T(x))),
+    ]
+    return [_element_check(model, name, op) for name, op in identities]
 
 
 def oracle_divisor(fc: FilteredComplex, r: int, p: int, m: int, cache: dict) -> Subspace:

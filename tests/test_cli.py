@@ -10,6 +10,8 @@ import sys
 import textwrap
 from pathlib import Path
 
+from fractions import Fraction
+
 import pytest
 
 from cartanss.cli import (
@@ -33,6 +35,7 @@ from cartanss.model import (
     MAX_TOTAL_DEGREE,
     BasicComplex,
     EquivariantModel,
+    ModelElement,
     max_total_degree,
     size_error,
 )
@@ -164,6 +167,36 @@ def test_rationals_accept_ints_and_strings():
     }
     model = load_model_document(doc)
     assert model.basic.euler_entries[0][3] == __import__("fractions").Fraction(3, 7)
+
+
+def euler_doc(value):
+    return {"lie": {"n": 1}, "basic": {
+        "generators": [{"name": "1", "degree": 0}, {"name": "v", "degree": 2}],
+        "euler": [[1, 1, 2, value]]}}
+
+
+def test_rational_strings_are_signed_digits_over_digits(tmp_path, capsys):
+    accepted = (("-3/7", Fraction(-3, 7)), ("+12", Fraction(12)), ("0006/4", Fraction(3, 2)))
+    for text, want in accepted:
+        assert load_model_document(euler_doc(text)).basic.euler_entries[0][3] == want
+    # Fraction() alone takes decimals and exponents; "1e6000000" took seconds to parse
+    for text in ("1e6000000", "1.5", " 3/7", "3/-7", "1_000", "\u0663", "1/0", ""):
+        path = write_doc(tmp_path, euler_doc(text))
+        assert main(["validate", path]) == 2, text
+        err = capsys.readouterr().err
+        assert err.startswith("parse error: basic.euler[0]: cannot parse rational"), (text, err)
+
+
+def test_json_integers_past_the_digit_limit_are_parse_errors(tmp_path, capsys):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(euler_doc(0)).replace("2, 0]", "2, " + "7" * 5000 + "]"))
+    for command in ("validate", "pages"):
+        assert main([command, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("parse error: ") and "not valid JSON" in err, err
+    path.write_text('{"lie": ' + "[" * 100000 + "]" * 100000 + "}")
+    assert main(["validate", str(path)]) == 2
+    assert "nested too deeply" in capsys.readouterr().err
 
 
 def test_validate_exit_codes(tmp_path, capsys):
@@ -660,3 +693,40 @@ def test_oversized_models_exit_2_before_enumerating(tmp_path):
     assert len(lines) == 3
     assert all("ambient dimension 1 x 2^40" in line and "8192" in line for line in lines)
     assert "Traceback" not in proc.stderr
+
+
+def test_lie_n_is_refused_before_the_structure_constants_exist(tmp_path):
+    # the dense n x n x n array for n = 10^6 would never fit: refuse from the counts
+    path = write_doc(tmp_path, {"name": "huge", "lie": {"n": 10**6, "c": [[1, 10**6, 2, 1]]},
+                                "basic": {"generators": [{"name": "1", "degree": 0}]}})
+    proc = subprocess.run([sys.executable, "-c", OVERSIZED_SCRIPT, path],
+                          capture_output=True, text=True, env=source_env(), timeout=60)
+    assert proc.stdout.split() == ["2", "2", "2"], proc.stderr
+    lines = proc.stderr.splitlines()
+    assert lines[:2] == ["input error: model too large: ambient dimension 1 x 2^1000000 "
+                         "(basic generators x multi-indices) exceeds the limit 8192"] * 2
+
+
+@pytest.mark.parametrize("source", ["sample_models/hopf.json", "group_su2"])
+def test_pages_builds_no_model_element_and_each_basis_once(tmp_path, monkeypatch, capsys,
+                                                            source):
+    if source.endswith(".json"):
+        path = str(Path(__file__).resolve().parent.parent / source)
+    else:
+        path = str(tmp_path / "model.json")
+        save_model_file(get_model(source).model, path)
+    top = max_total_degree(load_model_file(path))
+    built = []
+    init = ModelElement.__init__
+
+    def counted_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ModelElement, "__init__", counted_init)
+    calls = count_calls(monkeypatch, (("model", "monomial_basis"),))
+    assert main(["pages", path, "--format", "machine"]) == 0
+    capsys.readouterr()
+    # validation, the total matrices and the E_2 frames all read the model's tables
+    assert built == []
+    assert sorted(args[1] for args in calls["monomial_basis"]) == list(range(top + 2))

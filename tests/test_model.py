@@ -6,9 +6,19 @@ import random
 from fractions import Fraction as Q
 
 import pytest
+from oracles import direct_sum, oracle_identity_checks, oracle_total_matrix
 
-from cartanss.liealg import LieData, multi_indices
-from cartanss.library import MODEL_NAMES, get_model, heisenberg_model, random_trivial_product, su2_lie
+from cartanss.liealg import LieData, all_multi_indices, multi_indices
+from cartanss.library import (
+    MODEL_NAMES,
+    get_model,
+    heisenberg_lie,
+    heisenberg_model,
+    mutated_jacobi_lie,
+    random_trivial_product,
+    rescaled_su2_lie,
+    su2_lie,
+)
 from cartanss.model import (
     BasicComplex,
     EquivariantModel,
@@ -24,6 +34,8 @@ from cartanss.model import (
     max_total_degree,
     monomial_basis,
     one_tensor_delta,
+    operator_images,
+    size_error,
     total_cohomology,
     total_d,
     total_matrix,
@@ -305,3 +317,102 @@ def test_basic_tables_list_every_entry_and_stay_out_of_equality():
         twin = BasicComplex(basic.generators, basic.d_hor_entries, basic.euler_entries)
         assert twin == basic and hash(twin) == hash(basic)
         assert "table" not in repr(basic)
+
+
+def bad_degree_model():
+    # d_hor lowers degree: the degree bookkeeping check fails, and total_d
+    # leaves the next total degree
+    basic = BasicComplex.build([("1", 0), ("v", 2)], d_hor=[(1, 0, 1)])
+    return EquivariantModel("bad_degree", LieData.abelian(1), basic)
+
+
+def nonsquare_model():
+    basic = BasicComplex.build([("a", 0), ("b", 1), ("c", 2)], d_hor=[(0, 1, 1), (1, 2, 1)])
+    return EquivariantModel("nonsquare", LieData.abelian(1), basic)
+
+
+def sphere_model(k):
+    """S^(2k+1) over CP^k: Euler chain 1 -> v1 -> ... -> vk."""
+    gens = [("1", 0)] + [(f"v{j}", 2 * j) for j in range(1, k + 1)]
+    euler = [(1, j - 1, j, 1) for j in range(1, k + 1)]
+    return EquivariantModel(f"sphere_{2 * k + 1}", LieData.abelian(1),
+                            BasicComplex.build(gens, euler=euler))
+
+
+def table_test_models():
+    """Cards, S^3..S^25, su(2)+su(2) over a circle, random products, and invalid models."""
+    models = [get_model(name).model for name in MODEL_NAMES]
+    models += [sphere_model(k) for k in range(1, 13)]
+    models.append(EquivariantModel("su2_pair_circle", direct_sum(su2_lie(), su2_lie()),
+                                   BasicComplex.build([("1", 0), ("t", 1)])))
+    rng = random.Random(20261102)
+    models += [random_trivial_product(rng, tag=f"tab{i}").model for i in range(20)]
+    models.append(heisenberg_model())
+    for lie in (heisenberg_lie(), mutated_jacobi_lie(), rescaled_su2_lie()):
+        # over a sphere, so that the Euler part meets the broken algebra
+        models.append(EquivariantModel("fixture", lie, sphere_su2_model().basic))
+    models += [EquivariantModel("mutant", mutated_jacobi_lie(), BasicComplex.build([("1", 0)])),
+               bad_degree_model(), nonsquare_model(), sphere_su2_model(), stairs_model()]
+    # d_hor keeps parity while lowering degree, so d10 and d01 stop anticommuting
+    models.append(EquivariantModel("bad_degree_su2", su2_lie(), bad_degree_model().basic))
+    # d_hor and an Euler operator that do not commute, and two Euler operators
+    # whose composites differ: the (3,-1) and (4,-2) components
+    models.append(EquivariantModel("hor_euler", LieData.abelian(1), BasicComplex.build(
+        [("a", 0), ("b", 1), ("e", 3)], d_hor=[(0, 1, 1)], euler=[(1, 1, 2, 1)])))
+    models.append(EquivariantModel("euler_pair", LieData.abelian(2), BasicComplex.build(
+        [("a", 0), ("b", 2), ("c", 4)], euler=[(1, 0, 1, 1), (2, 1, 2, 1)])))
+    return models
+
+
+def test_operator_images_match_the_element_operators():
+    for model in table_test_models():
+        images = operator_images(model)
+        monomials = [(g, I) for g in range(model.basic.num_generators)
+                     for I in all_multi_indices(model.lie.n)]
+        for op in (d10, d01, d21, total_d):
+            table = images["total" if op is total_d else op.__name__]
+            assert list(table) == monomials, (model.name, op.__name__)
+            for (g, I), image in table.items():
+                assert image == op(model, mono(g, I)).coeffs, (model.name, op.__name__, g, I)
+                assert all(image.values())
+
+
+def test_total_matrix_matches_the_element_oracle():
+    raised = 0
+    for model in table_test_models():
+        for k in range(max_total_degree(model) + 2):
+            try:
+                want = oracle_total_matrix(model, k)
+            except ValueError as exc:
+                with pytest.raises(ValueError) as err:
+                    total_matrix(model, k)
+                assert str(err.value) == str(exc), (model.name, k)
+                raised += 1
+                continue
+            got = total_matrix(model, k)
+            assert (got.data, got.cols) == (want.data, want.cols), (model.name, k)
+            assert all(type(x) is Q for row in got.data for x in row)
+    assert raised >= 1
+
+
+def test_validate_model_matches_the_element_oracle():
+    failing = set()
+    for model in table_test_models():
+        want = oracle_identity_checks(model)
+        names = {c.name for c in want}
+        got = [c for c in validate_model(model).checks if c.name in names]
+        assert got == want, model.name
+        failing.update(c.name for c in want if not c.passed)
+    assert failing == names
+
+
+def test_model_tables_are_built_on_first_use_and_stay_out_of_equality():
+    huge = EquivariantModel("huge", LieData.abelian(40), BasicComplex.build([("1", 0)]))
+    assert "2^40" in size_error(huge.basic.num_generators, huge.lie.n, huge.basic.max_degree)
+    assert not huge._images and not huge._bases
+    model = get_model("group_su2").model
+    twin = get_model("group_su2").model
+    assert validate_model(model).passed and total_matrix(model, 1).rows == 3
+    assert model._images and model._bases and not twin._images
+    assert model == twin and hash(model) == hash(twin)
+    assert "_images" not in repr(model)

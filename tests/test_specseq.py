@@ -5,13 +5,21 @@ from __future__ import annotations
 import random
 
 import pytest
-from oracles import direct_sum, oracle_divisor, oracle_page, seed_mismatches, seed_quotient_map
+from oracles import (
+    direct_sum,
+    oracle_divisor,
+    oracle_page,
+    preimage,
+    seed_mismatches,
+    seed_quotient_map,
+    sum_and_intersect,
+)
 
 from cartanss.cli import main, save_model_file
 from cartanss.library import MODEL_NAMES, get_model, random_trivial_product, su2_lie
 from cartanss.liealg import LieData
 from cartanss.model import BasicComplex, EquivariantModel, monomial_basis
-from cartanss.qlinalg import Matrix, Subspace, image, preimage, sum_and_intersect
+from cartanss.qlinalg import Matrix, Subspace, image
 from cartanss.reports import CertificateError
 from cartanss.specseq import (
     FilteredComplex,
