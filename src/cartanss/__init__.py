@@ -38,18 +38,18 @@ from .reports import CertificateError
 from .specseq import (
     FilteredComplex,
     SpectralPage,
-    abutment_check,
     cartan_filtration,
     iter_pages,
     limit_page,
     page,
 )
-from .verify import basic_cohomology, d2_transgression, e2_tensor_check
+from .verify import Analysis, basic_cohomology, d2_transgression, e2_tensor_check
 from .library import MODEL_NAMES, ModelCard, get_model, random_trivial_product
 
 __version__ = "0.1.0"
 
 __all__ = [
+    "Analysis",
     "BasicComplex",
     "CertificateError",
     "ChiElement",
@@ -62,7 +62,6 @@ __all__ = [
     "ModelElement",
     "SpectralPage",
     "Subspace",
-    "abutment_check",
     "basic_cohomology",
     "canonical_decomposition",
     "cartan_filtration",

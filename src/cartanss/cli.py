@@ -18,6 +18,9 @@ and exponents are refused.  Each structure-constant entry [a,b,k,v] fixes its
 bracket antisymmetry orbit (c[b][a][k] = -v is filled in); listing an orbit
 twice is a parse error.  Unknown keys anywhere are parse errors.
 
+Each command reads one verify.Analysis of its model, which computes each
+stage once, on first use; machine_document and render_table render it.
+
 Exit codes: 0 success, 1 a validation or expectation failure, 2 parse or
 usage error, or a model with more than model.MAX_AMBIENT_DIM monomials or a
 total degree above model.MAX_TOTAL_DEGREE (refused from the counts in the
@@ -30,22 +33,13 @@ import argparse
 import json
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .library import DESCRIPTIONS, MODEL_NAMES, get_model
 from .liealg import LieData
-from .model import (
-    BasicComplex,
-    EquivariantModel,
-    size_error,
-    total_cohomology,
-    validate_model,
-)
-from .liealg import validate_lie
+from .model import BasicComplex, EquivariantModel, size_error
 from .reports import ValidationReport
-from .specseq import AbutmentReport, AbutmentRow, cartan_filtration, iter_pages, limit_page
-from .verify import E2Report, _e2_frames, d2_transgression, e2_tensor_check
+from .verify import Analysis
 
 
 class ModelFileError(Exception):
@@ -99,6 +93,13 @@ def _check_keys(obj, where: str, required: tuple[str, ...], optional: tuple[str,
             _fail(where, f"missing key {key!r}")
 
 
+def _list_at(obj: dict, key: str, where: str) -> list:
+    value = obj.get(key, [])
+    if not isinstance(value, list):
+        _fail(where, f"expected a list, got {type(value).__name__}")
+    return value
+
+
 def load_model_document(doc, default_name: str = "model") -> EquivariantModel:
     """The model of a parsed model file.
 
@@ -117,7 +118,7 @@ def load_model_document(doc, default_name: str = "model") -> EquivariantModel:
         _fail("lie.n", f"must be a positive integer, got {n!r}")
     entries = []
     seen_orbits = set()
-    for idx, entry in enumerate(lie_doc.get("c", [])):
+    for idx, entry in enumerate(_list_at(lie_doc, "c", "lie.c")):
         where = f"lie.c[{idx}]"
         if not isinstance(entry, list) or len(entry) != 4:
             _fail(where, "expected [a, b, k, value]")
@@ -150,7 +151,7 @@ def load_model_document(doc, default_name: str = "model") -> EquivariantModel:
     ng = len(generators)
 
     d_entries = []
-    for idx, entry in enumerate(basic_doc.get("d_hor", [])):
+    for idx, entry in enumerate(_list_at(basic_doc, "d_hor", "basic.d_hor")):
         where = f"basic.d_hor[{idx}]"
         if not isinstance(entry, list) or len(entry) != 3:
             _fail(where, "expected [src, dst, value]")
@@ -158,7 +159,7 @@ def load_model_document(doc, default_name: str = "model") -> EquivariantModel:
         dst = _as_index(entry[1], where, 1, ng)
         d_entries.append((src - 1, dst - 1, _as_rational(entry[2], where)))
     e_entries = []
-    for idx, entry in enumerate(basic_doc.get("euler", [])):
+    for idx, entry in enumerate(_list_at(basic_doc, "euler", "basic.euler")):
         where = f"basic.euler[{idx}]"
         if not isinstance(entry, list) or len(entry) != 4:
             _fail(where, "expected [i, src, dst, value]")
@@ -237,111 +238,35 @@ def save_model_file(model: EquivariantModel, path: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# pipeline report: one object, two renderings
-
-
-@dataclass(frozen=True)
-class PageSummary:
-    r: int
-    dims: dict
-    d_ranks: dict
-
-
-@dataclass(frozen=True)
-class PipelineReport:
-    name: str
-    lie_validation: ValidationReport
-    model_validation: ValidationReport
-    pages: tuple[PageSummary, ...]
-    stabilization: int
-    einf_dims: dict
-    abutment: AbutmentReport
-    e2: E2Report
-    transgression: dict
-    total_cohomology: tuple[int, ...]
-    basic_cohomology: tuple[int, ...]
-
-
-def build_pipeline_report(
-    model: EquivariantModel,
-    max_r: int | None = None,
-    lie_validation: ValidationReport | None = None,
-    model_validation: ValidationReport | None = None,
-) -> PipelineReport:
-    """Full analysis of a validated model; callers must have validated first.
-
-    Validation reports the caller already has are reused instead of being
-    computed again.  Every page is built once: each is summarised as it is
-    produced, and only page 2 (for the tensor frames) outlives the search
-    for the stable page.
-    """
-    if lie_validation is None:
-        lie_validation = validate_lie(model.lie)
-    if model_validation is None:
-        model_validation = validate_model(model)
-    fc = cartan_filtration(model)
-    summaries = []
-    page2 = None
-
-    def summarised(pages):
-        nonlocal page2
-        for pg in pages:
-            ranks = {pq: rk for pq, rk in pg.dr_ranks().items() if rk}
-            summaries.append(PageSummary(pg.r, pg.dims(), ranks))
-            if pg.r == 2:
-                page2 = pg
-            yield pg
-
-    stable, r_stab = limit_page(fc, summarised(iter_pages(fc)))
-    last = r_stab if max_r is None else min(max_r, r_stab)
-    hdims = total_cohomology(model, fc.d)
-    sums = [0] * len(hdims)
-    for (p, q), d in stable.dims().items():
-        sums[p + q] += d
-    abutment = AbutmentReport(
-        tuple(AbutmentRow(k, sums[k], hdims[k]) for k in range(len(hdims))),
-        r_stab,
-    )
-    frames = _e2_frames(model, page2)
-    e2rep = e2_tensor_check(model, frames)
-    trans = d2_transgression(model, frames) if e2rep.passed else {}
-    return PipelineReport(
-        name=model.name,
-        lie_validation=lie_validation,
-        model_validation=model_validation,
-        pages=tuple(s for s in summaries if s.r <= last),
-        stabilization=r_stab,
-        einf_dims=stable.dims(),
-        abutment=abutment,
-        e2=e2rep,
-        transgression=trans,
-        total_cohomology=hdims,
-        basic_cohomology=frames.basic.dims,
-    )
+# one Analysis, two renderings
 
 
 def _pq_key(pq) -> str:
     return f"{pq[0]},{pq[1]}"
 
 
-def machine_document(rep: PipelineReport) -> dict:
+def _shown_pages(an: Analysis, max_r: int | None) -> list:
+    return [s for s in an.pages if max_r is None or s.r <= max_r]
+
+
+def _check_lines(an: Analysis) -> list[str]:
+    return an.lie_validation.lines() + an.model_validation.lines()
+
+
+def _validation_document(rep: ValidationReport) -> dict:
     return {
-        "name": rep.name,
+        "passed": rep.passed,
+        "checks": [{"name": c.name, "passed": c.passed, "detail": c.detail} for c in rep.checks],
+    }
+
+
+def machine_document(an: Analysis, max_r: int | None) -> dict:
+    """The report of a valid model as one JSON-ready document; pages past max_r are left out."""
+    return {
+        "name": an.model.name,
         "validation": {
-            "lie": {
-                "passed": rep.lie_validation.passed,
-                "checks": [
-                    {"name": c.name, "passed": c.passed, "detail": c.detail}
-                    for c in rep.lie_validation.checks
-                ],
-            },
-            "model": {
-                "passed": rep.model_validation.passed,
-                "checks": [
-                    {"name": c.name, "passed": c.passed, "detail": c.detail}
-                    for c in rep.model_validation.checks
-                ],
-            },
+            "lie": _validation_document(an.lie_validation),
+            "model": _validation_document(an.model_validation),
         },
         "pages": [
             {
@@ -349,12 +274,12 @@ def machine_document(rep: PipelineReport) -> dict:
                 "dims": {_pq_key(pq): d for pq, d in sorted(s.dims.items())},
                 "d_ranks": {_pq_key(pq): rk for pq, rk in sorted(s.d_ranks.items())},
             }
-            for s in rep.pages
+            for s in _shown_pages(an, max_r)
         ],
-        "stabilization": rep.stabilization,
-        "e_infinity": {_pq_key(pq): d for pq, d in sorted(rep.einf_dims.items())},
+        "stabilization": an.stabilization,
+        "e_infinity": {_pq_key(pq): d for pq, d in sorted(an.stable.dims().items())},
         "abutment": {
-            "passed": rep.abutment.passed,
+            "passed": an.abutment.passed,
             "rows": [
                 {
                     "degree": row.degree,
@@ -362,12 +287,12 @@ def machine_document(rep: PipelineReport) -> dict:
                     "total": row.cohomology_dim,
                     "match": row.ok,
                 }
-                for row in rep.abutment.rows
+                for row in an.abutment.rows
             ],
         },
         "e2_check": {
-            "verdict": rep.e2.verdict,
-            "lie_realization": rep.e2.lie_realization_ok,
+            "verdict": an.e2.verdict,
+            "lie_realization": an.e2.lie_realization_ok,
             "cells": [
                 {
                     "p": c.p,
@@ -377,24 +302,24 @@ def machine_document(rep: PipelineReport) -> dict:
                     "f_rank": c.f_rank,
                     "ok": c.ok,
                 }
-                for c in rep.e2.cells
+                for c in an.e2.cells
             ],
         },
         "transgression": {
             _pq_key(pq): [[str(x) for x in row] for row in m.data]
-            for pq, m in sorted(rep.transgression.items())
+            for pq, m in sorted(an.transgression.items())
         },
-        "total_cohomology": list(rep.total_cohomology),
-        "basic_cohomology": list(rep.basic_cohomology),
+        "total_cohomology": list(an.total_cohomology),
+        "basic_cohomology": list(an.frames.basic.dims),
     }
 
 
-def render_table(rep: PipelineReport) -> str:
-    out = [f"model: {rep.name}"]
-    out.extend(rep.lie_validation.lines())
-    out.extend(rep.model_validation.lines())
+def render_table(an: Analysis, max_r: int | None) -> str:
+    """The report of a valid model as aligned text; pages past max_r are left out."""
+    out = [f"model: {an.model.name}"]
+    out.extend(_check_lines(an))
     out.append("")
-    for s in rep.pages:
+    for s in _shown_pages(an, max_r):
         note = "  (bigraded bookkeeping page)" if s.r < 2 else ""
         out.append(f"page E_{s.r}{note}")
         out.append("  p  q  dim  d_rank")
@@ -402,41 +327,41 @@ def render_table(rep: PipelineReport) -> str:
             rk = s.d_ranks.get((p, q), 0)
             out.append(f"  {p}  {q}  {d}    {rk}")
     out.append("")
-    out.append(f"stabilization: r = {rep.stabilization}")
+    out.append(f"stabilization: r = {an.stabilization}")
     out.append("E_infinity cells:")
     out.append("  p  q  dim")
-    for (p, q), d in sorted(rep.einf_dims.items()):
+    for (p, q), d in sorted(an.stable.dims().items()):
         out.append(f"  {p}  {q}  {d}")
     out.append("")
     out.append("abutment:")
     out.append("  degree  e_infinity  total  match")
-    for row in rep.abutment.rows:
+    for row in an.abutment.rows:
         out.append(
             f"  {row.degree}       {row.stable_total}           {row.cohomology_dim}"
             f"      {'yes' if row.ok else 'NO'}"
         )
-    out.append(f"abutment: {'ok' if rep.abutment.passed else 'FAIL'}")
+    out.append(f"abutment: {'ok' if an.abutment.passed else 'FAIL'}")
     out.append("")
-    out.append(f"tensor factorization verdict: {rep.e2.verdict}")
+    out.append(f"tensor factorization verdict: {an.e2.verdict}")
     out.append("  p  q  product  e2  rankF  ok")
-    for c in rep.e2.cells:
+    for c in an.e2.cells:
         out.append(
             f"  {c.p}  {c.q}  {c.product_dim}        {c.e2_dim}   {c.f_rank}      "
             f"{'yes' if c.ok else 'NO'}"
         )
     out.append(
         f"invariant realization of algebra cohomology: "
-        f"{'ok' if rep.e2.lie_realization_ok else 'FAIL'}"
+        f"{'ok' if an.e2.lie_realization_ok else 'FAIL'}"
     )
-    if rep.transgression:
+    if an.transgression:
         out.append("")
         out.append("transgression d_2 in tensor bases:")
-        for (p, q), m in sorted(rep.transgression.items()):
+        for (p, q), m in sorted(an.transgression.items()):
             rows = [[str(x) for x in row] for row in m.data]
             out.append(f"  ({p},{q}) -> ({p + 2},{q - 1}): {rows}")
     out.append("")
-    out.append(f"total cohomology dims: {list(rep.total_cohomology)}")
-    out.append(f"basic cohomology dims: {list(rep.basic_cohomology)}")
+    out.append(f"total cohomology dims: {list(an.total_cohomology)}")
+    out.append(f"basic cohomology dims: {list(an.frames.basic.dims)}")
     return "\n".join(out)
 
 
@@ -459,33 +384,25 @@ def cmd_validate(path: str) -> int:
     model = _load_for_command(path)
     if model is None:
         return 2
-    lie_rep = validate_lie(model.lie)
-    model_rep = validate_model(model)
-    for line in lie_rep.lines():
-        print(line)
-    for line in model_rep.lines():
-        print(line)
-    ok = lie_rep.passed and model_rep.passed
-    print(f"{model.name}: {'valid' if ok else 'INVALID'}")
-    return 0 if ok else 1
+    an = Analysis(model)
+    print("\n".join(_check_lines(an)))
+    print(f"{model.name}: {'valid' if an.valid else 'INVALID'}")
+    return 0 if an.valid else 1
 
 
 def cmd_pages(path: str, max_r: int | None, fmt: str) -> int:
     model = _load_for_command(path)
     if model is None:
         return 2
-    lie_rep = validate_lie(model.lie)
-    model_rep = validate_model(model)
-    if not (lie_rep.passed and model_rep.passed):
-        for line in lie_rep.lines() + model_rep.lines():
-            print(line, file=sys.stderr)
+    an = Analysis(model)
+    if not an.valid:
+        print("\n".join(_check_lines(an)), file=sys.stderr)
         print(f"{model.name}: INVALID, no pages computed", file=sys.stderr)
         return 1
-    rep = build_pipeline_report(model, max_r, lie_rep, model_rep)
     if fmt == "machine":
-        print(json.dumps(machine_document(rep), indent=2))
+        print(json.dumps(machine_document(an, max_r), indent=2))
     else:
-        print(render_table(rep))
+        print(render_table(an, max_r))
     return 0
 
 
@@ -503,29 +420,22 @@ def _run_card(spec: str, fmt: str) -> int:
     except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    model = card.model
-    lie_rep = validate_lie(model.lie)
-    model_rep = validate_model(model)
-    if not (lie_rep.passed and model_rep.passed):
-        for line in lie_rep.lines() + model_rep.lines():
-            print(line, file=sys.stderr)
+    an = Analysis(card.model)
+    if not an.valid:
+        print("\n".join(_check_lines(an)), file=sys.stderr)
         return 1
-    results = [("validation", True)]
-    rep = build_pipeline_report(model, None, lie_rep, model_rep)
     exp = card.expected
-    results.append(
-        ("total cohomology", rep.total_cohomology == tuple(exp.total_cohomology))
-    )
-    results.append(
-        ("basic cohomology", rep.basic_cohomology == tuple(exp.basic_cohomology))
-    )
-    e2_page = next(s for s in rep.pages if s.r == 2)
-    results.append(("E_2 dims", e2_page.dims == dict(exp.e2_dims)))
-    results.append(("stabilization page", rep.stabilization == exp.stabilization))
-    results.append(("abutment", rep.abutment.passed))
-    results.append(("tensor factorization", rep.e2.passed))
+    results = [
+        ("validation", True),
+        ("total cohomology", an.total_cohomology == tuple(exp.total_cohomology)),
+        ("basic cohomology", an.frames.basic.dims == tuple(exp.basic_cohomology)),
+        ("E_2 dims", an.page2.dims() == dict(exp.e2_dims)),
+        ("stabilization page", an.stabilization == exp.stabilization),
+        ("abutment", an.abutment.passed),
+        ("tensor factorization", an.e2.passed),
+    ]
     if exp.d2_abs_at_01 is not None:
-        entry = rep.transgression.get((0, 1))
+        entry = an.transgression.get((0, 1))
         good = (
             entry is not None
             and entry.shape == (1, 1)
@@ -537,19 +447,19 @@ def _run_card(spec: str, fmt: str) -> int:
         print(
             json.dumps(
                 {
-                    "name": model.name,
+                    "name": card.model.name,
                     "checks": [{"name": n, "passed": f} for n, f in results],
                     "passed": ok,
-                    "report": machine_document(rep),
+                    "report": machine_document(an, None),
                 },
                 indent=2,
             )
         )
     else:
-        print(f"card: {model.name} - {card.note}")
+        print(f"card: {card.model.name} - {card.note}")
         for label, flag in results:
             print(f"  [{'ok' if flag else 'FAIL'}] {label}")
-        print(f"{model.name}: {'pass' if ok else 'FAIL'}")
+        print(f"{card.model.name}: {'pass' if ok else 'FAIL'}")
     return 0 if ok else 1
 
 

@@ -18,7 +18,7 @@ from math import comb
 
 from .liealg import LieData, lie_cohomology
 from .model import BasicComplex, EquivariantModel, size_error
-from .qlinalg import Matrix, as_q, inverse
+from .qlinalg import Matrix, as_q, cohomology_dims, inverse
 from .reports import CertificateError
 
 MODEL_NAMES = (
@@ -146,17 +146,6 @@ def _kunneth_expected(basic_dims: tuple[int, ...], lie_dims: tuple[int, ...]) ->
     )
 
 
-def _complex_cohomology_dims(basic: BasicComplex) -> tuple[int, ...]:
-    """H(B, d_hor) dims by plain rank counting (no page machinery)."""
-    dims = []
-    for p in range(basic.max_degree + 1):
-        here = len(basic.gens_of_degree(p))
-        r_out = basic.d_hor_matrix(p).rank()
-        r_in = basic.d_hor_matrix(p - 1).rank() if p else 0
-        dims.append(here - r_out - r_in)
-    return tuple(dims)
-
-
 def _trivial_product_card(basic=None, lie=None) -> ModelCard:
     if basic is None:
         basic = BasicComplex.build(
@@ -167,9 +156,9 @@ def _trivial_product_card(basic=None, lie=None) -> ModelCard:
     if basic.euler_entries:
         raise ValueError("trivial product requires zero Euler operators")
     model = EquivariantModel("trivial_product", lie, basic)
-    expected = _kunneth_expected(
-        _complex_cohomology_dims(basic), lie_cohomology(lie).dims
-    )
+    # H(B, d_hor) by plain rank counting, with no page machinery
+    basic_dims = cohomology_dims(basic.d_hor_matrix(p) for p in range(basic.max_degree + 1))
+    expected = _kunneth_expected(basic_dims, lie_cohomology(lie).dims)
     return ModelCard(model, expected, DESCRIPTIONS["trivial_product"])
 
 

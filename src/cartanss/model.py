@@ -41,7 +41,7 @@ from .liealg import (
     first_delta_squared_failure,
     multi_indices,
 )
-from .qlinalg import Matrix, as_q
+from .qlinalg import Matrix, as_q, cohomology_dims
 from .reports import CheckResult, ValidationReport
 
 _ZERO = Fraction(0)
@@ -148,17 +148,6 @@ class BasicComplex:
         data = [[_ZERO] * len(src) for _ in tgt]
         for j, g in enumerate(src):
             for dst, coeff in self.d_hor_table.get(g, ()):
-                if dst in pos:
-                    data[pos[dst]][j] = coeff
-        return Matrix.of(data, cols=len(src))
-
-    def euler_matrix(self, i: int, p: int) -> Matrix:
-        src = self.gens_of_degree(p)
-        tgt = self.gens_of_degree(p + 2)
-        pos = {g: i2 for i2, g in enumerate(tgt)}
-        data = [[_ZERO] * len(src) for _ in tgt]
-        for j, g in enumerate(src):
-            for dst, coeff in self.euler_table.get((i, g), ()):
                 if dst in pos:
                     data[pos[dst]][j] = coeff
         return Matrix.of(data, cols=len(src))
@@ -505,23 +494,14 @@ def total_matrix(model: EquivariantModel, k: int) -> Matrix:
     return Matrix(tuple(tuple(row) for row in data), len(src))
 
 
-def total_cohomology(model: EquivariantModel, dmats=None) -> tuple[int, ...]:
+def total_cohomology(model: EquivariantModel) -> tuple[int, ...]:
     """Cohomology dimensions of (total complex, total_d), degree by degree.
 
-    Straight rank computation, independent of any filtration: the abutment
-    oracle for the spectral machinery.  dmats, when given, are the matrices
-    total_matrix(model, k) for k = 0..max_total_degree(model), already built.
+    Straight rank computation on matrices built here, independent of any
+    filtration: the abutment oracle for the spectral machinery.
     """
     top = max_total_degree(model)
-    dims = [len(degree_basis(model, k)[0]) for k in range(top + 2)]
-    if dmats is None:
-        dmats = [total_matrix(model, k) for k in range(top + 1)]
-    ranks = [m.rank() for m in dmats]
-    out = []
-    for k in range(top + 1):
-        prev = ranks[k - 1] if k > 0 else 0
-        out.append(dims[k] - ranks[k] - prev)
-    return tuple(out)
+    return cohomology_dims(total_matrix(model, k) for k in range(top + 1))
 
 
 def _identity_check(model, name, *paths) -> CheckResult:

@@ -30,7 +30,8 @@ Elimination against an echelon visits only the rows whose pivots it meets.
 then v's, with no row reduction per representative; given a coordinate
 window it reads only the window's columns, which divides v also by its part
 that vanishes there.  `graded_cohomology` takes a zero map's kernel and
-image without any elimination.  Preimages, sums and intersections of
+image without any elimination; `cohomology_dims` counts the same
+dimensions from ranks alone.  Preimages, sums and intersections of
 subspaces are not needed by the engine; `tests/oracles.py` keeps them, by
 dense elimination, as the definitions the tests check it against.
 """
@@ -616,3 +617,18 @@ def graded_cohomology(maps):
         reps, proj = quotient_map(ker, img)
         yield ker, img, reps, proj
         below = m if nonzero else None
+
+
+def cohomology_dims(maps) -> tuple[int, ...]:
+    """dim H^q = cols(d_q) - rank d_q - rank d_(q-1) per degree, by ranks alone.
+
+    The dimension-only counterpart of graded_cohomology, with no kernels,
+    images or representatives; each d_q is read once.  It trusts d^2 = 0.
+    """
+    dims = []
+    below = 0  # rank d_(q-1)
+    for m in maps:
+        rk = m.rank()
+        dims.append(m.cols - rk - below)
+        below = rk
+    return tuple(dims)

@@ -42,6 +42,8 @@ bookkeeping pages of the bigraded model; the geometric content starts at
 r = 2, which is where
 stabilization is searched for.  `iter_pages` builds the pages one after
 another over one cache of Z spaces, so a run builds each page once.
+`AbutmentReport` compares the stable page with total cohomology degree by
+degree; `verify.Analysis` fills it in.
 """
 
 from __future__ import annotations
@@ -50,13 +52,7 @@ from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .model import (
-    EquivariantModel,
-    degree_basis,
-    max_total_degree,
-    total_cohomology,
-    total_matrix,
-)
+from .model import EquivariantModel, degree_basis, max_total_degree, total_matrix
 from .qlinalg import (
     Matrix,
     SparseColumns,
@@ -337,6 +333,8 @@ def homology_dims(pg: SpectralPage) -> dict[tuple[int, int], int]:
 
 @dataclass(frozen=True)
 class AbutmentRow:
+    """Degree k: the sum of dim E_infinity^(p,q) over p + q = k against dim H^k."""
+
     degree: int
     stable_total: int
     cohomology_dim: int
@@ -354,17 +352,3 @@ class AbutmentReport:
     @property
     def passed(self) -> bool:
         return all(r.ok for r in self.rows)
-
-
-def abutment_check(model: EquivariantModel) -> AbutmentReport:
-    """Compare per-degree sums over the stable page with total cohomology dims."""
-    fc = cartan_filtration(model)
-    stable, r_stab = limit_page(fc)
-    hdims = total_cohomology(model, fc.d)
-    sums = [0] * len(hdims)
-    for (p, q), d in stable.dims().items():
-        sums[p + q] += d
-    rows = tuple(
-        AbutmentRow(k, sums[k], hdims[k]) for k in range(len(hdims))
-    )
-    return AbutmentReport(rows, r_stab)

@@ -11,18 +11,31 @@ cell.
 The invariant subcomplex realizes the algebra cohomology in each degree; this
 identification is itself re-derived here (invariants are closed, and project
 isomorphically onto cocycles-mod-coboundaries) rather than assumed.
+
+`Analysis(model)` is the whole report of one model, from validation to the
+transgression.  Each stage is computed once, on first use, from the stages
+it needs; the functions here take those stages as inputs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
-from .liealg import ce_cohomology, invariant_subcomplex, multi_indices
-from .model import EquivariantModel, degree_basis
-from .qlinalg import Matrix, graded_cohomology, inverse
-from .reports import CertificateError
-from .specseq import SpectralPage, cartan_filtration, page
+from .liealg import ce_cohomology, invariant_subcomplex, multi_indices, validate_lie
+from .model import EquivariantModel, degree_basis, validate_model
+from .qlinalg import Matrix, cohomology_dims, graded_cohomology, inverse
+from .reports import CertificateError, ValidationReport
+from .specseq import (
+    AbutmentReport,
+    AbutmentRow,
+    FilteredComplex,
+    SpectralPage,
+    cartan_filtration,
+    iter_pages,
+    limit_page,
+)
 
 _ZERO = Fraction(0)
 
@@ -113,10 +126,8 @@ class E2Frames:
     invariants: tuple = field(compare=False)
 
 
-def _e2_frames(model: EquivariantModel, pg2: SpectralPage | None = None) -> E2Frames:
-    """Frames of the comparison map on page 2; pass pg2 when it is already built."""
-    if pg2 is None:
-        pg2 = page(cartan_filtration(model), 2)
+def _e2_frames(model: EquivariantModel, pg2: SpectralPage) -> E2Frames:
+    """Frames of the comparison map on page 2 of model's spectral sequence."""
     bc = basic_cohomology(model)
     inv = invariant_subcomplex(model.lie)
     n = model.lie.n
@@ -149,13 +160,11 @@ def _e2_frames(model: EquivariantModel, pg2: SpectralPage | None = None) -> E2Fr
     return E2Frames(pg2, tuple(cells), fmats, bc, inv)
 
 
-def e2_tensor_check(model: EquivariantModel, frames: E2Frames | None = None) -> E2Report:
+def e2_tensor_check(model: EquivariantModel, frames: E2Frames) -> E2Report:
     """Verdict on E_2 ~= H(B, d_hor) (x) H(algebra), cell by cell.
 
-    frames, when given, must be _e2_frames(model) already computed.
+    frames are _e2_frames(model, pg2) on page 2 of model's spectral sequence.
     """
-    if frames is None:
-        frames = _e2_frames(model)
     ok = all(c.ok for c in frames.cells)
     return E2Report(
         frames.cells,
@@ -164,18 +173,14 @@ def e2_tensor_check(model: EquivariantModel, frames: E2Frames | None = None) -> 
     )
 
 
-def d2_transgression(
-    model: EquivariantModel, frames: E2Frames | None = None
-) -> dict[tuple[int, int], Matrix]:
+def d2_transgression(frames: E2Frames) -> dict[tuple[int, int], Matrix]:
     """d_2 written in the tensor bases, per source cell with nonzero product dim.
 
     Entry at (p, q) maps H^p(B) (x) H^q to H^(p+2)(B) (x) H^(q-1) coordinates:
     inverse(frame_target) @ d_2 @ frame_source.  Requires the tensor check to
     pass, otherwise the frames are not invertible and there is no honest
-    change of basis.  frames, when given, must be _e2_frames(model).
+    change of basis.
     """
-    if frames is None:
-        frames = _e2_frames(model)
     bad = next((c for c in frames.cells if not c.ok), None)
     if bad is not None:
         raise ValueError(
@@ -195,3 +200,87 @@ def d2_transgression(
             continue
         out[src] = inverse(t_tgt) @ d2 @ t_src
     return out
+
+
+@dataclass(frozen=True)
+class PageSummary:
+    """One page as reported: nonzero cell dims and nonzero d_r ranks."""
+
+    r: int
+    dims: dict
+    d_ranks: dict
+
+
+class Analysis:
+    """Every report stage of one model, each computed once, on first use.
+
+    The stages past validation assume a model that passes it (`valid`).
+    """
+
+    def __init__(self, model: EquivariantModel):
+        self.model = model
+
+    @cached_property
+    def lie_validation(self) -> ValidationReport:
+        return validate_lie(self.model.lie)
+
+    @cached_property
+    def model_validation(self) -> ValidationReport:
+        return validate_model(self.model)
+
+    @property
+    def valid(self) -> bool:
+        return self.lie_validation.passed and self.model_validation.passed
+
+    @cached_property
+    def filtration(self) -> FilteredComplex:
+        return cartan_filtration(self.model)
+
+    @cached_property
+    def _page_pass(self) -> tuple:
+        """One iter_pages -> limit_page pass; only page 2 outlives its summary."""
+        summaries = []
+        page2 = None
+
+        def summarised(pages):
+            nonlocal page2
+            for pg in pages:
+                ranks = {pq: rk for pq, rk in pg.dr_ranks().items() if rk}
+                summaries.append(PageSummary(pg.r, pg.dims(), ranks))
+                if pg.r == 2:
+                    page2 = pg
+                yield pg
+
+        stable, r_stab = limit_page(self.filtration, summarised(iter_pages(self.filtration)))
+        return tuple(s for s in summaries if s.r <= r_stab), stable, r_stab, page2
+
+    pages = property(lambda self: self._page_pass[0], doc="Summaries of E_0 .. E_stabilization.")
+    stable = property(lambda self: self._page_pass[1], doc="The first stable page, E_infinity.")
+    stabilization = property(lambda self: self._page_pass[2])
+    page2 = property(lambda self: self._page_pass[3])
+
+    @cached_property
+    def total_cohomology(self) -> tuple[int, ...]:
+        """dim H^k of the total complex from the ranks of the filtration's d alone."""
+        return cohomology_dims(self.filtration.d)
+
+    @cached_property
+    def abutment(self) -> AbutmentReport:
+        hdims = self.total_cohomology
+        sums = [0] * len(hdims)
+        for (p, q), d in self.stable.dims().items():
+            sums[p + q] += d
+        rows = tuple(AbutmentRow(k, sums[k], hdims[k]) for k in range(len(hdims)))
+        return AbutmentReport(rows, self.stabilization)
+
+    @cached_property
+    def frames(self) -> E2Frames:
+        return _e2_frames(self.model, self.page2)
+
+    @cached_property
+    def e2(self) -> E2Report:
+        return e2_tensor_check(self.model, self.frames)
+
+    @cached_property
+    def transgression(self) -> dict[tuple[int, int], Matrix]:
+        return d2_transgression(self.frames) if self.e2.passed else {}

@@ -12,7 +12,6 @@ import time
 from fractions import Fraction as Q
 
 from cartanss.cli import (
-    build_pipeline_report,
     load_model_document,
     machine_document,
     main,
@@ -46,13 +45,13 @@ from cartanss.model import (
     validate_model,
 )
 from cartanss.specseq import (
-    abutment_check,
     cartan_filtration,
     homology_dims,
     limit_page,
     page,
 )
-from cartanss.verify import basic_cohomology, d2_transgression, e2_tensor_check
+from cartanss.qlinalg import cohomology_dims, graded_cohomology
+from cartanss.verify import Analysis, basic_cohomology
 
 from test_cli import parse_table_pages
 
@@ -71,7 +70,7 @@ def test_criterion_01_hopf_card():
     assert nonzero_ranks(p2) == {(0, 1): 1}
     _, r_stab = limit_page(fc)
     assert r_stab == 3
-    assert e2_tensor_check(card.model).verdict == "isomorphism"
+    assert Analysis(card.model).e2.verdict == "isomorphism"
     assert time.perf_counter() - t0 < 1.0
 
 
@@ -83,7 +82,7 @@ def test_criterion_02_kronecker_card():
     assert page(fc, 2).dims() == {(0, 0): 1, (0, 1): 1, (1, 0): 1, (1, 1): 1}
     _, r_stab = limit_page(fc)
     assert r_stab == 2
-    assert e2_tensor_check(card.model).verdict == "isomorphism"
+    assert Analysis(card.model).e2.verdict == "isomorphism"
     assert time.perf_counter() - t0 < 1.0
 
 
@@ -98,7 +97,7 @@ def test_criterion_03_group_su2_card():
     p2 = page(fc, 2)
     for q in range(4):
         assert p2.cells[(0, q)].dim == hdims[q]
-    rep = abutment_check(card.model)
+    rep = Analysis(card.model).abutment
     assert rep.passed
     assert tuple(r.cohomology_dim for r in rep.rows) == (1, 0, 0, 1)
     assert time.perf_counter() - t0 < 1.0
@@ -110,10 +109,16 @@ def test_criterion_04_tensor_dims_and_full_rank_batch():
     rng = random.Random(20260815)
     models += [random_trivial_product(rng, tag=f"batch{i}").model for i in range(20)]
     for model in models:
-        rep = e2_tensor_check(model)
+        an = Analysis(model)
+        rep = an.e2
         assert rep.passed, model.name
         hq = lie_cohomology(model.lie).dims
         bdims = basic_cohomology(model).dims
+        # the rank-only count agrees with graded_cohomology's kernels and images
+        d_hor = [model.basic.d_hor_matrix(p) for p in range(model.basic.max_degree + 1)]
+        assert cohomology_dims(d_hor) == bdims, model.name
+        total = tuple(ker.dim - img.dim for ker, img, _, _ in graded_cohomology(an.filtration.d))
+        assert an.total_cohomology == total, model.name
         for c in rep.cells:
             assert c.e2_dim == bdims[c.p] * hq[c.q], (model.name, c.p, c.q)
             assert c.f_rank == c.product_dim == c.e2_dim
@@ -176,7 +181,7 @@ def test_criterion_07_abutment_oracle():
         for (p, q), d in stable.dims().items():
             sums[p + q] += d
         assert tuple(sums) == hdims, name
-        assert abutment_check(model).passed
+        assert Analysis(model).abutment.passed
 
 
 def test_criterion_08_page_recurrence():
@@ -191,7 +196,7 @@ def test_criterion_09_weighted_hopf_transgression():
     hopf_e3 = {(0, 0): 1, (2, 1): 1}
     for w in (1, 2, 3, 5):
         model = get_model("weighted_hopf", w).model
-        entry = d2_transgression(model)[(0, 1)]
+        entry = Analysis(model).transgression[(0, 1)]
         assert entry.shape == (1, 1)
         assert abs(entry.entry(0, 0)) == w
         fc = cartan_filtration(model)
@@ -205,10 +210,10 @@ def test_criterion_10_cli_round_trip(capsys):
         assert main(["examples", "--run", name]) == 0, name
         capsys.readouterr()
 
-        rep = build_pipeline_report(model)
-        doc = machine_document(rep)
+        an = Analysis(model)
+        doc = machine_document(an, None)
         assert json.loads(json.dumps(doc)) == doc
-        table = render_table(rep)
+        table = render_table(an, None)
         parsed = parse_table_pages(table)
         for page_doc in doc["pages"]:
             cells = parsed[page_doc["r"]]

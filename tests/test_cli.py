@@ -40,6 +40,7 @@ from cartanss.model import (
     size_error,
 )
 from cartanss.qlinalg import Matrix
+from cartanss.verify import Analysis
 
 HOPF_DOC = {
     "name": "hopf",
@@ -150,6 +151,16 @@ def test_loader_rejects_malformed_documents():
             },
             "rational",
         ),
+        ({"lie": {"n": 1, "c": 5}, "basic": {"generators": [{"name": "1", "degree": 0}]}},
+         "lie.c: expected a list"),
+        (
+            {"lie": {"n": 1}, "basic": {"generators": [{"name": "1", "degree": 0}], "d_hor": 7}},
+            "basic.d_hor: expected a list",
+        ),
+        (
+            {"lie": {"n": 1}, "basic": {"generators": [{"name": "1", "degree": 0}], "euler": None}},
+            "basic.euler: expected a list",
+        ),
     ]
     for doc, fragment in cases:
         with pytest.raises(ModelFileError) as err:
@@ -217,6 +228,10 @@ def test_validate_exit_codes(tmp_path, capsys):
     assert main(["validate", broken]) == 2
     err = capsys.readouterr().err
     assert "parse error" in err
+
+    not_a_list = dict(HOPF_DOC, basic=dict(HOPF_DOC["basic"], euler=None))
+    assert main(["pages", write_doc(tmp_path, not_a_list, "null.json")]) == 2
+    assert capsys.readouterr().err == "parse error: basic.euler: expected a list, got NoneType\n"
 
     assert main(["validate", str(tmp_path / "missing.json")]) == 2
 
@@ -440,12 +455,39 @@ def test_pages_builds_each_total_matrix_once(tmp_path, monkeypatch, capsys, sour
         path = str(tmp_path / "model.json")
         save_model_file(get_model(name, int(param)).model, path)
     top = max_total_degree(load_model_file(path))
-    calls = count_calls(monkeypatch, (("model", "total_matrix"), ("model", "total_cohomology")))
+    calls = count_calls(monkeypatch, (("model", "total_matrix"), ("qlinalg", "cohomology_dims")))
     assert main(["pages", path, "--format", "machine"]) == 0
     capsys.readouterr()
-    # the filtration builds them; the abutment oracle reuses them
+    # the filtration builds them; the abutment's rank count reuses them
     assert sorted(args[1] for args in calls["total_matrix"]) == list(range(top + 1))
-    assert len(calls["total_cohomology"]) == 1
+    assert len(calls["cohomology_dims"]) == 1
+
+
+def test_validation_alone_builds_no_filtration_and_no_page(tmp_path, monkeypatch, capsys):
+    valid = write_doc(tmp_path, HOPF_DOC, "hopf.json")
+    invalid = write_doc(tmp_path, model_to_document(heisenberg_model()), "heis.json")
+    calls = count_calls(monkeypatch)
+    for argv, code in ((["validate", valid], 0), (["validate", invalid], 1),
+                       (["pages", invalid], 1)):
+        assert main(argv) == code, argv
+    capsys.readouterr()
+    assert {f: len(c) for f, c in calls.items()} == {
+        "cartan_filtration": 0, "validate_lie": 3, "validate_model": 3, "page": 0,
+        "_e2_frames": 0}
+
+
+def test_one_analysis_builds_each_stage_once(monkeypatch):
+    model = get_model("group_su2").model
+    calls = count_calls(monkeypatch, COUNTED + (("model", "total_matrix"),))
+    an = Analysis(model)
+    assert an.abutment.passed and an.e2.passed and an.transgression
+    assert an.frames.page2 is an.page2
+    assert sorted(args[1] for args in calls["total_matrix"]) == list(
+        range(max_total_degree(model) + 1))
+    assert {f: len(calls[f]) for f in ("cartan_filtration", "_e2_frames", "validate_lie",
+                                       "validate_model")} == {
+        "cartan_filtration": 1, "_e2_frames": 1, "validate_lie": 0, "validate_model": 0}
+    assert [args[1] for args in calls["page"]] == list(range(an.stabilization + 2))
 
 
 def _rref_calls_inside(monkeypatch, function_name):

@@ -24,8 +24,7 @@ from cartanss.library import (
 )
 from cartanss.model import BasicComplex, total_cohomology, validate_model
 from cartanss.reports import CertificateError
-from cartanss.specseq import abutment_check
-from cartanss.verify import e2_tensor_check
+from cartanss.verify import Analysis
 
 
 def test_model_name_census():
@@ -50,9 +49,10 @@ def test_default_cards_are_valid_and_annotated():
 def test_card_expectations_match_engine():
     for card in all_default_cards():
         assert total_cohomology(card.model) == card.expected.total_cohomology
-        rep = abutment_check(card.model)
+        an = Analysis(card.model)
+        rep = an.abutment
         assert rep.passed and rep.stabilization == card.expected.stabilization
-        e2 = e2_tensor_check(card.model)
+        e2 = an.e2
         got = {(c.p, c.q): c.e2_dim for c in e2.cells if c.e2_dim}
         assert got == card.expected.e2_dims
 
@@ -127,7 +127,7 @@ def test_random_trivial_products_are_valid_and_kunneth():
         assert validate_lie(card.model.lie).passed
         assert validate_model(card.model).passed, card.model.name
         assert total_cohomology(card.model) == card.expected.total_cohomology
-        e2 = e2_tensor_check(card.model)
+        e2 = Analysis(card.model).e2
         assert e2.passed
         got = {(c.p, c.q): c.e2_dim for c in e2.cells if c.e2_dim}
         assert got == card.expected.e2_dims

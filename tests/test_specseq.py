@@ -24,13 +24,13 @@ from cartanss.reports import CertificateError
 from cartanss.specseq import (
     FilteredComplex,
     _z_space,
-    abutment_check,
     cartan_filtration,
     homology_dims,
     iter_pages,
     limit_page,
     page,
 )
+from cartanss.verify import Analysis
 
 
 def nonzero_ranks(pg):
@@ -179,7 +179,7 @@ def test_trivial_product_stable_from_page_two():
 def test_abutment_check_per_card():
     for name in MODEL_NAMES:
         card = get_model(name)
-        rep = abutment_check(card.model)
+        rep = Analysis(card.model).abutment
         assert rep.passed, name
         assert tuple(r.cohomology_dim for r in rep.rows) == card.expected.total_cohomology
         assert tuple(r.stable_total for r in rep.rows) == card.expected.total_cohomology

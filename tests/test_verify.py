@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction as Q
+from pathlib import Path
 
 import pytest
 
@@ -24,6 +25,7 @@ from cartanss.model import (
 )
 from cartanss.specseq import SpectralPage, cartan_filtration, page
 from cartanss.verify import (
+    Analysis,
     _e2_frames,
     basic_cohomology,
     d2_transgression,
@@ -55,7 +57,7 @@ def test_basic_cohomology_per_card():
 def test_e2_tensor_check_passes_on_all_cards():
     for name in MODEL_NAMES:
         card = get_model(name)
-        rep = e2_tensor_check(card.model)
+        rep = Analysis(card.model).e2
         assert rep.passed, name
         assert rep.verdict == "isomorphism"
         assert rep.lie_realization_ok
@@ -76,7 +78,7 @@ def test_e2_product_dims_factor_through_both_sides():
         model = get_model(name).model
         bc = basic_cohomology(model)
         hq = lie_cohomology(model.lie).dims
-        rep = e2_tensor_check(model)
+        rep = Analysis(model).e2
         for c in rep.cells:
             assert c.product_dim == bc.dims[c.p] * hq[c.q]
 
@@ -90,7 +92,7 @@ def test_class_unchanged_by_horizontal_coboundary():
     )
     model = EquivariantModel("ladder", su2_lie_local(), basic)
     assert validate_model(model).passed
-    frames = _e2_frames(model)
+    frames = Analysis(model).frames
     bc = frames.basic
     assert bc.dims == (1, 1)
     assert tuple(s.dim for s in frames.invariants) == (1, 0, 0, 1)
@@ -161,21 +163,22 @@ def _wrap_vec(model, chi_elt, m):
 
 
 def test_transgression_on_hopf_family():
-    trans = d2_transgression(get_model("hopf").model)
+    trans = Analysis(get_model("hopf").model).transgression
     entry = trans[(0, 1)]
     assert entry.shape == (1, 1)
     assert abs(entry.entry(0, 0)) == 1
     for w in (1, 2, 3, 5):
         card = get_model("weighted_hopf", w)
-        t = d2_transgression(card.model)[(0, 1)]
+        t = Analysis(card.model).transgression[(0, 1)]
         assert abs(t.entry(0, 0)) == w
 
 
 def test_transgression_change_of_basis_identity():
     for name in MODEL_NAMES:
         model = get_model(name).model
-        frames = _e2_frames(model)
-        trans = d2_transgression(model)
+        an = Analysis(model)
+        frames = an.frames
+        trans = an.transgression
         for (p, q), t in trans.items():
             d2 = frames.page2.dr[(p, q)]
             t_src = frames.f_matrices[(p, q)]
@@ -188,7 +191,7 @@ def test_transgression_change_of_basis_identity():
 
 
 def test_transgression_vanishes_off_the_hopf_cell():
-    trans = d2_transgression(get_model("hopf").model)
+    trans = Analysis(get_model("hopf").model).transgression
     for pq, t in trans.items():
         if pq != (0, 1):
             assert t.rows == 0 or t.is_zero()
@@ -196,7 +199,7 @@ def test_transgression_vanishes_off_the_hopf_cell():
 
 def test_tensor_frames_have_full_rank():
     model = get_model("kronecker").model
-    frames = _e2_frames(model)
+    frames = Analysis(model).frames
     for cell in frames.cells:
         if cell.product_dim == 0:
             continue
@@ -210,12 +213,12 @@ def test_spots_without_a_cell_count_as_zero_on_page_two():
     # cell at p = 1 or p = 3, and the frames read those spots as E_2 = 0
     sphere5 = EquivariantModel("sphere_5", LieData.abelian(1), BasicComplex.build(
         [("1", 0), ("v1", 2), ("v2", 4)], euler=[(1, 0, 1, 1), (1, 1, 2, 1)]))
-    frames = _e2_frames(sphere5)
+    frames = Analysis(sphere5).frames
     assert (1, 0) not in frames.page2.cells and (3, 1) not in frames.page2.cells
     assert e2_tensor_check(sphere5, frames).passed
     assert {(c.p, c.q): (c.product_dim, c.e2_dim) for c in frames.cells if c.p % 2} == {
         (1, 0): (0, 0), (1, 1): (0, 0), (3, 0): (0, 0), (3, 1): (0, 0)}
-    assert abs(d2_transgression(sphere5, frames)[(0, 1)].entry(0, 0)) == 1
+    assert abs(d2_transgression(frames)[(0, 1)].entry(0, 0)) == 1
 
 
 def test_a_page_missing_a_cell_fails_the_tensor_check_by_rank():
@@ -230,4 +233,14 @@ def test_a_page_missing_a_cell_fails_the_tensor_check_by_rank():
     assert (bad.p, bad.q, bad.product_dim, bad.e2_dim, bad.f_rank) == (1, 1, 4, 0, 0)
     assert [(c.p, c.q) for c in rep.cells if not c.ok] == [(1, 1)]
     with pytest.raises(ValueError, match=r"tensor check fails at \(1,1\)"):
-        d2_transgression(model, frames)
+        d2_transgression(frames)
+
+
+def test_readme_python_api_example_prints_what_its_comments_say(capsys):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Python API", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    prints = [line for line in block.splitlines() if line.startswith("print(")]
+    assert prints and all("  # " in line for line in prints)
+    exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out.splitlines() == [
+        line.split("  # ", 1)[1] for line in prints]
