@@ -40,7 +40,6 @@ from .specseq import (
     SpectralPage,
     cartan_filtration,
     iter_pages,
-    limit_page,
     page,
 )
 from .verify import Analysis, basic_cohomology, d2_transgression, e2_tensor_check
@@ -79,7 +78,6 @@ __all__ = [
     "iter_pages",
     "kernel_basis",
     "lie_cohomology",
-    "limit_page",
     "multi_indices",
     "page",
     "quotient_map",

@@ -42,7 +42,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 from .qlinalg import Matrix, Subspace, as_q, graded_cohomology, kernel_basis
 from .reports import CheckResult, ValidationReport
@@ -562,48 +562,19 @@ def _first_jacobi_failure(L: LieData) -> tuple | None:
 
 def validate_lie(L: LieData) -> ValidationReport:
     """Check bracket antisymmetry, full antisymmetry, Jacobi, and delta^2 = 0."""
+    c = L.bracket_coeff
+    # the same sign test at two index swaps: (a,b,k) -> (b,a,k) and -> (a,k,b)
+    antisymmetries = (
+        ("bracket antisymmetry", lambda a, b, k: c(b, a, k),
+         "c[{1}][{0}][{2}] != -c[{0}][{1}][{2}]"),
+        ("full antisymmetry", lambda a, b, k: c(a, k, b),
+         "c[{0}][{2}][{1}] != -c[{0}][{1}][{2}] (structure constants are not ad-invariant)"),
+    )
     checks = []
-
-    bad = None
-    for a in range(1, L.n + 1):
-        for b in range(1, L.n + 1):
-            for k in range(1, L.n + 1):
-                if L.bracket_coeff(a, b, k) != -L.bracket_coeff(b, a, k):
-                    bad = (a, b, k)
-                    break
-            if bad:
-                break
-        if bad:
-            break
-    checks.append(
-        CheckResult(
-            "bracket antisymmetry",
-            bad is None,
-            "" if bad is None else "c[{1}][{0}][{2}] != -c[{0}][{1}][{2}]".format(*bad),
-        )
-    )
-
-    bad = None
-    for a in range(1, L.n + 1):
-        for b in range(1, L.n + 1):
-            for k in range(1, L.n + 1):
-                if L.bracket_coeff(a, b, k) != -L.bracket_coeff(a, k, b):
-                    bad = (a, b, k)
-                    break
-            if bad:
-                break
-        if bad:
-            break
-    checks.append(
-        CheckResult(
-            "full antisymmetry",
-            bad is None,
-            ""
-            if bad is None
-            else "c[{0}][{2}][{1}] != -c[{0}][{1}][{2}] "
-            "(structure constants are not ad-invariant)".format(*bad),
-        )
-    )
+    for name, swapped, detail in antisymmetries:
+        triples = product(range(1, L.n + 1), repeat=3)
+        bad = next((t for t in triples if c(*t) != -swapped(*t)), None)
+        checks.append(CheckResult(name, bad is None, "" if bad is None else detail.format(*bad)))
 
     jac = _first_jacobi_failure(L)
     checks.append(

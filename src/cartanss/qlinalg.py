@@ -250,20 +250,6 @@ class Matrix:
     def is_zero(self) -> bool:
         return not any(map(any, self.data))
 
-    def __neg__(self) -> "Matrix":
-        return Matrix(tuple(tuple(-x for x in r) for r in self.data), self.cols)
-
-    def __add__(self, other: "Matrix") -> "Matrix":
-        if self.shape != other.shape:
-            raise ValueError("shape mismatch")
-        return Matrix(
-            tuple(tuple(a + b for a, b in zip(r, s)) for r, s in zip(self.data, other.data)),
-            self.cols,
-        )
-
-    def __sub__(self, other: "Matrix") -> "Matrix":
-        return self + (-other)
-
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise ValueError(f"cannot multiply {self.shape} by {other.shape}")

@@ -39,16 +39,18 @@ in the monomial basis.  The window of spot (p, q) is then B^p (x) Lambda^q,
 so only the spots with B^p != 0 and q <= n get cells, not the whole
 triangle 0 <= p <= m up to the top degree.  Page r = 0 and r = 1 are
 bookkeeping pages of the bigraded model; the geometric content starts at
-r = 2, which is where
-stabilization is searched for.  `iter_pages` builds the pages one after
-another over one cache of Z spaces, so a run builds each page once.
-`AbutmentReport` compares the stable page with total cohomology degree by
-degree; `verify.Analysis` fills it in.
+r = 2.  `iter_pages` builds the pages one after another over one cache of Z
+spaces, so a run builds each page once, and it decides where they stop: at
+the first page r >= 2 whose d_r is zero and whose nonzero cells leave no room
+for a later differential, which is E_infinity.  `verify.Analysis` reads the
+stabilization index off that one pass: one past the last r >= 2 with a
+nonzero d_r, or 2 when there is none.  `AbutmentReport` compares E_infinity
+with total cohomology degree by degree; `verify.Analysis` fills it in.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -279,41 +281,32 @@ def page(fc: FilteredComplex, r: int, _cache: dict | None = None) -> SpectralPag
     return SpectralPage(r, cells, dr)
 
 
-def iter_pages(fc: FilteredComplex, start: int = 0) -> Iterator[SpectralPage]:
-    """Pages E_start, E_start+1, ... without end, each built once.
+def iter_pages(fc: FilteredComplex) -> Iterator[SpectralPage]:
+    """Pages E_0, E_1, ..., each built once, ending with E_infinity.
+
+    Page E_r, r >= 2, is E_infinity when d_r is zero and no two nonzero cells
+    sit at (p, q) and (p+s, q-s+1) for any s > r: every later page is a
+    subquotient of E_r, so no later d_s can be nonzero.  Past the largest gap
+    in p between nonzero cells no such pair is left and d_r is zero, so the
+    pages end by r = max_degree + 2.
 
     Page r needs Z_r and Z_(r-1), so one Z cache is shared along the way and
     the spaces of earlier pages are dropped as soon as no later page needs
     them.
     """
     cache: dict = {}
-    r = start
+    r = 0
     while True:
-        yield page(fc, r, cache)
+        pg = page(fc, r, cache)
+        yield pg
+        if r >= 2 and pg.dr_is_zero():
+            dims = pg.dims()
+            if not any((p + s, q - s + 1) in dims
+                       for p, q in dims for s in range(r + 1, q + 2)):
+                return
         for key in [key for key in cache if key[0] < r]:
             del cache[key]
         r += 1
-
-
-def limit_page(
-    fc: FilteredComplex, pages: Iterable[SpectralPage] | None = None
-) -> tuple[SpectralPage, int]:
-    """First stable page: smallest r >= 2 with d_r = 0 and dims(E_r) = dims(E_{r+1}).
-
-    `pages` runs over consecutive pages of fc, iter_pages(fc, 2) when omitted;
-    only the current and the next page are held.  For a finite filtered
-    complex stability is reached no later than max_degree + 2.
-    """
-    bound = fc.max_degree + 2
-    current = None
-    for nxt in iter_pages(fc, 2) if pages is None else pages:
-        if current is not None and current.r >= 2:
-            if current.dr_is_zero() and current.dims() == nxt.dims():
-                return current, current.r
-            if current.r >= bound:
-                raise CertificateError("spectral sequence failed to stabilize", page=current.r)
-        current = nxt
-    raise ValueError("the pages ran out before the spectral sequence stabilized")
 
 
 def homology_dims(pg: SpectralPage) -> dict[tuple[int, int], int]:

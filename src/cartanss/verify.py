@@ -34,7 +34,6 @@ from .specseq import (
     SpectralPage,
     cartan_filtration,
     iter_pages,
-    limit_page,
 )
 
 _ZERO = Fraction(0)
@@ -214,7 +213,8 @@ class PageSummary:
 class Analysis:
     """Every report stage of one model, each computed once, on first use.
 
-    The stages past validation assume a model that passes it (`valid`).
+    The stages past validation start at `filtration`, which refuses a model
+    that fails validation (`valid`).
     """
 
     def __init__(self, model: EquivariantModel):
@@ -234,28 +234,26 @@ class Analysis:
 
     @cached_property
     def filtration(self) -> FilteredComplex:
+        if not self.valid:
+            failed = self.lie_validation.failures() + self.model_validation.failures()
+            raise ValueError(f"{self.model.name}: invalid model, no filtration built:\n"
+                             + "\n".join(c.line() for c in failed))
         return cartan_filtration(self.model)
 
     @cached_property
     def _page_pass(self) -> tuple:
-        """One iter_pages -> limit_page pass; only page 2 outlives its summary."""
+        """One iter_pages pass; only page 2 and E_infinity outlive their summaries."""
         summaries = []
-        page2 = None
-
-        def summarised(pages):
-            nonlocal page2
-            for pg in pages:
-                ranks = {pq: rk for pq, rk in pg.dr_ranks().items() if rk}
-                summaries.append(PageSummary(pg.r, pg.dims(), ranks))
-                if pg.r == 2:
-                    page2 = pg
-                yield pg
-
-        stable, r_stab = limit_page(self.filtration, summarised(iter_pages(self.filtration)))
-        return tuple(s for s in summaries if s.r <= r_stab), stable, r_stab, page2
+        for pg in iter_pages(self.filtration):
+            ranks = {pq: rk for pq, rk in pg.dr_ranks().items() if rk}
+            summaries.append(PageSummary(pg.r, pg.dims(), ranks))
+            if pg.r == 2:
+                page2 = pg
+        r_stab = 1 + max((s.r for s in summaries if s.r >= 2 and s.d_ranks), default=1)
+        return tuple(s for s in summaries if s.r <= r_stab), pg, r_stab, page2
 
     pages = property(lambda self: self._page_pass[0], doc="Summaries of E_0 .. E_stabilization.")
-    stable = property(lambda self: self._page_pass[1], doc="The first stable page, E_infinity.")
+    stable = property(lambda self: self._page_pass[1], doc="The last page built, E_infinity.")
     stabilization = property(lambda self: self._page_pass[2])
     page2 = property(lambda self: self._page_pass[3])
 

@@ -47,7 +47,7 @@ from cartanss.model import (
 from cartanss.specseq import (
     cartan_filtration,
     homology_dims,
-    limit_page,
+    iter_pages,
     page,
 )
 from cartanss.qlinalg import cohomology_dims, graded_cohomology
@@ -68,9 +68,9 @@ def test_criterion_01_hopf_card():
     p2 = page(fc, 2)
     assert p2.dims() == {(0, 0): 1, (0, 1): 1, (2, 0): 1, (2, 1): 1}
     assert nonzero_ranks(p2) == {(0, 1): 1}
-    _, r_stab = limit_page(fc)
-    assert r_stab == 3
-    assert Analysis(card.model).e2.verdict == "isomorphism"
+    an = Analysis(card.model)
+    assert an.stabilization == 3
+    assert an.e2.verdict == "isomorphism"
     assert time.perf_counter() - t0 < 1.0
 
 
@@ -80,9 +80,9 @@ def test_criterion_02_kronecker_card():
     assert total_cohomology(card.model) == (1, 2, 1)
     fc = cartan_filtration(card.model)
     assert page(fc, 2).dims() == {(0, 0): 1, (0, 1): 1, (1, 0): 1, (1, 1): 1}
-    _, r_stab = limit_page(fc)
-    assert r_stab == 2
-    assert Analysis(card.model).e2.verdict == "isomorphism"
+    an = Analysis(card.model)
+    assert an.stabilization == 2
+    assert an.e2.verdict == "isomorphism"
     assert time.perf_counter() - t0 < 1.0
 
 
@@ -175,7 +175,7 @@ def test_criterion_07_abutment_oracle():
     for name in MODEL_NAMES:
         model = get_model(name).model
         fc = cartan_filtration(model)
-        stable, _ = limit_page(fc)
+        *_, stable = iter_pages(fc)
         hdims = total_cohomology(model)
         sums = [0] * len(hdims)
         for (p, q), d in stable.dims().items():

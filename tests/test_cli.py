@@ -432,8 +432,8 @@ def test_pages_computes_every_stage_once(tmp_path, monkeypatch, capsys, source):
     doc = json.loads(capsys.readouterr().out)
     assert [len(calls[f]) for f in ("cartan_filtration", "validate_lie", "validate_model",
                                      "_e2_frames")] == [1, 1, 1, 1]
-    # pages 0 .. stabilization + 1, the last one only to see that nothing moves
-    assert [args[1] for args in calls["page"]] == list(range(doc["stabilization"] + 2))
+    # pages 0 .. stabilization and no further: the last one is E_infinity
+    assert [args[1] for args in calls["page"]] == list(range(doc["stabilization"] + 1))
 
 
 def test_examples_run_computes_every_stage_once(monkeypatch, capsys):
@@ -443,7 +443,7 @@ def test_examples_run_computes_every_stage_once(monkeypatch, capsys):
     assert doc["passed"] is True
     assert {f: len(c) for f, c in calls.items() if f != "page"} == {
         "cartan_filtration": 1, "validate_lie": 1, "validate_model": 1, "_e2_frames": 1}
-    assert [args[1] for args in calls["page"]] == [0, 1, 2, 3]
+    assert [args[1] for args in calls["page"]] == [0, 1, 2]
 
 
 @pytest.mark.parametrize("source", ["sample_models/hopf.json", "group_torus:3"])
@@ -484,10 +484,28 @@ def test_one_analysis_builds_each_stage_once(monkeypatch):
     assert an.frames.page2 is an.page2
     assert sorted(args[1] for args in calls["total_matrix"]) == list(
         range(max_total_degree(model) + 1))
+    # the filtration is gated on validation, so each validator runs once
     assert {f: len(calls[f]) for f in ("cartan_filtration", "_e2_frames", "validate_lie",
                                        "validate_model")} == {
-        "cartan_filtration": 1, "_e2_frames": 1, "validate_lie": 0, "validate_model": 0}
-    assert [args[1] for args in calls["page"]] == list(range(an.stabilization + 2))
+        "cartan_filtration": 1, "_e2_frames": 1, "validate_lie": 1, "validate_model": 1}
+    # the last page built is E_infinity, and nothing past it is built
+    assert [args[1] for args in calls["page"]] == list(range(an.stabilization + 1))
+    assert an.stable.r == an.stabilization
+
+
+@pytest.mark.parametrize("model", [
+    heisenberg_model(),
+    EquivariantModel("mutant", mutated_jacobi_lie(), BasicComplex.build([("1", 0)])),
+])
+def test_analysis_of_an_invalid_model_raises_and_builds_no_filtration(monkeypatch, model):
+    calls = count_calls(monkeypatch)
+    an = Analysis(model)
+    failed = [c.line() for c in an.lie_validation.failures() + an.model_validation.failures()]
+    assert failed
+    with pytest.raises(ValueError, match="invalid model") as err:
+        an.abutment
+    assert str(err.value).splitlines()[1:] == failed
+    assert (len(calls["cartan_filtration"]), len(calls["page"])) == (0, 0)
 
 
 def _rref_calls_inside(monkeypatch, function_name):
@@ -618,10 +636,10 @@ def sphere(k):
 
 @pytest.mark.parametrize("model, per_page, pages", [
     # one model past the benchmark's S^25: 21 even degrees p, q = 0 or 1;
-    # d_2 kills all but two spots, so E_3 is stable
-    (sphere(20), 2 * 21, 5),
-    # a torus acting on itself has B = B^0, so only the spots (0, q)
-    (get_model("group_torus", 8).model, 9, 4),
+    # d_2 kills all but two spots, so E_3 is E_infinity: pages 0 .. 3
+    (sphere(20), 2 * 21, 4),
+    # a torus acting on itself has B = B^0, so only the spots (0, q); E_2 is E_infinity
+    (get_model("group_torus", 8).model, 9, 3),
 ])
 def test_pages_build_cells_only_on_the_e0_support(tmp_path, monkeypatch, capsys,
                                                    model, per_page, pages):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from pathlib import Path
 
 import pytest
 from oracles import (
@@ -15,7 +16,7 @@ from oracles import (
     sum_and_intersect,
 )
 
-from cartanss.cli import main, save_model_file
+from cartanss.cli import load_model_file, main, save_model_file
 from cartanss.library import MODEL_NAMES, get_model, random_trivial_product, su2_lie
 from cartanss.liealg import LieData
 from cartanss.model import BasicComplex, EquivariantModel, monomial_basis
@@ -27,10 +28,11 @@ from cartanss.specseq import (
     cartan_filtration,
     homology_dims,
     iter_pages,
-    limit_page,
     page,
 )
 from cartanss.verify import Analysis
+
+SAMPLES = Path(__file__).resolve().parent.parent / "sample_models"
 
 
 def nonzero_ranks(pg):
@@ -90,12 +92,13 @@ def test_hopf_pages_morph_as_expected():
     assert page(fc, 4).dims() == p3.dims()
 
 
-def test_limit_page_per_card():
+def test_pages_end_at_stabilization_per_card():
     for name in MODEL_NAMES:
         card = get_model(name)
-        stable, r_stab = limit_page(cartan_filtration(card.model))
-        assert r_stab == card.expected.stabilization, name
-        assert r_stab <= cartan_filtration(card.model).max_degree + 2
+        fc = cartan_filtration(card.model)
+        rs = [pg.r for pg in iter_pages(fc)]
+        assert rs == list(range(card.expected.stabilization + 1)), name
+        assert rs[-1] <= fc.max_degree + 2
 
 
 def test_kronecker_degenerates_at_two():
@@ -103,15 +106,13 @@ def test_kronecker_degenerates_at_two():
     p2 = page(fc, 2)
     assert p2.dims() == {(0, 0): 1, (1, 0): 1, (0, 1): 1, (1, 1): 1}
     assert p2.dr_is_zero()
-    stable, r_stab = limit_page(fc)
-    assert r_stab == 2
+    assert Analysis(get_model("kronecker").model).stabilization == 2
 
 
 def test_group_su2_collapses_to_lie_cohomology_column():
     fc = cartan_filtration(get_model("group_su2").model)
     assert page(fc, 2).dims() == {(0, 0): 1, (0, 3): 1}
-    _, r_stab = limit_page(fc)
-    assert r_stab == 2
+    assert Analysis(get_model("group_su2").model).stabilization == 2
 
 
 def test_page_recurrence_matches_homology_of_previous_page():
@@ -252,17 +253,18 @@ def su2_pair_model(basic_degrees):
 
 def test_every_page_cell_matches_the_seed_quotient_and_dense_d():
     """Cards, S^3..S^25 and su(2) + su(2) over the 2-torus, every cell of
-    pages 0 .. stabilization + 1, against the full divisor of the old engine."""
+    pages 0 .. E_infinity and of one page past it, against the full divisor
+    of the old engine."""
     cells = 0
     models = [get_model(name).model for name in MODEL_NAMES]
     models += [sphere_model(k) for k in range(1, 13)]
     models.append(su2_pair_model((0, 1, 1, 2)))
     for model in models:
         fc = cartan_filtration(model)
-        _, r_stab = limit_page(fc)
-        pages = iter_pages(fc)
-        for r in range(r_stab + 2):
-            pg = next(pages)
+        pages = list(iter_pages(fc))
+        pages.append(page(fc, len(pages)))
+        for pg in pages:
+            r = pg.r
             for (p, q), cell in pg.cells.items():
                 divisor = oracle_divisor(fc, r, p, p + q, {})
                 reps, proj = seed_quotient_map(cell.z_space, divisor)
@@ -284,15 +286,17 @@ def oracle_test_models():
 
 
 def test_window_pages_match_the_full_triangle_oracle():
-    """Every page up to stabilization + 1: same dims and d_r ranks as the old
-    engine, the same cells where it is built, and zero where a cell is skipped."""
+    """Every page up to E_infinity and one past it: same dims and d_r ranks as
+    the old engine, the same cells where it is built, and zero where a cell is
+    skipped."""
     skipped = 0
     for model in oracle_test_models():
         fc = cartan_filtration(model)
-        _, r_stab = limit_page(fc)
-        pages, cache = iter_pages(fc), {}
-        for r in range(r_stab + 2):
-            pg, want = next(pages), oracle_page(fc, r, cache)
+        pages, cache = list(iter_pages(fc)), {}
+        pages.append(page(fc, len(pages)))
+        for pg in pages:
+            r = pg.r
+            want = oracle_page(fc, r, cache)
             assert pg.dims() == want.dims(), (model.name, r)
             assert pg.dr_ranks() == want.dr_ranks(), (model.name, r)
             for pq, cell in want.cells.items():
@@ -309,25 +313,52 @@ def test_window_pages_match_the_full_triangle_oracle():
 
 
 def test_iter_pages_equals_pages_built_alone():
-    for model in (get_model("hopf").model, sphere_model(2), get_model("trivial_product").model):
+    for model, last in ((get_model("hopf").model, 3), (sphere_model(2), 3),
+                        (get_model("trivial_product").model, 2)):
         fc = cartan_filtration(model)
-        pages = iter_pages(fc)
-        for r in range(fc.max_degree + 3):
-            assert next(pages) == page(fc, r), (model.name, r)
+        pages = list(iter_pages(fc))
+        assert pages == [page(fc, r) for r in range(last + 1)], model.name
+        # the last page is E_infinity: the next one has the same cells
+        assert page(fc, last + 1).dims() == pages[-1].dims()
 
 
-def test_limit_page_consumes_a_given_page_iterator():
-    fc = cartan_filtration(get_model("hopf").model)
-    seen = []
+def brute_force_test_models():
+    rng = random.Random(20261020)
+    models = [get_model(name).model for name in MODEL_NAMES]
+    models += [sphere_model(k) for k in range(1, 7)]
+    models += [random_trivial_product(rng, tag=f"b{i}").model for i in range(20)]
+    models.append(load_model_file(str(SAMPLES / "torus_d3.json")))
+    return models
 
-    def watched(pages):
-        for pg in pages:
-            seen.append(pg.r)
-            yield pg
 
-    stable, r_stab = limit_page(fc, watched(iter_pages(fc)))
-    assert r_stab == 3 and stable == page(fc, 3)
-    assert seen == [0, 1, 2, 3, 4]
+def test_stabilization_and_e_infinity_against_every_page_to_the_bound():
+    """Walk page(fc, r) for r = 2 .. max_degree + 2 with no stopping rule:
+    stabilization is one past the last nonzero d_r and E_infinity is the
+    last walked page."""
+    for model in brute_force_test_models():
+        fc = cartan_filtration(model)
+        cache: dict = {}
+        walked = [page(fc, r, cache) for r in range(2, fc.max_degree + 3)]
+        last_d = max((pg.r for pg in walked if not pg.dr_is_zero()), default=1)
+        an = Analysis(model)
+        assert an.stabilization == last_d + 1, model.name
+        assert an.stable.dims() == walked[-1].dims(), model.name
+
+
+def test_d3_model_reaches_e_infinity_at_page_four(capsys):
+    """d_2 = 0 but d_3 has rank 1 at (0,2), so E_2 is not yet E_infinity."""
+    path = str(SAMPLES / "torus_d3.json")
+    assert main(["pages", path]) == 0
+    table = capsys.readouterr().out
+    assert "stabilization: r = 4" in table and "abutment: ok" in table
+    an = Analysis(load_model_file(path))
+    assert an.valid
+    assert an.page2.dr_is_zero()
+    assert [s.d_ranks for s in an.pages[2:]] == [{}, {(0, 2): 1}, {}]
+    assert an.stabilization == 4 and an.stable.r == 4
+    assert an.stable.dims() == {(0, 0): 1, (0, 1): 2, (3, 1): 2, (3, 2): 1}
+    assert an.total_cohomology == (1, 2, 0, 0, 2, 1)
+    assert an.abutment.passed
 
 
 def test_filtration_stores_prefix_lengths():
