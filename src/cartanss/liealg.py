@@ -42,7 +42,8 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, permutations, product
+from itertools import combinations, permutations
+from math import comb
 
 from .qlinalg import Matrix, Subspace, as_q, graded_cohomology, kernel_basis
 from .reports import CheckResult, ValidationReport
@@ -478,8 +479,13 @@ class LieCohomology:
     reps: tuple[tuple[ChiElement, ...], ...]
 
 
+def delta_is_zero(L: LieData, q: int) -> bool:
+    """Whether delta is zero on Lambda^q, read from the sparse delta table."""
+    return not any(delta_terms(L, I) for I in multi_indices(L.n, q))
+
+
 def ce_cohomology(L: LieData):
-    """graded_cohomology of (Lambda g*, delta): per degree q = 0..n, (ker, im, reps, proj).
+    """graded_cohomology of (Lambda g*, delta): per degree q = 0..n, (ker, im, quotient).
 
     Each delta matrix is built once, as a kernel and then as the next
     degree's image; degrees are produced lazily.
@@ -495,9 +501,9 @@ def lie_cohomology(L: LieData) -> LieCohomology:
     """
     dims: list[int] = []
     reps: list[tuple[ChiElement, ...]] = []
-    for q, (_, _, rep_rows, _) in enumerate(ce_cohomology(L)):
-        dims.append(rep_rows.rows)
-        reps.append(tuple(chi_from_vector(r, L.n, q) for r in rep_rows.data))
+    for q, (_, _, quot) in enumerate(ce_cohomology(L)):
+        dims.append(quot.dim)
+        reps.append(tuple(chi_from_vector(r, L.n, q) for r in quot.reps.data))
     return LieCohomology(tuple(dims), tuple(reps))
 
 
@@ -506,7 +512,11 @@ def invariant_subcomplex(L: LieData) -> tuple[Subspace, ...]:
 
     A degree whose coadjoint columns are all empty (degree 0 always, every
     degree of an abelian algebra) is all of Lambda^q, with no elimination.
+    When coadjoint is zero on every generator, which the generator table
+    tells in O(n^2), it is zero in every degree and no column is built.
     """
+    if not any(any(row) for row in L.coadjoint_gens):
+        return tuple(Subspace.full(comb(L.n, q)) for q in range(L.n + 1))
     out = []
     for q in range(L.n + 1):
         stacks = [_coadjoint_columns(L, ell, q) for ell in range(1, L.n + 1)]
@@ -530,21 +540,38 @@ def first_delta_squared_failure(L: LieData) -> MultiIndex | None:
     return None
 
 
-def _first_jacobi_failure(L: LieData) -> tuple | None:
-    """(a, b, e, k, s) for the lexicographically first nonzero cyclic sum s.
-
-    The cyclic sum at (a, b, e, k) is
-        sum_m c[a][b][m] c[m][e][k] + c[b][e][m] c[m][a][k] + c[e][a][m] c[m][b][k];
-    each product pairs a nonzero c[x][y][m] with a nonzero c[m][z][k], so
-    only products of nonzero entries are formed.
-    """
-    nonzero = [
+def _nonzero_constants(L: LieData) -> list[tuple[int, int, int, Fraction]]:
+    """(a, b, k, c[a][b][k]) with 1-based indices for every nonzero constant."""
+    return [
         (x + 1, y + 1, m + 1, v)
         for x, plane in enumerate(L.c)
         for y, row in enumerate(plane)
         for m, v in enumerate(row)
         if v
     ]
+
+
+def _first_antisymmetry_failure(L: LieData, nonzero, swap) -> tuple[int, int, int] | None:
+    """The lexicographically first (a, b, k) with c at it != -c at swap(a, b, k).
+
+    swap is an index involution, so the test holds wherever c vanishes at
+    both triples: only the nonzero constants and their swapped positions can
+    fail.
+    """
+    c = L.bracket_coeff
+    candidates = {t for a, b, k, _ in nonzero for t in ((a, b, k), swap(a, b, k))}
+    return min((t for t in candidates if c(*t) != -c(*swap(*t))), default=None)
+
+
+def _first_jacobi_failure(nonzero) -> tuple | None:
+    """(a, b, e, k, s) for the lexicographically first nonzero cyclic sum s.
+
+    The cyclic sum at (a, b, e, k) is
+        sum_m c[a][b][m] c[m][e][k] + c[b][e][m] c[m][a][k] + c[e][a][m] c[m][b][k];
+    each product pairs a nonzero c[x][y][m] with a nonzero c[m][z][k], so
+    only products of nonzero entries are formed; nonzero is
+    _nonzero_constants of the algebra.
+    """
     by_first: dict[int, list] = {}
     for x, y, m, v in nonzero:
         by_first.setdefault(x, []).append((y, m, v))
@@ -562,21 +589,20 @@ def _first_jacobi_failure(L: LieData) -> tuple | None:
 
 def validate_lie(L: LieData) -> ValidationReport:
     """Check bracket antisymmetry, full antisymmetry, Jacobi, and delta^2 = 0."""
-    c = L.bracket_coeff
+    nonzero = _nonzero_constants(L)
     # the same sign test at two index swaps: (a,b,k) -> (b,a,k) and -> (a,k,b)
     antisymmetries = (
-        ("bracket antisymmetry", lambda a, b, k: c(b, a, k),
+        ("bracket antisymmetry", lambda a, b, k: (b, a, k),
          "c[{1}][{0}][{2}] != -c[{0}][{1}][{2}]"),
-        ("full antisymmetry", lambda a, b, k: c(a, k, b),
+        ("full antisymmetry", lambda a, b, k: (a, k, b),
          "c[{0}][{2}][{1}] != -c[{0}][{1}][{2}] (structure constants are not ad-invariant)"),
     )
     checks = []
-    for name, swapped, detail in antisymmetries:
-        triples = product(range(1, L.n + 1), repeat=3)
-        bad = next((t for t in triples if c(*t) != -swapped(*t)), None)
+    for name, swap, detail in antisymmetries:
+        bad = _first_antisymmetry_failure(L, nonzero, swap)
         checks.append(CheckResult(name, bad is None, "" if bad is None else detail.format(*bad)))
 
-    jac = _first_jacobi_failure(L)
+    jac = _first_jacobi_failure(nonzero)
     checks.append(
         CheckResult(
             "jacobi identity",

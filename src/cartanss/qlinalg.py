@@ -21,19 +21,25 @@ reversed, the kernel vectors solved from that form are already the reduced
 echelon basis of the kernel.
 
 The matrices of the spectral sequence are mostly zero, so the hot paths skip
-zeros: `Matrix.apply` and `Subspace.contains_vector` visit only the nonzero
-entries of the vector, a Subspace keeps a sparse copy of its echelon rows
-(a kernel is born with it), and `sparse_columns` with `apply_columns` or
-`apply_sparse` apply a map from the nonzero entries of its columns.
-Elimination against an echelon visits only the rows whose pivots it meets.
-`quotient_map` builds v/w in one pass of a sparse echelon over w's rows and
-then v's, with no row reduction per representative; given a coordinate
-window it reads only the window's columns, which divides v also by its part
-that vanishes there.  `graded_cohomology` takes a zero map's kernel and
+zeros: a Subspace keeps a sparse copy of its echelon rows (a kernel or a
+full space is born with it), `sparse_columns` with `apply_sparse` applies a
+map from the nonzero entries of its columns, and elimination against an
+echelon visits only the rows whose pivots it meets.  `quotient_map` builds
+v/w in one pass of a sparse echelon over w's rows and then v's, with no row
+reduction per representative; given a coordinate window it reads only the
+window's columns, which divides v also by its part that vanishes there.
+Its `Quotient` keeps the projection sparse, as the class of each of v's
+pivots, and `Quotient.class_of` reads the class of a sparse vector in one
+elimination through v's echelon, whose residual is also the check that the
+vector lies in v; the dense `proj` matrix is built only where it is read.
+`sparse_rank` counts the rank of sparse vectors by the forward pass of the
+integer core alone.  `graded_cohomology` takes a zero map's kernel and
 image without any elimination; `cohomology_dims` counts the same
-dimensions from ranks alone.  Preimages, sums and intersections of
-subspaces are not needed by the engine; `tests/oracles.py` keeps them, by
-dense elimination, as the definitions the tests check it against.
+dimensions from ranks alone.  `Matrix.apply` and `Subspace.contains_vector`
+are the dense counterparts, for vectors given as coordinate tuples.
+Preimages, sums and intersections of subspaces are not needed by the
+engine; `tests/oracles.py` keeps them, by dense elimination, as the
+definitions the tests check it against.
 """
 
 from __future__ import annotations
@@ -77,22 +83,12 @@ def sparse_columns(m: "Matrix") -> SparseColumns:
     )
 
 
-def apply_columns(cols: SparseColumns, rows: int, vec) -> tuple[Fraction, ...]:
-    """m @ vec for m given by sparse_columns(m) and its row count.
-
-    Only columns that have a nonzero entry are visited, and only where vec is
-    nonzero, so a zero map costs one pass over its empty columns.
-    """
-    out = [_ZERO] * rows
-    for col, x in zip(cols, vec):
-        if col and x:
-            for i, a in col:
-                out[i] += a * x
-    return tuple(out)
-
-
 def apply_sparse(cols: SparseColumns, x: dict[int, Fraction]) -> dict[int, Fraction]:
-    """m @ x for m given by sparse_columns(m) and x by its nonzero entries, likewise."""
+    """m @ x for m given by sparse_columns(m) and x by its nonzero entries.
+
+    Only the columns where x is nonzero are visited; the result keeps only
+    its nonzero entries.
+    """
     out: dict[int, Fraction] = {}
     for j, a in x.items():
         for i, c in cols[j]:
@@ -140,16 +136,13 @@ def _combine(x: dict[int, int], row: dict[int, int], col: int) -> dict[int, int]
     return x
 
 
-def _echelon(rows: list[dict[int, int]]) -> list[tuple[int, dict[int, int]]]:
-    """Fraction-free reduced echelon form of integer rows, as (pivot, row) by pivot.
+def _triangular(rows: list[dict[int, int]]) -> dict[int, dict[int, int]]:
+    """Fraction-free echelon form of integer rows, as {pivot: row}, not yet reduced.
 
     Rows enter one at a time.  While a row's leading column is another row's
     pivot, that entry is cancelled by an integer combination of the two, so
     no entry ever leaves Z; a row that survives is made primitive and keeps
-    its leading column as its pivot.  Then every entry at another row's
-    pivot is cancelled the same way, later pivots first, which leaves each
-    row a multiple of its row in the RREF: dividing by the entry at the
-    pivot gives it.
+    its leading column as its pivot.  The number of pivots is the rank.
     """
     echelon: dict[int, dict[int, int]] = {}
     for x in rows:
@@ -161,6 +154,17 @@ def _echelon(rows: list[dict[int, int]]) -> list[tuple[int, dict[int, int]]]:
             pivot = min(x)
         else:
             echelon[pivot] = _primitive(x)
+    return echelon
+
+
+def _echelon(rows: list[dict[int, int]]) -> list[tuple[int, dict[int, int]]]:
+    """Fraction-free reduced echelon form of integer rows, as (pivot, row) by pivot.
+
+    After `_triangular`, every entry at another row's pivot is cancelled the
+    same way, later pivots first, which leaves each row a multiple of its
+    row in the RREF: dividing by the entry at the pivot gives it.
+    """
+    echelon = _triangular(rows)
     pivots = sorted(echelon)
     for pivot in reversed(pivots):
         x = echelon[pivot]
@@ -172,6 +176,17 @@ def _echelon(rows: list[dict[int, int]]) -> list[tuple[int, dict[int, int]]]:
                 x = _combine(x, echelon[j], j)
             echelon[pivot] = _primitive(x)
     return [(pivot, echelon[pivot]) for pivot in pivots]
+
+
+def sparse_rank(vectors) -> int:
+    """Rank of vectors given sparse, as {column: value}.
+
+    One forward pass of the integer core, with no dense row and no back
+    reduction; zero entries and zero vectors count for nothing.
+    """
+    rows = [entries for entries in ([(j, a) for j, a in x.items() if a] for x in vectors)
+            if entries]
+    return len(_triangular(_integer_rows(rows))) if rows else 0
 
 
 @dataclass(frozen=True, slots=True)
@@ -205,6 +220,15 @@ class Matrix:
             tuple(tuple(_ONE if i == j else _ZERO for j in range(n)) for i in range(n)),
             n,
         )
+
+    @classmethod
+    def from_columns(cls, columns, rows: int) -> "Matrix":
+        """The rows x len(columns) matrix whose j-th column is columns[j], as {row: value}."""
+        data = [[_ZERO] * len(columns) for _ in range(rows)]
+        for j, col in enumerate(columns):
+            for i, a in col.items():
+                data[i][j] = a
+        return cls(tuple(map(tuple, data)), len(columns))
 
     @staticmethod
     def vstack(*mats: "Matrix") -> "Matrix":
@@ -379,6 +403,10 @@ class Subspace:
             object.__setattr__(self, "_echelon", ech)
         return ech
 
+    def sparse_row(self, pivot: int) -> dict[int, Fraction]:
+        """The basis row with this pivot, as {column: value}."""
+        return {pivot: _ONE, **self.echelon()[pivot]}
+
     @classmethod
     def from_echelon(cls, ambient_dim: int, echelon: dict[int, dict[int, Fraction]]) -> "Subspace":
         """The subspace whose RREF rows are given in sparse form, as echelon() returns them."""
@@ -404,7 +432,7 @@ class Subspace:
 
     @classmethod
     def full(cls, ambient_dim: int) -> "Subspace":
-        return cls(ambient_dim, Matrix.identity(ambient_dim))
+        return cls.from_echelon(ambient_dim, {i: {} for i in range(ambient_dim)})
 
     @property
     def dim(self) -> int:
@@ -495,23 +523,81 @@ def _eliminate(
     return used
 
 
-def quotient_map(v: Subspace, w, window: tuple[int, int] | None = None) -> tuple[Matrix, Matrix]:
+@dataclass(frozen=True, slots=True)
+class Quotient:
+    """v/w as quotient_map presents it: representatives and a sparse projection.
+
+    reps are k rows of v that represent a basis of v/w, and pivots[i] is the
+    pivot of reps[i] in v's echelon.  classes maps each pivot of v to the
+    class of its basis row, {i: a} for the nonzero coordinates along reps.
+    Any x in v is the sum of x[pivot] times v's basis rows, so its class is
+    those classes weighted by x at v's pivots: `class_of` reads it from x's
+    nonzero entries, and `proj` is the same map as a dense k x ambient
+    matrix, built on first use.  Unpacking gives (reps, proj).
+    """
+
+    space: Subspace
+    reps: Matrix
+    pivots: tuple[int, ...]
+    classes: dict[int, dict[int, Fraction]]
+    _proj: Matrix | None = field(default=None, init=False, repr=False, compare=False)
+
+    @property
+    def dim(self) -> int:
+        return self.reps.rows
+
+    @property
+    def proj(self) -> Matrix:
+        proj = self._proj
+        if proj is None:
+            d = self.space.ambient_dim
+            rows = [[_ZERO] * d for _ in range(self.dim)]
+            for pivot, cls in self.classes.items():
+                for i, a in cls.items():
+                    rows[i][pivot] = a
+            proj = Matrix(tuple(tuple(row) for row in rows), d)
+            object.__setattr__(self, "_proj", proj)
+        return proj
+
+    def __iter__(self):
+        return iter((self.reps, self.proj))
+
+    def class_of(self, x: dict[int, Fraction]) -> dict[int, Fraction] | None:
+        """The class of x, given as {column: value}, or None when x is not in v.
+
+        One `_eliminate` pass through v's echelon: a nonzero residual means x
+        is not in v, and otherwise the multipliers, which are x at v's
+        pivots, weigh the classes of those pivots.  x is used up.
+        """
+        used = _eliminate(x, self.space.echelon())
+        if any(x.values()):
+            return None
+        acc: dict[int, Fraction] = {}
+        classes = self.classes
+        for pivot, c in used:
+            for i, a in classes[pivot].items():
+                y = acc.get(i)
+                acc[i] = c * a if y is None else y + c * a
+        return {i: a for i, a in acc.items() if a}
+
+
+def quotient_map(v: Subspace, w, window: tuple[int, int] | None = None) -> Quotient:
     """Coset representatives and coordinate projection for v/w.
 
-    Returns (reps, proj): reps has k = dim v - dim w rows which represent a
-    basis of v/w, and proj is a k x ambient matrix such that for any x in v
-    the quotient coordinates of [x] are proj @ x.  In particular
-    proj @ x = 0 iff x in w, and proj @ reps[i] = e_i.
+    The result unpacks as (reps, proj): reps has k = dim v - dim w rows which
+    represent a basis of v/w, and proj is a k x ambient matrix such that for
+    any x in v the quotient coordinates of [x] are proj @ x.  In particular
+    proj @ x = 0 iff x in w, and proj @ reps[i] = e_i.  The Quotient also
+    keeps proj sparse, as the class of each of v's pivots, and reads the
+    class of a sparse vector with `class_of`.
 
     One pass: w's rows, then v's basis rows in order, go into one sparse
     echelon whose rows carry their class modulo w as coordinates along the
     representatives.  A row of v that the echelon does not reduce to zero is
     the next representative (the first k rows of v independent modulo w);
-    one that it does reduce has its class read off the multipliers.  Since
-    x in v is the sum of x[pivot] times v's basis rows, proj @ x weighs those
-    classes by x at v's pivot columns.  The echelon also counts dim(v + w),
-    which equals dim v exactly when w lies in v; that is the containment
-    check, and a failing one raises ValueError.
+    one that it does reduce has its class read off the multipliers.  The
+    echelon also counts dim(v + w), which equals dim v exactly when w lies
+    in v; that is the containment check, and a failing one raises ValueError.
 
     With window = (lo, hi), w is a list of vectors, each given by its
     nonzero entries as {column: value}, and the quotient is
@@ -553,7 +639,8 @@ def quotient_map(v: Subspace, w, window: tuple[int, int] | None = None) -> tuple
                 insert(x, {})
     wdim = len(rows)
     reps = []
-    classes = []  # class of each basis row of v
+    pivots = []
+    classes = {}  # class of each basis row of v, by its pivot
     for (vpivot, vtail), vrow in zip(v.echelon().items(), v.basis.data):
         x = {j: a for j, a in ((vpivot, _ONE), *vtail.items()) if lo <= j < hi}
         acc: dict[int, Fraction] = {}
@@ -562,47 +649,48 @@ def quotient_map(v: Subspace, w, window: tuple[int, int] | None = None) -> tuple
                 acc[i] = acc.get(i, _ZERO) + c * t
         residual = {j: a for j, a in x.items() if a}
         if not residual:
-            classes.append(acc)
+            classes[vpivot] = {i: a for i, a in acc.items() if a}
             continue
         # residual = vrow - (rows subtracted), so its class is e_i - acc
         i = len(reps)
         reps.append(vrow)
-        classes.append({i: _ONE})
+        pivots.append(vpivot)
+        classes[vpivot] = {i: _ONE}
         acc = {j: -a for j, a in acc.items()}
         acc[i] = _ONE
         insert(residual, acc)
-    k = len(reps)
-    if window is None and k != v.dim - wdim:
+    if window is None and len(reps) != v.dim - wdim:
         raise ValueError("quotient undefined: denominator is not contained in numerator")
-    if k == 0:
-        return Matrix((), d), Matrix((), d)
-    proj = [[_ZERO] * d for _ in range(k)]
-    for vpivot, cls in zip(v.echelon(), classes):
-        for i, a in cls.items():
-            if a:
-                proj[i][vpivot] = a
-    return Matrix(tuple(reps), d), Matrix(tuple(tuple(row) for row in proj), d)
+    return Quotient(v, Matrix(tuple(reps), d), tuple(pivots), classes)
+
+
+def cohomology_at(
+    here: Matrix | None, below: Matrix | None, cols: int
+) -> tuple[Subspace, Subspace, Quotient]:
+    """(ker d_q, im d_(q-1), ker / im) on Q^cols, with None for a zero map.
+
+    A zero d_q has the whole space as kernel and a zero d_(q-1) the zero
+    space as image, with no elimination.
+    """
+    ker = Subspace.full(cols) if here is None else kernel_basis(here)
+    img = Subspace.zero(cols) if below is None else image(below)
+    return ker, img, quotient_map(ker, img)
 
 
 def graded_cohomology(maps):
     """Cohomology of a cochain complex given by its differentials d_0, d_1, ...
 
-    Per degree q, in order, yields (ker d_q, im d_{q-1}, reps, proj) with
-    (reps, proj) = quotient_map(ker, im), so reps represent a basis of H^q.
+    Per degree q, in order, yields cohomology_at: (ker d_q, im d_{q-1},
+    quotient_map(ker, im)), whose reps represent a basis of H^q.
     maps may be lazy: each d_q is read once, used as a kernel and kept as the
     next degree's image, and a consumer that stops early builds no more.
-    A map with no nonzero entry has the whole space as kernel and the zero
-    space as image, with no elimination.
     Raises ValueError where im d_{q-1} is not inside ker d_q (d^2 != 0).
     """
     below = None  # d_{q-1} when it has a nonzero entry
     for m in maps:
-        nonzero = not m.is_zero()
-        ker = kernel_basis(m) if nonzero else Subspace.full(m.cols)
-        img = Subspace.zero(m.cols) if below is None else image(below)
-        reps, proj = quotient_map(ker, img)
-        yield ker, img, reps, proj
-        below = m if nonzero else None
+        here = None if m.is_zero() else m
+        yield cohomology_at(here, below, m.cols)
+        below = here
 
 
 def cohomology_dims(maps) -> tuple[int, ...]:

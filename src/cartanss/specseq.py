@@ -31,7 +31,12 @@ rows of Z_r^p in C^m, the same ones the full quotient would choose.
 The differentials are very sparse (for a torus acting on itself d is zero),
 so each d^m is also kept by the nonzero entries of its columns: d Z_(r-1)
 and d_r are applied through that form, and a block of d with no nonzero
-entry has all of F^p as its kernel without an elimination.
+entry has all of F^p as its kernel without an elimination.  d_r applies d
+to each representative's sparse echelon row and reads the class of the
+image in the target cell by one elimination through the target's Z_r
+(qlinalg.Quotient.class_of), which is also the check that it lies in Z_r;
+no vector of C^m is built dense, and the rank of d_r comes from the same
+sparse columns.  A cell's dense proj matrix is built only when read.
 
 The filtration of the invariant-forms model is by chi-count complement:
 F^p C^m is spanned by monomials of horizontal degree >= p, which come first
@@ -52,23 +57,20 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .model import EquivariantModel, degree_basis, max_total_degree, total_matrix
 from .qlinalg import (
     Matrix,
+    Quotient,
     SparseColumns,
     Subspace,
-    apply_columns,
     apply_sparse,
     kernel_basis,
     quotient_map,
     sparse_columns,
+    sparse_rank,
 )
 from .reports import CertificateError
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -106,12 +108,6 @@ class FilteredComplex:
         if 0 <= m <= self.max_degree:
             return self.d[m]
         return Matrix.zero(self.ambient(m + 1), self.ambient(m))
-
-    def apply_d(self, m: int, vec) -> tuple[Fraction, ...]:
-        """d x for x in C^m, visiting only the nonzero entries of d and x."""
-        if 0 <= m <= self.max_degree:
-            return apply_columns(self.d_columns[m], self.ambient(m + 1), vec)
-        return (_ZERO,) * self.ambient(m + 1)
 
     def cut(self, p: int, m: int) -> int:
         """k(p, m) = dim F^p C^m, with F^p = C for p <= 0 and F^p = 0 deep enough."""
@@ -169,30 +165,45 @@ def cartan_filtration(model: EquivariantModel) -> FilteredComplex:
 
 @dataclass(frozen=True, slots=True)
 class PageCell:
-    """One spot E_r^{p,q} of the E_0 support: Z_r and the quotient presentation."""
+    """One spot E_r^{p,q} of the E_0 support: Z_r and the quotient presentation.
+
+    reps are coset representatives in C^(p+q) coordinates and proj gives the
+    quotient coordinates of any vector of z_space; proj is built on first
+    use, and `quotient.class_of` reads the same coordinates from a sparse
+    vector.
+    """
 
     p: int
     q: int
-    dim: int
-    reps: Matrix      # dim rows; coset representatives in C^(p+q) coordinates
-    proj: Matrix      # quotient coordinates of any vector of z_space
+    quotient: Quotient
     z_space: Subspace
+
+    dim = property(lambda self: self.quotient.dim)
+    reps = property(lambda self: self.quotient.reps)
+    proj = property(lambda self: self.quotient.proj)
 
 
 @dataclass(frozen=True)
 class SpectralPage:
+    """Page r: its cells, d_r per source cell, and the rank of each d_r.
+
+    ranks[pq] is the rank of dr[pq]; `page` counts it from the sparse
+    columns it builds dr from.
+    """
+
     r: int
     cells: dict[tuple[int, int], PageCell]
     dr: dict[tuple[int, int], Matrix]
+    ranks: dict[tuple[int, int], int] = field(compare=False)
 
     def dims(self) -> dict[tuple[int, int], int]:
         return {pq: c.dim for pq, c in self.cells.items() if c.dim}
 
     def dr_ranks(self) -> dict[tuple[int, int], int]:
-        return {pq: m.rank() for pq, m in self.dr.items()}
+        return dict(self.ranks)
 
     def dr_is_zero(self) -> bool:
-        return all(m.is_zero() for m in self.dr.values())
+        return not any(self.ranks.values())
 
 
 def _z_space(fc: FilteredComplex, r: int, p: int, m: int, cache: dict) -> Subspace:
@@ -228,8 +239,8 @@ def _boundaries(fc: FilteredComplex, r: int, p: int, m: int, cache: dict) -> lis
     if not 1 <= m <= fc.max_degree:
         return []
     cols = fc.d_columns[m - 1]
-    born = _z_space(fc, r - 1, p - r + 1, m - 1, cache).echelon()
-    images = (apply_sparse(cols, {pivot: _ONE, **tail}) for pivot, tail in born.items())
+    born = _z_space(fc, r - 1, p - r + 1, m - 1, cache)
+    images = (apply_sparse(cols, born.sparse_row(pivot)) for pivot in born.echelon())
     return [y for y in images if y]
 
 
@@ -244,6 +255,10 @@ def page(fc: FilteredComplex, r: int, _cache: dict | None = None) -> SpectralPag
     divisor, so quotient_map works on the window columns alone.  It still
     checks that d Z_(r-1)^(p-r+1) lies in Z_r^p, and the representatives
     are rows of Z_r^p in C^m.
+
+    d_r of a representative is d applied to its sparse echelon row, and its
+    class in the target cell is one class read: the elimination through the
+    target's Z_r that checks containment also gives the coordinates.
     """
     if r < 0:
         raise ValueError("page index must be >= 0")
@@ -258,27 +273,30 @@ def page(fc: FilteredComplex, r: int, _cache: dict | None = None) -> SpectralPag
                 continue
             z = _z_space(fc, r, p, m, cache)
             try:
-                reps, proj = quotient_map(z, _boundaries(fc, r, p, m, cache), window=(lo, hi))
+                quot = quotient_map(z, _boundaries(fc, r, p, m, cache), window=(lo, hi))
             except ValueError:
                 raise CertificateError(f"divisor escapes Z_{r}", (p, q), r) from None
-            cells[(p, q)] = PageCell(p, q, reps.rows, reps, proj, z)
+            cells[(p, q)] = PageCell(p, q, quot, z)
     dr: dict[tuple[int, int], Matrix] = {}
+    ranks: dict[tuple[int, int], int] = {}
     for (p, q), cell in cells.items():
         if cell.dim == 0:
             continue
         tgt = cells.get((p + r, q - r + 1))
         if tgt is None or tgt.dim == 0:
             dr[(p, q)] = Matrix.zero(0 if tgt is None else tgt.dim, cell.dim)
+            ranks[(p, q)] = 0
             continue
+        d_cols = fc.d_columns[p + q]
         cols = []
-        for rep in cell.reps.data:
-            y = fc.apply_d(p + q, rep)
-            if not tgt.z_space.contains_vector(y):
+        for pivot in cell.quotient.pivots:
+            y = tgt.quotient.class_of(apply_sparse(d_cols, cell.z_space.sparse_row(pivot)))
+            if y is None:
                 raise CertificateError("d of a representative escapes Z", (p, q), r)
-            cols.append(tgt.proj.apply(y))
-        data = [[cols[j][i] for j in range(len(cols))] for i in range(tgt.dim)]
-        dr[(p, q)] = Matrix.of(data, cols=cell.dim)
-    return SpectralPage(r, cells, dr)
+            cols.append(y)
+        dr[(p, q)] = Matrix.from_columns(cols, tgt.dim)
+        ranks[(p, q)] = sparse_rank(cols)
+    return SpectralPage(r, cells, dr, ranks)
 
 
 def iter_pages(fc: FilteredComplex) -> Iterator[SpectralPage]:
@@ -315,9 +333,8 @@ def homology_dims(pg: SpectralPage) -> dict[tuple[int, int], int]:
     for (p, q), cell in pg.cells.items():
         if cell.dim == 0:
             continue
-        out_rank = pg.dr[(p, q)].rank()
-        inc = pg.dr.get((p - pg.r, q + pg.r - 1))
-        in_rank = inc.rank() if inc is not None else 0
+        out_rank = pg.ranks[(p, q)]
+        in_rank = pg.ranks.get((p - pg.r, q + pg.r - 1), 0)
         h = cell.dim - out_rank - in_rank
         if h:
             out[(p, q)] = h

@@ -12,6 +12,15 @@ The invariant subcomplex realizes the algebra cohomology in each degree; this
 identification is itself re-derived here (invariants are closed, and project
 isomorphically onto cocycles-mod-coboundaries) rather than assumed.
 
+Both checks read classes sparse.  alpha (x) beta and each invariant are
+{coordinate: value} dicts, and one class read (qlinalg.Quotient.class_of)
+reduces each through the echelon of Z_2, or of the cocycles, which checks
+that it lies there and gives its class.  The ranks come from those sparse
+columns by qlinalg.sparse_rank; a dense frame matrix is built only for the
+transgression.  Where delta is zero into and out of degree q, H^q is
+Lambda^q with the identity projection, and the realization check there is
+a comparison of dimensions with no delta matrix.
+
 `Analysis(model)` is the whole report of one model, from validation to the
 transgression.  Each stage is computed once, on first use, from the stages
 it needs; the functions here take those stages as inputs.
@@ -20,12 +29,26 @@ it needs; the functions here take those stages as inputs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property
+from math import comb
 
-from .liealg import ce_cohomology, invariant_subcomplex, multi_indices, validate_lie
+from .liealg import (
+    LieData,
+    delta_is_zero,
+    delta_matrix,
+    invariant_subcomplex,
+    multi_indices,
+    validate_lie,
+)
 from .model import EquivariantModel, degree_basis, validate_model
-from .qlinalg import Matrix, cohomology_dims, graded_cohomology, inverse
+from .qlinalg import (
+    Matrix,
+    cohomology_at,
+    cohomology_dims,
+    graded_cohomology,
+    inverse,
+    sparse_rank,
+)
 from .reports import CertificateError, ValidationReport
 from .specseq import (
     AbutmentReport,
@@ -35,8 +58,6 @@ from .specseq import (
     cartan_filtration,
     iter_pages,
 )
-
-_ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -55,7 +76,7 @@ def basic_cohomology(model: EquivariantModel) -> GradedReps:
     """
     basic = model.basic
     maps = (basic.d_hor_matrix(p) for p in range(basic.max_degree + 1))
-    reps = tuple(rep_rows for _, _, rep_rows, _ in graded_cohomology(maps))
+    reps = tuple(quot.reps for _, _, quot in graded_cohomology(maps))
     return GradedReps(tuple(r.rows for r in reps), reps)
 
 
@@ -86,77 +107,99 @@ class E2Report:
         return next((c for c in self.cells if not c.ok), None)
 
 
-def _tensor_vector(model, alpha_row, gens_p, beta_terms, m):
-    """Coordinates of alpha (x) beta in total degree m; beta_terms lists (I, b), b != 0."""
-    _, pos = degree_basis(model, m)
-    vec = [_ZERO] * len(pos)
-    for g, a in zip(gens_p, alpha_row):
-        if not a:
-            continue
-        for I, b in beta_terms:
-            vec[pos[(g, I)]] = a * b
-    return tuple(vec)
+def _lie_realization_ok(lie: LieData, inv) -> bool:
+    """Invariants are closed and map isomorphically onto degree-q cohomology.
 
-
-def _lie_realization_ok(model, inv) -> bool:
-    """Invariants are closed and map isomorphically onto degree-q cohomology."""
-    for q, (ker, img, _, proj) in enumerate(ce_cohomology(model.lie)):
-        h_dim = ker.dim - img.dim
-        if inv[q].dim != h_dim:
-            return False
-        classes = []
-        for row in inv[q].basis.data:
-            if not ker.contains_vector(row):
+    Each invariant basis row is read sparse: one class read in ker / im
+    checks that it is closed and gives its class, and the classes must have
+    full rank.  Where delta is zero into and out of degree q, H^q is Lambda^q
+    with the identity projection, so the check is that the invariants are
+    all of Lambda^q, and no delta matrix is built there.
+    """
+    below = None  # delta_(q-1) when it has a nonzero entry
+    for q in range(lie.n + 1):
+        size = comb(lie.n, q)
+        here = None if delta_is_zero(lie, q) else delta_matrix(lie, q)
+        if here is None and below is None:
+            if inv[q].dim != size:
                 return False
-            classes.append(proj.apply(row))
-        if Matrix.of(classes, cols=h_dim).rank() != h_dim:
-            return False
+        else:
+            _, _, quot = cohomology_at(here, below, size)
+            if inv[q].dim != quot.dim:
+                return False
+            classes = [quot.class_of(inv[q].sparse_row(pivot)) for pivot in inv[q].echelon()]
+            if None in classes or sparse_rank(classes) != quot.dim:
+                return False
+        below = here
     return True
 
 
 @dataclass(frozen=True)
 class E2Frames:
-    """Page 2 with the tensor frames F(alpha (x) beta) of every cell."""
+    """Page 2 with the tensor frames F(alpha (x) beta) of every cell.
+
+    f_columns[(p, q)] holds F's columns at (p, q), one per pair alpha (x)
+    beta, each as {class index: value}; `f_matrix` makes the dense matrix.
+    """
 
     page2: SpectralPage
     cells: tuple[E2Cell, ...]
-    f_matrices: dict = field(compare=False)
+    f_columns: dict = field(compare=False)
     basic: GradedReps = field(compare=False)
     invariants: tuple = field(compare=False)
 
+    def f_matrix(self, pq: tuple[int, int]) -> Matrix | None:
+        """F at pq as an e2_dim x product_dim matrix, or None off the frames."""
+        cols = self.f_columns.get(pq)
+        if cols is None:
+            return None
+        cell = self.page2.cells.get(pq)
+        return Matrix.from_columns(cols, 0 if cell is None else cell.dim)
+
 
 def _e2_frames(model: EquivariantModel, pg2: SpectralPage) -> E2Frames:
-    """Frames of the comparison map on page 2 of model's spectral sequence."""
+    """Frames of the comparison map on page 2 of model's spectral sequence.
+
+    alpha (x) beta is built sparse, {position: a b}, from the nonzero
+    entries of alpha and beta's echelon row, and its class is one class
+    read in the cell, which also checks that it lies in Z_2.  f_rank is the
+    rank of those sparse columns.
+    """
     bc = basic_cohomology(model)
     inv = invariant_subcomplex(model.lie)
     n = model.lie.n
     cells = []
-    fmats = {}
-    betas = [
-        [[(I, b) for I, b in zip(multi_indices(n, q), row) if b] for row in inv[q].basis.data]
-        for q in range(n + 1)
-    ]
+    f_columns = {}
+    betas = []
+    for q in range(n + 1):
+        idx = multi_indices(n, q)
+        betas.append([[(idx[j], b) for j, b in inv[q].sparse_row(pivot).items()]
+                      for pivot in inv[q].echelon()])
     for p in range(len(bc.dims)):
         gens_p = model.basic.gens_of_degree(p)
+        alphas = [[(g, a) for g, a in zip(gens_p, row) if a] for row in bc.reps[p].data]
         for q in range(n + 1):
             # a spot outside the E_0 support has no cell: E_2 is zero there
             cell = pg2.cells.get((p, q))
-            e2_dim = 0 if cell is None else cell.dim
             prod = bc.dims[p] * inv[q].dim
-            cols = []
-            for alpha in bc.reps[p].data if cell is not None else ():
-                for beta_terms in betas[q]:
-                    vec = _tensor_vector(model, alpha, gens_p, beta_terms, p + q)
-                    if not cell.z_space.contains_vector(vec):
-                        raise CertificateError(
-                            "tensor representative not d-compatible", (p, q), 2
-                        )
-                    cols.append(cell.proj.apply(vec))
-            data = [[cols[j][i] for j in range(prod)] for i in range(e2_dim)]
-            fmat = Matrix.of(data, cols=prod)
-            cells.append(E2Cell(p, q, prod, e2_dim, fmat.rank()))
-            fmats[(p, q)] = fmat
-    return E2Frames(pg2, tuple(cells), fmats, bc, inv)
+            if cell is None:
+                cols = [{} for _ in range(prod)]
+            else:
+                _, pos = degree_basis(model, p + q)
+                cols = []
+                for alpha in alphas:
+                    for beta in betas[q]:
+                        y = cell.quotient.class_of(
+                            {pos[(g, I)]: a * b for g, a in alpha for I, b in beta})
+                        if y is None:
+                            raise CertificateError(
+                                "tensor representative not d-compatible", (p, q), 2
+                            )
+                        cols.append(y)
+            e2_dim = 0 if cell is None else cell.dim
+            cells.append(E2Cell(p, q, prod, e2_dim, sparse_rank(cols)))
+            f_columns[(p, q)] = cols
+    return E2Frames(pg2, tuple(cells), f_columns, bc, inv)
 
 
 def e2_tensor_check(model: EquivariantModel, frames: E2Frames) -> E2Report:
@@ -168,7 +211,7 @@ def e2_tensor_check(model: EquivariantModel, frames: E2Frames) -> E2Report:
     return E2Report(
         frames.cells,
         "isomorphism" if ok else "mismatch",
-        _lie_realization_ok(model, frames.invariants),
+        _lie_realization_ok(model.lie, frames.invariants),
     )
 
 
@@ -191,13 +234,11 @@ def d2_transgression(frames: E2Frames) -> dict[tuple[int, int], Matrix]:
             continue
         src = (cell.p, cell.q)
         tgt = (cell.p + 2, cell.q - 1)
-        d2 = frames.page2.dr[src]
-        t_src = frames.f_matrices[src]
-        t_tgt = frames.f_matrices.get(tgt)
+        t_tgt = frames.f_matrix(tgt)
         if t_tgt is None or t_tgt.rows == 0:
             out[src] = Matrix.zero(0, cell.product_dim)
             continue
-        out[src] = inverse(t_tgt) @ d2 @ t_src
+        out[src] = inverse(t_tgt) @ frames.page2.dr[src] @ frames.f_matrix(src)
     return out
 
 

@@ -36,6 +36,11 @@ Z_r / (d Z_{r-1}^{p-r+1} + Z_{r-1}^{p+1}) of full subspaces of C^m, the
 divisor by one row reduction of both parts stacked.  The engine's window
 quotients skip the empty spots and never form that divisor, so comparing
 the two checks the skip and the window identity at once.
+
+`dense_dr`, `dense_frames` and `dense_transgression` are the dense route the
+engine used before it read classes sparse: every d(rep) and every alpha (x)
+beta is a dense vector of C^m, tested with `Subspace.contains_vector` and
+projected with the dense `proj.apply`.
 """
 
 from __future__ import annotations
@@ -56,6 +61,7 @@ from cartanss.liealg import (
 from cartanss.model import (
     EquivariantModel,
     ModelElement,
+    degree_basis,
     d01,
     d10,
     d21,
@@ -353,7 +359,7 @@ def oracle_divisor(fc: FilteredComplex, r: int, p: int, m: int, cache: dict) -> 
     """d Z_{r-1}^{p-r+1} + Z_{r-1}^{p+1} in C^m, as the span of both bases."""
     born = _z_space(fc, r - 1, p - r + 1, m - 1, cache)
     other = _z_space(fc, r - 1, p + 1, m, cache)
-    rows = [y for y in (fc.apply_d(m - 1, row) for row in born.basis.data) if any(y)]
+    rows = [y for y in (fc.dmat(m - 1).apply(row) for row in born.basis.data) if any(y)]
     if not rows:
         return other
     rows.extend(other.basis.data)
@@ -384,6 +390,14 @@ def oracle_page(fc: FilteredComplex, r: int, cache: dict | None = None) -> Spect
             except ValueError:
                 raise CertificateError(f"divisor escapes Z_{r}", (p, m - p), r) from None
             cells[(p, m - p)] = OracleCell(p, m - p, reps.rows, reps, proj, z, divisor)
+    dr = dense_dr(fc, cells, r)
+    return SpectralPage(r, cells, dr, {pq: m.rank() for pq, m in dr.items()})
+
+
+def dense_dr(fc: FilteredComplex, cells: dict, r: int) -> dict:
+    """d_r per nonzero cell by the dense route: d of each representative as a
+    dense vector of C^(m+1), `contains_vector` in the target's Z_r and the
+    dense `proj.apply` for its class."""
     dr = {}
     for (p, q), cell in cells.items():
         if cell.dim == 0:
@@ -394,10 +408,56 @@ def oracle_page(fc: FilteredComplex, r: int, cache: dict | None = None) -> Spect
             continue
         cols = []
         for rep in cell.reps.data:
-            y = fc.apply_d(p + q, rep)
+            y = fc.dmat(p + q).apply(rep)
             if not tgt.z_space.contains_vector(y):
                 raise CertificateError("d of a representative escapes Z", (p, q), r)
             cols.append(tgt.proj.apply(y))
         dr[(p, q)] = Matrix.of([[col[i] for col in cols] for i in range(tgt.dim)],
                                cols=cell.dim)
-    return SpectralPage(r, cells, dr)
+    return dr
+
+
+def dense_tensor_vector(model: EquivariantModel, alpha_row, p: int, beta_row, q: int):
+    """alpha (x) beta as a dense vector of C^(p+q), alpha and beta as dense rows."""
+    _, pos = degree_basis(model, p + q)
+    vec = [Q(0)] * len(pos)
+    for g, a in zip(model.basic.gens_of_degree(p), alpha_row):
+        for I, b in zip(multi_indices(model.lie.n, q), beta_row):
+            if a and b:
+                vec[pos[(g, I)]] = a * b
+    return tuple(vec)
+
+
+def dense_frames(model: EquivariantModel, frames) -> dict:
+    """(p, q) -> the frame F by the dense route, from frames' own page 2,
+    basic cohomology and invariants: every alpha (x) beta from the dense
+    basis rows, `contains_vector` in Z_2 and `proj.apply`."""
+    out = {}
+    for cell in frames.cells:
+        pq = (cell.p, cell.q)
+        pc = frames.page2.cells.get(pq)
+        cols = []
+        for alpha in frames.basic.reps[cell.p].data if pc is not None else ():
+            for beta in frames.invariants[cell.q].basis.data:
+                vec = dense_tensor_vector(model, alpha, cell.p, beta, cell.q)
+                if not pc.z_space.contains_vector(vec):
+                    raise CertificateError("tensor representative not d-compatible", pq, 2)
+                cols.append(pc.proj.apply(vec))
+        out[pq] = Matrix.of([[col[i] for col in cols] for i in range(cell.e2_dim)],
+                            cols=cell.product_dim)
+    return out
+
+
+def dense_transgression(frames, dr: dict, fmats: dict) -> dict:
+    """inverse(F_target) @ d_2 @ F_source from dense d_2 and frames."""
+    out = {}
+    for cell in frames.cells:
+        if cell.product_dim == 0:
+            continue
+        src, tgt = (cell.p, cell.q), (cell.p + 2, cell.q - 1)
+        t_tgt = fmats.get(tgt)
+        if t_tgt is None or t_tgt.rows == 0:
+            out[src] = Matrix.zero(0, cell.product_dim)
+        else:
+            out[src] = inverse(t_tgt) @ dr[src] @ fmats[src]
+    return out

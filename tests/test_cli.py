@@ -39,6 +39,7 @@ from cartanss.model import (
     max_total_degree,
     size_error,
 )
+from cartanss import qlinalg, specseq, verify
 from cartanss.qlinalg import Matrix
 from cartanss.verify import Analysis
 
@@ -508,19 +509,28 @@ def test_analysis_of_an_invalid_model_raises_and_builds_no_filtration(monkeypatc
     assert (len(calls["cartan_filtration"]), len(calls["page"])) == (0, 0)
 
 
-def _rref_calls_inside(monkeypatch, function_name):
-    """Log, for every Matrix.rref call, whether function_name is on the call stack."""
+def _eliminations_inside(monkeypatch, function_name):
+    """Log, for every elimination, whether function_name is on the call stack.
+
+    The engine eliminates in three places: Matrix.rref, sparse_rank and the
+    class read Quotient.class_of, which reduces a vector through an echelon.
+    """
     log = []
-    rref = Matrix.rref
 
-    def logged_rref(self):
-        frame = sys._getframe(1)
-        while frame is not None and frame.f_code.co_name != function_name:
-            frame = frame.f_back
-        log.append(frame is not None)
-        return rref(self)
+    def logged(run):
+        def wrapper(*args):
+            frame = sys._getframe(1)
+            while frame is not None and frame.f_code.co_name != function_name:
+                frame = frame.f_back
+            log.append(frame is not None)
+            return run(*args)
+        return wrapper
 
-    monkeypatch.setattr(Matrix, "rref", logged_rref)
+    monkeypatch.setattr(Matrix, "rref", logged(Matrix.rref))
+    monkeypatch.setattr(qlinalg.Quotient, "class_of", logged(qlinalg.Quotient.class_of))
+    sparse_rank = logged(qlinalg.sparse_rank)
+    for module in (qlinalg, specseq, verify):
+        monkeypatch.setattr(module, "sparse_rank", sparse_rank)
     return log
 
 
@@ -530,14 +540,14 @@ def test_invariants_are_eliminated_only_where_coadjoint_is_nonzero(
         tmp_path, monkeypatch, capsys, spec, eliminates):
     path = str(tmp_path / "model.json")
     save_model_file(get_model(*spec).model, path)
-    rrefs = _rref_calls_inside(monkeypatch, "invariant_subcomplex")
+    eliminations = _eliminations_inside(monkeypatch, "invariant_subcomplex")
     calls = count_calls(monkeypatch, (("liealg", "invariant_subcomplex"),))
     assert main(["pages", path, "--format", "machine"]) == 0
     capsys.readouterr()
     assert len(calls["invariant_subcomplex"]) == 1
-    assert len(rrefs) > 20
+    assert len(eliminations) > 20
     # every coadjoint matrix of an abelian algebra is zero: Lambda^q is invariant
-    assert any(rrefs) is eliminates
+    assert any(eliminations) is eliminates
 
 
 @pytest.mark.parametrize("spec, eliminates", [(("group_torus", 4), False),
@@ -545,23 +555,25 @@ def test_invariants_are_eliminated_only_where_coadjoint_is_nonzero(
 def test_zero_differentials_are_not_eliminated(tmp_path, monkeypatch, capsys, spec, eliminates):
     path = str(tmp_path / "model.json")
     save_model_file(get_model(*spec).model, path)
-    rrefs = _rref_calls_inside(monkeypatch, "graded_cohomology")
+    # graded_cohomology and the Lie realization check take each degree's
+    # kernel and image through cohomology_at
+    eliminations = _eliminations_inside(monkeypatch, "cohomology_at")
     assert main(["pages", path, "--format", "machine"]) == 0
     capsys.readouterr()
-    assert len(rrefs) > 5
+    assert len(eliminations) > 5
     # every delta of an abelian algebra and d_hor of a point are zero maps
-    assert any(rrefs) is eliminates
+    assert any(eliminations) is eliminates
 
 
 def test_each_kernel_basis_runs_one_elimination(tmp_path, monkeypatch, capsys):
     path = str(tmp_path / "model.json")
     save_model_file(get_model("group_su2").model, path)
-    rrefs = _rref_calls_inside(monkeypatch, "kernel_basis")
+    eliminations = _eliminations_inside(monkeypatch, "kernel_basis")
     calls = count_calls(monkeypatch, (("qlinalg", "kernel_basis"),))
     assert main(["pages", path, "--format", "machine"]) == 0
     capsys.readouterr()
     assert len(calls["kernel_basis"]) >= 5
-    assert sum(rrefs) == len(calls["kernel_basis"])
+    assert sum(eliminations) == len(calls["kernel_basis"])
 
 
 FIXTURE_FAILURES = {

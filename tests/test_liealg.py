@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction as Q
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -327,6 +327,54 @@ def test_sparse_jacobi_check_matches_the_dense_loop():
         assert jac.passed == (jac.detail == "")
         failing += not jac.passed
     assert failing > 10
+
+
+def _dense_antisymmetry_details(L):
+    """Both antisymmetry checks as the plain scan over all n^3 triples, as
+    (passed, detail) pairs."""
+    c = L.bracket_coeff
+    triples = list(product(range(1, L.n + 1), repeat=3))
+    bracket = next((t for t in triples if c(*t) != -c(t[1], t[0], t[2])), None)
+    full = next((t for t in triples if c(*t) != -c(t[0], t[2], t[1])), None)
+    return [
+        (True, "") if bracket is None
+        else (False, "c[{1}][{0}][{2}] != -c[{0}][{1}][{2}]".format(*bracket)),
+        (True, "") if full is None
+        else (False, "c[{0}][{2}][{1}] != -c[{0}][{1}][{2}] "
+                     "(structure constants are not ad-invariant)".format(*full)),
+    ]
+
+
+def test_sparse_antisymmetry_checks_match_the_full_scan():
+    """Random broken data (verbatim and bracket-completed entries, and fully
+    antisymmetric ones, most with one slot changed), the invalid fixtures and
+    valid algebras."""
+    rng = random.Random(20261024)
+    algebras = [su2_lie(), heisenberg_lie(), rescaled_su2_lie(), mutated_jacobi_lie(),
+                LieData.abelian(3), direct_sum(su2_lie(), su2_lie())]
+    algebras += _random_algebras(rng, 60, 5)
+    for _ in range(60):
+        n = rng.randint(3, 5)
+        triples = [t for t in combinations(range(1, n + 1), 3)]
+        entries = {t: Q(rng.choice([1, -1, 2, -3]), rng.choice([1, 2]))
+                   for t in rng.sample(triples, rng.randint(1, min(4, len(triples))))}
+        if rng.random() < 0.5:
+            L = LieData.from_structure_constants(n, entries, completion="bracket")
+        else:
+            full = LieData.from_structure_constants(n, entries)
+            c = [[list(row) for row in plane] for plane in full.c]
+            if rng.random() < 0.7:
+                a, b, k = (rng.randrange(n) for _ in range(3))
+                c[a][b][k] += rng.choice([Q(1), Q(-1, 2)])
+            L = LieData(n, tuple(tuple(tuple(row) for row in plane) for plane in c))
+        algebras.append(L)
+    failing = [0, 0]
+    for L in algebras:
+        got = [(ch.passed, ch.detail) for ch in validate_lie(L).checks[:2]]
+        assert got == _dense_antisymmetry_details(L), L
+        failing[0] += not got[0][0]
+        failing[1] += not got[1][0]
+    assert min(failing) > 30 and len(algebras) - failing[1] >= 5, failing
 
 
 def _scanned_delta_gen(L, k):

@@ -6,12 +6,18 @@ import random
 from fractions import Fraction as Q
 
 import pytest
-from oracles import annihilator, preimage, seed_mismatches, seed_quotient_map, sum_and_intersect
+from oracles import (
+    annihilator,
+    preimage,
+    seed_mismatches,
+    seed_quotient_map,
+    seed_rref,
+    sum_and_intersect,
+)
 
 from cartanss.qlinalg import (
     Matrix,
     Subspace,
-    apply_columns,
     apply_sparse,
     as_q,
     image,
@@ -20,6 +26,7 @@ from cartanss.qlinalg import (
     quotient_map,
     rref,
     sparse_columns,
+    sparse_rank,
 )
 
 
@@ -309,7 +316,6 @@ def test_sparse_columns_apply_like_the_dense_matrix():
         for vec in sparse_rows(rng, 3, cols) + [[Q(0)] * cols]:
             dense = tuple(sum((a * x for a, x in zip(r, vec)), Q(0)) for r in m.data)
             assert m.apply(vec) == dense
-            assert apply_columns(sparse, rows, vec) == dense
             entries = {j: x for j, x in enumerate(vec) if x}
             assert apply_sparse(sparse, entries) == {i: x for i, x in enumerate(dense) if x}
 
@@ -360,3 +366,61 @@ def test_integer_elimination_matches_the_seed_rref_on_wild_matrices():
         seen["invertible"] += rows == cols > 1 and m.rank() == rows
     assert min(seen.values()) >= 8, seen
 
+
+
+def test_sparse_rank_matches_the_seed_rank_on_wild_matrices():
+    rng = random.Random(20261021)
+    deficient = 0
+    for i in range(300):
+        m = wild_matrix(rng, rng.randint(0, 7), rng.randint(0, 7))
+        want = len(seed_rref(m)[1])
+        rows = [{j: x for j, x in enumerate(row) if x} for row in m.data]
+        columns = [{i: row[j] for i, row in enumerate(m.data) if row[j]} for j in range(m.cols)]
+        assert sparse_rank(rows) == sparse_rank(columns) == want, m
+        # explicit zero entries count for nothing
+        assert sparse_rank([dict(enumerate(row)) for row in m.data]) == want, m
+        deficient += 0 < want < min(m.shape)
+    assert deficient >= 20
+    assert sparse_rank([]) == sparse_rank([{}, {3: Q(0)}]) == 0
+
+
+def test_class_read_matches_contains_vector_and_the_dense_proj():
+    """Quotient.class_of against Subspace.contains_vector and proj.apply, on
+    full and window quotients, for vectors inside v and vectors that escape it."""
+    rng = random.Random(20261022)
+    kinds = {"in v": 0, "escapes v": 0, "nonzero class": 0, "window": 0}
+    for i in range(300):
+        d = rng.randint(1, 8)
+        v = Subspace.from_rows(d, sparse_rows(rng, rng.randint(0, d), d))
+        w = span_inside(rng, v, rng.randint(0, v.dim))
+        if i % 2:
+            lo = rng.randint(0, d)
+            hi = rng.randint(lo, d)
+            w_sparse = [{j: x for j, x in enumerate(row) if x} for row in w.basis.data]
+            quot = quotient_map(v, w_sparse, window=(lo, hi))
+            kinds["window"] += 1
+        else:
+            quot = quotient_map(v, w)
+        reps, proj = quot
+        assert (quot.reps, quot.proj) == (reps, proj) and quot.dim == reps.rows
+        for row, pivot in zip(reps.data, quot.pivots):
+            assert min(j for j, x in enumerate(row) if x) == pivot
+        vectors = []
+        for _ in range(3):
+            combo = [Q(0)] * d
+            for row in v.basis.data:
+                c = rng.randint(-2, 2)
+                combo = [x + c * y for x, y in zip(combo, row)]
+            vectors.append(combo)
+        vectors += sparse_rows(rng, 2, d) + [list(r) for r in reps.data]
+        for vec in vectors:
+            got = quot.class_of({j: x for j, x in enumerate(vec) if x})
+            if not v.contains_vector(vec):
+                assert got is None, (v, vec)
+                kinds["escapes v"] += 1
+                continue
+            kinds["in v"] += 1
+            want = {i: x for i, x in enumerate(proj.apply(vec)) if x} if quot.dim else {}
+            assert got == want, (v, w, vec)
+            kinds["nonzero class"] += bool(got)
+    assert min(kinds.values()) >= 50, kinds

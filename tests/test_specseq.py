@@ -13,6 +13,7 @@ from oracles import (
     preimage,
     seed_mismatches,
     seed_quotient_map,
+    seed_rref,
     sum_and_intersect,
 )
 
@@ -20,7 +21,8 @@ from cartanss.cli import load_model_file, main, save_model_file
 from cartanss.library import MODEL_NAMES, get_model, random_trivial_product, su2_lie
 from cartanss.liealg import LieData
 from cartanss.model import BasicComplex, EquivariantModel, monomial_basis
-from cartanss.qlinalg import Matrix, Subspace, image
+from cartanss import specseq, verify
+from cartanss.qlinalg import Matrix, Subspace, apply_sparse, image, sparse_rank
 from cartanss.reports import CertificateError
 from cartanss.specseq import (
     FilteredComplex,
@@ -271,7 +273,8 @@ def test_every_page_cell_matches_the_seed_quotient_and_dense_d():
                 assert (cell.reps, cell.proj) == (reps, proj), (model.name, r, p, q)
                 dense = fc.dmat(p + q)
                 for row in cell.z_space.basis.data + divisor.basis.data:
-                    assert fc.apply_d(p + q, row) == dense.apply(row)
+                    y = apply_sparse(fc.d_columns[p + q], {j: a for j, a in enumerate(row) if a})
+                    assert y == {i: a for i, a in enumerate(dense.apply(row)) if a}
                 cells += 1
     assert cells > 300
 
@@ -390,15 +393,29 @@ def test_a_broken_divisor_is_a_typed_error_naming_cell_and_page():
 def test_every_matrix_reduced_by_pages_matches_the_seed_rref(tmp_path, monkeypatch, capsys):
     """Cards, S^3..S^25 and su(2) + su(2) over a circle (128 monomials) and
     over the 2-torus (256): each distinct matrix `pages` reduces, against
-    the seed code."""
+    the seed code.  A sparse_rank call reduces the matrix whose rows are its
+    vectors; its rank is checked against the seed's."""
     seen = {}
+    ranked = {}
+    rank_calls = [0]
     original = Matrix.rref
 
     def captured(self):
         seen[self] = seen.get(self, 0) + 1
         return original(self)
 
+    def captured_rank(vectors):
+        vectors = list(vectors)
+        width = 1 + max((j for x in vectors for j in x), default=0)
+        m = Matrix.of([[x.get(j, 0) for j in range(width)] for x in vectors], cols=width)
+        got = sparse_rank(vectors)
+        rank_calls[0] += 1
+        ranked[m] = got
+        return got
+
     monkeypatch.setattr(Matrix, "rref", captured)
+    for module in (specseq, verify):
+        monkeypatch.setattr(module, "sparse_rank", captured_rank)
     models = [get_model(name).model for name in MODEL_NAMES]
     models += [sphere_model(k) for k in range(1, 13)]
     models += [su2_pair_model((0, 1)), su2_pair_model((0, 1, 1, 2))]
@@ -407,8 +424,12 @@ def test_every_matrix_reduced_by_pages_matches_the_seed_rref(tmp_path, monkeypat
         save_model_file(model, path)
         assert main(["pages", path, "--format", "machine"]) == 0, model.name
     capsys.readouterr()
-    monkeypatch.setattr(Matrix, "rref", original)
-    assert sum(seen.values()) > 700 and len(seen) > 80
+    monkeypatch.undo()
+    # the ranks of d_r and of the frames moved from rref to sparse_rank
+    assert sum(seen.values()) + rank_calls[0] > 700 and len(seen) > 80
     assert max(m.rows * m.cols for m in seen) >= 2000
     for m in seen:
         assert seed_mismatches(m) == [], m
+    assert len(ranked) > 20
+    for m, rank in ranked.items():
+        assert len(seed_rref(m)[1]) == rank, m

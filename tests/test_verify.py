@@ -181,8 +181,8 @@ def test_transgression_change_of_basis_identity():
         trans = an.transgression
         for (p, q), t in trans.items():
             d2 = frames.page2.dr[(p, q)]
-            t_src = frames.f_matrices[(p, q)]
-            t_tgt = frames.f_matrices.get((p + 2, q - 1))
+            t_src = frames.f_matrix((p, q))
+            t_tgt = frames.f_matrix((p + 2, q - 1))
             if t_tgt is None or t_tgt.rows == 0:
                 assert t.rows == 0
                 assert (d2 @ t_src).is_zero()
@@ -203,7 +203,7 @@ def test_tensor_frames_have_full_rank():
     for cell in frames.cells:
         if cell.product_dim == 0:
             continue
-        f = frames.f_matrices[(cell.p, cell.q)]
+        f = frames.f_matrix((cell.p, cell.q))
         # frame columns are independent exactly when the check holds
         assert f.rank() == cell.product_dim == cell.e2_dim
 
@@ -225,7 +225,8 @@ def test_a_page_missing_a_cell_fails_the_tensor_check_by_rank():
     model = get_model("trivial_product").model
     pg2 = page(cartan_filtration(model), 2)
     assert pg2.cells[(1, 1)].dim == 4
-    mutated = SpectralPage(2, {pq: c for pq, c in pg2.cells.items() if pq != (1, 1)}, pg2.dr)
+    mutated = SpectralPage(2, {pq: c for pq, c in pg2.cells.items() if pq != (1, 1)}, pg2.dr,
+                           pg2.ranks)
     frames = _e2_frames(model, mutated)
     rep = e2_tensor_check(model, frames)
     assert rep.verdict == "mismatch"
