@@ -45,7 +45,7 @@ from fractions import Fraction
 from itertools import combinations, permutations
 from math import comb
 
-from .qlinalg import Matrix, Subspace, as_q, graded_cohomology, kernel_basis
+from .qlinalg import Matrix, Subspace, as_q, graded_cohomology, sparse_kernel
 from .reports import CheckResult, ValidationReport
 
 MultiIndex = tuple[int, ...]
@@ -510,8 +510,10 @@ def lie_cohomology(L: LieData) -> LieCohomology:
 def invariant_subcomplex(L: LieData) -> tuple[Subspace, ...]:
     """Per degree q, the joint kernel of all infinitesimal actions on Lambda^q.
 
-    A degree whose coadjoint columns are all empty (degree 0 always, every
-    degree of an abelian algebra) is all of Lambda^q, with no elimination.
+    It is one `sparse_kernel` of the rows of all the coadjoint matrices
+    stacked, gathered from their sparse columns.  A degree whose coadjoint
+    columns are all empty (degree 0 always, every degree of an abelian
+    algebra) is all of Lambda^q, with no elimination.
     When coadjoint is zero on every generator, which the generator table
     tells in O(n^2), it is zero in every degree and no column is built.
     """
@@ -519,12 +521,14 @@ def invariant_subcomplex(L: LieData) -> tuple[Subspace, ...]:
         return tuple(Subspace.full(comb(L.n, q)) for q in range(L.n + 1))
     out = []
     for q in range(L.n + 1):
-        stacks = [_coadjoint_columns(L, ell, q) for ell in range(1, L.n + 1)]
-        if not any(col for cols in stacks for col in cols):
-            out.append(Subspace.full(len(stacks[0])))
-            continue
         pos = _positions(L, q)
-        out.append(kernel_basis(Matrix.vstack(*(_matrix_of_columns(c, pos) for c in stacks))))
+        rows: dict[tuple[int, int], list] = {}  # the stacked actions' rows, by (ell, row)
+        for ell in range(1, L.n + 1):
+            for j, col in enumerate(_coadjoint_columns(L, ell, q)):
+                for K, v in col:
+                    rows.setdefault((ell, pos[K]), []).append((j, v))
+        out.append(Subspace.from_echelon(
+            len(pos), sparse_kernel([rows[key] for key in sorted(rows)], len(pos))))
     return tuple(out)
 
 

@@ -21,8 +21,9 @@ outside equality and filled on first use, the sparse image of every monomial
 under d10, d01, d21 and total_d, read straight from d_hor_table, euler_table
 and delta_terms (operator_images), and the basis of each total degree with
 its position map (degree_basis), each built by one monomial_basis call.
-validate_model composes those images monomial by monomial, total_matrix fills
-its columns from them, and the tests check both against ModelElement.
+validate_model composes those images monomial by monomial, total_columns
+reads each degree's column-sparse total_d off them (total_matrix is its dense
+form), and the tests check both against ModelElement.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from .liealg import (
     first_delta_squared_failure,
     multi_indices,
 )
-from .qlinalg import Matrix, as_q, cohomology_dims
+from .qlinalg import Matrix, SparseColumns, as_q, cohomology_dims
 from .reports import CheckResult, ValidationReport
 
 _ZERO = Fraction(0)
@@ -477,21 +478,34 @@ def operator_images(model: EquivariantModel) -> dict[str, dict[Monomial, Image]]
     return model._images
 
 
-def total_matrix(model: EquivariantModel, k: int) -> Matrix:
-    """Matrix of total_d from degree k to k+1 in the monomial bases."""
+def total_columns(model: EquivariantModel, k: int) -> SparseColumns:
+    """total_d from degree k to k+1 in the monomial bases, column by column.
+
+    Column j holds the (row, value) pairs of the image of the j-th monomial
+    of degree k, in increasing row order, zeros left out.
+    """
     src, _ = degree_basis(model, k)
     _, pos = degree_basis(model, k + 1)
     total = operator_images(model)["total"]
-    data = [[_ZERO] * len(src) for _ in pos]
-    for j, x in enumerate(src):
+    cols = []
+    for x in src:
+        col = []
         for y, v in total[x].items():
             i = pos.get(y)
             if i is None:
                 raise ValueError(
                     f"monomial {_monomial_name(model, y)} is not in total degree {k + 1}"
                 )
-            data[i][j] = v
-    return Matrix(tuple(tuple(row) for row in data), len(src))
+            col.append((i, v))
+        col.sort()
+        cols.append(tuple(col))
+    return tuple(cols)
+
+
+def total_matrix(model: EquivariantModel, k: int) -> Matrix:
+    """Matrix of total_d from degree k to k+1 in the monomial bases."""
+    cols = total_columns(model, k)
+    return Matrix.from_columns([dict(col) for col in cols], len(degree_basis(model, k + 1)[0]))
 
 
 def total_cohomology(model: EquivariantModel) -> tuple[int, ...]:

@@ -3,43 +3,48 @@
 Everything downstream (cochain complexes, filtrations, spectral pages) reduces
 to row reduction, kernels, images and quotients done here.  All
 coefficients are `fractions.Fraction`, so results are exact and deterministic.
-A subspace is always stored by the reduced row echelon basis of its row space,
+A subspace is always given by the reduced row echelon basis of its row space,
 which makes subspace equality a plain structural comparison.
 
 Conventions: vectors are coordinate tuples, a linear map is a Matrix acting on
 column vectors, and a Subspace keeps its basis as matrix rows.
 
+Spaces are sparse first.  A Subspace is made from its echelon, {pivot:
+{column: value} past the pivot}, and its dense `basis` matrix is built only
+when something reads it; a `Quotient` keeps its representatives by their
+pivots and the projection as the class of each pivot, and builds the dense
+`reps` and `proj` only when read.  Dense rows are built at the edges: the
+dense-matrix API (`Matrix.rref`, `kernel_basis`, `image`), rendering and the
+tests.
+
 Row reduction has one core, `_echelon`, which works over the integers: each
 nonzero row is scaled by the lcm of its denominators and kept as a sparse
 {column: int} row, rows are combined fraction-free and made primitive (gcd
-content removed), and `Matrix.rref` divides each row by its pivot once, at
-the end.  The reduced echelon form is unique, so `rref`, `rank`, `inverse`,
+content removed), and `_reduced` divides each row by its pivot once, at the
+end.  The reduced echelon form is unique, so `rref`, `rank`, `inverse`,
 `Subspace.from_rows`, `image` and `quotient_map` give the same Fractions as
-dense Gauss-Jordan elimination.  A matrix with one column or at most one
-nonzero row skips the core.  `kernel_basis` reduces once: with the columns
-reversed, the kernel vectors solved from that form are already the reduced
-echelon basis of the kernel.
+dense Gauss-Jordan elimination.  One row, or one column, skips the core.
+There is one kernel routine, `sparse_kernel`, over sparse rows: it reduces
+once, with the columns reversed, and the kernel vectors solved from that
+form are already the reduced echelon basis of the kernel; `kernel_basis` is
+its wrapper for a dense Matrix.
 
 The matrices of the spectral sequence are mostly zero, so the hot paths skip
-zeros: a Subspace keeps a sparse copy of its echelon rows (a kernel or a
-full space is born with it), `sparse_columns` with `apply_sparse` applies a
-map from the nonzero entries of its columns, and elimination against an
-echelon visits only the rows whose pivots it meets.  `quotient_map` builds
-v/w in one pass of a sparse echelon over w's rows and then v's, with no row
-reduction per representative; given a coordinate window it reads only the
-window's columns, which divides v also by its part that vanishes there.
-Its `Quotient` keeps the projection sparse, as the class of each of v's
-pivots, and `Quotient.class_of` reads the class of a sparse vector in one
-elimination through v's echelon, whose residual is also the check that the
-vector lies in v; the dense `proj` matrix is built only where it is read.
-`sparse_rank` counts the rank of sparse vectors by the forward pass of the
-integer core alone.  `graded_cohomology` takes a zero map's kernel and
-image without any elimination; `cohomology_dims` counts the same
-dimensions from ranks alone.  `Matrix.apply` and `Subspace.contains_vector`
-are the dense counterparts, for vectors given as coordinate tuples.
-Preimages, sums and intersections of subspaces are not needed by the
-engine; `tests/oracles.py` keeps them, by dense elimination, as the
-definitions the tests check it against.
+zeros: `apply_sparse` applies a map from the nonzero entries of its columns,
+and elimination against an echelon visits only the rows whose pivots it
+meets.  `quotient_map` builds v/w in one pass of a sparse echelon over w's
+rows and then v's, with no row reduction per representative; given a
+coordinate window it reads only the window's columns, which divides v also
+by its part that vanishes there.  `Quotient.class_of` reads the class of a
+sparse vector in one elimination through v's echelon, whose residual is also
+the check that the vector lies in v.  `sparse_rank` counts the rank of
+sparse vectors by the forward pass of the integer core alone.
+`graded_cohomology` takes a zero map's kernel and image without any
+elimination; `cohomology_dims` counts the same dimensions from ranks alone.
+`Matrix.apply` and `Subspace.contains_vector` are the dense counterparts, for
+vectors given as coordinate tuples.  Preimages, sums and intersections of
+subspaces are not needed by the engine; `tests/oracles.py` keeps them, by
+dense elimination, as the definitions the tests check it against.
 """
 
 from __future__ import annotations
@@ -76,15 +81,8 @@ def nonzero_entries(vec) -> dict[int, Fraction]:
 SparseColumns = tuple[tuple[tuple[int, Fraction], ...], ...]
 
 
-def sparse_columns(m: "Matrix") -> SparseColumns:
-    """Per column of m, the (row, value) pairs of its nonzero entries."""
-    return tuple(
-        tuple((i, row[j]) for i, row in enumerate(m.data) if row[j]) for j in range(m.cols)
-    )
-
-
 def apply_sparse(cols: SparseColumns, x: dict[int, Fraction]) -> dict[int, Fraction]:
-    """m @ x for m given by sparse_columns(m) and x by its nonzero entries.
+    """m @ x for m given by its columns' nonzero entries and x by its own.
 
     Only the columns where x is nonzero are visited; the result keeps only
     its nonzero entries.
@@ -187,6 +185,80 @@ def sparse_rank(vectors) -> int:
     rows = [entries for entries in ([(j, a) for j, a in x.items() if a] for x in vectors)
             if entries]
     return len(_triangular(_integer_rows(rows))) if rows else 0
+
+
+def _nonzero_rows(data) -> list[list[tuple[int, Fraction]]]:
+    """The nonzero rows of dense data, each as its (column, value) pairs in order."""
+    rows = ([(j, x) for j, x in enumerate(row) if x] for row in data)
+    return [entries for entries in rows if entries]
+
+
+def _reduced(rows, cols: int) -> dict[int, dict[int, Fraction]]:
+    """The RREF of nonzero sparse rows, as {pivot: {column: value} past the pivot}.
+
+    rows are lists of (column, Fraction) pairs in increasing column order,
+    zeros left out.  The first
+    row, divided by its leading entry, is the whole answer when it is the
+    only one or when there is one column.  Any other set of rows goes through
+    the integer elimination `_echelon`, and each row is divided by its pivot
+    once, at the end.
+    """
+    if not rows:
+        return {}
+    if len(rows) == 1 or cols == 1:
+        (pivot, lead), *tail = rows[0]
+        return {pivot: {j: x / lead for j, x in tail}}
+    out = {}
+    for pivot, row in _echelon(_integer_rows(rows)):
+        lead = row.pop(pivot)
+        if lead == 1:
+            out[pivot] = {j: Fraction(v) for j, v in row.items()}
+        elif lead == -1:
+            out[pivot] = {j: Fraction(-v) for j, v in row.items()}
+        else:
+            out[pivot] = {j: Fraction(v, lead) for j, v in row.items()}
+    return out
+
+
+def _dense_rows(echelon: dict[int, dict[int, Fraction]], cols: int) -> list[tuple[Fraction, ...]]:
+    """The rows {pivot: tail} of an echelon as dense tuples: 1 at the pivot, tail past it."""
+    out = []
+    for pivot, tail in echelon.items():
+        row = [_ZERO] * cols
+        row[pivot] = _ONE
+        for j, a in tail.items():
+            row[j] = a
+        out.append(tuple(row))
+    return out
+
+
+def sparse_kernel(rows, cols: int) -> dict[int, dict[int, Fraction]]:
+    """The kernel of a map Q^cols -> Q^k given by its rows, as its RREF echelon.
+
+    rows are the map's rows as lists of (column, value) pairs of their
+    nonzero entries; zero rows may be left out, and with no rows the kernel
+    is the whole space, with no elimination.  The result is {free column:
+    {column: value} past it}, as `Subspace.echelon` gives them.
+
+    One elimination: the rows are reduced with their columns reversed, by
+    the integer core `_echelon`.  Solving for the pivots of that form writes
+    each kernel vector as 1 at its free column f plus entries at pivot
+    columns to the right of f only, so the vectors by ascending f are
+    already the reduced echelon basis of the kernel, and each entry is one
+    integer ratio read off a reduced row.
+    """
+    last = cols - 1
+    rows = [[(last - j, x) for j, x in row] for row in rows if row]
+    echelon = _echelon(_integer_rows(rows)) if rows else []
+    bound = {last - p for p, _ in echelon}
+    kernel: dict[int, dict[int, Fraction]] = {f: {} for f in range(cols) if f not in bound}
+    # later reversed pivots first: the original columns come in increasing order
+    for p, row in reversed(echelon):
+        lead = -row.pop(p)
+        col = last - p
+        for c, v in row.items():
+            kernel[last - c][col] = Fraction(v, lead)
+    return kernel
 
 
 @dataclass(frozen=True, slots=True)
@@ -307,47 +379,13 @@ class Matrix:
         return tuple(out)
 
     def rref(self) -> tuple["Matrix", tuple[int, ...]]:
-        """Reduced row echelon form and the pivot column indices.
-
-        The first nonzero row, divided by its leading entry, is the whole
-        answer when it is the only one or when there is one column.  Any
-        other matrix goes through the integer elimination `_echelon`, and
-        each row is divided by its pivot once, at the end.
-        """
+        """Reduced row echelon form and the pivot column indices, by `_reduced`."""
         nc = self.cols
-        rows = []
-        for row in self.data:
-            entries = [(j, x) for j, x in enumerate(row) if x]
-            if entries:
-                rows.append(entries)
-        out = []
-        if len(rows) > 1 and nc > 1:
-            echelon = _echelon(_integer_rows(rows))
-            for pivot, row in echelon:
-                lead = row.pop(pivot)
-                dense = [_ZERO] * nc
-                dense[pivot] = _ONE
-                if lead == 1 or lead == -1:
-                    for j, v in row.items():
-                        dense[j] = Fraction(lead * v)
-                else:
-                    for j, v in row.items():
-                        dense[j] = Fraction(v, lead)
-                out.append(tuple(dense))
-            pivots = tuple(pivot for pivot, _ in echelon)
-        elif rows:
-            entries = rows[0]
-            pivot, lead = entries[0]
-            dense = [_ZERO] * nc
-            for j, x in entries:
-                dense[j] = x / lead
-            out.append(tuple(dense))
-            pivots = (pivot,)
-        else:
-            pivots = ()
+        echelon = _reduced(_nonzero_rows(self.data), nc)
+        out = _dense_rows(echelon, nc)
         if len(out) < len(self.data):
             out.extend([(_ZERO,) * nc] * (len(self.data) - len(out)))
-        return Matrix(tuple(out), nc), pivots
+        return Matrix(tuple(out), nc), tuple(echelon)
 
     def rank(self) -> int:
         return len(self.rref()[1])
@@ -377,25 +415,52 @@ def inverse(m: Matrix) -> Matrix:
     return Matrix.of([row[m.cols:] for row in red.data], cols=m.cols)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False, repr=False, eq=False)
 class Subspace:
-    """Subspace of Q^ambient_dim, stored by its RREF row basis (canonical).
+    """Subspace of Q^ambient_dim, given by its RREF row basis (canonical).
 
-    The sparse form of the basis (each row's pivot and its other nonzero
-    entries) is given by from_echelon or derived on first use, and kept; it
-    is not part of equality.
+    A Subspace is made from its RREF rows in sparse form (from_echelon: each
+    row's pivot and its other nonzero entries) or dense (`Subspace(d,
+    basis)`); the other form is built on first use and kept.  Equality, hash
+    and repr are those of the pair (ambient_dim, basis), as for a dataclass
+    of those two fields.
     """
 
     ambient_dim: int
-    basis: Matrix
-    _echelon: dict | None = field(default=None, init=False, repr=False, compare=False)
+    _basis: Matrix | None
+    _echelon: dict | None
+
+    def __init__(self, ambient_dim: int, basis: Matrix):
+        object.__setattr__(self, "ambient_dim", ambient_dim)
+        object.__setattr__(self, "_basis", basis)
+        object.__setattr__(self, "_echelon", None)
+
+    @property
+    def basis(self) -> Matrix:
+        """The RREF basis rows as a dense matrix."""
+        basis = self._basis
+        if basis is None:
+            basis = Matrix(tuple(_dense_rows(self._echelon, self.ambient_dim)), self.ambient_dim)
+            object.__setattr__(self, "_basis", basis)
+        return basis
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.ambient_dim, self.basis) == (other.ambient_dim, other.basis)
+
+    def __hash__(self):
+        return hash((self.ambient_dim, self.basis))
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}(ambient_dim={self.ambient_dim!r}, basis={self.basis!r})"
 
     def echelon(self) -> dict[int, dict[int, Fraction]]:
         """{pivot: {column: value} past the pivot} for the basis rows, in order."""
         ech = self._echelon
         if ech is None:
             ech = {}
-            for row in self.basis.data:
+            for row in self._basis.data:
                 entries = nonzero_entries(row)
                 pivot = next(iter(entries))
                 del entries[pivot]  # the leading entry of an RREF row is 1
@@ -410,25 +475,18 @@ class Subspace:
     @classmethod
     def from_echelon(cls, ambient_dim: int, echelon: dict[int, dict[int, Fraction]]) -> "Subspace":
         """The subspace whose RREF rows are given in sparse form, as echelon() returns them."""
-        rows = []
-        for pivot, tail in echelon.items():
-            row = [_ZERO] * ambient_dim
-            row[pivot] = _ONE
-            for j, a in tail.items():
-                row[j] = a
-            rows.append(tuple(row))
-        out = cls(ambient_dim, Matrix(tuple(rows), ambient_dim))
+        out = cls(ambient_dim, None)
         object.__setattr__(out, "_echelon", echelon)
         return out
 
     @classmethod
     def from_rows(cls, ambient_dim: int, rows) -> "Subspace":
-        red, pivots = Matrix.of(rows, cols=ambient_dim).rref()
-        return cls(ambient_dim, Matrix(red.data[: len(pivots)], ambient_dim))
+        rows = _nonzero_rows(Matrix.of(rows, cols=ambient_dim).data)
+        return cls.from_echelon(ambient_dim, _reduced(rows, ambient_dim))
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
-        return cls(ambient_dim, Matrix((), ambient_dim))
+        return cls.from_echelon(ambient_dim, {})
 
     @classmethod
     def full(cls, ambient_dim: int) -> "Subspace":
@@ -436,7 +494,8 @@ class Subspace:
 
     @property
     def dim(self) -> int:
-        return self.basis.rows
+        ech = self._echelon
+        return self._basis.rows if ech is None else len(ech)
 
     def is_zero(self) -> bool:
         return self.dim == 0
@@ -455,31 +514,8 @@ class Subspace:
 
 
 def kernel_basis(m: Matrix) -> Subspace:
-    """Kernel of m as a subspace of the source Q^cols, from one row reduction.
-
-    m is reduced with its columns reversed.  Solving for the pivots of that
-    form writes each kernel vector as 1 at its free column f plus entries at
-    pivot columns to the right of f only, so the vectors by ascending f are
-    already the reduced echelon basis of the kernel.
-    """
-    n = m.cols
-    last = n - 1
-    red, pivots = Matrix(tuple(row[::-1] for row in m.data), n).rref()
-    bound = {last - p for p in pivots}
-    echelon = {}
-    for f in range(n):
-        if f in bound:
-            continue
-        fr = last - f
-        tail = []
-        for row, p in zip(red.data, pivots):
-            if p >= fr:
-                break
-            a = row[fr]
-            if a:
-                tail.append((last - p, -a))
-        echelon[f] = dict(reversed(tail))
-    return Subspace.from_echelon(n, echelon)
+    """Kernel of m as a subspace of the source Q^cols: `sparse_kernel` of its rows."""
+    return Subspace.from_echelon(m.cols, sparse_kernel(_nonzero_rows(m.data), m.cols))
 
 
 def image(m: Matrix, sub: Subspace | None = None) -> Subspace:
@@ -527,24 +563,36 @@ def _eliminate(
 class Quotient:
     """v/w as quotient_map presents it: representatives and a sparse projection.
 
-    reps are k rows of v that represent a basis of v/w, and pivots[i] is the
-    pivot of reps[i] in v's echelon.  classes maps each pivot of v to the
-    class of its basis row, {i: a} for the nonzero coordinates along reps.
-    Any x in v is the sum of x[pivot] times v's basis rows, so its class is
-    those classes weighted by x at v's pivots: `class_of` reads it from x's
-    nonzero entries, and `proj` is the same map as a dense k x ambient
-    matrix, built on first use.  Unpacking gives (reps, proj).
+    The representatives are k rows of v that represent a basis of v/w, kept
+    by their pivots in v's echelon: pivots[i] is the pivot of the i-th.
+    classes maps each pivot of v to the class of its basis row, {i: a} for
+    the nonzero coordinates along the representatives.  Any x in v is the
+    sum of x[pivot] times v's basis rows, so its class is those classes
+    weighted by x at v's pivots: `class_of` reads it from x's nonzero
+    entries.  The dense forms are built on first use: `reps`, the
+    representatives as a k x ambient matrix, and `proj`, the same map as
+    `class_of` as a k x ambient matrix.  Unpacking gives (reps, proj).
     """
 
     space: Subspace
-    reps: Matrix
     pivots: tuple[int, ...]
     classes: dict[int, dict[int, Fraction]]
+    _reps: Matrix | None = field(default=None, init=False, repr=False, compare=False)
     _proj: Matrix | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def dim(self) -> int:
-        return self.reps.rows
+        return len(self.pivots)
+
+    @property
+    def reps(self) -> Matrix:
+        reps = self._reps
+        if reps is None:
+            ech = self.space.echelon()
+            d = self.space.ambient_dim
+            reps = Matrix(tuple(_dense_rows({p: ech[p] for p in self.pivots}, d)), d)
+            object.__setattr__(self, "_reps", reps)
+        return reps
 
     @property
     def proj(self) -> Matrix:
@@ -621,8 +669,11 @@ def quotient_map(v: Subspace, w, window: tuple[int, int] | None = None) -> Quoti
     def insert(residual: dict[int, Fraction], tag: dict[int, Fraction]) -> None:
         pivot = min(residual)
         lead = residual.pop(pivot)
-        rows[pivot] = {j: a / lead for j, a in residual.items()}
-        tags[pivot] = {i: a / lead for i, a in tag.items()}
+        if lead != 1:
+            residual = {j: a / lead for j, a in residual.items()}
+            tag = {i: a / lead for i, a in tag.items()}
+        rows[pivot] = residual
+        tags[pivot] = tag
 
     if window is not None:
         for y in w:
@@ -638,10 +689,9 @@ def quotient_map(v: Subspace, w, window: tuple[int, int] | None = None) -> Quoti
             if x:
                 insert(x, {})
     wdim = len(rows)
-    reps = []
-    pivots = []
+    pivots = []  # of the representatives
     classes = {}  # class of each basis row of v, by its pivot
-    for (vpivot, vtail), vrow in zip(v.echelon().items(), v.basis.data):
+    for vpivot, vtail in v.echelon().items():
         x = {j: a for j, a in ((vpivot, _ONE), *vtail.items()) if lo <= j < hi}
         acc: dict[int, Fraction] = {}
         for pivot, c in _eliminate(x, rows):
@@ -651,17 +701,16 @@ def quotient_map(v: Subspace, w, window: tuple[int, int] | None = None) -> Quoti
         if not residual:
             classes[vpivot] = {i: a for i, a in acc.items() if a}
             continue
-        # residual = vrow - (rows subtracted), so its class is e_i - acc
-        i = len(reps)
-        reps.append(vrow)
+        # residual = v's row - (rows subtracted), so its class is e_i - acc
+        i = len(pivots)
         pivots.append(vpivot)
         classes[vpivot] = {i: _ONE}
         acc = {j: -a for j, a in acc.items()}
         acc[i] = _ONE
         insert(residual, acc)
-    if window is None and len(reps) != v.dim - wdim:
+    if window is None and len(pivots) != v.dim - wdim:
         raise ValueError("quotient undefined: denominator is not contained in numerator")
-    return Quotient(v, Matrix(tuple(reps), d), tuple(pivots), classes)
+    return Quotient(v, tuple(pivots), classes)
 
 
 def cohomology_at(

@@ -29,14 +29,18 @@ checks that d Z_(r-1)^(p-r+1) lies in Z_r^p, and its representatives are
 rows of Z_r^p in C^m, the same ones the full quotient would choose.
 
 The differentials are very sparse (for a torus acting on itself d is zero),
-so each d^m is also kept by the nonzero entries of its columns: d Z_(r-1)
-and d_r are applied through that form, and a block of d with no nonzero
-entry has all of F^p as its kernel without an elimination.  d_r applies d
-to each representative's sparse echelon row and reads the class of the
-image in the target cell by one elimination through the target's Z_r
+so the complex keeps each d^m only by the nonzero entries of its columns,
+read straight off the model's monomial images; no dense d is built.  Every
+space is sparse first: Z_r is one qlinalg.sparse_kernel of the block's rows,
+gathered from those columns, and is kept by its echelon; a block with no
+nonzero entry has all of F^p as its kernel without an elimination.  d Z_(r-1)
+and d_r are applied through the columns.  d_r applies d to each
+representative's sparse echelon row and reads the class of the image in the
+target cell by one elimination through the target's Z_r
 (qlinalg.Quotient.class_of), which is also the check that it lies in Z_r;
 no vector of C^m is built dense, and the rank of d_r comes from the same
-sparse columns.  A cell's dense proj matrix is built only when read.
+sparse columns.  A Subspace's dense basis and a cell's dense reps and proj
+are built only when read, which the page pass never does.
 
 The filtration of the invariant-forms model is by chi-count complement:
 F^p C^m is spanned by monomials of horizontal degree >= p, which come first
@@ -58,16 +62,15 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 
-from .model import EquivariantModel, degree_basis, max_total_degree, total_matrix
+from .model import EquivariantModel, degree_basis, max_total_degree, total_columns
 from .qlinalg import (
     Matrix,
     Quotient,
     SparseColumns,
     Subspace,
     apply_sparse,
-    kernel_basis,
     quotient_map,
-    sparse_columns,
+    sparse_kernel,
     sparse_rank,
 )
 from .reports import CertificateError
@@ -78,22 +81,18 @@ class FilteredComplex:
     """Finite cochain complex over Q with a decreasing, exhaustive prefix filtration.
 
     dims[m] is the ambient dimension of C^m for 0 <= m <= max_degree;
-    d[m] maps C^m to C^(m+1) (the top one has zero rows);
+    d_columns[m] is d^m : C^m -> C^(m+1) column by column (the top one maps
+    to zero): column j holds the (row, value) pairs of the nonzero entries of
+    d e_j, in increasing row order;
     prefix[m][p] = k(p, m) for 0 <= p <= m+1: F^p C^m is spanned by the
     first k(p, m) coordinates, with k(0, m) = dims[m] and k(m+1, m) = 0.
     labels[m] optionally names the coordinates of C^m.
-    d_columns[m] is d[m] in column-sparse form, derived once at construction;
-    the page engine applies d only through it.
     """
 
     dims: tuple[int, ...]
-    d: tuple[Matrix, ...]
+    d_columns: tuple[SparseColumns, ...]
     prefix: tuple[tuple[int, ...], ...]
     labels: tuple[tuple, ...] = field(default=())
-    d_columns: tuple[SparseColumns, ...] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "d_columns", tuple(sparse_columns(m) for m in self.d))
 
     @property
     def max_degree(self) -> int:
@@ -103,11 +102,6 @@ class FilteredComplex:
         if 0 <= m <= self.max_degree:
             return self.dims[m]
         return 0
-
-    def dmat(self, m: int) -> Matrix:
-        if 0 <= m <= self.max_degree:
-            return self.d[m]
-        return Matrix.zero(self.ambient(m + 1), self.ambient(m))
 
     def cut(self, p: int, m: int) -> int:
         """k(p, m) = dim F^p C^m, with F^p = C for p <= 0 and F^p = 0 deep enough."""
@@ -122,35 +116,18 @@ class FilteredComplex:
         """F^p C^m as a subspace: the first cut(p, m) coordinate vectors."""
         return Subspace.from_echelon(self.ambient(m), {i: {} for i in range(self.cut(p, m))})
 
-    def check_structure(self) -> None:
-        """Assert shapes, decreasing filtration, and d-compatibility (test hook)."""
-        for m in range(self.max_degree + 1):
-            if self.d[m].cols != self.dims[m]:
-                raise AssertionError(f"d[{m}] column count mismatch")
-            target = self.dims[m + 1] if m + 1 <= self.max_degree else 0
-            if self.d[m].rows != target:
-                raise AssertionError(f"d[{m}] row count mismatch")
-            levels = self.prefix[m]
-            if levels[0] != self.dims[m] or levels[-1] != 0:
-                raise AssertionError(f"filtration of C^{m} must run from full to zero")
-            for p in range(len(levels) - 1):
-                if levels[p] < levels[p + 1]:
-                    raise AssertionError(f"filtration not decreasing at F^{p + 1} C^{m}")
-            for p in range(len(levels)):
-                k = levels[p]
-                if any(x for row in self.d[m].data[self.cut(p, m + 1):] for x in row[:k]):
-                    raise AssertionError(f"d does not preserve F^{p} at degree {m}")
-
 
 def cartan_filtration(model: EquivariantModel) -> FilteredComplex:
     """Filtration by horizontal degree of the invariant-forms model.
 
     Monomial bases are ordered by descending horizontal degree, so each F^p
-    is a coordinate prefix.  The model must pass validate_model.
+    is a coordinate prefix.  d is read column-sparse off the model's
+    monomial images (model.total_columns).  The model must pass
+    validate_model.
     """
     top = max_total_degree(model)
     dims = []
-    dmats = []
+    columns = []
     prefix = []
     labels = []
     for m in range(top + 1):
@@ -158,9 +135,9 @@ def cartan_filtration(model: EquivariantModel) -> FilteredComplex:
         degrees = [model.basic.degree_of(g) for g, _ in basis]
         dims.append(len(basis))
         labels.append(basis)
-        dmats.append(total_matrix(model, m))
+        columns.append(total_columns(model, m))
         prefix.append(tuple(sum(1 for deg in degrees if deg >= p) for p in range(m + 2)))
-    return FilteredComplex(tuple(dims), tuple(dmats), tuple(prefix), tuple(labels))
+    return FilteredComplex(tuple(dims), tuple(columns), tuple(prefix), tuple(labels))
 
 
 @dataclass(frozen=True, slots=True)
@@ -211,8 +188,9 @@ def _z_space(fc: FilteredComplex, r: int, p: int, m: int, cache: dict) -> Subspa
 
     x lies in F^p exactly when it is zero past k(p, m), and d x lies in
     F^(p+r) exactly when the rows of d past k(p+r, m+1) kill it, so Z_r is
-    the kernel of that block of d.  Zero columns appended to a reduced
-    echelon basis leave it reduced, so the result is the canonical basis.
+    the kernel of that block of d, one `sparse_kernel` of the block's rows
+    read off d's columns.  Zero columns appended to a reduced echelon basis
+    leave it reduced, so the result is the canonical basis.
     """
     key = (r, p, m)
     hit = cache.get(key)
@@ -220,13 +198,14 @@ def _z_space(fc: FilteredComplex, r: int, p: int, m: int, cache: dict) -> Subspa
         return hit
     k = fc.cut(p, m)
     start = fc.cut(p + r, m + 1)
-    if 0 <= m <= fc.max_degree and any(
-        i >= start for col in fc.d_columns[m][:k] for i, _ in col
-    ):
-        block = Matrix(tuple(row[:k] for row in fc.d[m].data[start:]), k)
-        out = Subspace.from_echelon(fc.ambient(m), kernel_basis(block).echelon())
-    else:
-        out = fc.filt(p, m)  # the block is zero, so Z_r is all of F^p
+    rows: dict[int, list] = {}  # the block's nonzero rows, by row of d
+    if 0 <= m <= fc.max_degree:
+        for j, col in enumerate(fc.d_columns[m][:k]):
+            for i, a in col:
+                if i >= start:
+                    rows.setdefault(i, []).append((j, a))
+    # a zero block has no rows, and its kernel is all of F^p with no elimination
+    out = Subspace.from_echelon(fc.ambient(m), sparse_kernel([rows[i] for i in sorted(rows)], k))
     cache[key] = out
     return out
 

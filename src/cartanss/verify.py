@@ -44,7 +44,6 @@ from .model import EquivariantModel, degree_basis, validate_model
 from .qlinalg import (
     Matrix,
     cohomology_at,
-    cohomology_dims,
     graded_cohomology,
     inverse,
     sparse_rank,
@@ -300,8 +299,14 @@ class Analysis:
 
     @cached_property
     def total_cohomology(self) -> tuple[int, ...]:
-        """dim H^k of the total complex from the ranks of the filtration's d alone."""
-        return cohomology_dims(self.filtration.d)
+        """dim H^k of the total complex from the ranks of the filtration's d alone.
+
+        dim H^k = dim C^k - rank d^k - rank d^(k-1), each rank the
+        `sparse_rank` of d^k's nonzero columns.
+        """
+        fc = self.filtration
+        ranks = [sparse_rank(dict(col) for col in cols) for cols in fc.d_columns]
+        return tuple(size - rk - below for size, rk, below in zip(fc.dims, ranks, [0] + ranks))
 
     @cached_property
     def abutment(self) -> AbutmentReport:

@@ -30,6 +30,11 @@ it read the operators from per-model monomial tables: every column and every
 component of d^2 is a composition of `ModelElement` operators, one element
 per monomial per operator.
 
+`sparse_columns`, `dmat` and `check_structure` are the dense view of a
+`FilteredComplex`, which keeps d only by its sparse columns: `dmat` builds
+the dense matrix of d^m, and `check_structure` checks shapes, the decreasing
+filtration and d-compatibility entry by entry on it.
+
 `oracle_page` is the page engine before it moved to the associated graded:
 every spot (p, m) of the triangle gets a cell, and each cell is the quotient
 Z_r / (d Z_{r-1}^{p-r+1} + Z_{r-1}^{p+1}) of full subspaces of C^m, the
@@ -355,11 +360,51 @@ def oracle_identity_checks(model: EquivariantModel) -> list[CheckResult]:
     return [_element_check(model, name, op) for name, op in identities]
 
 
+def sparse_columns(m: Matrix) -> tuple:
+    """Per column of m, the (row, value) pairs of its nonzero entries."""
+    return tuple(
+        tuple((i, row[j]) for i, row in enumerate(m.data) if row[j]) for j in range(m.cols)
+    )
+
+
+def dmat(fc: FilteredComplex, m: int) -> Matrix:
+    """d^m : C^m -> C^(m+1) as a dense matrix, zero outside the complex."""
+    rows = fc.ambient(m + 1)
+    if not 0 <= m <= fc.max_degree:
+        return Matrix.zero(rows, fc.ambient(m))
+    return Matrix.from_columns([dict(col) for col in fc.d_columns[m]], rows)
+
+
+def check_structure(fc: FilteredComplex) -> None:
+    """Assert shapes, a decreasing filtration, and d-compatibility on the dense d."""
+    for m in range(fc.max_degree + 1):
+        if len(fc.d_columns[m]) != fc.dims[m]:
+            raise AssertionError(f"d[{m}] column count mismatch")
+        target = fc.ambient(m + 1)
+        if any(i >= target for col in fc.d_columns[m] for i, _ in col):
+            raise AssertionError(f"d[{m}] row count mismatch")
+        if any([i for i, _ in col] != sorted({i for i, _ in col}) or not all(a for _, a in col)
+               for col in fc.d_columns[m]):
+            raise AssertionError(f"d[{m}] columns must list nonzero entries by increasing row")
+        d = dmat(fc, m)
+        levels = fc.prefix[m]
+        if levels[0] != fc.dims[m] or levels[-1] != 0:
+            raise AssertionError(f"filtration of C^{m} must run from full to zero")
+        for p in range(len(levels) - 1):
+            if levels[p] < levels[p + 1]:
+                raise AssertionError(f"filtration not decreasing at F^{p + 1} C^{m}")
+        for p in range(len(levels)):
+            k = levels[p]
+            if any(x for row in d.data[fc.cut(p, m + 1):] for x in row[:k]):
+                raise AssertionError(f"d does not preserve F^{p} at degree {m}")
+
+
 def oracle_divisor(fc: FilteredComplex, r: int, p: int, m: int, cache: dict) -> Subspace:
     """d Z_{r-1}^{p-r+1} + Z_{r-1}^{p+1} in C^m, as the span of both bases."""
     born = _z_space(fc, r - 1, p - r + 1, m - 1, cache)
     other = _z_space(fc, r - 1, p + 1, m, cache)
-    rows = [y for y in (fc.dmat(m - 1).apply(row) for row in born.basis.data) if any(y)]
+    d = dmat(fc, m - 1)
+    rows = [y for y in (d.apply(row) for row in born.basis.data) if any(y)]
     if not rows:
         return other
     rows.extend(other.basis.data)
@@ -407,8 +452,9 @@ def dense_dr(fc: FilteredComplex, cells: dict, r: int) -> dict:
             dr[(p, q)] = Matrix.zero(0, cell.dim)
             continue
         cols = []
+        d = dmat(fc, p + q)
         for rep in cell.reps.data:
-            y = fc.dmat(p + q).apply(rep)
+            y = d.apply(rep)
             if not tgt.z_space.contains_vector(y):
                 raise CertificateError("d of a representative escapes Z", (p, q), r)
             cols.append(tgt.proj.apply(y))

@@ -53,6 +53,7 @@ from cartanss.specseq import (
 from cartanss.qlinalg import cohomology_dims, graded_cohomology
 from cartanss.verify import Analysis, basic_cohomology
 
+from oracles import dmat
 from test_cli import parse_table_pages
 
 
@@ -117,7 +118,9 @@ def test_criterion_04_tensor_dims_and_full_rank_batch():
         # the rank-only count agrees with graded_cohomology's kernels and images
         d_hor = [model.basic.d_hor_matrix(p) for p in range(model.basic.max_degree + 1)]
         assert cohomology_dims(d_hor) == bdims, model.name
-        total = tuple(ker.dim - img.dim for ker, img, _ in graded_cohomology(an.filtration.d))
+        fc = an.filtration
+        dense_d = (dmat(fc, m) for m in range(fc.max_degree + 1))
+        total = tuple(ker.dim - img.dim for ker, img, _ in graded_cohomology(dense_d))
         assert an.total_cohomology == total, model.name
         for c in rep.cells:
             assert c.e2_dim == bdims[c.p] * hq[c.q], (model.name, c.p, c.q)

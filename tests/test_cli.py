@@ -39,8 +39,7 @@ from cartanss.model import (
     max_total_degree,
     size_error,
 )
-from cartanss import qlinalg, specseq, verify
-from cartanss.qlinalg import Matrix
+from cartanss import liealg, qlinalg, specseq, verify
 from cartanss.verify import Analysis
 
 HOPF_DOC = {
@@ -456,12 +455,13 @@ def test_pages_builds_each_total_matrix_once(tmp_path, monkeypatch, capsys, sour
         path = str(tmp_path / "model.json")
         save_model_file(get_model(name, int(param)).model, path)
     top = max_total_degree(load_model_file(path))
-    calls = count_calls(monkeypatch, (("model", "total_matrix"), ("qlinalg", "cohomology_dims")))
+    calls = count_calls(monkeypatch, (("model", "total_columns"), ("model", "total_matrix")))
     assert main(["pages", path, "--format", "machine"]) == 0
     capsys.readouterr()
-    # the filtration builds them; the abutment's rank count reuses them
-    assert sorted(args[1] for args in calls["total_matrix"]) == list(range(top + 1))
-    assert len(calls["cohomology_dims"]) == 1
+    # the filtration reads each degree's d column-sparse once; the abutment's
+    # rank count reuses those columns, and no dense total matrix is built
+    assert sorted(args[1] for args in calls["total_columns"]) == list(range(top + 1))
+    assert calls["total_matrix"] == []
 
 
 def test_validation_alone_builds_no_filtration_and_no_page(tmp_path, monkeypatch, capsys):
@@ -479,11 +479,11 @@ def test_validation_alone_builds_no_filtration_and_no_page(tmp_path, monkeypatch
 
 def test_one_analysis_builds_each_stage_once(monkeypatch):
     model = get_model("group_su2").model
-    calls = count_calls(monkeypatch, COUNTED + (("model", "total_matrix"),))
+    calls = count_calls(monkeypatch, COUNTED + (("model", "total_columns"),))
     an = Analysis(model)
     assert an.abutment.passed and an.e2.passed and an.transgression
     assert an.frames.page2 is an.page2
-    assert sorted(args[1] for args in calls["total_matrix"]) == list(
+    assert sorted(args[1] for args in calls["total_columns"]) == list(
         range(max_total_degree(model) + 1))
     # the filtration is gated on validation, so each validator runs once
     assert {f: len(calls[f]) for f in ("cartan_filtration", "_e2_frames", "validate_lie",
@@ -512,8 +512,10 @@ def test_analysis_of_an_invalid_model_raises_and_builds_no_filtration(monkeypatc
 def _eliminations_inside(monkeypatch, function_name):
     """Log, for every elimination, whether function_name is on the call stack.
 
-    The engine eliminates in three places: Matrix.rref, sparse_rank and the
+    The engine eliminates in four places: `_reduced` (the row reduction of
+    Matrix.rref and Subspace.from_rows), sparse_kernel, sparse_rank and the
     class read Quotient.class_of, which reduces a vector through an echelon.
+    A sparse_kernel given no nonzero row eliminates nothing and is not logged.
     """
     log = []
 
@@ -526,11 +528,17 @@ def _eliminations_inside(monkeypatch, function_name):
             return run(*args)
         return wrapper
 
-    monkeypatch.setattr(Matrix, "rref", logged(Matrix.rref))
+    def kernel(rows, cols, _run=qlinalg.sparse_kernel, _logged=logged(qlinalg.sparse_kernel)):
+        rows = [row for row in rows if row]
+        return (_logged if rows else _run)(rows, cols)
+
+    monkeypatch.setattr(qlinalg, "_reduced", logged(qlinalg._reduced))
     monkeypatch.setattr(qlinalg.Quotient, "class_of", logged(qlinalg.Quotient.class_of))
-    sparse_rank = logged(qlinalg.sparse_rank)
-    for module in (qlinalg, specseq, verify):
-        monkeypatch.setattr(module, "sparse_rank", sparse_rank)
+    for name, run, modules in (("sparse_rank", logged(qlinalg.sparse_rank),
+                                (qlinalg, specseq, verify)),
+                               ("sparse_kernel", kernel, (qlinalg, specseq, liealg))):
+        for module in modules:
+            monkeypatch.setattr(module, name, run)
     return log
 
 
@@ -566,14 +574,28 @@ def test_zero_differentials_are_not_eliminated(tmp_path, monkeypatch, capsys, sp
 
 
 def test_each_kernel_basis_runs_one_elimination(tmp_path, monkeypatch, capsys):
+    """Every kernel, of the page blocks, the invariants and the Lie realization
+    check, is one sparse_kernel, which runs the integer core once."""
     path = str(tmp_path / "model.json")
     save_model_file(get_model("group_su2").model, path)
-    eliminations = _eliminations_inside(monkeypatch, "kernel_basis")
-    calls = count_calls(monkeypatch, (("qlinalg", "kernel_basis"),))
+    inside = []
+    echelon = qlinalg._echelon
+
+    def logged(rows):
+        frame = sys._getframe(1)
+        while frame is not None and frame.f_code.co_name != "sparse_kernel":
+            frame = frame.f_back
+        inside.append(frame is not None)
+        return echelon(rows)
+
+    monkeypatch.setattr(qlinalg, "_echelon", logged)
+    calls = count_calls(monkeypatch, (("qlinalg", "sparse_kernel"), ("qlinalg", "kernel_basis")))
     assert main(["pages", path, "--format", "machine"]) == 0
     capsys.readouterr()
-    assert len(calls["kernel_basis"]) >= 5
-    assert sum(eliminations) == len(calls["kernel_basis"])
+    # a kernel given no nonzero row (a zero block) eliminates nothing
+    eliminating = [rows for rows, _ in calls["sparse_kernel"] if any(rows)]
+    assert len(eliminating) >= 5 and len(calls["kernel_basis"]) >= 1
+    assert sum(inside) == len(eliminating)
 
 
 FIXTURE_FAILURES = {
@@ -698,8 +720,9 @@ def source_env():
 
 ESCAPING_DIVISOR_SCRIPT = textwrap.dedent(
     """
+    from fractions import Fraction
+
     from cartanss import qlinalg, specseq
-    from cartanss.qlinalg import Matrix
     from cartanss.reports import CertificateError
 
     counts = {"quotient_map": 0, "contains": 0}
@@ -717,8 +740,8 @@ ESCAPING_DIVISOR_SCRIPT = textwrap.dedent(
     qlinalg.Subspace.contains = counted_contains
     # Q -> Q -> Q with both maps the identity: d^2 != 0, so at (0,1) the
     # divisor d Z_0 = C^1 escapes Z_1 = ker d
-    one = Matrix.of([[1]])
-    broken = specseq.FilteredComplex((1, 1, 1), (one, one, Matrix.zero(0, 1)),
+    one = (((0, Fraction(1)),),)  # the identity Q -> Q, column by column
+    broken = specseq.FilteredComplex((1, 1, 1), (one, one, ((),)),
                                      ((1, 0), (1, 0, 0), (1, 0, 0, 0)))
     try:
         specseq.page(broken, 1)

@@ -11,7 +11,10 @@ from oracles import (
     preimage,
     seed_mismatches,
     seed_quotient_map,
+    seed_kernel_basis,
     seed_rref,
+    seed_span,
+    sparse_columns,
     sum_and_intersect,
 )
 
@@ -25,7 +28,7 @@ from cartanss.qlinalg import (
     kernel_basis,
     quotient_map,
     rref,
-    sparse_columns,
+    sparse_kernel,
     sparse_rank,
 )
 
@@ -366,6 +369,67 @@ def test_integer_elimination_matches_the_seed_rref_on_wild_matrices():
         seen["invertible"] += rows == cols > 1 and m.rank() == rows
     assert min(seen.values()) >= 8, seen
 
+
+
+def test_sparse_kernel_matches_the_seed_kernel_on_wild_matrices():
+    rng = random.Random(20261018)
+    seen = {"zero row": 0, "zero column": 0, "one column": 0, "0 x n": 0,
+            "non-unit rational": 0, "trivial kernel": 0, "proper kernel": 0}
+    for i in range(300):
+        rows = 0 if i % 30 == 0 else rng.randint(1, 7)
+        cols = 1 if i % 10 == 1 else rng.randint(1, 7)
+        data = [list(row) for row in wild_matrix(rng, rows, cols).data]
+        if data and i % 3 == 0:
+            data[rng.randrange(len(data))] = [Q(0)] * cols
+        if i % 4 == 0:
+            j = rng.randrange(cols)
+            for row in data:
+                row[j] = Q(0)
+        m = Matrix.of(data, cols=cols)
+        sparse = [[(j, x) for j, x in enumerate(row) if x] for row in data]
+        got = sparse_kernel(sparse, cols)
+        want = seed_kernel_basis(m)
+        assert Subspace.from_echelon(cols, got) == want, m
+        assert list(got) == sorted(got)
+        assert all(list(tail) == sorted(tail) and min(tail, default=cols) > f
+                   and all(type(a) is Q and a for a in tail.values())
+                   for f, tail in got.items()), m
+        # zero rows may be left out
+        assert sparse_kernel([row for row in sparse if row], cols) == got
+        entries = [x for row in data for x in row]
+        seen["zero row"] += any(not row for row in sparse) and rows > 1
+        seen["zero column"] += any(not any(row[j] for row in data) for j in range(cols))
+        seen["one column"] += cols == 1
+        seen["0 x n"] += rows == 0
+        seen["non-unit rational"] += any(x.denominator > 1 for x in entries)
+        seen["trivial kernel"] += not got
+        seen["proper kernel"] += 0 < len(got) < cols
+    assert min(seen.values()) >= 8, seen
+
+
+def test_a_lazy_subspace_equals_hashes_and_prints_like_a_dense_one():
+    rng = random.Random(20261020)
+    for _ in range(100):
+        d = rng.randint(0, 6)
+        rows = [list(row) for row in wild_matrix(rng, rng.randint(0, 5), d).data] if d else []
+        dense = seed_span(d, rows)  # built from its dense RREF rows
+
+        def lazy():
+            out = Subspace.from_echelon(d, {p: dict(t) for p, t in dense.echelon().items()})
+            assert out._basis is None and out.dim == dense.dim
+            return out
+
+        # each of ==, hash and repr is checked on a subspace whose basis is unbuilt
+        assert hash(lazy()) == hash(dense) == hash(Subspace.from_rows(d, rows))
+        assert repr(lazy()) == repr(dense)
+        assert repr(dense).startswith(f"Subspace(ambient_dim={d}, basis=Matrix(data=")
+        assert lazy() == dense and dense == lazy() and lazy() == Subspace.from_rows(d, rows)
+        one = lazy()
+        assert one.basis is one.basis
+        assert (one == d) is False and one != (d, dense.basis)
+        if d:
+            other = Subspace.full(d) if dense.dim < d else Subspace.zero(d)
+            assert lazy() != other and other != lazy()
 
 
 def test_sparse_rank_matches_the_seed_rank_on_wild_matrices():

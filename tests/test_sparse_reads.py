@@ -17,13 +17,13 @@ from pathlib import Path
 
 import pytest
 from oracles import dense_dr, dense_frames, dense_transgression, direct_sum
-from test_cli import source_env
+from test_cli import count_calls, source_env
 from test_specseq import sphere_model
 
 from cartanss.cli import load_model_file, main, save_model_file
 from cartanss.library import MODEL_NAMES, get_model, random_trivial_product, su2_lie
 from cartanss.liealg import LieData, invariant_subcomplex, multi_indices
-from cartanss.qlinalg import Matrix, Subspace, graded_cohomology, quotient_map
+from cartanss.qlinalg import Matrix, Quotient, Subspace, graded_cohomology, quotient_map
 from cartanss.reports import CertificateError
 from cartanss.specseq import PageCell, SpectralPage, iter_pages
 from cartanss.verify import Analysis, _e2_frames, _lie_realization_ok
@@ -205,3 +205,40 @@ def test_pages_make_no_dense_containment_test_or_dense_apply(tmp_path, monkeypat
     Subspace.full(2).contains_vector((Q(1), Q(0)))
     Matrix.identity(2).apply((Q(1), Q(0)))
     assert calls == {"contains_vector": 1, "apply": 1}
+
+
+@pytest.mark.parametrize("spec", [("group_torus", 6), ("group_su2",)])
+def test_the_page_pass_builds_no_dense_total_matrix_and_reads_no_dense_basis(
+        tmp_path, monkeypatch, capsys, spec):
+    path = str(tmp_path / "model.json")
+    save_model_file(get_model(*spec).model, path)
+    calls = count_calls(monkeypatch, (("model", "total_matrix"), ("model", "total_columns")))
+    dense_reads = {"Subspace.basis": [], "Quotient.reps": []}
+
+    def in_page_pass() -> bool:
+        frame = sys._getframe(2)
+        while frame is not None and frame.f_code.co_name != "_page_pass":
+            frame = frame.f_back
+        return frame is not None
+
+    def logged(cls, name):
+        read = getattr(cls, name).fget
+
+        def wrapper(self):
+            dense_reads[f"{cls.__name__}.{name}"].append(in_page_pass())
+            return read(self)
+        monkeypatch.setattr(cls, name, property(wrapper))
+
+    logged(Subspace, "basis")
+    logged(Quotient, "reps")
+    assert main(["pages", path, "--format", "machine"]) == 0
+    capsys.readouterr()
+    assert calls["total_matrix"] == [] and len(calls["total_columns"]) >= 4
+    assert {name: any(log) for name, log in dense_reads.items()} == {
+        "Subspace.basis": False, "Quotient.reps": False}
+    # the wrappers are live
+    before = {name: len(log) for name, log in dense_reads.items()}
+    Subspace.full(2).basis
+    quotient_map(Subspace.full(2), Subspace.zero(2)).reps
+    assert {name: len(log) - before[name] for name, log in dense_reads.items()} == {
+        "Subspace.basis": 1, "Quotient.reps": 1}

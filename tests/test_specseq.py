@@ -3,16 +3,20 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction as Q
 from pathlib import Path
 
 import pytest
 from oracles import (
+    check_structure,
     direct_sum,
+    dmat,
     oracle_divisor,
     oracle_page,
     preimage,
     seed_mismatches,
     seed_quotient_map,
+    seed_kernel_basis,
     seed_rref,
     sum_and_intersect,
 )
@@ -21,7 +25,7 @@ from cartanss.cli import load_model_file, main, save_model_file
 from cartanss.library import MODEL_NAMES, get_model, random_trivial_product, su2_lie
 from cartanss.liealg import LieData
 from cartanss.model import BasicComplex, EquivariantModel, monomial_basis
-from cartanss import specseq, verify
+from cartanss import liealg, qlinalg, specseq, verify
 from cartanss.qlinalg import Matrix, Subspace, apply_sparse, image, sparse_rank
 from cartanss.reports import CertificateError
 from cartanss.specseq import (
@@ -56,7 +60,7 @@ def test_hopf_filtration_levels():
 def test_filtration_structure_on_all_cards():
     for name in MODEL_NAMES:
         fc = cartan_filtration(get_model(name).model)
-        fc.check_structure()
+        check_structure(fc)
         assert len(fc.labels) == len(fc.dims)
         for m, basis in enumerate(fc.labels):
             assert len(basis) == fc.dims[m]
@@ -149,7 +153,7 @@ def test_induced_differential_ignores_divisor_perturbations():
                 divisor = oracle_divisor(fc, r, p, p + q, {})
                 if cell.dim == 0 or divisor.dim == 0:
                     continue
-                dm = fc.dmat(p + q)
+                dm = dmat(fc, p + q)
                 tgt = pg.cells.get((p + r, q - r + 1))
                 for rep in cell.reps.data:
                     noise = [0] * len(rep)
@@ -209,7 +213,7 @@ def oracle_z_space(fc, r, p, m):
     """Z_r by its definition: F^p meeting the preimage of F^(p+r), by Zassenhaus."""
     if fc.ambient(m) == 0:
         return Subspace.zero(0)
-    return sum_and_intersect(fc.filt(p, m), preimage(fc.dmat(m), fc.filt(p + r, m + 1)))[1]
+    return sum_and_intersect(fc.filt(p, m), preimage(dmat(fc, m), fc.filt(p + r, m + 1)))[1]
 
 
 def test_prefix_kernel_z_space_matches_the_intersection_definition():
@@ -237,7 +241,7 @@ def test_divisor_span_matches_the_zassenhaus_sum():
             cache = {}
             for m in range(top + 1):
                 for p in range(m + 1):
-                    born = image(fc.dmat(m - 1), oracle_z_space(fc, r - 1, p - r + 1, m - 1))
+                    born = image(dmat(fc, m - 1), oracle_z_space(fc, r - 1, p - r + 1, m - 1))
                     other = oracle_z_space(fc, r - 1, p + 1, m)
                     want, _ = sum_and_intersect(born, other)
                     assert oracle_divisor(fc, r, p, m, cache) == want, (model.name, r, p, m)
@@ -251,6 +255,30 @@ def su2_pair_model(basic_degrees):
     name = "su2_pair_" + "".join(map(str, basic_degrees))
     return EquivariantModel(name, direct_sum(su2_lie(), su2_lie()),
                             BasicComplex.build(gens))
+
+
+def _convolve(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return tuple(out)
+
+
+def test_su2_cubed_over_the_2_torus_matches_kunneth():
+    """su(2)^3 over the 2-torus, 2048 monomials, non-abelian in every factor:
+    H = H(T^2) (x) H(su(2))^(x)3 by Kunneth counting, with the abutment and
+    the E_2 certificate passing."""
+    model = EquivariantModel("su2x3_t2", direct_sum(su2_lie(), su2_lie(), su2_lie()),
+                             BasicComplex.build([("1", 0), ("a", 1), ("b", 1), ("ab", 2)]))
+    lie_dims = (1,)
+    for _ in range(3):
+        lie_dims = _convolve(lie_dims, (1, 0, 0, 1))
+    an = Analysis(model)
+    assert an.valid
+    assert an.total_cohomology == _convolve((1, 2, 1), lie_dims)
+    assert an.abutment.passed and an.e2.passed
+    assert an.stabilization == 2
 
 
 def test_every_page_cell_matches_the_seed_quotient_and_dense_d():
@@ -271,7 +299,7 @@ def test_every_page_cell_matches_the_seed_quotient_and_dense_d():
                 divisor = oracle_divisor(fc, r, p, p + q, {})
                 reps, proj = seed_quotient_map(cell.z_space, divisor)
                 assert (cell.reps, cell.proj) == (reps, proj), (model.name, r, p, q)
-                dense = fc.dmat(p + q)
+                dense = dmat(fc, p + q)
                 for row in cell.z_space.basis.data + divisor.basis.data:
                     y = apply_sparse(fc.d_columns[p + q], {j: a for j, a in enumerate(row) if a})
                     assert y == {i: a for i, a in enumerate(dense.apply(row)) if a}
@@ -377,9 +405,8 @@ def test_filtration_stores_prefix_lengths():
 
 def bad_complex():
     """Q -> Q -> Q with both maps the identity, so d^2 != 0; trivial filtration."""
-    one = Matrix.of([[1]])
-    return FilteredComplex((1, 1, 1), (one, one, Matrix.zero(0, 1)),
-                           ((1, 0), (1, 0, 0), (1, 0, 0, 0)))
+    one = (((0, Q(1)),),)  # the identity Q -> Q, column by column
+    return FilteredComplex((1, 1, 1), (one, one, ((),)), ((1, 0), (1, 0, 0), (1, 0, 0, 0)))
 
 
 def test_a_broken_divisor_is_a_typed_error_naming_cell_and_page():
@@ -391,18 +418,36 @@ def test_a_broken_divisor_is_a_typed_error_naming_cell_and_page():
 
 
 def test_every_matrix_reduced_by_pages_matches_the_seed_rref(tmp_path, monkeypatch, capsys):
-    """Cards, S^3..S^25 and su(2) + su(2) over a circle (128 monomials) and
-    over the 2-torus (256): each distinct matrix `pages` reduces, against
-    the seed code.  A sparse_rank call reduces the matrix whose rows are its
-    vectors; its rank is checked against the seed's."""
+    """Cards, S^3..S^25, su(2) + su(2) over a circle (128 monomials) and
+    over the 2-torus (256), and ten random trivial products with dense
+    rational bases: each distinct matrix `pages` reduces, against
+    the seed code.  The row reduction `_reduced` and the kernel routine
+    `sparse_kernel` take sparse rows; the matrix of those rows is checked
+    with seed_mismatches, and each kernel against the seed kernel.  A
+    sparse_rank call reduces the matrix whose rows are its vectors; its rank
+    is checked against the seed's."""
     seen = {}
+    kernels = {}
     ranked = {}
     rank_calls = [0]
-    original = Matrix.rref
+    reduced, kernel = qlinalg._reduced, qlinalg.sparse_kernel
 
-    def captured(self):
-        seen[self] = seen.get(self, 0) + 1
-        return original(self)
+    def dense(rows, cols):
+        rows = [dict(row) for row in rows]
+        return Matrix.of([[row.get(j, 0) for j in range(cols)] for row in rows], cols=cols)
+
+    def captured(rows, cols):
+        m = dense(rows, cols)
+        seen[m] = seen.get(m, 0) + 1
+        return reduced(rows, cols)
+
+    def captured_kernel(rows, cols):
+        rows = list(rows)
+        m = dense(rows, cols)
+        seen[m] = seen.get(m, 0) + 1
+        got = kernel(rows, cols)
+        kernels[m] = got
+        return got
 
     def captured_rank(vectors):
         vectors = list(vectors)
@@ -413,12 +458,17 @@ def test_every_matrix_reduced_by_pages_matches_the_seed_rref(tmp_path, monkeypat
         ranked[m] = got
         return got
 
-    monkeypatch.setattr(Matrix, "rref", captured)
+    monkeypatch.setattr(qlinalg, "_reduced", captured)
+    for module in (qlinalg, specseq, liealg):
+        monkeypatch.setattr(module, "sparse_kernel", captured_kernel)
     for module in (specseq, verify):
         monkeypatch.setattr(module, "sparse_rank", captured_rank)
     models = [get_model(name).model for name in MODEL_NAMES]
     models += [sphere_model(k) for k in range(1, 13)]
     models += [su2_pair_model((0, 1)), su2_pair_model((0, 1, 1, 2))]
+    # dense rational bases: blocks with non-unit rational entries
+    rng = random.Random(20261018)
+    models += [random_trivial_product(rng, tag=f"r{i}").model for i in range(10)]
     for model in models:
         path = str(tmp_path / f"{model.name}.json")
         save_model_file(model, path)
@@ -430,6 +480,9 @@ def test_every_matrix_reduced_by_pages_matches_the_seed_rref(tmp_path, monkeypat
     assert max(m.rows * m.cols for m in seen) >= 2000
     for m in seen:
         assert seed_mismatches(m) == [], m
+    assert len(kernels) > 20
+    for m, got in kernels.items():
+        assert Subspace.from_echelon(m.cols, got) == seed_kernel_basis(m), m
     assert len(ranked) > 20
     for m, rank in ranked.items():
         assert len(seed_rref(m)[1]) == rank, m
