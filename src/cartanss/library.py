@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
 
-from .liealg import LieData, lie_cohomology
-from .model import BasicComplex, EquivariantModel, size_error
+from .liealg import LieData, lie_cohomology, validate_lie
+from .model import BasicComplex, EquivariantModel, size_error, validate_model
 from .qlinalg import Matrix, as_q, cohomology_dims, inverse
 from .reports import CertificateError
 
@@ -156,8 +156,13 @@ def _trivial_product_card(basic=None, lie=None) -> ModelCard:
     if basic.euler_entries:
         raise ValueError("trivial product requires zero Euler operators")
     model = EquivariantModel("trivial_product", lie, basic)
+    # the expectations below count ranks and trust d^2 = 0
+    failed = validate_lie(lie).failures() + validate_model(model).failures()
+    if failed:
+        raise ValueError("trivial_product: invalid model, no card built:\n"
+                         + "\n".join(c.line() for c in failed))
     # H(B, d_hor) by plain rank counting, with no page machinery
-    basic_dims = cohomology_dims(basic.d_hor_matrix(p) for p in range(basic.max_degree + 1))
+    basic_dims = cohomology_dims(basic.d_hor_columns(p) for p in range(basic.max_degree + 1))
     expected = _kunneth_expected(basic_dims, lie_cohomology(lie).dims)
     return ModelCard(model, expected, DESCRIPTIONS["trivial_product"])
 

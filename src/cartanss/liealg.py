@@ -35,6 +35,10 @@ graded commutator of derivations is a derivation, coadjoint is evaluated as
 the even derivation with those generator values, each term signed by the
 position where its new generator is inserted.  The test suite checks both
 tables entry by entry against the wedge-product formulas above.
+
+Both operators reach the linear algebra by their columns on each Lambda^q
+(delta_columns, coadjoint_columns), read off those tables; delta_matrix and
+coadjoint_matrix are their dense views.
 """
 
 from __future__ import annotations
@@ -45,7 +49,15 @@ from fractions import Fraction
 from itertools import combinations, permutations
 from math import comb
 
-from .qlinalg import Matrix, Subspace, as_q, graded_cohomology, sparse_kernel
+from .qlinalg import (
+    Matrix,
+    SparseColumns,
+    Subspace,
+    as_q,
+    column_rows,
+    graded_cohomology,
+    sparse_kernel,
+)
 from .reports import CheckResult, ValidationReport
 
 MultiIndex = tuple[int, ...]
@@ -448,49 +460,37 @@ def _positions(L: LieData, q: int) -> dict[MultiIndex, int]:
     return pos
 
 
-def _matrix_of_columns(columns: list[Terms], pos: dict[MultiIndex, int]) -> Matrix:
-    """Dense matrix whose j-th column has the terms columns[j], rows placed by pos."""
-    data = [[_ZERO] * len(columns) for _ in pos]
-    for j, col in enumerate(columns):
-        for K, v in col:
-            data[pos[K]][j] = v
-    return Matrix(tuple(tuple(row) for row in data), len(columns))
+def _columns(terms: list[Terms], pos: dict[MultiIndex, int]) -> SparseColumns:
+    """Columns whose j-th has the terms terms[j], each row placed by pos, in increasing order."""
+    return tuple(tuple(sorted([(pos[K], v) for K, v in col])) if col else () for col in terms)
+
+
+def delta_columns(L: LieData, q: int) -> SparseColumns:
+    """The differential Lambda^q -> Lambda^{q+1}, column by column, from the delta table."""
+    return _columns([delta_terms(L, I) for I in multi_indices(L.n, q)], _positions(L, q + 1))
 
 
 def delta_matrix(L: LieData, q: int) -> Matrix:
-    """Matrix of the differential Lambda^q -> Lambda^{q+1}."""
-    columns = [delta_terms(L, I) for I in multi_indices(L.n, q)]
-    return _matrix_of_columns(columns, _positions(L, q + 1))
+    """Matrix of the differential Lambda^q -> Lambda^{q+1}: delta_columns made dense."""
+    return Matrix.from_columns([dict(col) for col in delta_columns(L, q)], comb(L.n, q + 1))
 
 
-def _coadjoint_columns(L: LieData, ell: int, q: int) -> list[Terms]:
-    return [_coadjoint_terms(L, ell, I) for I in multi_indices(L.n, q)]
+def coadjoint_columns(L: LieData, ell: int, q: int) -> SparseColumns:
+    """The ell-th infinitesimal action on Lambda^q, column by column."""
+    _check_direction(L, ell)
+    terms = [_coadjoint_terms(L, ell, I) for I in multi_indices(L.n, q)]
+    return _columns(terms, _positions(L, q))
 
 
 def coadjoint_matrix(L: LieData, ell: int, q: int) -> Matrix:
-    """Matrix of the ell-th infinitesimal action on Lambda^q."""
-    _check_direction(L, ell)
-    return _matrix_of_columns(_coadjoint_columns(L, ell, q), _positions(L, q))
+    """Matrix of the ell-th infinitesimal action on Lambda^q: coadjoint_columns made dense."""
+    return Matrix.from_columns([dict(col) for col in coadjoint_columns(L, ell, q)], comb(L.n, q))
 
 
 @dataclass(frozen=True)
 class LieCohomology:
     dims: tuple[int, ...]
     reps: tuple[tuple[ChiElement, ...], ...]
-
-
-def delta_is_zero(L: LieData, q: int) -> bool:
-    """Whether delta is zero on Lambda^q, read from the sparse delta table."""
-    return not any(delta_terms(L, I) for I in multi_indices(L.n, q))
-
-
-def ce_cohomology(L: LieData):
-    """graded_cohomology of (Lambda g*, delta): per degree q = 0..n, (ker, im, quotient).
-
-    Each delta matrix is built once, as a kernel and then as the next
-    degree's image; degrees are produced lazily.
-    """
-    return graded_cohomology(delta_matrix(L, q) for q in range(L.n + 1))
 
 
 def lie_cohomology(L: LieData) -> LieCohomology:
@@ -501,7 +501,8 @@ def lie_cohomology(L: LieData) -> LieCohomology:
     """
     dims: list[int] = []
     reps: list[tuple[ChiElement, ...]] = []
-    for q, (_, _, quot) in enumerate(ce_cohomology(L)):
+    maps = (delta_columns(L, q) for q in range(L.n + 1))
+    for q, quot in enumerate(graded_cohomology(maps)):
         dims.append(quot.dim)
         reps.append(tuple(chi_from_vector(r, L.n, q) for r in quot.reps.data))
     return LieCohomology(tuple(dims), tuple(reps))
@@ -510,10 +511,10 @@ def lie_cohomology(L: LieData) -> LieCohomology:
 def invariant_subcomplex(L: LieData) -> tuple[Subspace, ...]:
     """Per degree q, the joint kernel of all infinitesimal actions on Lambda^q.
 
-    It is one `sparse_kernel` of the rows of all the coadjoint matrices
-    stacked, gathered from their sparse columns.  A degree whose coadjoint
-    columns are all empty (degree 0 always, every degree of an abelian
-    algebra) is all of Lambda^q, with no elimination.
+    It is one `sparse_kernel` of the rows of all the coadjoint actions
+    stacked, gathered from their columns by `column_rows`.  A degree whose
+    coadjoint columns are all empty (degree 0 always, every degree of an
+    abelian algebra) is all of Lambda^q, with no elimination.
     When coadjoint is zero on every generator, which the generator table
     tells in O(n^2), it is zero in every degree and no column is built.
     """
@@ -521,14 +522,12 @@ def invariant_subcomplex(L: LieData) -> tuple[Subspace, ...]:
         return tuple(Subspace.full(comb(L.n, q)) for q in range(L.n + 1))
     out = []
     for q in range(L.n + 1):
-        pos = _positions(L, q)
-        rows: dict[tuple[int, int], list] = {}  # the stacked actions' rows, by (ell, row)
-        for ell in range(1, L.n + 1):
-            for j, col in enumerate(_coadjoint_columns(L, ell, q)):
-                for K, v in col:
-                    rows.setdefault((ell, pos[K]), []).append((j, v))
-        out.append(Subspace.from_echelon(
-            len(pos), sparse_kernel([rows[key] for key in sorted(rows)], len(pos))))
+        size = comb(L.n, q)
+        # row i of the ell-th action is row ell * size + i of the stack (ell from 0)
+        actions = zip(*(coadjoint_columns(L, ell, q) for ell in range(1, L.n + 1)))
+        stacked = [[(ell * size + i, v) for ell, col in enumerate(cols) for i, v in col]
+                   for cols in actions]
+        out.append(Subspace.from_echelon(size, sparse_kernel(column_rows(stacked), size)))
     return tuple(out)
 
 

@@ -141,17 +141,15 @@ class BasicComplex:
     def euler_indices(self) -> tuple[int, ...]:
         return tuple(sorted({i for i, _, _, _ in self.euler_entries}))
 
-    def d_hor_matrix(self, p: int) -> Matrix:
-        """d_hor restricted to degree p, in per-degree generator coordinates."""
-        src = self.gens_of_degree(p)
-        tgt = self.gens_of_degree(p + 1)
-        pos = {g: i for i, g in enumerate(tgt)}
-        data = [[_ZERO] * len(src) for _ in tgt]
-        for j, g in enumerate(src):
-            for dst, coeff in self.d_hor_table.get(g, ()):
-                if dst in pos:
-                    data[pos[dst]][j] = coeff
-        return Matrix.of(data, cols=len(src))
+    def d_hor_columns(self, p: int) -> SparseColumns:
+        """d_hor from degree p to p+1 by its columns, in per-degree generator coordinates.
+
+        An entry whose target is not of degree p+1 is left out; validate_model reports it.
+        """
+        pos = {g: i for i, g in enumerate(self.gens_of_degree(p + 1))}
+        table = self.d_hor_table
+        return tuple(tuple(sorted((pos[h], c) for h, c in table.get(g, ()) if c and h in pos))
+                     for g in self.gens_of_degree(p))
 
 
 Monomial = tuple[int, MultiIndex]
@@ -511,11 +509,11 @@ def total_matrix(model: EquivariantModel, k: int) -> Matrix:
 def total_cohomology(model: EquivariantModel) -> tuple[int, ...]:
     """Cohomology dimensions of (total complex, total_d), degree by degree.
 
-    Straight rank computation on matrices built here, independent of any
+    Straight rank computation on the columns of total_d, independent of any
     filtration: the abutment oracle for the spectral machinery.
     """
     top = max_total_degree(model)
-    return cohomology_dims(total_matrix(model, k) for k in range(top + 1))
+    return cohomology_dims(total_columns(model, k) for k in range(top + 1))
 
 
 def _identity_check(model, name, *paths) -> CheckResult:

@@ -6,16 +6,18 @@ coefficients are `fractions.Fraction`, so results are exact and deterministic.
 A subspace is always given by the reduced row echelon basis of its row space,
 which makes subspace equality a plain structural comparison.
 
-Conventions: vectors are coordinate tuples, a linear map is a Matrix acting on
-column vectors, and a Subspace keeps its basis as matrix rows.
+Conventions: a dense vector is a coordinate tuple, a sparse one a {column:
+value} dict, and a linear map acts on column vectors.  The engine gives each
+map it reduces by its columns (SparseColumns), and `column_rows` gathers the
+rows of one, or its rows past a cut, for elimination.
 
-Spaces are sparse first.  A Subspace is made from its echelon, {pivot:
-{column: value} past the pivot}, and its dense `basis` matrix is built only
+Spaces are sparse first.  A Subspace keeps only its echelon, {pivot:
+{column: value} past the pivot}, and builds its dense `basis` matrix only
 when something reads it; a `Quotient` keeps its representatives by their
 pivots and the projection as the class of each pivot, and builds the dense
 `reps` and `proj` only when read.  Dense rows are built at the edges: the
-dense-matrix API (`Matrix.rref`, `kernel_basis`, `image`), rendering and the
-tests.
+dense-matrix API (`Matrix.rref`, `kernel_basis`, `image`), which no report
+calls, rendering and the tests.
 
 Row reduction has one core, `_echelon`, which works over the integers: each
 nonzero row is scaled by the lcm of its denominators and kept as a sparse
@@ -32,19 +34,20 @@ its wrapper for a dense Matrix.
 The matrices of the spectral sequence are mostly zero, so the hot paths skip
 zeros: `apply_sparse` applies a map from the nonzero entries of its columns,
 and elimination against an echelon visits only the rows whose pivots it
-meets.  `quotient_map` builds v/w in one pass of a sparse echelon over w's
-rows and then v's, with no row reduction per representative; given a
-coordinate window it reads only the window's columns, which divides v also
-by its part that vanishes there.  `Quotient.class_of` reads the class of a
-sparse vector in one elimination through v's echelon, whose residual is also
-the check that the vector lies in v.  `sparse_rank` counts the rank of
-sparse vectors by the forward pass of the integer core alone.
-`graded_cohomology` takes a zero map's kernel and image without any
-elimination; `cohomology_dims` counts the same dimensions from ranks alone.
-`Matrix.apply` and `Subspace.contains_vector` are the dense counterparts, for
-vectors given as coordinate tuples.  Preimages, sums and intersections of
-subspaces are not needed by the engine; `tests/oracles.py` keeps them, by
-dense elimination, as the definitions the tests check it against.
+meets.  `quotient_map` builds v / span w, w given as sparse vectors, in one
+pass of a sparse echelon over w and then v's rows; given a coordinate window
+it reads only the window's columns, which divides v also by its part that
+vanishes there.  `Quotient.class_of` reads the class of a sparse vector in
+one elimination through v's echelon, whose residual is also the check that
+the vector lies in v.  `sparse_rank` counts the rank of sparse vectors by
+the forward pass of the integer core alone.  `graded_cohomology` is the one
+cohomology of a graded complex with representatives and `cohomology_dims`
+its dimensions from ranks alone; both take each differential by its columns,
+and neither reduces a zero one.  `Matrix.apply` and `Subspace.contains_vector`
+are the dense counterparts, for vectors given as coordinate tuples.
+Preimages, sums and intersections of subspaces are not needed by the engine;
+`tests/oracles.py` keeps them, by dense elimination, as the definitions the
+tests check it against.
 """
 
 from __future__ import annotations
@@ -187,10 +190,18 @@ def sparse_rank(vectors) -> int:
     return len(_triangular(_integer_rows(rows))) if rows else 0
 
 
-def _nonzero_rows(data) -> list[list[tuple[int, Fraction]]]:
-    """The nonzero rows of dense data, each as its (column, value) pairs in order."""
-    rows = ([(j, x) for j, x in enumerate(row) if x] for row in data)
-    return [entries for entries in rows if entries]
+def column_rows(columns, start: int = 0) -> list[list[tuple[int, Fraction]]]:
+    """The nonzero rows at or past start of a map given by its columns' nonzero entries.
+
+    Rows come in increasing order, each as its (column, value) pairs in
+    increasing column order, the form `sparse_kernel` and `_reduced` take.
+    """
+    rows: dict[int, list] = {}
+    for j, col in enumerate(columns):
+        for i, a in col:
+            if i >= start:
+                rows.setdefault(i, []).append((j, a))
+    return [rows[i] for i in sorted(rows)]
 
 
 def _reduced(rows, cols: int) -> dict[int, dict[int, Fraction]]:
@@ -346,6 +357,11 @@ class Matrix:
     def is_zero(self) -> bool:
         return not any(map(any, self.data))
 
+    def sparse_columns(self) -> SparseColumns:
+        """Each column's nonzero entries as (row, value) pairs, in increasing row order."""
+        columns = zip(*self.data) if self.data else [()] * self.cols
+        return tuple(tuple((i, x) for i, x in enumerate(col) if x) for col in columns)
+
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise ValueError(f"cannot multiply {self.shape} by {other.shape}")
@@ -381,10 +397,9 @@ class Matrix:
     def rref(self) -> tuple["Matrix", tuple[int, ...]]:
         """Reduced row echelon form and the pivot column indices, by `_reduced`."""
         nc = self.cols
-        echelon = _reduced(_nonzero_rows(self.data), nc)
+        echelon = _reduced(column_rows(self.sparse_columns()), nc)
         out = _dense_rows(echelon, nc)
-        if len(out) < len(self.data):
-            out.extend([(_ZERO,) * nc] * (len(self.data) - len(out)))
+        out.extend([(_ZERO,) * nc] * (len(self.data) - len(out)))
         return Matrix(tuple(out), nc), tuple(echelon)
 
     def rank(self) -> int:
@@ -407,33 +422,32 @@ def rank(m: Matrix) -> int:
 
 
 def inverse(m: Matrix) -> Matrix:
-    if m.rows != m.cols:
+    """m^-1, read off the sparse RREF of [m | I]; ValueError when m is singular."""
+    n = m.cols
+    if m.rows != n:
         raise ValueError("inverse needs a square matrix")
-    red, pivots = Matrix.hstack(m, Matrix.identity(m.rows)).rref()
-    if pivots != tuple(range(m.cols)):
+    identity = tuple(((i, _ONE),) for i in range(n))
+    echelon = _reduced(column_rows(m.sparse_columns() + identity), 2 * n)
+    if tuple(echelon) != tuple(range(n)):
         raise ValueError("matrix is singular")
-    return Matrix.of([row[m.cols:] for row in red.data], cols=m.cols)
+    return Matrix(tuple(tuple(tail.get(n + j, _ZERO) for j in range(n))
+                        for tail in echelon.values()), n)
 
 
-@dataclass(frozen=True, slots=True, init=False, repr=False, eq=False)
+@dataclass(frozen=True, slots=True, repr=False, eq=False)
 class Subspace:
     """Subspace of Q^ambient_dim, given by its RREF row basis (canonical).
 
-    A Subspace is made from its RREF rows in sparse form (from_echelon: each
-    row's pivot and its other nonzero entries) or dense (`Subspace(d,
-    basis)`); the other form is built on first use and kept.  Equality, hash
-    and repr are those of the pair (ambient_dim, basis), as for a dataclass
-    of those two fields.
+    A Subspace keeps its RREF rows in sparse form, its echelon: each row's
+    pivot and its other nonzero entries (from_echelon).  The dense `basis`
+    matrix is built on first read and kept.  Equality, hash and repr are
+    those of the pair (ambient_dim, basis), as for a dataclass of those two
+    fields.
     """
 
     ambient_dim: int
-    _basis: Matrix | None
-    _echelon: dict | None
-
-    def __init__(self, ambient_dim: int, basis: Matrix):
-        object.__setattr__(self, "ambient_dim", ambient_dim)
-        object.__setattr__(self, "_basis", basis)
-        object.__setattr__(self, "_echelon", None)
+    _echelon: dict[int, dict[int, Fraction]]
+    _basis: Matrix | None = field(default=None, init=False)
 
     @property
     def basis(self) -> Matrix:
@@ -457,31 +471,20 @@ class Subspace:
 
     def echelon(self) -> dict[int, dict[int, Fraction]]:
         """{pivot: {column: value} past the pivot} for the basis rows, in order."""
-        ech = self._echelon
-        if ech is None:
-            ech = {}
-            for row in self._basis.data:
-                entries = nonzero_entries(row)
-                pivot = next(iter(entries))
-                del entries[pivot]  # the leading entry of an RREF row is 1
-                ech[pivot] = entries
-            object.__setattr__(self, "_echelon", ech)
-        return ech
+        return self._echelon
 
     def sparse_row(self, pivot: int) -> dict[int, Fraction]:
         """The basis row with this pivot, as {column: value}."""
-        return {pivot: _ONE, **self.echelon()[pivot]}
+        return {pivot: _ONE, **self._echelon[pivot]}
 
     @classmethod
     def from_echelon(cls, ambient_dim: int, echelon: dict[int, dict[int, Fraction]]) -> "Subspace":
         """The subspace whose RREF rows are given in sparse form, as echelon() returns them."""
-        out = cls(ambient_dim, None)
-        object.__setattr__(out, "_echelon", echelon)
-        return out
+        return cls(ambient_dim, echelon)
 
     @classmethod
     def from_rows(cls, ambient_dim: int, rows) -> "Subspace":
-        rows = _nonzero_rows(Matrix.of(rows, cols=ambient_dim).data)
+        rows = column_rows(Matrix.of(rows, cols=ambient_dim).sparse_columns())
         return cls.from_echelon(ambient_dim, _reduced(rows, ambient_dim))
 
     @classmethod
@@ -494,8 +497,7 @@ class Subspace:
 
     @property
     def dim(self) -> int:
-        ech = self._echelon
-        return self._basis.rows if ech is None else len(ech)
+        return len(self._echelon)
 
     def is_zero(self) -> bool:
         return self.dim == 0
@@ -504,7 +506,7 @@ class Subspace:
         if len(vec) != self.ambient_dim:
             raise ValueError("ambient dimension mismatch")
         residual = nonzero_entries(vec)
-        _eliminate(residual, self.echelon())
+        _eliminate(residual, self._echelon)
         return not any(residual.values())
 
     def contains(self, other: "Subspace") -> bool:
@@ -515,7 +517,7 @@ class Subspace:
 
 def kernel_basis(m: Matrix) -> Subspace:
     """Kernel of m as a subspace of the source Q^cols: `sparse_kernel` of its rows."""
-    return Subspace.from_echelon(m.cols, sparse_kernel(_nonzero_rows(m.data), m.cols))
+    return Subspace.from_echelon(m.cols, sparse_kernel(column_rows(m.sparse_columns()), m.cols))
 
 
 def image(m: Matrix, sub: Subspace | None = None) -> Subspace:
@@ -630,41 +632,36 @@ class Quotient:
 
 
 def quotient_map(v: Subspace, w, window: tuple[int, int] | None = None) -> Quotient:
-    """Coset representatives and coordinate projection for v/w.
+    """Coset representatives and coordinate projection for v / span w.
 
-    The result unpacks as (reps, proj): reps has k = dim v - dim w rows which
-    represent a basis of v/w, and proj is a k x ambient matrix such that for
-    any x in v the quotient coordinates of [x] are proj @ x.  In particular
-    proj @ x = 0 iff x in w, and proj @ reps[i] = e_i.  The Quotient also
-    keeps proj sparse, as the class of each of v's pivots, and reads the
-    class of a sparse vector with `class_of`.
+    w is a list of vectors of v, each given by its nonzero entries as
+    {column: value}.  The result unpacks as (reps, proj): reps has k rows
+    which represent a basis of v / span w, and proj is a k x ambient matrix
+    such that for any x in v the quotient coordinates of [x] are proj @ x.
+    In particular proj @ x = 0 iff x in span w, and proj @ reps[i] = e_i.
+    The Quotient also keeps proj sparse, as the class of each of v's pivots,
+    and reads the class of a sparse vector with `class_of`.
 
-    One pass: w's rows, then v's basis rows in order, go into one sparse
-    echelon whose rows carry their class modulo w as coordinates along the
-    representatives.  A row of v that the echelon does not reduce to zero is
-    the next representative (the first k rows of v independent modulo w);
-    one that it does reduce has its class read off the multipliers.  The
-    echelon also counts dim(v + w), which equals dim v exactly when w lies
-    in v; that is the containment check, and a failing one raises ValueError.
+    One pass: the vectors of w, then v's basis rows in order, go into one
+    sparse echelon whose rows carry their class modulo w as coordinates along
+    the representatives.  A row of v that the echelon does not reduce to
+    zero is the next representative (the first k rows of v independent
+    modulo w), so the result is canonical however w is spanned; one that it
+    does reduce has its class read off the multipliers.  Each vector of w,
+    reduced by v's basis rows, must leave nothing: that is the containment
+    check, and a failing one raises ValueError, as does a vector with an
+    entry past the ambient dimension.
 
-    With window = (lo, hi), w is a list of vectors, each given by its
-    nonzero entries as {column: value}, and the quotient is
-    v / (span w + {x in v : x is zero on columns lo .. hi-1}).  The echelon
-    then reads columns lo .. hi-1 only, and the containment check is that
-    each vector of w, reduced by v's basis rows, leaves nothing.  The
-    representatives are still rows of v, chosen by the same rule, so reps
-    and proj are those of the quotient by the full divisor.
+    With window = (lo, hi), the quotient is v / (span w + {x in v : x is
+    zero on columns lo .. hi-1}): the echelon reads columns lo .. hi-1 only.
+    The representatives are still rows of v, chosen by the same rule, so
+    reps and proj are those of the quotient by the full divisor.  The
+    default window is every column.
     """
     d = v.ambient_dim
-    if window is None:
-        if w.ambient_dim != d:
-            raise ValueError("ambient dimension mismatch")
-        rows = dict(w.echelon())
-        lo, hi = 0, d
-    else:
-        lo, hi = window
-        rows = {}
-    tags: dict[int, dict[int, Fraction]] = {pivot: {} for pivot in rows}  # class of each row
+    lo, hi = (0, d) if window is None else window
+    rows: dict[int, dict[int, Fraction]] = {}
+    tags: dict[int, dict[int, Fraction]] = {}  # class of each row
 
     def insert(residual: dict[int, Fraction], tag: dict[int, Fraction]) -> None:
         pivot = min(residual)
@@ -675,20 +672,18 @@ def quotient_map(v: Subspace, w, window: tuple[int, int] | None = None) -> Quoti
         rows[pivot] = residual
         tags[pivot] = tag
 
-    if window is not None:
-        for y in w:
-            if y and max(y) >= d:
-                raise ValueError("ambient dimension mismatch")
-            residual = dict(y)
-            _eliminate(residual, v.echelon())
-            if any(residual.values()):
-                raise ValueError("quotient undefined: denominator is not contained in numerator")
-            x = {j: a for j, a in y.items() if lo <= j < hi}
-            _eliminate(x, rows)
-            x = {j: a for j, a in x.items() if a}
-            if x:
-                insert(x, {})
-    wdim = len(rows)
+    for y in w:
+        if y and max(y) >= d:
+            raise ValueError("ambient dimension mismatch")
+        residual = dict(y)
+        _eliminate(residual, v.echelon())
+        if any(residual.values()):
+            raise ValueError("quotient undefined: denominator is not contained in numerator")
+        x = {j: a for j, a in y.items() if lo <= j < hi}
+        _eliminate(x, rows)
+        x = {j: a for j, a in x.items() if a}
+        if x:
+            insert(x, {})
     pivots = []  # of the representatives
     classes = {}  # class of each basis row of v, by its pivot
     for vpivot, vtail in v.echelon().items():
@@ -708,50 +703,46 @@ def quotient_map(v: Subspace, w, window: tuple[int, int] | None = None) -> Quoti
         acc = {j: -a for j, a in acc.items()}
         acc[i] = _ONE
         insert(residual, acc)
-    if window is None and len(pivots) != v.dim - wdim:
-        raise ValueError("quotient undefined: denominator is not contained in numerator")
     return Quotient(v, tuple(pivots), classes)
-
-
-def cohomology_at(
-    here: Matrix | None, below: Matrix | None, cols: int
-) -> tuple[Subspace, Subspace, Quotient]:
-    """(ker d_q, im d_(q-1), ker / im) on Q^cols, with None for a zero map.
-
-    A zero d_q has the whole space as kernel and a zero d_(q-1) the zero
-    space as image, with no elimination.
-    """
-    ker = Subspace.full(cols) if here is None else kernel_basis(here)
-    img = Subspace.zero(cols) if below is None else image(below)
-    return ker, img, quotient_map(ker, img)
 
 
 def graded_cohomology(maps):
     """Cohomology of a cochain complex given by its differentials d_0, d_1, ...
 
-    Per degree q, in order, yields cohomology_at: (ker d_q, im d_{q-1},
-    quotient_map(ker, im)), whose reps represent a basis of H^q.
-    maps may be lazy: each d_q is read once, used as a kernel and kept as the
-    next degree's image, and a consumer that stops early builds no more.
-    Raises ValueError where im d_{q-1} is not inside ker d_q (d^2 != 0).
+    Each d_q is SparseColumns, one column per basis vector of C^q.  Per
+    degree q, in order, yields the Quotient ker d_q / im d_(q-1), whose reps
+    represent a basis of H^q: ker d_q is one `sparse_kernel` of d_q's rows,
+    and d_(q-1)'s nonzero columns are the divisor of `quotient_map`, which
+    raises ValueError where one is not in ker d_q (d^2 != 0).  A zero d_q
+    has all of C^q as kernel and a zero d_(q-1) leaves ker d_q as it is,
+    with no elimination.  maps may be lazy: each d_q is read once, used as a
+    kernel and kept as the next degree's image, and a consumer that stops
+    early builds no more.
     """
-    below = None  # d_{q-1} when it has a nonzero entry
-    for m in maps:
-        here = None if m.is_zero() else m
-        yield cohomology_at(here, below, m.cols)
-        below = here
+    below: list[dict[int, Fraction]] = []  # the nonzero columns of d_(q-1)
+    for cols in maps:
+        size = len(cols)
+        ker = Subspace.from_echelon(size, sparse_kernel(column_rows(cols), size))
+        if below:
+            yield quotient_map(ker, below)
+        else:
+            ech = ker.echelon()
+            yield Quotient(ker, tuple(ech), {pivot: {i: _ONE} for i, pivot in enumerate(ech)})
+        below = [dict(col) for col in cols if col]
 
 
 def cohomology_dims(maps) -> tuple[int, ...]:
-    """dim H^q = cols(d_q) - rank d_q - rank d_(q-1) per degree, by ranks alone.
+    """dim H^q = dim C^q - rank d_q - rank d_(q-1) per degree, by ranks alone.
 
-    The dimension-only counterpart of graded_cohomology, with no kernels,
-    images or representatives; each d_q is read once.  It trusts d^2 = 0.
+    The dimension-only counterpart of graded_cohomology, on the same
+    columns, with no kernels, images or representatives: each rank is the
+    `sparse_rank` of d_q's columns, and each d_q is read once.  It trusts
+    d^2 = 0.
     """
     dims = []
     below = 0  # rank d_(q-1)
-    for m in maps:
-        rk = m.rank()
-        dims.append(m.cols - rk - below)
+    for cols in maps:
+        rk = sparse_rank(map(dict, cols))
+        dims.append(len(cols) - rk - below)
         below = rk
     return tuple(dims)

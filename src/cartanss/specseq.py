@@ -32,11 +32,11 @@ The differentials are very sparse (for a torus acting on itself d is zero),
 so the complex keeps each d^m only by the nonzero entries of its columns,
 read straight off the model's monomial images; no dense d is built.  Every
 space is sparse first: Z_r is one qlinalg.sparse_kernel of the block's rows,
-gathered from those columns, and is kept by its echelon; a block with no
-nonzero entry has all of F^p as its kernel without an elimination.  d Z_(r-1)
-and d_r are applied through the columns.  d_r applies d to each
-representative's sparse echelon row and reads the class of the image in the
-target cell by one elimination through the target's Z_r
+gathered from those columns by qlinalg.column_rows, and is kept by its
+echelon; a block with no nonzero entry has all of F^p as its kernel without
+an elimination.  d Z_(r-1) and d_r are applied through the columns.  d_r
+applies d to each representative's sparse echelon row and reads the class of
+the image in the target cell by one elimination through the target's Z_r
 (qlinalg.Quotient.class_of), which is also the check that it lies in Z_r;
 no vector of C^m is built dense, and the rank of d_r comes from the same
 sparse columns.  A Subspace's dense basis and a cell's dense reps and proj
@@ -54,7 +54,8 @@ the first page r >= 2 whose d_r is zero and whose nonzero cells leave no room
 for a later differential, which is E_infinity.  `verify.Analysis` reads the
 stabilization index off that one pass: one past the last r >= 2 with a
 nonzero d_r, or 2 when there is none.  `AbutmentReport` compares E_infinity
-with total cohomology degree by degree; `verify.Analysis` fills it in.
+with total cohomology degree by degree; `verify.Analysis` fills it in, with
+the total ranks counted on the same columns by qlinalg.cohomology_dims.
 """
 
 from __future__ import annotations
@@ -69,6 +70,7 @@ from .qlinalg import (
     SparseColumns,
     Subspace,
     apply_sparse,
+    column_rows,
     quotient_map,
     sparse_kernel,
     sparse_rank,
@@ -197,15 +199,9 @@ def _z_space(fc: FilteredComplex, r: int, p: int, m: int, cache: dict) -> Subspa
     if hit is not None:
         return hit
     k = fc.cut(p, m)
-    start = fc.cut(p + r, m + 1)
-    rows: dict[int, list] = {}  # the block's nonzero rows, by row of d
-    if 0 <= m <= fc.max_degree:
-        for j, col in enumerate(fc.d_columns[m][:k]):
-            for i, a in col:
-                if i >= start:
-                    rows.setdefault(i, []).append((j, a))
+    rows = column_rows(fc.d_columns[m][:k], fc.cut(p + r, m + 1)) if k else []
     # a zero block has no rows, and its kernel is all of F^p with no elimination
-    out = Subspace.from_echelon(fc.ambient(m), sparse_kernel([rows[i] for i in sorted(rows)], k))
+    out = Subspace.from_echelon(fc.ambient(m), sparse_kernel(rows, k))
     cache[key] = out
     return out
 
@@ -304,20 +300,6 @@ def iter_pages(fc: FilteredComplex) -> Iterator[SpectralPage]:
         for key in [key for key in cache if key[0] < r]:
             del cache[key]
         r += 1
-
-
-def homology_dims(pg: SpectralPage) -> dict[tuple[int, int], int]:
-    """Dims of ker(d_r)/im(d_r) per cell: the next page computed the slow way."""
-    out: dict[tuple[int, int], int] = {}
-    for (p, q), cell in pg.cells.items():
-        if cell.dim == 0:
-            continue
-        out_rank = pg.ranks[(p, q)]
-        in_rank = pg.ranks.get((p - pg.r, q + pg.r - 1), 0)
-        h = cell.dim - out_rank - in_rank
-        if h:
-            out[(p, q)] = h
-    return out
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,7 @@
 
 The comparison map F sends a pair (d_hor-cocycle alpha of degree p, invariant
 element beta of chi-degree q) to the class of alpha (x) beta on the second page.
-Both sides are computed independently: the left from plain matrix ranks of
+Both sides are computed independently: the left from the cohomology of
 d_hor and the invariant subcomplex, the right from the filtered-complex page
 machinery.  The verdict is "isomorphism" exactly when F has full rank equal
 to both dimensions at every (p, q); any mismatch pinpoints the first failing
@@ -17,9 +17,11 @@ Both checks read classes sparse.  alpha (x) beta and each invariant are
 reduces each through the echelon of Z_2, or of the cocycles, which checks
 that it lies there and gives its class.  The ranks come from those sparse
 columns by qlinalg.sparse_rank; a dense frame matrix is built only for the
-transgression.  Where delta is zero into and out of degree q, H^q is
-Lambda^q with the identity projection, and the realization check there is
-a comparison of dimensions with no delta matrix.
+transgression.  Both factors of E_2 are qlinalg.graded_cohomology of
+columns: of d_hor, per basic degree, and of delta, per chi-degree.  Where
+delta is zero into and out of degree q, H^q is Lambda^q with the identity
+projection, and the realization check there is a comparison of dimensions
+with no elimination.
 
 `Analysis(model)` is the whole report of one model, from validation to the
 transgression.  Each stage is computed once, on first use, from the stages
@@ -30,12 +32,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from math import comb
 
 from .liealg import (
     LieData,
-    delta_is_zero,
-    delta_matrix,
+    delta_columns,
     invariant_subcomplex,
     multi_indices,
     validate_lie,
@@ -43,7 +43,7 @@ from .liealg import (
 from .model import EquivariantModel, degree_basis, validate_model
 from .qlinalg import (
     Matrix,
-    cohomology_at,
+    cohomology_dims,
     graded_cohomology,
     inverse,
     sparse_rank,
@@ -74,8 +74,8 @@ def basic_cohomology(model: EquivariantModel) -> GradedReps:
     d_hor^2 = 0 and clean degree bookkeeping (validate_model).
     """
     basic = model.basic
-    maps = (basic.d_hor_matrix(p) for p in range(basic.max_degree + 1))
-    reps = tuple(quot.reps for _, _, quot in graded_cohomology(maps))
+    maps = (basic.d_hor_columns(p) for p in range(basic.max_degree + 1))
+    reps = tuple(quot.reps for quot in graded_cohomology(maps))
     return GradedReps(tuple(r.rows for r in reps), reps)
 
 
@@ -111,25 +111,19 @@ def _lie_realization_ok(lie: LieData, inv) -> bool:
 
     Each invariant basis row is read sparse: one class read in ker / im
     checks that it is closed and gives its class, and the classes must have
-    full rank.  Where delta is zero into and out of degree q, H^q is Lambda^q
-    with the identity projection, so the check is that the invariants are
-    all of Lambda^q, and no delta matrix is built there.
+    full rank.  Where H^q is all of Lambda^q (delta is zero into and out of
+    degree q), invariants of its dimension are all of Lambda^q, and nothing
+    is read or reduced there.
     """
-    below = None  # delta_(q-1) when it has a nonzero entry
-    for q in range(lie.n + 1):
-        size = comb(lie.n, q)
-        here = None if delta_is_zero(lie, q) else delta_matrix(lie, q)
-        if here is None and below is None:
-            if inv[q].dim != size:
-                return False
-        else:
-            _, _, quot = cohomology_at(here, below, size)
-            if inv[q].dim != quot.dim:
-                return False
-            classes = [quot.class_of(inv[q].sparse_row(pivot)) for pivot in inv[q].echelon()]
-            if None in classes or sparse_rank(classes) != quot.dim:
-                return False
-        below = here
+    maps = (delta_columns(lie, q) for q in range(lie.n + 1))
+    for q, quot in enumerate(graded_cohomology(maps)):
+        if inv[q].dim != quot.dim:
+            return False
+        if quot.dim == quot.space.ambient_dim:
+            continue
+        classes = [quot.class_of(inv[q].sparse_row(pivot)) for pivot in inv[q].echelon()]
+        if None in classes or sparse_rank(classes) != quot.dim:
+            return False
     return True
 
 
@@ -299,14 +293,8 @@ class Analysis:
 
     @cached_property
     def total_cohomology(self) -> tuple[int, ...]:
-        """dim H^k of the total complex from the ranks of the filtration's d alone.
-
-        dim H^k = dim C^k - rank d^k - rank d^(k-1), each rank the
-        `sparse_rank` of d^k's nonzero columns.
-        """
-        fc = self.filtration
-        ranks = [sparse_rank(dict(col) for col in cols) for cols in fc.d_columns]
-        return tuple(size - rk - below for size, rk, below in zip(fc.dims, ranks, [0] + ranks))
+        """dim H^k of the total complex: cohomology_dims of the filtration's d columns."""
+        return cohomology_dims(self.filtration.d_columns)
 
     @cached_property
     def abutment(self) -> AbutmentReport:

@@ -12,7 +12,10 @@ reduction of the whole accumulated basis per accepted representative, then a
 row reduction of [C | I] to read the projection off the tracked transform.
 Its reductions are `seed_rref`, so it shares no code with the one-pass sparse
 echelon of `qlinalg.quotient_map` nor with the integer elimination, and
-agreement entry by entry is a real check.
+agreement entry by entry is a real check.  `seed_graded_cohomology` is the
+cohomology of a complex of dense matrices built from `seed_kernel_basis`,
+`seed_span` and `seed_quotient_map` alone, the reference for the engine's
+`graded_cohomology` over sparse columns.
 
 `wedge_ce_delta` and `homotopy_coadjoint` are the first Chevalley-Eilenberg
 operators of the package: delta by wedge products of `ChiElement`s, and the
@@ -42,6 +45,9 @@ divisor by one row reduction of both parts stacked.  The engine's window
 quotients skip the empty spots and never form that divisor, so comparing
 the two checks the skip and the window identity at once.
 
+`homology_dims` is the page recurrence: the dims of ker d_r / im d_r per
+cell, which the next page must match.
+
 `dense_dr`, `dense_frames` and `dense_transgression` are the dense route the
 engine used before it read classes sparse: every d(rep) and every alpha (x)
 beta is a dense vector of C^m, tested with `Subspace.contains_vector` and
@@ -64,6 +70,7 @@ from cartanss.liealg import (
     wedge,
 )
 from cartanss.model import (
+    BasicComplex,
     EquivariantModel,
     ModelElement,
     degree_basis,
@@ -114,9 +121,10 @@ def seed_rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
 
 
 def seed_span(d: int, rows) -> Subspace:
-    """The row space of rows in Q^d, by its seed_rref basis."""
+    """The row space of rows in Q^d, its echelon read off the seed_rref rows."""
     red, pivots = seed_rref(Matrix.of(rows, cols=d))
-    return Subspace(d, Matrix(red.data[: len(pivots)], d))
+    return Subspace.from_echelon(d, {
+        p: {j: x for j, x in enumerate(row) if x and j != p} for p, row in zip(pivots, red.data)})
 
 
 def seed_kernel_basis(m: Matrix) -> Subspace:
@@ -247,6 +255,36 @@ def seed_quotient_map(v: Subspace, w: Subspace) -> tuple[Matrix, Matrix]:
                 rowv[pivots[l]] = val
         proj_rows.append(rowv)
     return Matrix.of(reps, cols=d), Matrix.of(proj_rows, cols=d)
+
+
+def seed_graded_cohomology(maps) -> list[tuple[Subspace, Subspace, tuple[Matrix, Matrix]]]:
+    """Per degree q, (ker d_q, im d_(q-1), (reps, proj) of ker / im) for dense d_0, d_1, ...
+
+    Built from seed_kernel_basis, seed_span and seed_quotient_map only; a
+    zero map goes through them like any other.
+    """
+    out = []
+    below: list = []  # the columns of d_(q-1)
+    for m in maps:
+        ker, img = seed_kernel_basis(m), seed_span(m.cols, below)
+        out.append((ker, img, seed_quotient_map(ker, img)))
+        below = [m.column(j) for j in range(m.cols)]
+    return out
+
+
+def divisor_vectors(sub: Subspace) -> list[dict]:
+    """The basis rows of sub as sparse vectors, the divisor form quotient_map takes."""
+    return [sub.sparse_row(pivot) for pivot in sub.echelon()]
+
+
+def dense_d_hor(basic: BasicComplex, p: int) -> Matrix:
+    """d_hor from degree p to p+1 as a dense matrix, placed entry by entry from d_hor_entries."""
+    src, tgt = basic.gens_of_degree(p), basic.gens_of_degree(p + 1)
+    data = [[Q(0)] * len(src) for _ in tgt]
+    for g, h, c in basic.d_hor_entries:
+        if g in src and h in tgt:
+            data[tgt.index(h)][src.index(g)] = c
+    return Matrix.of(data, cols=len(src))
 
 
 def wedge_ce_delta(L: LieData, a: ChiElement) -> ChiElement:
@@ -431,12 +469,26 @@ def oracle_page(fc: FilteredComplex, r: int, cache: dict | None = None) -> Spect
             z = _z_space(fc, r, p, m, cache)
             divisor = oracle_divisor(fc, r, p, m, cache)
             try:
-                reps, proj = quotient_map(z, divisor)
+                reps, proj = quotient_map(z, divisor_vectors(divisor))
             except ValueError:
                 raise CertificateError(f"divisor escapes Z_{r}", (p, m - p), r) from None
             cells[(p, m - p)] = OracleCell(p, m - p, reps.rows, reps, proj, z, divisor)
     dr = dense_dr(fc, cells, r)
     return SpectralPage(r, cells, dr, {pq: m.rank() for pq, m in dr.items()})
+
+
+def homology_dims(pg: SpectralPage) -> dict[tuple[int, int], int]:
+    """Dims of ker(d_r)/im(d_r) per cell: the next page computed the slow way."""
+    out: dict[tuple[int, int], int] = {}
+    for (p, q), cell in pg.cells.items():
+        if cell.dim == 0:
+            continue
+        out_rank = pg.ranks[(p, q)]
+        in_rank = pg.ranks.get((p - pg.r, q + pg.r - 1), 0)
+        h = cell.dim - out_rank - in_rank
+        if h:
+            out[(p, q)] = h
+    return out
 
 
 def dense_dr(fc: FilteredComplex, cells: dict, r: int) -> dict:

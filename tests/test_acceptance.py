@@ -46,14 +46,13 @@ from cartanss.model import (
 )
 from cartanss.specseq import (
     cartan_filtration,
-    homology_dims,
     iter_pages,
     page,
 )
-from cartanss.qlinalg import cohomology_dims, graded_cohomology
+from cartanss.qlinalg import cohomology_dims
 from cartanss.verify import Analysis, basic_cohomology
 
-from oracles import dmat
+from oracles import dense_d_hor, dmat, homology_dims, seed_graded_cohomology
 from test_cli import parse_table_pages
 
 
@@ -115,12 +114,16 @@ def test_criterion_04_tensor_dims_and_full_rank_batch():
         assert rep.passed, model.name
         hq = lie_cohomology(model.lie).dims
         bdims = basic_cohomology(model).dims
-        # the rank-only count agrees with graded_cohomology's kernels and images
-        d_hor = [model.basic.d_hor_matrix(p) for p in range(model.basic.max_degree + 1)]
-        assert cohomology_dims(d_hor) == bdims, model.name
+        # the rank-only count and graded_cohomology agree with the seed
+        # kernels and images
+        degrees = range(model.basic.max_degree + 1)
+        d_hor = [model.basic.d_hor_columns(p) for p in degrees]
+        seed = seed_graded_cohomology(dense_d_hor(model.basic, p) for p in degrees)
+        assert cohomology_dims(d_hor) == bdims == tuple(
+            k.dim - i.dim for k, i, _ in seed), model.name
         fc = an.filtration
         dense_d = (dmat(fc, m) for m in range(fc.max_degree + 1))
-        total = tuple(ker.dim - img.dim for ker, img, _ in graded_cohomology(dense_d))
+        total = tuple(ker.dim - img.dim for ker, img, _ in seed_graded_cohomology(dense_d))
         assert an.total_cohomology == total, model.name
         for c in rep.cells:
             assert c.e2_dim == bdims[c.p] * hq[c.q], (model.name, c.p, c.q)

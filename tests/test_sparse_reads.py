@@ -16,18 +16,31 @@ from fractions import Fraction as Q
 from pathlib import Path
 
 import pytest
-from oracles import dense_dr, dense_frames, dense_transgression, direct_sum
-from test_cli import count_calls, source_env
+from oracles import (
+    dense_dr,
+    dense_frames,
+    dense_transgression,
+    direct_sum,
+    dense_d_hor,
+    oracle_delta_matrix,
+    seed_graded_cohomology,
+)
+from test_cli import _eliminations_inside, count_calls, source_env
 from test_specseq import sphere_model
 
 from cartanss.cli import load_model_file, main, save_model_file
-from cartanss.library import MODEL_NAMES, get_model, random_trivial_product, su2_lie
-from cartanss.liealg import LieData, invariant_subcomplex, multi_indices
+from cartanss.library import (
+    MODEL_NAMES,
+    get_model,
+    heisenberg_lie,
+    random_trivial_product,
+    su2_lie,
+)
+from cartanss.liealg import LieData, delta_columns, invariant_subcomplex, multi_indices
 from cartanss.qlinalg import Matrix, Quotient, Subspace, graded_cohomology, quotient_map
 from cartanss.reports import CertificateError
 from cartanss.specseq import PageCell, SpectralPage, iter_pages
 from cartanss.verify import Analysis, _e2_frames, _lie_realization_ok
-from cartanss import liealg, verify
 
 SAMPLES = Path(__file__).resolve().parent.parent / "sample_models"
 
@@ -48,18 +61,55 @@ def differential_models():
 
 
 def dense_realization_ok(lie: LieData, inv) -> bool:
-    """The Lie realization check by the dense route, in every degree."""
-    maps = (liealg.delta_matrix(lie, q) for q in range(lie.n + 1))
-    for q, (ker, img, quot) in enumerate(graded_cohomology(maps)):
+    """The Lie realization check by the dense route, in every degree, on the
+    seed cohomology of the wedge-product delta matrices."""
+    maps = (oracle_delta_matrix(lie, q) for q in range(lie.n + 1))
+    for q, (ker, img, (_, proj)) in enumerate(seed_graded_cohomology(maps)):
         h_dim = ker.dim - img.dim
         if inv[q].dim != h_dim:
             return False
         if not all(ker.contains_vector(row) for row in inv[q].basis.data):
             return False
-        classes = [quot.proj.apply(row) for row in inv[q].basis.data]
+        classes = [proj.apply(row) for row in inv[q].basis.data]
         if Matrix.of(classes, cols=h_dim).rank() != h_dim:
             return False
     return True
+
+
+def test_graded_cohomology_matches_the_seed_cohomology_entry_by_entry():
+    """graded_cohomology over sparse columns against seed_graded_cohomology
+    over dense matrices built apart from them: d_hor from the entry list and
+    delta from wedge products.  Kernel, reps and proj must agree exactly."""
+    rng = random.Random(20261103)
+    complexes = []
+    samples = [load_model_file(str(path)) for path in sorted(SAMPLES.glob("*.json"))]
+    basics = [get_model(name).model.basic for name in MODEL_NAMES]
+    basics += [m.basic for m in samples if Analysis(m).valid]
+    basics += [random_trivial_product(rng, tag=f"g{i}").model.basic for i in range(20)]
+    for basic in basics:
+        degrees = range(basic.max_degree + 1)
+        complexes.append(([basic.d_hor_columns(p) for p in degrees],
+                          [dense_d_hor(basic, p) for p in degrees]))
+    algebras = [su2_lie(), heisenberg_lie(), direct_sum(su2_lie(), su2_lie()), su2_plus_line()]
+    algebras += [LieData.abelian(n) for n in range(1, 6)]
+    for lie in algebras:
+        degrees = range(lie.n + 1)
+        complexes.append(([delta_columns(lie, q) for q in degrees],
+                          [oracle_delta_matrix(lie, q) for q in degrees]))
+    seen = {"H^q != 0": 0, "nonzero image": 0, "proper kernel": 0}
+    for columns, dense in complexes:
+        got = list(graded_cohomology(columns))
+        want = seed_graded_cohomology(dense)
+        assert len(got) == len(want) == len(dense)
+        for quot, (ker, img, (reps, proj)) in zip(got, want):
+            assert quot.space == ker
+            assert (quot.reps.data, quot.reps.cols) == (reps.data, reps.cols)
+            assert (quot.proj.data, quot.proj.cols) == (proj.data, proj.cols)
+            assert all(type(x) is Q for m in (quot.reps, quot.proj) for row in m.data for x in row)
+            seen["H^q != 0"] += quot.dim > 0
+            seen["nonzero image"] += img.dim > 0
+            seen["proper kernel"] += 0 < ker.dim < ker.ambient_dim
+    assert min(seen.values()) >= 10, seen
 
 
 def test_sparse_reads_match_the_dense_route_on_every_page_frame_and_transgression():
@@ -162,23 +212,27 @@ def test_a_planted_invariant_that_is_not_closed_fails_the_realization_check():
 
 def test_a_wrong_invariant_dimension_where_delta_is_zero_fails_without_a_delta_matrix(
         monkeypatch):
-    built = []
-    delta_matrix = verify.delta_matrix
-    monkeypatch.setattr(verify, "delta_matrix", lambda L, q: built.append(q) or delta_matrix(L, q))
+    """Where delta is zero into and out of degree q, the check eliminates
+    nothing: it compares dimensions, and a wrong one fails."""
+    inside = _eliminations_inside(monkeypatch, "_lie_realization_ok")
     torus = LieData.abelian(3)
     inv = invariant_subcomplex(torus)
+    planted_1, planted_2 = planted(inv, 1, [[1, 0, 0]]), planted(inv, 2, [])
     assert _lie_realization_ok(torus, inv)
-    assert not _lie_realization_ok(torus, planted(inv, 1, [[1, 0, 0]]))
-    assert not _lie_realization_ok(torus, planted(inv, 2, []))
-    assert built == []
+    assert not _lie_realization_ok(torus, planted_1)
+    assert not _lie_realization_ok(torus, planted_2)
+    assert sum(inside) == 0
     # su(2): delta_1 is the only nonzero delta, so degrees 0 and 3 are
     # identity degrees and degrees 1 and 2 read classes through delta_1
     su2 = su2_lie()
     inv = invariant_subcomplex(su2)
+    planted_0, planted_3 = planted(inv, 0, []), planted(inv, 3, [])
+    assert not _lie_realization_ok(su2, planted_0)
+    assert sum(inside) == 0  # degree 0 fails before the kernel of delta_1
+    assert not _lie_realization_ok(su2, planted_3)
+    assert sum(inside) == 3  # only degrees 1 and 2 eliminate
     assert _lie_realization_ok(su2, inv)
-    assert not _lie_realization_ok(su2, planted(inv, 0, []))
-    assert not _lie_realization_ok(su2, planted(inv, 3, []))
-    assert set(built) == {1}
+    assert sum(inside) == 6
 
 
 @pytest.mark.parametrize("spec", [("group_torus", 6), ("group_su2",)])
@@ -239,6 +293,6 @@ def test_the_page_pass_builds_no_dense_total_matrix_and_reads_no_dense_basis(
     # the wrappers are live
     before = {name: len(log) for name, log in dense_reads.items()}
     Subspace.full(2).basis
-    quotient_map(Subspace.full(2), Subspace.zero(2)).reps
+    quotient_map(Subspace.full(2), []).reps
     assert {name: len(log) - before[name] for name, log in dense_reads.items()} == {
         "Subspace.basis": 1, "Quotient.reps": 1}

@@ -11,6 +11,7 @@ from oracles import (
     check_structure,
     direct_sum,
     dmat,
+    homology_dims,
     oracle_divisor,
     oracle_page,
     preimage,
@@ -32,7 +33,6 @@ from cartanss.specseq import (
     FilteredComplex,
     _z_space,
     cartan_filtration,
-    homology_dims,
     iter_pages,
     page,
 )
