@@ -417,10 +417,6 @@ def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     return m.rref()
 
 
-def rank(m: Matrix) -> int:
-    return m.rank()
-
-
 def inverse(m: Matrix) -> Matrix:
     """m^-1, read off the sparse RREF of [m | I]; ValueError when m is singular."""
     n = m.cols

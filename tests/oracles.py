@@ -15,7 +15,8 @@ echelon of `qlinalg.quotient_map` nor with the integer elimination, and
 agreement entry by entry is a real check.  `seed_graded_cohomology` is the
 cohomology of a complex of dense matrices built from `seed_kernel_basis`,
 `seed_span` and `seed_quotient_map` alone, the reference for the engine's
-`graded_cohomology` over sparse columns.
+`graded_cohomology` over sparse columns; `dense_d_hor` places the entries of
+d_hor into such a matrix one by one, apart from `BasicComplex.d_hor_columns`.
 
 `wedge_ce_delta` and `homotopy_coadjoint` are the first Chevalley-Eilenberg
 operators of the package: delta by wedge products of `ChiElement`s, and the

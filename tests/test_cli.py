@@ -591,7 +591,7 @@ def test_each_kernel_basis_runs_one_elimination(tmp_path, monkeypatch, capsys):
         return echelon(rows)
 
     monkeypatch.setattr(qlinalg, "_echelon", logged)
-    calls = count_calls(monkeypatch, (("qlinalg", "sparse_kernel"), ("qlinalg", "kernel_basis")))
+    calls = count_calls(monkeypatch, (("qlinalg", "sparse_kernel"),))
     assert main(["pages", path, "--format", "machine"]) == 0
     capsys.readouterr()
     # a kernel given no nonzero row (a zero block) eliminates nothing

@@ -17,11 +17,11 @@ from pathlib import Path
 
 import pytest
 from oracles import (
+    dense_d_hor,
     dense_dr,
     dense_frames,
     dense_transgression,
     direct_sum,
-    dense_d_hor,
     oracle_delta_matrix,
     seed_graded_cohomology,
 )
