@@ -30,6 +30,7 @@ file, before the algebra is built or any monomial is listed).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -310,7 +311,7 @@ def machine_document(an: Analysis, max_r: int | None) -> dict:
             for pq, m in sorted(an.transgression.items())
         },
         "total_cohomology": list(an.total_cohomology),
-        "basic_cohomology": list(an.frames.basic.dims),
+        "basic_cohomology": [h.dim for h in an.frames.basic],
     }
 
 
@@ -361,7 +362,7 @@ def render_table(an: Analysis, max_r: int | None) -> str:
             out.append(f"  ({p},{q}) -> ({p + 2},{q - 1}): {rows}")
     out.append("")
     out.append(f"total cohomology dims: {list(an.total_cohomology)}")
-    out.append(f"basic cohomology dims: {list(an.frames.basic.dims)}")
+    out.append(f"basic cohomology dims: {[h.dim for h in an.frames.basic]}")
     return "\n".join(out)
 
 
@@ -428,7 +429,8 @@ def _run_card(spec: str, fmt: str) -> int:
     results = [
         ("validation", True),
         ("total cohomology", an.total_cohomology == tuple(exp.total_cohomology)),
-        ("basic cohomology", an.frames.basic.dims == tuple(exp.basic_cohomology)),
+        ("basic cohomology",
+         tuple(h.dim for h in an.frames.basic) == tuple(exp.basic_cohomology)),
         ("E_2 dims", an.page2.dims() == dict(exp.e2_dims)),
         ("stabilization page", an.stabilization == exp.stabilization),
         ("abutment", an.abutment.passed),
@@ -474,7 +476,9 @@ def cmd_examples(list_flag: bool, run_spec: str | None, fmt: str) -> int:
     return _run_card(run_spec, fmt)
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command line parser, built once per process and reused by every main call."""
     parser = argparse.ArgumentParser(
         prog="cartanss",
         description="Exact spectral sequences for invariant forms of locally free actions.",
@@ -493,8 +497,11 @@ def main(argv=None) -> int:
     p_ex.add_argument("--list", action="store_true")
     p_ex.add_argument("--run", metavar="NAME[:param]")
     p_ex.add_argument("--format", choices=("table", "machine"), default="table")
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     if args.command == "validate":
         return cmd_validate(args.file)
     if args.command == "pages":

@@ -38,12 +38,18 @@ tables entry by entry against the wedge-product formulas above.
 
 Both operators reach the linear algebra by their columns on each Lambda^q
 (delta_columns, coadjoint_columns), read off those tables; delta_matrix and
-coadjoint_matrix are their dense views.
+coadjoint_matrix are their dense views.  lie_cohomology is
+qlinalg.graded_cohomology of delta_columns, one Quotient per degree, built
+as it is asked for.  The tables hold plain (multi-index, coefficient)
+terms, so the engine builds no ChiElement; ChiElement and the operators on
+it (wedge, contract, ce_delta, coadjoint, delta_gen) are the reference
+element algebra.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -51,6 +57,7 @@ from math import comb
 
 from .qlinalg import (
     Matrix,
+    Quotient,
     SparseColumns,
     Subspace,
     as_q,
@@ -219,15 +226,16 @@ class LieData:
     """Structure constants of an n-dimensional metric Lie algebra, 0-based storage.
 
     Derived tables, built from the nonzero constants and taking no part in
-    equality: delta_gens[k - 1] = delta chi_k and coadjoint_gens[l - 1][i - 1]
-    = coadjoint(l, chi_i) as (k, coefficient) pairs, both at construction;
+    equality: delta_gens[k - 1] = delta chi_k as ((a, b), coefficient) pairs
+    and coadjoint_gens[l - 1][i - 1] = coadjoint(l, chi_i) as (k,
+    coefficient) pairs, both at construction;
     delta(chi_I) per multi-index I, filled by delta_terms on first use; and
     the position of each multi-index in its degree's basis, per degree.
     """
 
     n: int
     c: tuple[tuple[tuple[Fraction, ...], ...], ...]
-    delta_gens: tuple[ChiElement, ...] = field(init=False, repr=False, compare=False)
+    delta_gens: tuple[Terms, ...] = field(init=False, repr=False, compare=False)
     coadjoint_gens: tuple[tuple[tuple[tuple[int, Fraction], ...], ...], ...] = field(
         init=False, repr=False, compare=False
     )
@@ -261,7 +269,7 @@ class LieData:
             for (a, b), v in t.items():
                 coad[a - 1][i][b] = v
                 coad[b - 1][i][a] = -v
-        object.__setattr__(self, "delta_gens", tuple(ChiElement(t) for t in terms))
+        object.__setattr__(self, "delta_gens", tuple(tuple(t.items()) for t in terms))
         object.__setattr__(
             self,
             "coadjoint_gens",
@@ -340,8 +348,8 @@ def _perm_sign(perm) -> int:
 
 
 def delta_gen(L: LieData, k: int) -> ChiElement:
-    """delta chi_k = sum_{a<b} c[a][b][k] chi_a ^ chi_b, from L's table."""
-    return L.delta_gens[k - 1]
+    """delta chi_k = sum_{a<b} c[a][b][k] chi_a ^ chi_b, built from L's table."""
+    return ChiElement(dict(L.delta_gens[k - 1]))
 
 
 def _insert(J: MultiIndex, x: int) -> tuple[int, MultiIndex] | None:
@@ -363,7 +371,7 @@ def _derive_delta(L: LieData, I: MultiIndex) -> Terms:
     out: dict[MultiIndex, Fraction] = {}
     for j, i in enumerate(I):
         rest = I[:j] + I[j + 1:]
-        for (a, b), v in L.delta_gens[i - 1].coeffs.items():
+        for (a, b), v in L.delta_gens[i - 1]:
             hit = _insert(rest, b)
             if hit is None:
                 continue
@@ -445,13 +453,6 @@ def chi_to_vector(a: ChiElement, n: int, q: int) -> tuple[Fraction, ...]:
     return tuple(v)
 
 
-def chi_from_vector(vec, n: int, q: int) -> ChiElement:
-    idxs = multi_indices(n, q)
-    if len(vec) != len(idxs):
-        raise ValueError("coordinate length mismatch")
-    return ChiElement({I: v for I, v in zip(idxs, vec)})
-
-
 def _positions(L: LieData, q: int) -> dict[MultiIndex, int]:
     """Multi-index -> its position in the basis of Lambda^q, built once per L and q."""
     pos = L._positions.get(q)
@@ -487,25 +488,17 @@ def coadjoint_matrix(L: LieData, ell: int, q: int) -> Matrix:
     return Matrix.from_columns([dict(col) for col in coadjoint_columns(L, ell, q)], comb(L.n, q))
 
 
-@dataclass(frozen=True)
-class LieCohomology:
-    dims: tuple[int, ...]
-    reps: tuple[tuple[ChiElement, ...], ...]
+def lie_cohomology(L: LieData) -> Iterator[Quotient]:
+    """ker(delta) / im(delta) per degree q = 0 .. n, lazily, as Quotients.
 
-
-def lie_cohomology(L: LieData) -> LieCohomology:
-    """Per-degree dimensions and representative cocycles of ker(delta)/im(delta).
-
-    The data must pass validate_lie; on invalid data the coboundaries need not
-    sit inside the cocycles and this raises.
+    graded_cohomology over delta_columns: each degree's quotient is built
+    when it is asked for, so a consumer that stops early builds no more.
+    Its space is the cocycles in Lambda^q coordinates, its reps represent a
+    basis of H^q, and `class_of` reads the class of a cocycle.  The data
+    must pass validate_lie; on invalid data the coboundaries need not sit
+    inside the cocycles and this raises ValueError.
     """
-    dims: list[int] = []
-    reps: list[tuple[ChiElement, ...]] = []
-    maps = (delta_columns(L, q) for q in range(L.n + 1))
-    for q, quot in enumerate(graded_cohomology(maps)):
-        dims.append(quot.dim)
-        reps.append(tuple(chi_from_vector(r, L.n, q) for r in quot.reps.data))
-    return LieCohomology(tuple(dims), tuple(reps))
+    return graded_cohomology(delta_columns(L, q) for q in range(L.n + 1))
 
 
 def invariant_subcomplex(L: LieData) -> tuple[Subspace, ...]:

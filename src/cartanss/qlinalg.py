@@ -15,9 +15,11 @@ Spaces are sparse first.  A Subspace keeps only its echelon, {pivot:
 {column: value} past the pivot}, and builds its dense `basis` matrix only
 when something reads it; a `Quotient` keeps its representatives by their
 pivots and the projection as the class of each pivot, and builds the dense
-`reps` and `proj` only when read.  Dense rows are built at the edges: the
-dense-matrix API (`Matrix.rref`, `kernel_basis`, `image`), which no report
-calls, rendering and the tests.
+`reps` and `proj` only when read.  Neither keeps a dense form once built.
+Every cohomology is a `Quotient` per degree, so the results handed on stay
+sparse too.  Dense rows are built at the edges: the dense-matrix API
+(`Matrix.rref`, `kernel_basis`, `image`), which no report calls, the
+transgression matrices, rendering and the tests.
 
 Row reduction has one core, `_echelon`, which works over the integers: each
 nonzero row is scaled by the lcm of its denominators and kept as a sparse
@@ -52,7 +54,7 @@ tests check it against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
@@ -436,31 +438,28 @@ class Subspace:
 
     A Subspace keeps its RREF rows in sparse form, its echelon: each row's
     pivot and its other nonzero entries (from_echelon).  The dense `basis`
-    matrix is built on first read and kept.  Equality, hash and repr are
-    those of the pair (ambient_dim, basis), as for a dataclass of those two
-    fields.
+    matrix is built each time it is read.  Equality and hash compare
+    ambient_dim and the echelon, which is canonical; repr is that of the
+    pair (ambient_dim, basis), as for a dataclass of those two fields.
     """
 
     ambient_dim: int
     _echelon: dict[int, dict[int, Fraction]]
-    _basis: Matrix | None = field(default=None, init=False)
 
     @property
     def basis(self) -> Matrix:
         """The RREF basis rows as a dense matrix."""
-        basis = self._basis
-        if basis is None:
-            basis = Matrix(tuple(_dense_rows(self._echelon, self.ambient_dim)), self.ambient_dim)
-            object.__setattr__(self, "_basis", basis)
-        return basis
+        return Matrix(tuple(_dense_rows(self._echelon, self.ambient_dim)), self.ambient_dim)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return (self.ambient_dim, self.basis) == (other.ambient_dim, other.basis)
+        return (self.ambient_dim, self._echelon) == (other.ambient_dim, other._echelon)
 
     def __hash__(self):
-        return hash((self.ambient_dim, self.basis))
+        # order-blind, like the dict equality of the echelons
+        return hash((self.ambient_dim,
+                     frozenset((p, frozenset(tail.items())) for p, tail in self._echelon.items())))
 
     def __repr__(self):
         return f"{type(self).__qualname__}(ambient_dim={self.ambient_dim!r}, basis={self.basis!r})"
@@ -567,16 +566,14 @@ class Quotient:
     the nonzero coordinates along the representatives.  Any x in v is the
     sum of x[pivot] times v's basis rows, so its class is those classes
     weighted by x at v's pivots: `class_of` reads it from x's nonzero
-    entries.  The dense forms are built on first use: `reps`, the
-    representatives as a k x ambient matrix, and `proj`, the same map as
-    `class_of` as a k x ambient matrix.  Unpacking gives (reps, proj).
+    entries.  The dense forms are built each time they are read: `reps`,
+    the representatives as a k x ambient matrix, and `proj`, the same map
+    as `class_of` as a k x ambient matrix.  Unpacking gives (reps, proj).
     """
 
     space: Subspace
     pivots: tuple[int, ...]
     classes: dict[int, dict[int, Fraction]]
-    _reps: Matrix | None = field(default=None, init=False, repr=False, compare=False)
-    _proj: Matrix | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def dim(self) -> int:
@@ -584,26 +581,18 @@ class Quotient:
 
     @property
     def reps(self) -> Matrix:
-        reps = self._reps
-        if reps is None:
-            ech = self.space.echelon()
-            d = self.space.ambient_dim
-            reps = Matrix(tuple(_dense_rows({p: ech[p] for p in self.pivots}, d)), d)
-            object.__setattr__(self, "_reps", reps)
-        return reps
+        ech = self.space.echelon()
+        d = self.space.ambient_dim
+        return Matrix(tuple(_dense_rows({p: ech[p] for p in self.pivots}, d)), d)
 
     @property
     def proj(self) -> Matrix:
-        proj = self._proj
-        if proj is None:
-            d = self.space.ambient_dim
-            rows = [[_ZERO] * d for _ in range(self.dim)]
-            for pivot, cls in self.classes.items():
-                for i, a in cls.items():
-                    rows[i][pivot] = a
-            proj = Matrix(tuple(tuple(row) for row in rows), d)
-            object.__setattr__(self, "_proj", proj)
-        return proj
+        d = self.space.ambient_dim
+        rows = [[_ZERO] * d for _ in range(self.dim)]
+        for pivot, cls in self.classes.items():
+            for i, a in cls.items():
+                rows[i][pivot] = a
+        return Matrix(tuple(tuple(row) for row in rows), d)
 
     def __iter__(self):
         return iter((self.reps, self.proj))

@@ -38,9 +38,11 @@ an elimination.  d Z_(r-1) and d_r are applied through the columns.  d_r
 applies d to each representative's sparse echelon row and reads the class of
 the image in the target cell by one elimination through the target's Z_r
 (qlinalg.Quotient.class_of), which is also the check that it lies in Z_r;
-no vector of C^m is built dense, and the rank of d_r comes from the same
-sparse columns.  A Subspace's dense basis and a cell's dense reps and proj
-are built only when read, which the page pass never does.
+no vector of C^m is built dense.  The page keeps d_r as those sparse
+columns, one class per representative, and its rank is counted from them;
+only the transgression makes page 2's d_2 a dense matrix.  A Subspace's
+dense basis and a cell's dense reps and proj are built only when read,
+which the page pass never does, so the page pass builds no Matrix.
 
 The filtration of the invariant-forms model is by chi-count complement:
 F^p C^m is spanned by monomials of horizontal degree >= p, which come first
@@ -62,10 +64,10 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 from .model import EquivariantModel, degree_basis, max_total_degree, total_columns
 from .qlinalg import (
-    Matrix,
     Quotient,
     SparseColumns,
     Subspace,
@@ -88,13 +90,11 @@ class FilteredComplex:
     d e_j, in increasing row order;
     prefix[m][p] = k(p, m) for 0 <= p <= m+1: F^p C^m is spanned by the
     first k(p, m) coordinates, with k(0, m) = dims[m] and k(m+1, m) = 0.
-    labels[m] optionally names the coordinates of C^m.
     """
 
     dims: tuple[int, ...]
     d_columns: tuple[SparseColumns, ...]
     prefix: tuple[tuple[int, ...], ...]
-    labels: tuple[tuple, ...] = field(default=())
 
     @property
     def max_degree(self) -> int:
@@ -131,32 +131,30 @@ def cartan_filtration(model: EquivariantModel) -> FilteredComplex:
     dims = []
     columns = []
     prefix = []
-    labels = []
     for m in range(top + 1):
         basis, _ = degree_basis(model, m)
         degrees = [model.basic.degree_of(g) for g, _ in basis]
         dims.append(len(basis))
-        labels.append(basis)
         columns.append(total_columns(model, m))
         prefix.append(tuple(sum(1 for deg in degrees if deg >= p) for p in range(m + 2)))
-    return FilteredComplex(tuple(dims), tuple(columns), tuple(prefix), tuple(labels))
+    return FilteredComplex(tuple(dims), tuple(columns), tuple(prefix))
 
 
 @dataclass(frozen=True, slots=True)
 class PageCell:
-    """One spot E_r^{p,q} of the E_0 support: Z_r and the quotient presentation.
+    """One spot E_r^{p,q} of the E_0 support: the quotient presentation of Z_r.
 
-    reps are coset representatives in C^(p+q) coordinates and proj gives the
-    quotient coordinates of any vector of z_space; proj is built on first
-    use, and `quotient.class_of` reads the same coordinates from a sparse
-    vector.
+    z_space is Z_r, the quotient's space.  reps are coset representatives in
+    C^(p+q) coordinates and proj gives the quotient coordinates of any
+    vector of z_space; both are built dense when read, and
+    `quotient.class_of` reads the same coordinates from a sparse vector.
     """
 
     p: int
     q: int
     quotient: Quotient
-    z_space: Subspace
 
+    z_space = property(lambda self: self.quotient.space)
     dim = property(lambda self: self.quotient.dim)
     reps = property(lambda self: self.quotient.reps)
     proj = property(lambda self: self.quotient.proj)
@@ -166,20 +164,20 @@ class PageCell:
 class SpectralPage:
     """Page r: its cells, d_r per source cell, and the rank of each d_r.
 
-    ranks[pq] is the rank of dr[pq]; `page` counts it from the sparse
-    columns it builds dr from.
+    dr[pq] holds d_r at a nonzero cell pq by its sparse columns, one
+    {class index: value} per representative of the cell, in the
+    coordinates of the target cell (p + r, q - r + 1); where there is no
+    nonzero target every column is empty.  ranks[pq] is the rank of dr[pq],
+    counted from the same columns.
     """
 
     r: int
     cells: dict[tuple[int, int], PageCell]
-    dr: dict[tuple[int, int], Matrix]
+    dr: dict[tuple[int, int], list[dict[int, Fraction]]]
     ranks: dict[tuple[int, int], int] = field(compare=False)
 
     def dims(self) -> dict[tuple[int, int], int]:
         return {pq: c.dim for pq, c in self.cells.items() if c.dim}
-
-    def dr_ranks(self) -> dict[tuple[int, int], int]:
-        return dict(self.ranks)
 
     def dr_is_zero(self) -> bool:
         return not any(self.ranks.values())
@@ -233,7 +231,8 @@ def page(fc: FilteredComplex, r: int, _cache: dict | None = None) -> SpectralPag
 
     d_r of a representative is d applied to its sparse echelon row, and its
     class in the target cell is one class read: the elimination through the
-    target's Z_r that checks containment also gives the coordinates.
+    target's Z_r that checks containment also gives the coordinates.  Those
+    classes are d_r's columns, kept sparse in SpectralPage.dr.
     """
     if r < 0:
         raise ValueError("page index must be >= 0")
@@ -251,15 +250,15 @@ def page(fc: FilteredComplex, r: int, _cache: dict | None = None) -> SpectralPag
                 quot = quotient_map(z, _boundaries(fc, r, p, m, cache), window=(lo, hi))
             except ValueError:
                 raise CertificateError(f"divisor escapes Z_{r}", (p, q), r) from None
-            cells[(p, q)] = PageCell(p, q, quot, z)
-    dr: dict[tuple[int, int], Matrix] = {}
+            cells[(p, q)] = PageCell(p, q, quot)
+    dr: dict[tuple[int, int], list[dict[int, Fraction]]] = {}
     ranks: dict[tuple[int, int], int] = {}
     for (p, q), cell in cells.items():
         if cell.dim == 0:
             continue
         tgt = cells.get((p + r, q - r + 1))
         if tgt is None or tgt.dim == 0:
-            dr[(p, q)] = Matrix.zero(0 if tgt is None else tgt.dim, cell.dim)
+            dr[(p, q)] = [{} for _ in range(cell.dim)]
             ranks[(p, q)] = 0
             continue
         d_cols = fc.d_columns[p + q]
@@ -269,7 +268,7 @@ def page(fc: FilteredComplex, r: int, _cache: dict | None = None) -> SpectralPag
             if y is None:
                 raise CertificateError("d of a representative escapes Z", (p, q), r)
             cols.append(y)
-        dr[(p, q)] = Matrix.from_columns(cols, tgt.dim)
+        dr[(p, q)] = cols
         ranks[(p, q)] = sparse_rank(cols)
     return SpectralPage(r, cells, dr, ranks)
 

@@ -12,13 +12,16 @@ The invariant subcomplex realizes the algebra cohomology in each degree; this
 identification is itself re-derived here (invariants are closed, and project
 isomorphically onto cocycles-mod-coboundaries) rather than assumed.
 
-Both checks read classes sparse.  alpha (x) beta and each invariant are
-{coordinate: value} dicts, and one class read (qlinalg.Quotient.class_of)
-reduces each through the echelon of Z_2, or of the cocycles, which checks
-that it lies there and gives its class.  The ranks come from those sparse
-columns by qlinalg.sparse_rank; a dense frame matrix is built only for the
-transgression.  Both factors of E_2 are qlinalg.graded_cohomology of
-columns: of d_hor, per basic degree, and of delta, per chi-degree.  Where
+Both factors of E_2 are qlinalg.graded_cohomology of columns, and both stay
+its per-degree Quotients: basic_cohomology over d_hor, per basic degree,
+and liealg.lie_cohomology over delta, per chi-degree, read lazily.  Both
+checks read classes sparse.  Each alpha is the echelon row of a
+representative's pivot in the cocycles, alpha (x) beta and each invariant
+are {coordinate: value} dicts, and one class read
+(qlinalg.Quotient.class_of) reduces each through the echelon of Z_2, or of
+the cocycles, which checks that it lies there and gives its class.  The
+ranks come from those sparse columns by qlinalg.sparse_rank; the dense
+frames and page 2's dense d_2 are built only for the transgression.  Where
 delta is zero into and out of degree q, H^q is Lambda^q with the identity
 projection, and the realization check there is a comparison of dimensions
 with no elimination.
@@ -35,14 +38,15 @@ from functools import cached_property
 
 from .liealg import (
     LieData,
-    delta_columns,
     invariant_subcomplex,
+    lie_cohomology,
     multi_indices,
     validate_lie,
 )
 from .model import EquivariantModel, degree_basis, validate_model
 from .qlinalg import (
     Matrix,
+    Quotient,
     cohomology_dims,
     graded_cohomology,
     inverse,
@@ -59,24 +63,15 @@ from .specseq import (
 )
 
 
-@dataclass(frozen=True)
-class GradedReps:
-    """Per-degree dimensions and representative rows (in per-degree coordinates)."""
+def basic_cohomology(model: EquivariantModel) -> tuple[Quotient, ...]:
+    """Cohomology of (B, d_hor), one graded_cohomology Quotient per basic degree.
 
-    dims: tuple[int, ...]
-    reps: tuple[Matrix, ...]
-
-
-def basic_cohomology(model: EquivariantModel) -> GradedReps:
-    """Cohomology of (B, d_hor) with chosen cocycle representatives.
-
-    Coordinates in degree p follow gens_of_degree(p) order.  Requires
-    d_hor^2 = 0 and clean degree bookkeeping (validate_model).
+    Coordinates in degree p follow gens_of_degree(p) order: each Quotient's
+    space is the d_hor-cocycles and its reps represent a basis of H^p.
+    Requires d_hor^2 = 0 and clean degree bookkeeping (validate_model).
     """
     basic = model.basic
-    maps = (basic.d_hor_columns(p) for p in range(basic.max_degree + 1))
-    reps = tuple(quot.reps for quot in graded_cohomology(maps))
-    return GradedReps(tuple(r.rows for r in reps), reps)
+    return tuple(graded_cohomology(basic.d_hor_columns(p) for p in range(basic.max_degree + 1)))
 
 
 @dataclass(frozen=True)
@@ -115,12 +110,13 @@ def _lie_realization_ok(lie: LieData, inv) -> bool:
     degree q), invariants of its dimension are all of Lambda^q, and nothing
     is read or reduced there.  When delta is zero on every generator, which
     its generator table tells in O(n^2), that holds in every degree and no
-    column is built.
+    column is built.  lie_cohomology is read degree by degree, so the first
+    failing degree ends the check before the next degree's cohomology is
+    built.
     """
-    if not any(g.coeffs for g in lie.delta_gens):
+    if not any(lie.delta_gens):
         return all(s.dim == s.ambient_dim for s in inv)
-    maps = (delta_columns(lie, q) for q in range(lie.n + 1))
-    for q, quot in enumerate(graded_cohomology(maps)):
+    for q, quot in enumerate(lie_cohomology(lie)):
         if inv[q].dim != quot.dim:
             return False
         if quot.dim == quot.space.ambient_dim:
@@ -142,7 +138,7 @@ class E2Frames:
     page2: SpectralPage
     cells: tuple[E2Cell, ...]
     f_columns: dict = field(compare=False)
-    basic: GradedReps = field(compare=False)
+    basic: tuple[Quotient, ...] = field(compare=False)
     invariants: tuple = field(compare=False)
 
     def f_matrix(self, pq: tuple[int, int]) -> Matrix | None:
@@ -157,10 +153,11 @@ class E2Frames:
 def _e2_frames(model: EquivariantModel, pg2: SpectralPage) -> E2Frames:
     """Frames of the comparison map on page 2 of model's spectral sequence.
 
-    alpha (x) beta is built sparse, {position: a b}, from the nonzero
-    entries of alpha and beta's echelon row, and its class is one class
-    read in the cell, which also checks that it lies in Z_2.  f_rank is the
-    rank of those sparse columns.
+    alpha (x) beta is built sparse, {position: a b}, from alpha's and
+    beta's echelon rows: alpha is the cocycle row at each pivot of
+    basic_cohomology's representatives, beta each invariant basis row.  Its
+    class is one class read in the cell, which also checks that it lies in
+    Z_2.  f_rank is the rank of those sparse columns.
     """
     bc = basic_cohomology(model)
     inv = invariant_subcomplex(model.lie)
@@ -172,13 +169,14 @@ def _e2_frames(model: EquivariantModel, pg2: SpectralPage) -> E2Frames:
         idx = multi_indices(n, q)
         betas.append([[(idx[j], b) for j, b in inv[q].sparse_row(pivot).items()]
                       for pivot in inv[q].echelon()])
-    for p in range(len(bc.dims)):
+    for p, hp in enumerate(bc):
         gens_p = model.basic.gens_of_degree(p)
-        alphas = [[(g, a) for g, a in zip(gens_p, row) if a] for row in bc.reps[p].data]
+        alphas = [[(gens_p[j], a) for j, a in hp.space.sparse_row(pivot).items()]
+                  for pivot in hp.pivots]
         for q in range(n + 1):
             # a spot outside the E_0 support has no cell: E_2 is zero there
             cell = pg2.cells.get((p, q))
-            prod = bc.dims[p] * inv[q].dim
+            prod = hp.dim * inv[q].dim
             if cell is None:
                 cols = [{} for _ in range(prod)]
             else:
@@ -216,9 +214,10 @@ def d2_transgression(frames: E2Frames) -> dict[tuple[int, int], Matrix]:
     """d_2 written in the tensor bases, per source cell with nonzero product dim.
 
     Entry at (p, q) maps H^p(B) (x) H^q to H^(p+2)(B) (x) H^(q-1) coordinates:
-    inverse(frame_target) @ d_2 @ frame_source.  Requires the tensor check to
-    pass, otherwise the frames are not invertible and there is no honest
-    change of basis.
+    inverse(frame_target) @ d_2 @ frame_source, with d_2 made dense from page
+    2's sparse columns, the one dense d_r of a report.  Requires the tensor
+    check to pass, otherwise the frames are not invertible and there is no
+    honest change of basis.
     """
     bad = next((c for c in frames.cells if not c.ok), None)
     if bad is not None:
@@ -235,7 +234,8 @@ def d2_transgression(frames: E2Frames) -> dict[tuple[int, int], Matrix]:
         if t_tgt is None or t_tgt.rows == 0:
             out[src] = Matrix.zero(0, cell.product_dim)
             continue
-        out[src] = inverse(t_tgt) @ frames.page2.dr[src] @ frames.f_matrix(src)
+        d2 = Matrix.from_columns(frames.page2.dr[src], t_tgt.rows)
+        out[src] = inverse(t_tgt) @ d2 @ frames.f_matrix(src)
     return out
 
 
@@ -283,7 +283,7 @@ class Analysis:
         """One iter_pages pass; only page 2 and E_infinity outlive their summaries."""
         summaries = []
         for pg in iter_pages(self.filtration):
-            ranks = {pq: rk for pq, rk in pg.dr_ranks().items() if rk}
+            ranks = {pq: rk for pq, rk in pg.ranks.items() if rk}
             summaries.append(PageSummary(pg.r, pg.dims(), ranks))
             if pg.r == 2:
                 page2 = pg

@@ -52,7 +52,12 @@ cell, which the next page must match.
 `dense_dr`, `dense_frames` and `dense_transgression` are the dense route the
 engine used before it read classes sparse: every d(rep) and every alpha (x)
 beta is a dense vector of C^m, tested with `Subspace.contains_vector` and
-projected with the dense `proj.apply`.
+projected with the dense `proj.apply`.  `dr_matrix` makes a page's sparse
+d_r columns into the dense matrix those compare with.
+
+`chi_from_vector` is the inverse of `chi_to_vector`: the `ChiElement` with
+given coordinates in the basis of Lambda^q, for checks on the element
+algebra.
 """
 
 from __future__ import annotations
@@ -288,6 +293,14 @@ def dense_d_hor(basic: BasicComplex, p: int) -> Matrix:
     return Matrix.of(data, cols=len(src))
 
 
+def chi_from_vector(vec, n: int, q: int) -> ChiElement:
+    """The element of Lambda^q with coordinates vec in the basis multi_indices(n, q)."""
+    idxs = multi_indices(n, q)
+    if len(vec) != len(idxs):
+        raise ValueError("coordinate length mismatch")
+    return ChiElement({I: v for I, v in zip(idxs, vec)})
+
+
 def wedge_ce_delta(L: LieData, a: ChiElement) -> ChiElement:
     """delta(a), each term chi_{I[:j]} ^ delta chi_{i_j} ^ chi_{I[j+1:]} by two wedges."""
     out = ChiElement.zero()
@@ -492,6 +505,12 @@ def homology_dims(pg: SpectralPage) -> dict[tuple[int, int], int]:
     return out
 
 
+def dr_matrix(pg: SpectralPage, pq: tuple[int, int]) -> Matrix:
+    """d_r at pq as a dense target dim x source dim matrix, from pg.dr's sparse columns."""
+    tgt = pg.cells.get((pq[0] + pg.r, pq[1] - pg.r + 1))
+    return Matrix.from_columns(pg.dr[pq], 0 if tgt is None else tgt.dim)
+
+
 def dense_dr(fc: FilteredComplex, cells: dict, r: int) -> dict:
     """d_r per nonzero cell by the dense route: d of each representative as a
     dense vector of C^(m+1), `contains_vector` in the target's Z_r and the
@@ -506,11 +525,12 @@ def dense_dr(fc: FilteredComplex, cells: dict, r: int) -> dict:
             continue
         cols = []
         d = dmat(fc, p + q)
+        z, proj = tgt.z_space, tgt.proj
         for rep in cell.reps.data:
             y = d.apply(rep)
-            if not tgt.z_space.contains_vector(y):
+            if not z.contains_vector(y):
                 raise CertificateError("d of a representative escapes Z", (p, q), r)
-            cols.append(tgt.proj.apply(y))
+            cols.append(proj.apply(y))
         dr[(p, q)] = Matrix.of([[col[i] for col in cols] for i in range(tgt.dim)],
                                cols=cell.dim)
     return dr
@@ -536,12 +556,15 @@ def dense_frames(model: EquivariantModel, frames) -> dict:
         pq = (cell.p, cell.q)
         pc = frames.page2.cells.get(pq)
         cols = []
-        for alpha in frames.basic.reps[cell.p].data if pc is not None else ():
-            for beta in frames.invariants[cell.q].basis.data:
+        if pc is not None:
+            z, proj = pc.z_space, pc.proj
+            betas = frames.invariants[cell.q].basis.data
+        for alpha in frames.basic[cell.p].reps.data if pc is not None else ():
+            for beta in betas:
                 vec = dense_tensor_vector(model, alpha, cell.p, beta, cell.q)
-                if not pc.z_space.contains_vector(vec):
+                if not z.contains_vector(vec):
                     raise CertificateError("tensor representative not d-compatible", pq, 2)
-                cols.append(pc.proj.apply(vec))
+                cols.append(proj.apply(vec))
         out[pq] = Matrix.of([[col[i] for col in cols] for i in range(cell.e2_dim)],
                             cols=cell.product_dim)
     return out

@@ -57,7 +57,7 @@ from test_cli import parse_table_pages
 
 
 def nonzero_ranks(pg):
-    return {pq: r for pq, r in pg.dr_ranks().items() if r}
+    return {pq: r for pq, r in pg.ranks.items() if r}
 
 
 def test_criterion_01_hopf_card():
@@ -89,7 +89,7 @@ def test_criterion_02_kronecker_card():
 def test_criterion_03_group_su2_card():
     t0 = time.perf_counter()
     card = get_model("group_su2")
-    hdims = lie_cohomology(card.model.lie).dims
+    hdims = tuple(h.dim for h in lie_cohomology(card.model.lie))
     assert hdims == (1, 0, 0, 1)
     inv = invariant_subcomplex(card.model.lie)
     assert tuple(s.dim for s in inv) == hdims
@@ -112,8 +112,8 @@ def test_criterion_04_tensor_dims_and_full_rank_batch():
         an = Analysis(model)
         rep = an.e2
         assert rep.passed, model.name
-        hq = lie_cohomology(model.lie).dims
-        bdims = basic_cohomology(model).dims
+        hq = [h.dim for h in lie_cohomology(model.lie)]
+        bdims = tuple(h.dim for h in basic_cohomology(model))
         # the rank-only count and graded_cohomology agree with the seed
         # kernels and images
         degrees = range(model.basic.max_degree + 1)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import random
@@ -32,7 +33,7 @@ from cartanss.library import (
     random_trivial_product,
     rescaled_su2_lie,
 )
-from cartanss.liealg import LieData, all_multi_indices
+from cartanss.liealg import ChiElement, LieData, all_multi_indices
 from cartanss.model import (
     MAX_TOTAL_DEGREE,
     BasicComplex,
@@ -41,7 +42,7 @@ from cartanss.model import (
     max_total_degree,
     size_error,
 )
-from cartanss import liealg, qlinalg, specseq, verify
+from cartanss import cli, liealg, qlinalg, specseq, verify
 from cartanss.verify import Analysis
 
 HOPF_DOC = {
@@ -378,6 +379,30 @@ def test_missing_subcommand_exits_2():
     assert err.value.code == 2
 
 
+def test_a_second_main_call_builds_no_argument_parser(monkeypatch, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted_init)
+    cli._parser.cache_clear()
+    usage = []
+    for _ in range(2):
+        with pytest.raises(SystemExit) as err:
+            main([])
+        assert err.value.code == 2
+        usage.append(capsys.readouterr().err)
+        # the parser and its three subcommands, built by the first call only
+        assert len(built) == 4
+    assert main(["examples", "--list"]) == 0
+    assert "hopf" in capsys.readouterr().out
+    assert len(built) == 4
+    assert usage[0] == usage[1] and usage[0].startswith("usage: cartanss ")
+
+
 def test_module_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "cartanss", "examples", "--list"],
@@ -436,6 +461,15 @@ def test_pages_computes_every_stage_once(tmp_path, monkeypatch, capsys, source):
                                      "_e2_frames")] == [1, 1, 1, 1]
     # pages 0 .. stabilization and no further: the last one is E_infinity
     assert [args[1] for args in calls["page"]] == list(range(doc["stabilization"] + 1))
+
+
+def test_examples_run_computes_the_algebra_cohomology_once(monkeypatch, capsys):
+    calls = count_calls(monkeypatch, (("qlinalg", "graded_cohomology"),))
+    assert main(["examples", "--run", "group_su2", "--format", "machine"]) == 0
+    assert json.loads(capsys.readouterr().out)["passed"] is True
+    # basic_cohomology and the Lie realization check; the card counts the
+    # algebra's dims by ranks alone
+    assert len(calls["graded_cohomology"]) == 2
 
 
 def test_examples_run_computes_every_stage_once(monkeypatch, capsys):
@@ -838,17 +872,25 @@ def test_pages_builds_no_model_element_and_each_basis_once(tmp_path, monkeypatch
         path = str(tmp_path / "model.json")
         save_model_file(get_model(source).model, path)
     top = max_total_degree(load_model_file(path))
-    built = []
-    init = ModelElement.__init__
+    built = {ModelElement: [], ChiElement: []}
 
-    def counted_init(self, *args, **kwargs):
-        built.append(args)
-        init(self, *args, **kwargs)
+    def counted(cls):
+        init = cls.__init__
 
-    monkeypatch.setattr(ModelElement, "__init__", counted_init)
+        def counted_init(self, *args, **kwargs):
+            built[cls].append(args)
+            init(self, *args, **kwargs)
+        monkeypatch.setattr(cls, "__init__", counted_init)
+
+    counted(ModelElement)
+    counted(ChiElement)
     calls = count_calls(monkeypatch, (("model", "monomial_basis"),))
     assert main(["pages", path, "--format", "machine"]) == 0
     capsys.readouterr()
-    # validation, the total matrices and the E_2 frames all read the model's tables
-    assert built == []
+    # validation, the total matrices, the E_2 frames and the algebra's
+    # cohomology all read the model's and the algebra's tables
+    assert built == {ModelElement: [], ChiElement: []}
+    # the counters are live
+    ChiElement.unit()
+    assert len(built[ChiElement]) == 1
     assert sorted(args[1] for args in calls["monomial_basis"]) == list(range(top + 2))

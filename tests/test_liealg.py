@@ -13,7 +13,6 @@ from cartanss.liealg import (
     LieData,
     all_multi_indices,
     ce_delta,
-    chi_from_vector,
     chi_to_vector,
     coadjoint,
     coadjoint_matrix,
@@ -34,6 +33,7 @@ from cartanss.library import (
     su2_lie,
 )
 from oracles import (
+    chi_from_vector,
     direct_sum,
     homotopy_coadjoint,
     oracle_coadjoint_matrix,
@@ -222,26 +222,30 @@ def test_coadjoint_matrix_matches_operator():
                 assert m.apply(vec) == chi_to_vector(coadjoint(L, ell, ChiElement.basis(I)), 3, q)
 
 
+def lie_dims(L):
+    return tuple(h.dim for h in lie_cohomology(L))
+
+
 def test_lie_cohomology_su2_and_abelian():
-    assert lie_cohomology(su2_lie()).dims == (1, 0, 0, 1)
+    assert lie_dims(su2_lie()) == (1, 0, 0, 1)
     for n in range(1, 5):
-        dims = lie_cohomology(LieData.abelian(n)).dims
+        dims = lie_dims(LieData.abelian(n))
         assert dims == tuple(len(list(combinations(range(n), q))) for q in range(n + 1))
 
 
 def test_cohomology_reps_are_cocycles_and_euler_characteristic_vanishes():
     for L in (su2_lie(), heisenberg_lie(), LieData.abelian(3)):
-        coh = lie_cohomology(L)
-        for q, reps in enumerate(coh.reps):
-            for rep in reps:
-                assert ce_delta(L, rep).is_zero
+        coh = tuple(lie_cohomology(L))
+        for q, h in enumerate(coh):
+            for rep in h.reps.data:
+                assert not any(delta_matrix(L, q).apply(rep))
         if L.n >= 1:
-            assert sum((-1) ** q * d for q, d in enumerate(coh.dims)) == 0
+            assert sum((-1) ** q * h.dim for q, h in enumerate(coh)) == 0
 
 
 def test_poincare_duality_dims():
     for L in (su2_lie(), LieData.abelian(2), LieData.abelian(4)):
-        dims = lie_cohomology(L).dims
+        dims = lie_dims(L)
         assert dims == dims[::-1]
 
 
@@ -250,7 +254,7 @@ def test_invariants_match_cohomology_for_full_antisymmetry():
     # compatibility holds
     L = su2_lie()
     inv = invariant_subcomplex(L)
-    assert tuple(s.dim for s in inv) == lie_cohomology(L).dims
+    assert tuple(s.dim for s in inv) == lie_dims(L)
     for q, sub in enumerate(inv):
         for row in sub.basis.data:
             a = chi_from_vector(row, L.n, q)

@@ -22,6 +22,7 @@ from oracles import (
     dense_frames,
     dense_transgression,
     direct_sum,
+    dr_matrix,
     oracle_delta_matrix,
     seed_graded_cohomology,
 )
@@ -119,8 +120,8 @@ def test_sparse_reads_match_the_dense_route_on_every_page_frame_and_transgressio
         fc = an.filtration
         for pg in iter_pages(fc):
             want = dense_dr(fc, pg.cells, pg.r)
-            assert pg.dr == want, (model.name, pg.r)
-            assert pg.dr_ranks() == {pq: m.rank() for pq, m in want.items()}, (model.name, pg.r)
+            assert {pq: dr_matrix(pg, pq) for pq in pg.dr} == want, (model.name, pg.r)
+            assert pg.ranks == {pq: m.rank() for pq, m in want.items()}, (model.name, pg.r)
             seen["d_r"] += len(want)
             seen["nonzero d_r"] += sum(not m.is_zero() for m in want.values())
             seen["d_3"] += pg.r == 3 and not pg.dr_is_zero()
@@ -147,7 +148,7 @@ def escaping_page2(model):
     cell = pg2.cells[(2, 1)]
     zero = Subspace.zero(cell.z_space.ambient_dim)
     cells = dict(pg2.cells)
-    cells[(2, 1)] = PageCell(2, 1, quotient_map(zero, [], window=(0, 0)), zero)
+    cells[(2, 1)] = PageCell(2, 1, quotient_map(zero, [], window=(0, 0)))
     return SpectralPage(2, cells, pg2.dr, pg2.ranks)
 
 
@@ -264,10 +265,13 @@ def test_pages_make_no_dense_containment_test_or_dense_apply(tmp_path, monkeypat
 @pytest.mark.parametrize("spec", [("group_torus", 6), ("group_su2",)])
 def test_the_page_pass_builds_no_dense_total_matrix_and_reads_no_dense_basis(
         tmp_path, monkeypatch, capsys, spec):
+    """The page pass builds no Matrix, and the whole run reads no dense
+    basis of a space nor the dense reps or proj of a cell or a cohomology."""
     path = str(tmp_path / "model.json")
     save_model_file(get_model(*spec).model, path)
     calls = count_calls(monkeypatch, (("model", "total_matrix"), ("model", "total_columns")))
-    dense_reads = {"Subspace.basis": [], "Quotient.reps": []}
+    dense_reads = {"Subspace.basis": [], "Quotient.reps": [], "Quotient.proj": [],
+                   "Matrix.__init__": []}
 
     def in_page_pass() -> bool:
         frame = sys._getframe(2)
@@ -285,14 +289,25 @@ def test_the_page_pass_builds_no_dense_total_matrix_and_reads_no_dense_basis(
 
     logged(Subspace, "basis")
     logged(Quotient, "reps")
+    logged(Quotient, "proj")
+    init = Matrix.__init__
+
+    def counted_init(self, *args):
+        dense_reads["Matrix.__init__"].append(in_page_pass())
+        init(self, *args)
+    monkeypatch.setattr(Matrix, "__init__", counted_init)
     assert main(["pages", path, "--format", "machine"]) == 0
     capsys.readouterr()
     assert calls["total_matrix"] == [] and len(calls["total_columns"]) >= 4
     assert {name: any(log) for name, log in dense_reads.items()} == {
-        "Subspace.basis": False, "Quotient.reps": False}
+        "Subspace.basis": False, "Quotient.reps": False, "Quotient.proj": False,
+        "Matrix.__init__": False}
+    assert all(dense_reads[name] == [] for name in (
+        "Subspace.basis", "Quotient.reps", "Quotient.proj"))
     # the wrappers are live
     before = {name: len(log) for name, log in dense_reads.items()}
     Subspace.full(2).basis
-    quotient_map(Subspace.full(2), []).reps
+    quot = quotient_map(Subspace.full(2), [])
+    quot.reps, quot.proj
     assert {name: len(log) - before[name] for name, log in dense_reads.items()} == {
-        "Subspace.basis": 1, "Quotient.reps": 1}
+        "Subspace.basis": 1, "Quotient.reps": 1, "Quotient.proj": 1, "Matrix.__init__": 3}
