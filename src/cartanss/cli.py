@@ -315,6 +315,54 @@ def machine_document(an: Analysis, max_r: int | None) -> dict:
     }
 
 
+_quoted = json.encoder.encode_basestring_ascii
+
+
+def json_text(doc) -> str:
+    """json.dumps(doc, indent=2), byte for byte, without the pure-Python encoder.
+
+    Strings, ints, bools, lists and dicts with string keys are written
+    here; any other value goes through json.dumps, so one that JSON cannot
+    hold still raises TypeError.
+    """
+    out: list[str] = []
+    _emit(doc, "\n", out)
+    return "".join(out)
+
+
+def _emit(x, newline: str, out: list[str]) -> None:
+    if isinstance(x, str):
+        out.append(_quoted(x))
+    elif x is True or x is False:
+        out.append("true" if x else "false")
+    elif type(x) is int:
+        out.append(int.__repr__(x))
+    elif isinstance(x, dict):
+        if not x:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, value in x.items():
+            out.append(sep + _quoted(key) + ": ")
+            _emit(value, inner, out)
+            sep = "," + inner
+        out.append(newline + "}")
+    elif isinstance(x, (list, tuple)):
+        if not x:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for value in x:
+            out.append(sep)
+            _emit(value, inner, out)
+            sep = "," + inner
+        out.append(newline + "]")
+    else:
+        out.append(json.dumps(x))
+
+
 def render_table(an: Analysis, max_r: int | None) -> str:
     """The report of a valid model as aligned text; pages past max_r are left out."""
     out = [f"model: {an.model.name}"]
@@ -401,7 +449,7 @@ def cmd_pages(path: str, max_r: int | None, fmt: str) -> int:
         print(f"{model.name}: INVALID, no pages computed", file=sys.stderr)
         return 1
     if fmt == "machine":
-        print(json.dumps(machine_document(an, max_r), indent=2))
+        print(json_text(machine_document(an, max_r)))
     else:
         print(render_table(an, max_r))
     return 0
@@ -421,7 +469,7 @@ def _run_card(spec: str, fmt: str) -> int:
     except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    an = Analysis(card.model)
+    an = Analysis(card.model, card.validation)
     if not an.valid:
         print("\n".join(_check_lines(an)), file=sys.stderr)
         return 1
@@ -446,17 +494,12 @@ def _run_card(spec: str, fmt: str) -> int:
         results.append(("transgression magnitude", good))
     ok = all(flag for _, flag in results)
     if fmt == "machine":
-        print(
-            json.dumps(
-                {
-                    "name": card.model.name,
-                    "checks": [{"name": n, "passed": f} for n, f in results],
-                    "passed": ok,
-                    "report": machine_document(an, None),
-                },
-                indent=2,
-            )
-        )
+        print(json_text({
+            "name": card.model.name,
+            "checks": [{"name": n, "passed": f} for n, f in results],
+            "passed": ok,
+            "report": machine_document(an, None),
+        }))
     else:
         print(f"card: {card.model.name} - {card.note}")
         for label, flag in results:

@@ -19,7 +19,7 @@ from math import comb
 from .liealg import LieData, delta_columns, validate_lie
 from .model import BasicComplex, EquivariantModel, size_error, validate_model
 from .qlinalg import Matrix, as_q, cohomology_dims, inverse
-from .reports import CertificateError
+from .reports import CertificateError, ValidationReport
 
 MODEL_NAMES = (
     "hopf",
@@ -51,9 +51,17 @@ class ExpectedResults:
 
 @dataclass(frozen=True)
 class ModelCard:
+    """A model with its expected results.
+
+    validation holds the (Lie, model) validation reports where building
+    the card already ran them, for verify.Analysis to reuse.
+    """
+
     model: EquivariantModel
     expected: ExpectedResults
     note: str = ""
+    validation: tuple[ValidationReport, ValidationReport] | None = field(
+        default=None, compare=False)
 
 
 def su2_lie() -> LieData:
@@ -162,14 +170,15 @@ def _trivial_product_card(basic=None, lie=None) -> ModelCard:
         raise ValueError("trivial product requires zero Euler operators")
     model = EquivariantModel("trivial_product", lie, basic)
     # the expectations below count ranks and trust d^2 = 0
-    failed = validate_lie(lie).failures() + validate_model(model).failures()
+    validation = (validate_lie(lie), validate_model(model))
+    failed = validation[0].failures() + validation[1].failures()
     if failed:
         raise ValueError("trivial_product: invalid model, no card built:\n"
                          + "\n".join(c.line() for c in failed))
     # H(B, d_hor) by plain rank counting, with no page machinery
     basic_dims = cohomology_dims(basic.d_hor_columns(p) for p in range(basic.max_degree + 1))
     expected = _kunneth_expected(basic_dims, _lie_dims(lie))
-    return ModelCard(model, expected, DESCRIPTIONS["trivial_product"])
+    return ModelCard(model, expected, DESCRIPTIONS["trivial_product"], validation)
 
 
 def get_model(name: str, param=None, *, basic=None, lie=None) -> ModelCard:

@@ -50,10 +50,19 @@ in the monomial basis.  The window of spot (p, q) is then B^p (x) Lambda^q,
 so only the spots with B^p != 0 and q <= n get cells, not the whole
 triangle 0 <= p <= m up to the top degree.  Page r = 0 and r = 1 are
 bookkeeping pages of the bigraded model; the geometric content starts at
-r = 2.  `iter_pages` builds the pages one after another over one cache of Z
-spaces, so a run builds each page once, and it decides where they stop: at
-the first page r >= 2 whose d_r is zero and whose nonzero cells leave no room
-for a later differential, which is E_infinity.  `verify.Analysis` reads the
+r = 2.
+
+`FilteredComplex.support` lists the nonempty E_0 windows once, and every
+page walks that list.  `iter_pages` builds the pages one after another over
+one cache.  Z_r is kept under its block of d, (m, k(p, m), k(p+r, m+1)), so
+where the row cut does not move Z_r is Z_(r-1) and no kernel runs again.  A
+cell's quotient is kept under its Z block, the block of the Z_(r-1) whose
+image is its divisor, and its window: where none of these moved, the page
+takes the earlier page's Quotient and applies no d.  After page r the cache
+drops every entry page r did not read, so it holds about two pages.
+`iter_pages` also decides where the pages stop: at the first page r >= 2
+whose d_r is zero and whose nonzero cells leave no room for a later
+differential, which is E_infinity.  `verify.Analysis` reads the
 stabilization index off that one pass: one past the last r >= 2 with a
 nonzero d_r, or 2 when there is none.  `AbutmentReport` compares E_infinity
 with total cohomology degree by degree; `verify.Analysis` fills it in, with
@@ -64,6 +73,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 
 from .model import EquivariantModel, degree_basis, max_total_degree, total_columns
@@ -101,13 +111,13 @@ class FilteredComplex:
         return len(self.dims) - 1
 
     def ambient(self, m: int) -> int:
-        if 0 <= m <= self.max_degree:
+        if 0 <= m < len(self.dims):
             return self.dims[m]
         return 0
 
     def cut(self, p: int, m: int) -> int:
         """k(p, m) = dim F^p C^m, with F^p = C for p <= 0 and F^p = 0 deep enough."""
-        if m < 0 or m > self.max_degree:
+        if not 0 <= m < len(self.dims):
             return 0
         if p <= 0:
             return self.dims[m]
@@ -117,6 +127,17 @@ class FilteredComplex:
     def filt(self, p: int, m: int) -> Subspace:
         """F^p C^m as a subspace: the first cut(p, m) coordinate vectors."""
         return Subspace.from_echelon(self.ambient(m), {i: {} for i in range(self.cut(p, m))})
+
+    @cached_property
+    def support(self) -> tuple[tuple[int, int, int, int], ...]:
+        """(p, q, lo, hi) for each nonempty E_0 window [lo, hi) = [k(p+1, m), k(p, m)).
+
+        m = p + q; in order of m, then p.  These are the spots that get a
+        cell on every page.
+        """
+        return tuple((p, m - p, levels[p + 1], levels[p])
+                     for m, levels in enumerate(self.prefix)
+                     for p in range(m + 1) if levels[p + 1] != levels[p])
 
 
 def cartan_filtration(model: EquivariantModel) -> FilteredComplex:
@@ -183,36 +204,66 @@ class SpectralPage:
         return not any(self.ranks.values())
 
 
+class _PageCache(dict):
+    """The spaces and quotients of the page pass, by key; remembers the keys asked for.
+
+    `keep_read` drops every entry that no `get` asked for since the last
+    call, so between pages the cache holds what the last page read.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self.read: set = set()
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+    def keep_read(self) -> None:
+        for key in self.keys() - self.read:
+            del self[key]
+        self.read = set()
+
+
+def _kernel(fc: FilteredComplex, block: tuple[int, int, int], cache: dict) -> Subspace:
+    """The kernel of block (m, k, row) of d^m, rows row: and columns :k, in C^m.
+
+    One `sparse_kernel` of the block's rows read off d's columns, padded
+    with zeros to C^m; zero columns appended to a reduced echelon basis
+    leave it reduced, so the result is the canonical basis.  Cached under
+    the block, so every Z_r with the same block is one kernel.
+    """
+    hit = cache.get(block)
+    if hit is not None:
+        return hit
+    m, k, row = block
+    rows = column_rows(fc.d_columns[m][:k], row) if k else []
+    # a zero block has no rows, and its kernel is all of F^p with no elimination
+    out = Subspace.from_echelon(fc.ambient(m), sparse_kernel(rows, k))
+    cache[block] = out
+    return out
+
+
 def _z_space(fc: FilteredComplex, r: int, p: int, m: int, cache: dict) -> Subspace:
     """Z_r at filtration p, total degree m: F^p meeting d^{-1}(F^{p+r}).
 
     x lies in F^p exactly when it is zero past k(p, m), and d x lies in
     F^(p+r) exactly when the rows of d past k(p+r, m+1) kill it, so Z_r is
-    the kernel of that block of d, one `sparse_kernel` of the block's rows
-    read off d's columns.  Zero columns appended to a reduced echelon basis
-    leave it reduced, so the result is the canonical basis.
+    the kernel of the block (m, k(p, m), k(p+r, m+1)) of d, and the cache
+    keys it by that block: where the row cut does not move from r-1 to r,
+    Z_r is Z_(r-1) and no kernel runs again.
     """
-    key = (r, p, m)
-    hit = cache.get(key)
-    if hit is not None:
-        return hit
-    k = fc.cut(p, m)
-    rows = column_rows(fc.d_columns[m][:k], fc.cut(p + r, m + 1)) if k else []
-    # a zero block has no rows, and its kernel is all of F^p with no elimination
-    out = Subspace.from_echelon(fc.ambient(m), sparse_kernel(rows, k))
-    cache[key] = out
-    return out
+    return _kernel(fc, (m, fc.cut(p, m), fc.cut(p + r, m + 1)), cache)
 
 
-def _boundaries(fc: FilteredComplex, r: int, p: int, m: int, cache: dict) -> list[dict]:
-    """d Z_(r-1)^(p-r+1) in C^m: the nonzero images of that space's basis rows.
+def _boundaries(fc: FilteredComplex, m: int, born: Subspace) -> list[dict]:
+    """d born in C^m, born a space of C^(m-1): the nonzero images of its basis rows.
 
     Each is kept by its nonzero entries, {coordinate: value}.
     """
-    if not 1 <= m <= fc.max_degree:
+    if born.is_zero():
         return []
     cols = fc.d_columns[m - 1]
-    born = _z_space(fc, r - 1, p - r + 1, m - 1, cache)
     images = (apply_sparse(cols, born.sparse_row(pivot)) for pivot in born.echelon())
     return [y for y in images if y]
 
@@ -222,12 +273,18 @@ def page(fc: FilteredComplex, r: int, _cache: dict | None = None) -> SpectralPag
 
     E_0^(p,q) is F^p C^m / F^(p+1) C^m, the coordinate window
     [k(p+1, m), k(p, m)) with m = p + q, so a spot whose window is empty is
-    zero on every page and gets no cell.  Each other spot is
-    E_r = pi(Z_r^p) / pi(d Z_(r-1)^(p-r+1)), pi the projection onto its
-    window: Z_r^p meets F^(p+1) in Z_(r-1)^(p+1), which is the rest of the
-    divisor, so quotient_map works on the window columns alone.  It still
-    checks that d Z_(r-1)^(p-r+1) lies in Z_r^p, and the representatives
-    are rows of Z_r^p in C^m.
+    zero on every page and gets no cell (`FilteredComplex.support`).  Each
+    other spot is E_r = pi(Z_r^p) / pi(d Z_(r-1)^(p-r+1)), pi the
+    projection onto its window: Z_r^p meets F^(p+1) in Z_(r-1)^(p+1), which
+    is the rest of the divisor, so quotient_map works on the window columns
+    alone.  It still checks that d Z_(r-1)^(p-r+1) lies in Z_r^p, and the
+    representatives are rows of Z_r^p in C^m.
+
+    A cell's quotient depends only on the block of Z_r^p, the block of
+    Z_(r-1)^(p-r+1) that d maps into the divisor, and the window, so the
+    cache keeps it under those three: a spot where none of them moved since
+    an earlier page takes that page's Quotient, with no d applied and no
+    quotient_map.
 
     d_r of a representative is d applied to its sparse echelon row, and its
     class in the target cell is one class read: the elimination through the
@@ -238,19 +295,23 @@ def page(fc: FilteredComplex, r: int, _cache: dict | None = None) -> SpectralPag
         raise ValueError("page index must be >= 0")
     cache: dict = {} if _cache is None else _cache
     cells: dict[tuple[int, int], PageCell] = {}
-    top = fc.max_degree
-    for m in range(top + 1):
-        for p in range(m + 1):
-            q = m - p
-            lo, hi = fc.cut(p + 1, m), fc.cut(p, m)
-            if lo == hi:
-                continue
-            z = _z_space(fc, r, p, m, cache)
+    for p, q, lo, hi in fc.support:
+        m = p + q
+        z_block = (m, hi, fc.cut(p + r, m + 1))
+        born_block = (m - 1, fc.cut(p - r + 1, m - 1), hi)
+        z = _kernel(fc, z_block, cache)
+        # read also where the cell is kept, so that a later page whose Z
+        # block moves but whose born block does not finds it in the cache
+        born = _kernel(fc, born_block, cache)
+        key = (z_block, born_block, lo)
+        quot = cache.get(key)
+        if quot is None:
             try:
-                quot = quotient_map(z, _boundaries(fc, r, p, m, cache), window=(lo, hi))
+                quot = quotient_map(z, _boundaries(fc, m, born), window=(lo, hi))
             except ValueError:
                 raise CertificateError(f"divisor escapes Z_{r}", (p, q), r) from None
-            cells[(p, q)] = PageCell(p, q, quot)
+            cache[key] = quot
+        cells[(p, q)] = PageCell(p, q, quot)
     dr: dict[tuple[int, int], list[dict[int, Fraction]]] = {}
     ranks: dict[tuple[int, int], int] = {}
     for (p, q), cell in cells.items():
@@ -282,11 +343,12 @@ def iter_pages(fc: FilteredComplex) -> Iterator[SpectralPage]:
     in p between nonzero cells no such pair is left and d_r is zero, so the
     pages end by r = max_degree + 2.
 
-    Page r needs Z_r and Z_(r-1), so one Z cache is shared along the way and
-    the spaces of earlier pages are dropped as soon as no later page needs
-    them.
+    The pages share one cache of kernels by block and of quotients by cell
+    key (`page`), so each is computed once per run wherever later pages do
+    not move it.  After page r the cache drops every entry page r did not
+    read, which keeps it at about two pages' worth.
     """
-    cache: dict = {}
+    cache = _PageCache()
     r = 0
     while True:
         pg = page(fc, r, cache)
@@ -296,8 +358,7 @@ def iter_pages(fc: FilteredComplex) -> Iterator[SpectralPage]:
             if not any((p + s, q - s + 1) in dims
                        for p, q in dims for s in range(r + 1, q + 2)):
                 return
-        for key in [key for key in cache if key[0] < r]:
-            del cache[key]
+        cache.keep_read()
         r += 1
 
 

@@ -252,11 +252,16 @@ class Analysis:
     """Every report stage of one model, each computed once, on first use.
 
     The stages past validation start at `filtration`, which refuses a model
-    that fails validation (`valid`).
+    that fails validation (`valid`).  `validation`, the (Lie, model)
+    reports of this model where they were already run, stands in for
+    running them again.
     """
 
-    def __init__(self, model: EquivariantModel):
+    def __init__(self, model: EquivariantModel,
+                 validation: tuple[ValidationReport, ValidationReport] | None = None):
         self.model = model
+        if validation is not None:
+            self.lie_validation, self.model_validation = validation
 
     @cached_property
     def lie_validation(self) -> ValidationReport:

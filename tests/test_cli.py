@@ -15,11 +15,14 @@ from pathlib import Path
 from fractions import Fraction
 
 import pytest
+from oracles import direct_sum
 
 from cartanss.cli import (
     ModelFileError,
+    json_text,
     load_model_document,
     load_model_file,
+    machine_document,
     main,
     model_to_document,
     save_model_file,
@@ -32,6 +35,7 @@ from cartanss.library import (
     mutated_jacobi_lie,
     random_trivial_product,
     rescaled_su2_lie,
+    su2_lie,
 )
 from cartanss.liealg import ChiElement, LieData, all_multi_indices
 from cartanss.model import (
@@ -482,6 +486,36 @@ def test_examples_run_computes_every_stage_once(monkeypatch, capsys):
     assert [args[1] for args in calls["page"]] == [0, 1, 2]
 
 
+def test_examples_run_trivial_product_validates_once(monkeypatch, capsys):
+    """The card validates its model before counting ranks; the report reuses those reports."""
+    calls = count_calls(monkeypatch)
+    assert main(["examples", "--run", "trivial_product", "--format", "machine"]) == 0
+    assert json.loads(capsys.readouterr().out)["passed"] is True
+    assert (len(calls["validate_lie"]), len(calls["validate_model"])) == (1, 1)
+
+
+def test_json_text_writes_the_bytes_of_json_dumps(capsys):
+    rng = random.Random(20261022)
+    samples = sorted((Path(__file__).resolve().parent.parent / "sample_models").glob("*.json"))
+    models = [get_model(name).model for name in MODEL_NAMES]
+    models += [model for model in map(load_model_file, map(str, samples))
+               if Analysis(model).valid]
+    models += [sphere(k) for k in range(1, 5)]
+    models += [random_trivial_product(rng, tag=f"j{i}").model for i in range(10)]
+    for model in models:
+        doc = machine_document(Analysis(model), None)
+        assert json_text(doc) == json.dumps(doc, indent=2), model.name
+    for name in MODEL_NAMES:
+        assert main(["examples", "--run", name, "--format", "machine"]) == 0
+        out = capsys.readouterr().out
+        assert out == json.dumps(json.loads(out), indent=2) + "\n", name
+    edges = {"": [], "e": {}, "s": ["\"\\/\n\u00e9\u2603\U0001d11e"], "n": [0, -7, 10**30],
+             "t": (True, False, None, 1.5), "deep": [[{"k": [[]]}]]}
+    assert json_text(edges) == json.dumps(edges, indent=2)
+    with pytest.raises(TypeError):
+        json_text({"x": [Fraction(1, 2)]})
+
+
 @pytest.mark.parametrize("source", ["sample_models/hopf.json", "group_torus:3"])
 def test_pages_builds_each_total_matrix_once(tmp_path, monkeypatch, capsys, source):
     if source.endswith(".json"):
@@ -611,9 +645,11 @@ def test_zero_differentials_are_not_eliminated(tmp_path, monkeypatch, capsys, sp
 
 def test_each_kernel_basis_runs_one_elimination(tmp_path, monkeypatch, capsys):
     """Every kernel, of the page blocks, the invariants and the Lie realization
-    check, is one sparse_kernel, which runs the integer core once."""
-    path = str(tmp_path / "model.json")
-    save_model_file(get_model("group_su2").model, path)
+    check, is one sparse_kernel, which runs the integer core once: on su(2)
+    acting on itself and on su(2) + su(2) over a circle."""
+    models = [get_model("group_su2").model,
+              EquivariantModel("su2_pair_circle", direct_sum(su2_lie(), su2_lie()),
+                               BasicComplex.build([("1", 0), ("a", 1)]))]
     inside = []
     echelon = qlinalg._echelon
 
@@ -626,7 +662,10 @@ def test_each_kernel_basis_runs_one_elimination(tmp_path, monkeypatch, capsys):
 
     monkeypatch.setattr(qlinalg, "_echelon", logged)
     calls = count_calls(monkeypatch, (("qlinalg", "sparse_kernel"),))
-    assert main(["pages", path, "--format", "machine"]) == 0
+    for i, model in enumerate(models):
+        path = str(tmp_path / f"model{i}.json")
+        save_model_file(model, path)
+        assert main(["pages", path, "--format", "machine"]) == 0
     capsys.readouterr()
     # a kernel given no nonzero row (a zero block) eliminates nothing
     eliminating = [rows for rows, _ in calls["sparse_kernel"] if any(rows)]

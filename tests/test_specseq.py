@@ -342,14 +342,105 @@ def test_window_pages_match_the_full_triangle_oracle():
     assert skipped > 5000
 
 
+def reuse_test_models():
+    """Every card, every valid sample model, S^3..S^25 and 20 random trivial products."""
+    rng = random.Random(20261021)
+    models = [get_model(name).model for name in MODEL_NAMES]
+    samples = [load_model_file(str(path)) for path in sorted(SAMPLES.glob("*.json"))]
+    models += [model for model in samples if Analysis(model).valid]
+    models += [sphere_model(k) for k in range(1, 13)]
+    models += [random_trivial_product(rng, tag=f"u{i}").model for i in range(20)]
+    return models
+
+
 def test_iter_pages_equals_pages_built_alone():
+    """iter_pages takes kernels and quotients from earlier pages; every page
+    equals page(fc, r) built alone, cell by cell and column by column."""
     for model, last in ((get_model("hopf").model, 3), (sphere_model(2), 3),
                         (get_model("trivial_product").model, 2)):
         fc = cartan_filtration(model)
         pages = list(iter_pages(fc))
-        assert pages == [page(fc, r) for r in range(last + 1)], model.name
+        assert [pg.r for pg in pages] == list(range(last + 1)), model.name
         # the last page is E_infinity: the next one has the same cells
         assert page(fc, last + 1).dims() == pages[-1].dims()
+    models = reuse_test_models()
+    assert "torus_d3" in {model.name for model in models}
+    cells = 0
+    for model in models:
+        fc = cartan_filtration(model)
+        for pg in iter_pages(fc):
+            alone = page(fc, pg.r)
+            assert list(pg.cells) == list(alone.cells), (model.name, pg.r)
+            for pq, cell in pg.cells.items():
+                want = alone.cells[pq]
+                assert (cell.reps, cell.proj, cell.z_space) == (
+                    want.reps, want.proj, want.z_space), (model.name, pg.r, pq)
+                cells += 1
+            assert pg.dr == alone.dr and pg.ranks == alone.ranks, (model.name, pg.r)
+            assert pg == alone
+    assert cells > 1000
+
+
+def test_support_is_the_triangle_scan_of_nonempty_windows():
+    for model in reuse_test_models():
+        fc = cartan_filtration(model)
+        scan = tuple((p, m - p, fc.cut(p + 1, m), fc.cut(p, m))
+                     for m in range(fc.max_degree + 1) for p in range(m + 1)
+                     if fc.cut(p + 1, m) != fc.cut(p, m))
+        assert fc.support == scan, model.name
+
+
+def test_page_pass_counts_on_the_sphere_chain(monkeypatch):
+    """One iter_pages pass over each of S^3..S^25 runs each kernel block and
+    each cell's quotient once; before blocks and cells were kept it took
+    1224 kernels, 720 quotients and 15932 cuts."""
+    fcs = [cartan_filtration(sphere_model(k)) for k in range(1, 13)]
+    counts = dict.fromkeys(("sparse_kernel", "quotient_map", "cut"), 0)
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("sparse_kernel", "quotient_map"):
+        monkeypatch.setattr(specseq, name, counted(name, getattr(specseq, name)))
+    monkeypatch.setattr(FilteredComplex, "cut", counted("cut", FilteredComplex.cut))
+    for fc in fcs:
+        for _ in iter_pages(fc):
+            pass
+    assert counts == {"sparse_kernel": 528, "quotient_map": 516, "cut": 1440}
+
+
+def test_iter_pages_keeps_only_what_the_last_page_read(monkeypatch):
+    """Between pages the cache holds exactly the keys the last page asked for."""
+    read = []
+    get = specseq._PageCache.get
+
+    def recorded_get(self, key, default=None):
+        read.append(key)
+        return get(self, key, default)
+
+    build = specseq.page
+    between = 0
+
+    def checked_page(fc, r, cache):
+        nonlocal between
+        if r:
+            assert set(cache) == set(read), r
+            between += 1
+        read.clear()
+        return build(fc, r, cache)
+
+    monkeypatch.setattr(specseq._PageCache, "get", recorded_get)
+    monkeypatch.setattr(specseq, "page", checked_page)
+    models = [sphere_model(k) for k in range(1, 13)]
+    models += [get_model(name).model for name in MODEL_NAMES]
+    models += [su2_pair_model((0, 1)), load_model_file(str(SAMPLES / "torus_d3.json"))]
+    for model in models:
+        for _ in iter_pages(cartan_filtration(model)):
+            pass
+    assert between > 40
 
 
 def brute_force_test_models():
