@@ -62,6 +62,7 @@ from .qlinalg import (
     Subspace,
     as_q,
     column_rows,
+    exact,
     graded_cohomology,
     sparse_kernel,
 )
@@ -226,11 +227,12 @@ class LieData:
     """Structure constants of an n-dimensional metric Lie algebra, 0-based storage.
 
     Derived tables, built from the nonzero constants and taking no part in
-    equality: delta_gens[k - 1] = delta chi_k as ((a, b), coefficient) pairs
-    and coadjoint_gens[l - 1][i - 1] = coadjoint(l, chi_i) as (k,
-    coefficient) pairs, both at construction;
-    delta(chi_I) per multi-index I, filled by delta_terms on first use; and
-    the position of each multi-index in its degree's basis, per degree.
+    equality, each coefficient in qlinalg's scalar form (`exact`: an int
+    where it is integral): delta_gens[k - 1] = delta chi_k as ((a, b),
+    coefficient) pairs and coadjoint_gens[l - 1][i - 1] = coadjoint(l,
+    chi_i) as (k, coefficient) pairs, both at construction; delta(chi_I) per
+    multi-index I, filled by delta_terms on first use; and the position of
+    each multi-index in its degree's basis, per degree.
     """
 
     n: int
@@ -259,7 +261,7 @@ class LieData:
             for b in range(a + 1, self.n):
                 for k, v in enumerate(plane[b]):
                     if v:
-                        terms[k][(a + 1, b + 1)] = v
+                        terms[k][(a + 1, b + 1)] = exact(v)
         # coadjoint(l, chi_i) = contract(l, delta chi_i): each term
         # v chi_a ^ chi_b gives v chi_b at l = a and -v chi_a at l = b
         coad: list[list[dict[int, Fraction]]] = [
@@ -282,7 +284,7 @@ class LieData:
 
     @classmethod
     def abelian(cls, n: int) -> "LieData":
-        plane = tuple(tuple([_ZERO] * n) for _ in range(n))
+        plane = tuple(tuple([0] * n) for _ in range(n))
         return cls(n, tuple(plane for _ in range(n)))
 
     @classmethod
@@ -295,7 +297,9 @@ class LieData:
           "none"    entries placed verbatim
 
         Listing two entries that touch the same slot is an error, even when
-        consistent: one representative per orbit.
+        consistent: one representative per orbit.  Values are stored in
+        qlinalg's scalar form (`exact`), so an integral constant, and every
+        zero, is an int.
         """
         if completion not in ("full", "bracket", "none"):
             raise ValueError(f"unknown completion mode {completion!r}")
@@ -303,7 +307,7 @@ class LieData:
             items = [(a, b, k, v) for (a, b, k), v in entries.items()]
         else:
             items = [tuple(e) for e in entries]
-        arr = [[[_ZERO] * n for _ in range(n)] for _ in range(n)]
+        arr = [[[0] * n for _ in range(n)] for _ in range(n)]
         taken: set[tuple[int, int, int]] = set()
 
         def put(a, b, k, v):
@@ -316,7 +320,7 @@ class LieData:
             for x in (a, b, k):
                 if not isinstance(x, int) or isinstance(x, bool) or not 1 <= x <= n:
                     raise ValueError(f"structure constant index out of range: ({a},{b},{k})")
-            v = as_q(v)
+            v = exact(v)
             if completion == "none":
                 put(a, b, k, v)
             elif completion == "bracket":
@@ -380,7 +384,7 @@ def _derive_delta(L: LieData, I: MultiIndex) -> Terms:
             if hit is None:
                 continue
             sa, K = hit
-            out[K] = out.get(K, _ZERO) + (-v if (j + sa + sb) % 2 else v)
+            out[K] = out.get(K, 0) + (-v if (j + sa + sb) % 2 else v)
     return tuple((K, v) for K, v in out.items() if v)
 
 
@@ -412,7 +416,7 @@ def _coadjoint_terms(L: LieData, ell: int, I: MultiIndex) -> Terms:
             if hit is None:
                 continue
             sk, K = hit
-            out[K] = out.get(K, _ZERO) + (-w if (j + sk) % 2 else w)
+            out[K] = out.get(K, 0) + (-w if (j + sk) % 2 else w)
     return tuple((K, v) for K, v in out.items() if v)
 
 
@@ -530,7 +534,7 @@ def first_delta_squared_failure(L: LieData) -> MultiIndex | None:
         acc: dict[MultiIndex, Fraction] = {}
         for J, v in delta_terms(L, I):
             for K, w in delta_terms(L, J):
-                acc[K] = acc.get(K, _ZERO) + v * w
+                acc[K] = acc.get(K, 0) + v * w
         if any(acc.values()):
             return I
     return None
@@ -578,7 +582,7 @@ def _first_jacobi_failure(nonzero) -> tuple | None:
             # (a,b,e) = (x,y,z), (z,x,y) and (y,z,x) respectively
             vw = v * w
             for key in ((x, y, z, k), (z, x, y, k), (y, z, x, k)):
-                sums[key] = sums.get(key, _ZERO) + vw
+                sums[key] = sums.get(key, 0) + vw
     bad = min((key for key, s in sums.items() if s), default=None)
     return None if bad is None else bad + (sums[bad],)
 

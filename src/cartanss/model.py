@@ -42,7 +42,7 @@ from .liealg import (
     first_delta_squared_failure,
     multi_indices,
 )
-from .qlinalg import Matrix, SparseColumns, as_q, cohomology_dims
+from .qlinalg import Matrix, SparseColumns, as_q, cohomology_dims, exact
 from .reports import CheckResult, ValidationReport
 
 _ZERO = Fraction(0)
@@ -62,7 +62,11 @@ class BasicComplex:
 
     Derived tables, built once at construction and taking no part in
     equality: d_hor_table[src] and euler_table[(i, src)] list the
-    (dst, coeff) pairs of the entries in the order given.
+    (dst, coeff) pairs of the entries in the order given, each coeff in
+    qlinalg's scalar form (`exact`: an int where it is integral); by_degree
+    maps each degree to its generators in declaration order, max_degree is
+    the largest of those degrees (0 with no generators), and degree_index[g]
+    is g's position among the generators of its degree.
     """
 
     generators: tuple[tuple[str, int], ...]
@@ -74,16 +78,28 @@ class BasicComplex:
     euler_table: dict[tuple[int, int], tuple[tuple[int, Fraction], ...]] = field(
         init=False, repr=False, compare=False
     )
+    by_degree: dict[int, tuple[int, ...]] = field(init=False, repr=False, compare=False)
+    max_degree: int = field(init=False, repr=False, compare=False)
+    degree_index: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         d_hor: dict[int, list] = {}
         for src, dst, coeff in self.d_hor_entries:
-            d_hor.setdefault(src, []).append((dst, coeff))
+            d_hor.setdefault(src, []).append((dst, exact(coeff)))
         euler: dict[tuple[int, int], list] = {}
         for i, src, dst, coeff in self.euler_entries:
-            euler.setdefault((i, src), []).append((dst, coeff))
+            euler.setdefault((i, src), []).append((dst, exact(coeff)))
+        by_degree: dict[int, list[int]] = {}
+        index = []
+        for g, (_, deg) in enumerate(self.generators):
+            gens = by_degree.setdefault(deg, [])
+            index.append(len(gens))
+            gens.append(g)
         object.__setattr__(self, "d_hor_table", {g: tuple(v) for g, v in d_hor.items()})
         object.__setattr__(self, "euler_table", {k: tuple(v) for k, v in euler.items()})
+        object.__setattr__(self, "by_degree", {p: tuple(v) for p, v in by_degree.items()})
+        object.__setattr__(self, "max_degree", max(by_degree, default=0))
+        object.__setattr__(self, "degree_index", tuple(index))
 
     @classmethod
     def build(cls, generators, d_hor=(), euler=()) -> "BasicComplex":
@@ -131,12 +147,8 @@ class BasicComplex:
     def name_of(self, g: int) -> str:
         return self.generators[g][0]
 
-    @property
-    def max_degree(self) -> int:
-        return max((deg for _, deg in self.generators), default=0)
-
     def gens_of_degree(self, p: int) -> tuple[int, ...]:
-        return tuple(g for g, (_, deg) in enumerate(self.generators) if deg == p)
+        return self.by_degree.get(p, ())
 
     def euler_indices(self) -> tuple[int, ...]:
         return tuple(sorted({i for i, _, _, _ in self.euler_entries}))
@@ -146,9 +158,9 @@ class BasicComplex:
 
         An entry whose target is not of degree p+1 is left out; validate_model reports it.
         """
-        pos = {g: i for i, g in enumerate(self.gens_of_degree(p + 1))}
-        table = self.d_hor_table
-        return tuple(tuple(sorted((pos[h], c) for h, c in table.get(g, ()) if c and h in pos))
+        table, gens, index = self.d_hor_table, self.generators, self.degree_index
+        return tuple(tuple(sorted((index[h], c) for h, c in table.get(g, ())
+                                  if c and gens[h][1] == p + 1))
                      for g in self.gens_of_degree(p))
 
 
@@ -366,11 +378,12 @@ def max_total_degree(model: EquivariantModel) -> int:
 MAX_AMBIENT_DIM = 1 << 13
 
 # Largest total degree (top basic degree + lie.n) a model may reach.  The
-# largest card or benchmark model, S^25, reaches 25.  The pages build cells
-# only on the E_0 support (B^p != 0), but each page still scans every spot
-# (p, m) up to the top degree for it, the filtration and the total matrices
-# run over every degree, and stabilization may take up to top + 2 pages, so
-# a basic generator of degree 10^6 would never finish.
+# largest card or benchmark model, S^25, reaches 25.  The pages walk only the
+# E_0 support (B^p != 0), but the filtration lists a basis, a column table
+# and a prefix of length m + 2 for every degree m up to the top, the
+# cohomology of (B, d_hor) takes a differential per basic degree, and
+# stabilization may take up to top + 2 pages, so a basic generator of degree
+# 10^6 would never finish.
 MAX_TOTAL_DEGREE = 128
 
 
@@ -429,7 +442,7 @@ def degree_basis(
 
 
 def _add(out: Image, key: Monomial, value: Fraction) -> None:
-    out[key] = out.get(key, _ZERO) + value
+    out[key] = out.get(key, 0) + value
 
 
 def _build_images(model: EquivariantModel) -> dict[str, dict[Monomial, Image]]:
@@ -529,7 +542,7 @@ def _identity_check(model, name, *paths) -> CheckResult:
         for first, second in maps:
             for y, v in first[x].items():
                 for z, w in second[y].items():
-                    acc[z] = acc.get(z, _ZERO) + v * w
+                    acc[z] = acc.get(z, 0) + v * w
         if any(acc.values()):
             g, I = x
             return CheckResult(

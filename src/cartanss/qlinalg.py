@@ -1,10 +1,16 @@
 """Exact linear algebra over the rationals.
 
 Everything downstream (cochain complexes, filtrations, spectral pages) reduces
-to row reduction, kernels, images and quotients done here.  All
-coefficients are `fractions.Fraction`, so results are exact and deterministic.
-A subspace is always given by the reduced row echelon basis of its row space,
-which makes subspace equality a plain structural comparison.
+to row reduction, kernels, images and quotients done here.  Every
+coefficient is exact and results are deterministic.  The scalar rule: a
+sparse value (echelon tails, classes, tags, sparse columns) is an `int`
+where it is integral and a `fractions.Fraction` where it is not; `exact`
+puts a value in that form, and `_ratio` is the one division, which keeps
+an integral quotient an `int`.  Every entry of a dense `Matrix` is a
+`Fraction`: the dense edges convert with `as_q`.  An `int` and a `Fraction`
+of the same value compare and hash alike, so the two forms never change an
+answer.  A subspace is always given by the reduced row echelon basis of its
+row space, which makes subspace equality a plain structural comparison.
 
 Conventions: a dense vector is a coordinate tuple, a sparse one a {column:
 value} dict, and a linear map acts on column vectors.  The engine gives each
@@ -22,12 +28,14 @@ sparse too.  Dense rows are built at the edges: the dense-matrix API
 transgression matrices, rendering and the tests.
 
 Row reduction has one core, `_echelon`, which works over the integers: each
-nonzero row is scaled by the lcm of its denominators and kept as a sparse
-{column: int} row, rows are combined fraction-free and made primitive (gcd
-content removed), and `_reduced` divides each row by its pivot once, at the
-end.  The reduced echelon form is unique, so `rref`, `rank`, `inverse`,
-`Subspace.from_rows`, `image` and `quotient_map` give the same Fractions as
-dense Gauss-Jordan elimination.  One row, or one column, skips the core.
+nonzero row is scaled by the lcm of its denominators (a row of ints goes in
+as it is) and kept as a sparse {column: int} row, rows are combined
+fraction-free and made primitive (gcd content removed), and `_reduced`
+divides each row by its pivot once, at the end, which leaves a row whose
+pivot entry is 1 or -1 in ints.  The reduced echelon form is unique, so
+`rref`, `rank`, `inverse`, `Subspace.from_rows`, `image` and `quotient_map`
+give the same values as dense Gauss-Jordan elimination.  One row, or one
+column, skips the core.
 There is one kernel routine, `sparse_kernel`, over sparse rows: it reduces
 once, with the columns reversed, and the kernel vectors solved from that
 form are already the reduced echelon basis of the kernel; `kernel_basis` is
@@ -41,12 +49,15 @@ pass of a sparse echelon over w and then v's rows; given a coordinate window
 it reads only the window's columns, which divides v also by its part that
 vanishes there.  `Quotient.class_of` reads the class of a sparse vector in
 one elimination through v's echelon, whose residual is also the check that
-the vector lies in v.  `sparse_rank` counts the rank of sparse vectors by
-the forward pass of the integer core alone.  `graded_cohomology` is the one
-cohomology of a graded complex with representatives and `cohomology_dims`
-its dimensions from ranks alone; both take each differential by its columns,
-and neither reduces a zero one.  `Matrix.apply` and `Subspace.contains_vector`
-are the dense counterparts, for vectors given as coordinate tuples.
+the vector lies in v.  `solve_columns` solves A x = y for sparse columns of
+A the same way, through one echelon of A's columns whose rows carry, as
+their tags, the combination of columns each one is.  `sparse_rank` counts
+the rank of sparse vectors by the forward pass of the integer core alone.
+`graded_cohomology` is the one cohomology of a graded complex with
+representatives and `cohomology_dims` its dimensions from ranks alone; both
+take each differential by its columns, and neither reduces a zero one.
+`Matrix.apply` and `Subspace.contains_vector` are the dense counterparts,
+for vectors given as coordinate tuples.
 Preimages, sums and intersections of subspaces are not needed by the engine;
 `tests/oracles.py` keeps them, by dense elimination, as the definitions the
 tests check it against.
@@ -61,6 +72,7 @@ from math import gcd, lcm
 
 Q = Fraction
 
+# the zero and one of dense rows; sparse forms use the ints 0 and 1
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
@@ -76,6 +88,23 @@ def as_q(value) -> Fraction:
     if isinstance(value, str):
         return Fraction(value)
     raise TypeError(f"expected an exact rational, got {value!r}")
+
+
+def exact(value) -> int | Fraction:
+    """as_q(value) in the engine's scalar form: an int when it is integral."""
+    if type(value) is int:
+        return value
+    q = as_q(value)
+    return q.numerator if q.denominator == 1 else q
+
+
+def _ratio(a, b) -> int | Fraction:
+    """a / b, exact: an int when b divides a, else a Fraction; the one division here."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        return Fraction(a, b) if r else q
+    q = a / b
+    return q.numerator if q.denominator == 1 else q
 
 
 def nonzero_entries(vec) -> dict[int, Fraction]:
@@ -107,14 +136,18 @@ def _primitive(x: dict[int, int]) -> dict[int, int]:
 
 
 def _integer_rows(rows) -> list[dict[int, int]]:
-    """Each row of (column, Fraction) pairs as a primitive {column: int} multiple."""
+    """Each row of (column, value) pairs as a primitive {column: int} multiple.
+
+    A row of ints, the common case under the scalar rule, goes in as it is.
+    """
     out = []
     for entries in rows:
-        den = lcm(*[x.denominator for _, x in entries])
-        if den == 1:
-            out.append(_primitive({j: x.numerator for j, x in entries}))
-        else:
-            out.append(_primitive({j: x.numerator * (den // x.denominator) for j, x in entries}))
+        row = dict(entries)
+        if all(type(x) is int for x in row.values()):
+            out.append(_primitive(row))
+            continue
+        den = lcm(*[x.denominator for x in row.values()])
+        out.append(_primitive({j: x.numerator * (den // x.denominator) for j, x in row.items()}))
     return out
 
 
@@ -209,38 +242,38 @@ def column_rows(columns, start: int = 0) -> list[list[tuple[int, Fraction]]]:
 def _reduced(rows, cols: int) -> dict[int, dict[int, Fraction]]:
     """The RREF of nonzero sparse rows, as {pivot: {column: value} past the pivot}.
 
-    rows are lists of (column, Fraction) pairs in increasing column order,
+    rows are lists of (column, value) pairs in increasing column order,
     zeros left out.  The first
     row, divided by its leading entry, is the whole answer when it is the
     only one or when there is one column.  Any other set of rows goes through
     the integer elimination `_echelon`, and each row is divided by its pivot
-    once, at the end.
+    once, at the end; a row whose pivot entry is 1 or -1 stays in integers.
     """
     if not rows:
         return {}
     if len(rows) == 1 or cols == 1:
         (pivot, lead), *tail = rows[0]
-        return {pivot: {j: x / lead for j, x in tail}}
+        return {pivot: {j: _ratio(x, lead) for j, x in tail}}
     out = {}
     for pivot, row in _echelon(_integer_rows(rows)):
         lead = row.pop(pivot)
         if lead == 1:
-            out[pivot] = {j: Fraction(v) for j, v in row.items()}
+            out[pivot] = row
         elif lead == -1:
-            out[pivot] = {j: Fraction(-v) for j, v in row.items()}
+            out[pivot] = {j: -v for j, v in row.items()}
         else:
-            out[pivot] = {j: Fraction(v, lead) for j, v in row.items()}
+            out[pivot] = {j: _ratio(v, lead) for j, v in row.items()}
     return out
 
 
 def _dense_rows(echelon: dict[int, dict[int, Fraction]], cols: int) -> list[tuple[Fraction, ...]]:
-    """The rows {pivot: tail} of an echelon as dense tuples: 1 at the pivot, tail past it."""
+    """The rows {pivot: tail} of an echelon as dense Fraction tuples: 1 at the pivot, tail after."""
     out = []
     for pivot, tail in echelon.items():
         row = [_ZERO] * cols
         row[pivot] = _ONE
         for j, a in tail.items():
-            row[j] = a
+            row[j] = as_q(a)
         out.append(tuple(row))
     return out
 
@@ -270,7 +303,7 @@ def sparse_kernel(rows, cols: int) -> dict[int, dict[int, Fraction]]:
         lead = -row.pop(p)
         col = last - p
         for c, v in row.items():
-            kernel[last - c][col] = Fraction(v, lead)
+            kernel[last - c][col] = _ratio(v, lead)
     return kernel
 
 
@@ -312,7 +345,7 @@ class Matrix:
         data = [[_ZERO] * len(columns) for _ in range(rows)]
         for j, col in enumerate(columns):
             for i, a in col.items():
-                data[i][j] = a
+                data[i][j] = as_q(a)
         return cls(tuple(map(tuple, data)), len(columns))
 
     @staticmethod
@@ -424,11 +457,11 @@ def inverse(m: Matrix) -> Matrix:
     n = m.cols
     if m.rows != n:
         raise ValueError("inverse needs a square matrix")
-    identity = tuple(((i, _ONE),) for i in range(n))
+    identity = tuple(((i, 1),) for i in range(n))
     echelon = _reduced(column_rows(m.sparse_columns() + identity), 2 * n)
     if tuple(echelon) != tuple(range(n)):
         raise ValueError("matrix is singular")
-    return Matrix(tuple(tuple(tail.get(n + j, _ZERO) for j in range(n))
+    return Matrix(tuple(tuple(as_q(tail.get(n + j, 0)) for j in range(n))
                         for tail in echelon.values()), n)
 
 
@@ -470,7 +503,7 @@ class Subspace:
 
     def sparse_row(self, pivot: int) -> dict[int, Fraction]:
         """The basis row with this pivot, as {column: value}."""
-        return {pivot: _ONE, **self._echelon[pivot]}
+        return {pivot: 1, **self._echelon[pivot]}
 
     @classmethod
     def from_echelon(cls, ambient_dim: int, echelon: dict[int, dict[int, Fraction]]) -> "Subspace":
@@ -556,6 +589,62 @@ def _eliminate(
     return used
 
 
+def _weigh(used: list[tuple[int, Fraction]], tags: dict[int, dict[int, Fraction]]
+           ) -> dict[int, Fraction]:
+    """The sum of c times tags[pivot] over (pivot, c) in used, zeros left out."""
+    acc: dict[int, Fraction] = {}
+    for pivot, c in used:
+        for i, a in tags[pivot].items():
+            y = acc.get(i)
+            acc[i] = c * a if y is None else y + c * a
+    return {i: a for i, a in acc.items() if a}
+
+
+def _insert(rows: dict[int, dict[int, Fraction]], tags: dict[int, dict[int, Fraction]],
+            residual: dict[int, Fraction], tag: dict[int, Fraction]) -> None:
+    """Add the reduced, nonzero residual to a tagged echelon as a row with 1 at its pivot.
+
+    The residual and its tag are both divided by its leading entry, so each
+    row stays the combination its tag names.
+    """
+    pivot = min(residual)
+    lead = residual.pop(pivot)
+    if lead != 1:
+        residual = {j: _ratio(a, lead) for j, a in residual.items()}
+        tag = {i: _ratio(a, lead) for i, a in tag.items()}
+    rows[pivot] = residual
+    tags[pivot] = tag
+
+
+def solve_columns(columns, targets) -> list[dict[int, Fraction]]:
+    """x with sum_k x[k] columns[k] = y for each y of targets, as {k: value}.
+
+    columns and targets are sparse vectors, {row: value}.  One tagged
+    echelon of the columns, each row tagged with the combination of columns
+    it is; each y is then one elimination through it, whose multipliers
+    weigh the tags.  ValueError when the columns are dependent or a target
+    is not in their span.
+    """
+    rows: dict[int, dict[int, Fraction]] = {}
+    tags: dict[int, dict[int, Fraction]] = {}
+    for k, col in enumerate(columns):
+        x = dict(col)
+        tag = {i: -a for i, a in _weigh(_eliminate(x, rows), tags).items()}
+        residual = {j: a for j, a in x.items() if a}
+        if not residual:
+            raise ValueError(f"column {k} depends on the columns before it")
+        tag[k] = 1
+        _insert(rows, tags, residual, tag)
+    out = []
+    for y in targets:
+        x = dict(y)
+        coords = _weigh(_eliminate(x, rows), tags)
+        if any(x.values()):
+            raise ValueError("a target is not in the span of the columns")
+        out.append(coords)
+    return out
+
+
 @dataclass(frozen=True, slots=True)
 class Quotient:
     """v/w as quotient_map presents it: representatives and a sparse projection.
@@ -591,7 +680,7 @@ class Quotient:
         rows = [[_ZERO] * d for _ in range(self.dim)]
         for pivot, cls in self.classes.items():
             for i, a in cls.items():
-                rows[i][pivot] = a
+                rows[i][pivot] = as_q(a)
         return Matrix(tuple(tuple(row) for row in rows), d)
 
     def __iter__(self):
@@ -607,13 +696,7 @@ class Quotient:
         used = _eliminate(x, self.space.echelon())
         if any(x.values()):
             return None
-        acc: dict[int, Fraction] = {}
-        classes = self.classes
-        for pivot, c in used:
-            for i, a in classes[pivot].items():
-                y = acc.get(i)
-                acc[i] = c * a if y is None else y + c * a
-        return {i: a for i, a in acc.items() if a}
+        return _weigh(used, self.classes)
 
 
 def quotient_map(v: Subspace, w, window: tuple[int, int] | None = None) -> Quotient:
@@ -647,16 +730,6 @@ def quotient_map(v: Subspace, w, window: tuple[int, int] | None = None) -> Quoti
     lo, hi = (0, d) if window is None else window
     rows: dict[int, dict[int, Fraction]] = {}
     tags: dict[int, dict[int, Fraction]] = {}  # class of each row
-
-    def insert(residual: dict[int, Fraction], tag: dict[int, Fraction]) -> None:
-        pivot = min(residual)
-        lead = residual.pop(pivot)
-        if lead != 1:
-            residual = {j: a / lead for j, a in residual.items()}
-            tag = {i: a / lead for i, a in tag.items()}
-        rows[pivot] = residual
-        tags[pivot] = tag
-
     for y in w:
         if y and max(y) >= d:
             raise ValueError("ambient dimension mismatch")
@@ -668,26 +741,23 @@ def quotient_map(v: Subspace, w, window: tuple[int, int] | None = None) -> Quoti
         _eliminate(x, rows)
         x = {j: a for j, a in x.items() if a}
         if x:
-            insert(x, {})
+            _insert(rows, tags, x, {})
     pivots = []  # of the representatives
     classes = {}  # class of each basis row of v, by its pivot
     for vpivot, vtail in v.echelon().items():
-        x = {j: a for j, a in ((vpivot, _ONE), *vtail.items()) if lo <= j < hi}
-        acc: dict[int, Fraction] = {}
-        for pivot, c in _eliminate(x, rows):
-            for i, t in tags[pivot].items():
-                acc[i] = acc.get(i, _ZERO) + c * t
+        x = {j: a for j, a in ((vpivot, 1), *vtail.items()) if lo <= j < hi}
+        acc = _weigh(_eliminate(x, rows), tags)
         residual = {j: a for j, a in x.items() if a}
         if not residual:
-            classes[vpivot] = {i: a for i, a in acc.items() if a}
+            classes[vpivot] = acc
             continue
         # residual = v's row - (rows subtracted), so its class is e_i - acc
         i = len(pivots)
         pivots.append(vpivot)
-        classes[vpivot] = {i: _ONE}
+        classes[vpivot] = {i: 1}
         acc = {j: -a for j, a in acc.items()}
-        acc[i] = _ONE
-        insert(residual, acc)
+        acc[i] = 1
+        _insert(rows, tags, residual, acc)
     return Quotient(v, tuple(pivots), classes)
 
 
@@ -712,7 +782,7 @@ def graded_cohomology(maps):
             yield quotient_map(ker, below)
         else:
             ech = ker.echelon()
-            yield Quotient(ker, tuple(ech), {pivot: {i: _ONE} for i, pivot in enumerate(ech)})
+            yield Quotient(ker, tuple(ech), {pivot: {i: 1} for i, pivot in enumerate(ech)})
         below = [dict(col) for col in cols if col]
 
 

@@ -40,7 +40,7 @@ the image in the target cell by one elimination through the target's Z_r
 (qlinalg.Quotient.class_of), which is also the check that it lies in Z_r;
 no vector of C^m is built dense.  The page keeps d_r as those sparse
 columns, one class per representative, and its rank is counted from them;
-only the transgression makes page 2's d_2 a dense matrix.  A Subspace's
+the transgression reads page 2's d_2 from them too.  A Subspace's
 dense basis and a cell's dense reps and proj are built only when read,
 which the page pass never does, so the page pass builds no Matrix.
 

@@ -20,11 +20,12 @@ representative's pivot in the cocycles, alpha (x) beta and each invariant
 are {coordinate: value} dicts, and one class read
 (qlinalg.Quotient.class_of) reduces each through the echelon of Z_2, or of
 the cocycles, which checks that it lies there and gives its class.  The
-ranks come from those sparse columns by qlinalg.sparse_rank; the dense
-frames and page 2's dense d_2 are built only for the transgression.  Where
-delta is zero into and out of degree q, H^q is Lambda^q with the identity
-projection, and the realization check there is a comparison of dimensions
-with no elimination.
+ranks come from those sparse columns by qlinalg.sparse_rank.  The
+transgression stays sparse too: page 2's d_2 columns applied to each source
+frame column, then one solve through a tagged echelon of the target frame's
+columns; only the matrix it returns is dense.  Where delta is zero into
+and out of degree q, H^q is Lambda^q with the identity projection, and the
+realization check there is a comparison of dimensions with no elimination.
 
 `Analysis(model)` is the whole report of one model, from validation to the
 transgression.  Each stage is computed once, on first use, from the stages
@@ -47,9 +48,10 @@ from .model import EquivariantModel, degree_basis, validate_model
 from .qlinalg import (
     Matrix,
     Quotient,
+    apply_sparse,
     cohomology_dims,
     graded_cohomology,
-    inverse,
+    solve_columns,
     sparse_rank,
 )
 from .reports import CertificateError, ValidationReport
@@ -214,10 +216,14 @@ def d2_transgression(frames: E2Frames) -> dict[tuple[int, int], Matrix]:
     """d_2 written in the tensor bases, per source cell with nonzero product dim.
 
     Entry at (p, q) maps H^p(B) (x) H^q to H^(p+2)(B) (x) H^(q-1) coordinates:
-    inverse(frame_target) @ d_2 @ frame_source, with d_2 made dense from page
-    2's sparse columns, the one dense d_r of a report.  Requires the tensor
-    check to pass, otherwise the frames are not invertible and there is no
-    honest change of basis.
+    F_target^-1 d_2 F_source, computed column by column.  Page 2's sparse d_2
+    columns are applied to each sparse column of F_source, and F_target x =
+    y is solved through one tagged echelon of F_target's columns per target
+    cell (qlinalg.solve_columns), with no dense product and no inverse; a y
+    outside their span raises CertificateError at the target cell, page 2.
+    Only the returned matrix is dense, with Fraction entries.  Requires the
+    tensor check to pass, otherwise the frames are not invertible and there
+    is no honest change of basis.
     """
     bad = next((c for c in frames.cells if not c.ok), None)
     if bad is not None:
@@ -230,12 +236,17 @@ def d2_transgression(frames: E2Frames) -> dict[tuple[int, int], Matrix]:
             continue
         src = (cell.p, cell.q)
         tgt = (cell.p + 2, cell.q - 1)
-        t_tgt = frames.f_matrix(tgt)
-        if t_tgt is None or t_tgt.rows == 0:
+        f_tgt = frames.f_columns.get(tgt)
+        if not f_tgt:
             out[src] = Matrix.zero(0, cell.product_dim)
             continue
-        d2 = Matrix.from_columns(frames.page2.dr[src], t_tgt.rows)
-        out[src] = inverse(t_tgt) @ d2 @ frames.f_matrix(src)
+        d2 = [tuple(col.items()) for col in frames.page2.dr[src]]
+        images = [apply_sparse(d2, x) for x in frames.f_columns[src]]
+        try:
+            cols = solve_columns(f_tgt, images)
+        except ValueError:
+            raise CertificateError("d_2 not solvable in the target frame", tgt, 2) from None
+        out[src] = Matrix.from_columns(cols, len(f_tgt))
     return out
 
 

@@ -22,6 +22,7 @@ from oracles import (
 from cartanss.qlinalg import (
     Matrix,
     Subspace,
+    _reduced,
     apply_sparse,
     as_q,
     image,
@@ -373,6 +374,11 @@ def test_integer_elimination_matches_the_seed_rref_on_wild_matrices():
 
 
 
+def canonical(a) -> bool:
+    """a in the engine's scalar form: an int when integral, else a Fraction."""
+    return type(a) is (int if a.denominator == 1 else Q)
+
+
 def test_sparse_kernel_matches_the_seed_kernel_on_wild_matrices():
     rng = random.Random(20261018)
     seen = {"zero row": 0, "zero column": 0, "one column": 0, "0 x n": 0,
@@ -394,8 +400,12 @@ def test_sparse_kernel_matches_the_seed_kernel_on_wild_matrices():
         assert Subspace.from_echelon(cols, got) == want, m
         assert list(got) == sorted(got)
         assert all(list(tail) == sorted(tail) and min(tail, default=cols) > f
-                   and all(type(a) is Q and a for a in tail.values())
+                   and all(canonical(a) and a for a in tail.values())
                    for f, tail in got.items()), m
+        # the RREF of the rows: the seed's row space, in the same scalar form
+        red = _reduced([row for row in sparse if row], cols)
+        assert Subspace.from_echelon(cols, red) == seed_span(cols, data), m
+        assert all(canonical(a) and a for tail in red.values() for a in tail.values()), m
         # zero rows may be left out
         assert sparse_kernel([row for row in sparse if row], cols) == got
         entries = [x for row in data for x in row]

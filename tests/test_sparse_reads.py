@@ -41,7 +41,13 @@ from cartanss.liealg import LieData, delta_columns, invariant_subcomplex, multi_
 from cartanss.qlinalg import Matrix, Quotient, Subspace, graded_cohomology, quotient_map
 from cartanss.reports import CertificateError
 from cartanss.specseq import PageCell, SpectralPage, iter_pages
-from cartanss.verify import Analysis, _e2_frames, _lie_realization_ok
+from cartanss.verify import (
+    Analysis,
+    E2Frames,
+    _e2_frames,
+    _lie_realization_ok,
+    d2_transgression,
+)
 
 SAMPLES = Path(__file__).resolve().parent.parent / "sample_models"
 
@@ -136,6 +142,8 @@ def test_sparse_reads_match_the_dense_route_on_every_page_frame_and_transgressio
         if an.e2.passed:
             dr2 = dense_dr(fc, an.page2.cells, 2)
             assert an.transgression == dense_transgression(frames, dr2, fmats), model.name
+            assert all(type(x) is Q for m in an.transgression.values()
+                       for row in m.data for x in row), model.name
             seen["transgressions"] += len(an.transgression)
     assert seen["nonzero d_r"] >= 10 and seen["d_3"] >= 1, seen
     assert min(seen.values()) >= 1 and seen["frames"] > 200, seen
@@ -159,6 +167,20 @@ def test_a_tensor_vector_that_escapes_z_is_a_typed_error():
     assert (info.value.cell, info.value.page) == ((2, 1), 2)
     assert str(info.value) == (
         "tensor representative not d-compatible at page E_2, cell (p,q)=(2,1)")
+
+
+def test_a_target_frame_that_cannot_solve_d2_is_a_typed_error():
+    """The transgression solves F_target x = d_2 F_source column by column; a
+    target frame whose columns do not span E_2 there names the cell and page."""
+    frames = Analysis(get_model("hopf").model).frames
+    assert d2_transgression(frames)[(0, 1)].shape == (1, 1)
+    planted = E2Frames(frames.page2, frames.cells, {**frames.f_columns, (2, 0): [{}]},
+                       frames.basic, frames.invariants)
+    with pytest.raises(CertificateError) as info:
+        d2_transgression(planted)
+    assert (info.value.cell, info.value.page) == ((2, 0), 2)
+    assert str(info.value) == (
+        "d_2 not solvable in the target frame at page E_2, cell (p,q)=(2,0)")
 
 
 ESCAPING_TENSOR_SCRIPT = textwrap.dedent(
