@@ -9,31 +9,19 @@ algebra cohomology.
 """
 
 from .liealg import (
-    ChiElement,
     LieData,
-    ce_delta,
-    coadjoint,
-    contract,
     invariant_subcomplex,
     lie_cohomology,
     multi_indices,
     validate_lie,
-    wedge,
 )
 from .model import (
     BasicComplex,
     EquivariantModel,
-    ModelElement,
-    canonical_decomposition,
-    d01,
-    d10,
-    d21,
-    filtration_degree,
     total_cohomology,
-    total_d,
     validate_model,
 )
-from .qlinalg import Matrix, Subspace, kernel_basis, quotient_map, rref
+from .qlinalg import Matrix, Subspace, quotient_map
 from .reports import CertificateError
 from .specseq import (
     FilteredComplex,
@@ -51,42 +39,28 @@ __all__ = [
     "Analysis",
     "BasicComplex",
     "CertificateError",
-    "ChiElement",
     "EquivariantModel",
     "FilteredComplex",
     "LieData",
     "MODEL_NAMES",
     "Matrix",
     "ModelCard",
-    "ModelElement",
     "SpectralPage",
     "Subspace",
     "basic_cohomology",
-    "canonical_decomposition",
     "cartan_filtration",
-    "ce_delta",
-    "coadjoint",
-    "contract",
-    "d01",
-    "d10",
-    "d21",
     "d2_transgression",
     "e2_tensor_check",
-    "filtration_degree",
     "get_model",
     "invariant_subcomplex",
     "iter_pages",
-    "kernel_basis",
     "lie_cohomology",
     "multi_indices",
     "page",
     "quotient_map",
     "random_trivial_product",
-    "rref",
     "total_cohomology",
-    "total_d",
     "validate_lie",
     "validate_model",
-    "wedge",
     "__version__",
 ]

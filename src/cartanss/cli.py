@@ -55,6 +55,12 @@ def _fail(where: str, msg: str):
     raise ModelFileError(f"{where}: {msg}")
 
 
+def _shown(value) -> str:
+    """repr(value) for an error message, cut to a few dozen characters."""
+    text = repr(value)
+    return text if len(text) <= 40 else text[:36] + " ..."
+
+
 # Fraction() alone would also take decimals and exponents ("1e6000000"),
 # whose parse time grows steeply with the exponent.
 _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?", re.ASCII)
@@ -62,24 +68,33 @@ _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?", re.ASCII)
 
 def _as_rational(value, where: str) -> Fraction:
     if isinstance(value, bool) or isinstance(value, float):
-        _fail(where, f"rationals must be integers or 'num/den' strings, got {value!r}")
+        _fail(where, f"rationals must be integers or 'num/den' strings, got {_shown(value)}")
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
         if not _RATIONAL.fullmatch(value):
-            _fail(where, f"cannot parse rational {value!r}: expected digits or 'num/den'")
+            _fail(where, f"cannot parse rational {_shown(value)}: expected digits or 'num/den'")
+        # int() refuses more digits than this, with a message that repeats
+        # them all; 0 (and an interpreter without the limit) means none
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if limit and len(value) > limit:
+            num, _, den = value.lstrip("+-").partition("/")
+            for part, digits in (("numerator", num), ("denominator", den)):
+                if len(digits) > limit:
+                    _fail(where, f"rational {_shown(value)} has a {part} of {len(digits)} "
+                                 f"digits, more than {limit}")
         try:
             return Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            _fail(where, f"cannot parse rational {value!r}: {exc}")
-    _fail(where, f"rationals must be integers or 'num/den' strings, got {value!r}")
+        except ZeroDivisionError as exc:
+            _fail(where, f"cannot parse rational {_shown(value)}: {exc}")
+    _fail(where, f"rationals must be integers or 'num/den' strings, got {_shown(value)}")
 
 
 def _as_index(value, where: str, low: int, high: int) -> int:
     if not isinstance(value, int) or isinstance(value, bool):
-        _fail(where, f"expected an integer index, got {value!r}")
+        _fail(where, f"expected an integer index, got {_shown(value)}")
     if not low <= value <= high:
-        _fail(where, f"index {value} out of range {low}..{high}")
+        _fail(where, f"index {_shown(value)} out of range {low}..{high}")
     return value
 
 
@@ -88,7 +103,7 @@ def _check_keys(obj, where: str, required: tuple[str, ...], optional: tuple[str,
         _fail(where, f"expected an object, got {type(obj).__name__}")
     for key in obj:
         if key not in required and key not in optional:
-            _fail(where, f"unknown key {key!r}")
+            _fail(where, f"unknown key {_shown(key)}")
     for key in required:
         if key not in obj:
             _fail(where, f"missing key {key!r}")
@@ -116,7 +131,7 @@ def load_model_document(doc, default_name: str = "model") -> EquivariantModel:
     _check_keys(lie_doc, "lie", ("n",), ("c",))
     n = lie_doc["n"]
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        _fail("lie.n", f"must be a positive integer, got {n!r}")
+        _fail("lie.n", f"must be a positive integer, got {_shown(n)}")
     entries = []
     seen_orbits = set()
     for idx, entry in enumerate(_list_at(lie_doc, "c", "lie.c")):
@@ -147,7 +162,7 @@ def load_model_document(doc, default_name: str = "model") -> EquivariantModel:
         if not isinstance(gname, str) or not gname:
             _fail(where, "name must be a nonempty string")
         if not isinstance(deg, int) or isinstance(deg, bool) or deg < 0:
-            _fail(where, f"degree must be a non-negative integer, got {deg!r}")
+            _fail(where, f"degree must be a non-negative integer, got {_shown(deg)}")
         generators.append((gname, deg))
     ng = len(generators)
 

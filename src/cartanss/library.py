@@ -18,7 +18,7 @@ from math import comb
 
 from .liealg import LieData, delta_columns, validate_lie
 from .model import BasicComplex, EquivariantModel, size_error, validate_model
-from .qlinalg import Matrix, as_q, cohomology_dims, inverse
+from .qlinalg import apply_sparse, as_q, cohomology_dims, solve_columns, sparse_rank
 from .reports import CertificateError, ValidationReport
 
 MODEL_NAMES = (
@@ -235,15 +235,17 @@ def all_default_cards() -> list[ModelCard]:
     return [get_model(name) for name in MODEL_NAMES]
 
 
-def _random_invertible(rng: random.Random, size: int) -> Matrix:
-    if size == 0:
-        return Matrix.of([], cols=0)
+def _random_invertible(rng: random.Random, size: int) -> list[list[int]]:
+    """The rows of a random size x size matrix with entries in -2..2 and full rank."""
     while True:
-        m = Matrix.of(
-            [[rng.randint(-2, 2) for _ in range(size)] for _ in range(size)]
-        )
-        if m.rank() == size:
-            return m
+        rows = [[rng.randint(-2, 2) for _ in range(size)] for _ in range(size)]
+        if sparse_rank(dict(enumerate(row)) for row in rows) == size:
+            return rows
+
+
+def _columns(rows: list[list[int]]) -> list[list[tuple[int, int]]]:
+    """The columns of a square matrix given by its rows, as (row, value) pairs of nonzeros."""
+    return [[(i, row[j]) for i, row in enumerate(rows) if row[j]] for j in range(len(rows))]
 
 
 def random_trivial_product(rng: random.Random, tag: str = "random_trivial_product") -> ModelCard:
@@ -282,18 +284,7 @@ def random_trivial_product(rng: random.Random, tag: str = "random_trivial_produc
         dots.pop()
     max_deg = len(per_degree) - 1
 
-    d_per_degree = []
-    for p in range(max_deg + 1):
-        rows = len(per_degree[p + 1]) if p < max_deg else 0
-        cols = len(per_degree[p])
-        data = [[Fraction(0)] * cols for _ in range(rows)]
-        for sp, sl, dl, coeff in arrow_slots:
-            if sp == p:
-                data[dl][sl] = coeff
-        d_per_degree.append(Matrix.of(data, cols=cols))
-
     basis_change = [_random_invertible(rng, len(per_degree[p])) for p in range(max_deg + 1)]
-    basis_change.append(Matrix.of([], cols=0))
     generators = []
     offset = {}
     for p in range(max_deg + 1):
@@ -301,10 +292,19 @@ def random_trivial_product(rng: random.Random, tag: str = "random_trivial_produc
         generators.extend((name, p) for name in per_degree[p])
     d_entries = []
     for p in range(max_deg):
-        twisted = basis_change[p + 1] @ d_per_degree[p] @ inverse(basis_change[p])
-        for i in range(twisted.rows):
-            for j in range(twisted.cols):
-                v = twisted.entry(i, j)
+        # the twisted d is B1 D B0^-1, column by column: the j-th column of
+        # B0^-1 solves B0 x = e_j, and D and B1 are applied to it sparse
+        b0 = _columns(basis_change[p])
+        b1 = _columns(basis_change[p + 1])
+        d = [[] for _ in b0]
+        for sp, sl, dl, coeff in arrow_slots:
+            if sp == p:
+                d[sl].append((dl, coeff))
+        inverse_cols = solve_columns(b0, [{j: 1} for j in range(len(b0))])
+        twisted = [apply_sparse(b1, apply_sparse(d, x)) for x in inverse_cols]
+        for i in range(len(b1)):
+            for j, col in enumerate(twisted):
+                v = col.get(i)
                 if v:
                     d_entries.append((offset[p] + j, offset[p + 1] + i, v))
 

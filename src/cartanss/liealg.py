@@ -33,17 +33,16 @@ contract(l, delta chi_i), the homotopy on a generator), and delta(chi_I) for
 each multi-index I, built once on first use by the derivation rule.  Since a
 graded commutator of derivations is a derivation, coadjoint is evaluated as
 the even derivation with those generator values, each term signed by the
-position where its new generator is inserted.  The test suite checks both
-tables entry by entry against the wedge-product formulas above.
+position where its new generator is inserted.
 
 Both operators reach the linear algebra by their columns on each Lambda^q
-(delta_columns, coadjoint_columns), read off those tables; delta_matrix and
-coadjoint_matrix are their dense views.  lie_cohomology is
-qlinalg.graded_cohomology of delta_columns, one Quotient per degree, built
-as it is asked for.  The tables hold plain (multi-index, coefficient)
-terms, so the engine builds no ChiElement; ChiElement and the operators on
-it (wedge, contract, ce_delta, coadjoint, delta_gen) are the reference
-element algebra.
+(delta_columns, coadjoint_columns), read off those tables as plain
+(multi-index, coefficient) terms; no element of the exterior algebra is
+built.  lie_cohomology is qlinalg.graded_cohomology of delta_columns, one
+Quotient per degree, built as it is asked for.  The element algebra of the
+formulas above (wedge, contract, delta by wedge products and coadjoint by
+the homotopy) lives in tests/oracles.py, and the tests check every table
+entry by entry against it.
 """
 
 from __future__ import annotations
@@ -56,11 +55,9 @@ from itertools import combinations, permutations
 from math import comb
 
 from .qlinalg import (
-    Matrix,
     Quotient,
     SparseColumns,
     Subspace,
-    as_q,
     column_rows,
     exact,
     graded_cohomology,
@@ -69,18 +66,6 @@ from .qlinalg import (
 from .reports import CheckResult, ValidationReport
 
 MultiIndex = tuple[int, ...]
-
-_ZERO = Fraction(0)
-
-
-def _check_multi_index(idx) -> MultiIndex:
-    I = tuple(idx)
-    for x in I:
-        if not isinstance(x, int) or isinstance(x, bool) or x < 1:
-            raise ValueError(f"multi-index entries must be positive integers: {I!r}")
-    if any(I[j] >= I[j + 1] for j in range(len(I) - 1)):
-        raise ValueError(f"multi-index must be strictly increasing: {I!r}")
-    return I
 
 
 def multi_indices(n: int, q: int) -> tuple[MultiIndex, ...]:
@@ -95,128 +80,6 @@ def all_multi_indices(n: int) -> tuple[MultiIndex, ...]:
     for q in range(n + 1):
         out.extend(multi_indices(n, q))
     return tuple(out)
-
-
-class ChiElement:
-    """Element of the exterior algebra on chi_1, chi_2, ... over Fraction.
-
-    Stored as multi-index -> coefficient with zero coefficients pruned, so
-    equality is structural.  Instances are treated as immutable.
-    """
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs=None):
-        clean: dict[MultiIndex, Fraction] = {}
-        for idx, val in dict(coeffs or {}).items():
-            v = as_q(val)
-            if v:
-                clean[_check_multi_index(idx)] = v
-        self.coeffs = clean
-
-    @classmethod
-    def zero(cls) -> "ChiElement":
-        return cls()
-
-    @classmethod
-    def unit(cls) -> "ChiElement":
-        return cls({(): 1})
-
-    @classmethod
-    def chi(cls, i: int) -> "ChiElement":
-        return cls({(i,): 1})
-
-    @classmethod
-    def basis(cls, idx) -> "ChiElement":
-        return cls({tuple(idx): 1})
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def degrees(self) -> set[int]:
-        return {len(I) for I in self.coeffs}
-
-    def __add__(self, other: "ChiElement") -> "ChiElement":
-        out = dict(self.coeffs)
-        for I, v in other.coeffs.items():
-            out[I] = out.get(I, _ZERO) + v
-        return ChiElement(out)
-
-    def __sub__(self, other: "ChiElement") -> "ChiElement":
-        return self + (-other)
-
-    def __neg__(self) -> "ChiElement":
-        return ChiElement({I: -v for I, v in self.coeffs.items()})
-
-    def __rmul__(self, scalar) -> "ChiElement":
-        c = as_q(scalar)
-        return ChiElement({I: c * v for I, v in self.coeffs.items()})
-
-    def wedge(self, other: "ChiElement") -> "ChiElement":
-        return wedge(self, other)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, ChiElement) and self.coeffs == other.coeffs
-
-    __hash__ = None  # mutable-dict backed
-
-    def __repr__(self) -> str:
-        if not self.coeffs:
-            return "ChiElement(0)"
-        parts = []
-        for I in sorted(self.coeffs, key=lambda J: (len(J), J)):
-            v = self.coeffs[I]
-            label = "1" if not I else "chi(" + ",".join(map(str, I)) + ")"
-            parts.append(f"{v}*{label}")
-        return "ChiElement(" + " + ".join(parts) + ")"
-
-
-def _merge_multi_indices(I: MultiIndex, J: MultiIndex):
-    """Merge two disjoint increasing tuples; returns (sign, merged) or None."""
-    if set(I) & set(J):
-        return None
-    merged: list[int] = []
-    inversions = 0
-    i = j = 0
-    while i < len(I) and j < len(J):
-        if I[i] < J[j]:
-            merged.append(I[i])
-            i += 1
-        else:
-            merged.append(J[j])
-            inversions += len(I) - i
-            j += 1
-    merged.extend(I[i:])
-    merged.extend(J[j:])
-    return (-1 if inversions % 2 else 1), tuple(merged)
-
-
-def wedge(a: ChiElement, b: ChiElement) -> ChiElement:
-    out: dict[MultiIndex, Fraction] = {}
-    for I, v in a.coeffs.items():
-        for J, w in b.coeffs.items():
-            m = _merge_multi_indices(I, J)
-            if m is None:
-                continue
-            sign, K = m
-            out[K] = out.get(K, _ZERO) + sign * v * w
-    return ChiElement(out)
-
-
-def contract(i: int, a: ChiElement) -> ChiElement:
-    """Interior product with the i-th basis direction (degree -1 derivation)."""
-    if not isinstance(i, int) or isinstance(i, bool) or i < 1:
-        raise ValueError(f"generator index must be a positive integer: {i!r}")
-    out: dict[MultiIndex, Fraction] = {}
-    for I, v in a.coeffs.items():
-        if i not in I:
-            continue
-        pos = I.index(i)
-        J = I[:pos] + I[pos + 1:]
-        sign = -1 if pos % 2 else 1
-        out[J] = out.get(J, _ZERO) + sign * v
-    return ChiElement(out)
 
 
 Terms = tuple[tuple[MultiIndex, Fraction], ...]
@@ -351,11 +214,6 @@ def _perm_sign(perm) -> int:
     return -1 if inv % 2 else 1
 
 
-def delta_gen(L: LieData, k: int) -> ChiElement:
-    """delta chi_k = sum_{a<b} c[a][b][k] chi_a ^ chi_b, built from L's table."""
-    return ChiElement(dict(L.delta_gens[k - 1]))
-
-
 def _insert(J: MultiIndex, x: int) -> tuple[int, MultiIndex] | None:
     """chi_x ^ chi_J = (-1)^s chi_K as (s, K); None when x is in J."""
     s = bisect_left(J, x)
@@ -420,43 +278,6 @@ def _coadjoint_terms(L: LieData, ell: int, I: MultiIndex) -> Terms:
     return tuple((K, v) for K, v in out.items() if v)
 
 
-def _apply_terms(a: ChiElement, terms_of) -> ChiElement:
-    """The linear map sending each chi_I to terms_of(I), applied to a."""
-    out: dict[MultiIndex, Fraction] = {}
-    for I, v in a.coeffs.items():
-        for K, w in terms_of(I):
-            out[K] = out.get(K, _ZERO) + v * w
-    return ChiElement(out)
-
-
-def ce_delta(L: LieData, a: ChiElement) -> ChiElement:
-    """The differential, extended over products as a graded derivation."""
-    return _apply_terms(a, lambda I: delta_terms(L, I))
-
-
-def coadjoint(L: LieData, ell: int, a: ChiElement) -> ChiElement:
-    """Infinitesimal action of the ell-th direction: contract o delta + delta o contract.
-
-    A degree-zero (ungraded) derivation that commutes with ce_delta; on
-    generators coadjoint(l, chi_i) = sum_k c[l][k][i] chi_k.  Evaluated as
-    that derivation from L's generator table, not through the homotopy.
-    """
-    _check_direction(L, ell)
-    return _apply_terms(a, lambda I: _coadjoint_terms(L, ell, I))
-
-
-def chi_to_vector(a: ChiElement, n: int, q: int) -> tuple[Fraction, ...]:
-    """Coordinates of the degree-q component in the canonical basis of Lambda^q."""
-    pos = {I: i for i, I in enumerate(multi_indices(n, q))}
-    v = [_ZERO] * len(pos)
-    for I, val in a.coeffs.items():
-        if len(I) == q:
-            if I not in pos:
-                raise ValueError(f"multi-index {I} exceeds n={n}")
-            v[pos[I]] = val
-    return tuple(v)
-
-
 def _positions(L: LieData, q: int) -> dict[MultiIndex, int]:
     """Multi-index -> its position in the basis of Lambda^q, built once per L and q."""
     pos = L._positions.get(q)
@@ -475,21 +296,11 @@ def delta_columns(L: LieData, q: int) -> SparseColumns:
     return _columns([delta_terms(L, I) for I in multi_indices(L.n, q)], _positions(L, q + 1))
 
 
-def delta_matrix(L: LieData, q: int) -> Matrix:
-    """Matrix of the differential Lambda^q -> Lambda^{q+1}: delta_columns made dense."""
-    return Matrix.from_columns([dict(col) for col in delta_columns(L, q)], comb(L.n, q + 1))
-
-
 def coadjoint_columns(L: LieData, ell: int, q: int) -> SparseColumns:
     """The ell-th infinitesimal action on Lambda^q, column by column."""
     _check_direction(L, ell)
     terms = [_coadjoint_terms(L, ell, I) for I in multi_indices(L.n, q)]
     return _columns(terms, _positions(L, q))
-
-
-def coadjoint_matrix(L: LieData, ell: int, q: int) -> Matrix:
-    """Matrix of the ell-th infinitesimal action on Lambda^q: coadjoint_columns made dense."""
-    return Matrix.from_columns([dict(col) for col in coadjoint_columns(L, ell, q)], comb(L.n, q))
 
 
 def lie_cohomology(L: LieData) -> Iterator[Quotient]:

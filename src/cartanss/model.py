@@ -11,19 +11,19 @@ The total differential splits by chi-count into three parts:
     d10(g (x) chi_I)          = d_hor(g) (x) chi_I
     d01(g (x) chi_I)          = -(-1)^p  g (x) delta(chi_I)
 
-with p = deg g and E_i the degree +2 Euler operators on B.  total_d is their
-sum; validate_model checks that each bidegree component of total_d^2
+with p = deg g and E_i the degree +2 Euler operators on B; total_d is their
+sum.  validate_model checks that each bidegree component of total_d^2
 vanishes, which is exactly the compatibility required of (d_hor, E_i, delta).
 
-ModelElement and the operators d10, d01, d21 and total_d on it are the
-reference definitions.  The report does not build elements: each model keeps,
-outside equality and filled on first use, the sparse image of every monomial
-under d10, d01, d21 and total_d, read straight from d_hor_table, euler_table
-and delta_terms (operator_images), and the basis of each total degree with
-its position map (degree_basis), each built by one monomial_basis call.
-validate_model composes those images monomial by monomial, total_columns
-reads each degree's column-sparse total_d off them (total_matrix is its dense
-form), and the tests check both against ModelElement.
+The model holds these operators only as tables.  Each model keeps, outside
+equality and filled on first use, the sparse image of every monomial under
+d10, d01, d21 and total_d, read straight from d_hor_table, euler_table and
+delta_terms (operator_images), and the basis of each total degree with its
+position map (degree_basis), each built by one monomial_basis call.
+validate_model composes those images monomial by monomial, and
+total_columns reads each degree's column-sparse total_d off them.  The
+tests check both against the element operators of tests/oracles.py, which
+apply the formulas above to linear combinations of monomials.
 """
 
 from __future__ import annotations
@@ -32,20 +32,15 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .liealg import (
-    ChiElement,
     LieData,
     MultiIndex,
-    _check_multi_index,
     all_multi_indices,
-    contract as chi_contract,
     delta_terms,
     first_delta_squared_failure,
     multi_indices,
 )
-from .qlinalg import Matrix, SparseColumns, as_q, cohomology_dims, exact
+from .qlinalg import SparseColumns, as_q, cohomology_dims, exact
 from .reports import CheckResult, ValidationReport
-
-_ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -189,166 +184,6 @@ class EquivariantModel:
     )
 
 
-class ModelElement:
-    """Linear combination of (generator, multi-index) monomials over Fraction."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs=None):
-        clean: dict[tuple[int, MultiIndex], Fraction] = {}
-        for (g, idx), val in dict(coeffs or {}).items():
-            if not isinstance(g, int) or isinstance(g, bool) or g < 0:
-                raise ValueError(f"generator index must be a non-negative integer: {g!r}")
-            v = as_q(val)
-            if v:
-                clean[(g, _check_multi_index(idx))] = v
-        self.coeffs = clean
-
-    @classmethod
-    def zero(cls) -> "ModelElement":
-        return cls()
-
-    @classmethod
-    def monomial(cls, g: int, idx, coeff=1) -> "ModelElement":
-        return cls({(g, tuple(idx)): coeff})
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __add__(self, other: "ModelElement") -> "ModelElement":
-        out = dict(self.coeffs)
-        for key, v in other.coeffs.items():
-            out[key] = out.get(key, _ZERO) + v
-        return ModelElement(out)
-
-    def __sub__(self, other: "ModelElement") -> "ModelElement":
-        return self + (-other)
-
-    def __neg__(self) -> "ModelElement":
-        return ModelElement({k: -v for k, v in self.coeffs.items()})
-
-    def __rmul__(self, scalar) -> "ModelElement":
-        c = as_q(scalar)
-        return ModelElement({k: c * v for k, v in self.coeffs.items()})
-
-    def chi_lengths(self) -> set[int]:
-        return {len(I) for _, I in self.coeffs}
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, ModelElement) and self.coeffs == other.coeffs
-
-    __hash__ = None
-
-    def __repr__(self) -> str:
-        if not self.coeffs:
-            return "ModelElement(0)"
-        parts = []
-        for g, I in sorted(self.coeffs):
-            v = self.coeffs[(g, I)]
-            chi = "1" if not I else "chi(" + ",".join(map(str, I)) + ")"
-            parts.append(f"{v}*g{g}(x){chi}")
-        return "ModelElement(" + " + ".join(parts) + ")"
-
-
-def bidegrees(model: EquivariantModel, x: ModelElement) -> set[tuple[int, int]]:
-    return {(model.basic.degree_of(g), len(I)) for g, I in x.coeffs}
-
-
-def filtration_degree(x: ModelElement) -> int:
-    """Largest chi-count in the support; the smallest q with x in F^(deg-q)."""
-    if x.is_zero:
-        raise ValueError("filtration degree of the zero element is undefined")
-    return max(len(I) for _, I in x.coeffs)
-
-
-def bihomogeneous_part(model: EquivariantModel, x: ModelElement, p: int, q: int) -> ModelElement:
-    return ModelElement(
-        {
-            (g, I): v
-            for (g, I), v in x.coeffs.items()
-            if model.basic.degree_of(g) == p and len(I) == q
-        }
-    )
-
-
-def canonical_decomposition(model: EquivariantModel, x: ModelElement) -> list[ModelElement]:
-    """Split into bihomogeneous pieces, ordered by increasing chi-count.
-
-    For a total-degree-homogeneous x this is the usual horizontal-degree
-    descending decomposition; each piece can equivalently be extracted by
-    iterated contraction against its multi-indices.
-    """
-    keys = sorted(bidegrees(model, x), key=lambda pq: (pq[1], -pq[0]))
-    return [bihomogeneous_part(model, x, p, q) for p, q in keys]
-
-
-def contract(model: EquivariantModel, ell: int, x: ModelElement) -> ModelElement:
-    """Interior product on the model: basic factors are horizontal."""
-    out: dict[tuple[int, MultiIndex], Fraction] = {}
-    for (g, I), v in x.coeffs.items():
-        ci = chi_contract(ell, ChiElement.basis(I))
-        if ci.is_zero:
-            continue
-        sign = -1 if model.basic.degree_of(g) % 2 else 1
-        for J, w in ci.coeffs.items():
-            key = (g, J)
-            out[key] = out.get(key, _ZERO) + sign * v * w
-    return ModelElement(out)
-
-
-def d10(model: EquivariantModel, x: ModelElement) -> ModelElement:
-    """d_hor on the basic factor, identity on the chi factor, no sign."""
-    dm = model.basic.d_hor_table
-    out: dict[tuple[int, MultiIndex], Fraction] = {}
-    for (g, I), v in x.coeffs.items():
-        for dst, coeff in dm.get(g, ()):
-            key = (dst, I)
-            out[key] = out.get(key, _ZERO) + v * coeff
-    return ModelElement(out)
-
-
-def one_tensor_delta(model: EquivariantModel, x: ModelElement) -> ModelElement:
-    """(1 (x) delta) with the Koszul sign: g (x) chi_I -> (-1)^(deg g) g (x) delta(chi_I)."""
-    out: dict[tuple[int, MultiIndex], Fraction] = {}
-    for (g, I), v in x.coeffs.items():
-        dI = delta_terms(model.lie, I)
-        if not dI:
-            continue
-        sv = -v if model.basic.degree_of(g) % 2 else v
-        for J, w in dI:
-            key = (g, J)
-            out[key] = out.get(key, _ZERO) + sv * w
-    return ModelElement(out)
-
-
-def d01(model: EquivariantModel, x: ModelElement) -> ModelElement:
-    """Minus (1 (x) delta) with the Koszul sign."""
-    return -one_tensor_delta(model, x)
-
-
-def d21(model: EquivariantModel, x: ModelElement) -> ModelElement:
-    """Euler component: sum_j (-1)^(p+j-1) E_{i_j}(g) (x) chi_{I minus i_j}."""
-    em = model.basic.euler_table
-    out: dict[tuple[int, MultiIndex], Fraction] = {}
-    for (g, I), v in x.coeffs.items():
-        p = model.basic.degree_of(g)
-        for j, gen in enumerate(I):
-            hits = em.get((gen, g))
-            if not hits:
-                continue
-            sign = -1 if (p + j) % 2 else 1
-            J = I[:j] + I[j + 1:]
-            for dst, coeff in hits:
-                key = (dst, J)
-                out[key] = out.get(key, _ZERO) + sign * v * coeff
-    return ModelElement(out)
-
-
-def total_d(model: EquivariantModel, x: ModelElement) -> ModelElement:
-    return d21(model, x) + d10(model, x) + d01(model, x)
-
-
 def monomial_basis(model: EquivariantModel, k: int) -> tuple[tuple[int, MultiIndex], ...]:
     """Basis of total degree k, ordered by descending horizontal degree.
 
@@ -411,23 +246,6 @@ def size_error(num_generators: int, n: int, max_degree: int) -> str | None:
 def _monomial_name(model: EquivariantModel, key: Monomial) -> str:
     g, I = key
     return f"{model.basic.name_of(g)} (x) chi{list(I)}"
-
-
-def element_to_vector(model: EquivariantModel, x: ModelElement, k: int) -> tuple[Fraction, ...]:
-    pos = {key: i for i, key in enumerate(monomial_basis(model, k))}
-    v = [_ZERO] * len(pos)
-    for key, val in x.coeffs.items():
-        if key not in pos:
-            raise ValueError(f"monomial {_monomial_name(model, key)} is not in total degree {k}")
-        v[pos[key]] = val
-    return tuple(v)
-
-
-def vector_to_element(model: EquivariantModel, vec, k: int) -> ModelElement:
-    basis = monomial_basis(model, k)
-    if len(vec) != len(basis):
-        raise ValueError("coordinate length mismatch")
-    return ModelElement({key: v for key, v in zip(basis, vec)})
 
 
 def degree_basis(
@@ -511,12 +329,6 @@ def total_columns(model: EquivariantModel, k: int) -> SparseColumns:
         col.sort()
         cols.append(tuple(col))
     return tuple(cols)
-
-
-def total_matrix(model: EquivariantModel, k: int) -> Matrix:
-    """Matrix of total_d from degree k to k+1 in the monomial bases."""
-    cols = total_columns(model, k)
-    return Matrix.from_columns([dict(col) for col in cols], len(degree_basis(model, k + 1)[0]))
 
 
 def total_cohomology(model: EquivariantModel) -> tuple[int, ...]:

@@ -23,9 +23,10 @@ when something reads it; a `Quotient` keeps its representatives by their
 pivots and the projection as the class of each pivot, and builds the dense
 `reps` and `proj` only when read.  Neither keeps a dense form once built.
 Every cohomology is a `Quotient` per degree, so the results handed on stay
-sparse too.  Dense rows are built at the edges: the dense-matrix API
-(`Matrix.rref`, `kernel_basis`, `image`), which no report calls, the
-transgression matrices, rendering and the tests.
+sparse too.  Dense rows are built at the edges only: the transgression
+matrices, rendering and the tests.  `Matrix` is that dense form: it is
+built from rows or sparse columns, read by entry, and reduced by
+`Matrix.rref`, which no report calls.
 
 Row reduction has one core, `_echelon`, which works over the integers: each
 nonzero row is scaled by the lcm of its denominators (a row of ints goes in
@@ -33,13 +34,11 @@ as it is) and kept as a sparse {column: int} row, rows are combined
 fraction-free and made primitive (gcd content removed), and `_reduced`
 divides each row by its pivot once, at the end, which leaves a row whose
 pivot entry is 1 or -1 in ints.  The reduced echelon form is unique, so
-`rref`, `rank`, `inverse`, `Subspace.from_rows`, `image` and `quotient_map`
-give the same values as dense Gauss-Jordan elimination.  One row, or one
-column, skips the core.
+`Matrix.rref` and `quotient_map` give the same values as dense Gauss-Jordan
+elimination.  One row, or one column, skips the core.
 There is one kernel routine, `sparse_kernel`, over sparse rows: it reduces
 once, with the columns reversed, and the kernel vectors solved from that
-form are already the reduced echelon basis of the kernel; `kernel_basis` is
-its wrapper for a dense Matrix.
+form are already the reduced echelon basis of the kernel.
 
 The matrices of the spectral sequence are mostly zero, so the hot paths skip
 zeros: `apply_sparse` applies a map from the nonzero entries of its columns,
@@ -56,11 +55,10 @@ the rank of sparse vectors by the forward pass of the integer core alone.
 `graded_cohomology` is the one cohomology of a graded complex with
 representatives and `cohomology_dims` its dimensions from ranks alone; both
 take each differential by its columns, and neither reduces a zero one.
-`Matrix.apply` and `Subspace.contains_vector` are the dense counterparts,
-for vectors given as coordinate tuples.
-Preimages, sums and intersections of subspaces are not needed by the engine;
-`tests/oracles.py` keeps them, by dense elimination, as the definitions the
-tests check it against.
+Products, inverses, images, preimages, sums and intersections of dense
+matrices and subspaces are not needed by the engine; `tests/oracles.py`
+keeps them, by dense elimination, as the definitions the tests check it
+against.
 """
 
 from __future__ import annotations
@@ -69,8 +67,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
-
-Q = Fraction
 
 # the zero and one of dense rows; sparse forms use the ints 0 and 1
 _ZERO = Fraction(0)
@@ -105,11 +101,6 @@ def _ratio(a, b) -> int | Fraction:
         return Fraction(a, b) if r else q
     q = a / b
     return q.numerator if q.denominator == 1 else q
-
-
-def nonzero_entries(vec) -> dict[int, Fraction]:
-    """The nonzero coordinates of vec, as column -> value in increasing column order."""
-    return {j: as_q(x) for j, x in enumerate(vec) if x}
 
 
 SparseColumns = tuple[tuple[tuple[int, Fraction], ...], ...]
@@ -333,13 +324,6 @@ class Matrix:
         return cls(tuple(tuple([_ZERO] * cols) for _ in range(rows)), cols)
 
     @classmethod
-    def identity(cls, n: int) -> "Matrix":
-        return cls(
-            tuple(tuple(_ONE if i == j else _ZERO for j in range(n)) for i in range(n)),
-            n,
-        )
-
-    @classmethod
     def from_columns(cls, columns, rows: int) -> "Matrix":
         """The rows x len(columns) matrix whose j-th column is columns[j], as {row: value}."""
         data = [[_ZERO] * len(columns) for _ in range(rows)]
@@ -347,30 +331,6 @@ class Matrix:
             for i, a in col.items():
                 data[i][j] = as_q(a)
         return cls(tuple(map(tuple, data)), len(columns))
-
-    @staticmethod
-    def vstack(*mats: "Matrix") -> "Matrix":
-        if not mats:
-            raise ValueError("vstack of nothing")
-        cols = mats[0].cols
-        if any(m.cols != cols for m in mats):
-            raise ValueError("column count mismatch in vstack")
-        rows: list[tuple[Fraction, ...]] = []
-        for m in mats:
-            rows.extend(m.data)
-        return Matrix(tuple(rows), cols)
-
-    @staticmethod
-    def hstack(*mats: "Matrix") -> "Matrix":
-        if not mats:
-            raise ValueError("hstack of nothing")
-        nrows = mats[0].rows
-        if any(m.rows != nrows for m in mats):
-            raise ValueError("row count mismatch in hstack")
-        data = tuple(
-            tuple(x for m in mats for x in m.data[i]) for i in range(nrows)
-        )
-        return Matrix(data, sum(m.cols for m in mats))
 
     @property
     def rows(self) -> int:
@@ -383,51 +343,10 @@ class Matrix:
     def entry(self, i: int, j: int) -> Fraction:
         return self.data[i][j]
 
-    def row(self, i: int) -> tuple[Fraction, ...]:
-        return self.data[i]
-
-    def column(self, j: int) -> tuple[Fraction, ...]:
-        return tuple(r[j] for r in self.data)
-
-    def is_zero(self) -> bool:
-        return not any(map(any, self.data))
-
     def sparse_columns(self) -> SparseColumns:
         """Each column's nonzero entries as (row, value) pairs, in increasing row order."""
         columns = zip(*self.data) if self.data else [()] * self.cols
         return tuple(tuple((i, x) for i, x in enumerate(col) if x) for col in columns)
-
-    def __matmul__(self, other: "Matrix") -> "Matrix":
-        if self.cols != other.rows:
-            raise ValueError(f"cannot multiply {self.shape} by {other.shape}")
-        od = other.data
-        out = []
-        for r in self.data:
-            acc = [_ZERO] * other.cols
-            for k, a in enumerate(r):
-                if a:
-                    orow = od[k]
-                    for j in range(other.cols):
-                        b = orow[j]
-                        if b:
-                            acc[j] += a * b
-            out.append(tuple(acc))
-        return Matrix(tuple(out), other.cols)
-
-    def apply(self, vec) -> tuple[Fraction, ...]:
-        """Matrix times column vector; only the nonzero entries of vec are visited."""
-        if len(vec) != self.cols:
-            raise ValueError(f"vector length {len(vec)} != {self.cols} columns")
-        nz = nonzero_entries(vec).items()
-        out = []
-        for r in self.data:
-            acc = _ZERO
-            for j, x in nz:
-                a = r[j]
-                if a:
-                    acc += a * x
-            out.append(acc)
-        return tuple(out)
 
     def rref(self) -> tuple["Matrix", tuple[int, ...]]:
         """Reduced row echelon form and the pivot column indices, by `_reduced`."""
@@ -436,33 +355,6 @@ class Matrix:
         out = _dense_rows(echelon, nc)
         out.extend([(_ZERO,) * nc] * (len(self.data) - len(out)))
         return Matrix(tuple(out), nc), tuple(echelon)
-
-    def rank(self) -> int:
-        return len(self.rref()[1])
-
-    def __str__(self) -> str:
-        if not self.data:
-            return f"(0x{self.cols})"
-        cells = [[str(x) for x in r] for r in self.data]
-        width = max(len(s) for r in cells for s in r)
-        return "\n".join("[ " + "  ".join(s.rjust(width) for s in r) + " ]" for r in cells)
-
-
-def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
-    return m.rref()
-
-
-def inverse(m: Matrix) -> Matrix:
-    """m^-1, read off the sparse RREF of [m | I]; ValueError when m is singular."""
-    n = m.cols
-    if m.rows != n:
-        raise ValueError("inverse needs a square matrix")
-    identity = tuple(((i, 1),) for i in range(n))
-    echelon = _reduced(column_rows(m.sparse_columns() + identity), 2 * n)
-    if tuple(echelon) != tuple(range(n)):
-        raise ValueError("matrix is singular")
-    return Matrix(tuple(tuple(as_q(tail.get(n + j, 0)) for j in range(n))
-                        for tail in echelon.values()), n)
 
 
 @dataclass(frozen=True, slots=True, repr=False, eq=False)
@@ -511,11 +403,6 @@ class Subspace:
         return cls(ambient_dim, echelon)
 
     @classmethod
-    def from_rows(cls, ambient_dim: int, rows) -> "Subspace":
-        rows = column_rows(Matrix.of(rows, cols=ambient_dim).sparse_columns())
-        return cls.from_echelon(ambient_dim, _reduced(rows, ambient_dim))
-
-    @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
         return cls.from_echelon(ambient_dim, {})
 
@@ -529,34 +416,6 @@ class Subspace:
 
     def is_zero(self) -> bool:
         return self.dim == 0
-
-    def contains_vector(self, vec) -> bool:
-        if len(vec) != self.ambient_dim:
-            raise ValueError("ambient dimension mismatch")
-        residual = nonzero_entries(vec)
-        _eliminate(residual, self._echelon)
-        return not any(residual.values())
-
-    def contains(self, other: "Subspace") -> bool:
-        if other.ambient_dim != self.ambient_dim:
-            raise ValueError("ambient dimension mismatch")
-        return all(self.contains_vector(r) for r in other.basis.data)
-
-
-def kernel_basis(m: Matrix) -> Subspace:
-    """Kernel of m as a subspace of the source Q^cols: `sparse_kernel` of its rows."""
-    return Subspace.from_echelon(m.cols, sparse_kernel(column_rows(m.sparse_columns()), m.cols))
-
-
-def image(m: Matrix, sub: Subspace | None = None) -> Subspace:
-    """Column space of m, or the image m(sub) when a source subspace is given."""
-    if sub is None:
-        gens = [m.column(j) for j in range(m.cols)]
-    else:
-        if sub.ambient_dim != m.cols:
-            raise ValueError("ambient dimension mismatch")
-        gens = [m.apply(r) for r in sub.basis.data]
-    return Subspace.from_rows(m.rows, gens)
 
 
 def _eliminate(
@@ -657,7 +516,7 @@ class Quotient:
     weighted by x at v's pivots: `class_of` reads it from x's nonzero
     entries.  The dense forms are built each time they are read: `reps`,
     the representatives as a k x ambient matrix, and `proj`, the same map
-    as `class_of` as a k x ambient matrix.  Unpacking gives (reps, proj).
+    as `class_of` as a k x ambient matrix.
     """
 
     space: Subspace
@@ -683,9 +542,6 @@ class Quotient:
                 rows[i][pivot] = as_q(a)
         return Matrix(tuple(tuple(row) for row in rows), d)
 
-    def __iter__(self):
-        return iter((self.reps, self.proj))
-
     def class_of(self, x: dict[int, Fraction]) -> dict[int, Fraction] | None:
         """The class of x, given as {column: value}, or None when x is not in v.
 
@@ -703,9 +559,9 @@ def quotient_map(v: Subspace, w, window: tuple[int, int] | None = None) -> Quoti
     """Coset representatives and coordinate projection for v / span w.
 
     w is a list of vectors of v, each given by its nonzero entries as
-    {column: value}.  The result unpacks as (reps, proj): reps has k rows
-    which represent a basis of v / span w, and proj is a k x ambient matrix
-    such that for any x in v the quotient coordinates of [x] are proj @ x.
+    {column: value}.  In the result, reps has k rows which represent a
+    basis of v / span w, and proj is a k x ambient matrix such that for any
+    x in v the quotient coordinates of [x] are proj @ x.
     In particular proj @ x = 0 iff x in span w, and proj @ reps[i] = e_i.
     The Quotient also keeps proj sparse, as the class of each of v's pivots,
     and reads the class of a sparse vector with `class_of`.

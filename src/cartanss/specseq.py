@@ -12,9 +12,10 @@ representatives; every quotient is realized by explicit coset representatives
 plus a coordinate projection, so induced maps are honest matrices.
 
 Every filtration level here is a coordinate prefix: F^p C^m is spanned by the
-first k(p, m) basis vectors.  So Z_r is the kernel of the block of d with
-rows k(p+r, m+1): and columns :k(p, m), padded with zeros, and no subspace
-intersection is needed.
+first k(p, m) basis vectors, and the complex keeps only the prefix lengths
+k(p, m), never F^p as a subspace.  So Z_r is the kernel of the block of d
+with rows k(p+r, m+1): and columns :k(p, m), padded with zeros (`_kernel`),
+and no subspace intersection is needed.
 
 The pages are built on the associated graded.  E_0^{p,q} = F^p C^m / F^(p+1)
 C^m is the coordinate window [k(p+1, m), k(p, m)), m = p + q; where it is
@@ -94,7 +95,7 @@ from .reports import CertificateError
 class FilteredComplex:
     """Finite cochain complex over Q with a decreasing, exhaustive prefix filtration.
 
-    dims[m] is the ambient dimension of C^m for 0 <= m <= max_degree;
+    dims[m] is the ambient dimension of C^m for 0 <= m < len(dims);
     d_columns[m] is d^m : C^m -> C^(m+1) column by column (the top one maps
     to zero): column j holds the (row, value) pairs of the nonzero entries of
     d e_j, in increasing row order;
@@ -105,10 +106,6 @@ class FilteredComplex:
     dims: tuple[int, ...]
     d_columns: tuple[SparseColumns, ...]
     prefix: tuple[tuple[int, ...], ...]
-
-    @property
-    def max_degree(self) -> int:
-        return len(self.dims) - 1
 
     def ambient(self, m: int) -> int:
         if 0 <= m < len(self.dims):
@@ -123,10 +120,6 @@ class FilteredComplex:
             return self.dims[m]
         levels = self.prefix[m]
         return levels[p] if p < len(levels) else 0
-
-    def filt(self, p: int, m: int) -> Subspace:
-        """F^p C^m as a subspace: the first cut(p, m) coordinate vectors."""
-        return Subspace.from_echelon(self.ambient(m), {i: {} for i in range(self.cut(p, m))})
 
     @cached_property
     def support(self) -> tuple[tuple[int, int, int, int], ...]:
@@ -244,18 +237,6 @@ def _kernel(fc: FilteredComplex, block: tuple[int, int, int], cache: dict) -> Su
     return out
 
 
-def _z_space(fc: FilteredComplex, r: int, p: int, m: int, cache: dict) -> Subspace:
-    """Z_r at filtration p, total degree m: F^p meeting d^{-1}(F^{p+r}).
-
-    x lies in F^p exactly when it is zero past k(p, m), and d x lies in
-    F^(p+r) exactly when the rows of d past k(p+r, m+1) kill it, so Z_r is
-    the kernel of the block (m, k(p, m), k(p+r, m+1)) of d, and the cache
-    keys it by that block: where the row cut does not move from r-1 to r,
-    Z_r is Z_(r-1) and no kernel runs again.
-    """
-    return _kernel(fc, (m, fc.cut(p, m), fc.cut(p + r, m + 1)), cache)
-
-
 def _boundaries(fc: FilteredComplex, m: int, born: Subspace) -> list[dict]:
     """d born in C^m, born a space of C^(m-1): the nonzero images of its basis rows.
 
@@ -341,7 +322,7 @@ def iter_pages(fc: FilteredComplex) -> Iterator[SpectralPage]:
     sit at (p, q) and (p+s, q-s+1) for any s > r: every later page is a
     subquotient of E_r, so no later d_s can be nonzero.  Past the largest gap
     in p between nonzero cells no such pair is left and d_r is zero, so the
-    pages end by r = max_degree + 2.
+    pages end by r = len(fc.dims) + 1, two past the top degree.
 
     The pages share one cache of kernels by block and of quotients by cell
     key (`page`), so each is computed once per run wherever later pages do

@@ -134,7 +134,7 @@ class E2Frames:
     """Page 2 with the tensor frames F(alpha (x) beta) of every cell.
 
     f_columns[(p, q)] holds F's columns at (p, q), one per pair alpha (x)
-    beta, each as {class index: value}; `f_matrix` makes the dense matrix.
+    beta, each as {class index: value}.
     """
 
     page2: SpectralPage
@@ -142,14 +142,6 @@ class E2Frames:
     f_columns: dict = field(compare=False)
     basic: tuple[Quotient, ...] = field(compare=False)
     invariants: tuple = field(compare=False)
-
-    def f_matrix(self, pq: tuple[int, int]) -> Matrix | None:
-        """F at pq as an e2_dim x product_dim matrix, or None off the frames."""
-        cols = self.f_columns.get(pq)
-        if cols is None:
-            return None
-        cell = self.page2.cells.get(pq)
-        return Matrix.from_columns(cols, 0 if cell is None else cell.dim)
 
 
 def _e2_frames(model: EquivariantModel, pg2: SpectralPage) -> E2Frames:

@@ -1,11 +1,14 @@
-"""Reference algorithms that the engine no longer runs, kept to test it against.
+"""Reference definitions and algorithms that the engine does not run, kept to test it against.
 
 `seed_rref` is the first row reduction of the package: dense Gauss-Jordan
 elimination over `Fraction`, dividing and subtracting whole rows, zeros
 included.  `seed_kernel_basis` reads the kernel off it and reduces the
-vectors a second time.  The engine's `Matrix.rref` is a sparse fraction-free
-elimination over the integers instead, and `kernel_basis` reduces once, so
-these two are the definitions it is checked against.
+vectors a second time, `seed_span` is the row space and `seed_inverse` the
+inverse read off [m | I].  The engine's `Matrix.rref` is a sparse
+fraction-free elimination over the integers instead, and `sparse_kernel`
+reduces once, so these are the definitions it is checked against.
+`matmul`, `dense_apply`, `contains` and `seed_image` are the dense
+products, membership and images the tests need, by their definitions.
 
 `seed_quotient_map` is the first quotient algorithm of the package: one row
 reduction of the whole accumulated basis per accepted representative, then a
@@ -18,26 +21,36 @@ cohomology of a complex of dense matrices built from `seed_kernel_basis`,
 `graded_cohomology` over sparse columns; `dense_d_hor` places the entries of
 d_hor into such a matrix one by one, apart from `BasicComplex.d_hor_columns`.
 
-`wedge_ce_delta` and `homotopy_coadjoint` are the first Chevalley-Eilenberg
-operators of the package: delta by wedge products of `ChiElement`s, and the
-coadjoint action as the Cartan homotopy contract o delta + delta o contract.
-The engine reads both from sparse per-algebra tables instead; the matrices
-below are built one `chi_to_vector` column at a time, as the seed did.
+`ChiElement` is an element of the exterior algebra on chi_1, chi_2, ...,
+with `wedge` and `contract` (the interior product) on it.  `wedge_ce_delta`
+is the Chevalley-Eilenberg differential by wedge products, with
+delta chi_k = sum_{a<b} c[a][b][k] chi_a ^ chi_b read off the structure
+constants, and `homotopy_coadjoint` the coadjoint action as the Cartan
+homotopy contract o delta + delta o contract.  The engine reads both from
+sparse per-algebra tables instead; `oracle_delta_matrix` and
+`oracle_coadjoint_matrix` build their matrices one `chi_to_vector` column at
+a time.
+
+`ModelElement` is a linear combination of monomials g (x) chi_I of the
+invariant-forms model, and `d10`, `d01`, `d21` and `total_d` apply the three
+parts of the model's differential to it, read off the `d_hor` and Euler
+entries and `wedge_ce_delta`, not off the model's tables.
+`oracle_total_matrix` and `oracle_identity_checks` are the model layer
+before it read the operators from per-model monomial tables: every column
+and every component of d^2 is a composition of these operators, one element
+per monomial per operator.
 
 `annihilator`, `preimage` and `sum_and_intersect` (Zassenhaus) are the
 subspace lattice operations that the engine no longer needs; here they
 reduce with `seed_rref` and `seed_kernel_basis` only, so the oracles built
 on them share no elimination with the engine.
 
-`oracle_total_matrix` and `oracle_identity_checks` are the model layer before
-it read the operators from per-model monomial tables: every column and every
-component of d^2 is a composition of `ModelElement` operators, one element
-per monomial per operator.
-
 `sparse_columns`, `dmat` and `check_structure` are the dense view of a
 `FilteredComplex`, which keeps d only by its sparse columns: `dmat` builds
 the dense matrix of d^m, and `check_structure` checks shapes, the decreasing
-filtration and d-compatibility entry by entry on it.
+filtration and d-compatibility entry by entry on it.  `filt` is F^p C^m as a
+subspace and `z_space` the engine's Z_r, the kernel of the block of d that
+cuts it out.
 
 `oracle_page` is the page engine before it moved to the associated graded:
 every spot (p, m) of the triangle gets a cell, and each cell is the quotient
@@ -51,13 +64,9 @@ cell, which the next page must match.
 
 `dense_dr`, `dense_frames` and `dense_transgression` are the dense route the
 engine used before it read classes sparse: every d(rep) and every alpha (x)
-beta is a dense vector of C^m, tested with `Subspace.contains_vector` and
-projected with the dense `proj.apply`.  `dr_matrix` makes a page's sparse
-d_r columns into the dense matrix those compare with.
-
-`chi_from_vector` is the inverse of `chi_to_vector`: the `ChiElement` with
-given coordinates in the basis of Lambda^q, for checks on the element
-algebra.
+beta is a dense vector of C^m, tested with `contains` and projected with the
+dense `proj`.  `dr_matrix` and `f_matrix` make a page's sparse d_r columns
+and the frames' sparse columns into the dense matrices those compare with.
 """
 
 from __future__ import annotations
@@ -65,39 +74,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction as Q
 
-from cartanss.liealg import (
-    ChiElement,
-    LieData,
-    all_multi_indices,
-    chi_to_vector,
-    contract,
-    delta_gen,
-    multi_indices,
-    wedge,
-)
-from cartanss.model import (
-    BasicComplex,
-    EquivariantModel,
-    ModelElement,
-    degree_basis,
-    d01,
-    d10,
-    d21,
-    element_to_vector,
-    monomial_basis,
-    total_d,
-)
-from cartanss.qlinalg import (
-    Matrix,
-    Subspace,
-    image,
-    inverse,
-    kernel_basis,
-    quotient_map,
-    rref,
-)
+from cartanss.liealg import LieData, all_multi_indices, multi_indices
+from cartanss.model import BasicComplex, EquivariantModel, degree_basis, monomial_basis
+from cartanss.qlinalg import Matrix, Subspace, column_rows, quotient_map, sparse_kernel
 from cartanss.reports import CertificateError, CheckResult
-from cartanss.specseq import FilteredComplex, SpectralPage, _z_space
+from cartanss.specseq import FilteredComplex, SpectralPage, _kernel
 
 
 def seed_rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
@@ -126,6 +107,10 @@ def seed_rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     return Matrix(tuple(tuple(row) for row in rows), nc), tuple(pivots)
 
 
+def rank(m: Matrix) -> int:
+    return len(seed_rref(m)[1])
+
+
 def seed_span(d: int, rows) -> Subspace:
     """The row space of rows in Q^d, its echelon read off the seed_rref rows."""
     red, pivots = seed_rref(Matrix.of(rows, cols=d))
@@ -149,12 +134,55 @@ def seed_kernel_basis(m: Matrix) -> Subspace:
     return seed_span(m.cols, rows)
 
 
+def identity_rows(n: int) -> list[list[Q]]:
+    return [[Q(int(i == j)) for j in range(n)] for i in range(n)]
+
+
 def seed_inverse(m: Matrix) -> Matrix:
     """m^-1 from seed_rref([m | I]); ValueError when m is singular."""
-    red, pivots = seed_rref(Matrix.hstack(m, Matrix.identity(m.rows)))
-    if pivots != tuple(range(m.cols)):
+    n = m.cols
+    joined = [list(row) + unit for row, unit in zip(m.data, identity_rows(m.rows))]
+    red, pivots = seed_rref(Matrix.of(joined, cols=n + m.rows))
+    if pivots != tuple(range(n)):
         raise ValueError("matrix is singular")
-    return Matrix.of([row[m.cols:] for row in red.data], cols=m.cols)
+    return Matrix.of([row[n:] for row in red.data], cols=n)
+
+
+def matmul(a: Matrix, b: Matrix) -> Matrix:
+    """The product a b, entry by entry."""
+    if a.cols != b.rows:
+        raise ValueError(f"cannot multiply {a.shape} by {b.shape}")
+    return Matrix.of([[sum((x * b.data[k][j] for k, x in enumerate(row)), Q(0))
+                       for j in range(b.cols)] for row in a.data], cols=b.cols)
+
+
+def dense_apply(m: Matrix, vec) -> tuple[Q, ...]:
+    """m times the column vector vec; only the nonzero entries of vec are visited."""
+    if len(vec) != m.cols:
+        raise ValueError(f"vector length {len(vec)} != {m.cols} columns")
+    nonzero = [(j, x) for j, x in enumerate(vec) if x]
+    return tuple(sum((row[j] * x for j, x in nonzero if row[j]), Q(0)) for row in m.data)
+
+
+def is_zero(m: Matrix) -> bool:
+    return not any(map(any, m.data))
+
+
+def contains(sub: Subspace, vec) -> bool:
+    """Whether vec lies in sub: vec minus vec[pivot] times each RREF basis row is zero."""
+    if len(vec) != sub.ambient_dim:
+        raise ValueError("ambient dimension mismatch")
+    rest = [Q(x) for x in vec]
+    for pivot, row in zip(sub.echelon(), sub.basis.data):
+        c = rest[pivot]
+        if c:
+            rest = [x - c * y for x, y in zip(rest, row)]
+    return not any(rest)
+
+
+def seed_image(m: Matrix, sub: Subspace) -> Subspace:
+    """m(sub), spanned by the images of sub's basis rows."""
+    return seed_span(m.rows, [dense_apply(m, row) for row in sub.basis.data])
 
 
 def annihilator(w: Subspace) -> Matrix:
@@ -166,7 +194,7 @@ def preimage(m: Matrix, sub: Subspace) -> Subspace:
     """{x : m @ x in sub} as a subspace of the source."""
     if sub.ambient_dim != m.rows:
         raise ValueError("ambient dimension mismatch")
-    return seed_kernel_basis(annihilator(sub) @ m)
+    return seed_kernel_basis(matmul(annihilator(sub), m))
 
 
 def sum_and_intersect(a: Subspace, b: Subspace) -> tuple[Subspace, Subspace]:
@@ -188,42 +216,21 @@ def sum_and_intersect(a: Subspace, b: Subspace) -> tuple[Subspace, Subspace]:
 
 
 def seed_mismatches(m: Matrix) -> list[str]:
-    """The operations on m whose engine result differs from the seed one.
+    """The engine's reductions of m whose result differs from the seed one.
 
-    Compares rref (and its pivots), rank, kernel_basis, Subspace.from_rows of
-    the rows, image and, for a square m, inverse, entry by entry; an entry
-    that equals the seed value but is not a Fraction also counts.
+    Compares Matrix.rref (entries, pivots, and every entry a Fraction)
+    with seed_rref, and the sparse_kernel of m's rows with
+    seed_kernel_basis.
     """
-    def same(got: Matrix, want: Matrix) -> bool:
-        return (got.data, got.cols) == (want.data, want.cols) and all(
-            type(x) is Q for row in got.data for x in row)
-
     bad = []
     red, pivots = m.rref()
     want_red, want_pivots = seed_rref(m)
-    if not same(red, want_red) or pivots != want_pivots or rref(m) != (red, pivots):
+    if ((red.data, red.cols) != (want_red.data, want_red.cols) or pivots != want_pivots
+            or not all(type(x) is Q for row in red.data for x in row)):
         bad.append("rref")
-    if m.rank() != len(want_pivots):
-        bad.append("rank")
-    ker, want_ker = kernel_basis(m), seed_kernel_basis(m)
-    if ker.ambient_dim != want_ker.ambient_dim or not same(ker.basis, want_ker.basis):
-        bad.append("kernel_basis")
-    if not same(Subspace.from_rows(m.cols, m.data).basis, seed_span(m.cols, m.data).basis):
-        bad.append("from_rows")
-    if image(m) != seed_span(m.rows, [m.column(j) for j in range(m.cols)]):
-        bad.append("image")
-    if m.rows == m.cols:
-        try:
-            want_inv = seed_inverse(m)
-        except ValueError:
-            want_inv = None
-        try:
-            got_inv = inverse(m)
-        except ValueError:
-            got_inv = None
-        if (got_inv is None) != (want_inv is None) or (
-                got_inv is not None and not same(got_inv, want_inv)):
-            bad.append("inverse")
+    kernel = sparse_kernel(column_rows(m.sparse_columns()), m.cols)
+    if Subspace.from_echelon(m.cols, kernel) != seed_kernel_basis(m):
+        bad.append("kernel")
     return bad
 
 
@@ -247,9 +254,9 @@ def seed_quotient_map(v: Subspace, w: Subspace) -> tuple[Matrix, Matrix]:
     k = len(reps)
     if k == 0:
         return Matrix((), d), Matrix((), d)
-    c_mat = Matrix.of(rows, cols=d)
-    red, pivots = seed_rref(Matrix.hstack(c_mat, Matrix.identity(c_mat.rows)))
-    nb = c_mat.rows
+    nb = len(rows)
+    joined = [row + unit for row, unit in zip(rows, identity_rows(nb))]
+    red, pivots = seed_rref(Matrix.of(joined, cols=d + nb))
     if len(pivots) != nb or any(p >= d for p in pivots):
         raise AssertionError("combined basis was not independent")
     proj_rows = []
@@ -274,7 +281,7 @@ def seed_graded_cohomology(maps) -> list[tuple[Subspace, Subspace, tuple[Matrix,
     for m in maps:
         ker, img = seed_kernel_basis(m), seed_span(m.cols, below)
         out.append((ker, img, seed_quotient_map(ker, img)))
-        below = [m.column(j) for j in range(m.cols)]
+        below = [tuple(row[j] for row in m.data) for j in range(m.cols)]
     return out
 
 
@@ -293,12 +300,121 @@ def dense_d_hor(basic: BasicComplex, p: int) -> Matrix:
     return Matrix.of(data, cols=len(src))
 
 
-def chi_from_vector(vec, n: int, q: int) -> ChiElement:
-    """The element of Lambda^q with coordinates vec in the basis multi_indices(n, q)."""
-    idxs = multi_indices(n, q)
-    if len(vec) != len(idxs):
-        raise ValueError("coordinate length mismatch")
-    return ChiElement({I: v for I, v in zip(idxs, vec)})
+def _q(value) -> Q:
+    if isinstance(value, (bool, float)):
+        raise TypeError(f"expected an exact rational, got {value!r}")
+    return Q(value)
+
+
+def _multi_index(idx) -> tuple[int, ...]:
+    I = tuple(idx)
+    if any(not isinstance(x, int) or isinstance(x, bool) or x < 1 for x in I):
+        raise ValueError(f"multi-index entries must be positive integers: {I!r}")
+    if any(a >= b for a, b in zip(I, I[1:])):
+        raise ValueError(f"multi-index must be strictly increasing: {I!r}")
+    return I
+
+
+class _Combination:
+    """A finite linear combination of basis keys over Fraction, zero terms left out."""
+
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs=None):
+        clean = {}
+        for key, value in dict(coeffs or {}).items():
+            v = _q(value)
+            if v:
+                clean[self._key(key)] = v
+        self.coeffs = clean
+
+    @staticmethod
+    def _key(key):
+        return key
+
+    @classmethod
+    def zero(cls):
+        return cls()
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    def __add__(self, other):
+        out = dict(self.coeffs)
+        for key, v in other.coeffs.items():
+            out[key] = out.get(key, 0) + v
+        return type(self)(out)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __neg__(self):
+        return type(self)({key: -v for key, v in self.coeffs.items()})
+
+    def __rmul__(self, scalar):
+        c = _q(scalar)
+        return type(self)({key: c * v for key, v in self.coeffs.items()})
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and self.coeffs == other.coeffs
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self.coeffs!r})"
+
+
+class ChiElement(_Combination):
+    """An element of the exterior algebra on chi_1, chi_2, ..., by multi-index."""
+
+    __slots__ = ()
+    _key = staticmethod(_multi_index)
+
+    @classmethod
+    def basis(cls, idx) -> "ChiElement":
+        return cls({tuple(idx): 1})
+
+    @classmethod
+    def unit(cls) -> "ChiElement":
+        return cls.basis(())
+
+    @classmethod
+    def chi(cls, i: int) -> "ChiElement":
+        return cls.basis((i,))
+
+
+def wedge(a: ChiElement, b: ChiElement) -> ChiElement:
+    """a ^ b: chi_I ^ chi_J is zero when I and J meet, else chi_(I u J) signed by
+    the parity of the pairs (x in I, y in J) with x > y, the transpositions
+    that sort I + J."""
+    out = ChiElement()
+    for I, v in a.coeffs.items():
+        for J, w in b.coeffs.items():
+            if set(I) & set(J):
+                continue
+            sign = (-1) ** sum(x > y for x in I for y in J)
+            out = out + ChiElement({tuple(sorted(I + J)): sign * v * w})
+    return out
+
+
+def contract(i: int, a: ChiElement) -> ChiElement:
+    """Interior product with the i-th basis direction (degree -1 derivation):
+    chi_I goes to (-1)^s chi_(I minus i) where i sits at position s of I."""
+    if not isinstance(i, int) or isinstance(i, bool) or i < 1:
+        raise ValueError(f"generator index must be a positive integer: {i!r}")
+    out = ChiElement()
+    for I, v in a.coeffs.items():
+        if i in I:
+            s = I.index(i)
+            out = out + ChiElement({I[:s] + I[s + 1:]: (-1) ** s * v})
+    return out
+
+
+def delta_gen(L: LieData, k: int) -> ChiElement:
+    """delta chi_k = sum_{a<b} c[a][b][k] chi_a ^ chi_b, read off the structure constants."""
+    return ChiElement({(a, b): L.bracket_coeff(a, b, k)
+                       for a in range(1, L.n + 1) for b in range(a + 1, L.n + 1)})
 
 
 def wedge_ce_delta(L: LieData, a: ChiElement) -> ChiElement:
@@ -320,6 +436,19 @@ def homotopy_coadjoint(L: LieData, ell: int, a: ChiElement) -> ChiElement:
     return contract(ell, wedge_ce_delta(L, a)) + wedge_ce_delta(L, contract(ell, a))
 
 
+def chi_to_vector(a: ChiElement, n: int, q: int) -> tuple[Q, ...]:
+    """Coordinates of the degree-q component in the basis multi_indices(n, q)."""
+    return tuple(a.coeffs.get(I, Q(0)) for I in multi_indices(n, q))
+
+
+def chi_from_vector(vec, n: int, q: int) -> ChiElement:
+    """The element of Lambda^q with coordinates vec in the basis multi_indices(n, q)."""
+    idxs = multi_indices(n, q)
+    if len(vec) != len(idxs):
+        raise ValueError("coordinate length mismatch")
+    return ChiElement({I: v for I, v in zip(idxs, vec)})
+
+
 def operator_matrix(op, n: int, q_src: int, q_tgt: int) -> Matrix:
     """Matrix of op from Lambda^q_src to Lambda^q_tgt, one chi_to_vector per column."""
     src = multi_indices(n, q_src)
@@ -339,12 +468,11 @@ def oracle_coadjoint_matrix(L: LieData, ell: int, q: int) -> Matrix:
 
 def oracle_invariant_subcomplex(L: LieData) -> tuple[Subspace, ...]:
     """Per degree, the kernel of the stacked homotopy matrices, always by elimination."""
-    return tuple(
-        seed_kernel_basis(
-            Matrix.vstack(*[oracle_coadjoint_matrix(L, ell, q) for ell in range(1, L.n + 1)])
-        )
-        for q in range(L.n + 1)
-    )
+    out = []
+    for q in range(L.n + 1):
+        rows = [row for ell in range(1, L.n + 1) for row in oracle_coadjoint_matrix(L, ell, q).data]
+        out.append(seed_kernel_basis(Matrix.of(rows, cols=len(multi_indices(L.n, q)))))
+    return tuple(out)
 
 
 def direct_sum(*algebras: LieData) -> LieData:
@@ -366,6 +494,69 @@ def scaled(L: LieData, t) -> LieData:
     """The bracket t [-, -]: still a Lie algebra, and ad-invariant when L is."""
     t = Q(t)
     return LieData(L.n, tuple(tuple(tuple(t * v for v in row) for row in plane) for plane in L.c))
+
+
+class ModelElement(_Combination):
+    """A linear combination of monomials g (x) chi_I, by (generator index, multi-index)."""
+
+    __slots__ = ()
+
+    @staticmethod
+    def _key(key):
+        g, idx = key
+        if not isinstance(g, int) or isinstance(g, bool) or g < 0:
+            raise ValueError(f"generator index must be a non-negative integer: {g!r}")
+        return g, _multi_index(idx)
+
+    @classmethod
+    def monomial(cls, g: int, idx, coeff=1) -> "ModelElement":
+        return cls({(g, tuple(idx)): coeff})
+
+
+def d10(model: EquivariantModel, x: ModelElement) -> ModelElement:
+    """d_hor on the basic factor, identity on the chi factor, no sign."""
+    out = ModelElement()
+    for (g, I), v in x.coeffs.items():
+        for src, dst, c in model.basic.d_hor_entries:
+            if src == g:
+                out = out + ModelElement({(dst, I): v * c})
+    return out
+
+
+def d01(model: EquivariantModel, x: ModelElement) -> ModelElement:
+    """Minus (1 (x) delta) with the Koszul sign: g (x) chi_I -> -(-1)^(deg g) g (x) delta(chi_I)."""
+    out = ModelElement()
+    for (g, I), v in x.coeffs.items():
+        sign = (-1) ** (model.basic.degree_of(g) + 1)
+        d_chi = wedge_ce_delta(model.lie, ChiElement.basis(I))
+        out = out + ModelElement({(g, J): sign * v * w for J, w in d_chi.coeffs.items()})
+    return out
+
+
+def d21(model: EquivariantModel, x: ModelElement) -> ModelElement:
+    """Euler component: sum_j (-1)^(p+j-1) E_{i_j}(g) (x) chi_{I minus i_j}, j from 1."""
+    out = ModelElement()
+    for (g, I), v in x.coeffs.items():
+        p = model.basic.degree_of(g)
+        for j, gen in enumerate(I):  # j from 0: the sign is (-1)^(p+j)
+            for i, src, dst, c in model.basic.euler_entries:
+                if (i, src) == (gen, g):
+                    out = out + ModelElement({(dst, I[:j] + I[j + 1:]): (-1) ** (p + j) * v * c})
+    return out
+
+
+def total_d(model: EquivariantModel, x: ModelElement) -> ModelElement:
+    return d21(model, x) + d10(model, x) + d01(model, x)
+
+
+def element_to_vector(model: EquivariantModel, x: ModelElement, k: int) -> tuple[Q, ...]:
+    """Coordinates of x in the monomial basis of total degree k; ValueError off that degree."""
+    basis, pos = degree_basis(model, k)
+    for g, I in x.coeffs:
+        if (g, I) not in pos:
+            raise ValueError(f"monomial {model.basic.name_of(g)} (x) chi{list(I)} "
+                             f"is not in total degree {k}")
+    return tuple(x.coeffs.get(key, Q(0)) for key in basis)
 
 
 def oracle_total_matrix(model: EquivariantModel, k: int) -> Matrix:
@@ -422,14 +613,14 @@ def sparse_columns(m: Matrix) -> tuple:
 def dmat(fc: FilteredComplex, m: int) -> Matrix:
     """d^m : C^m -> C^(m+1) as a dense matrix, zero outside the complex."""
     rows = fc.ambient(m + 1)
-    if not 0 <= m <= fc.max_degree:
+    if not 0 <= m < len(fc.dims):
         return Matrix.zero(rows, fc.ambient(m))
     return Matrix.from_columns([dict(col) for col in fc.d_columns[m]], rows)
 
 
 def check_structure(fc: FilteredComplex) -> None:
     """Assert shapes, a decreasing filtration, and d-compatibility on the dense d."""
-    for m in range(fc.max_degree + 1):
+    for m in range(len(fc.dims)):
         if len(fc.d_columns[m]) != fc.dims[m]:
             raise AssertionError(f"d[{m}] column count mismatch")
         target = fc.ambient(m + 1)
@@ -451,16 +642,28 @@ def check_structure(fc: FilteredComplex) -> None:
                 raise AssertionError(f"d does not preserve F^{p} at degree {m}")
 
 
+def filt(fc: FilteredComplex, p: int, m: int) -> Subspace:
+    """F^p C^m as a subspace: the first cut(p, m) coordinate vectors."""
+    return Subspace.from_echelon(fc.ambient(m), {i: {} for i in range(fc.cut(p, m))})
+
+
+def z_space(fc: FilteredComplex, r: int, p: int, m: int, cache: dict) -> Subspace:
+    """Z_r at filtration p, total degree m, as the engine finds it: x is in F^p
+    exactly when it is zero past k(p, m), and d x is in F^(p+r) exactly when
+    the rows of d past k(p+r, m+1) kill it, so Z_r is the kernel of that block."""
+    return _kernel(fc, (m, fc.cut(p, m), fc.cut(p + r, m + 1)), cache)
+
+
 def oracle_divisor(fc: FilteredComplex, r: int, p: int, m: int, cache: dict) -> Subspace:
     """d Z_{r-1}^{p-r+1} + Z_{r-1}^{p+1} in C^m, as the span of both bases."""
-    born = _z_space(fc, r - 1, p - r + 1, m - 1, cache)
-    other = _z_space(fc, r - 1, p + 1, m, cache)
+    born = z_space(fc, r - 1, p - r + 1, m - 1, cache)
+    other = z_space(fc, r - 1, p + 1, m, cache)
     d = dmat(fc, m - 1)
-    rows = [y for y in (d.apply(row) for row in born.basis.data) if any(y)]
+    rows = [y for y in (dense_apply(d, row) for row in born.basis.data) if any(y)]
     if not rows:
         return other
     rows.extend(other.basis.data)
-    return Subspace.from_rows(fc.ambient(m), rows)
+    return seed_span(fc.ambient(m), rows)
 
 
 @dataclass(frozen=True)
@@ -478,17 +681,17 @@ def oracle_page(fc: FilteredComplex, r: int, cache: dict | None = None) -> Spect
     """Page r with a cell at every spot 0 <= p <= m, each Z_r / divisor in full."""
     cache = {} if cache is None else cache
     cells = {}
-    for m in range(fc.max_degree + 1):
+    for m in range(len(fc.dims)):
         for p in range(m + 1):
-            z = _z_space(fc, r, p, m, cache)
+            z = z_space(fc, r, p, m, cache)
             divisor = oracle_divisor(fc, r, p, m, cache)
             try:
-                reps, proj = quotient_map(z, divisor_vectors(divisor))
+                quot = quotient_map(z, divisor_vectors(divisor))
             except ValueError:
                 raise CertificateError(f"divisor escapes Z_{r}", (p, m - p), r) from None
-            cells[(p, m - p)] = OracleCell(p, m - p, reps.rows, reps, proj, z, divisor)
+            cells[(p, m - p)] = OracleCell(p, m - p, quot.dim, quot.reps, quot.proj, z, divisor)
     dr = dense_dr(fc, cells, r)
-    return SpectralPage(r, cells, dr, {pq: m.rank() for pq, m in dr.items()})
+    return SpectralPage(r, cells, dr, {pq: rank(m) for pq, m in dr.items()})
 
 
 def homology_dims(pg: SpectralPage) -> dict[tuple[int, int], int]:
@@ -511,10 +714,19 @@ def dr_matrix(pg: SpectralPage, pq: tuple[int, int]) -> Matrix:
     return Matrix.from_columns(pg.dr[pq], 0 if tgt is None else tgt.dim)
 
 
+def f_matrix(frames, pq: tuple[int, int]) -> Matrix | None:
+    """The frame F at pq as an e2_dim x product_dim matrix, or None off the frames."""
+    cols = frames.f_columns.get(pq)
+    if cols is None:
+        return None
+    cell = frames.page2.cells.get(pq)
+    return Matrix.from_columns(cols, 0 if cell is None else cell.dim)
+
+
 def dense_dr(fc: FilteredComplex, cells: dict, r: int) -> dict:
     """d_r per nonzero cell by the dense route: d of each representative as a
-    dense vector of C^(m+1), `contains_vector` in the target's Z_r and the
-    dense `proj.apply` for its class."""
+    dense vector of C^(m+1), `contains` in the target's Z_r and the dense
+    `proj` for its class."""
     dr = {}
     for (p, q), cell in cells.items():
         if cell.dim == 0:
@@ -527,10 +739,10 @@ def dense_dr(fc: FilteredComplex, cells: dict, r: int) -> dict:
         d = dmat(fc, p + q)
         z, proj = tgt.z_space, tgt.proj
         for rep in cell.reps.data:
-            y = d.apply(rep)
-            if not z.contains_vector(y):
+            y = dense_apply(d, rep)
+            if not contains(z, y):
                 raise CertificateError("d of a representative escapes Z", (p, q), r)
-            cols.append(proj.apply(y))
+            cols.append(dense_apply(proj, y))
         dr[(p, q)] = Matrix.of([[col[i] for col in cols] for i in range(tgt.dim)],
                                cols=cell.dim)
     return dr
@@ -550,7 +762,7 @@ def dense_tensor_vector(model: EquivariantModel, alpha_row, p: int, beta_row, q:
 def dense_frames(model: EquivariantModel, frames) -> dict:
     """(p, q) -> the frame F by the dense route, from frames' own page 2,
     basic cohomology and invariants: every alpha (x) beta from the dense
-    basis rows, `contains_vector` in Z_2 and `proj.apply`."""
+    basis rows, `contains` in Z_2 and the dense `proj`."""
     out = {}
     for cell in frames.cells:
         pq = (cell.p, cell.q)
@@ -562,16 +774,16 @@ def dense_frames(model: EquivariantModel, frames) -> dict:
         for alpha in frames.basic[cell.p].reps.data if pc is not None else ():
             for beta in betas:
                 vec = dense_tensor_vector(model, alpha, cell.p, beta, cell.q)
-                if not z.contains_vector(vec):
+                if not contains(z, vec):
                     raise CertificateError("tensor representative not d-compatible", pq, 2)
-                cols.append(proj.apply(vec))
+                cols.append(dense_apply(proj, vec))
         out[pq] = Matrix.of([[col[i] for col in cols] for i in range(cell.e2_dim)],
                             cols=cell.product_dim)
     return out
 
 
 def dense_transgression(frames, dr: dict, fmats: dict) -> dict:
-    """inverse(F_target) @ d_2 @ F_source from dense d_2 and frames."""
+    """F_target^-1 d_2 F_source from dense d_2 and frames."""
     out = {}
     for cell in frames.cells:
         if cell.product_dim == 0:
@@ -581,5 +793,5 @@ def dense_transgression(frames, dr: dict, fmats: dict) -> dict:
         if t_tgt is None or t_tgt.rows == 0:
             out[src] = Matrix.zero(0, cell.product_dim)
         else:
-            out[src] = inverse(t_tgt) @ dr[src] @ fmats[src]
+            out[src] = matmul(matmul(seed_inverse(t_tgt), dr[src]), fmats[src])
     return out

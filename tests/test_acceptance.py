@@ -26,22 +26,18 @@ from cartanss.library import (
     random_trivial_product,
 )
 from cartanss.liealg import (
-    ChiElement,
     LieData,
-    all_multi_indices,
-    ce_delta,
-    coadjoint,
+    coadjoint_columns,
+    delta_columns,
     invariant_subcomplex,
     lie_cohomology,
+    multi_indices,
     validate_lie,
-    wedge,
 )
 from cartanss.model import (
-    ModelElement,
     max_total_degree,
     monomial_basis,
     total_cohomology,
-    total_d,
     validate_model,
 )
 from cartanss.specseq import (
@@ -52,7 +48,16 @@ from cartanss.specseq import (
 from cartanss.qlinalg import cohomology_dims
 from cartanss.verify import Analysis, basic_cohomology
 
-from oracles import dense_d_hor, dmat, homology_dims, seed_graded_cohomology
+from oracles import (
+    ChiElement,
+    ModelElement,
+    dense_d_hor,
+    dmat,
+    homology_dims,
+    seed_graded_cohomology,
+    total_d,
+    wedge,
+)
 from test_cli import parse_table_pages
 
 
@@ -122,7 +127,7 @@ def test_criterion_04_tensor_dims_and_full_rank_batch():
         assert cohomology_dims(d_hor) == bdims == tuple(
             k.dim - i.dim for k, i, _ in seed), model.name
         fc = an.filtration
-        dense_d = (dmat(fc, m) for m in range(fc.max_degree + 1))
+        dense_d = (dmat(fc, m) for m in range(len(fc.dims)))
         total = tuple(ker.dim - img.dim for ker, img, _ in seed_graded_cohomology(dense_d))
         assert an.total_cohomology == total, model.name
         for c in rep.cells:
@@ -135,13 +140,16 @@ def test_criterion_05_delta_from_infinitesimal_actions():
     algebras = [LieData.from_structure_constants(3, {(1, 2, 3): 1})]
     algebras += [LieData.abelian(n) for n in range(1, 5)]
     for L in algebras:
-        for I in all_multi_indices(L.n):
-            q = len(I)
-            a = ChiElement.basis(I)
-            acc = ChiElement.zero()
-            for ell in range(1, L.n + 1):
-                acc = acc + wedge(coadjoint(L, ell, a), ChiElement.chi(ell))
-            assert ce_delta(L, a) == (Q((-1) ** q) / 2) * acc, (L.n, I)
+        for q in range(L.n + 1):
+            idx, up = multi_indices(L.n, q), multi_indices(L.n, q + 1)
+            coad = [coadjoint_columns(L, ell, q) for ell in range(1, L.n + 1)]
+            for j, col in enumerate(delta_columns(L, q)):
+                acc = ChiElement.zero()
+                for ell in range(1, L.n + 1):
+                    image = ChiElement({idx[i]: v for i, v in coad[ell - 1][j]})
+                    acc = acc + wedge(image, ChiElement.chi(ell))
+                delta = ChiElement({up[i]: v for i, v in col})
+                assert delta == (Q((-1) ** q) / 2) * acc, (L.n, idx[j])
 
 
 def test_criterion_06_d_squared_suite():

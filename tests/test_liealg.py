@@ -9,22 +9,15 @@ from itertools import combinations, product
 import pytest
 
 from cartanss.liealg import (
-    ChiElement,
     LieData,
     all_multi_indices,
-    ce_delta,
-    chi_to_vector,
-    coadjoint,
-    coadjoint_matrix,
-    contract,
-    delta_gen,
-    delta_matrix,
+    coadjoint_columns,
+    delta_columns,
     first_delta_squared_failure,
     invariant_subcomplex,
     lie_cohomology,
     multi_indices,
     validate_lie,
-    wedge,
 )
 from cartanss.library import (
     heisenberg_lie,
@@ -32,15 +25,47 @@ from cartanss.library import (
     rescaled_su2_lie,
     su2_lie,
 )
+from cartanss.qlinalg import apply_sparse
 from oracles import (
+    ChiElement,
     chi_from_vector,
+    contract,
     direct_sum,
+    chi_to_vector,
     homotopy_coadjoint,
     oracle_coadjoint_matrix,
     oracle_delta_matrix,
     oracle_invariant_subcomplex,
+    sparse_columns,
+    wedge,
     wedge_ce_delta,
 )
+
+
+def table_chi(columns, n, q, j):
+    """Column j of an operator on Lambda^q given by its columns, as a ChiElement."""
+    idx = multi_indices(n, q)
+    return ChiElement({idx[i]: v for i, v in columns[j]})
+
+
+def table_apply(columns_of, n, a, shift):
+    """a pushed through the operator whose columns on Lambda^q are
+    columns_of(q), which lands in Lambda^(q+shift)."""
+    out = ChiElement.zero()
+    for q in range(n + 1):
+        vec = {i: v for i, v in enumerate(chi_to_vector(a, n, q)) if v}
+        if vec:
+            idx = multi_indices(n, q + shift)
+            out = out + ChiElement({idx[i]: v for i, v in apply_sparse(columns_of(q), vec).items()})
+    return out
+
+
+def table_delta(L, a):
+    return table_apply(lambda q: delta_columns(L, q), L.n, a, 1)
+
+
+def table_coadjoint(L, ell, a):
+    return table_apply(lambda q: coadjoint_columns(L, ell, q), L.n, a, 0)
 
 
 def rand_chi(rng, n, terms=4):
@@ -122,11 +147,11 @@ def test_contract_is_odd_derivation():
 def test_su2_delta_values():
     L = su2_lie()
     c = ChiElement.basis
-    assert ce_delta(L, c((1,))) == c((2, 3))
-    assert ce_delta(L, c((2,))) == -c((1, 3))
-    assert ce_delta(L, c((3,))) == c((1, 2))
-    assert ce_delta(L, c((1, 2))).is_zero
-    assert ce_delta(L, c((1, 2, 3))).is_zero
+    assert wedge_ce_delta(L, c((1,))) == c((2, 3))
+    assert wedge_ce_delta(L, c((2,))) == -c((1, 3))
+    assert wedge_ce_delta(L, c((3,))) == c((1, 2))
+    assert wedge_ce_delta(L, c((1, 2))).is_zero
+    assert wedge_ce_delta(L, c((1, 2, 3))).is_zero
 
 
 def test_delta_is_odd_derivation():
@@ -136,36 +161,31 @@ def test_delta_is_odd_derivation():
         a = ChiElement.basis(I)
         for _ in range(5):
             b = rand_chi(rng, 3)
-            lhs = ce_delta(L, wedge(a, b))
-            rhs = wedge(ce_delta(L, a), b) + Q((-1) ** len(I)) * wedge(a, ce_delta(L, b))
+            lhs = wedge_ce_delta(L, wedge(a, b))
+            rhs = (wedge(wedge_ce_delta(L, a), b)
+                   + Q((-1) ** len(I)) * wedge(a, wedge_ce_delta(L, b)))
             assert lhs == rhs
 
 
 def test_delta_squares_to_zero_on_valid_data():
     for L in (su2_lie(), LieData.abelian(4), heisenberg_lie()):
         for I in all_multi_indices(L.n):
-            assert ce_delta(L, ce_delta(L, ChiElement.basis(I))).is_zero
+            assert wedge_ce_delta(L, wedge_ce_delta(L, ChiElement.basis(I))).is_zero
 
 
 def test_coadjoint_convention_on_su2():
     L = su2_lie()
     c = ChiElement.basis
-    # L_1 chi_k picks up -chi_{[u_1, u_k]}
-    assert coadjoint(L, 1, c((1,))).is_zero
-    assert coadjoint(L, 1, c((2,))) == -c((3,))
-    assert coadjoint(L, 1, c((3,))) == c((2,))
-    assert coadjoint(L, 2, c((3,))) == -c((1,))
-    assert coadjoint(L, 1, c((1, 2, 3))).is_zero
+    # L_1 chi_k picks up -chi_{[u_1, u_k]}, in the definition and in the table
+    def table(ell, i):
+        return table_chi(coadjoint_columns(L, ell, 1), 3, 1, i - 1)
 
-
-def test_coadjoint_is_cartan_homotopy():
-    rng = random.Random(41)
-    for L in (su2_lie(), heisenberg_lie()):
-        for _ in range(10):
-            a = rand_chi(rng, L.n)
-            ell = rng.randint(1, L.n)
-            homotopy = contract(ell, ce_delta(L, a)) + ce_delta(L, contract(ell, a))
-            assert coadjoint(L, ell, a) == homotopy
+    assert homotopy_coadjoint(L, 1, c((1,))).is_zero
+    assert homotopy_coadjoint(L, 1, c((2,))) == -c((3,)) == table(1, 2)
+    assert homotopy_coadjoint(L, 1, c((3,))) == c((2,)) == table(1, 3)
+    assert homotopy_coadjoint(L, 2, c((3,))) == -c((1,)) == table(2, 3)
+    assert homotopy_coadjoint(L, 1, c((1, 2, 3))).is_zero
+    assert coadjoint_columns(L, 1, 0) == ((),) and coadjoint_columns(L, 1, 3) == ((),)
 
 
 def test_coadjoint_commutes_with_delta():
@@ -173,7 +193,8 @@ def test_coadjoint_commutes_with_delta():
     for ell in range(1, 4):
         for I in all_multi_indices(3):
             a = ChiElement.basis(I)
-            assert coadjoint(L, ell, ce_delta(L, a)) == ce_delta(L, coadjoint(L, ell, a))
+            assert (homotopy_coadjoint(L, ell, wedge_ce_delta(L, a))
+                    == wedge_ce_delta(L, homotopy_coadjoint(L, ell, a)))
 
 
 def test_coadjoint_is_even_derivation():
@@ -182,21 +203,47 @@ def test_coadjoint_is_even_derivation():
     for _ in range(15):
         a, b = rand_chi(rng, 3), rand_chi(rng, 3)
         ell = rng.randint(1, 3)
-        assert coadjoint(L, ell, wedge(a, b)) == wedge(coadjoint(L, ell, a), b) + wedge(
-            a, coadjoint(L, ell, b)
-        )
+        assert homotopy_coadjoint(L, ell, wedge(a, b)) == (
+            wedge(homotopy_coadjoint(L, ell, a), b) + wedge(a, homotopy_coadjoint(L, ell, b)))
 
 
-def test_delta_from_coadjoint_sum_identity():
-    # delta(chi_I) = (-1)^q/2 * sum_ell coadjoint(ell, chi_I) ^ chi_ell, all I
-    for L in (su2_lie(), LieData.abelian(2), LieData.abelian(4), heisenberg_lie()):
-        for I in all_multi_indices(L.n):
-            q = len(I)
-            a = ChiElement.basis(I)
-            acc = ChiElement.zero()
+def test_coadjoint_is_cartan_homotopy():
+    # the engine's coadjoint table is i_ell delta + delta i_ell, delta read
+    # from the engine's own delta table
+    rng = random.Random(41)
+    for L in (su2_lie(), heisenberg_lie()):
+        for _ in range(10):
+            a = rand_chi(rng, L.n)
+            ell = rng.randint(1, L.n)
+            homotopy = contract(ell, table_delta(L, a)) + table_delta(L, contract(ell, a))
+            assert table_coadjoint(L, ell, a) == homotopy
+
+
+def test_coadjoint_matrix_matches_operator():
+    L = su2_lie()
+    for ell in range(1, 4):
+        for q in range(4):
+            m = coadjoint_columns(L, ell, q)
+            for j, I in enumerate(multi_indices(3, q)):
+                want = homotopy_coadjoint(L, ell, ChiElement.basis(I))
+                assert table_chi(m, 3, q, j) == want
+                vec = {i: v for i, v in enumerate(chi_to_vector(ChiElement.basis(I), 3, q)) if v}
+                assert apply_sparse(m, vec) == {
+                    i: v for i, v in enumerate(chi_to_vector(want, 3, q)) if v}
+
+
+def test_operators_on_elements_match_the_wedge_and_homotopy_formulas():
+    # the tables applied to whole elements, not only to basis vectors
+    rng = random.Random(20261021)
+    algebras = [su2_lie(), heisenberg_lie(), mutated_jacobi_lie(),
+                direct_sum(su2_lie(), LieData.abelian(1))]
+    algebras += _random_algebras(rng, 10, 4)
+    for L in algebras:
+        for _ in range(8):
+            a = rand_chi(rng, L.n, terms=5)
+            assert table_delta(L, a) == wedge_ce_delta(L, a)
             for ell in range(1, L.n + 1):
-                acc = acc + wedge(coadjoint(L, ell, a), ChiElement.chi(ell))
-            assert ce_delta(L, a) == (Q((-1) ** q) / 2) * acc
+                assert table_coadjoint(L, ell, a) == homotopy_coadjoint(L, ell, a)
 
 
 def test_vector_round_trip_and_matrices():
@@ -209,17 +256,29 @@ def test_vector_round_trip_and_matrices():
                 a = a + Q(rng.randint(-3, 3)) * ChiElement.basis(I)
             vec = chi_to_vector(a, 3, q)
             assert chi_from_vector(vec, 3, q) == a
-            assert delta_matrix(L, q).apply(vec) == chi_to_vector(ce_delta(L, a), 3, q + 1)
+            image = apply_sparse(delta_columns(L, q), {i: v for i, v in enumerate(vec) if v})
+            want = chi_to_vector(wedge_ce_delta(L, a), 3, q + 1)
+            assert image == {i: v for i, v in enumerate(want) if v}
 
 
-def test_coadjoint_matrix_matches_operator():
-    L = su2_lie()
-    for ell in range(1, 4):
-        for q in range(4):
-            m = coadjoint_matrix(L, ell, q)
-            for I in multi_indices(3, q):
-                vec = chi_to_vector(ChiElement.basis(I), 3, q)
-                assert m.apply(vec) == chi_to_vector(coadjoint(L, ell, ChiElement.basis(I)), 3, q)
+def test_delta_from_coadjoint_sum_identity():
+    # delta(chi_I) = (-1)^q/2 * sum_ell coadjoint(ell, chi_I) ^ chi_ell, all I,
+    # by the definitions and by the engine's tables
+    for L in (su2_lie(), LieData.abelian(2), LieData.abelian(4), heisenberg_lie()):
+        for q in range(L.n + 1):
+            delta = delta_columns(L, q)
+            coad = [coadjoint_columns(L, ell, q) for ell in range(1, L.n + 1)]
+            for j, I in enumerate(multi_indices(L.n, q)):
+                a = ChiElement.basis(I)
+                acc = ChiElement.zero()
+                table = ChiElement.zero()
+                for ell in range(1, L.n + 1):
+                    acc = acc + wedge(homotopy_coadjoint(L, ell, a), ChiElement.chi(ell))
+                    table = table + wedge(table_chi(coad[ell - 1], L.n, q, j),
+                                          ChiElement.chi(ell))
+                half = Q((-1) ** q) / 2
+                assert wedge_ce_delta(L, a) == half * acc
+                assert table_chi(delta, L.n, q + 1, j) == half * table
 
 
 def lie_dims(L):
@@ -237,8 +296,9 @@ def test_cohomology_reps_are_cocycles_and_euler_characteristic_vanishes():
     for L in (su2_lie(), heisenberg_lie(), LieData.abelian(3)):
         coh = tuple(lie_cohomology(L))
         for q, h in enumerate(coh):
-            for rep in h.reps.data:
-                assert not any(delta_matrix(L, q).apply(rep))
+            assert h.reps.rows == h.dim
+            for pivot in h.pivots:
+                assert apply_sparse(delta_columns(L, q), h.space.sparse_row(pivot)) == {}
         if L.n >= 1:
             assert sum((-1) ** q * h.dim for q, h in enumerate(coh)) == 0
 
@@ -258,7 +318,7 @@ def test_invariants_match_cohomology_for_full_antisymmetry():
     for q, sub in enumerate(inv):
         for row in sub.basis.data:
             a = chi_from_vector(row, L.n, q)
-            assert ce_delta(L, a).is_zero
+            assert wedge_ce_delta(L, a).is_zero
 
 
 def test_validate_lie_on_good_data():
@@ -383,12 +443,10 @@ def test_sparse_antisymmetry_checks_match_the_full_scan():
 
 def _scanned_delta_gen(L, k):
     """delta chi_k by the O(n^2) scan over every bracket pair."""
-    return ChiElement({
-        (a, b): L.bracket_coeff(a, b, k)
-        for a in range(1, L.n + 1)
-        for b in range(a + 1, L.n + 1)
-        if L.bracket_coeff(a, b, k)
-    })
+    return [((a, b), L.bracket_coeff(a, b, k))
+            for a in range(1, L.n + 1)
+            for b in range(a + 1, L.n + 1)
+            if L.bracket_coeff(a, b, k)]
 
 
 def test_delta_gen_table_matches_the_scan():
@@ -406,9 +464,9 @@ def test_delta_gen_table_matches_the_scan():
     for L in algebras:
         for k in range(1, L.n + 1):
             want = _scanned_delta_gen(L, k)
-            got = delta_gen(L, k)
-            assert got == want and list(got.coeffs) == list(want.coeffs), (L, k)
-            nonzero += not got.is_zero
+            got = L.delta_gens[k - 1]
+            assert list(got) == want, (L, k)
+            nonzero += bool(got)
     assert nonzero > 50
 
 
@@ -460,30 +518,17 @@ def test_table_matrices_match_the_wedge_and_homotopy_formulas():
     nonzero = {"delta": 0, "coadjoint": 0, "eliminated": 0}
     for L in algebras:
         for q in range(L.n + 1):
-            d = delta_matrix(L, q)
-            assert d == oracle_delta_matrix(L, q), (L, q)
-            nonzero["delta"] += not d.is_zero()
+            d = delta_columns(L, q)
+            assert d == sparse_columns(oracle_delta_matrix(L, q)), (L, q)
+            nonzero["delta"] += any(d)
             for ell in range(1, L.n + 1):
-                m = coadjoint_matrix(L, ell, q)
-                assert m == oracle_coadjoint_matrix(L, ell, q), (L, ell, q)
-                nonzero["coadjoint"] += not m.is_zero()
+                m = coadjoint_columns(L, ell, q)
+                assert m == sparse_columns(oracle_coadjoint_matrix(L, ell, q)), (L, ell, q)
+                nonzero["coadjoint"] += any(m)
         inv = invariant_subcomplex(L)
         assert inv == oracle_invariant_subcomplex(L), L
         nonzero["eliminated"] += any(s.dim < s.ambient_dim for s in inv)
     assert min(nonzero.values()) > 15, nonzero
-
-
-def test_operators_on_elements_match_the_wedge_and_homotopy_formulas():
-    rng = random.Random(20261021)
-    algebras = [su2_lie(), heisenberg_lie(), mutated_jacobi_lie(),
-                direct_sum(su2_lie(), LieData.abelian(1))]
-    algebras += _random_algebras(rng, 10, 4)
-    for L in algebras:
-        for _ in range(8):
-            a = rand_chi(rng, L.n, terms=5)
-            assert ce_delta(L, a) == wedge_ce_delta(L, a)
-            for ell in range(1, L.n + 1):
-                assert coadjoint(L, ell, a) == homotopy_coadjoint(L, ell, a)
 
 
 def test_first_delta_squared_failure_matches_the_wedge_formula():
@@ -503,4 +548,4 @@ def test_first_delta_squared_failure_matches_the_wedge_formula():
 def test_coadjoint_matrix_rejects_bad_directions():
     for ell in (0, 4, True):
         with pytest.raises(ValueError, match="direction index"):
-            coadjoint_matrix(su2_lie(), ell, 1)
+            coadjoint_columns(su2_lie(), ell, 1)

@@ -6,9 +6,20 @@ import random
 from fractions import Fraction as Q
 
 import pytest
-from oracles import direct_sum, oracle_identity_checks, oracle_total_matrix
+from oracles import (
+    ModelElement,
+    d01,
+    d10,
+    d21,
+    direct_sum,
+    element_to_vector,
+    oracle_identity_checks,
+    oracle_total_matrix,
+    sparse_columns,
+    total_d,
+)
 
-from cartanss.liealg import LieData, all_multi_indices, multi_indices
+from cartanss.liealg import LieData, all_multi_indices
 from cartanss.library import (
     MODEL_NAMES,
     get_model,
@@ -22,26 +33,16 @@ from cartanss.library import (
 from cartanss.model import (
     BasicComplex,
     EquivariantModel,
-    ModelElement,
-    bidegrees,
-    canonical_decomposition,
-    contract,
-    d01,
-    d10,
-    d21,
-    element_to_vector,
-    filtration_degree,
     max_total_degree,
     monomial_basis,
-    one_tensor_delta,
     operator_images,
     size_error,
     total_cohomology,
-    total_d,
-    total_matrix,
+    total_columns,
     validate_model,
-    vector_to_element,
 )
+from cartanss.qlinalg import apply_sparse
+from cartanss.specseq import cartan_filtration
 
 mono = ModelElement.monomial
 
@@ -60,15 +61,6 @@ def stairs_model():
         d_hor=[(1, 2, 2)],
     )
     return EquivariantModel("stairs", su2_lie(), basic)
-
-
-def rand_element(model, rng, terms=5):
-    nb = model.basic.num_generators
-    idxs = [I for q in range(model.lie.n + 1) for I in multi_indices(model.lie.n, q)]
-    out = ModelElement.zero()
-    for _ in range(terms):
-        out = out + mono(rng.randrange(nb), rng.choice(idxs), Q(rng.randint(-3, 3)))
-    return out
 
 
 def test_basic_complex_build_rejects_bad_data():
@@ -97,6 +89,7 @@ def test_d21_on_hopf_generator():
 def test_kronecker_total_d_vanishes():
     model = get_model("kronecker").model
     for k in range(max_total_degree(model) + 1):
+        assert not any(total_columns(model, k))
         for g, I in monomial_basis(model, k):
             assert total_d(model, mono(g, I)).is_zero
 
@@ -105,8 +98,8 @@ def test_group_model_total_d_is_minus_delta():
     model = get_model("group_su2").model
     # d01 carries the Koszul sign; on 1 (tensor) chi_3 it gives -1 (x) chi_12
     x = mono(0, (3,))
-    assert total_d(model, x) == mono(0, (1, 2), -1)
-    assert d01(model, x) == -one_tensor_delta(model, x)
+    assert total_d(model, x) == d01(model, x) == mono(0, (1, 2), -1)
+    assert operator_images(model)["total"][(0, (3,))] == {(0, (1, 2)): -1}
 
 
 def test_d10_has_no_sign_and_koszul_sign_sits_in_d01():
@@ -128,70 +121,14 @@ def test_d21_position_signs():
     assert d21(model, mono(1, (2,))).is_zero
 
 
-def test_filtration_degree():
-    # largest chi-count in the support; v (x) 1 alone is purely horizontal
-    x = mono(1, ()) + mono(0, (1,))
-    assert filtration_degree(x) == 1
-    assert filtration_degree(mono(1, ())) == 0
-    assert filtration_degree(mono(0, (1,))) == 1
-    with pytest.raises(ValueError):
-        filtration_degree(ModelElement.zero())
-
-
-def test_canonical_decomposition_orders_by_descending_horizontal_degree():
-    model = get_model("hopf").model
-    x = mono(1, ()) + mono(0, (1,))
-    pieces = canonical_decomposition(model, x)
-    assert pieces == [mono(1, ()), mono(0, (1,))]
-    assert sum(pieces[1:], pieces[0]) == x
-    assert bidegrees(model, pieces[0]) == {(2, 0)}
-    assert bidegrees(model, pieces[1]) == {(0, 1)}
-
-
-def contraction_slice(model, x, q):
-    """chi-degree-q slice via iterated contraction, as an independent oracle."""
-    n = model.lie.n
-    out = ModelElement.zero()
-    for I in multi_indices(n, q):
-        y = x
-        for ell in I:
-            y = contract(model, ell, y)
-        for (g, J), v in y.coeffs.items():
-            if J:
-                continue
-            p = model.basic.degree_of(g)
-            sign = Q((-1) ** (p * q))
-            out = out + mono(g, I, sign * v)
-    return out
-
-
-def test_decomposition_matches_iterated_contraction():
-    rng = random.Random(59)
-    for name in ("hopf", "kronecker", "group_su2", "trivial_product"):
-        model = get_model(name).model
-        for _ in range(8):
-            x = rand_element(model, rng)
-            rebuilt = ModelElement.zero()
-            for q in range(model.lie.n + 1):
-                rebuilt = rebuilt + contraction_slice(model, x, q)
-            assert rebuilt == x
-            for piece in canonical_decomposition(model, x):
-                (q,) = piece.chi_lengths()
-                # slice at q collects every p with that chi-count
-                slice_q = contraction_slice(model, x, q)
-                for pq in bidegrees(model, piece):
-                    from cartanss.model import bihomogeneous_part
-
-                    assert bihomogeneous_part(model, slice_q, *pq) == piece
-
-
 def test_total_d_splits_into_three_terms():
-    rng = random.Random(61)
     for name in ("hopf", "group_su2", "trivial_product"):
-        model = get_model(name).model
-        for _ in range(6):
-            x = rand_element(model, rng)
-            assert total_d(model, x) == d10(model, x) + d01(model, x) + d21(model, x)
+        images = operator_images(get_model(name).model)
+        for x, image in images["total"].items():
+            parts = [images[part][x] for part in ("d10", "d01", "d21")]
+            # the three parts change the chi-count by 0, +1 and -1
+            assert len({len(I) for part in parts for _, I in part}) == sum(map(bool, parts))
+            assert image == {key: v for part in parts for key, v in part.items()}
 
 
 def test_monomial_basis_order():
@@ -201,6 +138,39 @@ def test_monomial_basis_order():
         (model.basic.name_of(g), I) for g, I in monomial_basis(model, 1)
     ]
     assert names == [("a1", ()), ("a2", ()), ("1", (1,)), ("1", (2,))]
+
+
+def test_filtration_degree():
+    # F^p is spanned by the monomials g (x) chi_I with deg g >= p, a prefix of
+    # the basis; an element's filtration degree is the least deg g in its support
+    def filtration_degree(fc, model, x, m):
+        vec = element_to_vector(model, x, m)
+        support = [i for i, v in enumerate(vec) if v]
+        return max(p for p in range(m + 2) if all(i < fc.cut(p, m) for i in support))
+
+    hopf = get_model("hopf").model
+    fc = cartan_filtration(hopf)
+    assert filtration_degree(fc, hopf, mono(1, ()), 2) == 2
+    assert filtration_degree(fc, hopf, mono(0, (1,)), 1) == 0
+    assert filtration_degree(fc, hopf, mono(1, (1,)), 3) == 2
+    # the zero element lies in every F^p, down to F^(m+1) = 0
+    assert filtration_degree(fc, hopf, ModelElement.zero(), 2) == 3
+    rng = random.Random(61)
+    for name in ("trivial_product", "group_su2", "kronecker"):
+        model = get_model(name).model
+        fc = cartan_filtration(model)
+        degree = model.basic.degree_of
+        for m in range(max_total_degree(model) + 1):
+            basis = monomial_basis(model, m)
+            for g, I in basis:
+                assert filtration_degree(fc, model, mono(g, I), m) == degree(g), (name, g, I)
+            for _ in range(3):
+                picked = rng.sample(basis, rng.randint(1, len(basis)))
+                x = ModelElement.zero()
+                for g, I in picked:
+                    x = x + mono(g, I, rng.choice((-2, -1, 1, 3)))
+                want = min(degree(g) for g, _ in picked)
+                assert filtration_degree(fc, model, x, m) == want, (name, m, picked)
 
 
 def test_vector_round_trip_and_matrix_consistency():
@@ -215,9 +185,10 @@ def test_vector_round_trip_and_matrix_consistency():
             for g, I in basis:
                 x = x + mono(g, I, Q(rng.randint(-3, 3)))
             vec = element_to_vector(model, x, k)
-            assert vector_to_element(model, vec, k) == x
-            out = total_matrix(model, k).apply(vec)
-            assert vector_to_element(model, out, k + 1) == total_d(model, x)
+            assert ModelElement({key: v for key, v in zip(basis, vec)}) == x
+            out = apply_sparse(total_columns(model, k), {i: v for i, v in enumerate(vec) if v})
+            target = monomial_basis(model, k + 1)
+            assert ModelElement({target[i]: v for i, v in out.items()}) == total_d(model, x)
 
 
 def test_total_cohomology_values():
@@ -285,18 +256,11 @@ def test_validate_model_surfaces_lie_failure():
 
 
 def test_total_d_never_lowers_horizontal_degree():
-    rng = random.Random(71)
-    model = get_model("weighted_hopf").model
-    for _ in range(10):
-        x = rand_element(model, rng)
-        if x.is_zero:
-            continue
-        dx = total_d(model, x)
-        if dx.is_zero:
-            continue
-        min_p_src = min(model.basic.degree_of(g) for (g, _) in x.coeffs)
-        min_p_dst = min(model.basic.degree_of(g) for (g, _) in dx.coeffs)
-        assert min_p_dst >= min_p_src
+    for name in MODEL_NAMES:
+        model = get_model(name).model
+        degree = model.basic.degree_of
+        for (g, _), image in operator_images(model)["total"].items():
+            assert all(degree(h) >= degree(g) for h, _ in image), (name, g)
 
 
 def test_basic_tables_list_every_entry_and_stay_out_of_equality():
@@ -385,13 +349,14 @@ def test_total_matrix_matches_the_element_oracle():
                 want = oracle_total_matrix(model, k)
             except ValueError as exc:
                 with pytest.raises(ValueError) as err:
-                    total_matrix(model, k)
+                    total_columns(model, k)
                 assert str(err.value) == str(exc), (model.name, k)
                 raised += 1
                 continue
-            got = total_matrix(model, k)
-            assert (got.data, got.cols) == (want.data, want.cols), (model.name, k)
-            assert all(type(x) is Q for row in got.data for x in row)
+            got = total_columns(model, k)
+            assert got == sparse_columns(want), (model.name, k)
+            assert all(type(x) is (int if x.denominator == 1 else Q)
+                       for col in got for _, x in col)
     assert raised >= 1
 
 
@@ -412,7 +377,7 @@ def test_model_tables_are_built_on_first_use_and_stay_out_of_equality():
     assert not huge._images and not huge._bases
     model = get_model("group_su2").model
     twin = get_model("group_su2").model
-    assert validate_model(model).passed and total_matrix(model, 1).rows == 3
+    assert validate_model(model).passed and len(total_columns(model, 1)) == 3
     assert model._images and model._bases and not twin._images
     assert model == twin and hash(model) == hash(twin)
     assert "_images" not in repr(model)
