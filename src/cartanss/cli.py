@@ -188,7 +188,7 @@ def load_model_document(doc, default_name: str = "model") -> EquivariantModel:
         basic = BasicComplex.build(generators, d_hor=d_entries, euler=e_entries)
     except ValueError as exc:
         _fail("basic", str(exc))
-    # checked before the algebra exists: it stores a dense n x n x n array
+    # checked before the algebra exists: its delta table has n entries
     too_large = size_error(basic.num_generators, n, basic.max_degree)
     if too_large:
         raise ModelTooLargeError(too_large)
@@ -218,16 +218,14 @@ def model_to_document(model: EquivariantModel) -> dict:
     """Serialize back to the model-file format (inverse of load_model_document)."""
     L = model.lie
     c_entries = []
-    for a in range(1, L.n + 1):
-        for b in range(a + 1, L.n + 1):
-            for k in range(1, L.n + 1):
-                v = L.bracket_coeff(a, b, k)
-                if v != -L.bracket_coeff(b, a, k):
-                    raise ValueError(
-                        "cannot serialize: structure constants are not bracket-antisymmetric"
-                    )
-                if v:
-                    c_entries.append([a, b, k, _rat_str(v)])
+    for (a, b, k), v in L.c:
+        # a diagonal constant (a = b) is its own partner and never passes
+        if v != -L.bracket_coeff(b, a, k):
+            raise ValueError(
+                "cannot serialize: structure constants are not bracket-antisymmetric"
+            )
+        if a < b:
+            c_entries.append([a, b, k, _rat_str(v)])
     basic = model.basic
     return {
         "name": model.name,

@@ -27,7 +27,8 @@ the basis of the exterior algebra is enumerated by length, then
 lexicographically.
 
 The homotopy formula is the definition; the engine does not evaluate it.
-Each LieData carries sparse tables outside equality: delta chi_k and
+Each LieData stores only its nonzero constants, as sorted ((a, b, k), value)
+pairs, and carries sparse tables outside equality: delta chi_k and
 coadjoint(l, chi_i) on generators, built at construction (the latter is
 contract(l, delta chi_i), the homotopy on a generator), and delta(chi_I) for
 each multi-index I, built once on first use by the derivation rule.  Since a
@@ -51,7 +52,7 @@ from bisect import bisect_left
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations
 from math import comb
 
 from .qlinalg import (
@@ -83,27 +84,40 @@ def all_multi_indices(n: int) -> tuple[MultiIndex, ...]:
 
 
 Terms = tuple[tuple[MultiIndex, Fraction], ...]
+Slot = tuple[int, int, int]
+
+
+def _is_index(x, n: int) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool) and 1 <= x <= n
 
 
 @dataclass(frozen=True)
 class LieData:
-    """Structure constants of an n-dimensional metric Lie algebra, 0-based storage.
+    """An n-dimensional metric Lie algebra by its nonzero structure constants.
 
-    Derived tables, built from the nonzero constants and taking no part in
-    equality, each coefficient in qlinalg's scalar form (`exact`: an int
-    where it is integral): delta_gens[k - 1] = delta chi_k as ((a, b),
-    coefficient) pairs and coadjoint_gens[l - 1][i - 1] = coadjoint(l,
-    chi_i) as (k, coefficient) pairs, both at construction; delta(chi_I) per
-    multi-index I, filled by delta_terms on first use; and the position of
-    each multi-index in its degree's basis, per degree.
+    c is the sorted tuple of ((a, b, k), c[a][b][k]) over the nonzero
+    constants, indices 1-based, each value in qlinalg's scalar form
+    (`exact`: an int where it is integral).  The constructor takes the
+    entries in any order, drops explicit zeros and refuses an index that is
+    not an int in 1..n and a slot given twice, so equal algebras compare and
+    hash alike.
+
+    Derived tables, taking no part in equality: the constant at each slot,
+    read by bracket_coeff; delta_gens[k - 1] = delta chi_k as ((a, b),
+    coefficient) pairs and coadjoint_gens[(l, i)] = coadjoint(l, chi_i) as
+    (k, coefficient) pairs over the nonzero (l, i) only, both at
+    construction; delta(chi_I) per multi-index I, filled by delta_terms on
+    first use; and the position of each multi-index in its degree's basis,
+    per degree.
     """
 
     n: int
-    c: tuple[tuple[tuple[Fraction, ...], ...], ...]
+    c: tuple[tuple[Slot, Fraction], ...]
     delta_gens: tuple[Terms, ...] = field(init=False, repr=False, compare=False)
-    coadjoint_gens: tuple[tuple[tuple[tuple[int, Fraction], ...], ...], ...] = field(
+    coadjoint_gens: dict[tuple[int, int], tuple[tuple[int, Fraction], ...]] = field(
         init=False, repr=False, compare=False
     )
+    _coeffs: dict[Slot, Fraction] = field(init=False, repr=False, compare=False)
     _delta: dict[MultiIndex, Terms] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
@@ -114,104 +128,72 @@ class LieData:
     def __post_init__(self):
         if not isinstance(self.n, int) or self.n < 1:
             raise ValueError(f"n must be a positive integer: {self.n!r}")
-        if len(self.c) != self.n or any(
-            len(plane) != self.n or any(len(row) != self.n for row in plane)
-            for plane in self.c
-        ):
-            raise ValueError("structure constant array must be n x n x n")
+        coeffs: dict[Slot, Fraction] = {}
+        for (a, b, k), v in self.c:
+            if not all(_is_index(x, self.n) for x in (a, b, k)):
+                raise ValueError(f"structure constant index out of range: ({a},{b},{k})")
+            if (a, b, k) in coeffs:
+                raise ValueError(f"duplicate structure constant slot ({a},{b},{k})")
+            coeffs[(a, b, k)] = exact(v)
+        c = tuple(sorted((slot, v) for slot, v in coeffs.items() if v))
         terms: list[dict[MultiIndex, Fraction]] = [{} for _ in range(self.n)]
-        for a, plane in enumerate(self.c):
-            for b in range(a + 1, self.n):
-                for k, v in enumerate(plane[b]):
-                    if v:
-                        terms[k][(a + 1, b + 1)] = exact(v)
+        for (a, b, k), v in c:
+            if a < b:
+                terms[k - 1][(a, b)] = v
         # coadjoint(l, chi_i) = contract(l, delta chi_i): each term
         # v chi_a ^ chi_b gives v chi_b at l = a and -v chi_a at l = b
-        coad: list[list[dict[int, Fraction]]] = [
-            [{} for _ in range(self.n)] for _ in range(self.n)
-        ]
-        for i, t in enumerate(terms):
+        coad: dict[tuple[int, int], dict[int, Fraction]] = {}
+        for i, t in enumerate(terms, 1):
             for (a, b), v in t.items():
-                coad[a - 1][i][b] = v
-                coad[b - 1][i][a] = -v
+                coad.setdefault((a, i), {})[b] = v
+                coad.setdefault((b, i), {})[a] = -v
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "_coeffs", dict(c))
         object.__setattr__(self, "delta_gens", tuple(tuple(t.items()) for t in terms))
         object.__setattr__(
-            self,
-            "coadjoint_gens",
-            tuple(tuple(tuple(g.items()) for g in row) for row in coad),
+            self, "coadjoint_gens", {li: tuple(g.items()) for li, g in coad.items()}
         )
 
     def bracket_coeff(self, a: int, b: int, k: int) -> Fraction:
-        """c[a][b][k] with 1-based indices."""
-        return self.c[a - 1][b - 1][k - 1]
+        """c[a][b][k] with 1-based indices; 0 where no constant is stored."""
+        return self._coeffs.get((a, b, k), 0)
 
     @classmethod
     def abelian(cls, n: int) -> "LieData":
-        plane = tuple(tuple([0] * n) for _ in range(n))
-        return cls(n, tuple(plane for _ in range(n)))
+        return cls(n, ())
 
     @classmethod
     def from_structure_constants(cls, n, entries, completion: str = "full") -> "LieData":
-        """Build c from sparse 1-based entries (a, b, k) -> value.
+        """Build the algebra from 1-based entries (a, b, k) -> value.
 
         completion:
           "full"    each entry fixes its whole signed S3-orbit (indices distinct)
           "bracket" each entry fixes c[a][b][k] and c[b][a][k] = -value only
-          "none"    entries placed verbatim
 
         Listing two entries that touch the same slot is an error, even when
-        consistent: one representative per orbit.  Values are stored in
-        qlinalg's scalar form (`exact`), so an integral constant, and every
-        zero, is an int.
+        consistent: one representative per orbit.  The constructor,
+        LieData(n, c), places constants verbatim.
         """
-        if completion not in ("full", "bracket", "none"):
+        if completion not in ("full", "bracket"):
             raise ValueError(f"unknown completion mode {completion!r}")
         if isinstance(entries, dict):
-            items = [(a, b, k, v) for (a, b, k), v in entries.items()]
-        else:
-            items = [tuple(e) for e in entries]
-        arr = [[[0] * n for _ in range(n)] for _ in range(n)]
-        taken: set[tuple[int, int, int]] = set()
-
-        def put(a, b, k, v):
-            if (a, b, k) in taken:
-                raise ValueError(f"duplicate structure constant slot ({a},{b},{k})")
-            taken.add((a, b, k))
-            arr[a - 1][b - 1][k - 1] = v
-
-        for a, b, k, v in items:
-            for x in (a, b, k):
-                if not isinstance(x, int) or isinstance(x, bool) or not 1 <= x <= n:
-                    raise ValueError(f"structure constant index out of range: ({a},{b},{k})")
+            entries = [(a, b, k, v) for (a, b, k), v in entries.items()]
+        c = []
+        for a, b, k, v in entries:
             v = exact(v)
-            if completion == "none":
-                put(a, b, k, v)
-            elif completion == "bracket":
+            if completion == "bracket":
                 if a == b:
                     raise ValueError(f"entry ({a},{b},{k}) has equal bracket indices")
-                put(a, b, k, v)
-                put(b, a, k, -v)
+                c += [((a, b, k), v), ((b, a, k), -v)]
             else:
-                if len({a, b, k}) != 3:
+                if a == b or b == k or a == k:
                     raise ValueError(
                         f"fully antisymmetric entry needs distinct indices: ({a},{b},{k})"
                     )
-                for perm in permutations((0, 1, 2)):
-                    idx = (a, b, k)
-                    tgt = tuple(idx[p] for p in perm)
-                    sign = _perm_sign(perm)
-                    put(*tgt, sign * v)
-        return cls(n, tuple(tuple(tuple(row) for row in plane) for plane in arr))
-
-
-def _perm_sign(perm) -> int:
-    inv = sum(
-        1
-        for i in range(len(perm))
-        for j in range(i + 1, len(perm))
-        if perm[i] > perm[j]
-    )
-    return -1 if inv % 2 else 1
+                # even permutations of (a, b, k) keep the sign, odd ones flip it
+                c += [((a, b, k), v), ((b, k, a), v), ((k, a, b), v),
+                      ((b, a, k), -v), ((a, k, b), -v), ((k, b, a), -v)]
+        return cls(n, c)
 
 
 def _insert(J: MultiIndex, x: int) -> tuple[int, MultiIndex] | None:
@@ -255,7 +237,7 @@ def delta_terms(L: LieData, I: MultiIndex) -> Terms:
 
 
 def _check_direction(L: LieData, ell) -> None:
-    if not isinstance(ell, int) or isinstance(ell, bool) or not 1 <= ell <= L.n:
+    if not _is_index(ell, L.n):
         raise ValueError(f"direction index out of range: {ell!r}")
 
 
@@ -265,11 +247,11 @@ def _coadjoint_terms(L: LieData, ell: int, I: MultiIndex) -> Terms:
     The j-th term replaces chi_{i_j} by chi_k in place; moving chi_k to the
     front past j factors and then into rest gives the sign.
     """
-    gens = L.coadjoint_gens[ell - 1]
+    gens = L.coadjoint_gens
     out: dict[MultiIndex, Fraction] = {}
     for j, i in enumerate(I):
         rest = I[:j] + I[j + 1:]
-        for k, w in gens[i - 1]:
+        for k, w in gens.get((ell, i), ()):
             hit = _insert(rest, k)
             if hit is None:
                 continue
@@ -324,9 +306,9 @@ def invariant_subcomplex(L: LieData) -> tuple[Subspace, ...]:
     coadjoint columns are all empty (degree 0 always, every degree of an
     abelian algebra) is all of Lambda^q, with no elimination.
     When coadjoint is zero on every generator, which the generator table
-    tells in O(n^2), it is zero in every degree and no column is built.
+    tells by being empty, it is zero in every degree and no column is built.
     """
-    if not any(any(row) for row in L.coadjoint_gens):
+    if not L.coadjoint_gens:
         return tuple(Subspace.full(comb(L.n, q)) for q in range(L.n + 1))
     out = []
     for q in range(L.n + 1):
@@ -351,18 +333,7 @@ def first_delta_squared_failure(L: LieData) -> MultiIndex | None:
     return None
 
 
-def _nonzero_constants(L: LieData) -> list[tuple[int, int, int, Fraction]]:
-    """(a, b, k, c[a][b][k]) with 1-based indices for every nonzero constant."""
-    return [
-        (x + 1, y + 1, m + 1, v)
-        for x, plane in enumerate(L.c)
-        for y, row in enumerate(plane)
-        for m, v in enumerate(row)
-        if v
-    ]
-
-
-def _first_antisymmetry_failure(L: LieData, nonzero, swap) -> tuple[int, int, int] | None:
+def _first_antisymmetry_failure(L: LieData, swap) -> tuple[int, int, int] | None:
     """The lexicographically first (a, b, k) with c at it != -c at swap(a, b, k).
 
     swap is an index involution, so the test holds wherever c vanishes at
@@ -370,24 +341,23 @@ def _first_antisymmetry_failure(L: LieData, nonzero, swap) -> tuple[int, int, in
     fail.
     """
     c = L.bracket_coeff
-    candidates = {t for a, b, k, _ in nonzero for t in ((a, b, k), swap(a, b, k))}
+    candidates = {t for slot, _ in L.c for t in (slot, swap(*slot))}
     return min((t for t in candidates if c(*t) != -c(*swap(*t))), default=None)
 
 
-def _first_jacobi_failure(nonzero) -> tuple | None:
+def _first_jacobi_failure(L: LieData) -> tuple | None:
     """(a, b, e, k, s) for the lexicographically first nonzero cyclic sum s.
 
     The cyclic sum at (a, b, e, k) is
         sum_m c[a][b][m] c[m][e][k] + c[b][e][m] c[m][a][k] + c[e][a][m] c[m][b][k];
     each product pairs a nonzero c[x][y][m] with a nonzero c[m][z][k], so
-    only products of nonzero entries are formed; nonzero is
-    _nonzero_constants of the algebra.
+    only products of the stored constants are formed.
     """
     by_first: dict[int, list] = {}
-    for x, y, m, v in nonzero:
+    for (x, y, m), v in L.c:
         by_first.setdefault(x, []).append((y, m, v))
     sums: dict[tuple[int, int, int, int], Fraction] = {}
-    for x, y, m, v in nonzero:
+    for (x, y, m), v in L.c:
         for z, k, w in by_first.get(m, ()):
             # c[x][y][m] c[m][z][k] is the first, second and third term at
             # (a,b,e) = (x,y,z), (z,x,y) and (y,z,x) respectively
@@ -400,7 +370,6 @@ def _first_jacobi_failure(nonzero) -> tuple | None:
 
 def validate_lie(L: LieData) -> ValidationReport:
     """Check bracket antisymmetry, full antisymmetry, Jacobi, and delta^2 = 0."""
-    nonzero = _nonzero_constants(L)
     # the same sign test at two index swaps: (a,b,k) -> (b,a,k) and -> (a,k,b)
     antisymmetries = (
         ("bracket antisymmetry", lambda a, b, k: (b, a, k),
@@ -410,10 +379,10 @@ def validate_lie(L: LieData) -> ValidationReport:
     )
     checks = []
     for name, swap, detail in antisymmetries:
-        bad = _first_antisymmetry_failure(L, nonzero, swap)
+        bad = _first_antisymmetry_failure(L, swap)
         checks.append(CheckResult(name, bad is None, "" if bad is None else detail.format(*bad)))
 
-    jac = _first_jacobi_failure(nonzero)
+    jac = _first_jacobi_failure(L)
     checks.append(
         CheckResult(
             "jacobi identity",

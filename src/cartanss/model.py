@@ -222,23 +222,29 @@ MAX_AMBIENT_DIM = 1 << 13
 MAX_TOTAL_DEGREE = 128
 
 
+def _count(x: int) -> str:
+    """x in decimal, or only its size past 64 bits, so a message stays short."""
+    return str(x) if x.bit_length() <= 64 else f"<{x.bit_length()}-bit integer>"
+
+
 def size_error(num_generators: int, n: int, max_degree: int) -> str | None:
     """Why a model is too large, or None within MAX_AMBIENT_DIM and MAX_TOTAL_DEGREE.
 
     num_generators x 2^n monomials is the ambient dimension and
     max_degree + n the total degree.  Decided from the counts alone, before
     any multi-index is listed; n is compared first, so a huge n never builds
-    a huge integer.
+    a huge integer, and a count past 64 bits is named by its size alone.
     """
     if not (n < MAX_AMBIENT_DIM.bit_length() and num_generators << n <= MAX_AMBIENT_DIM):
         return (
-            f"model too large: ambient dimension {num_generators} x 2^{n} "
+            f"model too large: ambient dimension {_count(num_generators)} x 2^{_count(n)} "
             f"(basic generators x multi-indices) exceeds the limit {MAX_AMBIENT_DIM}"
         )
     if max_degree + n > MAX_TOTAL_DEGREE:
         return (
-            f"model too large: total degree {max_degree + n} "
-            f"(top basic degree {max_degree} + lie.n {n}) exceeds the limit {MAX_TOTAL_DEGREE}"
+            f"model too large: total degree {_count(max_degree + n)} "
+            f"(top basic degree {_count(max_degree)} + lie.n {_count(n)}) "
+            f"exceeds the limit {MAX_TOTAL_DEGREE}"
         )
     return None
 

@@ -154,30 +154,13 @@ def cartan_filtration(model: EquivariantModel) -> FilteredComplex:
     return FilteredComplex(tuple(dims), tuple(columns), tuple(prefix))
 
 
-@dataclass(frozen=True, slots=True)
-class PageCell:
-    """One spot E_r^{p,q} of the E_0 support: the quotient presentation of Z_r.
-
-    z_space is Z_r, the quotient's space.  reps are coset representatives in
-    C^(p+q) coordinates and proj gives the quotient coordinates of any
-    vector of z_space; both are built dense when read, and
-    `quotient.class_of` reads the same coordinates from a sparse vector.
-    """
-
-    p: int
-    q: int
-    quotient: Quotient
-
-    z_space = property(lambda self: self.quotient.space)
-    dim = property(lambda self: self.quotient.dim)
-    reps = property(lambda self: self.quotient.reps)
-    proj = property(lambda self: self.quotient.proj)
-
-
 @dataclass(frozen=True)
 class SpectralPage:
     """Page r: its cells, d_r per source cell, and the rank of each d_r.
 
+    cells[(p, q)] is E_r^(p,q) at a spot of the E_0 support, the Quotient
+    presentation of Z_r: its space is Z_r in C^(p+q) coordinates, its reps
+    are coset representatives and class_of reads the class of a vector.
     dr[pq] holds d_r at a nonzero cell pq by its sparse columns, one
     {class index: value} per representative of the cell, in the
     coordinates of the target cell (p + r, q - r + 1); where there is no
@@ -186,7 +169,7 @@ class SpectralPage:
     """
 
     r: int
-    cells: dict[tuple[int, int], PageCell]
+    cells: dict[tuple[int, int], Quotient]
     dr: dict[tuple[int, int], list[dict[int, Fraction]]]
     ranks: dict[tuple[int, int], int] = field(compare=False)
 
@@ -275,7 +258,7 @@ def page(fc: FilteredComplex, r: int, _cache: dict | None = None) -> SpectralPag
     if r < 0:
         raise ValueError("page index must be >= 0")
     cache: dict = {} if _cache is None else _cache
-    cells: dict[tuple[int, int], PageCell] = {}
+    cells: dict[tuple[int, int], Quotient] = {}
     for p, q, lo, hi in fc.support:
         m = p + q
         z_block = (m, hi, fc.cut(p + r, m + 1))
@@ -292,7 +275,7 @@ def page(fc: FilteredComplex, r: int, _cache: dict | None = None) -> SpectralPag
             except ValueError:
                 raise CertificateError(f"divisor escapes Z_{r}", (p, q), r) from None
             cache[key] = quot
-        cells[(p, q)] = PageCell(p, q, quot)
+        cells[(p, q)] = quot
     dr: dict[tuple[int, int], list[dict[int, Fraction]]] = {}
     ranks: dict[tuple[int, int], int] = {}
     for (p, q), cell in cells.items():
@@ -305,8 +288,8 @@ def page(fc: FilteredComplex, r: int, _cache: dict | None = None) -> SpectralPag
             continue
         d_cols = fc.d_columns[p + q]
         cols = []
-        for pivot in cell.quotient.pivots:
-            y = tgt.quotient.class_of(apply_sparse(d_cols, cell.z_space.sparse_row(pivot)))
+        for pivot in cell.pivots:
+            y = tgt.class_of(apply_sparse(d_cols, cell.space.sparse_row(pivot)))
             if y is None:
                 raise CertificateError("d of a representative escapes Z", (p, q), r)
             cols.append(y)

@@ -178,7 +178,7 @@ def _e2_frames(model: EquivariantModel, pg2: SpectralPage) -> E2Frames:
                 cols = []
                 for alpha in alphas:
                     for beta in betas[q]:
-                        y = cell.quotient.class_of(
+                        y = cell.class_of(
                             {pos[(g, I)]: a * b for g, a in alpha for I, b in beta})
                         if y is None:
                             raise CertificateError(

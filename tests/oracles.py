@@ -73,6 +73,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction as Q
+from itertools import product
 
 from cartanss.liealg import LieData, all_multi_indices, multi_indices
 from cartanss.model import BasicComplex, EquivariantModel, degree_basis, monomial_basis
@@ -477,23 +478,35 @@ def oracle_invariant_subcomplex(L: LieData) -> tuple[Subspace, ...]:
 
 def direct_sum(*algebras: LieData) -> LieData:
     """The direct sum, each summand's basis following the previous ones."""
-    entries = {}
+    c = []
     offset = 0
     for L in algebras:
-        for a in range(1, L.n + 1):
-            for b in range(1, L.n + 1):
-                for k in range(1, L.n + 1):
-                    v = L.bracket_coeff(a, b, k)
-                    if v:
-                        entries[(a + offset, b + offset, k + offset)] = v
+        c += [((a + offset, b + offset, k + offset), v) for (a, b, k), v in L.c]
         offset += L.n
-    return LieData.from_structure_constants(offset, entries, completion="none")
+    return LieData(offset, c)
 
 
 def scaled(L: LieData, t) -> LieData:
     """The bracket t [-, -]: still a Lie algebra, and ad-invariant when L is."""
     t = Q(t)
-    return LieData(L.n, tuple(tuple(tuple(t * v for v in row) for row in plane) for plane in L.c))
+    return LieData(L.n, [(slot, t * v) for slot, v in L.c])
+
+
+def rotated(L: LieData, i: int, j: int, cos: Q, sin: Q) -> LieData:
+    """L in the basis turned by the rotation (cos, sin) of the plane of u_i, u_j.
+
+    A rotation is orthogonal, so the constants stay fully antisymmetric and
+    the algebra stays metric; its invariants are no longer coordinate rows.
+    """
+    n = L.n
+    rot = [[Q(int(a == b)) for b in range(n)] for a in range(n)]
+    rot[i][i], rot[i][j], rot[j][i], rot[j][j] = cos, -sin, sin, cos
+    c = {}
+    for (x, y, z), v in L.c:
+        for slot in product(range(n), repeat=3):
+            a, b, k = slot
+            c[slot] = c.get(slot, 0) + rot[a][x - 1] * rot[b][y - 1] * rot[k][z - 1] * v
+    return LieData(n, [((a + 1, b + 1, k + 1), v) for (a, b, k), v in c.items()])
 
 
 class ModelElement(_Combination):
@@ -673,7 +686,7 @@ class OracleCell:
     dim: int
     reps: Matrix
     proj: Matrix
-    z_space: Subspace
+    space: Subspace
     divisor: Subspace
 
 
@@ -737,7 +750,7 @@ def dense_dr(fc: FilteredComplex, cells: dict, r: int) -> dict:
             continue
         cols = []
         d = dmat(fc, p + q)
-        z, proj = tgt.z_space, tgt.proj
+        z, proj = tgt.space, tgt.proj
         for rep in cell.reps.data:
             y = dense_apply(d, rep)
             if not contains(z, y):
@@ -769,7 +782,7 @@ def dense_frames(model: EquivariantModel, frames) -> dict:
         pc = frames.page2.cells.get(pq)
         cols = []
         if pc is not None:
-            z, proj = pc.z_space, pc.proj
+            z, proj = pc.space, pc.proj
             betas = frames.invariants[cell.q].basis.data
         for alpha in frames.basic[cell.p].reps.data if pc is not None else ():
             for beta in betas:

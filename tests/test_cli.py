@@ -15,7 +15,8 @@ from pathlib import Path
 from fractions import Fraction
 
 import pytest
-from oracles import direct_sum
+from oracles import direct_sum, rotated
+from test_liealg import _random_algebras
 
 from cartanss.cli import (
     ModelFileError,
@@ -37,7 +38,7 @@ from cartanss.library import (
     rescaled_su2_lie,
     su2_lie,
 )
-from cartanss.liealg import LieData, all_multi_indices
+from cartanss.liealg import LieData, all_multi_indices, validate_lie
 from cartanss.model import (
     MAX_TOTAL_DEGREE,
     BasicComplex,
@@ -83,6 +84,24 @@ def test_sample_models_round_trip_through_documents():
         assert load_model_document(model_to_document(model)) == model, f.name
 
 
+def test_sparse_constants_round_trip_through_documents():
+    """Bracket-completed random algebras, su(2) turned by a rotation and
+    su(2) + su(2), each over a point and over a circle."""
+    algebras = [
+        LieData.from_structure_constants(
+            L.n, {slot: v for slot, v in L.c if slot[0] < slot[1]}, completion="bracket")
+        for L in _random_algebras(random.Random(20261105), 40, 5)
+    ]
+    algebras += [rotated(su2_lie(), 0, 2, Fraction(3, 5), Fraction(4, 5)),
+                 direct_sum(su2_lie(), su2_lie())]
+    bases = (BasicComplex.build([("1", 0)]), BasicComplex.build([("1", 0), ("a", 1)]))
+    for L in algebras:
+        for basic in bases:
+            model = EquivariantModel("sparse", L, basic)
+            assert load_model_document(model_to_document(model)) == model, L
+    assert sum(bool(L.c) for L in algebras) > 20
+
+
 def test_save_and_load_model_file(tmp_path):
     for spec in (("weighted_hopf", 5), ("group_torus", 3)):
         model = get_model(*spec).model
@@ -104,9 +123,20 @@ def test_document_uses_one_bracket_representative_per_orbit():
 
 
 def test_export_requires_bracket_antisymmetry():
-    lopsided = LieData.from_structure_constants(2, [(1, 2, 1, 1)], completion="none")
+    lopsided = LieData(2, [((1, 2, 1), 1)])
     model = EquivariantModel("bad", lopsided, BasicComplex.build([("1", 0)]))
     with pytest.raises(ValueError):
+        model_to_document(model)
+
+
+def test_export_refuses_a_diagonal_constant():
+    # c[1][1][2] is its own bracket partner: written as no entry, it would
+    # load back as the valid abelian algebra
+    diagonal = LieData(2, [((1, 1, 2), 1)])
+    checks = {c.name: c.passed for c in validate_lie(diagonal).checks}
+    assert not checks["bracket antisymmetry"] and not checks["full antisymmetry"]
+    model = EquivariantModel("diagonal", diagonal, BasicComplex.build([("1", 0)]))
+    with pytest.raises(ValueError, match="bracket-antisymmetric"):
         model_to_document(model)
 
 
@@ -795,11 +825,19 @@ def test_pages_build_cells_only_on_the_e0_support(tmp_path, monkeypatch, capsys,
                                                    model, per_page, pages):
     path = str(tmp_path / "model.json")
     save_model_file(model, path)
-    calls = count_calls(monkeypatch, (("specseq", "PageCell"), ("specseq", "page")))
+    cells = []
+    built = specseq.page
+
+    def counted_page(*args):
+        pg = built(*args)
+        cells.append(len(pg.cells))
+        return pg
+
+    monkeypatch.setattr(specseq, "page", counted_page)
     assert main(["pages", path, "--format", "machine"]) == 0
     capsys.readouterr()
     # the full triangle of spots (p, m) would be 1 + 2 + ... + (top + 1) per page
-    assert (len(calls["page"]), len(calls["PageCell"])) == (pages, per_page * pages)
+    assert (len(cells), sum(cells)) == (pages, per_page * pages)
 
 
 def test_total_degree_budget_admits_every_card_and_benchmark_model():
@@ -902,7 +940,7 @@ def test_oversized_models_exit_2_before_enumerating(tmp_path):
 
 
 def test_lie_n_is_refused_before_the_structure_constants_exist(tmp_path):
-    # the dense n x n x n array for n = 10^6 would never fit: refuse from the counts
+    # 2^(10^6) monomials would never fit: refuse from the counts, before the algebra
     path = write_doc(tmp_path, {"name": "huge", "lie": {"n": 10**6, "c": [[1, 10**6, 2, 1]]},
                                 "basic": {"generators": [{"name": "1", "degree": 0}]}})
     proc = subprocess.run([sys.executable, "-c", OVERSIZED_SCRIPT, path],
@@ -911,6 +949,17 @@ def test_lie_n_is_refused_before_the_structure_constants_exist(tmp_path):
     lines = proc.stderr.splitlines()
     assert lines[:2] == ["input error: model too large: ambient dimension 1 x 2^1000000 "
                          "(basic generators x multi-indices) exceeds the limit 8192"] * 2
+
+
+@pytest.mark.parametrize("doc, limit", [
+    ({"lie": {"n": 10**4000}, "basic": {"generators": [{"name": "1", "degree": 0}]}}, 8192),
+    ({"lie": {"n": 1}, "basic": {"generators": [{"name": "1", "degree": 10**4000}]}}, 128),
+])
+def test_an_oversized_count_is_refused_with_a_short_message(tmp_path, capsys, doc, limit):
+    assert main(["validate", write_doc(tmp_path, doc)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: model too large: ") and len(err.encode()) < 300, err
+    assert f"exceeds the limit {limit}" in err
 
 
 @pytest.mark.parametrize("source", ["sample_models/hopf.json", "group_su2"])

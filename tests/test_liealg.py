@@ -383,7 +383,7 @@ def test_sparse_jacobi_check_matches_the_dense_loop():
                  for k in range(1, n + 1)]
         entries = {s: Q(rng.choice([1, -1, 2, -3]), rng.choice([1, 2]))
                    for s in rng.sample(slots, min(len(slots), rng.randint(0, 5)))}
-        algebras.append(LieData.from_structure_constants(n, entries, completion="none"))
+        algebras.append(LieData(n, entries.items()))
     failing = 0
     for L in algebras:
         jac = next(c for c in validate_lie(L).checks if c.name == "jacobi identity")
@@ -425,12 +425,11 @@ def test_sparse_antisymmetry_checks_match_the_full_scan():
         if rng.random() < 0.5:
             L = LieData.from_structure_constants(n, entries, completion="bracket")
         else:
-            full = LieData.from_structure_constants(n, entries)
-            c = [[list(row) for row in plane] for plane in full.c]
+            c = dict(LieData.from_structure_constants(n, entries).c)
             if rng.random() < 0.7:
-                a, b, k = (rng.randrange(n) for _ in range(3))
-                c[a][b][k] += rng.choice([Q(1), Q(-1, 2)])
-            L = LieData(n, tuple(tuple(tuple(row) for row in plane) for plane in c))
+                slot = tuple(rng.randrange(n) + 1 for _ in range(3))
+                c[slot] = c.get(slot, 0) + rng.choice([Q(1), Q(-1, 2)])
+            L = LieData(n, c.items())
         algebras.append(L)
     failing = [0, 0]
     for L in algebras:
@@ -459,7 +458,7 @@ def test_delta_gen_table_matches_the_scan():
                  for k in range(1, n + 1)]
         entries = {s: Q(rng.choice([1, -1, 2, -3]), rng.choice([1, 2]))
                    for s in rng.sample(slots, min(len(slots), rng.randint(0, 12)))}
-        algebras.append(LieData.from_structure_constants(n, entries, completion="none"))
+        algebras.append(LieData(n, entries.items()))
     nonzero = 0
     for L in algebras:
         for k in range(1, L.n + 1):
@@ -495,6 +494,32 @@ def test_from_structure_constants_rejects_duplicates_and_bad_indices():
         LieData.from_structure_constants(3, [(1, 2, 2, 1)], completion="full")
     with pytest.raises(ValueError, match="equal bracket"):
         LieData.from_structure_constants(3, [(1, 1, 2, 1)], completion="bracket")
+    with pytest.raises(ValueError, match="unknown completion"):
+        LieData.from_structure_constants(3, [(1, 2, 3, 1)], completion="none")
+
+
+def test_lie_data_equality_ignores_zeros_and_entry_order():
+    entries = [((1, 2, 3), 1), ((2, 1, 3), Q(-1)), ((3, 3, 1), 0), ((1, 3, 2), Q(1, 2))]
+    L = LieData(3, entries)
+    same = LieData(3, [entries[3], entries[1], ((2, 2, 2), Q(0)), entries[0]])
+    assert L == same and hash(L) == hash(same)
+    assert L.c == (((1, 2, 3), 1), ((1, 3, 2), Q(1, 2)), ((2, 1, 3), -1))
+    assert L != LieData(3, entries[:2]) and L != LieData(4, entries)
+    assert L.bracket_coeff(3, 3, 1) == 0 and L.bracket_coeff(1, 3, 2) == Q(1, 2)
+
+
+def test_lie_data_refuses_bad_indices_and_repeated_slots():
+    for slot in ((0, 1, 2), (1, 2, 4), (1, True, 2)):
+        with pytest.raises(ValueError, match="out of range"):
+            LieData(3, [(slot, 1)])
+    with pytest.raises(ValueError, match="duplicate"):
+        LieData(3, [((1, 2, 3), 1), ((1, 2, 3), 0)])
+
+
+def test_abelian_algebra_stores_no_constants():
+    L = LieData.abelian(13)
+    assert L.c == () and L.coadjoint_gens == {}
+    assert L.delta_gens == ((),) * 13
 
 
 def _random_algebras(rng, count, max_n):
@@ -506,7 +531,7 @@ def _random_algebras(rng, count, max_n):
                  for k in range(1, n + 1)]
         entries = {s: Q(rng.choice([1, -1, 2, -3]), rng.choice([1, 2]))
                    for s in rng.sample(slots, min(len(slots), rng.randint(1, 10)))}
-        out.append(LieData.from_structure_constants(n, entries, completion="none"))
+        out.append(LieData(n, entries.items()))
     return out
 
 

@@ -14,33 +14,17 @@ import random
 from fractions import Fraction as Q
 from pathlib import Path
 
-from oracles import direct_sum, f_matrix, is_zero
+from oracles import direct_sum, f_matrix, is_zero, rotated
 from test_specseq import sphere_model
 
 from cartanss.cli import load_model_file
 from cartanss.library import MODEL_NAMES, get_model, random_trivial_product, su2_lie
-from cartanss.liealg import LieData
 from cartanss.model import BasicComplex, EquivariantModel, operator_images
 from cartanss.specseq import iter_pages
 from cartanss.verify import Analysis
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "cartanss"
-
-
-def rotated(L: LieData, i: int, j: int, cos: Q, sin: Q) -> LieData:
-    """L in the basis turned by the rotation (cos, sin) of the plane of u_i, u_j.
-
-    A rotation is orthogonal, so the constants stay fully antisymmetric and
-    the algebra stays metric; its invariants are no longer coordinate rows.
-    """
-    n = L.n
-    rot = [[Q(int(a == b)) for b in range(n)] for a in range(n)]
-    rot[i][i], rot[i][j], rot[j][i], rot[j][j] = cos, -sin, sin, cos
-    c = [[[sum(rot[a][x] * rot[b][y] * rot[k][z] * L.c[x][y][z]
-               for x in range(n) for y in range(n) for z in range(n))
-           for k in range(n)] for b in range(n)] for a in range(n)]
-    return LieData(n, tuple(tuple(tuple(row) for row in plane) for plane in c))
 
 
 def scalar_models():
@@ -78,7 +62,7 @@ def sparse_values(an: Analysis) -> dict[str, list]:
         "tables": [c for terms in basic.d_hor_table.values() for _, c in terms]
         + [c for terms in basic.euler_table.values() for _, c in terms]
         + [v for terms in lie.delta_gens for _, v in terms]
-        + [v for row in lie.coadjoint_gens for terms in row for _, v in terms]
+        + [v for terms in lie.coadjoint_gens.values() for _, v in terms]
         + [v for images in operator_images(model).values()
            for image in images.values() for v in image.values()],
         "d columns": [a for cols in an.filtration.d_columns for col in cols for _, a in col],
@@ -87,7 +71,7 @@ def sparse_values(an: Analysis) -> dict[str, list]:
     }
     for pg in iter_pages(an.filtration):
         for cell in pg.cells.values():
-            out["Z and classes"] += quotient_values(cell.quotient)
+            out["Z and classes"] += quotient_values(cell)
         out["d_r columns"] += [a for cols in pg.dr.values() for col in cols for a in col.values()]
     frames = an.frames
     out["frame columns"] = [a for cols in frames.f_columns.values()
@@ -105,7 +89,7 @@ def dense_matrices(an: Analysis):
     for cell in an.page2.cells.values():
         yield cell.reps
         yield cell.proj
-        yield cell.z_space.basis
+        yield cell.space.basis
     for quot in frames.basic:
         yield quot.reps
         yield quot.proj

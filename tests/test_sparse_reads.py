@@ -46,7 +46,7 @@ from cartanss.library import (
 from cartanss.liealg import LieData, delta_columns, invariant_subcomplex, multi_indices
 from cartanss.qlinalg import Matrix, Quotient, Subspace, graded_cohomology, quotient_map
 from cartanss.reports import CertificateError
-from cartanss.specseq import PageCell, SpectralPage, iter_pages
+from cartanss.specseq import SpectralPage, iter_pages
 from cartanss.verify import (
     Analysis,
     E2Frames,
@@ -160,9 +160,9 @@ def escaping_page2(model):
     an = Analysis(model)
     pg2 = an.page2
     cell = pg2.cells[(2, 1)]
-    zero = Subspace.zero(cell.z_space.ambient_dim)
+    zero = Subspace.zero(cell.space.ambient_dim)
     cells = dict(pg2.cells)
-    cells[(2, 1)] = PageCell(2, 1, quotient_map(zero, [], window=(0, 0)))
+    cells[(2, 1)] = quotient_map(zero, [], window=(0, 0))
     return SpectralPage(2, cells, pg2.dr, pg2.ranks)
 
 

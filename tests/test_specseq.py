@@ -301,10 +301,10 @@ def test_every_page_cell_matches_the_seed_quotient_and_dense_d():
             r = pg.r
             for (p, q), cell in pg.cells.items():
                 divisor = oracle_divisor(fc, r, p, p + q, {})
-                reps, proj = seed_quotient_map(cell.z_space, divisor)
+                reps, proj = seed_quotient_map(cell.space, divisor)
                 assert (cell.reps, cell.proj) == (reps, proj), (model.name, r, p, q)
                 dense = dmat(fc, p + q)
-                for row in cell.z_space.basis.data + divisor.basis.data:
+                for row in cell.space.basis.data + divisor.basis.data:
                     y = apply_sparse(fc.d_columns[p + q], {j: a for j, a in enumerate(row) if a})
                     assert y == {i: a for i, a in enumerate(dense_apply(dense, row)) if a}
                 cells += 1
@@ -341,8 +341,8 @@ def test_window_pages_match_the_full_triangle_oracle():
                     assert fc.cut(pq[0], sum(pq)) == fc.cut(pq[0] + 1, sum(pq))
                     skipped += 1
                 else:
-                    assert (got.reps, got.proj, got.z_space) == (
-                        cell.reps, cell.proj, cell.z_space), (model.name, r, pq)
+                    assert (got.reps, got.proj, got.space) == (
+                        cell.reps, cell.proj, cell.space), (model.name, r, pq)
             assert set(pg.cells) <= set(want.cells)
     assert skipped > 5000
 
@@ -378,8 +378,8 @@ def test_iter_pages_equals_pages_built_alone():
             assert list(pg.cells) == list(alone.cells), (model.name, pg.r)
             for pq, cell in pg.cells.items():
                 want = alone.cells[pq]
-                assert (cell.reps, cell.proj, cell.z_space) == (
-                    want.reps, want.proj, want.z_space), (model.name, pg.r, pq)
+                assert (cell.reps, cell.proj, cell.space) == (
+                    want.reps, want.proj, want.space), (model.name, pg.r, pq)
                 cells += 1
             assert pg.dr == alone.dr and pg.ranks == alone.ranks, (model.name, pg.r)
             assert pg == alone
