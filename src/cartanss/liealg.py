@@ -107,8 +107,8 @@ class LieData:
     coefficient) pairs and coadjoint_gens[(l, i)] = coadjoint(l, chi_i) as
     (k, coefficient) pairs over the nonzero (l, i) only, both at
     construction; delta(chi_I) per multi-index I, filled by delta_terms on
-    first use; and the position of each multi-index in its degree's basis,
-    per degree.
+    first use; the position of each multi-index in its degree's basis,
+    per degree; and the first failure of delta^2 = 0, derived once.
     """
 
     n: int
@@ -124,9 +124,11 @@ class LieData:
     _positions: dict[int, dict[MultiIndex, int]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
+    # (first_delta_squared_failure's answer,) once it has been derived
+    _delta_squared: tuple = field(default=(), init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 1:
+        if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 1:
             raise ValueError(f"n must be a positive integer: {self.n!r}")
         coeffs: dict[Slot, Fraction] = {}
         for (a, b, k), v in self.c:
@@ -322,7 +324,17 @@ def invariant_subcomplex(L: LieData) -> tuple[Subspace, ...]:
 
 
 def first_delta_squared_failure(L: LieData) -> MultiIndex | None:
-    """The first multi-index in basis order with delta(delta chi_I) != 0, or None."""
+    """The first multi-index in basis order with delta(delta chi_I) != 0, or None.
+
+    Derived once per algebra and kept on it, so validate_lie and
+    validate_model share one scan of the 2^n multi-indices.
+    """
+    if not L._delta_squared:
+        object.__setattr__(L, "_delta_squared", (_delta_squared_scan(L),))
+    return L._delta_squared[0]
+
+
+def _delta_squared_scan(L: LieData) -> MultiIndex | None:
     for I in all_multi_indices(L.n):
         acc: dict[MultiIndex, Fraction] = {}
         for J, v in delta_terms(L, I):

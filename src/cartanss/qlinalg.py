@@ -23,10 +23,16 @@ when something reads it; a `Quotient` keeps its representatives by their
 pivots and the projection as the class of each pivot, and builds the dense
 `reps` and `proj` only when read.  Neither keeps a dense form once built.
 Every cohomology is a `Quotient` per degree, so the results handed on stay
-sparse too.  Dense rows are built at the edges only: the transgression
-matrices, rendering and the tests.  `Matrix` is that dense form: it is
-built from rows or sparse columns, read by entry, and reduced by
-`Matrix.rref`, which no report calls.
+sparse too.  A coordinate prefix [0, k), the span of the first k unit
+vectors, is a recognised form of Subspace that keeps k (`prefix`): a
+vector lies in it iff it has no nonzero entry at or past k, and its
+coordinates are its own entries, so `quotient_map` and `class_of` on a
+prefix eliminate only among the divisor's vectors, and a prefix quotient
+that no divisor vector touches on the window is the window itself.  Dense
+rows are built at the edges only: the transgression matrices, rendering
+and the tests.  `Matrix` is that dense form: it is built from rows or
+sparse columns, read by entry, and reduced by `Matrix.rref`, which no
+report calls.
 
 Row reduction has one core, `_echelon`, which works over the integers: each
 nonzero row is scaled by the lcm of its denominators (a row of ints goes in
@@ -63,7 +69,7 @@ against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
@@ -366,10 +372,20 @@ class Subspace:
     matrix is built each time it is read.  Equality and hash compare
     ambient_dim and the echelon, which is canonical; repr is that of the
     pair (ambient_dim, basis), as for a dataclass of those two fields.
+
+    A space whose rows are the first k unit vectors is the coordinate
+    prefix [0, k), and keeps k as `prefix` (None for any other space).
+    `prefix_space`, `full` and `zero` build one and `from_echelon`
+    recognises one; its echelon, equality, hash and repr are those of any
+    other Subspace.  A prefix row is the unit vector at its pivot, so x is
+    in the space iff x has no nonzero entry at or past k, and x at the
+    pivots is x itself: `quotient_map` and `Quotient.class_of` read both
+    off x with no elimination.
     """
 
     ambient_dim: int
     _echelon: dict[int, dict[int, Fraction]]
+    prefix: int | None = None
 
     @property
     def basis(self) -> Matrix:
@@ -399,16 +415,26 @@ class Subspace:
 
     @classmethod
     def from_echelon(cls, ambient_dim: int, echelon: dict[int, dict[int, Fraction]]) -> "Subspace":
-        """The subspace whose RREF rows are given in sparse form, as echelon() returns them."""
-        return cls(ambient_dim, echelon)
+        """The subspace whose RREF rows are given in sparse form, as echelon() returns them.
+
+        k rows with pivots below k and no tail are the prefix [0, k).
+        """
+        k = len(echelon)
+        prefix = all(p < k and not tail for p, tail in echelon.items())
+        return cls(ambient_dim, echelon, k if prefix else None)
+
+    @classmethod
+    def prefix_space(cls, ambient_dim: int, k: int) -> "Subspace":
+        """The coordinate prefix [0, k): the span of the first k unit vectors."""
+        return cls(ambient_dim, {i: {} for i in range(k)}, k)
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
-        return cls.from_echelon(ambient_dim, {})
+        return cls.prefix_space(ambient_dim, 0)
 
     @classmethod
     def full(cls, ambient_dim: int) -> "Subspace":
-        return cls.from_echelon(ambient_dim, {i: {} for i in range(ambient_dim)})
+        return cls.prefix_space(ambient_dim, ambient_dim)
 
     @property
     def dim(self) -> int:
@@ -517,11 +543,17 @@ class Quotient:
     entries.  The dense forms are built each time they are read: `reps`,
     the representatives as a k x ambient matrix, and `proj`, the same map
     as `class_of` as a k x ambient matrix.
+
+    window is (lo, hi) when v is a coordinate prefix and the quotient is
+    the coordinate window [lo, hi) itself: the representatives are the
+    window's coordinates in order, and the class of x is x on the window.
+    It takes no part in equality.
     """
 
     space: Subspace
     pivots: tuple[int, ...]
     classes: dict[int, dict[int, Fraction]]
+    window: tuple[int, int] | None = field(default=None, compare=False)
 
     @property
     def dim(self) -> int:
@@ -547,12 +579,23 @@ class Quotient:
 
         One `_eliminate` pass through v's echelon: a nonzero residual means x
         is not in v, and otherwise the multipliers, which are x at v's
-        pivots, weigh the classes of those pivots.  x is used up.
+        pivots, weigh the classes of those pivots.  x is used up.  On a
+        prefix [0, k) the residual is x past k and the multipliers are x
+        itself, and on a window quotient the class is x on the window.
         """
-        used = _eliminate(x, self.space.echelon())
-        if any(x.values()):
+        k = self.space.prefix
+        if k is None:
+            used = _eliminate(x, self.space.echelon())
+            if any(x.values()):
+                return None
+            return _weigh(used, self.classes)
+        used = sorted((j, a) for j, a in x.items() if a)
+        if used and used[-1][0] >= k:
             return None
-        return _weigh(used, self.classes)
+        if self.window is None:
+            return _weigh(used, self.classes)
+        lo, hi = self.window
+        return {j - lo: a for j, a in used if lo <= j < hi}
 
 
 def quotient_map(v: Subspace, w, window: tuple[int, int] | None = None) -> Quotient:
@@ -581,26 +624,45 @@ def quotient_map(v: Subspace, w, window: tuple[int, int] | None = None) -> Quoti
     The representatives are still rows of v, chosen by the same rule, so
     reps and proj are those of the quotient by the full divisor.  The
     default window is every column.
+
+    When v is a coordinate prefix [0, k), each of its rows is a unit
+    vector: the containment check is that a vector of w has no nonzero
+    entry at or past k, a row outside the window has class zero with no
+    elimination, and where no vector of w is left on the window the
+    quotient is the window itself, built directly.  The result is the one
+    the general pass gives.
     """
     d = v.ambient_dim
     lo, hi = (0, d) if window is None else window
+    k = v.prefix
     rows: dict[int, dict[int, Fraction]] = {}
     tags: dict[int, dict[int, Fraction]] = {}  # class of each row
     for y in w:
         if y and max(y) >= d:
             raise ValueError("ambient dimension mismatch")
-        residual = dict(y)
-        _eliminate(residual, v.echelon())
-        if any(residual.values()):
+        if k is None:
+            residual = dict(y)
+            _eliminate(residual, v.echelon())
+            escapes = any(residual.values())
+        else:
+            escapes = any(a for j, a in y.items() if j >= k)
+        if escapes:
             raise ValueError("quotient undefined: denominator is not contained in numerator")
         x = {j: a for j, a in y.items() if lo <= j < hi}
         _eliminate(x, rows)
         x = {j: a for j, a in x.items() if a}
         if x:
             _insert(rows, tags, x, {})
+    if k is not None and not rows:
+        top = min(hi, k)
+        classes = {j: {j - lo: 1} if lo <= j < hi else {} for j in range(k)}
+        return Quotient(v, tuple(range(lo, top)), classes, (lo, top))
     pivots = []  # of the representatives
     classes = {}  # class of each basis row of v, by its pivot
     for vpivot, vtail in v.echelon().items():
+        if k is not None and not lo <= vpivot < hi:
+            classes[vpivot] = {}
+            continue
         x = {j: a for j, a in ((vpivot, 1), *vtail.items()) if lo <= j < hi}
         acc = _weigh(_eliminate(x, rows), tags)
         residual = {j: a for j, a in x.items() if a}

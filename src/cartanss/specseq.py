@@ -34,16 +34,24 @@ so the complex keeps each d^m only by the nonzero entries of its columns,
 read straight off the model's monomial images; no dense d is built.  Every
 space is sparse first: Z_r is one qlinalg.sparse_kernel of the block's rows,
 gathered from those columns by qlinalg.column_rows, and is kept by its
-echelon; a block with no nonzero entry has all of F^p as its kernel without
-an elimination.  d Z_(r-1) and d_r are applied through the columns.  d_r
-applies d to each representative's sparse echelon row and reads the class of
-the image in the target cell by one elimination through the target's Z_r
-(qlinalg.Quotient.class_of), which is also the check that it lies in Z_r;
-no vector of C^m is built dense.  The page keeps d_r as those sparse
-columns, one class per representative, and its rank is counted from them;
-the transgression reads page 2's d_2 from them too.  A Subspace's
-dense basis and a cell's dense reps and proj are built only when read,
-which the page pass never does, so the page pass builds no Matrix.
+echelon.  A block with no nonzero entry, which the running maximum of the
+lowest row in d's columns (`FilteredComplex.reach`) tells with no rows
+gathered, has all of F^p as its kernel without an elimination: Z_r is then
+the prefix form of qlinalg.Subspace, kept as its length k(p, m).  Such a
+Z_r is very common (on a torus acting on itself every block is zero), and
+nothing that reads it eliminates: its quotient checks the divisor by its
+entries past k(p, m) and is the window itself where no divisor is left
+there, its class reads are entry checks, and d of one of its rows is a
+column of d.  d Z_(r-1) and d_r are applied through the columns (`_image`).
+d_r applies d to each representative's sparse echelon row and reads the
+class of the image in the target cell by one elimination through the
+target's Z_r (qlinalg.Quotient.class_of), which is also the check that it
+lies in Z_r; no vector of C^m is built dense.  The page keeps d_r as
+those sparse columns, one class per representative, and its rank is
+counted from them; the transgression reads page 2's d_2 from them too.  A
+Subspace's dense basis and a cell's dense reps and proj are built only
+when read, which the page pass never does, so the page pass builds no
+Matrix.
 
 The filtration of the invariant-forms model is by chi-count complement:
 F^p C^m is spanned by monomials of horizontal degree >= p, which come first
@@ -120,6 +128,21 @@ class FilteredComplex:
             return self.dims[m]
         levels = self.prefix[m]
         return levels[p] if p < len(levels) else 0
+
+    @cached_property
+    def reach(self) -> tuple[tuple[int, ...], ...]:
+        """reach[m][k]: one past the lowest nonzero row of d^m's first k columns, or 0.
+
+        A running maximum over d^m's columns, so the block of d^m with rows
+        row: and columns :k has a nonzero entry iff reach[m][k] > row.
+        """
+        out = []
+        for cols in self.d_columns:
+            run = [0]
+            for col in cols:
+                run.append(max(run[-1], col[-1][0] + 1) if col else run[-1])
+            out.append(tuple(run))
+        return tuple(out)
 
     @cached_property
     def support(self) -> tuple[tuple[int, int, int, int], ...]:
@@ -204,20 +227,35 @@ class _PageCache(dict):
 def _kernel(fc: FilteredComplex, block: tuple[int, int, int], cache: dict) -> Subspace:
     """The kernel of block (m, k, row) of d^m, rows row: and columns :k, in C^m.
 
-    One `sparse_kernel` of the block's rows read off d's columns, padded
-    with zeros to C^m; zero columns appended to a reduced echelon basis
-    leave it reduced, so the result is the canonical basis.  Cached under
-    the block, so every Z_r with the same block is one kernel.
+    A block with no nonzero entry, which `FilteredComplex.reach` tells with
+    no rows gathered, has all of F^p as its kernel: the prefix [0, k).  Any
+    other block is one `sparse_kernel` of its rows read off d's columns,
+    padded with zeros to C^m; zero columns appended to a reduced echelon
+    basis leave it reduced, so the result is the canonical basis.  Cached
+    under the block, so every Z_r with the same block is one kernel.
     """
     hit = cache.get(block)
     if hit is not None:
         return hit
     m, k, row = block
-    rows = column_rows(fc.d_columns[m][:k], row) if k else []
-    # a zero block has no rows, and its kernel is all of F^p with no elimination
-    out = Subspace.from_echelon(fc.ambient(m), sparse_kernel(rows, k))
+    if k == 0 or fc.reach[m][k] <= row:
+        out = Subspace.prefix_space(fc.ambient(m), k)
+    else:
+        rows = column_rows(fc.d_columns[m][:k], row)
+        out = Subspace.from_echelon(fc.ambient(m), sparse_kernel(rows, k))
     cache[block] = out
     return out
+
+
+def _image(cols: SparseColumns, space: Subspace, pivot: int) -> dict:
+    """d of space's basis row at pivot, by its nonzero entries.
+
+    A row of a prefix is the unit vector at its pivot, whose image is that
+    column of d; any other row is applied through the columns.
+    """
+    if space.prefix is not None:
+        return dict(cols[pivot])
+    return apply_sparse(cols, space.sparse_row(pivot))
 
 
 def _boundaries(fc: FilteredComplex, m: int, born: Subspace) -> list[dict]:
@@ -228,7 +266,7 @@ def _boundaries(fc: FilteredComplex, m: int, born: Subspace) -> list[dict]:
     if born.is_zero():
         return []
     cols = fc.d_columns[m - 1]
-    images = (apply_sparse(cols, born.sparse_row(pivot)) for pivot in born.echelon())
+    images = (_image(cols, born, pivot) for pivot in born.echelon())
     return [y for y in images if y]
 
 
@@ -289,7 +327,7 @@ def page(fc: FilteredComplex, r: int, _cache: dict | None = None) -> SpectralPag
         d_cols = fc.d_columns[p + q]
         cols = []
         for pivot in cell.pivots:
-            y = tgt.class_of(apply_sparse(d_cols, cell.space.sparse_row(pivot)))
+            y = tgt.class_of(_image(d_cols, cell.space, pivot))
             if y is None:
                 raise CertificateError("d of a representative escapes Z", (p, q), r)
             cols.append(y)

@@ -8,6 +8,8 @@ from itertools import combinations, product
 
 import pytest
 
+from cartanss import liealg
+from cartanss.cli import main, save_model_file
 from cartanss.liealg import (
     LieData,
     all_multi_indices,
@@ -25,6 +27,7 @@ from cartanss.library import (
     rescaled_su2_lie,
     su2_lie,
 )
+from cartanss.model import BasicComplex, EquivariantModel, validate_model
 from cartanss.qlinalg import apply_sparse
 from oracles import (
     ChiElement,
@@ -514,6 +517,41 @@ def test_lie_data_refuses_bad_indices_and_repeated_slots():
             LieData(3, [(slot, 1)])
     with pytest.raises(ValueError, match="duplicate"):
         LieData(3, [((1, 2, 3), 1), ((1, 2, 3), 0)])
+
+
+def test_lie_data_refuses_a_bool_n():
+    # True is an int equal to 1, but no algebra has a bool dimension
+    for n in (True, False):
+        with pytest.raises(ValueError, match="n must be a positive integer"):
+            LieData(n, ())
+
+
+def test_one_pages_run_derives_delta_squared_once(tmp_path, monkeypatch, capsys):
+    """validate_lie and validate_model both read delta^2 = 0 off one scan of
+    the 2^n multi-indices, kept on the LieData; a mutated algebra still
+    fails both checks with the same message."""
+    scans = []
+    scan = liealg._delta_squared_scan
+
+    def counted(L):
+        scans.append(L)
+        return scan(L)
+
+    monkeypatch.setattr(liealg, "_delta_squared_scan", counted)
+    model = EquivariantModel("su2_circle", su2_lie(),
+                             BasicComplex.build([("1", 0), ("a", 1)]))
+    path = str(tmp_path / "model.json")
+    save_model_file(model, path)
+    assert main(["pages", path, "--format", "machine"]) == 0
+    capsys.readouterr()
+    assert len(scans) == 1
+    broken = mutated_jacobi_lie()
+    lie_check = validate_lie(broken).checks[-1]
+    model_checks = validate_model(EquivariantModel("broken", broken, model.basic)).checks
+    assert len(scans) == 2
+    assert lie_check in model_checks
+    assert (lie_check.name, lie_check.passed) == ("delta squared", False)
+    assert lie_check.detail == f"delta^2(chi{list(scan(broken))}) != 0"
 
 
 def test_abelian_algebra_stores_no_constants():

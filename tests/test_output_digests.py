@@ -2,9 +2,13 @@
 
 Each run is a `cartanss` command: `validate` and `pages` in both formats on
 every sample model, and `examples --run` in both formats on every card plus
-`group_torus:5`, `group_torus:7` and `weighted_hopf:3`.  Its digest is the
-sha256 of the exit status, stdout and stderr, so a change that alters any
-report, message or exit code fails here.  The benchmark's machine reports
+`group_torus:5`, `group_torus:7` and `weighted_hopf:3`.  Two models built
+here are written to a file and run through `pages --format machine`:
+su(2) + su(2) over the 2-torus, whose Z_r is a whole filtration prefix in
+some cells and a proper kernel in others, and `group_torus:10`, where d = 0
+and every Z_r is a prefix.  A run's digest is the sha256 of the exit
+status, stdout and stderr, so a change that alters any report, message or
+exit code fails here.  The benchmark's machine reports
 are pinned separately by `test_reference_digests.py`.
 
 To re-record after an intended output change, print the new table with
@@ -19,14 +23,29 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import tempfile
 from pathlib import Path
 
 import pytest
 
-from cartanss.cli import main
-from cartanss.library import MODEL_NAMES
+from cartanss.cli import main, save_model_file
+from cartanss.library import MODEL_NAMES, get_model, su2_lie
+from cartanss.model import BasicComplex, EquivariantModel
+from oracles import direct_sum
 
 SAMPLES = Path(__file__).resolve().parent.parent / "sample_models"
+
+
+def _su2_pair_over_the_2_torus() -> EquivariantModel:
+    torus = BasicComplex.build([("1", 0), ("a", 1), ("b", 1), ("ab", 2)])
+    return EquivariantModel("su2_pair_t2", direct_sum(su2_lie(), su2_lie()), torus)
+
+
+# models written to a file for their run, by the file name the run gives
+BUILT = {
+    "su2_pair_t2.json": _su2_pair_over_the_2_torus,
+    "group_torus_10.json": lambda: get_model("group_torus", 10).model,
+}
 
 
 def runs() -> list[tuple[str, ...]]:
@@ -39,15 +58,26 @@ def runs() -> list[tuple[str, ...]]:
     for spec in (*MODEL_NAMES, "group_torus:5", "group_torus:7", "weighted_hopf:3"):
         for fmt in ("table", "machine"):
             out.append(("examples", "--run", spec, "--format", fmt))
+    for name in BUILT:
+        out.append(("pages", name, "--format", "machine"))
     return out
 
 
 def digest(args: tuple[str, ...]) -> str:
     """sha256 of the exit status, stdout and stderr of one in-process run."""
-    argv = [str(SAMPLES / a) if a.endswith(".json") else a for a in args]
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        status = main(argv)
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = []
+        for a in args:
+            if a in BUILT:
+                path = str(Path(tmp) / a)
+                save_model_file(BUILT[a](), path)
+                a = path
+            elif a.endswith(".json"):
+                a = str(SAMPLES / a)
+            argv.append(a)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            status = main(argv)
     text = f"{status}\n{out.getvalue()}\0{err.getvalue()}"
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
@@ -119,6 +149,10 @@ DIGESTS = {
         "0ce026ac6778d527a9fa235f6834e93fb33c845bf4635978b6b2d37dd0c161c4",
     "examples --run weighted_hopf:3 --format machine":
         "5d0da477840dbbdebd5e416c2ff892cca3a18cb292f3621f0310153290af2d3c",
+    "pages su2_pair_t2.json --format machine":
+        "674fd7dff0d920388a640e0c6f70d716427ae775bbdd2e95aa9bb607a21709d7",
+    "pages group_torus_10.json --format machine":
+        "ecc367075c93f805f65ad869f85016f3ee47e321e3a63a2613ecae6fff6225f3",
 }
 
 

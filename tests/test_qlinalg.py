@@ -33,6 +33,7 @@ from cartanss.qlinalg import (
     apply_sparse,
     as_q,
     column_rows,
+    exact,
     quotient_map,
     solve_columns,
     sparse_kernel,
@@ -549,3 +550,75 @@ def test_class_read_matches_contains_vector_and_the_dense_proj():
             assert got == want, (v, w, vec)
             kinds["nonzero class"] += bool(got)
     assert min(kinds.values()) >= 50, kinds
+
+
+def test_a_prefix_is_recognised_and_compares_like_any_subspace():
+    assert (Subspace.full(4).prefix, Subspace.zero(4).prefix) == (4, 0)
+    assert Subspace.from_echelon(5, {0: {}, 1: {}, 2: {}}).prefix == 3
+    assert Subspace.from_echelon(5, {}).prefix == 0
+    # a unit row past the prefix, or a row with a tail, is a general space
+    assert Subspace.from_echelon(5, {0: {}, 2: {}}).prefix is None
+    assert Subspace.from_echelon(5, {0: {}, 1: {3: 2}}).prefix is None
+    prefix = Subspace.prefix_space(5, 3)
+    unit_rows = Subspace(5, {0: {}, 1: {}, 2: {}})
+    assert unit_rows.prefix is None
+    assert prefix == unit_rows and hash(prefix) == hash(unit_rows)
+    assert repr(prefix) == repr(unit_rows) and prefix.echelon() == unit_rows.echelon()
+
+
+def _scalar(rng):
+    """A nonzero value in the engine's scalar form: an int, or a Fraction when not integral."""
+    return exact(Q(rng.choice([-3, -2, -1, 1, 2, 3]), rng.choice([1, 1, 2, 3])))
+
+
+def test_prefix_quotient_matches_the_general_pass_on_unit_rows():
+    """quotient_map on a prefix [0, k) against the same space given as k
+    explicit unit rows, which takes the general pass: the same pivots,
+    classes, reps, proj, class reads (None for a vector that escapes) and
+    ValueError, over random lengths, windows and integral or rational
+    divisors, some with a planted entry at or past k."""
+    rng = random.Random(20261019)
+    kinds = dict.fromkeys(("escapes", "window itself", "divisor on the window",
+                           "divisor off the window", "rational", "k < d", "class None",
+                           "nonzero class"), 0)
+    for i in range(1500):
+        d = rng.randint(0, 9)
+        k = rng.randint(0, d)
+        lo = rng.randint(0, d)
+        hi = rng.randint(lo, d)
+        prefix = Subspace.prefix_space(d, k)
+        unit_rows = Subspace(d, {j: {} for j in range(k)})
+        w = []
+        for _ in range(rng.choice([0, 0, 1, 2, 3])):
+            # entries off the window, on it, or (planted) at or past k
+            cols = [j for j in range(k) if rng.random() < 0.4]
+            if i % 7 == 0 and k < d:
+                cols.append(rng.randint(k, d - 1))
+            w.append({j: _scalar(rng) for j in sorted(set(cols))})
+        kinds["k < d"] += k < d
+        kinds["rational"] += any(type(a) is Q for y in w for a in y.values())
+        try:
+            want = quotient_map(unit_rows, [dict(y) for y in w], window=(lo, hi))
+        except ValueError as exc:
+            with pytest.raises(ValueError) as info:
+                quotient_map(prefix, [dict(y) for y in w], window=(lo, hi))
+            assert str(info.value) == str(exc)
+            kinds["escapes"] += 1
+            continue
+        got = quotient_map(prefix, [dict(y) for y in w], window=(lo, hi))
+        assert got == want
+        assert got.pivots == want.pivots, (d, k, lo, hi, w)
+        assert list(got.classes.items()) == list(want.classes.items()), (d, k, lo, hi, w)
+        assert (got.reps.data, got.proj.data) == (want.reps.data, want.proj.data)
+        on_window = any(lo <= j < hi for y in w for j in y)
+        kinds["window itself"] += got.window is not None
+        kinds["divisor on the window"] += on_window
+        kinds["divisor off the window"] += bool(w) and not on_window
+        for t in range(4):
+            x = {j: _scalar(rng) for j in range(k if t % 2 else d) if rng.random() < 0.5}
+            a = got.class_of(dict(x))
+            b = want.class_of(dict(x))
+            assert a == b and list((a or {}).items()) == list((b or {}).items()), (k, x)
+            kinds["class None"] += a is None
+            kinds["nonzero class"] += bool(a)
+    assert min(kinds.values()) >= 40, kinds

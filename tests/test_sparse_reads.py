@@ -268,14 +268,15 @@ def test_a_wrong_invariant_dimension_where_delta_is_zero_fails_without_a_delta_m
 def test_pages_make_no_dense_containment_test_or_dense_apply(tmp_path, monkeypatch, capsys,
                                                               spec):
     """Every containment test of the run is a sparse class read and every
-    application of d a sparse one; Matrix and Subspace have no dense
-    containment test or dense apply left to call."""
+    application of d a sparse one, `specseq._image`: a column of d read for
+    a row of a prefix, apply_sparse for any other row.  Matrix and Subspace
+    have no dense containment test or dense apply left to call."""
     for cls, names in ((Subspace, ("contains", "contains_vector")),
                        (Matrix, ("apply", "__matmul__", "column", "row"))):
         assert not [name for name in names if hasattr(cls, name)], cls
     path = str(tmp_path / "model.json")
     save_model_file(get_model(*spec).model, path)
-    calls = count_calls(monkeypatch, (("qlinalg", "apply_sparse"),))
+    calls = count_calls(monkeypatch, (("specseq", "_image"),))
     dense = {"entry": 0, "rref": 0}
     reads = []
 
@@ -298,7 +299,7 @@ def test_pages_make_no_dense_containment_test_or_dense_apply(tmp_path, monkeypat
     assert main(["pages", path, "--format", "machine"]) == 0
     capsys.readouterr()
     assert dense == {"entry": 0, "rref": 0}
-    assert len(calls["apply_sparse"]) > 0
+    assert len(calls["_image"]) > 0
     assert reads and set(reads) == {dict}
     # the counters are live
     Matrix.of([[1]]).entry(0, 0)

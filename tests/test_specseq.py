@@ -34,7 +34,7 @@ from cartanss.library import MODEL_NAMES, get_model, random_trivial_product, su2
 from cartanss.liealg import LieData
 from cartanss.model import BasicComplex, EquivariantModel, monomial_basis
 from cartanss import liealg, qlinalg, specseq, verify
-from cartanss.qlinalg import Matrix, Subspace, apply_sparse, sparse_rank
+from cartanss.qlinalg import Matrix, Subspace, apply_sparse, column_rows, sparse_rank
 from cartanss.reports import CertificateError
 from cartanss.specseq import (
     FilteredComplex,
@@ -398,9 +398,12 @@ def test_support_is_the_triangle_scan_of_nonempty_windows():
 def test_page_pass_counts_on_the_sphere_chain(monkeypatch):
     """One iter_pages pass over each of S^3..S^25 runs each kernel block and
     each cell's quotient once; before blocks and cells were kept it took
-    1224 kernels, 720 quotients and 15932 cuts."""
+    1224 kernels, 720 quotients and 15932 cuts.  Of the 528 distinct blocks
+    only the 78 with a nonzero entry run sparse_kernel: the others are all
+    of their F^p."""
     fcs = [cartan_filtration(sphere_model(k)) for k in range(1, 13)]
     counts = dict.fromkeys(("sparse_kernel", "quotient_map", "cut"), 0)
+    blocks = set()
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -408,13 +411,24 @@ def test_page_pass_counts_on_the_sphere_chain(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
+    kernel = specseq._kernel
+
+    def logged_kernel(fc, block, cache):
+        blocks.add((fcs.index(fc), block))
+        return kernel(fc, block, cache)
+
     for name in ("sparse_kernel", "quotient_map"):
         monkeypatch.setattr(specseq, name, counted(name, getattr(specseq, name)))
     monkeypatch.setattr(FilteredComplex, "cut", counted("cut", FilteredComplex.cut))
+    monkeypatch.setattr(specseq, "_kernel", logged_kernel)
     for fc in fcs:
         for _ in iter_pages(fc):
             pass
-    assert counts == {"sparse_kernel": 528, "quotient_map": 516, "cut": 1440}
+    assert counts == {"sparse_kernel": 78, "quotient_map": 516, "cut": 1440}
+    assert len(blocks) == 528
+    nonzero = [(i, (m, k, row)) for i, (m, k, row) in blocks
+               if k and column_rows(fcs[i].d_columns[m][:k], row)]
+    assert len(nonzero) == 78
 
 
 def test_iter_pages_keeps_only_what_the_last_page_read(monkeypatch):
@@ -518,9 +532,10 @@ def test_a_broken_divisor_is_a_typed_error_naming_cell_and_page():
 
 def test_every_matrix_reduced_by_pages_matches_the_seed_rref(tmp_path, monkeypatch, capsys):
     """Cards, S^3..S^25, su(2) + su(2) over a circle (128 monomials) and
-    over the 2-torus (256), and ten random trivial products with dense
+    over the 2-torus (256), and thirty random trivial products with dense
     rational bases: each distinct matrix `pages` reduces, against
-    the seed code.  The row reduction `_reduced` and the kernel routine
+    the seed code.  A block of d with no nonzero entry is reduced by no
+    one, so the floor on distinct matrices needs the thirty.  The row reduction `_reduced` and the kernel routine
     `sparse_kernel` take sparse rows; the matrix of those rows is checked
     with seed_mismatches, and each kernel against the seed kernel.  A
     sparse_rank call reduces the matrix whose rows are its vectors; its rank
@@ -567,7 +582,7 @@ def test_every_matrix_reduced_by_pages_matches_the_seed_rref(tmp_path, monkeypat
     models += [su2_pair_model((0, 1)), su2_pair_model((0, 1, 1, 2))]
     # dense rational bases: blocks with non-unit rational entries
     rng = random.Random(20261018)
-    models += [random_trivial_product(rng, tag=f"r{i}").model for i in range(10)]
+    models += [random_trivial_product(rng, tag=f"r{i}").model for i in range(30)]
     for model in models:
         path = str(tmp_path / f"{model.name}.json")
         save_model_file(model, path)
