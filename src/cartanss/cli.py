@@ -39,7 +39,7 @@ from fractions import Fraction
 from .library import DESCRIPTIONS, MODEL_NAMES, get_model
 from .liealg import LieData
 from .model import BasicComplex, EquivariantModel, size_error
-from .reports import ValidationReport
+from .reports import ValidationReport, shown
 from .verify import Analysis
 
 
@@ -55,12 +55,6 @@ def _fail(where: str, msg: str):
     raise ModelFileError(f"{where}: {msg}")
 
 
-def _shown(value) -> str:
-    """repr(value) for an error message, cut to a few dozen characters."""
-    text = repr(value)
-    return text if len(text) <= 40 else text[:36] + " ..."
-
-
 # Fraction() alone would also take decimals and exponents ("1e6000000"),
 # whose parse time grows steeply with the exponent.
 _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?", re.ASCII)
@@ -68,12 +62,12 @@ _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?", re.ASCII)
 
 def _as_rational(value, where: str) -> Fraction:
     if isinstance(value, bool) or isinstance(value, float):
-        _fail(where, f"rationals must be integers or 'num/den' strings, got {_shown(value)}")
+        _fail(where, f"rationals must be integers or 'num/den' strings, got {shown(value)}")
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
         if not _RATIONAL.fullmatch(value):
-            _fail(where, f"cannot parse rational {_shown(value)}: expected digits or 'num/den'")
+            _fail(where, f"cannot parse rational {shown(value)}: expected digits or 'num/den'")
         # int() refuses more digits than this, with a message that repeats
         # them all; 0 (and an interpreter without the limit) means none
         limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
@@ -81,20 +75,20 @@ def _as_rational(value, where: str) -> Fraction:
             num, _, den = value.lstrip("+-").partition("/")
             for part, digits in (("numerator", num), ("denominator", den)):
                 if len(digits) > limit:
-                    _fail(where, f"rational {_shown(value)} has a {part} of {len(digits)} "
+                    _fail(where, f"rational {shown(value)} has a {part} of {len(digits)} "
                                  f"digits, more than {limit}")
         try:
             return Fraction(value)
         except ZeroDivisionError as exc:
-            _fail(where, f"cannot parse rational {_shown(value)}: {exc}")
-    _fail(where, f"rationals must be integers or 'num/den' strings, got {_shown(value)}")
+            _fail(where, f"cannot parse rational {shown(value)}: {exc}")
+    _fail(where, f"rationals must be integers or 'num/den' strings, got {shown(value)}")
 
 
 def _as_index(value, where: str, low: int, high: int) -> int:
     if not isinstance(value, int) or isinstance(value, bool):
-        _fail(where, f"expected an integer index, got {_shown(value)}")
+        _fail(where, f"expected an integer index, got {shown(value)}")
     if not low <= value <= high:
-        _fail(where, f"index {_shown(value)} out of range {low}..{high}")
+        _fail(where, f"index {shown(value)} out of range {low}..{high}")
     return value
 
 
@@ -103,7 +97,7 @@ def _check_keys(obj, where: str, required: tuple[str, ...], optional: tuple[str,
         _fail(where, f"expected an object, got {type(obj).__name__}")
     for key in obj:
         if key not in required and key not in optional:
-            _fail(where, f"unknown key {_shown(key)}")
+            _fail(where, f"unknown key {shown(key)}")
     for key in required:
         if key not in obj:
             _fail(where, f"missing key {key!r}")
@@ -131,7 +125,7 @@ def load_model_document(doc, default_name: str = "model") -> EquivariantModel:
     _check_keys(lie_doc, "lie", ("n",), ("c",))
     n = lie_doc["n"]
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        _fail("lie.n", f"must be a positive integer, got {_shown(n)}")
+        _fail("lie.n", f"must be a positive integer, got {shown(n)}")
     entries = []
     seen_orbits = set()
     for idx, entry in enumerate(_list_at(lie_doc, "c", "lie.c")):
@@ -162,7 +156,7 @@ def load_model_document(doc, default_name: str = "model") -> EquivariantModel:
         if not isinstance(gname, str) or not gname:
             _fail(where, "name must be a nonempty string")
         if not isinstance(deg, int) or isinstance(deg, bool) or deg < 0:
-            _fail(where, f"degree must be a non-negative integer, got {_shown(deg)}")
+            _fail(where, f"degree must be a non-negative integer, got {shown(deg)}")
         generators.append((gname, deg))
     ng = len(generators)
 
@@ -475,7 +469,8 @@ def _run_card(spec: str, fmt: str) -> int:
         try:
             param = int(param_text)
         except ValueError:
-            print(f"usage error: parameter must be an integer: {param_text!r}", file=sys.stderr)
+            print(f"usage error: parameter must be an integer: {shown(param_text)}",
+                  file=sys.stderr)
             return 2
     try:
         card = get_model(name, param)  # refuses a torus rank above the size limit
@@ -532,6 +527,14 @@ def cmd_examples(list_flag: bool, run_spec: str | None, fmt: str) -> int:
     return _run_card(run_spec, fmt)
 
 
+def _int_arg(text: str) -> int:
+    """An integer option's value; argparse names a refused one by its shown text."""
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {shown(text)}") from None
+
+
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     """The command line parser, built once per process and reused by every main call."""
@@ -546,7 +549,7 @@ def _parser() -> argparse.ArgumentParser:
 
     p_pages = sub.add_parser("pages", help="compute pages, abutment and the tensor check")
     p_pages.add_argument("file")
-    p_pages.add_argument("--max-r", type=int, default=None, dest="max_r")
+    p_pages.add_argument("--max-r", type=_int_arg, default=None, dest="max_r")
     p_pages.add_argument("--format", choices=("table", "machine"), default="table")
 
     p_ex = sub.add_parser("examples", help="list or run the library cards")

@@ -12,14 +12,13 @@ Kunneth counting, which never touches the page machinery.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
 
 from .liealg import LieData, delta_columns, validate_lie
 from .model import BasicComplex, EquivariantModel, size_error, validate_model
 from .qlinalg import apply_sparse, as_q, cohomology_dims, solve_columns, sparse_rank
-from .reports import CertificateError, ValidationReport
+from .reports import CertificateError, ReadOnly, ValidationReport, shown
 
 MODEL_NAMES = (
     "hopf",
@@ -40,28 +39,63 @@ DESCRIPTIONS = {
 }
 
 
-@dataclass(frozen=True)
-class ExpectedResults:
-    total_cohomology: tuple[int, ...]
-    e2_dims: dict = field(compare=False)  # nonzero cells (p, q) -> dim
-    stabilization: int = 2
-    basic_cohomology: tuple[int, ...] = (1,)
-    d2_abs_at_01: int | None = None
+class ExpectedResults(ReadOnly):
+    """The numbers a correct engine reproduces on a card.
+
+    e2_dims maps each nonzero cell (p, q) of page 2 to its dimension; it
+    takes no part in equality and hash, which compare the other four.
+    """
+
+    def __init__(self, total_cohomology: tuple[int, ...], e2_dims: dict,
+                 stabilization: int = 2, basic_cohomology: tuple[int, ...] = (1,),
+                 d2_abs_at_01: int | None = None):
+        vars(self).update(total_cohomology=total_cohomology, e2_dims=e2_dims,
+                          stabilization=stabilization, basic_cohomology=basic_cohomology,
+                          d2_abs_at_01=d2_abs_at_01)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.total_cohomology, self.stabilization, self.basic_cohomology,
+                 self.d2_abs_at_01)
+                == (other.total_cohomology, other.stabilization, other.basic_cohomology,
+                    other.d2_abs_at_01))
+
+    def __hash__(self):
+        return hash((self.total_cohomology, self.stabilization, self.basic_cohomology,
+                     self.d2_abs_at_01))
+
+    def __repr__(self):
+        return (f"{type(self).__qualname__}(total_cohomology={self.total_cohomology!r}, "
+                f"e2_dims={self.e2_dims!r}, stabilization={self.stabilization!r}, "
+                f"basic_cohomology={self.basic_cohomology!r}, "
+                f"d2_abs_at_01={self.d2_abs_at_01!r})")
 
 
-@dataclass(frozen=True)
-class ModelCard:
+class ModelCard(ReadOnly):
     """A model with its expected results.
 
     validation holds the (Lie, model) validation reports where building
-    the card already ran them, for verify.Analysis to reuse.
+    the card already ran them, for verify.Analysis to reuse; it takes no
+    part in equality and hash, which compare model, expected and note.
     """
 
-    model: EquivariantModel
-    expected: ExpectedResults
-    note: str = ""
-    validation: tuple[ValidationReport, ValidationReport] | None = field(
-        default=None, compare=False)
+    def __init__(self, model: EquivariantModel, expected: ExpectedResults, note: str = "",
+                 validation: tuple[ValidationReport, ValidationReport] | None = None):
+        vars(self).update(model=model, expected=expected, note=note, validation=validation)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.model, self.expected, self.note)
+                == (other.model, other.expected, other.note))
+
+    def __hash__(self):
+        return hash((self.model, self.expected, self.note))
+
+    def __repr__(self):
+        return (f"{type(self).__qualname__}(model={self.model!r}, expected={self.expected!r}, "
+                f"note={self.note!r}, validation={self.validation!r})")
 
 
 def su2_lie() -> LieData:
@@ -197,7 +231,7 @@ def get_model(name: str, param=None, *, basic=None, lie=None) -> ModelCard:
     if name == "weighted_hopf":
         w = 2 if param is None else param
         if not isinstance(w, int) or isinstance(w, bool) or w == 0:
-            raise ValueError(f"weight must be a nonzero integer: {param!r}")
+            raise ValueError(f"weight must be a nonzero integer: {shown(param)}")
         return _hopf_card(w, f"weighted_hopf({w})")
     if name == "kronecker":
         if param is not None:
@@ -210,7 +244,7 @@ def get_model(name: str, param=None, *, basic=None, lie=None) -> ModelCard:
     if name == "group_torus":
         n = 2 if param is None else param
         if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-            raise ValueError(f"torus rank must be a positive integer: {param!r}")
+            raise ValueError(f"torus rank must be a positive integer: {shown(param)}")
         too_large = size_error(1, n, 0)
         if too_large:
             raise ValueError(too_large)
@@ -228,7 +262,7 @@ def get_model(name: str, param=None, *, basic=None, lie=None) -> ModelCard:
         if param is not None:
             raise ValueError("trivial_product is configured by basic/lie, not a parameter")
         return _trivial_product_card(basic, lie)
-    raise ValueError(f"unknown model name: {name!r}")
+    raise ValueError(f"unknown model name: {shown(name)}")
 
 
 def all_default_cards() -> list[ModelCard]:

@@ -50,7 +50,6 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections.abc import Iterator
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -64,7 +63,7 @@ from .qlinalg import (
     graded_cohomology,
     sparse_kernel,
 )
-from .reports import CheckResult, ValidationReport
+from .reports import CheckResult, ReadOnly, ValidationReport
 
 MultiIndex = tuple[int, ...]
 
@@ -91,8 +90,7 @@ def _is_index(x, n: int) -> bool:
     return isinstance(x, int) and not isinstance(x, bool) and 1 <= x <= n
 
 
-@dataclass(frozen=True)
-class LieData:
+class LieData(ReadOnly):
     """An n-dimensional metric Lie algebra by its nonzero structure constants.
 
     c is the sorted tuple of ((a, b, k), c[a][b][k]) over the nonzero
@@ -108,37 +106,22 @@ class LieData:
     (k, coefficient) pairs over the nonzero (l, i) only, both at
     construction; delta(chi_I) per multi-index I, filled by delta_terms on
     first use; the position of each multi-index in its degree's basis,
-    per degree; and the first failure of delta^2 = 0, derived once.
+    per degree; and the first failure of delta^2 = 0, derived once and kept
+    as the one item of _delta_squared.  Equality, hash and repr read n and c.
     """
 
-    n: int
-    c: tuple[tuple[Slot, Fraction], ...]
-    delta_gens: tuple[Terms, ...] = field(init=False, repr=False, compare=False)
-    coadjoint_gens: dict[tuple[int, int], tuple[tuple[int, Fraction], ...]] = field(
-        init=False, repr=False, compare=False
-    )
-    _coeffs: dict[Slot, Fraction] = field(init=False, repr=False, compare=False)
-    _delta: dict[MultiIndex, Terms] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
-    _positions: dict[int, dict[MultiIndex, int]] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
-    # (first_delta_squared_failure's answer,) once it has been derived
-    _delta_squared: tuple = field(default=(), init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 1:
-            raise ValueError(f"n must be a positive integer: {self.n!r}")
+    def __init__(self, n: int, c: tuple[tuple[Slot, Fraction], ...]):
+        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+            raise ValueError(f"n must be a positive integer: {n!r}")
         coeffs: dict[Slot, Fraction] = {}
-        for (a, b, k), v in self.c:
-            if not all(_is_index(x, self.n) for x in (a, b, k)):
+        for (a, b, k), v in c:
+            if not all(_is_index(x, n) for x in (a, b, k)):
                 raise ValueError(f"structure constant index out of range: ({a},{b},{k})")
             if (a, b, k) in coeffs:
                 raise ValueError(f"duplicate structure constant slot ({a},{b},{k})")
             coeffs[(a, b, k)] = exact(v)
         c = tuple(sorted((slot, v) for slot, v in coeffs.items() if v))
-        terms: list[dict[MultiIndex, Fraction]] = [{} for _ in range(self.n)]
+        terms: list[dict[MultiIndex, Fraction]] = [{} for _ in range(n)]
         for (a, b, k), v in c:
             if a < b:
                 terms[k - 1][(a, b)] = v
@@ -149,12 +132,27 @@ class LieData:
             for (a, b), v in t.items():
                 coad.setdefault((a, i), {})[b] = v
                 coad.setdefault((b, i), {})[a] = -v
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "_coeffs", dict(c))
-        object.__setattr__(self, "delta_gens", tuple(tuple(t.items()) for t in terms))
-        object.__setattr__(
-            self, "coadjoint_gens", {li: tuple(g.items()) for li, g in coad.items()}
+        vars(self).update(
+            n=n,
+            c=c,
+            _coeffs=dict(c),
+            delta_gens=tuple(tuple(t.items()) for t in terms),
+            coadjoint_gens={li: tuple(g.items()) for li, g in coad.items()},
+            _delta={},
+            _positions={},
+            _delta_squared=[],
         )
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.n, self.c) == (other.n, other.c)
+
+    def __hash__(self):
+        return hash((self.n, self.c))
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}(n={self.n!r}, c={self.c!r})"
 
     def bracket_coeff(self, a: int, b: int, k: int) -> Fraction:
         """c[a][b][k] with 1-based indices; 0 where no constant is stored."""
@@ -330,7 +328,7 @@ def first_delta_squared_failure(L: LieData) -> MultiIndex | None:
     validate_model share one scan of the 2^n multi-indices.
     """
     if not L._delta_squared:
-        object.__setattr__(L, "_delta_squared", (_delta_squared_scan(L),))
+        L._delta_squared.append(_delta_squared_scan(L))
     return L._delta_squared[0]
 
 

@@ -20,7 +20,7 @@ equality and filled on first use, the sparse image of every monomial under
 d10, d01, d21 and total_d, read straight from d_hor_table, euler_table and
 delta_terms (operator_images), and the basis of each total degree with its
 position map (degree_basis), each built by one monomial_basis call.
-validate_model composes those images monomial by monomial, and
+validate_model composes total_d's images monomial by monomial, once, and
 total_columns reads each degree's column-sparse total_d off them.  The
 tests check both against the element operators of tests/oracles.py, which
 apply the formulas above to linear combinations of monomials.
@@ -28,7 +28,6 @@ apply the formulas above to linear combinations of monomials.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .liealg import (
@@ -40,11 +39,10 @@ from .liealg import (
     multi_indices,
 )
 from .qlinalg import SparseColumns, as_q, cohomology_dims, exact
-from .reports import CheckResult, ValidationReport
+from .reports import CheckResult, ReadOnly, ValidationReport
 
 
-@dataclass(frozen=True)
-class BasicComplex:
+class BasicComplex(ReadOnly):
     """Graded space with a degree +1 differential and degree +2 Euler operators.
 
     generators: (name, degree) pairs; indices into this tuple are 0-based.
@@ -61,40 +59,48 @@ class BasicComplex:
     qlinalg's scalar form (`exact`: an int where it is integral); by_degree
     maps each degree to its generators in declaration order, max_degree is
     the largest of those degrees (0 with no generators), and degree_index[g]
-    is g's position among the generators of its degree.
+    is g's position among the generators of its degree.  Equality, hash and
+    repr read the three fields generators, d_hor_entries and euler_entries.
     """
 
-    generators: tuple[tuple[str, int], ...]
-    d_hor_entries: tuple[tuple[int, int, Fraction], ...] = ()
-    euler_entries: tuple[tuple[int, int, int, Fraction], ...] = ()
-    d_hor_table: dict[int, tuple[tuple[int, Fraction], ...]] = field(
-        init=False, repr=False, compare=False
-    )
-    euler_table: dict[tuple[int, int], tuple[tuple[int, Fraction], ...]] = field(
-        init=False, repr=False, compare=False
-    )
-    by_degree: dict[int, tuple[int, ...]] = field(init=False, repr=False, compare=False)
-    max_degree: int = field(init=False, repr=False, compare=False)
-    degree_index: tuple[int, ...] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
+    def __init__(self, generators: tuple[tuple[str, int], ...],
+                 d_hor_entries: tuple[tuple[int, int, Fraction], ...] = (),
+                 euler_entries: tuple[tuple[int, int, int, Fraction], ...] = ()):
         d_hor: dict[int, list] = {}
-        for src, dst, coeff in self.d_hor_entries:
+        for src, dst, coeff in d_hor_entries:
             d_hor.setdefault(src, []).append((dst, exact(coeff)))
         euler: dict[tuple[int, int], list] = {}
-        for i, src, dst, coeff in self.euler_entries:
+        for i, src, dst, coeff in euler_entries:
             euler.setdefault((i, src), []).append((dst, exact(coeff)))
         by_degree: dict[int, list[int]] = {}
         index = []
-        for g, (_, deg) in enumerate(self.generators):
+        for g, (_, deg) in enumerate(generators):
             gens = by_degree.setdefault(deg, [])
             index.append(len(gens))
             gens.append(g)
-        object.__setattr__(self, "d_hor_table", {g: tuple(v) for g, v in d_hor.items()})
-        object.__setattr__(self, "euler_table", {k: tuple(v) for k, v in euler.items()})
-        object.__setattr__(self, "by_degree", {p: tuple(v) for p, v in by_degree.items()})
-        object.__setattr__(self, "max_degree", max(by_degree, default=0))
-        object.__setattr__(self, "degree_index", tuple(index))
+        vars(self).update(
+            generators=generators,
+            d_hor_entries=d_hor_entries,
+            euler_entries=euler_entries,
+            d_hor_table={g: tuple(v) for g, v in d_hor.items()},
+            euler_table={k: tuple(v) for k, v in euler.items()},
+            by_degree={p: tuple(v) for p, v in by_degree.items()},
+            max_degree=max(by_degree, default=0),
+            degree_index=tuple(index),
+        )
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.generators, self.d_hor_entries, self.euler_entries)
+                == (other.generators, other.d_hor_entries, other.euler_entries))
+
+    def __hash__(self):
+        return hash((self.generators, self.d_hor_entries, self.euler_entries))
+
+    def __repr__(self):
+        return (f"{type(self).__qualname__}(generators={self.generators!r}, "
+                f"d_hor_entries={self.d_hor_entries!r}, euler_entries={self.euler_entries!r})")
 
     @classmethod
     def build(cls, generators, d_hor=(), euler=()) -> "BasicComplex":
@@ -163,25 +169,29 @@ Monomial = tuple[int, MultiIndex]
 Image = dict[Monomial, Fraction]
 
 
-@dataclass(frozen=True)
-class EquivariantModel:
+class EquivariantModel(ReadOnly):
     """A metric Lie algebra acting on a basic complex.
 
-    Derived tables, taking no part in equality and never built at
-    construction (so an oversized model is refused before any monomial is
-    listed): _images, the operator tables of operator_images, and _bases,
-    the per-degree bases of degree_basis.
+    Derived tables, taking no part in equality, hash or repr and never built
+    at construction (so an oversized model is refused before any monomial
+    is listed): _images, the operator tables of operator_images, and
+    _bases, the per-degree bases of degree_basis.  Both start empty.
     """
 
-    name: str
-    lie: LieData
-    basic: BasicComplex
-    _images: dict[str, dict[Monomial, Image]] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
-    _bases: dict[int, tuple[tuple[Monomial, ...], dict[Monomial, int]]] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
+    def __init__(self, name: str, lie: LieData, basic: BasicComplex):
+        vars(self).update(name=name, lie=lie, basic=basic, _images={}, _bases={})
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.name, self.lie, self.basic) == (other.name, other.lie, other.basic)
+
+    def __hash__(self):
+        return hash((self.name, self.lie, self.basic))
+
+    def __repr__(self):
+        return (f"{type(self).__qualname__}(name={self.name!r}, lie={self.lie!r}, "
+                f"basic={self.basic!r})")
 
 
 def monomial_basis(model: EquivariantModel, k: int) -> tuple[tuple[int, MultiIndex], ...]:
@@ -347,29 +357,50 @@ def total_cohomology(model: EquivariantModel) -> tuple[int, ...]:
     return cohomology_dims(total_columns(model, k) for k in range(top + 1))
 
 
-def _identity_check(model, name, *paths) -> CheckResult:
-    """Whether the sum of second o first over paths vanishes on every monomial.
+# the bidegree component of total_d^2 that a path x -> y -> z of two
+# total_d steps lies in, by the change of chi-count from x to z
+_COMPONENTS = {
+    2: "bidegree (0,2) component",
+    1: "bidegree (1,1) component",
+    0: "bidegree (2,0) component",
+    -1: "bidegree (3,-1) component",
+    -2: "bidegree (4,-2) component",
+}
 
-    paths are (first, second) pairs of operator_images tables; monomials are
-    visited in table order and the first one with a nonzero sum is named.
+
+def _square_failures(model: EquivariantModel) -> dict[str, Monomial]:
+    """The first monomial, in table order, on which each identity of d^2 = 0 fails.
+
+    Keyed by check name: "d_hor squared", the five bidegree components and
+    "total differential squared"; an identity that holds has no key.  One
+    walk of total_d o total_d per monomial x.  A step of d10, d01 or d21
+    changes the chi-count by 0, +1 or -1, so every path from x to z lies in
+    the component named by the change from x to z, and total_d^2 x at z is
+    that component at z: a component fails at x iff total_d^2 x is nonzero
+    at such a z, and total_d^2 fails iff one of them does.  d_hor^2 x sums
+    the paths of two steps that keep the chi-count.
     """
-    images = operator_images(model)
-    maps = [(images[first], images[second]) for first, second in paths]
-    for x in images["total"]:
+    total = operator_images(model)["total"]
+    first: dict[str, Monomial] = {}
+    for x, image in total.items():
+        q = len(x[1])
         acc: Image = {}
-        for first, second in maps:
-            for y, v in first[x].items():
-                for z, w in second[y].items():
-                    acc[z] = acc.get(z, 0) + v * w
-        if any(acc.values()):
-            g, I = x
-            return CheckResult(
-                name,
-                False,
-                f"fails on {_monomial_name(model, x)} "
-                f"(bidegree ({model.basic.degree_of(g)},{len(I)}))",
-            )
-    return CheckResult(name, True)
+        hor: Image = {}
+        for y, v in image.items():
+            flat = len(y[1]) == q
+            for z, w in total[y].items():
+                vw = v * w
+                acc[z] = acc.get(z, 0) + vw
+                if flat and len(z[1]) == q:
+                    hor[z] = hor.get(z, 0) + vw
+        failed = {_COMPONENTS[len(z[1]) - q] for z, a in acc.items() if a}
+        if failed:
+            failed.add("total differential squared")
+        if any(hor.values()):
+            failed.add("d_hor squared")
+        for name in failed:
+            first.setdefault(name, x)
+    return first
 
 
 def validate_model(model: EquivariantModel) -> ValidationReport:
@@ -413,7 +444,21 @@ def validate_model(model: EquivariantModel) -> ValidationReport:
                 break
     checks.append(CheckResult("degree bookkeeping", not deg_bad, deg_bad))
 
-    checks.append(_identity_check(model, "d_hor squared", ("d10", "d10")))
+    failures = _square_failures(model)
+
+    def square_check(name: str) -> CheckResult:
+        x = failures.get(name)
+        if x is None:
+            return CheckResult(name, True)
+        g, I = x
+        return CheckResult(
+            name,
+            False,
+            f"fails on {_monomial_name(model, x)} "
+            f"(bidegree ({model.basic.degree_of(g)},{len(I)}))",
+        )
+
+    checks.append(square_check("d_hor squared"))
 
     bad_idx = first_delta_squared_failure(model.lie)
     checks.append(
@@ -424,23 +469,7 @@ def validate_model(model: EquivariantModel) -> ValidationReport:
         )
     )
 
-    checks.append(_identity_check(model, "bidegree (0,2) component", ("d01", "d01")))
-    checks.append(
-        _identity_check(model, "bidegree (1,1) component", ("d01", "d10"), ("d10", "d01"))
-    )
-    checks.append(
-        _identity_check(
-            model,
-            "bidegree (2,0) component",
-            ("d10", "d10"),
-            ("d01", "d21"),
-            ("d21", "d01"),
-        )
-    )
-    checks.append(
-        _identity_check(model, "bidegree (3,-1) component", ("d10", "d21"), ("d21", "d10"))
-    )
-    checks.append(_identity_check(model, "bidegree (4,-2) component", ("d21", "d21")))
-    checks.append(_identity_check(model, "total differential squared", ("total", "total")))
+    checks.extend(square_check(name) for name in _COMPONENTS.values())
+    checks.append(square_check("total differential squared"))
 
     return ValidationReport("model", tuple(checks))

@@ -69,10 +69,14 @@ against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
+
+from .reports import ReadOnly
+
+# sets an attribute of a ReadOnly value in its __init__
+_set = object.__setattr__
 
 # the zero and one of dense rows; sparse forms use the ints 0 and 1
 _ZERO = Fraction(0)
@@ -304,12 +308,32 @@ def sparse_kernel(rows, cols: int) -> dict[int, dict[int, Fraction]]:
     return kernel
 
 
-@dataclass(frozen=True, slots=True)
-class Matrix:
-    """Immutable dense matrix over Fraction, row-major."""
+class Matrix(ReadOnly):
+    """Immutable dense matrix over Fraction, row-major: data is the tuple of its rows.
 
-    data: tuple[tuple[Fraction, ...], ...]
-    cols: int
+    Equality, hash and repr read data and cols.  Not a named tuple: a matrix
+    neither iterates as the pair (data, cols) nor equals one.
+    """
+
+    __slots__ = ("data", "cols")
+
+    def __init__(self, data: tuple[tuple[Fraction, ...], ...], cols: int):
+        _set(self, "data", data)
+        _set(self, "cols", cols)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.data, self.cols) == (other.data, other.cols)
+
+    def __hash__(self):
+        return hash((self.data, self.cols))
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}(data={self.data!r}, cols={self.cols!r})"
+
+    def __reduce__(self):  # copy and pickle rebuild it through __init__
+        return type(self), (self.data, self.cols)
 
     @classmethod
     def of(cls, rows, cols: int | None = None) -> "Matrix":
@@ -363,15 +387,14 @@ class Matrix:
         return Matrix(tuple(out), nc), tuple(echelon)
 
 
-@dataclass(frozen=True, slots=True, repr=False, eq=False)
-class Subspace:
+class Subspace(ReadOnly):
     """Subspace of Q^ambient_dim, given by its RREF row basis (canonical).
 
     A Subspace keeps its RREF rows in sparse form, its echelon: each row's
     pivot and its other nonzero entries (from_echelon).  The dense `basis`
     matrix is built each time it is read.  Equality and hash compare
-    ambient_dim and the echelon, which is canonical; repr is that of the
-    pair (ambient_dim, basis), as for a dataclass of those two fields.
+    ambient_dim and the echelon, which is canonical; repr names those two
+    as Subspace(ambient_dim=..., basis=...), with the dense basis.
 
     A space whose rows are the first k unit vectors is the coordinate
     prefix [0, k), and keeps k as `prefix` (None for any other space).
@@ -383,9 +406,16 @@ class Subspace:
     off x with no elimination.
     """
 
-    ambient_dim: int
-    _echelon: dict[int, dict[int, Fraction]]
-    prefix: int | None = None
+    __slots__ = ("ambient_dim", "_echelon", "prefix")
+
+    def __init__(self, ambient_dim: int, _echelon: dict[int, dict[int, Fraction]],
+                 prefix: int | None = None):
+        _set(self, "ambient_dim", ambient_dim)
+        _set(self, "_echelon", _echelon)
+        _set(self, "prefix", prefix)
+
+    def __reduce__(self):  # copy and pickle rebuild it through __init__
+        return type(self), (self.ambient_dim, self._echelon, self.prefix)
 
     @property
     def basis(self) -> Matrix:
@@ -530,8 +560,7 @@ def solve_columns(columns, targets) -> list[dict[int, Fraction]]:
     return out
 
 
-@dataclass(frozen=True, slots=True)
-class Quotient:
+class Quotient(ReadOnly):
     """v/w as quotient_map presents it: representatives and a sparse projection.
 
     The representatives are k rows of v that represent a basis of v/w, kept
@@ -547,13 +576,35 @@ class Quotient:
     window is (lo, hi) when v is a coordinate prefix and the quotient is
     the coordinate window [lo, hi) itself: the representatives are the
     window's coordinates in order, and the class of x is x on the window.
-    It takes no part in equality.
+    It takes no part in equality and hash, which compare space, pivots and
+    classes.
     """
 
-    space: Subspace
-    pivots: tuple[int, ...]
-    classes: dict[int, dict[int, Fraction]]
-    window: tuple[int, int] | None = field(default=None, compare=False)
+    __slots__ = ("space", "pivots", "classes", "window")
+
+    def __init__(self, space: Subspace, pivots: tuple[int, ...],
+                 classes: dict[int, dict[int, Fraction]],
+                 window: tuple[int, int] | None = None):
+        _set(self, "space", space)
+        _set(self, "pivots", pivots)
+        _set(self, "classes", classes)
+        _set(self, "window", window)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.space, self.pivots, self.classes)
+                == (other.space, other.pivots, other.classes))
+
+    def __hash__(self):
+        return hash((self.space, self.pivots, self.classes))
+
+    def __repr__(self):
+        return (f"{type(self).__qualname__}(space={self.space!r}, pivots={self.pivots!r}, "
+                f"classes={self.classes!r}, window={self.window!r})")
+
+    def __reduce__(self):  # copy and pickle rebuild it through __init__
+        return type(self), (self.space, self.pivots, self.classes, self.window)
 
     @property
     def dim(self) -> int:

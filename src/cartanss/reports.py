@@ -1,15 +1,46 @@
-"""Validation check bookkeeping shared by the validators, and the certificate error."""
+"""Validation check bookkeeping shared by the validators, the certificate error,
+`shown` for echoing input in a message, and the read-only base of the
+package's value types.
+
+The package's plain records, such as CheckResult and ValidationReport, are
+named tuples: their fields are read-only, their repr is Name(field=...),
+and they compare and hash as the tuple of their fields.  A value type that
+keeps state outside equality, or compares in its own way, is a ReadOnly
+subclass with an explicit __init__, __eq__, __hash__ and __repr__.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str = ""
+def shown(value) -> str:
+    """repr(value) for an error message, cut to a few dozen characters."""
+    text = repr(value)
+    return text if len(text) <= 40 else text[:36] + " ..."
+
+
+class ReadOnly:
+    """Base of a value type whose attributes are set once, in its __init__.
+
+    Assigning or deleting an attribute raises AttributeError.  __init__
+    sets the attributes past this refusal: with object.__setattr__ where
+    the subclass keeps them in __slots__, through vars(self) otherwise.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class CheckResult(namedtuple("CheckResult", "name passed detail", defaults=("",))):
+    """One named check: whether it passed, and a detail where it says why not."""
+
+    __slots__ = ()
 
     def line(self) -> str:
         mark = "ok" if self.passed else "FAIL"
@@ -17,10 +48,10 @@ class CheckResult:
         return f"[{mark}] {self.name}{tail}"
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    subject: str
-    checks: tuple[CheckResult, ...]
+class ValidationReport(namedtuple("ValidationReport", "subject checks")):
+    """The checks of one validator, in order, on its subject."""
+
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:

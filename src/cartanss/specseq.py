@@ -80,8 +80,8 @@ the total ranks counted on the same columns by qlinalg.cohomology_dims.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Iterator
-from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
 
@@ -96,11 +96,10 @@ from .qlinalg import (
     sparse_kernel,
     sparse_rank,
 )
-from .reports import CertificateError
+from .reports import CertificateError, ReadOnly
 
 
-@dataclass(frozen=True)
-class FilteredComplex:
+class FilteredComplex(namedtuple("FilteredComplex", "dims d_columns prefix")):
     """Finite cochain complex over Q with a decreasing, exhaustive prefix filtration.
 
     dims[m] is the ambient dimension of C^m for 0 <= m < len(dims);
@@ -109,11 +108,9 @@ class FilteredComplex:
     d e_j, in increasing row order;
     prefix[m][p] = k(p, m) for 0 <= p <= m+1: F^p C^m is spanned by the
     first k(p, m) coordinates, with k(0, m) = dims[m] and k(m+1, m) = 0.
+    reach and support are derived on first read and kept in the instance
+    dict, outside the fields.
     """
-
-    dims: tuple[int, ...]
-    d_columns: tuple[SparseColumns, ...]
-    prefix: tuple[tuple[int, ...], ...]
 
     def ambient(self, m: int) -> int:
         if 0 <= m < len(self.dims):
@@ -177,8 +174,7 @@ def cartan_filtration(model: EquivariantModel) -> FilteredComplex:
     return FilteredComplex(tuple(dims), tuple(columns), tuple(prefix))
 
 
-@dataclass(frozen=True)
-class SpectralPage:
+class SpectralPage(ReadOnly):
     """Page r: its cells, d_r per source cell, and the rank of each d_r.
 
     cells[(p, q)] is E_r^(p,q) at a spot of the E_0 support, the Quotient
@@ -188,13 +184,26 @@ class SpectralPage:
     {class index: value} per representative of the cell, in the
     coordinates of the target cell (p + r, q - r + 1); where there is no
     nonzero target every column is empty.  ranks[pq] is the rank of dr[pq],
-    counted from the same columns.
+    counted from the same columns; it takes no part in equality and hash,
+    which compare r, cells and dr.
     """
 
-    r: int
-    cells: dict[tuple[int, int], Quotient]
-    dr: dict[tuple[int, int], list[dict[int, Fraction]]]
-    ranks: dict[tuple[int, int], int] = field(compare=False)
+    def __init__(self, r: int, cells: dict[tuple[int, int], Quotient],
+                 dr: dict[tuple[int, int], list[dict[int, Fraction]]],
+                 ranks: dict[tuple[int, int], int]):
+        vars(self).update(r=r, cells=cells, dr=dr, ranks=ranks)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.r, self.cells, self.dr) == (other.r, other.cells, other.dr)
+
+    def __hash__(self):
+        return hash((self.r, self.cells, self.dr))
+
+    def __repr__(self):
+        return (f"{type(self).__qualname__}(r={self.r!r}, cells={self.cells!r}, "
+                f"dr={self.dr!r}, ranks={self.ranks!r})")
 
     def dims(self) -> dict[tuple[int, int], int]:
         return {pq: c.dim for pq, c in self.cells.items() if c.dim}
@@ -364,23 +373,20 @@ def iter_pages(fc: FilteredComplex) -> Iterator[SpectralPage]:
         r += 1
 
 
-@dataclass(frozen=True)
-class AbutmentRow:
+class AbutmentRow(namedtuple("AbutmentRow", "degree stable_total cohomology_dim")):
     """Degree k: the sum of dim E_infinity^(p,q) over p + q = k against dim H^k."""
 
-    degree: int
-    stable_total: int
-    cohomology_dim: int
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
         return self.stable_total == self.cohomology_dim
 
 
-@dataclass(frozen=True)
-class AbutmentReport:
-    rows: tuple[AbutmentRow, ...]
-    stabilization: int
+class AbutmentReport(namedtuple("AbutmentReport", "rows stabilization")):
+    """One AbutmentRow per total degree, and the page where the sequence stabilized."""
+
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:

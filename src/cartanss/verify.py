@@ -34,7 +34,7 @@ it needs; the functions here take those stages as inputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import cached_property
 
 from .liealg import (
@@ -54,7 +54,7 @@ from .qlinalg import (
     solve_columns,
     sparse_rank,
 )
-from .reports import CertificateError, ValidationReport
+from .reports import CertificateError, ReadOnly, ValidationReport
 from .specseq import (
     AbutmentReport,
     AbutmentRow,
@@ -76,24 +76,22 @@ def basic_cohomology(model: EquivariantModel) -> tuple[Quotient, ...]:
     return tuple(graded_cohomology(basic.d_hor_columns(p) for p in range(basic.max_degree + 1)))
 
 
-@dataclass(frozen=True)
-class E2Cell:
-    p: int
-    q: int
-    product_dim: int  # dim H^p(B) * dim invariants^q
-    e2_dim: int
-    f_rank: int
+class E2Cell(namedtuple("E2Cell", "p q product_dim e2_dim f_rank")):
+    """One cell of the E_2 check: product_dim is dim H^p(B) * dim invariants^q,
+    e2_dim the cell's dimension on page 2 and f_rank the rank of its frames."""
+
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
         return self.f_rank == self.e2_dim == self.product_dim
 
 
-@dataclass(frozen=True)
-class E2Report:
-    cells: tuple[E2Cell, ...]
-    verdict: str  # "isomorphism" or "mismatch"
-    lie_realization_ok: bool
+class E2Report(namedtuple("E2Report", "cells verdict lie_realization_ok")):
+    """The E2Cells, the verdict ("isomorphism" or "mismatch") and whether the
+    invariants realize the algebra's cohomology."""
+
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:
@@ -129,19 +127,32 @@ def _lie_realization_ok(lie: LieData, inv) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class E2Frames:
+class E2Frames(ReadOnly):
     """Page 2 with the tensor frames F(alpha (x) beta) of every cell.
 
     f_columns[(p, q)] holds F's columns at (p, q), one per pair alpha (x)
-    beta, each as {class index: value}.
+    beta, each as {class index: value}; basic is basic_cohomology's
+    Quotients and invariants the invariant subspaces, per degree.  Those
+    three take no part in equality and hash, which compare page2 and cells.
     """
 
-    page2: SpectralPage
-    cells: tuple[E2Cell, ...]
-    f_columns: dict = field(compare=False)
-    basic: tuple[Quotient, ...] = field(compare=False)
-    invariants: tuple = field(compare=False)
+    def __init__(self, page2: SpectralPage, cells: tuple[E2Cell, ...], f_columns: dict,
+                 basic: tuple[Quotient, ...], invariants: tuple):
+        vars(self).update(page2=page2, cells=cells, f_columns=f_columns, basic=basic,
+                          invariants=invariants)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.page2, self.cells) == (other.page2, other.cells)
+
+    def __hash__(self):
+        return hash((self.page2, self.cells))
+
+    def __repr__(self):
+        return (f"{type(self).__qualname__}(page2={self.page2!r}, cells={self.cells!r}, "
+                f"f_columns={self.f_columns!r}, basic={self.basic!r}, "
+                f"invariants={self.invariants!r})")
 
 
 def _e2_frames(model: EquivariantModel, pg2: SpectralPage) -> E2Frames:
@@ -242,13 +253,10 @@ def d2_transgression(frames: E2Frames) -> dict[tuple[int, int], Matrix]:
     return out
 
 
-@dataclass(frozen=True)
-class PageSummary:
+class PageSummary(namedtuple("PageSummary", "r dims d_ranks")):
     """One page as reported: nonzero cell dims and nonzero d_r ranks."""
 
-    r: int
-    dims: dict
-    d_ranks: dict
+    __slots__ = ()
 
 
 class Analysis:

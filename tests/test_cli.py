@@ -411,6 +411,34 @@ def test_examples_run_with_parameters(capsys):
     assert "unknown model name" in capsys.readouterr().err
 
 
+def test_a_card_parameter_past_the_digit_limit_is_a_short_usage_error(capsys):
+    assert main(["examples", "--run", "group_torus:" + "7" * 5000]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: parameter must be an integer: '777")
+    assert len(err.encode()) < 300, len(err)
+
+
+def test_a_long_card_name_is_a_short_usage_error(capsys):
+    assert main(["examples", "--run", "x" * 3000]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: unknown model name: 'xxx")
+    assert len(err.encode()) < 300, len(err)
+
+
+def test_a_long_max_r_is_a_short_usage_error(capsys):
+    path = str(Path(__file__).resolve().parent.parent / "sample_models" / "hopf.json")
+    with pytest.raises(SystemExit) as exc:
+        main(["pages", path, "--max-r", "7" * 5000])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --max-r: invalid int value: '777" in err
+    assert len(err.encode()) < 300, len(err)
+    # a short value is echoed whole, as argparse's own int check does
+    with pytest.raises(SystemExit):
+        main(["pages", path, "--max-r", "5x"])
+    assert capsys.readouterr().err.endswith("argument --max-r: invalid int value: '5x'\n")
+
+
 def test_examples_needs_exactly_one_mode(capsys):
     assert main(["examples"]) == 2
     capsys.readouterr()
