@@ -27,8 +27,8 @@ from .specseq import (
     FilteredComplex,
     SpectralPage,
     cartan_filtration,
-    iter_pages,
     page,
+    persistence_pairing,
 )
 from .verify import Analysis, basic_cohomology, d2_transgression, e2_tensor_check
 from .library import MODEL_NAMES, ModelCard, get_model, random_trivial_product
@@ -53,10 +53,10 @@ __all__ = [
     "e2_tensor_check",
     "get_model",
     "invariant_subcomplex",
-    "iter_pages",
     "lie_cohomology",
     "multi_indices",
     "page",
+    "persistence_pairing",
     "quotient_map",
     "random_trivial_product",
     "total_cohomology",

@@ -32,6 +32,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import re
 import sys
 from fractions import Fraction
@@ -194,12 +195,13 @@ def load_model_file(path: str) -> EquivariantModel:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except OSError as exc:
-        raise ModelFileError(f"cannot read {path}: {exc}") from exc
+    except OSError as exc:  # str(exc) repeats the path: name it once, cut
+        reason = exc.strerror or type(exc).__name__
+        raise ModelFileError(f"cannot read {shown(path)}: {reason}") from exc
     except ValueError as exc:  # bad JSON, bad UTF-8, or an integer past int's digit limit
-        raise ModelFileError(f"{path} is not valid JSON: {exc}") from exc
+        raise ModelFileError(f"{shown(path)} is not valid JSON: {exc}") from exc
     except RecursionError:
-        raise ModelFileError(f"{path} is not valid JSON: nested too deeply") from None
+        raise ModelFileError(f"{shown(path)} is not valid JSON: nested too deeply") from None
     stem = path.rsplit("/", 1)[-1].rsplit(".", 1)[0]
     return load_model_document(doc, default_name=stem or "model")
 
@@ -285,7 +287,7 @@ def machine_document(an: Analysis, max_r: int | None) -> dict:
             for s in _shown_pages(an, max_r)
         ],
         "stabilization": an.stabilization,
-        "e_infinity": {_pq_key(pq): d for pq, d in sorted(an.stable.dims().items())},
+        "e_infinity": {_pq_key(pq): d for pq, d in sorted(an.stable.dims.items())},
         "abutment": {
             "passed": an.abutment.passed,
             "rows": [
@@ -386,7 +388,7 @@ def render_table(an: Analysis, max_r: int | None) -> str:
     out.append(f"stabilization: r = {an.stabilization}")
     out.append("E_infinity cells:")
     out.append("  p  q  dim")
-    for (p, q), d in sorted(an.stable.dims().items()):
+    for (p, q), d in sorted(an.stable.dims.items()):
         out.append(f"  {p}  {q}  {d}")
     out.append("")
     out.append("abutment:")
@@ -560,7 +562,17 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    try:
+        code = _dispatch(_parser().parse_args(argv))
+        sys.stdout.flush()
+    except BrokenPipeError:  # the reader closed the pipe early: end quietly, exit 1
+        # Python's SIGPIPE recipe: the flush at exit then writes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return code
+
+
+def _dispatch(args) -> int:
     if args.command == "validate":
         return cmd_validate(args.file)
     if args.command == "pages":

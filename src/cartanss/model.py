@@ -17,8 +17,8 @@ vanishes, which is exactly the compatibility required of (d_hor, E_i, delta).
 
 The model holds these operators only as tables.  Each model keeps, outside
 equality and filled on first use, the sparse image of every monomial under
-d10, d01, d21 and total_d, read straight from d_hor_table, euler_table and
-delta_terms (operator_images), and the basis of each total degree with its
+total_d, its three parts read straight from d_hor_table, euler_table and
+delta_terms (total_images), and the basis of each total degree with its
 position map (degree_basis), each built by one monomial_basis call.
 validate_model composes total_d's images monomial by monomial, once, and
 total_columns reads each degree's column-sparse total_d off them.  The
@@ -174,7 +174,7 @@ class EquivariantModel(ReadOnly):
 
     Derived tables, taking no part in equality, hash or repr and never built
     at construction (so an oversized model is refused before any monomial
-    is listed): _images, the operator tables of operator_images, and
+    is listed): _images, the table of total_images, and
     _bases, the per-degree bases of degree_basis.  Both start empty.
     """
 
@@ -279,11 +279,18 @@ def _add(out: Image, key: Monomial, value: Fraction) -> None:
     out[key] = out.get(key, 0) + value
 
 
-def _build_images(model: EquivariantModel) -> dict[str, dict[Monomial, Image]]:
+def total_images(model: EquivariantModel) -> dict[Monomial, Image]:
+    """The sparse image of every monomial under total_d, built once per model, on first use.
+
+    Maps (g, I) to {(g', J): coefficient} with zeros dropped, and lists the
+    monomials in generator order, then all_multi_indices order.
+    """
+    if model._images:
+        return model._images
     basic, lie = model.basic, model.lie
     dm, em = basic.d_hor_table, basic.euler_table
     indices = all_multi_indices(lie.n)
-    tables = {"d10": {}, "d01": {}, "d21": {}, "total": {}}
+    table = {}
     for g in range(basic.num_generators):
         p = basic.degree_of(g)
         hor = dm.get(g, ())
@@ -301,25 +308,9 @@ def _build_images(model: EquivariantModel) -> dict[str, dict[Monomial, Image]]:
                 J = I[:j] + I[j + 1:]
                 for dst, coeff in hits:
                     _add(euler, (dst, J), -coeff if odd else coeff)
-            x = (g, I)
-            hi, vert, euler = ({k: v for k, v in im.items() if v} for im in (hi, vert, euler))
-            tables["d10"][x] = hi
-            tables["d01"][x] = vert
-            tables["d21"][x] = euler
-            # the three parts change the chi-count by 0, +1 and -1: disjoint supports
-            tables["total"][x] = {**euler, **hi, **vert}
-    return tables
-
-
-def operator_images(model: EquivariantModel) -> dict[str, dict[Monomial, Image]]:
-    """Sparse images of every monomial under "d10", "d01", "d21" and "total" (total_d).
-
-    Each table maps (g, I) to {(g', J): coefficient} with zeros dropped, and
-    lists the monomials in generator order, then all_multi_indices order.
-    Built once per model, on first use.
-    """
-    if not model._images:
-        model._images.update(_build_images(model))
+            # d21, d10 and d01 change the chi-count by -1, 0 and +1: disjoint supports
+            table[(g, I)] = {k: v for part in (euler, hi, vert) for k, v in part.items() if v}
+    model._images.update(table)
     return model._images
 
 
@@ -331,7 +322,7 @@ def total_columns(model: EquivariantModel, k: int) -> SparseColumns:
     """
     src, _ = degree_basis(model, k)
     _, pos = degree_basis(model, k + 1)
-    total = operator_images(model)["total"]
+    total = total_images(model)
     cols = []
     for x in src:
         col = []
@@ -380,7 +371,7 @@ def _square_failures(model: EquivariantModel) -> dict[str, Monomial]:
     at such a z, and total_d^2 fails iff one of them does.  d_hor^2 x sums
     the paths of two steps that keep the chi-count.
     """
-    total = operator_images(model)["total"]
+    total = total_images(model)
     first: dict[str, Monomial] = {}
     for x, image in total.items():
         q = len(x[1])

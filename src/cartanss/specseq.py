@@ -61,27 +61,19 @@ triangle 0 <= p <= m up to the top degree.  Page r = 0 and r = 1 are
 bookkeeping pages of the bigraded model; the geometric content starts at
 r = 2.
 
-`FilteredComplex.support` lists the nonempty E_0 windows once, and every
-page walks that list.  `iter_pages` builds the pages one after another over
-one cache.  Z_r is kept under its block of d, (m, k(p, m), k(p+r, m+1)), so
-where the row cut does not move Z_r is Z_(r-1) and no kernel runs again.  A
-cell's quotient is kept under its Z block, the block of the Z_(r-1) whose
-image is its divisor, and its window: where none of these moved, the page
-takes the earlier page's Quotient and applies no d.  After page r the cache
-drops every entry page r did not read, so it holds about two pages.
-`iter_pages` also decides where the pages stop: at the first page r >= 2
-whose d_r is zero and whose nonzero cells leave no room for a later
-differential, which is E_infinity.  `verify.Analysis` reads the
-stabilization index off that one pass: one past the last r >= 2 with a
-nonzero d_r, or 2 when there is none.  `AbutmentReport` compares E_infinity
-with total cohomology degree by degree; `verify.Analysis` fills it in, with
-the total ranks counted on the same columns by qlinalg.cohomology_dims.
+`FilteredComplex.support` lists the nonempty E_0 windows once, and a page
+walks that list.  `verify.Analysis` builds only page 2 as quotients, whose
+representatives and d_2 the frames, the E_2 check and the transgression
+read.  Every page's dims and d_r ranks, E_infinity and the stabilization
+come from one persistence pairing of d (`persistence_pairing`), which
+`verify.Analysis` checks against page 2 cell by cell.  `AbutmentReport`
+compares E_infinity with total cohomology degree by degree, with the total
+ranks counted on the same columns by qlinalg.cohomology_dims.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from collections.abc import Iterator
 from functools import cached_property
 from fractions import Fraction
 
@@ -90,6 +82,7 @@ from .qlinalg import (
     Quotient,
     SparseColumns,
     Subspace,
+    _ratio,
     apply_sparse,
     column_rows,
     quotient_map,
@@ -208,52 +201,20 @@ class SpectralPage(ReadOnly):
     def dims(self) -> dict[tuple[int, int], int]:
         return {pq: c.dim for pq, c in self.cells.items() if c.dim}
 
-    def dr_is_zero(self) -> bool:
-        return not any(self.ranks.values())
-
-
-class _PageCache(dict):
-    """The spaces and quotients of the page pass, by key; remembers the keys asked for.
-
-    `keep_read` drops every entry that no `get` asked for since the last
-    call, so between pages the cache holds what the last page read.
-    """
-
-    def __init__(self):
-        super().__init__()
-        self.read: set = set()
-
-    def get(self, key, default=None):
-        self.read.add(key)
-        return super().get(key, default)
-
-    def keep_read(self) -> None:
-        for key in self.keys() - self.read:
-            del self[key]
-        self.read = set()
-
-
-def _kernel(fc: FilteredComplex, block: tuple[int, int, int], cache: dict) -> Subspace:
+def _kernel(fc: FilteredComplex, block: tuple[int, int, int]) -> Subspace:
     """The kernel of block (m, k, row) of d^m, rows row: and columns :k, in C^m.
 
     A block with no nonzero entry, which `FilteredComplex.reach` tells with
     no rows gathered, has all of F^p as its kernel: the prefix [0, k).  Any
     other block is one `sparse_kernel` of its rows read off d's columns,
     padded with zeros to C^m; zero columns appended to a reduced echelon
-    basis leave it reduced, so the result is the canonical basis.  Cached
-    under the block, so every Z_r with the same block is one kernel.
+    basis leave it reduced, so the result is the canonical basis.
     """
-    hit = cache.get(block)
-    if hit is not None:
-        return hit
     m, k, row = block
     if k == 0 or fc.reach[m][k] <= row:
-        out = Subspace.prefix_space(fc.ambient(m), k)
-    else:
-        rows = column_rows(fc.d_columns[m][:k], row)
-        out = Subspace.from_echelon(fc.ambient(m), sparse_kernel(rows, k))
-    cache[block] = out
-    return out
+        return Subspace.prefix_space(fc.ambient(m), k)
+    rows = column_rows(fc.d_columns[m][:k], row)
+    return Subspace.from_echelon(fc.ambient(m), sparse_kernel(rows, k))
 
 
 def _image(cols: SparseColumns, space: Subspace, pivot: int) -> dict:
@@ -279,7 +240,7 @@ def _boundaries(fc: FilteredComplex, m: int, born: Subspace) -> list[dict]:
     return [y for y in images if y]
 
 
-def page(fc: FilteredComplex, r: int, _cache: dict | None = None) -> SpectralPage:
+def page(fc: FilteredComplex, r: int) -> SpectralPage:
     """The r-th page with its differential, one cell per spot of the E_0 support.
 
     E_0^(p,q) is F^p C^m / F^(p+1) C^m, the coordinate window
@@ -289,13 +250,8 @@ def page(fc: FilteredComplex, r: int, _cache: dict | None = None) -> SpectralPag
     projection onto its window: Z_r^p meets F^(p+1) in Z_(r-1)^(p+1), which
     is the rest of the divisor, so quotient_map works on the window columns
     alone.  It still checks that d Z_(r-1)^(p-r+1) lies in Z_r^p, and the
-    representatives are rows of Z_r^p in C^m.
-
-    A cell's quotient depends only on the block of Z_r^p, the block of
-    Z_(r-1)^(p-r+1) that d maps into the divisor, and the window, so the
-    cache keeps it under those three: a spot where none of them moved since
-    an earlier page takes that page's Quotient, with no d applied and no
-    quotient_map.
+    representatives are rows of Z_r^p in C^m.  No two spots share a block of
+    d, since their windows are nonempty, so no kernel is kept for another.
 
     d_r of a representative is d applied to its sparse echelon row, and its
     class in the target cell is one class read: the elimination through the
@@ -304,25 +260,15 @@ def page(fc: FilteredComplex, r: int, _cache: dict | None = None) -> SpectralPag
     """
     if r < 0:
         raise ValueError("page index must be >= 0")
-    cache: dict = {} if _cache is None else _cache
     cells: dict[tuple[int, int], Quotient] = {}
     for p, q, lo, hi in fc.support:
         m = p + q
-        z_block = (m, hi, fc.cut(p + r, m + 1))
-        born_block = (m - 1, fc.cut(p - r + 1, m - 1), hi)
-        z = _kernel(fc, z_block, cache)
-        # read also where the cell is kept, so that a later page whose Z
-        # block moves but whose born block does not finds it in the cache
-        born = _kernel(fc, born_block, cache)
-        key = (z_block, born_block, lo)
-        quot = cache.get(key)
-        if quot is None:
-            try:
-                quot = quotient_map(z, _boundaries(fc, m, born), window=(lo, hi))
-            except ValueError:
-                raise CertificateError(f"divisor escapes Z_{r}", (p, q), r) from None
-            cache[key] = quot
-        cells[(p, q)] = quot
+        z = _kernel(fc, (m, hi, fc.cut(p + r, m + 1)))
+        born = _kernel(fc, (m - 1, fc.cut(p - r + 1, m - 1), hi))
+        try:
+            cells[(p, q)] = quotient_map(z, _boundaries(fc, m, born), window=(lo, hi))
+        except ValueError:
+            raise CertificateError(f"divisor escapes Z_{r}", (p, q), r) from None
     dr: dict[tuple[int, int], list[dict[int, Fraction]]] = {}
     ranks: dict[tuple[int, int], int] = {}
     for (p, q), cell in cells.items():
@@ -345,32 +291,82 @@ def page(fc: FilteredComplex, r: int, _cache: dict | None = None) -> SpectralPag
     return SpectralPage(r, cells, dr, ranks)
 
 
-def iter_pages(fc: FilteredComplex) -> Iterator[SpectralPage]:
-    """Pages E_0, E_1, ..., each built once, ending with E_infinity.
+class PageSummary(namedtuple("PageSummary", "r dims d_ranks")):
+    """One page as reported: nonzero cell dims and nonzero d_r ranks."""
 
-    Page E_r, r >= 2, is E_infinity when d_r is zero and no two nonzero cells
-    sit at (p, q) and (p+s, q-s+1) for any s > r: every later page is a
-    subquotient of E_r, so no later d_s can be nonzero.  Past the largest gap
-    in p between nonzero cells no such pair is left and d_r is zero, so the
-    pages end by r = len(fc.dims) + 1, two past the top degree.
+    __slots__ = ()
 
-    The pages share one cache of kernels by block and of quotients by cell
-    key (`page`), so each is computed once per run wherever later pages do
-    not move it.  After page r the cache drops every entry page r did not
-    read, which keeps it at about two pages' worth.
+
+class Pairing(namedtuple("Pairing", "sizes pairs")):
+    """The persistence pairing of d, and every page's dims and d_r ranks from it.
+
+    sizes[(p, q)] is dim E_0^(p,q), in the order of the E_0 support; pairs
+    holds (p, q, g) per pair: its column's spot and its gap g, so its row
+    sits at d_g's target (p + g, q - g + 1).
     """
-    cache = _PageCache()
-    r = 0
-    while True:
-        pg = page(fc, r, cache)
-        yield pg
-        if r >= 2 and pg.dr_is_zero():
-            dims = pg.dims()
-            if not any((p + s, q - s + 1) in dims
-                       for p, q in dims for s in range(r + 1, q + 2)):
-                return
-        cache.keep_read()
-        r += 1
+
+    __slots__ = ()
+
+    def summary(self, r: int) -> PageSummary:
+        """Page r: a basis element counts at its spot unless it is paired with gap < r."""
+        dims = dict(self.sizes)
+        ranks: dict[tuple[int, int], int] = {}
+        for p, q, g in self.pairs:
+            if g < r:
+                dims[(p, q)] -= 1
+                dims[(p + g, q - g + 1)] -= 1
+            elif g == r:
+                ranks[(p, q)] = ranks.get((p, q), 0) + 1
+        return PageSummary(r, {pq: d for pq, d in dims.items() if d},
+                           {pq: ranks[pq] for pq in self.sizes if pq in ranks})
+
+    @property
+    def stabilization(self) -> int:
+        """One past the largest gap >= 2, or 2 when there is none: E_infinity's page."""
+        return 1 + max((g for _, _, g in self.pairs if g >= 2), default=1)
+
+
+def persistence_pairing(fc: FilteredComplex) -> Pairing:
+    """The column reduction of persistent homology on each d^m, as it stands.
+
+    Every F^p is a coordinate prefix, so index order is filtration order
+    (Edelsbrunner, Letscher & Zomorodian, DCG 28, 2002; Basu & Parida, Expo.
+    Math. 35, 2017).  Each column, a dict of exact values, is reduced by the
+    earlier ones until its lowest nonzero row, the largest index and so the
+    lowest level, is one no other column holds, and pairs with that row.  A
+    column that was a lowest row of d^(m-1) is skipped: the cocycle that
+    paired it makes it a combination of earlier columns.  Each degree's
+    reduced columns, scaled to 1 at their lowest row, go once it is done.
+    """
+    # levels[m][j]: the filtration level of basis vector j of C^m
+    levels = [[0] * dim for dim in fc.dims]
+    for p, q, lo, hi in fc.support:
+        levels[p + q][lo:hi] = [p] * (hi - lo)
+    pairs = []
+    cleared: set = set()
+    for m, cols in enumerate(fc.d_columns):
+        reduced: dict[int, dict] = {}
+        for j, col in enumerate(cols):
+            if not col or j in cleared:
+                continue
+            x = dict(col)
+            low = col[-1][0]
+            while low in reduced:
+                a = x.pop(low)
+                for i, b in reduced[low].items():
+                    v = x.get(i, 0) - a * b
+                    if v:
+                        x[i] = v
+                    else:
+                        del x[i]
+                low = max(x, default=-1)
+            if x:
+                a = x.pop(low)
+                reduced[low] = {i: _ratio(v, a) for i, v in x.items()}
+                p = levels[m][j]
+                pairs.append((p, m - p, levels[m + 1][low] - p))
+        cleared = set(reduced)
+    return Pairing({(p, q): hi - lo for p, q, lo, hi in fc.support}, tuple(pairs))
 
 
 class AbutmentRow(namedtuple("AbutmentRow", "degree stable_total cohomology_dim")):

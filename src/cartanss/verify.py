@@ -61,7 +61,8 @@ from .specseq import (
     FilteredComplex,
     SpectralPage,
     cartan_filtration,
-    iter_pages,
+    page,
+    persistence_pairing,
 )
 
 
@@ -253,12 +254,6 @@ def d2_transgression(frames: E2Frames) -> dict[tuple[int, int], Matrix]:
     return out
 
 
-class PageSummary(namedtuple("PageSummary", "r dims d_ranks")):
-    """One page as reported: nonzero cell dims and nonzero d_r ranks."""
-
-    __slots__ = ()
-
-
 class Analysis:
     """Every report stage of one model, each computed once, on first use.
 
@@ -296,20 +291,26 @@ class Analysis:
 
     @cached_property
     def _page_pass(self) -> tuple:
-        """One iter_pages pass; only page 2 and E_infinity outlive their summaries."""
-        summaries = []
-        for pg in iter_pages(self.filtration):
-            ranks = {pq: rk for pq, rk in pg.ranks.items() if rk}
-            summaries.append(PageSummary(pg.r, pg.dims(), ranks))
-            if pg.r == 2:
-                page2 = pg
-        r_stab = 1 + max((s.r for s in summaries if s.r >= 2 and s.d_ranks), default=1)
-        return tuple(s for s in summaries if s.r <= r_stab), pg, r_stab, page2
+        """Every page's summary from the persistence pairing, and page 2 built
+        alone, whose cell dims and d_2 ranks must be the pairing's, cell by cell."""
+        fc = self.filtration
+        pairing = persistence_pairing(fc)
+        pages = tuple(pairing.summary(r) for r in range(pairing.stabilization + 1))
+        pg2 = page(fc, 2)
+        want = pages[2]
+        for pq, cell in pg2.cells.items():
+            got = (cell.dim, pg2.ranks.get(pq, 0))
+            paired = (want.dims.get(pq, 0), want.d_ranks.get(pq, 0))
+            if got != paired:
+                raise CertificateError(
+                    f"page 2 dims = pairing dims fails: dim and d_2 rank {got} on page 2, "
+                    f"{paired} by the pairing", pq, 2)
+        return pages, pg2
 
     pages = property(lambda self: self._page_pass[0], doc="Summaries of E_0 .. E_stabilization.")
-    stable = property(lambda self: self._page_pass[1], doc="The last page built, E_infinity.")
-    stabilization = property(lambda self: self._page_pass[2])
-    page2 = property(lambda self: self._page_pass[3])
+    stable = property(lambda self: self.pages[-1], doc="The summary of E_infinity.")
+    stabilization = property(lambda self: self.stable.r)
+    page2 = property(lambda self: self._page_pass[1])
 
     @cached_property
     def total_cohomology(self) -> tuple[int, ...]:
@@ -320,7 +321,7 @@ class Analysis:
     def abutment(self) -> AbutmentReport:
         hdims = self.total_cohomology
         sums = [0] * len(hdims)
-        for (p, q), d in self.stable.dims().items():
+        for (p, q), d in self.stable.dims.items():
             sums[p + q] += d
         rows = tuple(AbutmentRow(k, sums[k], hdims[k]) for k in range(len(hdims)))
         return AbutmentReport(rows, self.stabilization)

@@ -562,6 +562,15 @@ def total_d(model: EquivariantModel, x: ModelElement) -> ModelElement:
     return d21(model, x) + d10(model, x) + d01(model, x)
 
 
+def split_images(model: EquivariantModel) -> dict[str, dict]:
+    """The image of every monomial under "d10", "d01" and "d21", by the element
+    operators, each table in generator order, then all_multi_indices order."""
+    monomials = [(g, I) for g in range(model.basic.num_generators)
+                 for I in all_multi_indices(model.lie.n)]
+    return {op.__name__: {x: op(model, ModelElement.monomial(*x)).coeffs for x in monomials}
+            for op in (d10, d01, d21)}
+
+
 def element_to_vector(model: EquivariantModel, x: ModelElement, k: int) -> tuple[Q, ...]:
     """Coordinates of x in the monomial basis of total degree k; ValueError off that degree."""
     basis, pos = degree_basis(model, k)
@@ -663,8 +672,13 @@ def filt(fc: FilteredComplex, p: int, m: int) -> Subspace:
 def z_space(fc: FilteredComplex, r: int, p: int, m: int, cache: dict) -> Subspace:
     """Z_r at filtration p, total degree m, as the engine finds it: x is in F^p
     exactly when it is zero past k(p, m), and d x is in F^(p+r) exactly when
-    the rows of d past k(p+r, m+1) kill it, so Z_r is the kernel of that block."""
-    return _kernel(fc, (m, fc.cut(p, m), fc.cut(p + r, m + 1)), cache)
+    the rows of d past k(p+r, m+1) kill it, so Z_r is the kernel of that block.
+    Kept in cache under the block."""
+    block = (m, fc.cut(p, m), fc.cut(p + r, m + 1))
+    hit = cache.get(block)
+    if hit is None:
+        hit = cache[block] = _kernel(fc, block)
+    return hit
 
 
 def oracle_divisor(fc: FilteredComplex, r: int, p: int, m: int, cache: dict) -> Subspace:

@@ -498,6 +498,7 @@ COUNTED = (
     ("liealg", "validate_lie"),
     ("model", "validate_model"),
     ("specseq", "page"),
+    ("specseq", "persistence_pairing"),
     ("verify", "_e2_frames"),
 )
 
@@ -538,9 +539,10 @@ def test_pages_computes_every_stage_once(tmp_path, monkeypatch, capsys, source):
     assert main(["pages", path, "--format", "machine"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert [len(calls[f]) for f in ("cartan_filtration", "validate_lie", "validate_model",
-                                     "_e2_frames")] == [1, 1, 1, 1]
-    # pages 0 .. stabilization and no further: the last one is E_infinity
-    assert [args[1] for args in calls["page"]] == list(range(doc["stabilization"] + 1))
+                                     "persistence_pairing", "_e2_frames")] == [1, 1, 1, 1, 1]
+    # the pairing gives pages 0 .. stabilization; only page 2 is built as quotients
+    assert [args[1] for args in calls["page"]] == [2]
+    assert [page["r"] for page in doc["pages"]] == list(range(doc["stabilization"] + 1))
 
 
 def test_examples_run_computes_the_algebra_cohomology_once(monkeypatch, capsys):
@@ -558,8 +560,10 @@ def test_examples_run_computes_every_stage_once(monkeypatch, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["passed"] is True
     assert {f: len(c) for f, c in calls.items() if f != "page"} == {
-        "cartan_filtration": 1, "validate_lie": 1, "validate_model": 1, "_e2_frames": 1}
-    assert [args[1] for args in calls["page"]] == [0, 1, 2]
+        "cartan_filtration": 1, "validate_lie": 1, "validate_model": 1,
+        "persistence_pairing": 1, "_e2_frames": 1}
+    assert [args[1] for args in calls["page"]] == [2]
+    assert [page["r"] for page in doc["report"]["pages"]] == [0, 1, 2]
 
 
 def test_examples_run_trivial_product_validates_once(monkeypatch, capsys):
@@ -619,7 +623,7 @@ def test_validation_alone_builds_no_filtration_and_no_page(tmp_path, monkeypatch
     capsys.readouterr()
     assert {f: len(c) for f, c in calls.items()} == {
         "cartan_filtration": 0, "validate_lie": 3, "validate_model": 3, "page": 0,
-        "_e2_frames": 0}
+        "persistence_pairing": 0, "_e2_frames": 0}
 
 
 def test_one_analysis_builds_each_stage_once(monkeypatch):
@@ -632,11 +636,13 @@ def test_one_analysis_builds_each_stage_once(monkeypatch):
         range(max_total_degree(model) + 1))
     # the filtration is gated on validation, so each validator runs once
     assert {f: len(calls[f]) for f in ("cartan_filtration", "_e2_frames", "validate_lie",
-                                       "validate_model")} == {
-        "cartan_filtration": 1, "_e2_frames": 1, "validate_lie": 1, "validate_model": 1}
-    # the last page built is E_infinity, and nothing past it is built
-    assert [args[1] for args in calls["page"]] == list(range(an.stabilization + 1))
-    assert an.stable.r == an.stabilization
+                                       "validate_model", "persistence_pairing")} == {
+        "cartan_filtration": 1, "_e2_frames": 1, "validate_lie": 1, "validate_model": 1,
+        "persistence_pairing": 1}
+    # page 2 is the one page built; E_infinity is the pairing's summary at stabilization
+    assert [args[1] for args in calls["page"]] == [2]
+    assert [s.r for s in an.pages] == list(range(an.stabilization + 1))
+    assert an.stable is an.pages[-1] and an.stable.r == an.stabilization
 
 
 @pytest.mark.parametrize("model", [
@@ -651,7 +657,8 @@ def test_analysis_of_an_invalid_model_raises_and_builds_no_filtration(monkeypatc
     with pytest.raises(ValueError, match="invalid model") as err:
         an.abutment
     assert str(err.value).splitlines()[1:] == failed
-    assert (len(calls["cartan_filtration"]), len(calls["page"])) == (0, 0)
+    assert (len(calls["cartan_filtration"]), len(calls["page"]),
+            len(calls["persistence_pairing"])) == (0, 0, 0)
 
 
 def _eliminations_inside(monkeypatch, function_name):
@@ -691,13 +698,19 @@ def _eliminations_inside(monkeypatch, function_name):
                                               (("group_su2", None), True)])
 def test_invariants_are_eliminated_only_where_coadjoint_is_nonzero(
         tmp_path, monkeypatch, capsys, spec, eliminates):
+    model = get_model(*spec).model
     path = str(tmp_path / "model.json")
-    save_model_file(get_model(*spec).model, path)
+    save_model_file(model, path)
     eliminations = _eliminations_inside(monkeypatch, "invariant_subcomplex")
     calls = count_calls(monkeypatch, (("liealg", "invariant_subcomplex"),))
     assert main(["pages", path, "--format", "machine"]) == 0
     capsys.readouterr()
     assert len(calls["invariant_subcomplex"]) == 1
+    # `pages` builds page 2 alone; the other pages up to one past
+    # E_infinity add their eliminations, none inside invariant_subcomplex
+    fc = specseq.cartan_filtration(model)
+    for r in range(specseq.persistence_pairing(fc).stabilization + 2):
+        specseq.page(fc, r)
     assert len(eliminations) > 20
     # every coadjoint matrix of an abelian algebra is zero: Lambda^q is invariant
     assert any(eliminations) is eliminates
@@ -861,11 +874,13 @@ def test_pages_build_cells_only_on_the_e0_support(tmp_path, monkeypatch, capsys,
         cells.append(len(pg.cells))
         return pg
 
-    monkeypatch.setattr(specseq, "page", counted_page)
+    monkeypatch.setattr(verify, "page", counted_page)
     assert main(["pages", path, "--format", "machine"]) == 0
-    capsys.readouterr()
-    # the full triangle of spots (p, m) would be 1 + 2 + ... + (top + 1) per page
-    assert (len(cells), sum(cells)) == (pages, per_page * pages)
+    doc = json.loads(capsys.readouterr().out)
+    assert len(doc["pages"]) == pages
+    # page 2 is the one page built; the full triangle of spots (p, m) would
+    # be 1 + 2 + ... + (top + 1)
+    assert cells == [per_page]
 
 
 def test_total_degree_budget_admits_every_card_and_benchmark_model():
@@ -1006,3 +1021,25 @@ def test_pages_builds_no_model_element_and_each_basis_once(tmp_path, monkeypatch
     # cohomology all read the model's and the algebra's tables, which list
     # each degree's basis once
     assert sorted(args[1] for args in calls["monomial_basis"]) == list(range(top + 2))
+
+
+def test_an_unreadable_path_is_named_once_and_cut(tmp_path, capsys):
+    """The OS error's text repeats the path; the message names it once, cut."""
+    for path in ("x" * 3000 + ".json", str(tmp_path / ("y" * 200)) + "/" + "z" * 3000):
+        assert main(["validate", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("parse error: cannot read ") and len(err.encode()) < 300, err
+    assert main(["pages", str(tmp_path / "missing.json")]) == 2
+    assert capsys.readouterr().err.endswith(": No such file or directory\n")
+
+
+@pytest.mark.parametrize("command", ["pages", "validate"])
+def test_a_closed_pipe_ends_quietly_with_exit_1(command):
+    path = str(Path(__file__).resolve().parent.parent / "sample_models" / "torus_d3.json")
+    proc = subprocess.Popen([sys.executable, "-m", "cartanss", command, path],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=source_env())
+    proc.stdout.close()  # the reader is gone before the first line is written
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 1
+    assert err == b""

@@ -178,7 +178,7 @@ OPTIMIZED_SCRIPT = textwrap.dedent(
     """
     from fractions import Fraction
 
-    from cartanss import library
+    from cartanss import library, verify
     from cartanss.reports import CertificateError
     from cartanss.specseq import FilteredComplex, page
 
@@ -196,6 +196,12 @@ OPTIMIZED_SCRIPT = textwrap.dedent(
         page(broken, 1)
     except CertificateError as exc:
         print("specseq:", exc)
+    pairing = verify.persistence_pairing
+    verify.persistence_pairing = lambda fc: pairing(fc)._replace(pairs=())
+    try:
+        verify.Analysis(library.get_model("hopf").model).page2
+    except CertificateError as exc:
+        print("verify:", exc)
     """
 )
 
@@ -210,4 +216,6 @@ def test_certificate_checks_still_fire_under_python_O():
     assert proc.stdout.splitlines() == [
         "library: group_torus(2): algebra cohomology (1, 2, 1) is not the binomials (0, 0, 0)",
         "specseq: divisor escapes Z_1 at page E_1, cell (p,q)=(0,1)",
+        "verify: page 2 dims = pairing dims fails: dim and d_2 rank (1, 1) on page 2, "
+        "(1, 0) by the pairing at page E_2, cell (p,q)=(0,1)",
     ]

@@ -19,8 +19,8 @@ from test_specseq import sphere_model
 
 from cartanss.cli import load_model_file
 from cartanss.library import MODEL_NAMES, get_model, random_trivial_product, su2_lie
-from cartanss.model import BasicComplex, EquivariantModel, operator_images
-from cartanss.specseq import iter_pages
+from cartanss.model import BasicComplex, EquivariantModel, total_images
+from cartanss.specseq import page
 from cartanss.verify import Analysis
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -63,13 +63,12 @@ def sparse_values(an: Analysis) -> dict[str, list]:
         + [c for terms in basic.euler_table.values() for _, c in terms]
         + [v for terms in lie.delta_gens for _, v in terms]
         + [v for terms in lie.coadjoint_gens.values() for _, v in terms]
-        + [v for images in operator_images(model).values()
-           for image in images.values() for v in image.values()],
+        + [v for image in total_images(model).values() for v in image.values()],
         "d columns": [a for cols in an.filtration.d_columns for col in cols for _, a in col],
         "Z and classes": [],
         "d_r columns": [],
     }
-    for pg in iter_pages(an.filtration):
+    for pg in (page(an.filtration, r) for r in range(an.stabilization + 2)):
         for cell in pg.cells.values():
             out["Z and classes"] += quotient_values(cell)
         out["d_r columns"] += [a for cols in pg.dr.values() for col in cols for a in col.values()]

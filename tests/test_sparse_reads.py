@@ -46,7 +46,7 @@ from cartanss.library import (
 from cartanss.liealg import LieData, delta_columns, invariant_subcomplex, multi_indices
 from cartanss.qlinalg import Matrix, Quotient, Subspace, graded_cohomology, quotient_map
 from cartanss.reports import CertificateError
-from cartanss.specseq import SpectralPage, iter_pages
+from cartanss.specseq import SpectralPage, page
 from cartanss.verify import (
     Analysis,
     E2Frames,
@@ -130,13 +130,13 @@ def test_sparse_reads_match_the_dense_route_on_every_page_frame_and_transgressio
     for model in differential_models():
         an = Analysis(model)
         fc = an.filtration
-        for pg in iter_pages(fc):
+        for pg in (page(fc, r) for r in range(an.stabilization + 2)):
             want = dense_dr(fc, pg.cells, pg.r)
             assert {pq: dr_matrix(pg, pq) for pq in pg.dr} == want, (model.name, pg.r)
             assert pg.ranks == {pq: rank(m) for pq, m in want.items()}, (model.name, pg.r)
             seen["d_r"] += len(want)
             seen["nonzero d_r"] += sum(not is_zero(m) for m in want.values())
-            seen["d_3"] += pg.r == 3 and not pg.dr_is_zero()
+            seen["d_3"] += pg.r == 3 and any(pg.ranks.values())
         frames = an.frames
         fmats = dense_frames(model, frames)
         for cell in frames.cells:

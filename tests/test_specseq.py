@@ -21,10 +21,12 @@ from oracles import (
     oracle_page,
     preimage,
     seed_image,
+    seed_inverse,
     seed_mismatches,
     seed_quotient_map,
     seed_kernel_basis,
     seed_rref,
+    sparse_columns,
     sum_and_intersect,
     z_space,
 )
@@ -34,13 +36,13 @@ from cartanss.library import MODEL_NAMES, get_model, random_trivial_product, su2
 from cartanss.liealg import LieData
 from cartanss.model import BasicComplex, EquivariantModel, monomial_basis
 from cartanss import liealg, qlinalg, specseq, verify
-from cartanss.qlinalg import Matrix, Subspace, apply_sparse, column_rows, sparse_rank
+from cartanss.qlinalg import Matrix, Subspace, apply_sparse, column_rows, exact, sparse_rank
 from cartanss.reports import CertificateError
 from cartanss.specseq import (
     FilteredComplex,
     cartan_filtration,
-    iter_pages,
     page,
+    persistence_pairing,
 )
 from cartanss.verify import Analysis
 
@@ -97,16 +99,22 @@ def test_hopf_pages_morph_as_expected():
     assert nonzero_ranks(p2) == {(0, 1): 1}
     p3 = page(fc, 3)
     assert p3.dims() == {(0, 0): 1, (2, 1): 1}
-    assert p3.dr_is_zero()
+    assert not nonzero_ranks(p3)
     assert page(fc, 4).dims() == p3.dims()
+
+
+def walked_pages(fc):
+    """page(fc, r) for r = 0 .. E_infinity's page and one past it."""
+    return [page(fc, r) for r in range(persistence_pairing(fc).stabilization + 2)]
 
 
 def test_pages_end_at_stabilization_per_card():
     for name in MODEL_NAMES:
         card = get_model(name)
         fc = cartan_filtration(card.model)
-        rs = [pg.r for pg in iter_pages(fc)]
+        rs = [s.r for s in Analysis(card.model).pages]
         assert rs == list(range(card.expected.stabilization + 1)), name
+        assert persistence_pairing(fc).stabilization == card.expected.stabilization, name
         assert rs[-1] <= len(fc.dims) + 1
 
 
@@ -114,7 +122,7 @@ def test_kronecker_degenerates_at_two():
     fc = cartan_filtration(get_model("kronecker").model)
     p2 = page(fc, 2)
     assert p2.dims() == {(0, 0): 1, (1, 0): 1, (0, 1): 1, (1, 1): 1}
-    assert p2.dr_is_zero()
+    assert not nonzero_ranks(p2)
     assert Analysis(get_model("kronecker").model).stabilization == 2
 
 
@@ -269,12 +277,16 @@ def _convolve(a, b):
     return tuple(out)
 
 
+def su2_cubed_over_the_2_torus():
+    return EquivariantModel("su2x3_t2", direct_sum(su2_lie(), su2_lie(), su2_lie()),
+                            BasicComplex.build([("1", 0), ("a", 1), ("b", 1), ("ab", 2)]))
+
+
 def test_su2_cubed_over_the_2_torus_matches_kunneth():
     """su(2)^3 over the 2-torus, 2048 monomials, non-abelian in every factor:
     H = H(T^2) (x) H(su(2))^(x)3 by Kunneth counting, with the abutment and
     the E_2 certificate passing."""
-    model = EquivariantModel("su2x3_t2", direct_sum(su2_lie(), su2_lie(), su2_lie()),
-                             BasicComplex.build([("1", 0), ("a", 1), ("b", 1), ("ab", 2)]))
+    model = su2_cubed_over_the_2_torus()
     lie_dims = (1,)
     for _ in range(3):
         lie_dims = _convolve(lie_dims, (1, 0, 0, 1))
@@ -295,9 +307,7 @@ def test_every_page_cell_matches_the_seed_quotient_and_dense_d():
     models.append(su2_pair_model((0, 1, 1, 2)))
     for model in models:
         fc = cartan_filtration(model)
-        pages = list(iter_pages(fc))
-        pages.append(page(fc, len(pages)))
-        for pg in pages:
+        for pg in walked_pages(fc):
             r = pg.r
             for (p, q), cell in pg.cells.items():
                 divisor = oracle_divisor(fc, r, p, p + q, {})
@@ -327,9 +337,8 @@ def test_window_pages_match_the_full_triangle_oracle():
     skipped = 0
     for model in oracle_test_models():
         fc = cartan_filtration(model)
-        pages, cache = list(iter_pages(fc)), {}
-        pages.append(page(fc, len(pages)))
-        for pg in pages:
+        cache = {}
+        for pg in walked_pages(fc):
             r = pg.r
             want = oracle_page(fc, r, cache)
             assert pg.dims() == want.dims(), (model.name, r)
@@ -358,34 +367,6 @@ def reuse_test_models():
     return models
 
 
-def test_iter_pages_equals_pages_built_alone():
-    """iter_pages takes kernels and quotients from earlier pages; every page
-    equals page(fc, r) built alone, cell by cell and column by column."""
-    for model, last in ((get_model("hopf").model, 3), (sphere_model(2), 3),
-                        (get_model("trivial_product").model, 2)):
-        fc = cartan_filtration(model)
-        pages = list(iter_pages(fc))
-        assert [pg.r for pg in pages] == list(range(last + 1)), model.name
-        # the last page is E_infinity: the next one has the same cells
-        assert page(fc, last + 1).dims() == pages[-1].dims()
-    models = reuse_test_models()
-    assert "torus_d3" in {model.name for model in models}
-    cells = 0
-    for model in models:
-        fc = cartan_filtration(model)
-        for pg in iter_pages(fc):
-            alone = page(fc, pg.r)
-            assert list(pg.cells) == list(alone.cells), (model.name, pg.r)
-            for pq, cell in pg.cells.items():
-                want = alone.cells[pq]
-                assert (cell.reps, cell.proj, cell.space) == (
-                    want.reps, want.proj, want.space), (model.name, pg.r, pq)
-                cells += 1
-            assert pg.dr == alone.dr and pg.ranks == alone.ranks, (model.name, pg.r)
-            assert pg == alone
-    assert cells > 1000
-
-
 def test_support_is_the_triangle_scan_of_nonempty_windows():
     for model in reuse_test_models():
         fc = cartan_filtration(model)
@@ -396,13 +377,13 @@ def test_support_is_the_triangle_scan_of_nonempty_windows():
 
 
 def test_page_pass_counts_on_the_sphere_chain(monkeypatch):
-    """One iter_pages pass over each of S^3..S^25 runs each kernel block and
-    each cell's quotient once; before blocks and cells were kept it took
-    1224 kernels, 720 quotients and 15932 cuts.  Of the 528 distinct blocks
-    only the 78 with a nonzero entry run sparse_kernel: the others are all
-    of their F^p."""
+    """The page pass over each of S^3..S^25, the persistence pairing and page
+    2 built alone, runs one kernel per block of d and one quotient per cell
+    of the E_0 support, and reads two cuts per cell.  d_2 is the one
+    differential here, so each of page 2's 360 blocks is zero and all of its
+    F^p: none runs sparse_kernel."""
     fcs = [cartan_filtration(sphere_model(k)) for k in range(1, 13)]
-    counts = dict.fromkeys(("sparse_kernel", "quotient_map", "cut"), 0)
+    counts = dict.fromkeys(("sparse_kernel", "quotient_map", "cut", "_kernel"), 0)
     blocks = set()
 
     def counted(name, fn):
@@ -411,55 +392,25 @@ def test_page_pass_counts_on_the_sphere_chain(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    kernel = specseq._kernel
+    kernel = counted("_kernel", specseq._kernel)
 
-    def logged_kernel(fc, block, cache):
+    def logged_kernel(fc, block):
         blocks.add((fcs.index(fc), block))
-        return kernel(fc, block, cache)
+        return kernel(fc, block)
 
     for name in ("sparse_kernel", "quotient_map"):
         monkeypatch.setattr(specseq, name, counted(name, getattr(specseq, name)))
     monkeypatch.setattr(FilteredComplex, "cut", counted("cut", FilteredComplex.cut))
     monkeypatch.setattr(specseq, "_kernel", logged_kernel)
     for fc in fcs:
-        for _ in iter_pages(fc):
-            pass
-    assert counts == {"sparse_kernel": 78, "quotient_map": 516, "cut": 1440}
-    assert len(blocks) == 528
+        persistence_pairing(fc)
+        page(fc, 2)
+    assert sum(len(fc.support) for fc in fcs) == 180
+    assert counts == {"sparse_kernel": 0, "quotient_map": 180, "cut": 360, "_kernel": 360}
+    assert len(blocks) == 360
     nonzero = [(i, (m, k, row)) for i, (m, k, row) in blocks
                if k and column_rows(fcs[i].d_columns[m][:k], row)]
-    assert len(nonzero) == 78
-
-
-def test_iter_pages_keeps_only_what_the_last_page_read(monkeypatch):
-    """Between pages the cache holds exactly the keys the last page asked for."""
-    read = []
-    get = specseq._PageCache.get
-
-    def recorded_get(self, key, default=None):
-        read.append(key)
-        return get(self, key, default)
-
-    build = specseq.page
-    between = 0
-
-    def checked_page(fc, r, cache):
-        nonlocal between
-        if r:
-            assert set(cache) == set(read), r
-            between += 1
-        read.clear()
-        return build(fc, r, cache)
-
-    monkeypatch.setattr(specseq._PageCache, "get", recorded_get)
-    monkeypatch.setattr(specseq, "page", checked_page)
-    models = [sphere_model(k) for k in range(1, 13)]
-    models += [get_model(name).model for name in MODEL_NAMES]
-    models += [su2_pair_model((0, 1)), load_model_file(str(SAMPLES / "torus_d3.json"))]
-    for model in models:
-        for _ in iter_pages(cartan_filtration(model)):
-            pass
-    assert between > 40
+    assert nonzero == []
 
 
 def brute_force_test_models():
@@ -477,12 +428,11 @@ def test_stabilization_and_e_infinity_against_every_page_to_the_bound():
     last walked page."""
     for model in brute_force_test_models():
         fc = cartan_filtration(model)
-        cache: dict = {}
-        walked = [page(fc, r, cache) for r in range(2, len(fc.dims) + 2)]
-        last_d = max((pg.r for pg in walked if not pg.dr_is_zero()), default=1)
+        walked = [page(fc, r) for r in range(2, len(fc.dims) + 2)]
+        last_d = max((pg.r for pg in walked if nonzero_ranks(pg)), default=1)
         an = Analysis(model)
         assert an.stabilization == last_d + 1, model.name
-        assert an.stable.dims() == walked[-1].dims(), model.name
+        assert an.stable.dims == walked[-1].dims(), model.name
 
 
 def test_d3_model_reaches_e_infinity_at_page_four(capsys):
@@ -493,12 +443,125 @@ def test_d3_model_reaches_e_infinity_at_page_four(capsys):
     assert "stabilization: r = 4" in table and "abutment: ok" in table
     an = Analysis(load_model_file(path))
     assert an.valid
-    assert an.page2.dr_is_zero()
+    assert not nonzero_ranks(an.page2)
     assert [s.d_ranks for s in an.pages[2:]] == [{}, {(0, 2): 1}, {}]
     assert an.stabilization == 4 and an.stable.r == 4
-    assert an.stable.dims() == {(0, 0): 1, (0, 1): 2, (3, 1): 2, (3, 2): 1}
+    assert an.stable.dims == {(0, 0): 1, (0, 1): 2, (3, 1): 2, (3, 2): 1}
     assert an.total_cohomology == (1, 2, 0, 0, 2, 1)
     assert an.abutment.passed
+
+
+def pairing_test_models():
+    """reuse_test_models and brute_force_test_models, the first 100 cards of
+    random_trivial_product(Random(0)) and su(2)^3 over the 2-torus."""
+    rng = random.Random(0)
+    models = reuse_test_models() + brute_force_test_models()
+    models += [random_trivial_product(rng).model for _ in range(100)]
+    models.append(su2_cubed_over_the_2_torus())
+    return models
+
+
+def test_persistence_pairing_gives_every_page_up_to_one_past_stabilization():
+    """The pairing's summary of page r is page(fc, r)'s nonzero dims and
+    nonzero d_r ranks, in the same order, for r = 0 .. stabilization + 1."""
+    seen = {"pages": 0, "nonzero d_r at r >= 3": 0, "gap 0": 0, "gap 1": 0}
+    for model in pairing_test_models():
+        fc = cartan_filtration(model)
+        pairing = persistence_pairing(fc)
+        assert sum(pairing.sizes.values()) == sum(fc.dims), model.name
+        for r in range(pairing.stabilization + 2):
+            pg = page(fc, r)
+            got = pairing.summary(r)
+            assert got == (r, pg.dims(), nonzero_ranks(pg)), (model.name, r)
+            assert (list(got.dims), list(got.d_ranks)) == (
+                list(pg.dims()), list(nonzero_ranks(pg))), (model.name, r)
+            seen["pages"] += 1
+            seen["nonzero d_r at r >= 3"] += r >= 3 and bool(got.d_ranks)
+        seen["gap 0"] += any(g == 0 for _, _, g in pairing.pairs)
+        seen["gap 1"] += any(g == 1 for _, _, g in pairing.pairs)
+    assert seen["pages"] > 700 and min(seen.values()) >= 1, seen
+
+
+def sheared(fc, rng):
+    """fc after a random unipotent upper triangular change of basis in each
+    degree.  It keeps every prefix F^p, so every page keeps its dims and d_r
+    ranks, but d's columns now reach several levels at once."""
+    shears = [Matrix.of([[rng.randint(-2, 2) if i < j else int(i == j) for j in range(n)]
+                         for i in range(n)], cols=n) for n in fc.dims]
+    cols = list(fc.d_columns)
+    for m in range(len(fc.dims) - 1):
+        d = matmul(matmul(shears[m + 1], dmat(fc, m)), seed_inverse(shears[m]))
+        cols[m] = tuple(tuple((i, exact(a)) for i, a in col) for col in sparse_columns(d))
+    return FilteredComplex(fc.dims, tuple(cols), fc.prefix)
+
+
+def test_persistence_pairing_is_kept_by_a_change_of_basis_that_keeps_the_filtration():
+    """After `sheared`, reducing a column crosses levels; the pairing still
+    gives the unsheared pairing's pages and page(fc, r) of the sheared
+    complex, for r = 0 .. stabilization + 1."""
+    rng = random.Random(20261025)
+    models = [get_model(name).model for name in MODEL_NAMES]
+    models += [sphere_model(k) for k in range(1, 7)]
+    models.append(load_model_file(str(SAMPLES / "torus_d3.json")))
+    models += [random_trivial_product(rng, tag=f"s{i}").model for i in range(20)]
+    crossing = 0
+    for model in models:
+        fc = cartan_filtration(model)
+        twisted = sheared(fc, rng)
+        check_structure(twisted)
+        want, got = persistence_pairing(fc), persistence_pairing(twisted)
+        assert got.stabilization == want.stabilization, model.name
+        for r in range(want.stabilization + 2):
+            pg = page(twisted, r)
+            assert got.summary(r) == want.summary(r) == (r, pg.dims(), nonzero_ranks(pg)), (
+                model.name, r)
+        level = {(p + q, j): p for p, q, lo, hi in fc.support for j in range(lo, hi)}
+        crossing += sum(len({level[(m + 1, i)] for i, _ in col}) > 1
+                        for m, cols in enumerate(twisted.d_columns) for col in cols)
+    assert crossing > 30
+
+
+def test_persistence_pairing_matches_the_dense_oracle_past_page_two():
+    """On hopf and torus_d3 (d_3 != 0) every page from 3 to one past
+    stabilization equals the full-triangle oracle page."""
+    for model in (get_model("hopf").model, load_model_file(str(SAMPLES / "torus_d3.json"))):
+        fc = cartan_filtration(model)
+        pairing = persistence_pairing(fc)
+        cache = {}
+        for r in range(3, pairing.stabilization + 2):
+            want = oracle_page(fc, r, cache)
+            assert pairing.summary(r) == (r, want.dims(), nonzero_ranks(want)), (model.name, r)
+    assert pairing.summary(3).d_ranks == {(0, 2): 1}
+
+
+def dropped_pair(monkeypatch, k):
+    """Analysis reads a pairing with its k-th pair left out."""
+    real = verify.persistence_pairing
+
+    def dropped(fc):
+        pairing = real(fc)
+        return pairing._replace(pairs=pairing.pairs[:k] + pairing.pairs[k + 1:])
+
+    monkeypatch.setattr(verify, "persistence_pairing", dropped)
+
+
+def test_a_pairing_that_disagrees_with_page_two_is_a_named_certificate(monkeypatch):
+    dropped_pair(monkeypatch, 0)
+    with pytest.raises(CertificateError) as err:
+        Analysis(get_model("hopf").model).page2
+    assert (err.value.cell, err.value.page) == ((0, 1), 2)
+    assert str(err.value) == (
+        "page 2 dims = pairing dims fails: dim and d_2 rank (1, 1) on page 2, (1, 0) "
+        "by the pairing at page E_2, cell (p,q)=(0,1)")
+    # a pair of gap 0 or 1 is a dim on page 2: either end's cell names it
+    model = random_trivial_product(random.Random(0)).model
+    pairs = persistence_pairing(cartan_filtration(model)).pairs
+    k = next(k for k, (_, _, g) in enumerate(pairs) if g < 2)
+    p, q, g = pairs[k]
+    dropped_pair(monkeypatch, k)
+    with pytest.raises(CertificateError, match="page 2 dims = pairing dims") as err:
+        Analysis(model).stabilization
+    assert err.value.page == 2 and err.value.cell in {(p, q), (p + g, q - g + 1)}
 
 
 def test_filtration_stores_prefix_lengths():
@@ -533,8 +596,9 @@ def test_a_broken_divisor_is_a_typed_error_naming_cell_and_page():
 def test_every_matrix_reduced_by_pages_matches_the_seed_rref(tmp_path, monkeypatch, capsys):
     """Cards, S^3..S^25, su(2) + su(2) over a circle (128 monomials) and
     over the 2-torus (256), and thirty random trivial products with dense
-    rational bases: each distinct matrix `pages` reduces, against
-    the seed code.  A block of d with no nonzero entry is reduced by no
+    rational bases: each distinct matrix `pages` reduces, and each that
+    page(fc, r) reduces on the pages up to one past E_infinity, against the
+    seed code.  A block of d with no nonzero entry is reduced by no
     one, so the floor on distinct matrices needs the thirty.  The row reduction `_reduced` and the kernel routine
     `sparse_kernel` take sparse rows; the matrix of those rows is checked
     with seed_mismatches, and each kernel against the seed kernel.  A
@@ -587,6 +651,8 @@ def test_every_matrix_reduced_by_pages_matches_the_seed_rref(tmp_path, monkeypat
         path = str(tmp_path / f"{model.name}.json")
         save_model_file(model, path)
         assert main(["pages", path, "--format", "machine"]) == 0, model.name
+        # `pages` builds page 2 alone; the other pages' d_r are ranked too
+        walked_pages(cartan_filtration(model))
     capsys.readouterr()
     monkeypatch.undo()
     # the ranks of d_r and of the frames moved from rref to sparse_rank

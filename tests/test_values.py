@@ -23,8 +23,16 @@ from cartanss.liealg import LieData
 from cartanss.model import BasicComplex, EquivariantModel
 from cartanss.qlinalg import Matrix, Quotient, Subspace, quotient_map
 from cartanss.reports import CheckResult, ValidationReport
-from cartanss.specseq import AbutmentReport, AbutmentRow, FilteredComplex, SpectralPage
-from cartanss.verify import Analysis, E2Cell, E2Frames, E2Report, PageSummary
+from cartanss.specseq import (
+    AbutmentReport,
+    AbutmentRow,
+    FilteredComplex,
+    PageSummary,
+    Pairing,
+    SpectralPage,
+    persistence_pairing,
+)
+from cartanss.verify import Analysis, E2Cell, E2Frames, E2Report
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -58,6 +66,7 @@ def records(card, an):
         (an.e2.cells[0], "f_rank"),
         (an.e2, "verdict"),
         (an.pages[0], "dims"),
+        (persistence_pairing(an.filtration), "pairs"),
     ]
 
 
@@ -82,7 +91,7 @@ def test_every_value_type_is_covered(kronecker):
     assert covered == {
         CheckResult, ValidationReport, Matrix, Subspace, Quotient, FilteredComplex,
         SpectralPage, AbutmentRow, AbutmentReport, E2Cell, E2Report, E2Frames, PageSummary,
-        BasicComplex, EquivariantModel, LieData, ExpectedResults, ModelCard}
+        Pairing, BasicComplex, EquivariantModel, LieData, ExpectedResults, ModelCard}
 
 
 def test_fields_refuse_assignment(kronecker):
@@ -123,6 +132,8 @@ def test_records_are_named_tuples_with_the_field_repr(kronecker):
         "prefix=((1, 0), (2, 1, 0), (1, 1, 0, 0)))")
     assert repr(an.pages[2]) == (
         "PageSummary(r=2, dims={(0, 0): 1, (0, 1): 1, (1, 0): 1, (1, 1): 1}, d_ranks={})")
+    assert repr(persistence_pairing(an.filtration)) == (
+        "Pairing(sizes={(0, 0): 1, (0, 1): 1, (1, 0): 1, (1, 1): 1}, pairs=())")
     assert repr(an.e2.cells[0]) == "E2Cell(p=0, q=0, product_dim=1, e2_dim=1, f_rank=1)"
     assert repr(an.e2).startswith("E2Report(cells=(E2Cell(p=0, ")
     assert repr(an.e2).endswith("), verdict='isomorphism', lie_realization_ok=True)")
