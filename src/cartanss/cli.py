@@ -19,7 +19,9 @@ bracket antisymmetry orbit (c[b][a][k] = -v is filled in); listing an orbit
 twice is a parse error.  Unknown keys anywhere are parse errors.
 
 Each command reads one verify.Analysis of its model, which computes each
-stage once, on first use; machine_document and render_table render it.
+stage once, on first use.  render_table renders it as text; machine_document
+writes it as JSON, json.dumps(doc, indent=2) of a fixed key order, section
+by section and only after every stage it reads is computed.
 
 Exit codes: 0 success, 1 a validation or expectation failure, 2 parse or
 usage error, or a model with more than model.MAX_AMBIENT_DIM monomials or a
@@ -251,10 +253,6 @@ def save_model_file(model: EquivariantModel, path: str) -> None:
 # one Analysis, two renderings
 
 
-def _pq_key(pq) -> str:
-    return f"{pq[0]},{pq[1]}"
-
-
 def _shown_pages(an: Analysis, max_r: int | None) -> list:
     return [s for s in an.pages if max_r is None or s.r <= max_r]
 
@@ -263,113 +261,73 @@ def _check_lines(an: Analysis) -> list[str]:
     return an.lie_validation.lines() + an.model_validation.lines()
 
 
-def _validation_document(rep: ValidationReport) -> dict:
-    return {
-        "passed": rep.passed,
-        "checks": [{"name": c.name, "passed": c.passed, "detail": c.detail} for c in rep.checks],
-    }
-
-
-def machine_document(an: Analysis, max_r: int | None) -> dict:
-    """The report of a valid model as one JSON-ready document; pages past max_r are left out."""
-    return {
-        "name": an.model.name,
-        "validation": {
-            "lie": _validation_document(an.lie_validation),
-            "model": _validation_document(an.model_validation),
-        },
-        "pages": [
-            {
-                "r": s.r,
-                "dims": {_pq_key(pq): d for pq, d in sorted(s.dims.items())},
-                "d_ranks": {_pq_key(pq): rk for pq, rk in sorted(s.d_ranks.items())},
-            }
-            for s in _shown_pages(an, max_r)
-        ],
-        "stabilization": an.stabilization,
-        "e_infinity": {_pq_key(pq): d for pq, d in sorted(an.stable.dims.items())},
-        "abutment": {
-            "passed": an.abutment.passed,
-            "rows": [
-                {
-                    "degree": row.degree,
-                    "e_infinity": row.stable_total,
-                    "total": row.cohomology_dim,
-                    "match": row.ok,
-                }
-                for row in an.abutment.rows
-            ],
-        },
-        "e2_check": {
-            "verdict": an.e2.verdict,
-            "lie_realization": an.e2.lie_realization_ok,
-            "cells": [
-                {
-                    "p": c.p,
-                    "q": c.q,
-                    "product_dim": c.product_dim,
-                    "e2_dim": c.e2_dim,
-                    "f_rank": c.f_rank,
-                    "ok": c.ok,
-                }
-                for c in an.e2.cells
-            ],
-        },
-        "transgression": {
-            _pq_key(pq): [[str(x) for x in row] for row in m.data]
-            for pq, m in sorted(an.transgression.items())
-        },
-        "total_cohomology": list(an.total_cohomology),
-        "basic_cohomology": [h.dim for h in an.frames.basic],
-    }
-
-
 _quoted = json.encoder.encode_basestring_ascii
+_TRUTH = ("false", "true")
 
 
-def json_text(doc) -> str:
-    """json.dumps(doc, indent=2), byte for byte, without the pure-Python encoder.
+def _block(items: list[str], pad: str, brackets: str = "[]") -> str:
+    """items, each JSON text, as json.dumps(indent=2) writes a list of them at
+    pad's indent; with brackets "{}", items are an object's "key": value texts."""
+    if not items:
+        return brackets
+    inner = "\n" + pad + "  "
+    return brackets[0] + inner + ("," + inner).join(items) + "\n" + pad + brackets[1]
 
-    Strings, ints, bools, lists and dicts with string keys are written
-    here; any other value goes through json.dumps, so one that JSON cannot
-    hold still raises TypeError.
+
+def _cell_map(cells: dict, pad: str) -> str:
+    """A {(p, q): int} map as the JSON object {"p,q": int}, keys in (p, q) order."""
+    return _block([f'"{p},{q}": {v}' for (p, q), v in sorted(cells.items())], pad, "{}")
+
+
+def _validation(rep: ValidationReport, pad: str) -> str:
+    p1, p2, p3 = pad + "  ", pad + "    ", pad + "      "
+    checks = _block([f'{{\n{p3}"name": {_quoted(c.name)},\n{p3}"passed": {_TRUTH[c.passed]},'
+                     f'\n{p3}"detail": {_quoted(c.detail)}\n{p2}}}' for c in rep.checks], p1)
+    return f'{{\n{p1}"passed": {_TRUTH[rep.passed]},\n{p1}"checks": {checks}\n{pad}}}'
+
+
+def machine_document(an: Analysis, max_r: int | None, write, pad: str = "") -> None:
+    """Write the report of a valid model through write, section by section.
+
+    The text is json.dumps(doc, indent=2) of the report's fixed schema,
+    indented by pad past its first line and with no final newline; pages
+    past max_r are left out.  Every stage it reads is computed before the
+    first write, so a CertificateError writes nothing.
     """
-    out: list[str] = []
-    _emit(doc, "\n", out)
-    return "".join(out)
-
-
-def _emit(x, newline: str, out: list[str]) -> None:
-    if isinstance(x, str):
-        out.append(_quoted(x))
-    elif x is True or x is False:
-        out.append("true" if x else "false")
-    elif type(x) is int:
-        out.append(int.__repr__(x))
-    elif isinstance(x, dict):
-        if not x:
-            out.append("{}")
-            return
-        inner = newline + "  "
-        sep = "{" + inner
-        for key, value in x.items():
-            out.append(sep + _quoted(key) + ": ")
-            _emit(value, inner, out)
-            sep = "," + inner
-        out.append(newline + "}")
-    elif isinstance(x, (list, tuple)):
-        if not x:
-            out.append("[]")
-            return
-        inner = newline + "  "
-        sep = "[" + inner
-        for value in x:
-            out.append(sep)
-            _emit(value, inner, out)
-            sep = "," + inner
-        out.append(newline + "]")
-    else:
-        out.append(json.dumps(x))
+    abutment, transgression, e2 = an.abutment, an.transgression, an.e2
+    p1, p2, p3, p4 = (pad + "  " * k for k in range(1, 5))
+    key = ",\n" + p1
+    write(f'{{\n{p1}"name": {_quoted(an.model.name)}{key}"validation": {{'
+          f'\n{p2}"lie": {_validation(an.lie_validation, p2)},'
+          f'\n{p2}"model": {_validation(an.model_validation, p2)}\n{p1}}}')
+    pages = _block([f'{{\n{p3}"r": {s.r},\n{p3}"dims": {_cell_map(s.dims, p3)},'
+                    f'\n{p3}"d_ranks": {_cell_map(s.d_ranks, p3)}\n{p2}}}'
+                    for s in _shown_pages(an, max_r)], p1)
+    write(f'{key}"pages": {pages}{key}"stabilization": {an.stabilization}'
+          f'{key}"e_infinity": {_cell_map(an.stable.dims, p1)}')
+    rows = _block([f'{{\n{p4}"degree": {row.degree},\n{p4}"e_infinity": {row.stable_total},'
+                   f'\n{p4}"total": {row.cohomology_dim},\n{p4}"match": {_TRUTH[row.ok]}\n{p3}}}'
+                   for row in abutment.rows], p2)
+    write(f'{key}"abutment": {{\n{p2}"passed": {_TRUTH[abutment.passed]},'
+          f'\n{p2}"rows": {rows}\n{p1}}}')
+    cells = _block([f'{{\n{p4}"p": {c.p},\n{p4}"q": {c.q},\n{p4}"product_dim": {c.product_dim},'
+                    f'\n{p4}"e2_dim": {c.e2_dim},\n{p4}"f_rank": {c.f_rank},'
+                    f'\n{p4}"ok": {_TRUTH[c.ok]}\n{p3}}}' for c in e2.cells], p2)
+    write(f'{key}"e2_check": {{\n{p2}"verdict": {_quoted(e2.verdict)},'
+          f'\n{p2}"lie_realization": {_TRUTH[e2.lie_realization_ok]},'
+          f'\n{p2}"cells": {cells}\n{p1}}}{key}"transgression": ')
+    opener = "{"
+    for (p, q), m in sorted(transgression.items()):  # one write per matrix row
+        write(f'{opener}\n{p2}"{p},{q}": ')
+        opener, lead = ",", "["
+        for row in m.data:
+            write(f"{lead}\n{p3}" + _block([f'"{x}"' for x in row], p3))
+            lead = ","
+        write("[]" if lead == "[" else f"\n{p2}]")
+    write(("{}" if opener == "{" else f"\n{p1}}}")
+          + f'{key}"total_cohomology": {_block([str(h) for h in an.total_cohomology], p1)}'
+          f'{key}"basic_cohomology": {_block([str(h.dim) for h in an.frames.basic], p1)}'
+          f"\n{pad}}}")
 
 
 def render_table(an: Analysis, max_r: int | None) -> str:
@@ -458,7 +416,9 @@ def cmd_pages(path: str, max_r: int | None, fmt: str) -> int:
         print(f"{model.name}: INVALID, no pages computed", file=sys.stderr)
         return 1
     if fmt == "machine":
-        print(json_text(machine_document(an, max_r)))
+        write = sys.stdout.write
+        machine_document(an, max_r, write)
+        write("\n")
     else:
         print(render_table(an, max_r))
     return 0
@@ -504,12 +464,15 @@ def _run_card(spec: str, fmt: str) -> int:
         results.append(("transgression magnitude", good))
     ok = all(flag for _, flag in results)
     if fmt == "machine":
-        print(json_text({
-            "name": card.model.name,
-            "checks": [{"name": n, "passed": f} for n, f in results],
-            "passed": ok,
-            "report": machine_document(an, None),
-        }))
+        an.transgression  # computed before the first write, as the report's other stages are
+        checks = _block([f'{{\n      "name": {_quoted(label)},'
+                         f'\n      "passed": {_TRUTH[flag]}\n    }}' for label, flag in results],
+                        "  ")
+        write = sys.stdout.write
+        write(f'{{\n  "name": {_quoted(card.model.name)},\n  "checks": {checks},'
+              f'\n  "passed": {_TRUTH[ok]},\n  "report": ')
+        machine_document(an, None, write, "  ")
+        write("\n}\n")
     else:
         print(f"card: {card.model.name} - {card.note}")
         for label, flag in results:

@@ -98,9 +98,6 @@ class E2Report(namedtuple("E2Report", "cells verdict lie_realization_ok")):
     def passed(self) -> bool:
         return self.verdict == "isomorphism" and self.lie_realization_ok
 
-    def first_failure(self) -> E2Cell | None:
-        return next((c for c in self.cells if not c.ok), None)
-
 
 def _lie_realization_ok(lie: LieData, inv) -> bool:
     """Invariants are closed and map isomorphically onto degree-q cohomology.

@@ -17,10 +17,10 @@ from fractions import Fraction
 import pytest
 from oracles import direct_sum, rotated
 from test_liealg import _random_algebras
+from test_specseq import dropped_pair
 
 from cartanss.cli import (
     ModelFileError,
-    json_text,
     load_model_document,
     load_model_file,
     machine_document,
@@ -47,6 +47,7 @@ from cartanss.model import (
     size_error,
 )
 from cartanss import cli, liealg, qlinalg, specseq, verify
+from cartanss.reports import CertificateError
 from cartanss.verify import Analysis
 
 HOPF_DOC = {
@@ -574,7 +575,10 @@ def test_examples_run_trivial_product_validates_once(monkeypatch, capsys):
     assert (len(calls["validate_lie"]), len(calls["validate_model"])) == (1, 1)
 
 
-def test_json_text_writes_the_bytes_of_json_dumps(capsys):
+def test_machine_document_writes_the_bytes_of_json_dumps(monkeypatch, capsys):
+    """The writer's text is json.dumps(indent=2) of what it writes, at every
+    max_r and at a card's indent.  test_output_digests.py and
+    test_reference_digests.py pin its bytes on their models."""
     rng = random.Random(20261022)
     samples = sorted((Path(__file__).resolve().parent.parent / "sample_models").glob("*.json"))
     models = [get_model(name).model for name in MODEL_NAMES]
@@ -582,18 +586,57 @@ def test_json_text_writes_the_bytes_of_json_dumps(capsys):
                if Analysis(model).valid]
     models += [sphere(k) for k in range(1, 5)]
     models += [random_trivial_product(rng, tag=f"j{i}").model for i in range(10)]
+    hopf = get_model("hopf").model
+    models.append(EquivariantModel("\"\\/\n\u00e9\u2603\U0001d11e", hopf.lie, hopf.basic))
     for model in models:
-        doc = machine_document(Analysis(model), None)
-        assert json_text(doc) == json.dumps(doc, indent=2), model.name
+        an = Analysis(model)
+        for max_r in (None, *range(an.stabilization + 2)):
+            chunks, card = [], []
+            machine_document(an, max_r, chunks.append)
+            out = "".join(chunks)
+            doc = json.loads(out)
+            assert out == json.dumps(doc, indent=2), (model.name, max_r)
+            assert doc["name"] == model.name
+            shown = an.stabilization if max_r is None else min(max_r, an.stabilization)
+            assert [page["r"] for page in doc["pages"]] == list(range(shown + 1))
+            machine_document(an, max_r, card.append, "  ")
+            assert "{\n  \"report\": " + "".join(card) + "\n}" == json.dumps(
+                {"report": doc}, indent=2), (model.name, max_r)
     for name in MODEL_NAMES:
         assert main(["examples", "--run", name, "--format", "machine"]) == 0
         out = capsys.readouterr().out
         assert out == json.dumps(json.loads(out), indent=2) + "\n", name
-    edges = {"": [], "e": {}, "s": ["\"\\/\n\u00e9\u2603\U0001d11e"], "n": [0, -7, 10**30],
-             "t": (True, False, None, 1.5), "deep": [[{"k": [[]]}]]}
-    assert json_text(edges) == json.dumps(edges, indent=2)
-    with pytest.raises(TypeError):
-        json_text({"x": [Fraction(1, 2)]})
+    # a failed E_2 check has no transgression: the one empty section
+    monkeypatch.setattr(verify, "_lie_realization_ok", lambda lie, inv: False)
+    chunks = []
+    machine_document(Analysis(hopf), None, chunks.append)
+    out = "".join(chunks)
+    assert json.loads(out)["transgression"] == {}
+    assert out == json.dumps(json.loads(out), indent=2)
+
+
+# trivial_product's card, unlike hopf's, reads no transgression among its
+# checks, and its d is zero, so it has no pair to drop
+@pytest.mark.parametrize("plant, card", [("dropped pair", "hopf"), ("unsolvable d_2", "hopf"),
+                                         ("unsolvable d_2", "trivial_product")])
+def test_a_certificate_failure_writes_nothing_to_stdout(tmp_path, monkeypatch, capsys,
+                                                        plant, card):
+    """A CertificateError in the page pass, the first stage the report reads,
+    or in the transgression, the last, leaves stdout empty in both commands."""
+    if plant == "dropped pair":
+        dropped_pair(monkeypatch, 0)
+    else:
+        def unsolvable(*args):
+            raise ValueError("planted")
+
+        monkeypatch.setattr(verify, "solve_columns", unsolvable)
+    path = str(tmp_path / "model.json")
+    save_model_file(get_model(card).model, path)
+    for argv in (["pages", path, "--format", "machine"],
+                 ["examples", "--run", card, "--format", "machine"]):
+        with pytest.raises(CertificateError):
+            main(argv)
+        assert capsys.readouterr().out == "", argv
 
 
 @pytest.mark.parametrize("source", ["sample_models/hopf.json", "group_torus:3"])

@@ -231,7 +231,7 @@ def test_a_page_missing_a_cell_fails_the_tensor_check_by_rank():
     frames = _e2_frames(model, mutated)
     rep = e2_tensor_check(model, frames)
     assert rep.verdict == "mismatch"
-    bad = rep.first_failure()
+    bad = next(c for c in rep.cells if not c.ok)
     assert (bad.p, bad.q, bad.product_dim, bad.e2_dim, bad.f_rank) == (1, 1, 4, 0, 0)
     assert [(c.p, c.q) for c in rep.cells if not c.ok] == [(1, 1)]
     with pytest.raises(ValueError, match=r"tensor check fails at \(1,1\)"):
