@@ -15,8 +15,9 @@ Model files are JSON:
 All indices are 1-based.  Rationals are integers or strings of ASCII digits,
 optionally signed and optionally followed by "/den"; floats, decimal strings
 and exponents are refused.  Each structure-constant entry [a,b,k,v] fixes its
-bracket antisymmetry orbit (c[b][a][k] = -v is filled in); listing an orbit
-twice is a parse error.  Unknown keys anywhere are parse errors.
+bracket antisymmetry orbit (c[b][a][k] = -v is filled in); listing an orbit,
+or a d_hor or euler entry's indices, twice is a parse error.  Unknown keys
+anywhere are parse errors.
 
 Each command reads one verify.Analysis of its model, which computes each
 stage once, on first use.  render_table renders it as text; machine_document
@@ -163,26 +164,31 @@ def load_model_document(doc, default_name: str = "model") -> EquivariantModel:
         generators.append((gname, deg))
     ng = len(generators)
 
-    d_entries = []
+    d_entries = {}
     for idx, entry in enumerate(_list_at(basic_doc, "d_hor", "basic.d_hor")):
         where = f"basic.d_hor[{idx}]"
         if not isinstance(entry, list) or len(entry) != 3:
             _fail(where, "expected [src, dst, value]")
-        src = _as_index(entry[0], where, 1, ng)
-        dst = _as_index(entry[1], where, 1, ng)
-        d_entries.append((src - 1, dst - 1, _as_rational(entry[2], where)))
-    e_entries = []
+        slot = (_as_index(entry[0], where, 1, ng), _as_index(entry[1], where, 1, ng))
+        if slot in d_entries:
+            _fail(where, f"duplicate entry {list(slot)}")
+        d_entries[slot] = _as_rational(entry[2], where)
+    e_entries = {}
     for idx, entry in enumerate(_list_at(basic_doc, "euler", "basic.euler")):
         where = f"basic.euler[{idx}]"
         if not isinstance(entry, list) or len(entry) != 4:
             _fail(where, "expected [i, src, dst, value]")
-        i = _as_index(entry[0], where, 1, n)
-        src = _as_index(entry[1], where, 1, ng)
-        dst = _as_index(entry[2], where, 1, ng)
-        e_entries.append((i, src - 1, dst - 1, _as_rational(entry[3], where)))
+        slot = (_as_index(entry[0], where, 1, n), _as_index(entry[1], where, 1, ng),
+                _as_index(entry[2], where, 1, ng))
+        if slot in e_entries:
+            _fail(where, f"duplicate entry {list(slot)}")
+        e_entries[slot] = _as_rational(entry[3], where)
 
     try:
-        basic = BasicComplex.build(generators, d_hor=d_entries, euler=e_entries)
+        basic = BasicComplex.build(
+            generators,
+            d_hor=[(src - 1, dst - 1, v) for (src, dst), v in d_entries.items()],
+            euler=[(i, src - 1, dst - 1, v) for (i, src, dst), v in e_entries.items()])
     except ValueError as exc:
         _fail("basic", str(exc))
     # checked before the algebra exists: its delta table has n entries
@@ -439,7 +445,7 @@ def _run_card(spec: str, fmt: str) -> int:
     except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    an = Analysis(card.model, card.validation)
+    an = Analysis(card.model)
     if not an.valid:
         print("\n".join(_check_lines(an)), file=sys.stderr)
         return 1

@@ -5,20 +5,22 @@ reproduce: total cohomology, nonzero second-page dimensions, the stabilization
 page, basic cohomology dims and (where meaningful) the absolute value of the
 single transgression entry.  The fixed cards were derived by hand from the
 defining complexes and are cross-checked in the test suite against the
-brute-force rank oracle; the composable cards derive their expectations by
-Kunneth counting, which never touches the page machinery.
+brute-force rank oracle.  The trivial_product card and random_trivial_product,
+the randomized Kunneth card, derive their expectations by Kunneth counting,
+which never touches the page machinery.
 """
 
 from __future__ import annotations
 
 import random
+from collections import namedtuple
 from fractions import Fraction
 from math import comb
 
-from .liealg import LieData, delta_columns, validate_lie
-from .model import BasicComplex, EquivariantModel, size_error, validate_model
+from .liealg import LieData, delta_columns
+from .model import BasicComplex, EquivariantModel, size_error
 from .qlinalg import apply_sparse, as_q, cohomology_dims, solve_columns, sparse_rank
-from .reports import CertificateError, ReadOnly, ValidationReport, shown
+from .reports import CertificateError, shown
 
 MODEL_NAMES = (
     "hopf",
@@ -39,63 +41,21 @@ DESCRIPTIONS = {
 }
 
 
-class ExpectedResults(ReadOnly):
+class ExpectedResults(namedtuple("ExpectedResults", "total_cohomology e2_dims stabilization "
+                                   "basic_cohomology d2_abs_at_01",
+                                   defaults=(2, (1,), None))):
     """The numbers a correct engine reproduces on a card.
 
-    e2_dims maps each nonzero cell (p, q) of page 2 to its dimension; it
-    takes no part in equality and hash, which compare the other four.
+    e2_dims maps each nonzero cell (p, q) of page 2 to its dimension.
     """
 
-    def __init__(self, total_cohomology: tuple[int, ...], e2_dims: dict,
-                 stabilization: int = 2, basic_cohomology: tuple[int, ...] = (1,),
-                 d2_abs_at_01: int | None = None):
-        vars(self).update(total_cohomology=total_cohomology, e2_dims=e2_dims,
-                          stabilization=stabilization, basic_cohomology=basic_cohomology,
-                          d2_abs_at_01=d2_abs_at_01)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.total_cohomology, self.stabilization, self.basic_cohomology,
-                 self.d2_abs_at_01)
-                == (other.total_cohomology, other.stabilization, other.basic_cohomology,
-                    other.d2_abs_at_01))
-
-    def __hash__(self):
-        return hash((self.total_cohomology, self.stabilization, self.basic_cohomology,
-                     self.d2_abs_at_01))
-
-    def __repr__(self):
-        return (f"{type(self).__qualname__}(total_cohomology={self.total_cohomology!r}, "
-                f"e2_dims={self.e2_dims!r}, stabilization={self.stabilization!r}, "
-                f"basic_cohomology={self.basic_cohomology!r}, "
-                f"d2_abs_at_01={self.d2_abs_at_01!r})")
+    __slots__ = ()
 
 
-class ModelCard(ReadOnly):
-    """A model with its expected results.
+class ModelCard(namedtuple("ModelCard", "model expected note", defaults=("",))):
+    """A model with its expected results."""
 
-    validation holds the (Lie, model) validation reports where building
-    the card already ran them, for verify.Analysis to reuse; it takes no
-    part in equality and hash, which compare model, expected and note.
-    """
-
-    def __init__(self, model: EquivariantModel, expected: ExpectedResults, note: str = "",
-                 validation: tuple[ValidationReport, ValidationReport] | None = None):
-        vars(self).update(model=model, expected=expected, note=note, validation=validation)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.model, self.expected, self.note)
-                == (other.model, other.expected, other.note))
-
-    def __hash__(self):
-        return hash((self.model, self.expected, self.note))
-
-    def __repr__(self):
-        return (f"{type(self).__qualname__}(model={self.model!r}, expected={self.expected!r}, "
-                f"note={self.note!r}, validation={self.validation!r})")
+    __slots__ = ()
 
 
 def su2_lie() -> LieData:
@@ -193,35 +153,22 @@ def _kunneth_expected(basic_dims: tuple[int, ...], lie_dims: tuple[int, ...]) ->
     )
 
 
-def _trivial_product_card(basic=None, lie=None) -> ModelCard:
-    if basic is None:
-        basic = BasicComplex.build(
-            [("1", 0), ("a1", 1), ("a2", 1), ("a12", 2)]
-        )
-    if lie is None:
-        lie = LieData.abelian(2)
-    if basic.euler_entries:
-        raise ValueError("trivial product requires zero Euler operators")
+def _trivial_product_card() -> ModelCard:
+    basic = BasicComplex.build([("1", 0), ("a1", 1), ("a2", 1), ("a12", 2)])
+    lie = LieData.abelian(2)
     model = EquivariantModel("trivial_product", lie, basic)
-    # the expectations below count ranks and trust d^2 = 0
-    validation = (validate_lie(lie), validate_model(model))
-    failed = validation[0].failures() + validation[1].failures()
-    if failed:
-        raise ValueError("trivial_product: invalid model, no card built:\n"
-                         + "\n".join(c.line() for c in failed))
     # H(B, d_hor) by plain rank counting, with no page machinery
     basic_dims = cohomology_dims(basic.d_hor_columns(p) for p in range(basic.max_degree + 1))
     expected = _kunneth_expected(basic_dims, _lie_dims(lie))
-    return ModelCard(model, expected, DESCRIPTIONS["trivial_product"], validation)
+    return ModelCard(model, expected, DESCRIPTIONS["trivial_product"])
 
 
-def get_model(name: str, param=None, *, basic=None, lie=None) -> ModelCard:
+def get_model(name: str, param=None) -> ModelCard:
     """Look up a library card by name, with the card's parameter if it takes one.
 
     weighted_hopf takes a nonzero integer weight (default 2); group_torus takes
     the torus rank n >= 1 (default 2), up to the size limit of
-    model.MAX_AMBIENT_DIM; trivial_product accepts a custom (basic, lie) pair
-    with zero Euler operators.  Unknown names and invalid parameters raise
+    model.MAX_AMBIENT_DIM.  Unknown names and invalid parameters raise
     ValueError.
     """
     if name == "hopf":
@@ -260,8 +207,8 @@ def get_model(name: str, param=None, *, basic=None, lie=None) -> ModelCard:
         return card
     if name == "trivial_product":
         if param is not None:
-            raise ValueError("trivial_product is configured by basic/lie, not a parameter")
-        return _trivial_product_card(basic, lie)
+            raise ValueError("trivial_product takes no parameter")
+        return _trivial_product_card()
     raise ValueError(f"unknown model name: {shown(name)}")
 
 

@@ -41,7 +41,7 @@ fraction-free and made primitive (gcd content removed), and `_reduced`
 divides each row by its pivot once, at the end, which leaves a row whose
 pivot entry is 1 or -1 in ints.  The reduced echelon form is unique, so
 `Matrix.rref` and `quotient_map` give the same values as dense Gauss-Jordan
-elimination.  One row, or one column, skips the core.
+elimination.
 There is one kernel routine, `sparse_kernel`, over sparse rows: it reduces
 once, with the columns reversed, and the kernel vectors solved from that
 form are already the reduced echelon basis of the kernel.
@@ -241,20 +241,13 @@ def column_rows(columns, start: int = 0) -> list[list[tuple[int, Fraction]]]:
 
 
 def _reduced(rows, cols: int) -> dict[int, dict[int, Fraction]]:
-    """The RREF of nonzero sparse rows, as {pivot: {column: value} past the pivot}.
+    """The RREF of nonzero sparse rows in Q^cols, as {pivot: {column: value} past the pivot}.
 
     rows are lists of (column, value) pairs in increasing column order,
-    zeros left out.  The first
-    row, divided by its leading entry, is the whole answer when it is the
-    only one or when there is one column.  Any other set of rows goes through
-    the integer elimination `_echelon`, and each row is divided by its pivot
-    once, at the end; a row whose pivot entry is 1 or -1 stays in integers.
+    zeros left out.  They go through the integer elimination `_echelon`,
+    and each row is divided by its pivot once, at the end; a row whose
+    pivot entry is 1 or -1 stays in integers.
     """
-    if not rows:
-        return {}
-    if len(rows) == 1 or cols == 1:
-        (pivot, lead), *tail = rows[0]
-        return {pivot: {j: _ratio(x, lead) for j, x in tail}}
     out = {}
     for pivot, row in _echelon(_integer_rows(rows)):
         lead = row.pop(pivot)
@@ -576,8 +569,8 @@ class Quotient(ReadOnly):
     window is (lo, hi) when v is a coordinate prefix and the quotient is
     the coordinate window [lo, hi) itself: the representatives are the
     window's coordinates in order, and the class of x is x on the window.
-    It takes no part in equality and hash, which compare space, pivots and
-    classes.
+    It takes no part in equality, which compares space, pivots and classes.
+    A quotient is not hashable: classes is a dict.
     """
 
     __slots__ = ("space", "pivots", "classes", "window")
@@ -595,9 +588,6 @@ class Quotient(ReadOnly):
             return NotImplemented
         return ((self.space, self.pivots, self.classes)
                 == (other.space, other.pivots, other.classes))
-
-    def __hash__(self):
-        return hash((self.space, self.pivots, self.classes))
 
     def __repr__(self):
         return (f"{type(self).__qualname__}(space={self.space!r}, pivots={self.pivots!r}, "

@@ -2,11 +2,13 @@
 `shown` for echoing input in a message, and the read-only base of the
 package's value types.
 
-The package's plain records, such as CheckResult and ValidationReport, are
-named tuples: their fields are read-only, their repr is Name(field=...),
-and they compare and hash as the tuple of their fields.  A value type that
-keeps state outside equality, or compares in its own way, is a ReadOnly
-subclass with an explicit __init__, __eq__, __hash__ and __repr__.
+The package's plain records, such as CheckResult, ValidationReport, a
+spectral page and a library card, are named tuples: their fields are
+read-only, their repr is Name(field=...), and they compare and hash as the
+tuple of their fields (one that holds a dict does not hash).  A value type
+that keeps state outside equality, or compares in its own way, is a
+ReadOnly subclass with an explicit __init__, __eq__ and __repr__, and a
+__hash__ where its compared fields hash.
 """
 
 from __future__ import annotations

@@ -62,7 +62,8 @@ bookkeeping pages of the bigraded model; the geometric content starts at
 r = 2.
 
 `FilteredComplex.support` lists the nonempty E_0 windows once, and a page
-walks that list.  `verify.Analysis` builds only page 2 as quotients, whose
+walks that list; `SpectralPage` is the plain record of its cells, d_r
+columns and ranks.  `verify.Analysis` builds only page 2 as quotients, whose
 representatives and d_2 the frames, the E_2 check and the transgression
 read.  Every page's dims and d_r ranks, E_infinity and the stabilization
 come from one persistence pairing of d (`persistence_pairing`), which
@@ -89,7 +90,7 @@ from .qlinalg import (
     sparse_kernel,
     sparse_rank,
 )
-from .reports import CertificateError, ReadOnly
+from .reports import CertificateError
 
 
 class FilteredComplex(namedtuple("FilteredComplex", "dims d_columns prefix")):
@@ -167,7 +168,7 @@ def cartan_filtration(model: EquivariantModel) -> FilteredComplex:
     return FilteredComplex(tuple(dims), tuple(columns), tuple(prefix))
 
 
-class SpectralPage(ReadOnly):
+class SpectralPage(namedtuple("SpectralPage", "r cells dr ranks")):
     """Page r: its cells, d_r per source cell, and the rank of each d_r.
 
     cells[(p, q)] is E_r^(p,q) at a spot of the E_0 support, the Quotient
@@ -177,29 +178,14 @@ class SpectralPage(ReadOnly):
     {class index: value} per representative of the cell, in the
     coordinates of the target cell (p + r, q - r + 1); where there is no
     nonzero target every column is empty.  ranks[pq] is the rank of dr[pq],
-    counted from the same columns; it takes no part in equality and hash,
-    which compare r, cells and dr.
+    counted from the same columns.
     """
 
-    def __init__(self, r: int, cells: dict[tuple[int, int], Quotient],
-                 dr: dict[tuple[int, int], list[dict[int, Fraction]]],
-                 ranks: dict[tuple[int, int], int]):
-        vars(self).update(r=r, cells=cells, dr=dr, ranks=ranks)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.r, self.cells, self.dr) == (other.r, other.cells, other.dr)
-
-    def __hash__(self):
-        return hash((self.r, self.cells, self.dr))
-
-    def __repr__(self):
-        return (f"{type(self).__qualname__}(r={self.r!r}, cells={self.cells!r}, "
-                f"dr={self.dr!r}, ranks={self.ranks!r})")
+    __slots__ = ()
 
     def dims(self) -> dict[tuple[int, int], int]:
         return {pq: c.dim for pq, c in self.cells.items() if c.dim}
+
 
 def _kernel(fc: FilteredComplex, block: tuple[int, int, int]) -> Subspace:
     """The kernel of block (m, k, row) of d^m, rows row: and columns :k, in C^m.

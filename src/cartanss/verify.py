@@ -27,9 +27,10 @@ columns; only the matrix it returns is dense.  Where delta is zero into
 and out of degree q, H^q is Lambda^q with the identity projection, and the
 realization check there is a comparison of dimensions with no elimination.
 
-`Analysis(model)` is the whole report of one model, from validation to the
-transgression.  Each stage is computed once, on first use, from the stages
-it needs; the functions here take those stages as inputs.
+`Analysis(model)`, given the model alone, is the whole report of one model,
+from validation to the transgression.  Each stage is computed once, on
+first use, from the stages it needs; the functions here take those stages
+as inputs, and the frames they share are a plain record, `E2Frames`.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ from .qlinalg import (
     solve_columns,
     sparse_rank,
 )
-from .reports import CertificateError, ReadOnly, ValidationReport
+from .reports import CertificateError, ValidationReport
 from .specseq import (
     AbutmentReport,
     AbutmentRow,
@@ -125,32 +126,15 @@ def _lie_realization_ok(lie: LieData, inv) -> bool:
     return True
 
 
-class E2Frames(ReadOnly):
+class E2Frames(namedtuple("E2Frames", "page2 cells f_columns basic invariants")):
     """Page 2 with the tensor frames F(alpha (x) beta) of every cell.
 
     f_columns[(p, q)] holds F's columns at (p, q), one per pair alpha (x)
     beta, each as {class index: value}; basic is basic_cohomology's
-    Quotients and invariants the invariant subspaces, per degree.  Those
-    three take no part in equality and hash, which compare page2 and cells.
+    Quotients and invariants the invariant subspaces, per degree.
     """
 
-    def __init__(self, page2: SpectralPage, cells: tuple[E2Cell, ...], f_columns: dict,
-                 basic: tuple[Quotient, ...], invariants: tuple):
-        vars(self).update(page2=page2, cells=cells, f_columns=f_columns, basic=basic,
-                          invariants=invariants)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.page2, self.cells) == (other.page2, other.cells)
-
-    def __hash__(self):
-        return hash((self.page2, self.cells))
-
-    def __repr__(self):
-        return (f"{type(self).__qualname__}(page2={self.page2!r}, cells={self.cells!r}, "
-                f"f_columns={self.f_columns!r}, basic={self.basic!r}, "
-                f"invariants={self.invariants!r})")
+    __slots__ = ()
 
 
 def _e2_frames(model: EquivariantModel, pg2: SpectralPage) -> E2Frames:
@@ -255,16 +239,11 @@ class Analysis:
     """Every report stage of one model, each computed once, on first use.
 
     The stages past validation start at `filtration`, which refuses a model
-    that fails validation (`valid`).  `validation`, the (Lie, model)
-    reports of this model where they were already run, stands in for
-    running them again.
+    that fails validation (`valid`).
     """
 
-    def __init__(self, model: EquivariantModel,
-                 validation: tuple[ValidationReport, ValidationReport] | None = None):
+    def __init__(self, model: EquivariantModel):
         self.model = model
-        if validation is not None:
-            self.lie_validation, self.model_validation = validation
 
     @cached_property
     def lie_validation(self) -> ValidationReport:

@@ -67,13 +67,22 @@ engine used before it read classes sparse: every d(rep) and every alpha (x)
 beta is a dense vector of C^m, tested with `contains` and projected with the
 dense `proj`.  `dr_matrix` and `f_matrix` make a page's sparse d_r columns
 and the frames' sparse columns into the dense matrices those compare with.
+
+`heisenberg_nilmanifold(k)` is the (2k+1)-dimensional Heisenberg
+nilmanifold as a circle bundle over the 2k-torus: B = Lambda(a_1..a_k,
+b_1..b_k) with one basic generator per monomial, d_hor = 0 and E_1 the
+wedge with the Euler class omega = sum a_i b_i, over the abelian algebra of
+rank 1.  `santharoubane_betti(k)` is its Betti numbers in closed form
+(Santharoubane, 1983): C(2k, j) - C(2k, j-2) for j <= k, and the rest by
+Poincare duality.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction as Q
-from itertools import product
+from itertools import combinations, product
+from math import comb
 
 from cartanss.liealg import LieData, all_multi_indices, multi_indices
 from cartanss.model import BasicComplex, EquivariantModel, degree_basis, monomial_basis
@@ -822,3 +831,32 @@ def dense_transgression(frames, dr: dict, fmats: dict) -> dict:
         else:
             out[src] = matmul(matmul(seed_inverse(t_tgt), dr[src]), fmats[src])
     return out
+
+
+def heisenberg_nilmanifold(k: int) -> EquivariantModel:
+    """The Heisenberg nilmanifold of dimension 2k+1: E_1 = omega ^ on Lambda(a, b), d_hor = 0.
+
+    Letters a_i and b_i are 0-based positions i-1 and k+i-1, and a monomial
+    is its increasing tuple of letters.  omega ^ x_S has the term a_i b_i x_S
+    for each i with neither letter in S, whose sign is that of sorting
+    (a_i, b_i, S): one transposition per letter of S below a_i or below b_i.
+    """
+    letters = [f"a{i}" for i in range(1, k + 1)] + [f"b{i}" for i in range(1, k + 1)]
+    monomials = [s for d in range(2 * k + 1) for s in combinations(range(2 * k), d)]
+    index = {s: g for g, s in enumerate(monomials)}
+    euler = []
+    for s in monomials:
+        for a, b in ((i, k + i) for i in range(k)):
+            if a in s or b in s:
+                continue
+            swaps = sum(x < a for x in s) + sum(x < b for x in s)
+            euler.append((1, index[s], index[tuple(sorted(s + (a, b)))], (-1) ** swaps))
+    generators = [("^".join(letters[x] for x in s) or "1", len(s)) for s in monomials]
+    return EquivariantModel(f"heisenberg_nil({k})", LieData.abelian(1),
+                            BasicComplex.build(generators, euler=euler))
+
+
+def santharoubane_betti(k: int) -> tuple[int, ...]:
+    """dim H^j of the (2k+1)-dimensional Heisenberg nilmanifold, j = 0..2k+1."""
+    low = [comb(2 * k, j) - (comb(2 * k, j - 2) if j >= 2 else 0) for j in range(k + 1)]
+    return tuple(low + low[::-1])

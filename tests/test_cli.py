@@ -292,6 +292,17 @@ def test_validate_exit_codes(tmp_path, capsys):
     assert main(["validate", str(tmp_path / "missing.json")]) == 2
 
 
+@pytest.mark.parametrize("key, entries, message", [
+    ("d_hor", [[1, 2, 1], [2, 1, 1], [1, 2, "-1/2"]], "basic.d_hor[2]: duplicate entry [1, 2]"),
+    ("euler", [[1, 1, 2, 1], [1, 1, 2, 1]], "basic.euler[1]: duplicate entry [1, 1, 2]"),
+])
+def test_a_duplicated_basic_entry_is_named_by_its_position_and_file_indices(
+        tmp_path, capsys, key, entries, message):
+    doc = dict(HOPF_DOC, basic=dict(HOPF_DOC["basic"], **{key: entries}))
+    assert main(["validate", write_doc(tmp_path, doc)]) == 2
+    assert capsys.readouterr().err == f"parse error: {message}\n"
+
+
 def test_degree_violations_are_validation_failures_not_parse_errors(tmp_path, capsys):
     doc = {
         "lie": {"n": 1},
@@ -568,7 +579,7 @@ def test_examples_run_computes_every_stage_once(monkeypatch, capsys):
 
 
 def test_examples_run_trivial_product_validates_once(monkeypatch, capsys):
-    """The card validates its model before counting ranks; the report reuses those reports."""
+    """The card builds no validation of its own, so the report validates once."""
     calls = count_calls(monkeypatch)
     assert main(["examples", "--run", "trivial_product", "--format", "machine"]) == 0
     assert json.loads(capsys.readouterr().out)["passed"] is True

@@ -3,8 +3,11 @@
 Every name the package root exports resolves, and every top-level function
 and class of src/cartanss is used somewhere in the package outside its own
 definition, unless the root exports it or it is one of the few names that
-only callers outside the package use.  Reference definitions the tests
-compare the engine against live in tests/oracles.py, not in the package.
+only callers outside the package use.  Every method and property of a class
+there, apart from the dunders, is named somewhere in the package outside
+its own body, with the same kind of short list of exceptions.  Reference
+definitions the tests compare the engine against live in tests/oracles.py,
+not in the package.
 """
 
 from __future__ import annotations
@@ -24,6 +27,16 @@ OUTSIDE_CALLERS = {
     ("library", "heisenberg_model"),
     ("library", "mutated_jacobi_lie"),
     ("library", "rescaled_su2_lie"),
+}
+
+# methods named only from outside the package: the dense Matrix forms that
+# the tests build and reduce (perfbench's trace wraps Matrix.rref), and a
+# quotient's dense representatives and projection, which the tests read
+OUTSIDE_METHODS = {
+    "Matrix.of",
+    "Matrix.rref",
+    "Quotient.reps",
+    "Quotient.proj",
 }
 
 
@@ -77,3 +90,45 @@ def test_every_top_level_definition_has_a_caller_in_the_package():
         "a": "def used():\n    pass\n\ndef lonely(n):\n    return lonely(n - 1)\n",
         "b": "from .a import used, lonely\n\ndef caller():\n    return used()\n",
     }) == [("a", "lonely"), ("b", "caller")]
+
+
+def unnamed_methods(sources: dict[str, str]) -> list[str]:
+    """Class.method for each non-dunder method or property of a class of
+    sources, a map module -> text, whose name no Name or Attribute node of
+    any module holds outside the method's own body."""
+    trees = [ast.parse(text) for text in sources.values()]
+    named: dict[str, list[int]] = {}  # name -> node id of each Name or Attribute holding it
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                named.setdefault(node.attr, []).append(id(node))
+            elif isinstance(node, ast.Name):
+                named.setdefault(node.id, []).append(id(node))
+    out = []
+    for tree in trees:
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for method in cls.body:
+                if (not isinstance(method, ast.FunctionDef)
+                        or method.name.startswith("__") and method.name.endswith("__")):
+                    continue
+                inside = {id(node) for node in ast.walk(method)}
+                if not any(node not in inside for node in named.get(method.name, ())):
+                    out.append(f"{cls.name}.{method.name}")
+    return out
+
+
+def test_every_method_is_named_in_the_package_outside_its_body():
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
+    # exactly the listed exceptions: none missing and none stale
+    assert sorted(unnamed_methods(sources)) == sorted(OUTSIDE_METHODS)
+    # the guard sees a planted method and property that nothing else names,
+    # the method calling only itself; a dunder is never reported
+    assert unnamed_methods({
+        "a": "class A:\n    def used(self):\n        return 1\n\n"
+             "    def lonely(self, n):\n        return self.lonely(n - 1)\n\n"
+             "    @property\n    def size(self):\n        return 0\n\n"
+             "    def __repr__(self):\n        return ''\n",
+        "b": "from .a import A\n\ndef caller():\n    return A().used()\n",
+    }) == ["A.lonely", "A.size"]

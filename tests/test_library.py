@@ -14,16 +14,15 @@ import pytest
 
 import cartanss
 from cartanss import library
-from cartanss.liealg import LieData, lie_cohomology, validate_lie
+from cartanss.liealg import lie_cohomology, validate_lie
 from cartanss.library import (
     MODEL_NAMES,
     all_default_cards,
     get_model,
     heisenberg_model,
-    mutated_jacobi_lie,
     random_trivial_product,
 )
-from cartanss.model import BasicComplex, EquivariantModel, total_cohomology, validate_model
+from cartanss.model import total_cohomology, validate_model
 from cartanss.reports import CertificateError
 from cartanss.verify import Analysis
 
@@ -91,47 +90,11 @@ def test_torus_parameter_and_binomials():
 
 
 def test_parameterless_cards_reject_parameters():
-    for name in ("hopf", "kronecker", "group_su2"):
-        with pytest.raises(ValueError):
+    for name in ("hopf", "kronecker", "group_su2", "trivial_product"):
+        with pytest.raises(ValueError, match="takes no parameter"):
             get_model(name, 3)
     with pytest.raises(ValueError, match="unknown model name"):
         get_model("lens_space")
-
-
-def test_trivial_product_rejects_euler_data():
-    basic = BasicComplex.build([("1", 0), ("v", 2)], euler=[(1, 0, 1, 1)])
-    with pytest.raises(ValueError, match="zero Euler"):
-        get_model("trivial_product", basic=basic)
-
-
-@pytest.mark.parametrize("case", ["d_hor squared", "jacobi identity"])
-def test_trivial_product_refuses_invalid_data_and_names_the_failed_checks(case):
-    """The card's expectations count ranks and trust d^2 = 0, so invalid data
-    is refused before any is counted, with every failed check listed."""
-    if case == "d_hor squared":
-        # x (deg 1) -> y (deg 2) -> x: d_hor^2 != 0, and y -> x is not degree +1
-        basic = BasicComplex.build([("1", 0), ("x", 1), ("y", 2)], d_hor=[(1, 2, 1), (2, 1, 1)])
-        kwargs = {"basic": basic}
-    else:
-        kwargs = {"lie": mutated_jacobi_lie()}
-    probe = EquivariantModel("trivial_product", kwargs.get("lie", LieData.abelian(2)),
-                             kwargs.get("basic", get_model("trivial_product").model.basic))
-    failed = validate_lie(probe.lie).failures() + validate_model(probe).failures()
-    assert case in [c.name for c in failed] and len(failed) >= 3
-    with pytest.raises(ValueError) as err:
-        get_model("trivial_product", **kwargs)
-    assert str(err.value).splitlines() == [
-        "trivial_product: invalid model, no card built:", *(c.line() for c in failed)]
-
-
-def test_trivial_product_custom_lie():
-    card = get_model(
-        "trivial_product",
-        basic=BasicComplex.build([("1", 0)]),
-        lie=LieData.from_structure_constants(3, {(1, 2, 3): 1}),
-    )
-    assert card.expected.total_cohomology == (1, 0, 0, 1)
-    assert total_cohomology(card.model) == (1, 0, 0, 1)
 
 
 def test_heisenberg_model_is_the_rejection_fixture():

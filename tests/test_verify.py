@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction as Q
 from pathlib import Path
 
@@ -15,12 +16,15 @@ from oracles import (
     dr_matrix,
     element_to_vector,
     f_matrix,
+    heisenberg_nilmanifold,
     is_zero,
     matmul,
     rank,
+    santharoubane_betti,
     wedge_ce_delta,
 )
 
+from cartanss.cli import machine_document
 from cartanss.liealg import LieData, invariant_subcomplex, lie_cohomology
 from cartanss.library import MODEL_NAMES, get_model
 from cartanss.model import BasicComplex, EquivariantModel, validate_model
@@ -246,3 +250,20 @@ def test_readme_python_api_example_prints_what_its_comments_say(capsys):
     exec(compile(block, "README.md", "exec"), {})
     assert capsys.readouterr().out.splitlines() == [
         line.split("  # ", 1)[1] for line in prints]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_heisenberg_nilmanifolds_have_santharoubanes_betti_numbers(k):
+    """Nonzero Euler data on a basic complex of 2^(2k) generators: the total
+    cohomology is the closed form, the abutment and the E_2 factorization
+    hold, d_2 = omega ^ is the last nonzero differential, and the machine
+    report is the bytes of json.dumps(indent=2) of what it writes."""
+    an = Analysis(heisenberg_nilmanifold(k))
+    assert an.valid
+    assert an.total_cohomology == santharoubane_betti(k)
+    assert an.abutment.passed and an.e2.passed
+    assert an.stabilization == 3
+    chunks = []
+    machine_document(an, None, chunks.append)
+    text = "".join(chunks)
+    assert text == json.dumps(json.loads(text), indent=2)
