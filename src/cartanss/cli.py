@@ -323,11 +323,12 @@ def machine_document(an: Analysis, max_r: int | None, write, pad: str = "") -> N
           f'\n{p2}"lie_realization": {_TRUTH[e2.lie_realization_ok]},'
           f'\n{p2}"cells": {cells}\n{p1}}}{key}"transgression": ')
     opener = "{"
-    for (p, q), m in sorted(transgression.items()):  # one write per matrix row
+    for (p, q), t in sorted(transgression.items()):  # one write per matrix row
         write(f'{opener}\n{p2}"{p},{q}": ')
         opener, lead = ",", "["
-        for row in m.data:
-            write(f"{lead}\n{p3}" + _block([f'"{x}"' for x in row], p3))
+        for i in range(t.rows):
+            row = [f'"{col[i]}"' if i in col else '"0"' for col in t.columns]
+            write(f"{lead}\n{p3}" + _block(row, p3))
             lead = ","
         write("[]" if lead == "[" else f"\n{p2}]")
     write(("{}" if opener == "{" else f"\n{p1}}}")
@@ -378,8 +379,8 @@ def render_table(an: Analysis, max_r: int | None) -> str:
     if an.transgression:
         out.append("")
         out.append("transgression d_2 in tensor bases:")
-        for (p, q), m in sorted(an.transgression.items()):
-            rows = [[str(x) for x in row] for row in m.data]
+        for (p, q), t in sorted(an.transgression.items()):
+            rows = [[str(t.entry(i, j)) for j in range(len(t.columns))] for i in range(t.rows)]
             out.append(f"  ({p},{q}) -> ({p + 2},{q - 1}): {rows}")
     out.append("")
     out.append(f"total cohomology dims: {list(an.total_cohomology)}")

@@ -214,8 +214,11 @@ def _derive_delta(L: LieData, I: MultiIndex) -> Terms:
     """
     out: dict[MultiIndex, Fraction] = {}
     for j, i in enumerate(I):
+        gen = L.delta_gens[i - 1]
+        if not gen:
+            continue
         rest = I[:j] + I[j + 1:]
-        for (a, b), v in L.delta_gens[i - 1]:
+        for (a, b), v in gen:
             hit = _insert(rest, b)
             if hit is None:
                 continue
@@ -250,8 +253,11 @@ def _coadjoint_terms(L: LieData, ell: int, I: MultiIndex) -> Terms:
     gens = L.coadjoint_gens
     out: dict[MultiIndex, Fraction] = {}
     for j, i in enumerate(I):
+        terms = gens.get((ell, i))
+        if not terms:
+            continue
         rest = I[:j] + I[j + 1:]
-        for k, w in gens.get((ell, i), ()):
+        for k, w in terms:
             hit = _insert(rest, k)
             if hit is None:
                 continue

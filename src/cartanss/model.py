@@ -160,8 +160,8 @@ class BasicComplex(ReadOnly):
         An entry whose target is not of degree p+1 is left out; validate_model reports it.
         """
         table, gens, index = self.d_hor_table, self.generators, self.degree_index
-        return tuple(tuple(sorted((index[h], c) for h, c in table.get(g, ())
-                                  if c and gens[h][1] == p + 1))
+        return tuple(tuple(sorted((index[h], c) for h, c in table[g]
+                                  if c and gens[h][1] == p + 1)) if g in table else ()
                      for g in self.gens_of_degree(p))
 
 
@@ -199,14 +199,14 @@ def monomial_basis(model: EquivariantModel, k: int) -> tuple[tuple[int, MultiInd
 
     Within one horizontal degree: generators in declaration order, then
     multi-indices lexicographically.  The descending order makes every
-    filtration step a coordinate prefix.
+    filtration step a coordinate prefix.  Only the horizontal degrees p
+    with 0 <= k - p <= n hold monomials of degree k, and only those are
+    visited.
     """
     out: list[tuple[int, MultiIndex]] = []
     n = model.lie.n
-    for p in range(model.basic.max_degree, -1, -1):
+    for p in range(min(model.basic.max_degree, k), max(k - n, 0) - 1, -1):
         q = k - p
-        if q < 0 or q > n:
-            continue
         for g in model.basic.gens_of_degree(p):
             for I in multi_indices(n, q):
                 out.append((g, I))
@@ -276,7 +276,8 @@ def degree_basis(
 
 
 def _add(out: Image, key: Monomial, value: Fraction) -> None:
-    out[key] = out.get(key, 0) + value
+    y = out.get(key)
+    out[key] = value if y is None else y + value
 
 
 def total_images(model: EquivariantModel) -> dict[Monomial, Image]:
@@ -295,11 +296,9 @@ def total_images(model: EquivariantModel) -> dict[Monomial, Image]:
         p = basic.degree_of(g)
         hor = dm.get(g, ())
         for I in indices:
-            hi: Image = {}
-            for dst, coeff in hor:
-                _add(hi, (dst, I), coeff)
-            vert = {(g, J): w if p % 2 else -w for J, w in delta_terms(lie, I)}
-            euler: Image = {}
+            # d21, d10 and d01 change the chi-count by -1, 0 and +1: disjoint
+            # supports, summed into one image in that order
+            image: Image = {}
             for j, gen in enumerate(I):
                 hits = em.get((gen, g))
                 if not hits:
@@ -307,9 +306,12 @@ def total_images(model: EquivariantModel) -> dict[Monomial, Image]:
                 odd = (p + j) % 2
                 J = I[:j] + I[j + 1:]
                 for dst, coeff in hits:
-                    _add(euler, (dst, J), -coeff if odd else coeff)
-            # d21, d10 and d01 change the chi-count by -1, 0 and +1: disjoint supports
-            table[(g, I)] = {k: v for part in (euler, hi, vert) for k, v in part.items() if v}
+                    _add(image, (dst, J), -coeff if odd else coeff)
+            for dst, coeff in hor:
+                _add(image, (dst, I), coeff)
+            for J, w in delta_terms(lie, I):
+                image[(g, J)] = w if p % 2 else -w
+            table[(g, I)] = {k: v for k, v in image.items() if v}
     model._images.update(table)
     return model._images
 

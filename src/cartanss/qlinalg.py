@@ -29,10 +29,10 @@ vector lies in it iff it has no nonzero entry at or past k, and its
 coordinates are its own entries, so `quotient_map` and `class_of` on a
 prefix eliminate only among the divisor's vectors, and a prefix quotient
 that no divisor vector touches on the window is the window itself.  Dense
-rows are built at the edges only: the transgression matrices, rendering
-and the tests.  `Matrix` is that dense form: it is built from rows or
-sparse columns, read by entry, and reduced by `Matrix.rref`, which no
-report calls.
+rows are built at the edges only: the public `basis`, `reps` and `proj`,
+and the tests; the renders write the transgression's rows from its sparse
+columns.  `Matrix` is that dense form: it is built from rows, read by
+entry, and reduced by `Matrix.rref`, which no report calls.
 
 Row reduction has one core, `_echelon`, which works over the integers: each
 nonzero row is scaled by the lcm of its denominators (a row of ints goes in
@@ -219,11 +219,12 @@ def sparse_rank(vectors) -> int:
     """Rank of vectors given sparse, as {column: value}.
 
     One forward pass of the integer core, with no dense row and no back
-    reduction; zero entries and zero vectors count for nothing.
+    reduction; zero entries and zero vectors count for nothing, and one
+    nonzero vector has rank 1 with no pass.
     """
     rows = [entries for entries in ([(j, a) for j, a in x.items() if a] for x in vectors)
             if entries]
-    return len(_triangular(_integer_rows(rows))) if rows else 0
+    return len(_triangular(_integer_rows(rows))) if len(rows) > 1 else len(rows)
 
 
 def column_rows(columns, start: int = 0) -> list[list[tuple[int, Fraction]]]:
@@ -240,8 +241,8 @@ def column_rows(columns, start: int = 0) -> list[list[tuple[int, Fraction]]]:
     return [rows[i] for i in sorted(rows)]
 
 
-def _reduced(rows, cols: int) -> dict[int, dict[int, Fraction]]:
-    """The RREF of nonzero sparse rows in Q^cols, as {pivot: {column: value} past the pivot}.
+def _reduced(rows) -> dict[int, dict[int, Fraction]]:
+    """The RREF of nonzero sparse rows, as {pivot: {column: value} past the pivot}.
 
     rows are lists of (column, value) pairs in increasing column order,
     zeros left out.  They go through the integer elimination `_echelon`,
@@ -342,19 +343,6 @@ class Matrix(ReadOnly):
             raise ValueError("a matrix with no rows needs an explicit column count")
         return cls(data, cols)
 
-    @classmethod
-    def zero(cls, rows: int, cols: int) -> "Matrix":
-        return cls(tuple(tuple([_ZERO] * cols) for _ in range(rows)), cols)
-
-    @classmethod
-    def from_columns(cls, columns, rows: int) -> "Matrix":
-        """The rows x len(columns) matrix whose j-th column is columns[j], as {row: value}."""
-        data = [[_ZERO] * len(columns) for _ in range(rows)]
-        for j, col in enumerate(columns):
-            for i, a in col.items():
-                data[i][j] = as_q(a)
-        return cls(tuple(map(tuple, data)), len(columns))
-
     @property
     def rows(self) -> int:
         return len(self.data)
@@ -374,7 +362,7 @@ class Matrix(ReadOnly):
     def rref(self) -> tuple["Matrix", tuple[int, ...]]:
         """Reduced row echelon form and the pivot column indices, by `_reduced`."""
         nc = self.cols
-        echelon = _reduced(column_rows(self.sparse_columns()), nc)
+        echelon = _reduced(column_rows(self.sparse_columns()))
         out = _dense_rows(echelon, nc)
         out.extend([(_ZERO,) * nc] * (len(self.data) - len(out)))
         return Matrix(tuple(out), nc), tuple(echelon)
@@ -391,7 +379,7 @@ class Subspace(ReadOnly):
 
     A space whose rows are the first k unit vectors is the coordinate
     prefix [0, k), and keeps k as `prefix` (None for any other space).
-    `prefix_space`, `full` and `zero` build one and `from_echelon`
+    `prefix_space` and `full` build one and `from_echelon`
     recognises one; its echelon, equality, hash and repr are those of any
     other Subspace.  A prefix row is the unit vector at its pivot, so x is
     in the space iff x has no nonzero entry at or past k, and x at the
@@ -452,19 +440,12 @@ class Subspace(ReadOnly):
         return cls(ambient_dim, {i: {} for i in range(k)}, k)
 
     @classmethod
-    def zero(cls, ambient_dim: int) -> "Subspace":
-        return cls.prefix_space(ambient_dim, 0)
-
-    @classmethod
     def full(cls, ambient_dim: int) -> "Subspace":
         return cls.prefix_space(ambient_dim, ambient_dim)
 
     @property
     def dim(self) -> int:
         return len(self._echelon)
-
-    def is_zero(self) -> bool:
-        return self.dim == 0
 
 
 def _eliminate(
@@ -728,21 +709,25 @@ def graded_cohomology(maps):
     represent a basis of H^q: ker d_q is one `sparse_kernel` of d_q's rows,
     and d_(q-1)'s nonzero columns are the divisor of `quotient_map`, which
     raises ValueError where one is not in ker d_q (d^2 != 0).  A zero d_q
-    has all of C^q as kernel and a zero d_(q-1) leaves ker d_q as it is,
-    with no elimination.  maps may be lazy: each d_q is read once, used as a
-    kernel and kept as the next degree's image, and a consumer that stops
-    early builds no more.
+    has all of C^q as kernel, with no rows gathered, and a zero d_(q-1)
+    leaves ker d_q as it is, with no elimination.  maps may be lazy: each
+    d_q is read once, used as a kernel and kept as the next degree's image,
+    and a consumer that stops early builds no more.
     """
     below: list[dict[int, Fraction]] = []  # the nonzero columns of d_(q-1)
     for cols in maps:
         size = len(cols)
-        ker = Subspace.from_echelon(size, sparse_kernel(column_rows(cols), size))
+        image = [dict(col) for col in cols if col]
+        if image:
+            ker = Subspace.from_echelon(size, sparse_kernel(column_rows(cols), size))
+        else:
+            ker = Subspace.full(size)
         if below:
             yield quotient_map(ker, below)
         else:
             ech = ker.echelon()
             yield Quotient(ker, tuple(ech), {pivot: {i: 1} for i, pivot in enumerate(ech)})
-        below = [dict(col) for col in cols if col]
+        below = image
 
 
 def cohomology_dims(maps) -> tuple[int, ...]:

@@ -25,9 +25,17 @@ what the projection pi onto the window forgets, and
 
     E_r^{p,q} = pi(Z_r^p) / pi(d Z_(r-1)^(p-r+1)),
 
-one pass of qlinalg.quotient_map over the window columns.  That pass also
-checks that d Z_(r-1)^(p-r+1) lies in Z_r^p, and its representatives are
-rows of Z_r^p in C^m, the same ones the full quotient would choose.
+one pass of qlinalg.quotient_map over the window columns.  Only the images
+that reach the window [k(p+1, m), k(p, m)) are passed to it.  Z_(r-1)^(p-r+1)
+contains F^p C^(m-1), so its echelon rows with pivot before k(p+1, m-1)
+are the unit vectors of F^(p+1), whose images lie in F^(p+1) C^m, below
+the window: d is not applied to them at all.  Of the other rows' images,
+one that misses the window lies in F^(p+1) too.  Each image dropped is
+zero under pi, and its containment in Z_r^p only restates d^2 = 0, which
+validate_model certifies on every monomial before any filtration is built.
+The pass checks that every image it is given lies in Z_r^p, and its
+representatives are rows of Z_r^p in C^m, the same ones the full quotient
+would choose.
 
 The differentials are very sparse (for a torus acting on itself d is zero),
 so the complex keeps each d^m only by the nonzero entries of its columns,
@@ -140,31 +148,49 @@ class FilteredComplex(namedtuple("FilteredComplex", "dims d_columns prefix")):
         """(p, q, lo, hi) for each nonempty E_0 window [lo, hi) = [k(p+1, m), k(p, m)).
 
         m = p + q; in order of m, then p.  These are the spots that get a
-        cell on every page.
+        cell on every page.  Each degree is walked down from p = m only until
+        k(p, m) reaches dim C^m: the levels do not decrease as p falls, so
+        every window below that is empty.
         """
-        return tuple((p, m - p, levels[p + 1], levels[p])
-                     for m, levels in enumerate(self.prefix)
-                     for p in range(m + 1) if levels[p + 1] != levels[p])
+        out = []
+        for m, levels in enumerate(self.prefix):
+            spots = []
+            p, hi = m + 1, 0
+            while hi < levels[0]:
+                p -= 1
+                lo, hi = hi, levels[p]
+                if lo != hi:
+                    spots.append((p, m - p, lo, hi))
+            out.extend(reversed(spots))
+        return tuple(out)
 
 
 def cartan_filtration(model: EquivariantModel) -> FilteredComplex:
     """Filtration by horizontal degree of the invariant-forms model.
 
     Monomial bases are ordered by descending horizontal degree, so each F^p
-    is a coordinate prefix.  d is read column-sparse off the model's
-    monomial images (model.total_columns).  The model must pass
-    validate_model.
+    is a coordinate prefix, and k(p, m), the count of basis degrees >= p,
+    is read off one walk down the basis: the walk stops at each level p,
+    from m + 1 down to 0, where the degrees fall below p.  d is read
+    column-sparse off the model's monomial images (model.total_columns).
+    The model must pass validate_model.
     """
     top = max_total_degree(model)
+    gens = model.basic.generators
     dims = []
     columns = []
     prefix = []
     for m in range(top + 1):
         basis, _ = degree_basis(model, m)
-        degrees = [model.basic.degree_of(g) for g, _ in basis]
-        dims.append(len(basis))
+        levels = [0] * (m + 2)
+        i, size = 0, len(basis)
+        for p in range(m + 1, -1, -1):
+            while i < size and gens[basis[i][0]][1] >= p:
+                i += 1
+            levels[p] = i
+        dims.append(size)
         columns.append(total_columns(model, m))
-        prefix.append(tuple(sum(1 for deg in degrees if deg >= p) for p in range(m + 2)))
+        prefix.append(tuple(levels))
     return FilteredComplex(tuple(dims), tuple(columns), tuple(prefix))
 
 
@@ -214,16 +240,26 @@ def _image(cols: SparseColumns, space: Subspace, pivot: int) -> dict:
     return apply_sparse(cols, space.sparse_row(pivot))
 
 
-def _boundaries(fc: FilteredComplex, m: int, born: Subspace) -> list[dict]:
-    """d born in C^m, born a space of C^(m-1): the nonzero images of its basis rows.
+def _boundaries(fc: FilteredComplex, block: tuple[int, int, int], start: int,
+                lo: int) -> list[dict]:
+    """The images under d of the rows of born = _kernel(fc, block) with pivot
+    >= start that have an entry at or past lo.
 
-    Each is kept by its nonzero entries, {coordinate: value}.
+    Each is kept by its nonzero entries, {coordinate: value}.  born lies in
+    the first k coordinates, k the block's column count, so with start >= k
+    no row is left and born is not built.  The rows of a prefix are read by
+    their pivots alone, with no walk over the ones before start.
     """
-    if born.is_zero():
+    m, k, _ = block
+    if start >= k:
         return []
-    cols = fc.d_columns[m - 1]
-    images = (_image(cols, born, pivot) for pivot in born.echelon())
-    return [y for y in images if y]
+    born = _kernel(fc, block)
+    prefix = born.prefix
+    pivots = (range(start, prefix) if prefix is not None
+              else [j for j in born.echelon() if j >= start])
+    cols = fc.d_columns[m]
+    images = (_image(cols, born, pivot) for pivot in pivots)
+    return [y for y in images if y and max(y) >= lo]
 
 
 def page(fc: FilteredComplex, r: int) -> SpectralPage:
@@ -235,9 +271,14 @@ def page(fc: FilteredComplex, r: int) -> SpectralPage:
     other spot is E_r = pi(Z_r^p) / pi(d Z_(r-1)^(p-r+1)), pi the
     projection onto its window: Z_r^p meets F^(p+1) in Z_(r-1)^(p+1), which
     is the rest of the divisor, so quotient_map works on the window columns
-    alone.  It still checks that d Z_(r-1)^(p-r+1) lies in Z_r^p, and the
-    representatives are rows of Z_r^p in C^m.  No two spots share a block of
-    d, since their windows are nonempty, so no kernel is kept for another.
+    alone, and it is given only the images that reach the window: born =
+    Z_(r-1)^(p-r+1) contains F^p, so its rows with pivot before k(p+1, m-1)
+    are the unit vectors of F^(p+1), whose images are zero on the window and
+    lie in Z_r^p by d^2 = 0 alone (validate_model certifies it), and d is
+    applied only to the rows at or past that pivot (`_boundaries`).  Each
+    image it is given is checked to lie in Z_r^p, and the representatives
+    are rows of Z_r^p in C^m.  No two spots share a block of d, since their
+    windows are nonempty, so no kernel is kept for another.
 
     d_r of a representative is d applied to its sparse echelon row, and its
     class in the target cell is one class read: the elimination through the
@@ -250,9 +291,9 @@ def page(fc: FilteredComplex, r: int) -> SpectralPage:
     for p, q, lo, hi in fc.support:
         m = p + q
         z = _kernel(fc, (m, hi, fc.cut(p + r, m + 1)))
-        born = _kernel(fc, (m - 1, fc.cut(p - r + 1, m - 1), hi))
+        w = _boundaries(fc, (m - 1, fc.cut(p - r + 1, m - 1), hi), fc.cut(p + 1, m - 1), lo)
         try:
-            cells[(p, q)] = quotient_map(z, _boundaries(fc, m, born), window=(lo, hi))
+            cells[(p, q)] = quotient_map(z, w, window=(lo, hi))
         except ValueError:
             raise CertificateError(f"divisor escapes Z_{r}", (p, q), r) from None
     dr: dict[tuple[int, int], list[dict[int, Fraction]]] = {}

@@ -23,9 +23,11 @@ the cocycles, which checks that it lies there and gives its class.  The
 ranks come from those sparse columns by qlinalg.sparse_rank.  The
 transgression stays sparse too: page 2's d_2 columns applied to each source
 frame column, then one solve through a tagged echelon of the target frame's
-columns; only the matrix it returns is dense.  Where delta is zero into
-and out of degree q, H^q is Lambda^q with the identity projection, and the
-realization check there is a comparison of dimensions with no elimination.
+columns, whose solutions are kept as they come, one `Transgression` record
+of sparse columns per source cell; only the renders write its zeros.  Where
+delta is zero into and out of degree q, H^q is Lambda^q with the identity
+projection, and the realization check there is a comparison of dimensions
+with no elimination.
 
 `Analysis(model)`, given the model alone, is the whole report of one model,
 from validation to the transgression.  Each stage is computed once, on
@@ -47,7 +49,6 @@ from .liealg import (
 )
 from .model import EquivariantModel, degree_basis, validate_model
 from .qlinalg import (
-    Matrix,
     Quotient,
     apply_sparse,
     cohomology_dims,
@@ -197,7 +198,27 @@ def e2_tensor_check(model: EquivariantModel, frames: E2Frames) -> E2Report:
     )
 
 
-def d2_transgression(frames: E2Frames) -> dict[tuple[int, int], Matrix]:
+class Transgression(namedtuple("Transgression", "rows columns")):
+    """d_2 at one source cell in the tensor bases, kept by its sparse columns.
+
+    rows is the target's dimension, dim H^(p+2)(B) (x) H^(q-1); columns[j]
+    is the image of the j-th basis element alpha (x) beta of the source, as
+    {row: value} of its nonzero entries in qlinalg's scalar form.  shape
+    and entry read it as the dense matrix it stands for, with 0 where a
+    column has no entry.
+    """
+
+    __slots__ = ()
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (self.rows, len(self.columns))
+
+    def entry(self, i: int, j: int):
+        return self.columns[j].get(i, 0)
+
+
+def d2_transgression(frames: E2Frames) -> dict[tuple[int, int], Transgression]:
     """d_2 written in the tensor bases, per source cell with nonzero product dim.
 
     Entry at (p, q) maps H^p(B) (x) H^q to H^(p+2)(B) (x) H^(q-1) coordinates:
@@ -206,9 +227,10 @@ def d2_transgression(frames: E2Frames) -> dict[tuple[int, int], Matrix]:
     y is solved through one tagged echelon of F_target's columns per target
     cell (qlinalg.solve_columns), with no dense product and no inverse; a y
     outside their span raises CertificateError at the target cell, page 2.
-    Only the returned matrix is dense, with Fraction entries.  Requires the
-    tensor check to pass, otherwise the frames are not invertible and there
-    is no honest change of basis.
+    The solutions are the Transgression's columns as they come: nothing
+    dense is built, so the stage holds only the nonzero entries.  Requires
+    the tensor check to pass, otherwise the frames are not invertible and
+    there is no honest change of basis.
     """
     bad = next((c for c in frames.cells if not c.ok), None)
     if bad is not None:
@@ -223,7 +245,7 @@ def d2_transgression(frames: E2Frames) -> dict[tuple[int, int], Matrix]:
         tgt = (cell.p + 2, cell.q - 1)
         f_tgt = frames.f_columns.get(tgt)
         if not f_tgt:
-            out[src] = Matrix.zero(0, cell.product_dim)
+            out[src] = Transgression(0, [{} for _ in range(cell.product_dim)])
             continue
         d2 = [tuple(col.items()) for col in frames.page2.dr[src]]
         images = [apply_sparse(d2, x) for x in frames.f_columns[src]]
@@ -231,7 +253,7 @@ def d2_transgression(frames: E2Frames) -> dict[tuple[int, int], Matrix]:
             cols = solve_columns(f_tgt, images)
         except ValueError:
             raise CertificateError("d_2 not solvable in the target frame", tgt, 2) from None
-        out[src] = Matrix.from_columns(cols, len(f_tgt))
+        out[src] = Transgression(len(f_tgt), cols)
     return out
 
 
@@ -311,5 +333,5 @@ class Analysis:
         return e2_tensor_check(self.model, self.frames)
 
     @cached_property
-    def transgression(self) -> dict[tuple[int, int], Matrix]:
+    def transgression(self) -> dict[tuple[int, int], Transgression]:
         return d2_transgression(self.frames) if self.e2.passed else {}

@@ -65,8 +65,10 @@ cell, which the next page must match.
 `dense_dr`, `dense_frames` and `dense_transgression` are the dense route the
 engine used before it read classes sparse: every d(rep) and every alpha (x)
 beta is a dense vector of C^m, tested with `contains` and projected with the
-dense `proj`.  `dr_matrix` and `f_matrix` make a page's sparse d_r columns
-and the frames' sparse columns into the dense matrices those compare with.
+dense `proj`.  `dr_matrix`, `f_matrix` and `transgression_matrix` make a
+page's sparse d_r columns, the frames' sparse columns and a transgression
+record into the dense matrices those compare with; `from_columns` and
+`zero_matrix` build a dense matrix from sparse columns or of zeros.
 
 `heisenberg_nilmanifold(k)` is the (2k+1)-dimensional Heisenberg
 nilmanifold as a circle bundle over the 2k-torus: B = Lambda(a_1..a_k,
@@ -641,12 +643,31 @@ def sparse_columns(m: Matrix) -> tuple:
     )
 
 
+def zero_matrix(rows: int, cols: int) -> Matrix:
+    return Matrix.of([[0] * cols for _ in range(rows)], cols=cols)
+
+
+def from_columns(columns, rows: int) -> Matrix:
+    """The rows x len(columns) matrix whose j-th column is columns[j], as {row: value}."""
+    data = [[0] * len(columns) for _ in range(rows)]
+    for j, col in enumerate(columns):
+        for i, a in col.items():
+            data[i][j] = a
+    return Matrix.of(data, cols=len(columns))
+
+
+def transgression_matrix(t) -> Matrix:
+    """A verify.Transgression as the dense matrix it stands for, read by entry."""
+    rows, cols = t.shape
+    return Matrix.of([[t.entry(i, j) for j in range(cols)] for i in range(rows)], cols=cols)
+
+
 def dmat(fc: FilteredComplex, m: int) -> Matrix:
     """d^m : C^m -> C^(m+1) as a dense matrix, zero outside the complex."""
     rows = fc.ambient(m + 1)
     if not 0 <= m < len(fc.dims):
-        return Matrix.zero(rows, fc.ambient(m))
-    return Matrix.from_columns([dict(col) for col in fc.d_columns[m]], rows)
+        return zero_matrix(rows, fc.ambient(m))
+    return from_columns([dict(col) for col in fc.d_columns[m]], rows)
 
 
 def check_structure(fc: FilteredComplex) -> None:
@@ -747,7 +768,7 @@ def homology_dims(pg: SpectralPage) -> dict[tuple[int, int], int]:
 def dr_matrix(pg: SpectralPage, pq: tuple[int, int]) -> Matrix:
     """d_r at pq as a dense target dim x source dim matrix, from pg.dr's sparse columns."""
     tgt = pg.cells.get((pq[0] + pg.r, pq[1] - pg.r + 1))
-    return Matrix.from_columns(pg.dr[pq], 0 if tgt is None else tgt.dim)
+    return from_columns(pg.dr[pq], 0 if tgt is None else tgt.dim)
 
 
 def f_matrix(frames, pq: tuple[int, int]) -> Matrix | None:
@@ -756,7 +777,7 @@ def f_matrix(frames, pq: tuple[int, int]) -> Matrix | None:
     if cols is None:
         return None
     cell = frames.page2.cells.get(pq)
-    return Matrix.from_columns(cols, 0 if cell is None else cell.dim)
+    return from_columns(cols, 0 if cell is None else cell.dim)
 
 
 def dense_dr(fc: FilteredComplex, cells: dict, r: int) -> dict:
@@ -769,7 +790,7 @@ def dense_dr(fc: FilteredComplex, cells: dict, r: int) -> dict:
             continue
         tgt = cells.get((p + r, q - r + 1))
         if tgt is None or tgt.dim == 0:
-            dr[(p, q)] = Matrix.zero(0, cell.dim)
+            dr[(p, q)] = zero_matrix(0, cell.dim)
             continue
         cols = []
         d = dmat(fc, p + q)
@@ -827,7 +848,7 @@ def dense_transgression(frames, dr: dict, fmats: dict) -> dict:
         src, tgt = (cell.p, cell.q), (cell.p + 2, cell.q - 1)
         t_tgt = fmats.get(tgt)
         if t_tgt is None or t_tgt.rows == 0:
-            out[src] = Matrix.zero(0, cell.product_dim)
+            out[src] = zero_matrix(0, cell.product_dim)
         else:
             out[src] = matmul(matmul(seed_inverse(t_tgt), dr[src]), fmats[src])
     return out

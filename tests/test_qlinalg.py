@@ -11,6 +11,7 @@ from oracles import (
     contains,
     dense_apply,
     divisor_vectors,
+    from_columns,
     identity_rows,
     matmul,
     preimage,
@@ -24,6 +25,7 @@ from oracles import (
     seed_span,
     sparse_columns,
     sum_and_intersect,
+    zero_matrix,
 )
 
 from cartanss.qlinalg import (
@@ -48,7 +50,7 @@ def kernel(m: Matrix) -> Subspace:
 
 def rand_matrix(rng, rows, cols, den=3):
     if rows == 0:
-        return Matrix.zero(0, cols)
+        return zero_matrix(0, cols)
     return Matrix.of(
         [[Q(rng.randint(-4, 4), rng.randint(1, den)) for _ in range(cols)] for _ in range(rows)]
     )
@@ -118,7 +120,7 @@ def test_inverse():
             with pytest.raises(ValueError, match="depends on the columns before it"):
                 solve_columns(columns, units)
             continue
-        inverse = Matrix.from_columns(solve_columns(columns, units), n)
+        inverse = from_columns(solve_columns(columns, units), n)
         assert inverse == seed_inverse(m)
         assert matmul(m, inverse) == Matrix.of(identity_rows(n))
     assert singular >= 3
@@ -131,7 +133,7 @@ def test_inverse():
 def span(d, rows) -> Subspace:
     """The engine's row space of dense rows: the RREF of `_reduced`."""
     sparse = [[(j, x) for j, x in enumerate(row) if x] for row in rows]
-    return Subspace.from_echelon(d, _reduced([row for row in sparse if row], d))
+    return Subspace.from_echelon(d, _reduced([row for row in sparse if row]))
 
 
 def test_subspace_equality_is_canonical():
@@ -170,7 +172,7 @@ def test_sum_and_intersect_worked_example():
     b = seed_span(2, [[1, 1]])
     s, i = sum_and_intersect(a, b)
     assert s == Subspace.full(2)
-    assert i == Subspace.zero(2)
+    assert i == Subspace.prefix_space(2, 0)
 
 
 def test_sum_and_intersect_dimension_identity():
@@ -288,7 +290,7 @@ def test_quotient_map_matches_the_seed_algorithm_on_random_pairs():
         v = seed_span(d, sparse_rows(rng, rng.randint(0, d), d))
         case = i % 4
         if case == 0:
-            w = Subspace.zero(d)
+            w = Subspace.prefix_space(d, 0)
         elif case == 1:
             w = v
         elif case == 2:
@@ -454,7 +456,7 @@ def test_sparse_kernel_matches_the_seed_kernel_on_wild_matrices():
                    and all(canonical(a) and a for a in tail.values())
                    for f, tail in got.items()), m
         # the RREF of the rows: the seed's row space, in the same scalar form
-        red = _reduced([row for row in sparse if row], cols)
+        red = _reduced([row for row in sparse if row])
         assert Subspace.from_echelon(cols, red) == seed_span(cols, data), m
         assert all(canonical(a) and a for tail in red.values() for a in tail.values()), m
         # zero rows may be left out
@@ -490,7 +492,7 @@ def test_a_lazy_subspace_equals_hashes_and_prints_like_a_dense_one():
         one = lazy()
         assert (one == d) is False and one != (d, dense.basis)
         if d:
-            other = Subspace.full(d) if dense.dim < d else Subspace.zero(d)
+            other = Subspace.full(d) if dense.dim < d else Subspace.prefix_space(d, 0)
             assert lazy() != other and other != lazy()
 
 
@@ -553,7 +555,7 @@ def test_class_read_matches_contains_vector_and_the_dense_proj():
 
 
 def test_a_prefix_is_recognised_and_compares_like_any_subspace():
-    assert (Subspace.full(4).prefix, Subspace.zero(4).prefix) == (4, 0)
+    assert (Subspace.full(4).prefix, Subspace.prefix_space(4, 0).prefix) == (4, 0)
     assert Subspace.from_echelon(5, {0: {}, 1: {}, 2: {}}).prefix == 3
     assert Subspace.from_echelon(5, {}).prefix == 0
     # a unit row past the prefix, or a row with a tail, is a general space

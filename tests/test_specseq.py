@@ -10,6 +10,7 @@ import pytest
 from oracles import (
     check_structure,
     dense_apply,
+    heisenberg_nilmanifold,
     direct_sum,
     dmat,
     dr_matrix,
@@ -33,7 +34,7 @@ from oracles import (
 
 from cartanss.cli import load_model_file, main, save_model_file
 from cartanss.library import MODEL_NAMES, get_model, random_trivial_product, su2_lie
-from cartanss.liealg import LieData
+from cartanss.liealg import LieData, multi_indices
 from cartanss.model import BasicComplex, EquivariantModel, monomial_basis
 from cartanss import liealg, qlinalg, specseq, verify
 from cartanss.qlinalg import Matrix, Subspace, apply_sparse, column_rows, exact, sparse_rank
@@ -223,7 +224,7 @@ def differential_test_models():
 def oracle_z_space(fc, r, p, m):
     """Z_r by its definition: F^p meeting the preimage of F^(p+r), by Zassenhaus."""
     if fc.ambient(m) == 0:
-        return Subspace.zero(0)
+        return Subspace.prefix_space(0, 0)
     return sum_and_intersect(filt(fc, p, m), preimage(dmat(fc, m), filt(fc, p + r, m + 1)))[1]
 
 
@@ -378,11 +379,17 @@ def test_support_is_the_triangle_scan_of_nonempty_windows():
 
 def test_page_pass_counts_on_the_sphere_chain(monkeypatch):
     """The page pass over each of S^3..S^25, the persistence pairing and page
-    2 built alone, runs one kernel per block of d and one quotient per cell
-    of the E_0 support, and reads two cuts per cell.  d_2 is the one
-    differential here, so each of page 2's 360 blocks is zero and all of its
-    F^p: none runs sparse_kernel."""
+    2 built alone, runs one quotient per cell of the E_0 support and reads
+    three cuts per cell: the two blocks' and k(p+1, m-1), where the rows of
+    Z_1^(p-1) whose images can reach the window start.  It runs one kernel
+    per block of d it needs: Z_2 in every cell, and Z_1^(p-1) only where it
+    has columns at or past k(p+1, m-1), in 90 of the 180 cells.  d_2 is the
+    one differential here, so each of those 270 blocks is zero and all of
+    its F^p: none runs sparse_kernel."""
     fcs = [cartan_filtration(sphere_model(k)) for k in range(1, 13)]
+    born = sum(fc.cut(p + 1, p + q - 1) < fc.cut(p - 1, p + q - 1)
+               for fc in fcs for p, q, _, _ in fc.support)
+    assert born == 90
     counts = dict.fromkeys(("sparse_kernel", "quotient_map", "cut", "_kernel"), 0)
     blocks = set()
 
@@ -406,11 +413,98 @@ def test_page_pass_counts_on_the_sphere_chain(monkeypatch):
         persistence_pairing(fc)
         page(fc, 2)
     assert sum(len(fc.support) for fc in fcs) == 180
-    assert counts == {"sparse_kernel": 0, "quotient_map": 180, "cut": 360, "_kernel": 360}
-    assert len(blocks) == 360
+    assert counts == {"sparse_kernel": 0, "quotient_map": 180, "cut": 540, "_kernel": 270}
+    assert len(blocks) == 270
     nonzero = [(i, (m, k, row)) for i, (m, k, row) in blocks
                if k and column_rows(fcs[i].d_columns[m][:k], row)]
     assert nonzero == []
+
+
+def walk_test_models():
+    """Every card, S^3..S^25, group_torus:1..8 and heisenberg_nil:1..4."""
+    models = [get_model(name).model for name in MODEL_NAMES]
+    models += [sphere_model(k) for k in range(1, 13)]
+    models += [get_model("group_torus", n).model for n in range(1, 9)]
+    models += [heisenberg_nilmanifold(k) for k in range(1, 5)]
+    return models
+
+
+def test_prefix_tables_and_bases_match_their_definitions():
+    """cartan_filtration reads each prefix table off one walk down the basis,
+    and monomial_basis visits only the horizontal degrees that hold
+    monomials: each against its definition, the count of basis degrees >= p
+    and the filter over every horizontal degree.  The support's walk is
+    checked against the triangle scan by
+    test_support_is_the_triangle_scan_of_nonempty_windows."""
+    for model in walk_test_models():
+        fc = cartan_filtration(model)
+        n, top = model.lie.n, model.basic.max_degree
+        for m in range(-1, len(fc.dims) + 1):
+            full_range = tuple((g, I) for p in range(top, -1, -1) if 0 <= m - p <= n
+                               for g in model.basic.gens_of_degree(p)
+                               for I in multi_indices(n, m - p))
+            assert monomial_basis(model, m) == full_range, (model.name, m)
+            if not 0 <= m < len(fc.dims):
+                continue
+            degrees = [model.basic.degree_of(g) for g, _ in full_range]
+            assert fc.prefix[m] == tuple(sum(deg >= p for deg in degrees)
+                                         for p in range(m + 2)), (model.name, m)
+
+
+def digest_models():
+    """The models whose reports tests/test_output_digests.py pins: every valid
+    sample model, every card, group_torus:5, :7 and :10, weighted_hopf:3 and
+    su(2) + su(2) over the 2-torus."""
+    samples = [load_model_file(str(path)) for path in sorted(SAMPLES.glob("*.json"))]
+    models = [model for model in samples if Analysis(model).valid]
+    models += [get_model(name).model for name in MODEL_NAMES]
+    models += [get_model("group_torus", n).model for n in (5, 7, 10)]
+    models.append(get_model("weighted_hopf", 3).model)
+    models.append(su2_pair_model((0, 1, 1, 2)))
+    return models
+
+
+def test_page_two_divides_only_by_boundaries_that_reach_the_window(monkeypatch):
+    """page(fc, 2) hands quotient_map only the images of d Z_1 that have an
+    entry on the cell's window.  Every image it leaves out is zero there and
+    still lies in the cell's Z_2 with class zero, as d^2 = 0 makes it, and
+    the cells are the full-triangle oracle's: on every digest model and on
+    heisenberg_nil:1..4, whose d_2 is Euler data that maps past the window."""
+    calls = []
+    run = specseq.quotient_map
+
+    def logged(v, w, window=None):
+        calls.append((window, list(w)))
+        return run(v, w, window=window)
+
+    monkeypatch.setattr(specseq, "quotient_map", logged)
+    seen = {"passed": 0, "left out": 0, "heisenberg left out": 0}
+    for model in digest_models() + [heisenberg_nilmanifold(k) for k in range(1, 5)]:
+        fc = cartan_filtration(model)
+        calls.clear()
+        pg = page(fc, 2)
+        assert [window for window, _ in calls] == [(lo, hi) for _, _, lo, hi in fc.support]
+        for (p, q, lo, hi), (_, w) in zip(fc.support, calls):
+            assert all(any(lo <= j < hi for j in y) for y in w), (model.name, p, q)
+            # every nonzero image of Z_1^(p-1), as the divisor held it before
+            born = specseq._kernel(fc, (p + q - 1, fc.cut(p - 1, p + q - 1), hi))
+            images = [y for y in (apply_sparse(fc.d_columns[p + q - 1], born.sparse_row(j))
+                                  for j in born.echelon()) if y]
+            left_out = [y for y in images if y not in w]
+            assert len(images) == len(w) + len(left_out), (model.name, p, q)
+            for y in left_out:
+                assert max(y) < lo and pg.cells[(p, q)].class_of(dict(y)) == {}, (
+                    model.name, p, q)
+            seen["passed"] += len(w)
+            seen["left out"] += len(left_out)
+            seen["heisenberg left out"] += len(left_out) * model.name.startswith("heis")
+        want = oracle_page(fc, 2)
+        assert pg.dims() == want.dims() and pg.ranks == want.ranks, model.name
+        for pq, cell in pg.cells.items():
+            oracle = want.cells[pq]
+            assert (cell.reps, cell.proj, cell.space) == (
+                oracle.reps, oracle.proj, oracle.space), (model.name, pq)
+    assert min(seen.values()) > 50, seen
 
 
 def brute_force_test_models():
@@ -614,10 +708,12 @@ def test_every_matrix_reduced_by_pages_matches_the_seed_rref(tmp_path, monkeypat
         rows = [dict(row) for row in rows]
         return Matrix.of([[row.get(j, 0) for j in range(cols)] for row in rows], cols=cols)
 
-    def captured(rows, cols):
-        m = dense(rows, cols)
+    def captured(rows):
+        # _reduced takes no width: the matrix ends at its last nonzero column
+        rows = list(rows)
+        m = dense(rows, 1 + max((j for row in rows for j, _ in row), default=-1))
         seen[m] = seen.get(m, 0) + 1
-        return reduced(rows, cols)
+        return reduced(rows)
 
     def captured_kernel(rows, cols):
         rows = list(rows)
