@@ -162,25 +162,24 @@ def _e2_frames(model: EquivariantModel, pg2: SpectralPage) -> E2Frames:
         alphas = [[(gens_p[j], a) for j, a in hp.space.sparse_row(pivot).items()]
                   for pivot in hp.pivots]
         for q in range(n + 1):
-            # a spot outside the E_0 support has no cell: E_2 is zero there
             cell = pg2.cells.get((p, q))
             prod = hp.dim * inv[q].dim
             if cell is None:
-                cols = [{} for _ in range(prod)]
-            else:
-                _, pos = degree_basis(model, p + q)
-                cols = []
-                for alpha in alphas:
-                    for beta in betas[q]:
-                        y = cell.class_of(
-                            {pos[(g, I)]: a * b for g, a in alpha for I, b in beta})
-                        if y is None:
-                            raise CertificateError(
-                                "tensor representative not d-compatible", (p, q), 2
-                            )
-                        cols.append(y)
-            e2_dim = 0 if cell is None else cell.dim
-            cells.append(E2Cell(p, q, prod, e2_dim, sparse_rank(cols)))
+                # a spot outside the E_0 support has no cell: E_2 is zero there
+                cells.append(E2Cell(p, q, prod, 0, 0))
+                f_columns[(p, q)] = [{} for _ in range(prod)]
+                continue
+            _, pos = degree_basis(model, p + q)
+            cols = []
+            for alpha in alphas:
+                for beta in betas[q]:
+                    y = cell.class_of({pos[(g, I)]: a * b for g, a in alpha for I, b in beta})
+                    if y is None:
+                        raise CertificateError(
+                            "tensor representative not d-compatible", (p, q), 2
+                        )
+                    cols.append(y)
+            cells.append(E2Cell(p, q, prod, cell.dim, sparse_rank(cols)))
             f_columns[(p, q)] = cols
     return E2Frames(pg2, tuple(cells), f_columns, bc, inv)
 

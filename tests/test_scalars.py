@@ -3,8 +3,9 @@
 Every sparse value the engine hands on (echelon tails, classes, d_r,
 frame and transgression columns, the model's and the algebra's tables) is
 an int where it is integral and a Fraction where it is not, never a float
-or a bool; every entry of a dense Matrix is a Fraction.  An int / int in the package would
-give a float, so true division appears at one site only, qlinalg._ratio.
+or a bool; every entry of a dense Matrix is a Fraction.  An int / int in
+the package would give a float, so true division appears at one site only,
+qlinalg._ratio.
 """
 
 from __future__ import annotations
