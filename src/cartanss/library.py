@@ -163,6 +163,15 @@ def _trivial_product_card() -> ModelCard:
     return ModelCard(model, expected, DESCRIPTIONS["trivial_product"])
 
 
+# the cards that take no parameter, by name
+_FIXED_CARDS = {
+    "hopf": lambda: _hopf_card(1, "hopf"),
+    "kronecker": _kronecker_card,
+    "group_su2": lambda: _group_card(su2_lie(), "group_su2", DESCRIPTIONS["group_su2"]),
+    "trivial_product": _trivial_product_card,
+}
+
+
 def get_model(name: str, param=None) -> ModelCard:
     """Look up a library card by name, with the card's parameter if it takes one.
 
@@ -171,23 +180,16 @@ def get_model(name: str, param=None) -> ModelCard:
     model.MAX_AMBIENT_DIM.  Unknown names and invalid parameters raise
     ValueError.
     """
-    if name == "hopf":
+    build = _FIXED_CARDS.get(name) if isinstance(name, str) else None
+    if build is not None:
         if param is not None:
-            raise ValueError("hopf takes no parameter")
-        return _hopf_card(1, "hopf")
+            raise ValueError(f"{name} takes no parameter")
+        return build()
     if name == "weighted_hopf":
         w = 2 if param is None else param
         if not isinstance(w, int) or isinstance(w, bool) or w == 0:
             raise ValueError(f"weight must be a nonzero integer: {shown(param)}")
         return _hopf_card(w, f"weighted_hopf({w})")
-    if name == "kronecker":
-        if param is not None:
-            raise ValueError("kronecker takes no parameter")
-        return _kronecker_card()
-    if name == "group_su2":
-        if param is not None:
-            raise ValueError("group_su2 takes no parameter")
-        return _group_card(su2_lie(), "group_su2", DESCRIPTIONS["group_su2"])
     if name == "group_torus":
         n = 2 if param is None else param
         if not isinstance(n, int) or isinstance(n, bool) or n < 1:
@@ -205,10 +207,6 @@ def get_model(name: str, param=None) -> ModelCard:
                 f"{card.expected.total_cohomology} is not the binomials {binomials}"
             )
         return card
-    if name == "trivial_product":
-        if param is not None:
-            raise ValueError("trivial_product takes no parameter")
-        return _trivial_product_card()
     raise ValueError(f"unknown model name: {shown(name)}")
 
 

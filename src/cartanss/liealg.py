@@ -227,7 +227,9 @@ def _derive_delta(L: LieData, I: MultiIndex) -> Terms:
             if hit is None:
                 continue
             sa, K = hit
-            out[K] = out.get(K, 0) + (-v if (j + sa + sb) % 2 else v)
+            term = -v if (j + sa + sb) % 2 else v
+            y = out.get(K)
+            out[K] = term if y is None else y + term
     return tuple((K, v) for K, v in out.items() if v)
 
 
@@ -262,7 +264,9 @@ def _coadjoint_terms(L: LieData, ell: int, I: MultiIndex) -> Terms:
             if hit is None:
                 continue
             sk, K = hit
-            out[K] = out.get(K, 0) + (-w if (j + sk) % 2 else w)
+            term = -w if (j + sk) % 2 else w
+            y = out.get(K)
+            out[K] = term if y is None else y + term
     return tuple((K, v) for K, v in out.items() if v)
 
 
@@ -343,7 +347,8 @@ def _delta_squared_scan(L: LieData) -> MultiIndex | None:
         acc: dict[MultiIndex, Fraction] = {}
         for J, v in delta_terms(L, I):
             for K, w in delta_terms(L, J):
-                acc[K] = acc.get(K, 0) + v * w
+                y = acc.get(K)
+                acc[K] = v * w if y is None else y + v * w
         if any(acc.values()):
             return I
     return None
@@ -379,7 +384,8 @@ def _first_jacobi_failure(L: LieData) -> tuple | None:
             # (a,b,e) = (x,y,z), (z,x,y) and (y,z,x) respectively
             vw = v * w
             for key in ((x, y, z, k), (z, x, y, k), (y, z, x, k)):
-                sums[key] = sums.get(key, 0) + vw
+                acc = sums.get(key)
+                sums[key] = vw if acc is None else acc + vw
     bad = min((key for key, s in sums.items() if s), default=None)
     return None if bad is None else bad + (sums[bad],)
 

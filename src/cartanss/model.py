@@ -383,9 +383,9 @@ def _square_failures(model: EquivariantModel) -> dict[str, Monomial]:
             flat = len(y[1]) == q
             for z, w in total[y].items():
                 vw = v * w
-                acc[z] = acc.get(z, 0) + vw
+                _add(acc, z, vw)
                 if flat and len(z[1]) == q:
-                    hor[z] = hor.get(z, 0) + vw
+                    _add(hor, z, vw)
         failed = {_COMPONENTS[len(z[1]) - q] for z, a in acc.items() if a}
         if failed:
             failed.add("total differential squared")

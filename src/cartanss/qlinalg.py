@@ -34,12 +34,14 @@ and the tests; the renders write the transgression's rows from its sparse
 columns.  `Matrix` is that dense form: it is built from rows, read by
 entry, and reduced by `Matrix.rref`, which no report calls.
 
-Row reduction has one core, `_echelon`, which works over the integers: each
-nonzero row is scaled by the lcm of its denominators (a row of ints goes in
-as it is) and kept as a sparse {column: int} row, rows are combined
-fraction-free and made primitive (gcd content removed), and `_reduced`
-divides each row by its pivot once, at the end, which leaves a row whose
-pivot entry is 1 or -1 in ints.  The reduced echelon form is unique, so
+Row reduction has one core, a sparse echelon over Q: `_eliminate` reduces a
+sparse row through echelon rows {pivot: tail}, each 1 at its pivot, visiting
+only the rows whose pivots it meets, and `_insert` keeps a nonzero residual
+as a new row, dividing it by its leading entry through `_ratio`.  Every
+elimination here runs on it.  `_forward` is the forward pass over a list
+of rows, and `sparse_rank` counts its rows; `_reduced` adds the back
+substitution, from the last pivot down, and puts every value in the scalar
+form with `exact`, once.  The reduced echelon form is unique, so
 `Matrix.rref` and `quotient_map` give the same values as dense Gauss-Jordan
 elimination.
 There is one kernel routine, `sparse_kernel`, over sparse rows: it reduces
@@ -57,7 +59,7 @@ one elimination through v's echelon, whose residual is also the check that
 the vector lies in v.  `solve_columns` solves A x = y for sparse columns of
 A the same way, through one echelon of A's columns whose rows carry, as
 their tags, the combination of columns each one is.  `sparse_rank` counts
-the rank of sparse vectors by the forward pass of the integer core alone.
+the rank of sparse vectors by the forward pass alone.
 `graded_cohomology` is the one cohomology of a graded complex with
 representatives and `cohomology_dims` its dimensions from ranks alone; both
 take each differential by its columns, and neither reduces a zero one.
@@ -71,7 +73,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from math import gcd, lcm
 
 from .reports import ReadOnly
 
@@ -130,101 +131,34 @@ def apply_sparse(cols: SparseColumns, x: dict[int, Fraction]) -> dict[int, Fract
     return {i: y for i, y in out.items() if y}
 
 
-def _primitive(x: dict[int, int]) -> dict[int, int]:
-    """x divided by the gcd of its entries."""
-    g = gcd(*x.values())
-    return x if g == 1 else {j: v // g for j, v in x.items()}
+def _forward(rows) -> dict[int, dict[int, Fraction]]:
+    """The echelon of sparse rows by the forward pass alone, as {pivot: tail}.
 
-
-def _integer_rows(rows) -> list[dict[int, int]]:
-    """Each row of (column, value) pairs as a primitive {column: int} multiple.
-
-    A row of ints, the common case under the scalar rule, goes in as it is.
+    rows are nonzero {column: value} dicts with no zero entry, which the
+    pass uses up.  Each is reduced by `_eliminate` through the rows kept
+    before it; a nonzero residual is kept by `_insert`, 1 at its pivot.  A
+    kept row is zero at the pivots kept before it but not at those kept
+    after, and a tail may hold an integral `Fraction`.
     """
-    out = []
-    for entries in rows:
-        row = dict(entries)
-        if all(type(x) is int for x in row.values()):
-            out.append(_primitive(row))
-            continue
-        den = lcm(*[x.denominator for x in row.values()])
-        out.append(_primitive({j: x.numerator * (den // x.denominator) for j, x in row.items()}))
-    return out
-
-
-def _combine(x: dict[int, int], row: dict[int, int], col: int) -> dict[int, int]:
-    """a x - c row, with a and c the entries at col over their gcd, so col cancels.
-
-    x may be updated in place; row is only read.
-    """
-    a, c = row[col], x[col]
-    g = gcd(a, c)
-    if g != 1:
-        a //= g
-        c //= g
-    if a != 1:
-        x = {j: a * v for j, v in x.items()}
-    for j, v in row.items():
-        w = x.get(j, 0) - c * v
-        if w:
-            x[j] = w
-        else:
-            del x[j]
-    return x
-
-
-def _triangular(rows: list[dict[int, int]]) -> dict[int, dict[int, int]]:
-    """Fraction-free echelon form of integer rows, as {pivot: row}, not yet reduced.
-
-    Rows enter one at a time.  While a row's leading column is another row's
-    pivot, that entry is cancelled by an integer combination of the two, so
-    no entry ever leaves Z; a row that survives is made primitive and keeps
-    its leading column as its pivot.  The number of pivots is the rank.
-    """
-    echelon: dict[int, dict[int, int]] = {}
+    echelon: dict[int, dict[int, Fraction]] = {}
+    tags: dict[int, dict[int, Fraction]] = {}  # unused: the rows name no combination
     for x in rows:
-        pivot = min(x)
-        while pivot in echelon:
-            x = _combine(x, echelon[pivot], pivot)
-            if not x:
-                break
-            pivot = min(x)
-        else:
-            echelon[pivot] = _primitive(x)
+        if _eliminate(x, echelon):
+            x = {j: a for j, a in x.items() if a}
+        if x:
+            _insert(echelon, tags, x, {})
     return echelon
-
-
-def _echelon(rows: list[dict[int, int]]) -> list[tuple[int, dict[int, int]]]:
-    """Fraction-free reduced echelon form of integer rows, as (pivot, row) by pivot.
-
-    After `_triangular`, every entry at another row's pivot is cancelled the
-    same way, later pivots first, which leaves each row a multiple of its
-    row in the RREF: dividing by the entry at the pivot gives it.
-    """
-    echelon = _triangular(rows)
-    pivots = sorted(echelon)
-    for pivot in reversed(pivots):
-        x = echelon[pivot]
-        # a reduced row is zero at every other pivot, so cancelling one of
-        # these entries brings in no new one
-        targets = [j for j in x if j != pivot and j in echelon]
-        if targets:
-            for j in targets:
-                x = _combine(x, echelon[j], j)
-            echelon[pivot] = _primitive(x)
-    return [(pivot, echelon[pivot]) for pivot in pivots]
 
 
 def sparse_rank(vectors) -> int:
     """Rank of vectors given sparse, as {column: value}.
 
-    One forward pass of the integer core, with no dense row and no back
-    reduction; zero entries and zero vectors count for nothing, and one
+    The number of rows `_forward` keeps, with no dense row and no back
+    substitution; zero entries and zero vectors count for nothing, and one
     nonzero vector has rank 1 with no pass.
     """
-    rows = [entries for entries in ([(j, a) for j, a in x.items() if a] for x in vectors)
-            if entries]
-    return len(_triangular(_integer_rows(rows))) if len(rows) > 1 else len(rows)
+    rows = [row for row in ({j: a for j, a in x.items() if a} for x in vectors) if row]
+    return len(_forward(rows)) if len(rows) > 1 else len(rows)
 
 
 def column_rows(columns, start: int = 0) -> list[list[tuple[int, Fraction]]]:
@@ -242,23 +176,23 @@ def column_rows(columns, start: int = 0) -> list[list[tuple[int, Fraction]]]:
 
 
 def _reduced(rows) -> dict[int, dict[int, Fraction]]:
-    """The RREF of nonzero sparse rows, as {pivot: {column: value} past the pivot}.
+    """The RREF of nonzero sparse rows, as {pivot: {column: value} past the pivot}, by pivot.
 
-    rows are lists of (column, value) pairs in increasing column order,
-    zeros left out.  They go through the integer elimination `_echelon`,
-    and each row is divided by its pivot once, at the end; a row whose
-    pivot entry is 1 or -1 stays in integers.
+    rows are lists of (column, value) pairs, zeros left out.  After
+    `_forward`, each row is reduced by the rows below it, from the last
+    pivot down, so the rows it meets are already reduced and bring in no
+    new pivot entry.  Every value is then put in the scalar form by
+    `exact`, the one place an integral `Fraction` left by the passes
+    becomes an int.
     """
-    out = {}
-    for pivot, row in _echelon(_integer_rows(rows)):
-        lead = row.pop(pivot)
-        if lead == 1:
-            out[pivot] = row
-        elif lead == -1:
-            out[pivot] = {j: -v for j, v in row.items()}
-        else:
-            out[pivot] = {j: _ratio(v, lead) for j, v in row.items()}
-    return out
+    echelon = _forward(map(dict, rows))
+    pivots = sorted(echelon)
+    for pivot in reversed(pivots):
+        tail = echelon[pivot]
+        if _eliminate(tail, echelon):
+            tail = {j: a for j, a in tail.items() if a}
+        echelon[pivot] = {j: exact(a) for j, a in tail.items()}
+    return {pivot: echelon[pivot] for pivot in pivots}
 
 
 def _dense_rows(echelon: dict[int, dict[int, Fraction]], cols: int) -> list[tuple[Fraction, ...]]:
@@ -282,23 +216,22 @@ def sparse_kernel(rows, cols: int) -> dict[int, dict[int, Fraction]]:
     {column: value} past it}, as `Subspace.echelon` gives them.
 
     One elimination: the rows are reduced with their columns reversed, by
-    the integer core `_echelon`.  Solving for the pivots of that form writes
-    each kernel vector as 1 at its free column f plus entries at pivot
-    columns to the right of f only, so the vectors by ascending f are
-    already the reduced echelon basis of the kernel, and each entry is one
-    integer ratio read off a reduced row.
+    `_reduced`.  Solving for the pivots of that form writes each kernel
+    vector as 1 at its free column f plus entries at pivot columns to the
+    right of f only, so the vectors by ascending f are already the reduced
+    echelon basis of the kernel, and each entry is minus one value of a
+    reduced row.
     """
     last = cols - 1
     rows = [[(last - j, x) for j, x in row] for row in rows if row]
-    echelon = _echelon(_integer_rows(rows)) if rows else []
-    bound = {last - p for p, _ in echelon}
-    kernel: dict[int, dict[int, Fraction]] = {f: {} for f in range(cols) if f not in bound}
+    echelon = _reduced(rows) if rows else {}
+    kernel: dict[int, dict[int, Fraction]] = {
+        f: {} for f in range(cols) if last - f not in echelon}
     # later reversed pivots first: the original columns come in increasing order
-    for p, row in reversed(echelon):
-        lead = -row.pop(p)
+    for p in reversed(echelon):
         col = last - p
-        for c, v in row.items():
-            kernel[last - c][col] = _ratio(v, lead)
+        for c, v in echelon[p].items():
+            kernel[last - c][col] = -v
     return kernel
 
 

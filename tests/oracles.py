@@ -5,8 +5,8 @@ elimination over `Fraction`, dividing and subtracting whole rows, zeros
 included.  `seed_kernel_basis` reads the kernel off it and reduces the
 vectors a second time, `seed_span` is the row space and `seed_inverse` the
 inverse read off [m | I].  The engine's `Matrix.rref` is a sparse
-fraction-free elimination over the integers instead, and `sparse_kernel`
-reduces once, so these are the definitions it is checked against.
+elimination through an echelon of the nonzero entries instead, and
+`sparse_kernel` reduces once, so these are the definitions it is checked against.
 `matmul`, `dense_apply`, `contains` and `seed_image` are the dense
 products, membership and images the tests need, by their definitions.
 
@@ -14,7 +14,7 @@ products, membership and images the tests need, by their definitions.
 reduction of the whole accumulated basis per accepted representative, then a
 row reduction of [C | I] to read the projection off the tracked transform.
 Its reductions are `seed_rref`, so it shares no code with the one-pass sparse
-echelon of `qlinalg.quotient_map` nor with the integer elimination, and
+echelon of `qlinalg.quotient_map`, `_reduced` and `sparse_kernel`, and
 agreement entry by entry is a real check.  `seed_graded_cohomology` is the
 cohomology of a complex of dense matrices built from `seed_kernel_basis`,
 `seed_span` and `seed_quotient_map` alone, the reference for the engine's
@@ -61,6 +61,15 @@ the two checks the skip and the window identity at once.
 
 `homology_dims` is the page recurrence: the dims of ker d_r / im d_r per
 cell, which the next page must match.
+
+`oracle_pairs` is the standard column reduction of persistent homology on
+dense `Fraction` columns of each d^m, with no clearing: a column takes
+multiples of earlier reduced columns while its lowest nonzero row is
+another's, and pairs with that row once it is not.  Each basis vector's
+level is counted off the prefix lengths.  `oracle_counts` reads page r off
+the pairs, basis vector by basis vector.  Neither calls `qlinalg` or
+`specseq`, so they check `specseq.persistence_pairing` and its
+`Pairing.summary` from outside.
 
 `dense_dr`, `dense_frames` and `dense_transgression` are the dense route the
 engine used before it read classes sparse: every d(rep) and every alpha (x)
@@ -749,6 +758,55 @@ def oracle_page(fc: FilteredComplex, r: int, cache: dict | None = None) -> Spect
             cells[(p, m - p)] = OracleCell(p, m - p, quot.dim, quot.reps, quot.proj, z, divisor)
     dr = dense_dr(fc, cells, r)
     return SpectralPage(r, cells, dr, {pq: rank(m) for pq, m in dr.items()})
+
+
+def _level(fc: FilteredComplex, m: int, i: int) -> int:
+    """The filtration level of basis vector i of C^m: the largest p with i < k(p, m)."""
+    return sum(i < k for k in fc.prefix[m][1:])
+
+
+def oracle_pairs(fc: FilteredComplex) -> list[tuple[int, int, int, int]]:
+    """(m, j, low, gap) for each pair: column j of d^m, its lowest row after
+    reduction, and the level of that row less the level of the column."""
+    pairs = []
+    for m, sparse in enumerate(fc.d_columns):
+        height = fc.ambient(m + 1)
+        owner: dict[int, list[Q]] = {}  # lowest row -> the reduced column that ends there
+        for j, entries in enumerate(sparse):
+            x = [Q(0)] * height
+            for i, a in entries:
+                x[i] = Q(a)
+            low = max((i for i in range(height) if x[i]), default=None)
+            while low is not None and low in owner:
+                y = owner[low]
+                f = x[low] / y[low]
+                x = [a - f * b for a, b in zip(x, y)]
+                low = max((i for i in range(height) if x[i]), default=None)
+            if low is not None:
+                owner[low] = x
+                pairs.append((m, j, low, _level(fc, m + 1, low) - _level(fc, m, j)))
+    return pairs
+
+
+def oracle_counts(fc: FilteredComplex, pairs, r: int) -> tuple[dict, dict]:
+    """Page r's nonzero dims and nonzero d_r ranks by spot (p, q), from oracle_pairs:
+    a basis vector counts at its spot unless its pair's gap is below r, and
+    a pair of gap r is one unit of rank at its column's spot."""
+    dead = set()
+    ranks: dict[tuple[int, int], int] = {}
+    for m, j, low, gap in pairs:
+        if gap < r:
+            dead.update({(m, j), (m + 1, low)})
+        elif gap == r:
+            p = _level(fc, m, j)
+            ranks[(p, m - p)] = ranks.get((p, m - p), 0) + 1
+    dims: dict[tuple[int, int], int] = {}
+    for m, size in enumerate(fc.dims):
+        for i in range(size):
+            if (m, i) not in dead:
+                p = _level(fc, m, i)
+                dims[(p, m - p)] = dims.get((p, m - p), 0) + 1
+    return dims, ranks
 
 
 def homology_dims(pg: SpectralPage) -> dict[tuple[int, int], int]:

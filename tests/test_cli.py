@@ -46,7 +46,7 @@ from cartanss.model import (
     max_total_degree,
     size_error,
 )
-from cartanss import cli, liealg, qlinalg, specseq, verify
+from cartanss import cli, qlinalg, specseq, verify
 from cartanss.reports import CertificateError
 from cartanss.verify import Analysis
 
@@ -718,10 +718,11 @@ def test_analysis_of_an_invalid_model_raises_and_builds_no_filtration(monkeypatc
 def _eliminations_inside(monkeypatch, function_name):
     """Log, for every elimination, whether function_name is on the call stack.
 
-    The engine eliminates in four places: `_reduced` (the row reduction of
-    Matrix.rref), sparse_kernel, sparse_rank and the
+    The engine eliminates in three places: `_reduced` (the row reduction of
+    Matrix.rref and of every sparse_kernel), sparse_rank and the
     class read Quotient.class_of, which reduces a vector through an echelon.
-    A sparse_kernel given no nonzero row eliminates nothing and is not logged.
+    A sparse_kernel given no nonzero row eliminates nothing and calls no
+    `_reduced`, so it is not logged.
     """
     log = []
 
@@ -734,17 +735,11 @@ def _eliminations_inside(monkeypatch, function_name):
             return run(*args)
         return wrapper
 
-    def kernel(rows, cols, _run=qlinalg.sparse_kernel, _logged=logged(qlinalg.sparse_kernel)):
-        rows = [row for row in rows if row]
-        return (_logged if rows else _run)(rows, cols)
-
     monkeypatch.setattr(qlinalg, "_reduced", logged(qlinalg._reduced))
     monkeypatch.setattr(qlinalg.Quotient, "class_of", logged(qlinalg.Quotient.class_of))
-    for name, run, modules in (("sparse_rank", logged(qlinalg.sparse_rank),
-                                (qlinalg, specseq, verify)),
-                               ("sparse_kernel", kernel, (qlinalg, specseq, liealg))):
-        for module in modules:
-            monkeypatch.setattr(module, name, run)
+    rank = logged(qlinalg.sparse_rank)
+    for module in (qlinalg, specseq, verify):
+        monkeypatch.setattr(module, "sparse_rank", rank)
     return log
 
 
@@ -787,22 +782,23 @@ def test_zero_differentials_are_not_eliminated(tmp_path, monkeypatch, capsys, sp
 
 def test_each_kernel_basis_runs_one_elimination(tmp_path, monkeypatch, capsys):
     """Every kernel, of the page blocks, the invariants and the Lie realization
-    check, is one sparse_kernel, which runs the integer core once: on su(2)
-    acting on itself and on su(2) + su(2) over a circle."""
+    check, is one sparse_kernel, which runs the forward pass `_forward` of the
+    elimination once: on su(2) acting on itself and on su(2) + su(2) over a
+    circle."""
     models = [get_model("group_su2").model,
               EquivariantModel("su2_pair_circle", direct_sum(su2_lie(), su2_lie()),
                                BasicComplex.build([("1", 0), ("a", 1)]))]
     inside = []
-    echelon = qlinalg._echelon
+    forward = qlinalg._forward
 
     def logged(rows):
         frame = sys._getframe(1)
         while frame is not None and frame.f_code.co_name != "sparse_kernel":
             frame = frame.f_back
         inside.append(frame is not None)
-        return echelon(rows)
+        return forward(rows)
 
-    monkeypatch.setattr(qlinalg, "_echelon", logged)
+    monkeypatch.setattr(qlinalg, "_forward", logged)
     calls = count_calls(monkeypatch, (("qlinalg", "sparse_kernel"),))
     for i, model in enumerate(models):
         path = str(tmp_path / f"model{i}.json")

@@ -1,4 +1,4 @@
-"""Property tests of the integer row reduction and of the Chevalley-Eilenberg tables.
+"""Property tests of the sparse row reduction and of the Chevalley-Eilenberg tables.
 
 Matrices are small rational matrices, mostly zero, with repeated rows.  Each
 algebra is a direct sum of su(2) summands with rescaled brackets and abelian

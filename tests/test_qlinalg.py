@@ -404,7 +404,7 @@ def wild_matrix(rng, rows, cols):
     return Matrix.of(data, cols=cols)
 
 
-def test_integer_elimination_matches_the_seed_rref_on_wild_matrices():
+def test_sparse_elimination_matches_the_seed_rref_on_wild_matrices():
     rng = random.Random(20261019)
     seen = {"0 x n": 0, "n x 0": 0, "rank-deficient": 0, "duplicate rows": 0,
             "denominator > 10^9": 0, "entry > 10^25": 0, "invertible": 0}

@@ -18,8 +18,10 @@ from oracles import (
     homology_dims,
     is_zero,
     matmul,
+    oracle_counts,
     oracle_divisor,
     oracle_page,
+    oracle_pairs,
     preimage,
     seed_image,
     seed_inverse,
@@ -626,6 +628,30 @@ def test_persistence_pairing_matches_the_dense_oracle_past_page_two():
             want = oracle_page(fc, r, cache)
             assert pairing.summary(r) == (r, want.dims(), nonzero_ranks(want)), (model.name, r)
     assert pairing.summary(3).d_ranks == {(0, 2): 1}
+
+
+def test_persistence_pairing_matches_a_dense_column_reduction_on_every_page():
+    """The pairing's summary of page r is the dims and d_r ranks that
+    `oracles.oracle_pairs`, a dense column reduction sharing no code with
+    the engine, gives, for r = 0 .. stabilization + 1: on every digest
+    model, the first 100 cards of random_trivial_product(Random(0)),
+    S^3..S^25 and heisenberg_nil:1..4."""
+    rng = random.Random(0)
+    models = digest_models() + [random_trivial_product(rng).model for _ in range(100)]
+    models += [sphere_model(k) for k in range(1, 13)]
+    models += [heisenberg_nilmanifold(k) for k in range(1, 5)]
+    seen = {"pages": 0, "pairs": 0, "nonzero d_r at r >= 3": 0}
+    for model in models:
+        fc = cartan_filtration(model)
+        pairing = persistence_pairing(fc)
+        pairs = oracle_pairs(fc)
+        for r in range(pairing.stabilization + 2):
+            got = pairing.summary(r)
+            assert (got.dims, got.d_ranks) == oracle_counts(fc, pairs, r), (model.name, r)
+            seen["pages"] += 1
+            seen["nonzero d_r at r >= 3"] += r >= 3 and bool(got.d_ranks)
+        seen["pairs"] += len(pairs)
+    assert seen["pages"] > 500 and seen["pairs"] > 600 and seen["nonzero d_r at r >= 3"], seen
 
 
 def dropped_pair(monkeypatch, k):
