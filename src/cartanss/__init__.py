@@ -25,10 +25,9 @@ from .qlinalg import Matrix, Subspace, quotient_map
 from .reports import CertificateError
 from .specseq import (
     FilteredComplex,
-    SpectralPage,
     cartan_filtration,
-    page,
     persistence_pairing,
+    second_page,
 )
 from .verify import Analysis, basic_cohomology, d2_transgression, e2_tensor_check
 from .library import MODEL_NAMES, ModelCard, get_model, random_trivial_product
@@ -45,7 +44,6 @@ __all__ = [
     "MODEL_NAMES",
     "Matrix",
     "ModelCard",
-    "SpectralPage",
     "Subspace",
     "basic_cohomology",
     "cartan_filtration",
@@ -55,10 +53,10 @@ __all__ = [
     "invariant_subcomplex",
     "lie_cohomology",
     "multi_indices",
-    "page",
     "persistence_pairing",
     "quotient_map",
     "random_trivial_product",
+    "second_page",
     "total_cohomology",
     "validate_lie",
     "validate_model",

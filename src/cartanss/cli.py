@@ -199,10 +199,23 @@ def load_model_document(doc, default_name: str = "model") -> EquivariantModel:
     return EquivariantModel(name, lie, basic)
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object of a model file as a dict; a key given twice is refused,
+    where json.load alone would keep its last value."""
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise ModelFileError(f"repeated key {shown(key)}")
+        out[key] = value
+    return out
+
+
 def load_model_file(path: str) -> EquivariantModel:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            doc = json.load(fh, object_pairs_hook=_unique_keys)
+    except ModelFileError as exc:
+        raise ModelFileError(f"{shown(path)}: {exc}") from None
     except OSError as exc:  # str(exc) repeats the path: name it once, cut
         reason = exc.strerror or type(exc).__name__
         raise ModelFileError(f"cannot read {shown(path)}: {reason}") from exc
@@ -456,7 +469,7 @@ def _run_card(spec: str, fmt: str) -> int:
         ("total cohomology", an.total_cohomology == tuple(exp.total_cohomology)),
         ("basic cohomology",
          tuple(h.dim for h in an.frames.basic) == tuple(exp.basic_cohomology)),
-        ("E_2 dims", an.page2.dims() == dict(exp.e2_dims)),
+        ("E_2 dims", an.pages[2].dims == dict(exp.e2_dims)),
         ("stabilization page", an.stabilization == exp.stabilization),
         ("abutment", an.abutment.passed),
         ("tensor factorization", an.e2.passed),

@@ -1,7 +1,9 @@
 """Exact linear algebra over the rationals.
 
-Everything downstream (cochain complexes, filtrations, spectral pages) reduces
-to row reduction, kernels, images and quotients done here.  Every
+The cohomologies, invariants, E_2 frames and transgression downstream reduce
+to the row reduction, kernels, quotients and solves done here; the spectral
+sequence's own column reduction is specseq.persistence_pairing, which
+shares only `_ratio` and `apply_sparse` with this module.  Every
 coefficient is exact and results are deterministic.  The scalar rule: a
 sparse value (echelon tails, classes, tags, sparse columns) is an `int`
 where it is integral and a `fractions.Fraction` where it is not; `exact`
@@ -15,7 +17,7 @@ row space, which makes subspace equality a plain structural comparison.
 Conventions: a dense vector is a coordinate tuple, a sparse one a {column:
 value} dict, and a linear map acts on column vectors.  The engine gives each
 map it reduces by its columns (SparseColumns), and `column_rows` gathers the
-rows of one, or its rows past a cut, for elimination.
+rows of one for elimination.
 
 Spaces are sparse first.  A Subspace keeps only its echelon, {pivot:
 {column: value} past the pivot}, and builds its dense `basis` matrix only
@@ -23,16 +25,11 @@ when something reads it; a `Quotient` keeps its representatives by their
 pivots and the projection as the class of each pivot, and builds the dense
 `reps` and `proj` only when read.  Neither keeps a dense form once built.
 Every cohomology is a `Quotient` per degree, so the results handed on stay
-sparse too.  A coordinate prefix [0, k), the span of the first k unit
-vectors, is a recognised form of Subspace that keeps k (`prefix`): a
-vector lies in it iff it has no nonzero entry at or past k, and its
-coordinates are its own entries, so `quotient_map` and `class_of` on a
-prefix eliminate only among the divisor's vectors, and a prefix quotient
-that no divisor vector touches on the window is the window itself.  Dense
-rows are built at the edges only: the public `basis`, `reps` and `proj`,
-and the tests; the renders write the transgression's rows from its sparse
-columns.  `Matrix` is that dense form: it is built from rows, read by
-entry, and reduced by `Matrix.rref`, which no report calls.
+sparse too.  Dense rows are built at the edges only: the public `basis`,
+`reps` and `proj`, and the tests; the renders write the transgression's
+rows from its sparse columns.  `Matrix` is that dense form: it is built
+from rows, read by entry, and reduced by `Matrix.rref`, which no report
+calls.
 
 Row reduction has one core, a sparse echelon over Q: `_eliminate` reduces a
 sparse row through echelon rows {pivot: tail}, each 1 at its pivot, visiting
@@ -52,14 +49,13 @@ The matrices of the spectral sequence are mostly zero, so the hot paths skip
 zeros: `apply_sparse` applies a map from the nonzero entries of its columns,
 and elimination against an echelon visits only the rows whose pivots it
 meets.  `quotient_map` builds v / span w, w given as sparse vectors, in one
-pass of a sparse echelon over w and then v's rows; given a coordinate window
-it reads only the window's columns, which divides v also by its part that
-vanishes there.  `Quotient.class_of` reads the class of a sparse vector in
-one elimination through v's echelon, whose residual is also the check that
-the vector lies in v.  `solve_columns` solves A x = y for sparse columns of
-A the same way, through one echelon of A's columns whose rows carry, as
-their tags, the combination of columns each one is.  `sparse_rank` counts
-the rank of sparse vectors by the forward pass alone.
+pass of a sparse echelon over w and then v's rows.  `Quotient.class_of`
+reads the class of a sparse vector in one elimination through v's echelon,
+whose residual is also the check that the vector lies in v.
+`solve_columns` solves A x = y for sparse columns of A the same way,
+through one echelon of A's columns whose rows carry, as their tags, the
+combination of columns each one is.  `sparse_rank` counts the rank of
+sparse vectors by the forward pass alone.
 `graded_cohomology` is the one cohomology of a graded complex with
 representatives and `cohomology_dims` its dimensions from ranks alone; both
 take each differential by its columns, and neither reduces a zero one.
@@ -161,8 +157,8 @@ def sparse_rank(vectors) -> int:
     return len(_forward(rows)) if len(rows) > 1 else len(rows)
 
 
-def column_rows(columns, start: int = 0) -> list[list[tuple[int, Fraction]]]:
-    """The nonzero rows at or past start of a map given by its columns' nonzero entries.
+def column_rows(columns) -> list[list[tuple[int, Fraction]]]:
+    """The nonzero rows of a map given by its columns' nonzero entries.
 
     Rows come in increasing order, each as its (column, value) pairs in
     increasing column order, the form `sparse_kernel` and `_reduced` take.
@@ -170,8 +166,7 @@ def column_rows(columns, start: int = 0) -> list[list[tuple[int, Fraction]]]:
     rows: dict[int, list] = {}
     for j, col in enumerate(columns):
         for i, a in col:
-            if i >= start:
-                rows.setdefault(i, []).append((j, a))
+            rows.setdefault(i, []).append((j, a))
     return [rows[i] for i in sorted(rows)]
 
 
@@ -309,27 +304,16 @@ class Subspace(ReadOnly):
     matrix is built each time it is read.  Equality and hash compare
     ambient_dim and the echelon, which is canonical; repr names those two
     as Subspace(ambient_dim=..., basis=...), with the dense basis.
-
-    A space whose rows are the first k unit vectors is the coordinate
-    prefix [0, k), and keeps k as `prefix` (None for any other space).
-    `prefix_space` and `full` build one and `from_echelon`
-    recognises one; its echelon, equality, hash and repr are those of any
-    other Subspace.  A prefix row is the unit vector at its pivot, so x is
-    in the space iff x has no nonzero entry at or past k, and x at the
-    pivots is x itself: `quotient_map` and `Quotient.class_of` read both
-    off x with no elimination.
     """
 
-    __slots__ = ("ambient_dim", "_echelon", "prefix")
+    __slots__ = ("ambient_dim", "_echelon")
 
-    def __init__(self, ambient_dim: int, _echelon: dict[int, dict[int, Fraction]],
-                 prefix: int | None = None):
+    def __init__(self, ambient_dim: int, _echelon: dict[int, dict[int, Fraction]]):
         _set(self, "ambient_dim", ambient_dim)
         _set(self, "_echelon", _echelon)
-        _set(self, "prefix", prefix)
 
     def __reduce__(self):  # copy and pickle rebuild it through __init__
-        return type(self), (self.ambient_dim, self._echelon, self.prefix)
+        return type(self), (self.ambient_dim, self._echelon)
 
     @property
     def basis(self) -> Matrix:
@@ -359,22 +343,13 @@ class Subspace(ReadOnly):
 
     @classmethod
     def from_echelon(cls, ambient_dim: int, echelon: dict[int, dict[int, Fraction]]) -> "Subspace":
-        """The subspace whose RREF rows are given in sparse form, as echelon() returns them.
-
-        k rows with pivots below k and no tail are the prefix [0, k).
-        """
-        k = len(echelon)
-        prefix = all(p < k and not tail for p, tail in echelon.items())
-        return cls(ambient_dim, echelon, k if prefix else None)
-
-    @classmethod
-    def prefix_space(cls, ambient_dim: int, k: int) -> "Subspace":
-        """The coordinate prefix [0, k): the span of the first k unit vectors."""
-        return cls(ambient_dim, {i: {} for i in range(k)}, k)
+        """The subspace whose RREF rows are given in sparse form, as echelon() returns them."""
+        return cls(ambient_dim, echelon)
 
     @classmethod
     def full(cls, ambient_dim: int) -> "Subspace":
-        return cls.prefix_space(ambient_dim, ambient_dim)
+        """The whole space, spanned by the unit vectors."""
+        return cls(ambient_dim, {i: {} for i in range(ambient_dim)})
 
     @property
     def dim(self) -> int:
@@ -478,24 +453,17 @@ class Quotient(ReadOnly):
     weighted by x at v's pivots: `class_of` reads it from x's nonzero
     entries.  The dense forms are built each time they are read: `reps`,
     the representatives as a k x ambient matrix, and `proj`, the same map
-    as `class_of` as a k x ambient matrix.
-
-    window is (lo, hi) when v is a coordinate prefix and the quotient is
-    the coordinate window [lo, hi) itself: the representatives are the
-    window's coordinates in order, and the class of x is x on the window.
-    It takes no part in equality, which compares space, pivots and classes.
-    A quotient is not hashable: classes is a dict.
+    as `class_of` as a k x ambient matrix.  Equality compares space, pivots
+    and classes.  A quotient is not hashable: classes is a dict.
     """
 
-    __slots__ = ("space", "pivots", "classes", "window")
+    __slots__ = ("space", "pivots", "classes")
 
     def __init__(self, space: Subspace, pivots: tuple[int, ...],
-                 classes: dict[int, dict[int, Fraction]],
-                 window: tuple[int, int] | None = None):
+                 classes: dict[int, dict[int, Fraction]]):
         _set(self, "space", space)
         _set(self, "pivots", pivots)
         _set(self, "classes", classes)
-        _set(self, "window", window)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -505,10 +473,10 @@ class Quotient(ReadOnly):
 
     def __repr__(self):
         return (f"{type(self).__qualname__}(space={self.space!r}, pivots={self.pivots!r}, "
-                f"classes={self.classes!r}, window={self.window!r})")
+                f"classes={self.classes!r})")
 
     def __reduce__(self):  # copy and pickle rebuild it through __init__
-        return type(self), (self.space, self.pivots, self.classes, self.window)
+        return type(self), (self.space, self.pivots, self.classes)
 
     @property
     def dim(self) -> int:
@@ -534,26 +502,15 @@ class Quotient(ReadOnly):
 
         One `_eliminate` pass through v's echelon: a nonzero residual means x
         is not in v, and otherwise the multipliers, which are x at v's
-        pivots, weigh the classes of those pivots.  x is used up.  On a
-        prefix [0, k) the residual is x past k and the multipliers are x
-        itself, and on a window quotient the class is x on the window.
+        pivots, weigh the classes of those pivots.  x is used up.
         """
-        k = self.space.prefix
-        if k is None:
-            used = _eliminate(x, self.space.echelon())
-            if any(x.values()):
-                return None
-            return _weigh(used, self.classes)
-        used = sorted((j, a) for j, a in x.items() if a)
-        if used and used[-1][0] >= k:
+        used = _eliminate(x, self.space.echelon())
+        if any(x.values()):
             return None
-        if self.window is None:
-            return _weigh(used, self.classes)
-        lo, hi = self.window
-        return {j - lo: a for j, a in used if lo <= j < hi}
+        return _weigh(used, self.classes)
 
 
-def quotient_map(v: Subspace, w, window: tuple[int, int] | None = None) -> Quotient:
+def quotient_map(v: Subspace, w) -> Quotient:
     """Coset representatives and coordinate projection for v / span w.
 
     w is a list of vectors of v, each given by its nonzero entries as
@@ -573,52 +530,26 @@ def quotient_map(v: Subspace, w, window: tuple[int, int] | None = None) -> Quoti
     reduced by v's basis rows, must leave nothing: that is the containment
     check, and a failing one raises ValueError, as does a vector with an
     entry past the ambient dimension.
-
-    With window = (lo, hi), the quotient is v / (span w + {x in v : x is
-    zero on columns lo .. hi-1}): the echelon reads columns lo .. hi-1 only.
-    The representatives are still rows of v, chosen by the same rule, so
-    reps and proj are those of the quotient by the full divisor.  The
-    default window is every column.
-
-    When v is a coordinate prefix [0, k), each of its rows is a unit
-    vector: the containment check is that a vector of w has no nonzero
-    entry at or past k, a row outside the window has class zero with no
-    elimination, and where no vector of w is left on the window the
-    quotient is the window itself, built directly.  The result is the one
-    the general pass gives.
     """
     d = v.ambient_dim
-    lo, hi = (0, d) if window is None else window
-    k = v.prefix
     rows: dict[int, dict[int, Fraction]] = {}
     tags: dict[int, dict[int, Fraction]] = {}  # class of each row
     for y in w:
         if y and max(y) >= d:
             raise ValueError("ambient dimension mismatch")
-        if k is None:
-            residual = dict(y)
-            _eliminate(residual, v.echelon())
-            escapes = any(residual.values())
-        else:
-            escapes = any(a for j, a in y.items() if j >= k)
-        if escapes:
+        residual = dict(y)
+        _eliminate(residual, v.echelon())
+        if any(residual.values()):
             raise ValueError("quotient undefined: denominator is not contained in numerator")
-        x = {j: a for j, a in y.items() if lo <= j < hi}
+        x = dict(y)
         _eliminate(x, rows)
         x = {j: a for j, a in x.items() if a}
         if x:
             _insert(rows, tags, x, {})
-    if k is not None and not rows:
-        top = min(hi, k)
-        classes = {j: {j - lo: 1} if lo <= j < hi else {} for j in range(k)}
-        return Quotient(v, tuple(range(lo, top)), classes, (lo, top))
     pivots = []  # of the representatives
     classes = {}  # class of each basis row of v, by its pivot
     for vpivot, vtail in v.echelon().items():
-        if k is not None and not lo <= vpivot < hi:
-            classes[vpivot] = {}
-            continue
-        x = {j: a for j, a in ((vpivot, 1), *vtail.items()) if lo <= j < hi}
+        x = {vpivot: 1, **vtail}
         acc = _weigh(_eliminate(x, rows), tags)
         residual = {j: a for j, a in x.items() if a}
         if not residual:

@@ -3,10 +3,12 @@
 The comparison map F sends a pair (d_hor-cocycle alpha of degree p, invariant
 element beta of chi-degree q) to the class of alpha (x) beta on the second page.
 Both sides are computed independently: the left from the cohomology of
-d_hor and the invariant subcomplex, the right from the filtered-complex page
-machinery.  The verdict is "isomorphism" exactly when F has full rank equal
-to both dimensions at every (p, q); any mismatch pinpoints the first failing
-cell.
+d_hor and the invariant subcomplex, the right from the persistence pairing
+of the total differential (specseq.second_page).  The verdict is
+"isomorphism" exactly when F has full rank equal to both dimensions at every
+(p, q); any mismatch pinpoints the first failing cell.  Page 2 is read off
+the pairing, so this check and the abutment are what certify the pairing:
+neither reads it to compute its other side.
 
 The invariant subcomplex realizes the algebra cohomology in each degree; this
 identification is itself re-derived here (invariants are closed, and project
@@ -17,17 +19,19 @@ its per-degree Quotients: basic_cohomology over d_hor, per basic degree,
 and liealg.lie_cohomology over delta, per chi-degree, read lazily.  Both
 checks read classes sparse.  Each alpha is the echelon row of a
 representative's pivot in the cocycles, alpha (x) beta and each invariant
-are {coordinate: value} dicts, and one class read
-(qlinalg.Quotient.class_of) reduces each through the echelon of Z_2, or of
-the cocycles, which checks that it lies there and gives its class.  The
-ranks come from those sparse columns by qlinalg.sparse_rank.  The
-transgression stays sparse too: page 2's d_2 columns applied to each source
-frame column, then one solve through a tagged echelon of the target frame's
-columns, whose solutions are kept as they come, one `Transgression` record
-of sparse columns per source cell; only the renders write its zeros.  Where
-delta is zero into and out of degree q, H^q is Lambda^q with the identity
-projection, and the realization check there is a comparison of dimensions
-with no elimination.
+are {coordinate: value} dicts.  The class of alpha (x) beta is one class
+read in its page-2 cell (specseq.WindowCell.class_of), which checks that it
+lies in Z_2 and solves for its class over the cell's window; where d_2 has
+a nonzero target, the class of d(alpha (x) beta) is read there too.  An
+invariant's class is one elimination through the cocycles' echelon
+(qlinalg.Quotient.class_of).  The ranks come from those sparse columns by
+qlinalg.sparse_rank.  The transgression stays sparse too: the d_2 images
+of each source frame column, then one solve through a tagged echelon of
+the target frame's columns, whose solutions are kept as they come, one
+`Transgression` record of sparse columns per source cell; only the renders
+write its zeros.  Where delta is zero into and out of degree q, H^q is
+Lambda^q with the identity projection, and the realization check there is a
+comparison of dimensions with no elimination.
 
 `Analysis(model)`, given the model alone, is the whole report of one model,
 from validation to the transgression.  Each stage is computed once, on
@@ -61,10 +65,10 @@ from .specseq import (
     AbutmentReport,
     AbutmentRow,
     FilteredComplex,
-    SpectralPage,
+    WindowCell,
     cartan_filtration,
-    page,
     persistence_pairing,
+    second_page,
 )
 
 
@@ -127,31 +131,36 @@ def _lie_realization_ok(lie: LieData, inv) -> bool:
     return True
 
 
-class E2Frames(namedtuple("E2Frames", "page2 cells f_columns basic invariants")):
-    """Page 2 with the tensor frames F(alpha (x) beta) of every cell.
+class E2Frames(namedtuple("E2Frames", "page2 cells f_columns d2_columns basic invariants")):
+    """Page 2's cells with the tensor frames F(alpha (x) beta) of every cell.
 
     f_columns[(p, q)] holds F's columns at (p, q), one per pair alpha (x)
-    beta, each as {class index: value}; basic is basic_cohomology's
-    Quotients and invariants the invariant subspaces, per degree.
+    beta, each as {class index: value}.  d2_columns[(p, q)] holds d_2 F's
+    columns there, where the target cell (p + 2, q - 1) is nonzero: the
+    class in it of d(alpha (x) beta), one per column of F.  basic is
+    basic_cohomology's Quotients and invariants the invariant subspaces, per
+    degree.
     """
 
     __slots__ = ()
 
 
-def _e2_frames(model: EquivariantModel, pg2: SpectralPage) -> E2Frames:
+def _e2_frames(model: EquivariantModel, page2: dict[tuple[int, int], WindowCell]) -> E2Frames:
     """Frames of the comparison map on page 2 of model's spectral sequence.
 
     alpha (x) beta is built sparse, {position: a b}, from alpha's and
     beta's echelon rows: alpha is the cocycle row at each pivot of
     basic_cohomology's representatives, beta each invariant basis row.  Its
     class is one class read in the cell, which also checks that it lies in
-    Z_2.  f_rank is the rank of those sparse columns.
+    Z_2, and where the target of d_2 is nonzero, d of it is read there too.
+    f_rank is the rank of the class columns.
     """
     bc = basic_cohomology(model)
     inv = invariant_subcomplex(model.lie)
     n = model.lie.n
     cells = []
     f_columns = {}
+    d2_columns = {}
     betas = []
     for q in range(n + 1):
         idx = multi_indices(n, q)
@@ -162,32 +171,44 @@ def _e2_frames(model: EquivariantModel, pg2: SpectralPage) -> E2Frames:
         alphas = [[(gens_p[j], a) for j, a in hp.space.sparse_row(pivot).items()]
                   for pivot in hp.pivots]
         for q in range(n + 1):
-            cell = pg2.cells.get((p, q))
+            cell = page2.get((p, q))
             prod = hp.dim * inv[q].dim
             if cell is None:
                 # a spot outside the E_0 support has no cell: E_2 is zero there
                 cells.append(E2Cell(p, q, prod, 0, 0))
                 f_columns[(p, q)] = [{} for _ in range(prod)]
                 continue
+            tgt = page2.get((p + 2, q - 1))
+            if tgt is not None and not tgt.dim:
+                tgt = None
             _, pos = degree_basis(model, p + q)
-            cols = []
+            cols, images = [], []
             for alpha in alphas:
                 for beta in betas[q]:
-                    y = cell.class_of({pos[(g, I)]: a * b for g, a in alpha for I, b in beta})
+                    x = {pos[(g, I)]: a * b for g, a in alpha for I, b in beta}
+                    y = cell.class_of(x)
                     if y is None:
                         raise CertificateError(
                             "tensor representative not d-compatible", (p, q), 2
                         )
                     cols.append(y)
+                    if tgt is not None:
+                        z = tgt.class_of(apply_sparse(cell.d_columns, x))
+                        if z is None:
+                            raise CertificateError("d of a tensor representative escapes Z_2",
+                                                   (p + 2, q - 1), 2)
+                        images.append(z)
             cells.append(E2Cell(p, q, prod, cell.dim, sparse_rank(cols)))
             f_columns[(p, q)] = cols
-    return E2Frames(pg2, tuple(cells), f_columns, bc, inv)
+            if tgt is not None:
+                d2_columns[(p, q)] = images
+    return E2Frames(page2, tuple(cells), f_columns, d2_columns, bc, inv)
 
 
 def e2_tensor_check(model: EquivariantModel, frames: E2Frames) -> E2Report:
     """Verdict on E_2 ~= H(B, d_hor) (x) H(algebra), cell by cell.
 
-    frames are _e2_frames(model, pg2) on page 2 of model's spectral sequence.
+    frames are _e2_frames(model, page2) on page 2 of model's spectral sequence.
     """
     ok = all(c.ok for c in frames.cells)
     return E2Report(
@@ -221,15 +242,15 @@ def d2_transgression(frames: E2Frames) -> dict[tuple[int, int], Transgression]:
     """d_2 written in the tensor bases, per source cell with nonzero product dim.
 
     Entry at (p, q) maps H^p(B) (x) H^q to H^(p+2)(B) (x) H^(q-1) coordinates:
-    F_target^-1 d_2 F_source, computed column by column.  Page 2's sparse d_2
-    columns are applied to each sparse column of F_source, and F_target x =
-    y is solved through one tagged echelon of F_target's columns per target
-    cell (qlinalg.solve_columns), with no dense product and no inverse; a y
-    outside their span raises CertificateError at the target cell, page 2.
-    The solutions are the Transgression's columns as they come: nothing
-    dense is built, so the stage holds only the nonzero entries.  Requires
-    the tensor check to pass, otherwise the frames are not invertible and
-    there is no honest change of basis.
+    F_target^-1 d_2 F_source, computed column by column.  d_2 F_source is
+    frames.d2_columns, the classes of d(alpha (x) beta) in the target cell,
+    and F_target x = y is solved through one tagged echelon of F_target's
+    columns per target cell (qlinalg.solve_columns), with no dense product
+    and no inverse; a y outside their span raises CertificateError at the
+    target cell, page 2.  The solutions are the Transgression's columns as
+    they come: nothing dense is built, so the stage holds only the nonzero
+    entries.  Requires the tensor check to pass, otherwise the frames are
+    not invertible and there is no honest change of basis.
     """
     bad = next((c for c in frames.cells if not c.ok), None)
     if bad is not None:
@@ -246,10 +267,8 @@ def d2_transgression(frames: E2Frames) -> dict[tuple[int, int], Transgression]:
         if not f_tgt:
             out[src] = Transgression(0, [{} for _ in range(cell.product_dim)])
             continue
-        d2 = [tuple(col.items()) for col in frames.page2.dr[src]]
-        images = [apply_sparse(d2, x) for x in frames.f_columns[src]]
         try:
-            cols = solve_columns(f_tgt, images)
+            cols = solve_columns(f_tgt, frames.d2_columns[src])
         except ValueError:
             raise CertificateError("d_2 not solvable in the target frame", tgt, 2) from None
         out[src] = Transgression(len(f_tgt), cols)
@@ -288,21 +307,11 @@ class Analysis:
 
     @cached_property
     def _page_pass(self) -> tuple:
-        """Every page's summary from the persistence pairing, and page 2 built
-        alone, whose cell dims and d_2 ranks must be the pairing's, cell by cell."""
+        """Every page's summary and page 2 with its classes, from one persistence pairing."""
         fc = self.filtration
         pairing = persistence_pairing(fc)
         pages = tuple(pairing.summary(r) for r in range(pairing.stabilization + 1))
-        pg2 = page(fc, 2)
-        want = pages[2]
-        for pq, cell in pg2.cells.items():
-            got = (cell.dim, pg2.ranks.get(pq, 0))
-            paired = (want.dims.get(pq, 0), want.d_ranks.get(pq, 0))
-            if got != paired:
-                raise CertificateError(
-                    f"page 2 dims = pairing dims fails: dim and d_2 rank {got} on page 2, "
-                    f"{paired} by the pairing", pq, 2)
-        return pages, pg2
+        return pages, second_page(fc, pairing)
 
     pages = property(lambda self: self._page_pass[0], doc="Summaries of E_0 .. E_stabilization.")
     stable = property(lambda self: self.pages[-1], doc="The summary of E_infinity.")

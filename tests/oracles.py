@@ -10,12 +10,13 @@ elimination through an echelon of the nonzero entries instead, and
 `matmul`, `dense_apply`, `contains` and `seed_image` are the dense
 products, membership and images the tests need, by their definitions.
 
-`seed_quotient_map` is the first quotient algorithm of the package: one row
-reduction of the whole accumulated basis per accepted representative, then a
-row reduction of [C | I] to read the projection off the tracked transform.
-Its reductions are `seed_rref`, so it shares no code with the one-pass sparse
-echelon of `qlinalg.quotient_map`, `_reduced` and `sparse_kernel`, and
-agreement entry by entry is a real check.  `seed_graded_cohomology` is the
+`seed_quotient_map` is the first quotient algorithm of the package: the rows
+of the numerator independent of the divisor and of the rows taken before
+them, each found by dense elimination, then a row reduction of [C | I] to
+read the projection off the tracked transform.  Its reductions are dense
+`Fraction` rows and `seed_rref`, so it shares no code with the one-pass
+sparse echelon of `qlinalg.quotient_map`, `_reduced` and `sparse_kernel`,
+and agreement entry by entry is a real check.  `seed_graded_cohomology` is the
 cohomology of a complex of dense matrices built from `seed_kernel_basis`,
 `seed_span` and `seed_quotient_map` alone, the reference for the engine's
 `graded_cohomology` over sparse columns; `dense_d_hor` places the entries of
@@ -45,22 +46,24 @@ subspace lattice operations that the engine no longer needs; here they
 reduce with `seed_rref` and `seed_kernel_basis` only, so the oracles built
 on them share no elimination with the engine.
 
-`sparse_columns`, `dmat` and `check_structure` are the dense view of a
-`FilteredComplex`, which keeps d only by its sparse columns: `dmat` builds
+`sparse_columns`, `ambient`, `dmat` and `check_structure` are the dense view
+of a `FilteredComplex`, which keeps d only by its sparse columns: `dmat` builds
 the dense matrix of d^m, and `check_structure` checks shapes, the decreasing
 filtration and d-compatibility entry by entry on it.  `filt` is F^p C^m as a
-subspace and `z_space` the engine's Z_r, the kernel of the block of d that
-cuts it out.
+subspace and `z_space` Z_r, the seed kernel of the block of d that cuts it
+out.
 
-`oracle_page` is the page engine before it moved to the associated graded:
-every spot (p, m) of the triangle gets a cell, and each cell is the quotient
-Z_r / (d Z_{r-1}^{p-r+1} + Z_{r-1}^{p+1}) of full subspaces of C^m, the
-divisor by one row reduction of both parts stacked.  The engine's window
-quotients skip the empty spots and never form that divisor, so comparing
-the two checks the skip and the window identity at once.
+`oracle_page` is the page as the package first built it: every spot (p, m)
+of the triangle gets a cell, and each cell is the quotient Z_r / (d
+Z_{r-1}^{p-r+1} + Z_{r-1}^{p+1}) of full subspaces of C^m, the divisor by
+one row reduction of both parts stacked and the quotient by
+`seed_quotient_map`, with d_r by the dense route (`dense_dr`).  It shares
+no code with the engine, which reads every page off its persistence pairing
+and builds no quotient page; `OraclePage` is its record.
 
 `homology_dims` is the page recurrence: the dims of ker d_r / im d_r per
-cell, which the next page must match.
+cell, which the next page must match; `recurrence_dims` is the same count
+on a page's dims and d_r ranks alone.
 
 `oracle_pairs` is the standard column reduction of persistent homology on
 dense `Fraction` columns of each d^m, with no clearing: a column takes
@@ -71,13 +74,12 @@ the pairs, basis vector by basis vector.  Neither calls `qlinalg` or
 `specseq`, so they check `specseq.persistence_pairing` and its
 `Pairing.summary` from outside.
 
-`dense_dr`, `dense_frames` and `dense_transgression` are the dense route the
-engine used before it read classes sparse: every d(rep) and every alpha (x)
-beta is a dense vector of C^m, tested with `contains` and projected with the
-dense `proj`.  `dr_matrix`, `f_matrix` and `transgression_matrix` make a
-page's sparse d_r columns, the frames' sparse columns and a transgression
-record into the dense matrices those compare with; `from_columns` and
-`zero_matrix` build a dense matrix from sparse columns or of zeros.
+`dense_dr`, `dense_frames` and `dense_transgression` are the dense route on
+the oracle page: every d(rep) and every alpha (x) beta is a dense vector of
+C^m, tested with `contains` and projected with the dense `proj`.
+`f_matrix` and `transgression_matrix` make the frames' sparse columns and a
+transgression record into dense matrices; `from_columns` and `zero_matrix`
+build a dense matrix from sparse columns or of zeros.
 
 `heisenberg_nilmanifold(k)` is the (2k+1)-dimensional Heisenberg
 nilmanifold as a circle bundle over the 2k-torus: B = Lambda(a_1..a_k,
@@ -90,6 +92,7 @@ Poincare duality.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from itertools import combinations, product
@@ -97,9 +100,9 @@ from math import comb
 
 from cartanss.liealg import LieData, all_multi_indices, multi_indices
 from cartanss.model import BasicComplex, EquivariantModel, degree_basis, monomial_basis
-from cartanss.qlinalg import Matrix, Subspace, column_rows, quotient_map, sparse_kernel
+from cartanss.qlinalg import Matrix, Subspace, column_rows, sparse_kernel
 from cartanss.reports import CertificateError, CheckResult
-from cartanss.specseq import FilteredComplex, SpectralPage, _kernel
+from cartanss.specseq import FilteredComplex
 
 
 def seed_rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
@@ -256,22 +259,34 @@ def seed_mismatches(m: Matrix) -> list[str]:
 
 
 def seed_quotient_map(v: Subspace, w: Subspace) -> tuple[Matrix, Matrix]:
-    """(reps, proj) of v/w, computed the slow way; ValueError unless w <= v."""
+    """(reps, proj) of v/w, computed the slow way; ValueError unless w <= v.
+
+    The representatives are the rows of v, in order, that are independent of
+    w's rows and the representatives before them, each tested by dense
+    elimination through the rows kept so far; proj is read off the
+    seed_rref of [C | I], C those rows."""
     if v.ambient_dim != w.ambient_dim:
         raise ValueError("ambient dimension mismatch")
     d = v.ambient_dim
     w_rows = [list(r) for r in w.basis.data]
     if seed_span(d, [list(r) for r in v.basis.data] + w_rows).dim != v.dim:
         raise ValueError("quotient undefined: denominator is not contained in numerator")
-    rows = w_rows
-    reps = []
-    current = seed_span(d, rows)
-    for cand in v.basis.data:
-        grown = seed_span(d, rows + [list(cand)])
-        if grown.dim > current.dim:
-            reps.append(list(cand))
-            rows.append(list(cand))
-            current = grown
+    kept: list[tuple[int, list]] = []  # (pivot, row 1 at its pivot), zero at earlier pivots
+
+    def independent(row) -> bool:
+        for pivot, base in kept:
+            c = row[pivot]
+            if c:
+                row = [a - c * b for a, b in zip(row, base)]
+        pivot = next((j for j, a in enumerate(row) if a), None)
+        if pivot is not None:
+            kept.append((pivot, [a / row[pivot] for a in row]))
+        return pivot is not None
+
+    for row in w_rows:
+        independent(row)
+    reps = [list(cand) for cand in v.basis.data if independent(list(cand))]
+    rows = w_rows + reps
     k = len(reps)
     if k == 0:
         return Matrix((), d), Matrix((), d)
@@ -671,11 +686,16 @@ def transgression_matrix(t) -> Matrix:
     return Matrix.of([[t.entry(i, j) for j in range(cols)] for i in range(rows)], cols=cols)
 
 
+def ambient(fc: FilteredComplex, m: int) -> int:
+    """dim C^m, zero outside the complex."""
+    return fc.dims[m] if 0 <= m < len(fc.dims) else 0
+
+
 def dmat(fc: FilteredComplex, m: int) -> Matrix:
     """d^m : C^m -> C^(m+1) as a dense matrix, zero outside the complex."""
-    rows = fc.ambient(m + 1)
+    rows = ambient(fc, m + 1)
     if not 0 <= m < len(fc.dims):
-        return zero_matrix(rows, fc.ambient(m))
+        return zero_matrix(rows, ambient(fc, m))
     return from_columns([dict(col) for col in fc.d_columns[m]], rows)
 
 
@@ -684,7 +704,7 @@ def check_structure(fc: FilteredComplex) -> None:
     for m in range(len(fc.dims)):
         if len(fc.d_columns[m]) != fc.dims[m]:
             raise AssertionError(f"d[{m}] column count mismatch")
-        target = fc.ambient(m + 1)
+        target = ambient(fc, m + 1)
         if any(i >= target for col in fc.d_columns[m] for i, _ in col):
             raise AssertionError(f"d[{m}] row count mismatch")
         if any([i for i, _ in col] != sorted({i for i, _ in col}) or not all(a for _, a in col)
@@ -705,18 +725,21 @@ def check_structure(fc: FilteredComplex) -> None:
 
 def filt(fc: FilteredComplex, p: int, m: int) -> Subspace:
     """F^p C^m as a subspace: the first cut(p, m) coordinate vectors."""
-    return Subspace.from_echelon(fc.ambient(m), {i: {} for i in range(fc.cut(p, m))})
+    return Subspace.from_echelon(ambient(fc, m), {i: {} for i in range(fc.cut(p, m))})
 
 
 def z_space(fc: FilteredComplex, r: int, p: int, m: int, cache: dict) -> Subspace:
-    """Z_r at filtration p, total degree m, as the engine finds it: x is in F^p
-    exactly when it is zero past k(p, m), and d x is in F^(p+r) exactly when
-    the rows of d past k(p+r, m+1) kill it, so Z_r is the kernel of that block.
-    Kept in cache under the block."""
+    """Z_r at filtration p, total degree m: x is in F^p exactly when it is zero
+    past k(p, m), and d x is in F^(p+r) exactly when the rows of d past
+    k(p+r, m+1) kill it, so Z_r is the seed kernel of that block of the dense
+    d, padded with zeros to C^m.  Kept in cache under the block."""
     block = (m, fc.cut(p, m), fc.cut(p + r, m + 1))
     hit = cache.get(block)
     if hit is None:
-        hit = cache[block] = _kernel(fc, block)
+        k, row = block[1:]
+        rows = [line[:k] for line in dmat(fc, m).data[row:]]
+        kernel = seed_kernel_basis(Matrix.of(rows, cols=k))
+        hit = cache[block] = Subspace.from_echelon(ambient(fc, m), kernel.echelon())
     return hit
 
 
@@ -729,7 +752,7 @@ def oracle_divisor(fc: FilteredComplex, r: int, p: int, m: int, cache: dict) -> 
     if not rows:
         return other
     rows.extend(other.basis.data)
-    return seed_span(fc.ambient(m), rows)
+    return seed_span(ambient(fc, m), rows)
 
 
 @dataclass(frozen=True)
@@ -743,7 +766,16 @@ class OracleCell:
     divisor: Subspace
 
 
-def oracle_page(fc: FilteredComplex, r: int, cache: dict | None = None) -> SpectralPage:
+class OraclePage(namedtuple("OraclePage", "r cells dr ranks")):
+    """Page r: an OracleCell per spot, d_r as a dense matrix per nonzero cell, and its ranks."""
+
+    __slots__ = ()
+
+    def dims(self) -> dict[tuple[int, int], int]:
+        return {pq: c.dim for pq, c in self.cells.items() if c.dim}
+
+
+def oracle_page(fc: FilteredComplex, r: int, cache: dict | None = None) -> OraclePage:
     """Page r with a cell at every spot 0 <= p <= m, each Z_r / divisor in full."""
     cache = {} if cache is None else cache
     cells = {}
@@ -752,12 +784,12 @@ def oracle_page(fc: FilteredComplex, r: int, cache: dict | None = None) -> Spect
             z = z_space(fc, r, p, m, cache)
             divisor = oracle_divisor(fc, r, p, m, cache)
             try:
-                quot = quotient_map(z, divisor_vectors(divisor))
+                reps, proj = seed_quotient_map(z, divisor)
             except ValueError:
                 raise CertificateError(f"divisor escapes Z_{r}", (p, m - p), r) from None
-            cells[(p, m - p)] = OracleCell(p, m - p, quot.dim, quot.reps, quot.proj, z, divisor)
+            cells[(p, m - p)] = OracleCell(p, m - p, reps.rows, reps, proj, z, divisor)
     dr = dense_dr(fc, cells, r)
-    return SpectralPage(r, cells, dr, {pq: rank(m) for pq, m in dr.items()})
+    return OraclePage(r, cells, dr, {pq: rank(m) for pq, m in dr.items()})
 
 
 def _level(fc: FilteredComplex, m: int, i: int) -> int:
@@ -770,7 +802,7 @@ def oracle_pairs(fc: FilteredComplex) -> list[tuple[int, int, int, int]]:
     reduction, and the level of that row less the level of the column."""
     pairs = []
     for m, sparse in enumerate(fc.d_columns):
-        height = fc.ambient(m + 1)
+        height = ambient(fc, m + 1)
         owner: dict[int, list[Q]] = {}  # lowest row -> the reduced column that ends there
         for j, entries in enumerate(sparse):
             x = [Q(0)] * height
@@ -809,24 +841,20 @@ def oracle_counts(fc: FilteredComplex, pairs, r: int) -> tuple[dict, dict]:
     return dims, ranks
 
 
-def homology_dims(pg: SpectralPage) -> dict[tuple[int, int], int]:
-    """Dims of ker(d_r)/im(d_r) per cell: the next page computed the slow way."""
-    out: dict[tuple[int, int], int] = {}
-    for (p, q), cell in pg.cells.items():
-        if cell.dim == 0:
-            continue
-        out_rank = pg.ranks[(p, q)]
-        in_rank = pg.ranks.get((p - pg.r, q + pg.r - 1), 0)
-        h = cell.dim - out_rank - in_rank
+def recurrence_dims(dims: dict, ranks: dict, r: int) -> dict[tuple[int, int], int]:
+    """The next page's nonzero dims from page r's dims and d_r ranks, cell by
+    cell: dim less the rank of d_r out of the cell and the rank into it."""
+    out = {}
+    for (p, q), d in dims.items():
+        h = d - ranks.get((p, q), 0) - ranks.get((p - r, q + r - 1), 0)
         if h:
             out[(p, q)] = h
     return out
 
 
-def dr_matrix(pg: SpectralPage, pq: tuple[int, int]) -> Matrix:
-    """d_r at pq as a dense target dim x source dim matrix, from pg.dr's sparse columns."""
-    tgt = pg.cells.get((pq[0] + pg.r, pq[1] - pg.r + 1))
-    return from_columns(pg.dr[pq], 0 if tgt is None else tgt.dim)
+def homology_dims(pg: OraclePage) -> dict[tuple[int, int], int]:
+    """Dims of ker(d_r)/im(d_r) per cell: the next page computed the slow way."""
+    return recurrence_dims(pg.dims(), pg.ranks, pg.r)
 
 
 def f_matrix(frames, pq: tuple[int, int]) -> Matrix | None:
@@ -834,7 +862,7 @@ def f_matrix(frames, pq: tuple[int, int]) -> Matrix | None:
     cols = frames.f_columns.get(pq)
     if cols is None:
         return None
-    cell = frames.page2.cells.get(pq)
+    cell = frames.page2.get(pq)
     return from_columns(cols, 0 if cell is None else cell.dim)
 
 
@@ -874,14 +902,14 @@ def dense_tensor_vector(model: EquivariantModel, alpha_row, p: int, beta_row, q:
     return tuple(vec)
 
 
-def dense_frames(model: EquivariantModel, frames) -> dict:
-    """(p, q) -> the frame F by the dense route, from frames' own page 2,
-    basic cohomology and invariants: every alpha (x) beta from the dense
-    basis rows, `contains` in Z_2 and the dense `proj`."""
+def dense_frames(model: EquivariantModel, frames, cells: dict) -> dict:
+    """(p, q) -> the frame F by the dense route, on the oracle page 2's cells
+    and frames' basic cohomology and invariants: every alpha (x) beta from
+    the dense basis rows, `contains` in Z_2 and the dense `proj`."""
     out = {}
     for cell in frames.cells:
         pq = (cell.p, cell.q)
-        pc = frames.page2.cells.get(pq)
+        pc = cells.get(pq)
         cols = []
         if pc is not None:
             z, proj = pc.space, pc.proj
@@ -892,7 +920,8 @@ def dense_frames(model: EquivariantModel, frames) -> dict:
                 if not contains(z, vec):
                     raise CertificateError("tensor representative not d-compatible", pq, 2)
                 cols.append(dense_apply(proj, vec))
-        out[pq] = Matrix.of([[col[i] for col in cols] for i in range(cell.e2_dim)],
+        dim = 0 if pc is None else pc.dim
+        out[pq] = Matrix.of([[col[i] for col in cols] for i in range(dim)],
                             cols=cell.product_dim)
     return out
 

@@ -42,7 +42,7 @@ from cartanss.model import (
 )
 from cartanss.specseq import (
     cartan_filtration,
-    page,
+    persistence_pairing,
 )
 from cartanss.qlinalg import cohomology_dims
 from cartanss.verify import Analysis, basic_cohomology
@@ -52,7 +52,7 @@ from oracles import (
     ModelElement,
     dense_d_hor,
     dmat,
-    homology_dims,
+    recurrence_dims,
     seed_graded_cohomology,
     total_d,
     wedge,
@@ -60,19 +60,19 @@ from oracles import (
 from test_cli import parse_table_pages
 
 
-def nonzero_ranks(pg):
-    return {pq: r for pq, r in pg.ranks.items() if r}
+def page_two_dims(an):
+    """The nonzero cell dims of page 2 as the report's cells hold them."""
+    return {pq: cell.dim for pq, cell in an.page2.items() if cell.dim}
 
 
 def test_criterion_01_hopf_card():
     t0 = time.perf_counter()
     card = get_model("hopf")
     assert total_cohomology(card.model) == (1, 0, 0, 1)
-    fc = cartan_filtration(card.model)
-    p2 = page(fc, 2)
-    assert p2.dims() == {(0, 0): 1, (0, 1): 1, (2, 0): 1, (2, 1): 1}
-    assert nonzero_ranks(p2) == {(0, 1): 1}
     an = Analysis(card.model)
+    four = {(0, 0): 1, (0, 1): 1, (2, 0): 1, (2, 1): 1}
+    assert page_two_dims(an) == an.pages[2].dims == four
+    assert an.pages[2].d_ranks == {(0, 1): 1}
     assert an.stabilization == 3
     assert an.e2.verdict == "isomorphism"
     assert time.perf_counter() - t0 < 1.0
@@ -82,9 +82,8 @@ def test_criterion_02_kronecker_card():
     t0 = time.perf_counter()
     card = get_model("kronecker")
     assert total_cohomology(card.model) == (1, 2, 1)
-    fc = cartan_filtration(card.model)
-    assert page(fc, 2).dims() == {(0, 0): 1, (0, 1): 1, (1, 0): 1, (1, 1): 1}
     an = Analysis(card.model)
+    assert page_two_dims(an) == {(0, 0): 1, (0, 1): 1, (1, 0): 1, (1, 1): 1}
     assert an.stabilization == 2
     assert an.e2.verdict == "isomorphism"
     assert time.perf_counter() - t0 < 1.0
@@ -97,11 +96,10 @@ def test_criterion_03_group_su2_card():
     assert hdims == (1, 0, 0, 1)
     inv = invariant_subcomplex(card.model.lie)
     assert tuple(s.dim for s in inv) == hdims
-    fc = cartan_filtration(card.model)
-    p2 = page(fc, 2)
+    an = Analysis(card.model)
     for q in range(4):
-        assert p2.cells[(0, q)].dim == hdims[q]
-    rep = Analysis(card.model).abutment
+        assert an.page2[(0, q)].dim == hdims[q]
+    rep = an.abutment
     assert rep.passed
     assert tuple(r.cohomology_dim for r in rep.rows) == (1, 0, 0, 1)
     assert time.perf_counter() - t0 < 1.0
@@ -189,21 +187,25 @@ def test_criterion_07_abutment_oracle():
         model = get_model(name).model
         fc = cartan_filtration(model)
         # past the top degree no d_r has room: this page is E_infinity
-        stable = page(fc, len(fc.dims) + 1)
+        stable = persistence_pairing(fc).summary(len(fc.dims) + 1)
         hdims = total_cohomology(model)
         sums = [0] * len(hdims)
-        for (p, q), d in stable.dims().items():
+        for (p, q), d in stable.dims.items():
             sums[p + q] += d
         assert tuple(sums) == hdims, name
         assert Analysis(model).abutment.passed
 
 
 def test_criterion_08_page_recurrence():
+    """Each page's dims are the last page's less the ranks of d_r out of
+    and into each cell."""
     for name in MODEL_NAMES:
         card = get_model(name)
-        fc = cartan_filtration(card.model)
+        pairing = persistence_pairing(cartan_filtration(card.model))
         for r in range(card.expected.stabilization + 1):
-            assert page(fc, r + 1).dims() == homology_dims(page(fc, r)), (name, r)
+            pg = pairing.summary(r)
+            assert pairing.summary(r + 1).dims == recurrence_dims(pg.dims, pg.d_ranks, r), (
+                name, r)
 
 
 def test_criterion_09_weighted_hopf_transgression():
@@ -214,7 +216,7 @@ def test_criterion_09_weighted_hopf_transgression():
         assert entry.shape == (1, 1)
         assert abs(entry.entry(0, 0)) == w
         fc = cartan_filtration(model)
-        assert page(fc, 3).dims() == hopf_e3, w
+        assert persistence_pairing(fc).summary(3).dims == hopf_e3, w
 
 
 def test_criterion_10_cli_round_trip(capsys):

@@ -47,7 +47,7 @@ from cartanss.model import (
     size_error,
 )
 from cartanss import cli, qlinalg, specseq, verify
-from cartanss.reports import CertificateError
+from cartanss.reports import CertificateError, shown
 from cartanss.verify import Analysis
 
 HOPF_DOC = {
@@ -245,6 +245,28 @@ def test_json_integers_past_the_digit_limit_are_parse_errors(tmp_path, capsys):
     path.write_text('{"lie": ' + "[" * 100000 + "]" * 100000 + "}")
     assert main(["validate", str(path)]) == 2
     assert "nested too deeply" in capsys.readouterr().err
+
+
+def test_a_repeated_json_key_is_a_parse_error_naming_the_key(tmp_path, capsys):
+    """json.load alone keeps the last value of a repeated key: a second name
+    would rename the model, and a second euler list would drop the first."""
+    one = json.dumps(euler_doc(1))
+    texts = {
+        "'name'": '{"name": "x", "name": "y", ' + one[1:],
+        "'euler'": one[:-2] + ', "euler": []}}',
+        "'degree'": one.replace('"degree": 0', '"degree": 0, "degree": 1'),
+    }
+    path = tmp_path / "model.json"
+    for key, text in texts.items():
+        path.write_text(text)
+        for command in ("validate", "pages"):
+            assert main([command, str(path)]) == 2, (key, command)
+            err = capsys.readouterr().err
+            assert err == f"parse error: {shown(str(path))}: repeated key {key}\n", err
+    # the same keys in different objects are not repeats
+    path.write_text(one)
+    assert main(["validate", str(path)]) == 0
+    capsys.readouterr()
 
 
 def test_a_rational_past_the_digit_limit_is_a_short_parse_error(tmp_path, capsys):
@@ -509,7 +531,7 @@ COUNTED = (
     ("specseq", "cartan_filtration"),
     ("liealg", "validate_lie"),
     ("model", "validate_model"),
-    ("specseq", "page"),
+    ("specseq", "second_page"),
     ("specseq", "persistence_pairing"),
     ("verify", "_e2_frames"),
 )
@@ -551,9 +573,9 @@ def test_pages_computes_every_stage_once(tmp_path, monkeypatch, capsys, source):
     assert main(["pages", path, "--format", "machine"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert [len(calls[f]) for f in ("cartan_filtration", "validate_lie", "validate_model",
-                                     "persistence_pairing", "_e2_frames")] == [1, 1, 1, 1, 1]
-    # the pairing gives pages 0 .. stabilization; only page 2 is built as quotients
-    assert [args[1] for args in calls["page"]] == [2]
+                                     "persistence_pairing", "second_page",
+                                     "_e2_frames")] == [1, 1, 1, 1, 1, 1]
+    # the pairing gives pages 0 .. stabilization, and page 2's cells are read off it
     assert [page["r"] for page in doc["pages"]] == list(range(doc["stabilization"] + 1))
 
 
@@ -571,10 +593,9 @@ def test_examples_run_computes_every_stage_once(monkeypatch, capsys):
     assert main(["examples", "--run", "group_torus:3", "--format", "machine"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["passed"] is True
-    assert {f: len(c) for f, c in calls.items() if f != "page"} == {
+    assert {f: len(c) for f, c in calls.items()} == {
         "cartan_filtration": 1, "validate_lie": 1, "validate_model": 1,
-        "persistence_pairing": 1, "_e2_frames": 1}
-    assert [args[1] for args in calls["page"]] == [2]
+        "second_page": 1, "persistence_pairing": 1, "_e2_frames": 1}
     assert [page["r"] for page in doc["report"]["pages"]] == [0, 1, 2]
 
 
@@ -626,16 +647,16 @@ def test_machine_document_writes_the_bytes_of_json_dumps(monkeypatch, capsys):
     assert out == json.dumps(json.loads(out), indent=2)
 
 
-# trivial_product's card, unlike hopf's, reads no transgression among its
-# checks, and its d is zero, so it has no pair to drop
-@pytest.mark.parametrize("plant, card", [("dropped pair", "hopf"), ("unsolvable d_2", "hopf"),
+# trivial_product's card, unlike hopf's, reads no transgression among its checks
+@pytest.mark.parametrize("plant, card", [("escaping tensor", "hopf"),
+                                         ("unsolvable d_2", "hopf"),
                                          ("unsolvable d_2", "trivial_product")])
 def test_a_certificate_failure_writes_nothing_to_stdout(tmp_path, monkeypatch, capsys,
                                                         plant, card):
-    """A CertificateError in the page pass, the first stage the report reads,
-    or in the transgression, the last, leaves stdout empty in both commands."""
-    if plant == "dropped pair":
-        dropped_pair(monkeypatch, 0)
+    """A CertificateError in the frames' class reads or in the transgression,
+    the last stage, leaves stdout empty in both commands."""
+    if plant == "escaping tensor":
+        monkeypatch.setattr(specseq.WindowCell, "class_of", lambda cell, x: None)
     else:
         def unsolvable(*args):
             raise ValueError("planted")
@@ -648,6 +669,24 @@ def test_a_certificate_failure_writes_nothing_to_stdout(tmp_path, monkeypatch, c
         with pytest.raises(CertificateError):
             main(argv)
         assert capsys.readouterr().out == "", argv
+
+
+def test_a_dropped_pair_fails_the_abutment_of_the_report_and_the_card(tmp_path, monkeypatch,
+                                                                        capsys):
+    """Page 2 is read off the pairing, so a pairing with hopf's one pair left
+    out keeps E_2 and its check, but reports E_infinity as E_2 and fails the
+    abutment in degrees 1 and 2: `pages` reports it and `examples --run`
+    fails its card."""
+    dropped_pair(monkeypatch, 0)
+    path = str(tmp_path / "model.json")
+    save_model_file(get_model("hopf").model, path)
+    assert main(["pages", path, "--format", "machine"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["e2_check"]["verdict"], doc["stabilization"]) == ("isomorphism", 2)
+    assert [row["match"] for row in doc["abutment"]["rows"]] == [True, False, False, True]
+    assert main(["examples", "--run", "hopf", "--format", "machine"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["passed"] is False and doc["report"]["abutment"]["passed"] is False
 
 
 @pytest.mark.parametrize("source", ["sample_models/hopf.json", "group_torus:3"])
@@ -676,7 +715,7 @@ def test_validation_alone_builds_no_filtration_and_no_page(tmp_path, monkeypatch
         assert main(argv) == code, argv
     capsys.readouterr()
     assert {f: len(c) for f, c in calls.items()} == {
-        "cartan_filtration": 0, "validate_lie": 3, "validate_model": 3, "page": 0,
+        "cartan_filtration": 0, "validate_lie": 3, "validate_model": 3, "second_page": 0,
         "persistence_pairing": 0, "_e2_frames": 0}
 
 
@@ -690,11 +729,11 @@ def test_one_analysis_builds_each_stage_once(monkeypatch):
         range(max_total_degree(model) + 1))
     # the filtration is gated on validation, so each validator runs once
     assert {f: len(calls[f]) for f in ("cartan_filtration", "_e2_frames", "validate_lie",
-                                       "validate_model", "persistence_pairing")} == {
+                                       "validate_model", "persistence_pairing",
+                                       "second_page")} == {
         "cartan_filtration": 1, "_e2_frames": 1, "validate_lie": 1, "validate_model": 1,
-        "persistence_pairing": 1}
-    # page 2 is the one page built; E_infinity is the pairing's summary at stabilization
-    assert [args[1] for args in calls["page"]] == [2]
+        "persistence_pairing": 1, "second_page": 1}
+    # E_infinity is the pairing's summary at stabilization
     assert [s.r for s in an.pages] == list(range(an.stabilization + 1))
     assert an.stable is an.pages[-1] and an.stable.r == an.stabilization
 
@@ -711,14 +750,14 @@ def test_analysis_of_an_invalid_model_raises_and_builds_no_filtration(monkeypatc
     with pytest.raises(ValueError, match="invalid model") as err:
         an.abutment
     assert str(err.value).splitlines()[1:] == failed
-    assert (len(calls["cartan_filtration"]), len(calls["page"]),
+    assert (len(calls["cartan_filtration"]), len(calls["second_page"]),
             len(calls["persistence_pairing"])) == (0, 0, 0)
 
 
 def _eliminations_inside(monkeypatch, function_name):
     """Log, for every elimination, whether function_name is on the call stack.
 
-    The engine eliminates in three places: `_reduced` (the row reduction of
+    qlinalg eliminates in three places: `_reduced` (the row reduction of
     Matrix.rref and of every sparse_kernel), sparse_rank and the
     class read Quotient.class_of, which reduces a vector through an echelon.
     A sparse_kernel given no nonzero row eliminates nothing and calls no
@@ -738,7 +777,7 @@ def _eliminations_inside(monkeypatch, function_name):
     monkeypatch.setattr(qlinalg, "_reduced", logged(qlinalg._reduced))
     monkeypatch.setattr(qlinalg.Quotient, "class_of", logged(qlinalg.Quotient.class_of))
     rank = logged(qlinalg.sparse_rank)
-    for module in (qlinalg, specseq, verify):
+    for module in (qlinalg, verify):
         monkeypatch.setattr(module, "sparse_rank", rank)
     return log
 
@@ -755,12 +794,8 @@ def test_invariants_are_eliminated_only_where_coadjoint_is_nonzero(
     assert main(["pages", path, "--format", "machine"]) == 0
     capsys.readouterr()
     assert len(calls["invariant_subcomplex"]) == 1
-    # `pages` builds page 2 alone; the other pages up to one past
-    # E_infinity add their eliminations, none inside invariant_subcomplex
-    fc = specseq.cartan_filtration(model)
-    for r in range(specseq.persistence_pairing(fc).stabilization + 2):
-        specseq.page(fc, r)
-    assert len(eliminations) > 20
+    # the frames' ranks and the two cohomologies; page 2 eliminates nothing
+    assert len(eliminations) >= 10
     # every coadjoint matrix of an abelian algebra is zero: Lambda^q is invariant
     assert any(eliminations) is eliminates
 
@@ -781,8 +816,8 @@ def test_zero_differentials_are_not_eliminated(tmp_path, monkeypatch, capsys, sp
 
 
 def test_each_kernel_basis_runs_one_elimination(tmp_path, monkeypatch, capsys):
-    """Every kernel, of the page blocks, the invariants and the Lie realization
-    check, is one sparse_kernel, which runs the forward pass `_forward` of the
+    """Every kernel, of the basic cohomology, the invariants and the Lie
+    realization check, is one sparse_kernel, which runs the forward pass `_forward` of the
     elimination once: on su(2) acting on itself and on su(2) + su(2) over a
     circle."""
     models = [get_model("group_su2").model,
@@ -917,19 +952,19 @@ def test_pages_build_cells_only_on_the_e0_support(tmp_path, monkeypatch, capsys,
     path = str(tmp_path / "model.json")
     save_model_file(model, path)
     cells = []
-    built = specseq.page
+    built = specseq.second_page
 
     def counted_page(*args):
         pg = built(*args)
-        cells.append(len(pg.cells))
+        cells.append(len(pg))
         return pg
 
-    monkeypatch.setattr(verify, "page", counted_page)
+    monkeypatch.setattr(verify, "second_page", counted_page)
     assert main(["pages", path, "--format", "machine"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert len(doc["pages"]) == pages
-    # page 2 is the one page built; the full triangle of spots (p, m) would
-    # be 1 + 2 + ... + (top + 1)
+    # page 2 is the one page with cells; the full triangle of spots (p, m)
+    # would be 1 + 2 + ... + (top + 1)
     assert cells == [per_page]
 
 
@@ -965,45 +1000,31 @@ def source_env():
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
 
 
-ESCAPING_DIVISOR_SCRIPT = textwrap.dedent(
+OUTSIDE_Z2_SCRIPT = textwrap.dedent(
     """
     from fractions import Fraction
 
-    from cartanss import qlinalg, specseq
-    from cartanss.reports import CertificateError
+    from cartanss import specseq
 
-    counts = {"quotient_map": 0}
-    quotient_map = qlinalg.quotient_map
-
-    def counted_quotient_map(*args, **kwargs):
-        counts["quotient_map"] += 1
-        return quotient_map(*args, **kwargs)
-
-    specseq.quotient_map = counted_quotient_map
     # Q -> Q -> Q with both maps the identity: d^2 != 0, so at (0,1) the
-    # divisor d Z_0 = C^1 escapes Z_1 = ker d
+    # boundary e_0 has d of it at level 0, not in F^2
     one = (((0, Fraction(1)),),)  # the identity Q -> Q, column by column
     broken = specseq.FilteredComplex((1, 1, 1), (one, one, ((),)),
                                      ((1, 0), (1, 0, 0), (1, 0, 0, 0)))
-    try:
-        specseq.page(broken, 1)
-    except CertificateError as exc:
-        print(exc)
-    print(counts["quotient_map"])
+    cells = specseq.second_page(broken, specseq.persistence_pairing(broken))
+    print(cells[(0, 1)].class_of({0: Fraction(1)}), cells[(0, 1)].class_of({1: Fraction(1)}))
+    print(cells[(0, 2)].class_of({0: Fraction(3)}))
     """
 )
 
 
 @pytest.mark.parametrize("flags", [[], ["-O"]])
-def test_escaping_divisor_is_checked_once_per_cell(flags):
-    proc = subprocess.run([sys.executable, *flags, "-c", ESCAPING_DIVISOR_SCRIPT],
+def test_a_vector_outside_z_two_is_refused_under_python_O(flags):
+    proc = subprocess.run([sys.executable, *flags, "-c", OUTSIDE_Z2_SCRIPT],
                           capture_output=True, text=True, env=source_env(), timeout=120)
     assert proc.returncode == 0, proc.stderr
-    # cells (0,0) then (0,1): one quotient each, whose pass is the containment test
-    assert proc.stdout.splitlines() == [
-        "divisor escapes Z_1 at page E_1, cell (p,q)=(0,1)",
-        "2",
-    ]
+    # (0,1): d escapes F^2, then an entry past the window; (0,2) is in Z_2
+    assert proc.stdout.splitlines() == ["None None", "{0: Fraction(3, 1)}"]
 
 
 OVERSIZED_SCRIPT = textwrap.dedent(

@@ -132,3 +132,37 @@ def test_every_method_is_named_in_the_package_outside_its_body():
              "    def __repr__(self):\n        return ''\n",
         "b": "from .a import A\n\ndef caller():\n    return A().used()\n",
     }) == ["A.lonely", "A.size"]
+
+
+ORACLES = Path(__file__).resolve().parent / "oracles.py"
+
+
+def private_imports(source: str) -> list[str]:
+    """module.name for each underscore-prefixed name source imports from cartanss."""
+    return [f"{node.module}.{alias.name}"
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("cartanss")
+            for alias in node.names if alias.name.startswith("_")]
+
+
+def test_the_oracles_import_no_private_name_of_the_engine():
+    """The references in tests/oracles.py share no code with the engine's
+    internals: it imports only public cartanss names."""
+    assert private_imports(ORACLES.read_text(encoding="utf-8")) == []
+    # the guard sees a private name among public ones, and no other module
+    assert private_imports("from cartanss.qlinalg import Matrix, _reduced\n"
+                           "from fractions import _gcd\n") == ["cartanss.qlinalg._reduced"]
+
+
+def assert_statements(source: str) -> list[int]:
+    """The line of every assert statement in source."""
+    return [node.lineno for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Assert)]
+
+
+def test_no_assert_statement_in_the_package_or_the_oracles():
+    """python -O strips assert statements, so the package and the oracles
+    check their invariants with typed errors, which still fire there."""
+    paths = sorted(SRC.glob("*.py")) + [ORACLES]
+    assert {path.name: assert_statements(path.read_text(encoding="utf-8"))
+            for path in paths} == {path.name: [] for path in paths}
+    assert assert_statements("def f(x):\n    if x:\n        assert x > 0\n") == [3]

@@ -35,7 +35,6 @@ from cartanss.qlinalg import (
     apply_sparse,
     as_q,
     column_rows,
-    exact,
     quotient_map,
     solve_columns,
     sparse_kernel,
@@ -172,7 +171,7 @@ def test_sum_and_intersect_worked_example():
     b = seed_span(2, [[1, 1]])
     s, i = sum_and_intersect(a, b)
     assert s == Subspace.full(2)
-    assert i == Subspace.prefix_space(2, 0)
+    assert i == Subspace.from_echelon(2, {})
 
 
 def test_sum_and_intersect_dimension_identity():
@@ -290,7 +289,7 @@ def test_quotient_map_matches_the_seed_algorithm_on_random_pairs():
         v = seed_span(d, sparse_rows(rng, rng.randint(0, d), d))
         case = i % 4
         if case == 0:
-            w = Subspace.prefix_space(d, 0)
+            w = Subspace.from_echelon(d, {})
         elif case == 1:
             w = v
         elif case == 2:
@@ -315,40 +314,6 @@ def test_quotient_map_matches_the_seed_algorithm_on_random_pairs():
         want_reps, want_proj = seed_quotient_map(v, w)
         assert (reps.data, reps.cols) == (want_reps.data, want_reps.cols), (v, w)
         assert (proj.data, proj.cols) == (want_proj.data, want_proj.cols), (v, w)
-    assert min(kinds.values()) >= 20, kinds
-
-
-def test_window_quotient_matches_the_seed_quotient_by_the_full_divisor():
-    """quotient_map(v, w, (lo, hi)) is v / (span w + {x in v : x = 0 on lo..hi-1})."""
-    rng = random.Random(20261020)
-    kinds = {"w not in v": 0, "window drops part of v": 0, "proper": 0, "empty window": 0}
-    for i in range(600):
-        d = rng.randint(1, 8)
-        v = seed_span(d, sparse_rows(rng, rng.randint(0, d), d))
-        lo = rng.randint(0, d)
-        hi = rng.randint(lo, d)
-        if i % 5 == 0:
-            w_rows = sparse_rows(rng, rng.randint(1, 3), d)
-        else:
-            w_rows = [list(r) for r in span_inside(rng, v, rng.randint(0, v.dim)).basis.data]
-            w_rows += [[c * x for x in r] for r in w_rows[:1] for c in (0, 2)]
-        w = [{j: x for j, x in enumerate(row) if x} for row in w_rows]
-        outside = seed_span(d, [[Q(int(j == k)) for k in range(d)]
-                                         for j in range(d) if not lo <= j < hi])
-        divisor = seed_span(d, w_rows + list(sum_and_intersect(v, outside)[1].basis.data))
-        if not all(contains(v, row) for row in w_rows):
-            kinds["w not in v"] += 1
-            with pytest.raises(ValueError):
-                quotient_map(v, w, window=(lo, hi))
-            continue
-        kinds["window drops part of v"] += divisor.dim > seed_span(d, w_rows).dim
-        kinds["proper"] += 0 < divisor.dim < v.dim
-        kinds["empty window"] += lo == hi
-        quot = quotient_map(v, w, window=(lo, hi))
-        reps, proj = quot.reps, quot.proj
-        want_reps, want_proj = seed_quotient_map(v, divisor)
-        assert (reps.data, reps.cols) == (want_reps.data, want_reps.cols), (v, w, lo, hi)
-        assert (proj.data, proj.cols) == (want_proj.data, want_proj.cols), (v, w, lo, hi)
     assert min(kinds.values()) >= 20, kinds
 
 
@@ -492,7 +457,7 @@ def test_a_lazy_subspace_equals_hashes_and_prints_like_a_dense_one():
         one = lazy()
         assert (one == d) is False and one != (d, dense.basis)
         if d:
-            other = Subspace.full(d) if dense.dim < d else Subspace.prefix_space(d, 0)
+            other = Subspace.full(d) if dense.dim < d else Subspace.from_echelon(d, {})
             assert lazy() != other and other != lazy()
 
 
@@ -513,22 +478,15 @@ def test_sparse_rank_matches_the_seed_rank_on_wild_matrices():
 
 
 def test_class_read_matches_contains_vector_and_the_dense_proj():
-    """Quotient.class_of against the dense membership test and proj, on
-    full and window quotients, for vectors inside v and vectors that escape it."""
+    """Quotient.class_of against the dense membership test and proj, for
+    vectors inside v and vectors that escape it."""
     rng = random.Random(20261022)
-    kinds = {"in v": 0, "escapes v": 0, "nonzero class": 0, "window": 0}
+    kinds = {"in v": 0, "escapes v": 0, "nonzero class": 0}
     for i in range(300):
         d = rng.randint(1, 8)
         v = seed_span(d, sparse_rows(rng, rng.randint(0, d), d))
         w = span_inside(rng, v, rng.randint(0, v.dim))
-        if i % 2:
-            lo = rng.randint(0, d)
-            hi = rng.randint(lo, d)
-            w_sparse = [{j: x for j, x in enumerate(row) if x} for row in w.basis.data]
-            quot = quotient_map(v, w_sparse, window=(lo, hi))
-            kinds["window"] += 1
-        else:
-            quot = quotient_map(v, divisor_vectors(w))
+        quot = quotient_map(v, divisor_vectors(w))
         reps, proj = quot.reps, quot.proj
         assert quot.dim == reps.rows
         for row, pivot in zip(reps.data, quot.pivots):
@@ -552,75 +510,3 @@ def test_class_read_matches_contains_vector_and_the_dense_proj():
             assert got == want, (v, w, vec)
             kinds["nonzero class"] += bool(got)
     assert min(kinds.values()) >= 50, kinds
-
-
-def test_a_prefix_is_recognised_and_compares_like_any_subspace():
-    assert (Subspace.full(4).prefix, Subspace.prefix_space(4, 0).prefix) == (4, 0)
-    assert Subspace.from_echelon(5, {0: {}, 1: {}, 2: {}}).prefix == 3
-    assert Subspace.from_echelon(5, {}).prefix == 0
-    # a unit row past the prefix, or a row with a tail, is a general space
-    assert Subspace.from_echelon(5, {0: {}, 2: {}}).prefix is None
-    assert Subspace.from_echelon(5, {0: {}, 1: {3: 2}}).prefix is None
-    prefix = Subspace.prefix_space(5, 3)
-    unit_rows = Subspace(5, {0: {}, 1: {}, 2: {}})
-    assert unit_rows.prefix is None
-    assert prefix == unit_rows and hash(prefix) == hash(unit_rows)
-    assert repr(prefix) == repr(unit_rows) and prefix.echelon() == unit_rows.echelon()
-
-
-def _scalar(rng):
-    """A nonzero value in the engine's scalar form: an int, or a Fraction when not integral."""
-    return exact(Q(rng.choice([-3, -2, -1, 1, 2, 3]), rng.choice([1, 1, 2, 3])))
-
-
-def test_prefix_quotient_matches_the_general_pass_on_unit_rows():
-    """quotient_map on a prefix [0, k) against the same space given as k
-    explicit unit rows, which takes the general pass: the same pivots,
-    classes, reps, proj, class reads (None for a vector that escapes) and
-    ValueError, over random lengths, windows and integral or rational
-    divisors, some with a planted entry at or past k."""
-    rng = random.Random(20261019)
-    kinds = dict.fromkeys(("escapes", "window itself", "divisor on the window",
-                           "divisor off the window", "rational", "k < d", "class None",
-                           "nonzero class"), 0)
-    for i in range(1500):
-        d = rng.randint(0, 9)
-        k = rng.randint(0, d)
-        lo = rng.randint(0, d)
-        hi = rng.randint(lo, d)
-        prefix = Subspace.prefix_space(d, k)
-        unit_rows = Subspace(d, {j: {} for j in range(k)})
-        w = []
-        for _ in range(rng.choice([0, 0, 1, 2, 3])):
-            # entries off the window, on it, or (planted) at or past k
-            cols = [j for j in range(k) if rng.random() < 0.4]
-            if i % 7 == 0 and k < d:
-                cols.append(rng.randint(k, d - 1))
-            w.append({j: _scalar(rng) for j in sorted(set(cols))})
-        kinds["k < d"] += k < d
-        kinds["rational"] += any(type(a) is Q for y in w for a in y.values())
-        try:
-            want = quotient_map(unit_rows, [dict(y) for y in w], window=(lo, hi))
-        except ValueError as exc:
-            with pytest.raises(ValueError) as info:
-                quotient_map(prefix, [dict(y) for y in w], window=(lo, hi))
-            assert str(info.value) == str(exc)
-            kinds["escapes"] += 1
-            continue
-        got = quotient_map(prefix, [dict(y) for y in w], window=(lo, hi))
-        assert got == want
-        assert got.pivots == want.pivots, (d, k, lo, hi, w)
-        assert list(got.classes.items()) == list(want.classes.items()), (d, k, lo, hi, w)
-        assert (got.reps.data, got.proj.data) == (want.reps.data, want.proj.data)
-        on_window = any(lo <= j < hi for y in w for j in y)
-        kinds["window itself"] += got.window is not None
-        kinds["divisor on the window"] += on_window
-        kinds["divisor off the window"] += bool(w) and not on_window
-        for t in range(4):
-            x = {j: _scalar(rng) for j in range(k if t % 2 else d) if rng.random() < 0.5}
-            a = got.class_of(dict(x))
-            b = want.class_of(dict(x))
-            assert a == b and list((a or {}).items()) == list((b or {}).items()), (k, x)
-            kinds["class None"] += a is None
-            kinds["nonzero class"] += bool(a)
-    assert min(kinds.values()) >= 40, kinds

@@ -1,7 +1,8 @@
 """The engine's scalar rule and the guard that keeps floats out of it.
 
-Every sparse value the engine hands on (echelon tails, classes, d_r,
-frame and transgression columns, the model's and the algebra's tables) is
+Every sparse value the engine hands on (echelon tails, classes, page 2's
+tails, frame, d_2 and transgression columns, the model's and the
+algebra's tables) is
 an int where it is integral and a Fraction where it is not, never a float
 or a bool; every entry of a dense Matrix is a Fraction.  An int / int in
 the package would give a float, so true division appears at one site only,
@@ -21,7 +22,6 @@ from test_specseq import sphere_model
 from cartanss.cli import load_model_file
 from cartanss.library import MODEL_NAMES, get_model, random_trivial_product, su2_lie
 from cartanss.model import BasicComplex, EquivariantModel, total_images
-from cartanss.specseq import page
 from cartanss.verify import Analysis
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -66,16 +66,14 @@ def sparse_values(an: Analysis) -> dict[str, list]:
         + [v for terms in lie.coadjoint_gens.values() for _, v in terms]
         + [v for image in total_images(model).values() for v in image.values()],
         "d columns": [a for cols in an.filtration.d_columns for col in cols for _, a in col],
-        "Z and classes": [],
-        "d_r columns": [],
+        "page 2 tails": [a for cell in an.page2.values() for tail in cell.tails.values()
+                         for a in tail.values()],
     }
-    for pg in (page(an.filtration, r) for r in range(an.stabilization + 2)):
-        for cell in pg.cells.values():
-            out["Z and classes"] += quotient_values(cell)
-        out["d_r columns"] += [a for cols in pg.dr.values() for col in cols for a in col.values()]
     frames = an.frames
     out["frame columns"] = [a for cols in frames.f_columns.values()
                             for col in cols for a in col.values()]
+    out["d_2 columns"] = [a for cols in frames.d2_columns.values()
+                          for col in cols for a in col.values()]
     out["basic cohomology"] = [a for quot in frames.basic for a in quotient_values(quot)]
     out["invariant rows"] = [a for sub in frames.invariants for a in echelon_values(sub)]
     out["transgression columns"] = [a for t in an.transgression.values()
@@ -87,10 +85,6 @@ def dense_matrices(an: Analysis):
     """Every dense Matrix the report and its public reads give."""
     frames = an.frames
     yield from (f_matrix(frames, (c.p, c.q)) for c in frames.cells)
-    for cell in an.page2.cells.values():
-        yield cell.reps
-        yield cell.proj
-        yield cell.space.basis
     for quot in frames.basic:
         yield quot.reps
         yield quot.proj
@@ -120,8 +114,8 @@ def test_every_sparse_value_is_an_int_or_a_fraction_and_every_dense_entry_a_frac
 
 
 def test_an_integral_model_builds_no_fraction_in_its_pages_frames_or_e2_check(monkeypatch):
-    """On group_su2 every value is an integer: the page pass, the frames and
-    the E_2 check construct no Fraction at all, not even as the result of
+    """On group_su2 every value is an integer: the pairing, page 2, the frames
+    and the E_2 check construct no Fraction at all, not even as the result of
     arithmetic, which builds its result through Fraction.__new__."""
     an = Analysis(get_model("group_su2").model)
     assert an.valid

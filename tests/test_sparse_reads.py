@@ -1,9 +1,11 @@
 """Sparse class reads against the dense route, and the checks they must keep.
 
-The engine reads the class of d(rep), of alpha (x) beta and of each invariant
-by one elimination of a sparse vector through Z's echelon.  The dense route
-builds a vector of length dim C^m, tests it with `contains` and projects it
-with the dense `proj`; `tests/oracles.py` keeps it.
+The engine reads the class of alpha (x) beta and of d of it on page 2 by one
+triangular solve over the cell's window, and the class of each invariant
+by one elimination of a sparse vector through the cocycles' echelon.  The
+dense route builds a vector of length dim C^m on the oracle page, tests it
+with `contains` and projects it with the dense `proj`; `tests/oracles.py`
+keeps it.
 """
 
 from __future__ import annotations
@@ -20,14 +22,14 @@ from oracles import (
     contains,
     dense_apply,
     dense_d_hor,
-    dense_dr,
     dense_frames,
     dense_transgression,
     direct_sum,
-    dr_matrix,
-    f_matrix,
+    from_columns,
     is_zero,
+    matmul,
     oracle_delta_matrix,
+    oracle_page,
     rank,
     seed_graded_cohomology,
     seed_span,
@@ -47,10 +49,9 @@ from cartanss.library import (
 from cartanss.liealg import LieData, delta_columns, invariant_subcomplex, multi_indices
 from cartanss.qlinalg import Matrix, Quotient, Subspace, graded_cohomology, quotient_map
 from cartanss.reports import CertificateError
-from cartanss.specseq import SpectralPage, page
+from cartanss.specseq import WindowCell, persistence_pairing
 from cartanss.verify import (
     Analysis,
-    E2Frames,
     _e2_frames,
     _lie_realization_ok,
     d2_transgression,
@@ -127,29 +128,39 @@ def test_graded_cohomology_matches_the_seed_cohomology_entry_by_entry():
 
 
 def test_sparse_reads_match_the_dense_route_on_every_page_frame_and_transgression():
+    """Every oracle page up to one past E_infinity has the pairing's dims and
+    d_r ranks; on page 2, each frame has the rank of the dense frame read
+    through the oracle's quotient, the frames' d_2 images the rank of the
+    oracle's d_2, and the transgression is the dense one."""
     seen = {"d_r": 0, "nonzero d_r": 0, "frames": 0, "transgressions": 0, "d_3": 0}
     for model in differential_models():
         an = Analysis(model)
         fc = an.filtration
-        for pg in (page(fc, r) for r in range(an.stabilization + 2)):
-            want = dense_dr(fc, pg.cells, pg.r)
-            assert {pq: dr_matrix(pg, pq) for pq in pg.dr} == want, (model.name, pg.r)
-            assert pg.ranks == {pq: rank(m) for pq, m in want.items()}, (model.name, pg.r)
-            seen["d_r"] += len(want)
-            seen["nonzero d_r"] += sum(not is_zero(m) for m in want.values())
+        cache = {}
+        for summary in an.pages + (persistence_pairing(fc).summary(an.stabilization + 1),):
+            pg = oracle_page(fc, summary.r, cache)
+            assert (summary.dims, summary.d_ranks) == (
+                pg.dims(), {pq: k for pq, k in pg.ranks.items() if k}), (model.name, pg.r)
+            seen["d_r"] += len(pg.dr)
+            seen["nonzero d_r"] += sum(not is_zero(m) for m in pg.dr.values())
             seen["d_3"] += pg.r == 3 and any(pg.ranks.values())
+        want = oracle_page(fc, 2, cache)
         frames = an.frames
-        fmats = dense_frames(model, frames)
+        fmats = dense_frames(model, frames, want.cells)
         for cell in frames.cells:
             pq = (cell.p, cell.q)
-            assert f_matrix(frames, pq) == fmats[pq], (model.name, pq)
             assert cell.f_rank == rank(fmats[pq]), (model.name, pq)
+            images = frames.d2_columns.get(pq)
+            if images is not None:
+                tgt = an.page2[(cell.p + 2, cell.q - 1)]
+                d2 = want.dr.get(pq)  # none where the oracle's cell is zero
+                assert rank(from_columns(images, tgt.dim)) == (
+                    0 if d2 is None else rank(matmul(d2, fmats[pq]))), (model.name, pq)
             seen["frames"] += 1
         assert an.e2.lie_realization_ok is dense_realization_ok(model.lie, frames.invariants)
         if an.e2.passed:
-            dr2 = dense_dr(fc, an.page2.cells, 2)
             dense = {pq: transgression_matrix(t) for pq, t in an.transgression.items()}
-            assert dense == dense_transgression(frames, dr2, fmats), model.name
+            assert dense == dense_transgression(frames, want.dr, fmats), model.name
             # the record keeps only nonzero entries, an int where integral
             assert all(type(x) is int or type(x) is Q and x.denominator > 1
                        for t in an.transgression.values() for col in t.columns
@@ -160,14 +171,10 @@ def test_sparse_reads_match_the_dense_route_on_every_page_frame_and_transgressio
 
 
 def escaping_page2(model):
-    """Page 2 of model with cell (2, 1) swapped for one whose Z_2 is zero."""
-    an = Analysis(model)
-    pg2 = an.page2
-    cell = pg2.cells[(2, 1)]
-    zero = Subspace.prefix_space(cell.space.ambient_dim, 0)
-    cells = dict(pg2.cells)
-    cells[(2, 1)] = quotient_map(zero, [], window=(0, 0))
-    return SpectralPage(2, cells, pg2.dr, pg2.ranks)
+    """Page 2 of model with cell (2, 1) swapped for one whose window is empty."""
+    cells = dict(Analysis(model).page2)
+    cells[(2, 1)] = WindowCell(0, 0, 0, {}, {}, cells[(2, 1)].d_columns)
+    return cells
 
 
 def test_a_tensor_vector_that_escapes_z_is_a_typed_error():
@@ -184,8 +191,7 @@ def test_a_target_frame_that_cannot_solve_d2_is_a_typed_error():
     target frame whose columns do not span E_2 there names the cell and page."""
     frames = Analysis(get_model("hopf").model).frames
     assert d2_transgression(frames)[(0, 1)].shape == (1, 1)
-    planted = E2Frames(frames.page2, frames.cells, {**frames.f_columns, (2, 0): [{}]},
-                       frames.basic, frames.invariants)
+    planted = frames._replace(f_columns={**frames.f_columns, (2, 0): [{}]})
     with pytest.raises(CertificateError) as info:
         d2_transgression(planted)
     assert (info.value.cell, info.value.page) == ((2, 0), 2)
@@ -272,15 +278,15 @@ def test_a_wrong_invariant_dimension_where_delta_is_zero_fails_without_a_delta_m
 def test_pages_make_no_dense_containment_test_or_dense_apply(tmp_path, monkeypatch, capsys,
                                                               spec):
     """Every containment test of the run is a sparse class read and every
-    application of d a sparse one, `specseq._image`: a column of d read for
-    a row of a prefix, apply_sparse for any other row.  Matrix and Subspace
-    have no dense containment test or dense apply left to call."""
+    application of d a sparse one, apply_sparse: page 2's class reads apply
+    d to check that a vector lies in Z_2.  Matrix and Subspace have no dense
+    containment test or dense apply left to call."""
     for cls, names in ((Subspace, ("contains", "contains_vector")),
                        (Matrix, ("apply", "__matmul__", "column", "row"))):
         assert not [name for name in names if hasattr(cls, name)], cls
     path = str(tmp_path / "model.json")
     save_model_file(get_model(*spec).model, path)
-    calls = count_calls(monkeypatch, (("specseq", "_image"),))
+    calls = count_calls(monkeypatch, (("qlinalg", "apply_sparse"),))
     dense = {"entry": 0, "rref": 0}
     reads = []
 
@@ -294,16 +300,15 @@ def test_pages_make_no_dense_containment_test_or_dense_apply(tmp_path, monkeypat
 
     counted("entry")
     counted("rref")
-    class_of = Quotient.class_of
-
-    def logged(self, x):
-        reads.append(type(x))
-        return class_of(self, x)
-    monkeypatch.setattr(Quotient, "class_of", logged)
+    for cls in (Quotient, WindowCell):
+        def logged(self, x, _read=cls.class_of):
+            reads.append(type(x))
+            return _read(self, x)
+        monkeypatch.setattr(cls, "class_of", logged)
     assert main(["pages", path, "--format", "machine"]) == 0
     capsys.readouterr()
     assert dense == {"entry": 0, "rref": 0}
-    assert len(calls["_image"]) > 0
+    assert len(calls["apply_sparse"]) > 0
     assert reads and set(reads) == {dict}
     # the counters are live
     Matrix.of([[1]]).entry(0, 0)

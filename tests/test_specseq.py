@@ -6,15 +6,16 @@ import random
 from fractions import Fraction as Q
 from pathlib import Path
 
-import pytest
 from oracles import (
+    ambient,
     check_structure,
     dense_apply,
+    dense_frames,
     heisenberg_nilmanifold,
     direct_sum,
     dmat,
-    dr_matrix,
     filt,
+    from_columns,
     homology_dims,
     is_zero,
     matmul,
@@ -23,12 +24,14 @@ from oracles import (
     oracle_page,
     oracle_pairs,
     preimage,
+    rank,
+    recurrence_dims,
     seed_image,
     seed_inverse,
     seed_mismatches,
-    seed_quotient_map,
     seed_kernel_basis,
     seed_rref,
+    seed_span,
     sparse_columns,
     sum_and_intersect,
     z_space,
@@ -39,13 +42,12 @@ from cartanss.library import MODEL_NAMES, get_model, random_trivial_product, su2
 from cartanss.liealg import LieData, multi_indices
 from cartanss.model import BasicComplex, EquivariantModel, monomial_basis
 from cartanss import liealg, qlinalg, specseq, verify
-from cartanss.qlinalg import Matrix, Subspace, apply_sparse, column_rows, exact, sparse_rank
-from cartanss.reports import CertificateError
+from cartanss.qlinalg import Matrix, Subspace, apply_sparse, exact, sparse_rank
 from cartanss.specseq import (
     FilteredComplex,
     cartan_filtration,
-    page,
     persistence_pairing,
+    second_page,
 )
 from cartanss.verify import Analysis
 
@@ -54,6 +56,11 @@ SAMPLES = Path(__file__).resolve().parent.parent / "sample_models"
 
 def nonzero_ranks(pg):
     return {pq: r for pq, r in pg.ranks.items() if r}
+
+
+def page_two_dims(cells):
+    """The nonzero dims of page 2's cells, {(p, q): dim}."""
+    return {pq: cell.dim for pq, cell in cells.items() if cell.dim}
 
 
 def test_hopf_filtration_levels():
@@ -65,7 +72,7 @@ def test_hopf_filtration_levels():
     # p <= 0 is everything, beyond the top is zero, outside degrees are empty
     assert fc.cut(-3, 2) == 1
     assert fc.cut(9, 2) == 0
-    assert fc.cut(0, 17) == 0 and fc.ambient(17) == 0
+    assert fc.cut(0, 17) == 0 and ambient(fc, 17) == 0
 
 
 def test_filtration_structure_on_all_cards():
@@ -83,32 +90,25 @@ def test_page_zero_equals_bigraded_dimensions():
             for g, I in monomial_basis(model, m):
                 pq = (model.basic.degree_of(g), len(I))
                 counts[pq] = counts.get(pq, 0) + 1
-        assert page(fc, 0).dims() == counts
-
-
-def test_page_rejects_negative_index():
-    fc = cartan_filtration(get_model("hopf").model)
-    with pytest.raises(ValueError):
-        page(fc, -1)
+        assert persistence_pairing(fc).summary(0).dims == counts
 
 
 def test_hopf_pages_morph_as_expected():
     fc = cartan_filtration(get_model("hopf").model)
+    pairing = persistence_pairing(fc)
     four_cells = {(0, 0): 1, (0, 1): 1, (2, 0): 1, (2, 1): 1}
-    assert page(fc, 0).dims() == four_cells
-    assert page(fc, 1).dims() == four_cells
-    p2 = page(fc, 2)
-    assert p2.dims() == four_cells
-    assert nonzero_ranks(p2) == {(0, 1): 1}
-    p3 = page(fc, 3)
-    assert p3.dims() == {(0, 0): 1, (2, 1): 1}
-    assert not nonzero_ranks(p3)
-    assert page(fc, 4).dims() == p3.dims()
+    assert pairing.summary(0) == (0, four_cells, {})
+    assert pairing.summary(1) == (1, four_cells, {})
+    assert pairing.summary(2) == (2, four_cells, {(0, 1): 1})
+    assert page_two_dims(second_page(fc, pairing)) == four_cells
+    assert pairing.summary(3) == (3, {(0, 0): 1, (2, 1): 1}, {})
+    assert pairing.summary(4).dims == pairing.summary(3).dims
 
 
 def walked_pages(fc):
-    """page(fc, r) for r = 0 .. E_infinity's page and one past it."""
-    return [page(fc, r) for r in range(persistence_pairing(fc).stabilization + 2)]
+    """oracle_page(fc, r) for r = 0 .. E_infinity's page and one past it."""
+    cache = {}
+    return [oracle_page(fc, r, cache) for r in range(persistence_pairing(fc).stabilization + 2)]
 
 
 def test_pages_end_at_stabilization_per_card():
@@ -122,79 +122,94 @@ def test_pages_end_at_stabilization_per_card():
 
 
 def test_kronecker_degenerates_at_two():
-    fc = cartan_filtration(get_model("kronecker").model)
-    p2 = page(fc, 2)
-    assert p2.dims() == {(0, 0): 1, (1, 0): 1, (0, 1): 1, (1, 1): 1}
-    assert not nonzero_ranks(p2)
-    assert Analysis(get_model("kronecker").model).stabilization == 2
+    an = Analysis(get_model("kronecker").model)
+    assert page_two_dims(an.page2) == {(0, 0): 1, (1, 0): 1, (0, 1): 1, (1, 1): 1}
+    assert an.pages[2].d_ranks == {}
+    assert an.stabilization == 2
 
 
 def test_group_su2_collapses_to_lie_cohomology_column():
-    fc = cartan_filtration(get_model("group_su2").model)
-    assert page(fc, 2).dims() == {(0, 0): 1, (0, 3): 1}
-    assert Analysis(get_model("group_su2").model).stabilization == 2
+    an = Analysis(get_model("group_su2").model)
+    assert page_two_dims(an.page2) == {(0, 0): 1, (0, 3): 1}
+    assert an.stabilization == 2
 
 
 def test_page_recurrence_matches_homology_of_previous_page():
+    """Each oracle page is the homology of the one before, and each of the
+    pairing's summaries is the last one's dims less the ranks of d_r out of
+    and into each cell, and the oracle page's dims."""
     for name in ("hopf", "kronecker", "group_su2", "trivial_product"):
         card = get_model(name)
         fc = cartan_filtration(card.model)
+        pairing = persistence_pairing(fc)
+        cache = {}
         for r in range(0, card.expected.stabilization + 2):
-            assert page(fc, r + 1).dims() == homology_dims(page(fc, r)), (name, r)
+            pg, nxt = oracle_page(fc, r, cache), oracle_page(fc, r + 1, cache)
+            assert nxt.dims() == homology_dims(pg), (name, r)
+            got = pairing.summary(r)
+            assert pairing.summary(r + 1).dims == recurrence_dims(got.dims, got.d_ranks, r) == (
+                nxt.dims()), (name, r)
 
 
 def test_dr_squares_to_zero_where_composable():
     for name in ("hopf", "weighted_hopf", "kronecker", "trivial_product"):
         fc = cartan_filtration(get_model(name).model)
+        cache = {}
         for r in range(0, 5):
-            pg = page(fc, r)
-            for (p, q) in pg.dr:
-                m = dr_matrix(pg, (p, q))
+            pg = oracle_page(fc, r, cache)
+            for (p, q), m in pg.dr.items():
                 if (p + r, q - r + 1) not in pg.dr or m.rows == 0:
                     continue
-                nxt = dr_matrix(pg, (p + r, q - r + 1))
-                assert is_zero(matmul(nxt, m)), (name, r, p, q)
+                assert is_zero(matmul(pg.dr[(p + r, q - r + 1)], m)), (name, r, p, q)
 
 
-def test_induced_differential_ignores_divisor_perturbations():
+def sparse(row) -> dict:
+    """A dense row's nonzero entries, {index: value}."""
+    return {j: a for j, a in enumerate(row) if a}
+
+
+def test_page_two_classes_ignore_divisor_perturbations():
+    """A representative of a class of page 2 moved by an element of the
+    divisor keeps its class, and so does its image under d in the target
+    cell: the representatives and divisors are the oracle page's."""
     rng = random.Random(20260815)
     exercised = 0
     models = [get_model("kronecker").model, random_trivial_product(rng).model]
+    models += [get_model(name).model for name in ("hopf", "weighted_hopf")]
+    models += [random_trivial_product(rng).model for _ in range(4)]
     for model in models:
         fc = cartan_filtration(model)
-        for r in (1, 2):
-            pg = page(fc, r)
-            for (p, q), cell in pg.cells.items():
-                divisor = oracle_divisor(fc, r, p, p + q, {})
-                if cell.dim == 0 or divisor.dim == 0:
-                    continue
-                dm = dmat(fc, p + q)
-                tgt = pg.cells.get((p + r, q - r + 1))
-                for rep in cell.reps.data:
-                    noise = [0] * len(rep)
-                    for row in divisor.basis.data:
-                        c = rng.randint(-2, 2)
-                        noise = [x + c * y for x, y in zip(noise, row)]
-                    pert = [x + y for x, y in zip(rep, noise)]
-                    # same coset, hence same projection and same induced image
-                    assert dense_apply(cell.proj, pert) == dense_apply(cell.proj, rep)
-                    if tgt is not None and tgt.dim:
-                        assert (dense_apply(tgt.proj, dense_apply(dm, pert))
-                                == dense_apply(tgt.proj, dense_apply(dm, rep)))
-                    exercised += 1
-    assert exercised > 0
+        cells = Analysis(model).page2
+        want = oracle_page(fc, 2)
+        for (p, q), cell in cells.items():
+            oracle = want.cells[(p, q)]
+            dm = dmat(fc, p + q)
+            tgt = cells.get((p + 2, q - 1))
+            for rep in oracle.reps.data:
+                noise = [0] * len(rep)
+                for row in oracle.divisor.basis.data:
+                    c = rng.randint(-2, 2)
+                    noise = [x + c * y for x, y in zip(noise, row)]
+                pert = [x + y for x, y in zip(rep, noise)]
+                assert cell.class_of(sparse(pert)) == cell.class_of(sparse(rep)) != {}
+                if tgt is not None and tgt.dim:
+                    assert (tgt.class_of(sparse(dense_apply(dm, pert)))
+                            == tgt.class_of(sparse(dense_apply(dm, rep))))
+                exercised += any(noise)
+    assert exercised > 10
 
 
 def test_trivial_product_stable_from_page_two():
     fc = cartan_filtration(get_model("trivial_product").model)
-    d2 = page(fc, 2).dims()
-    assert d2 == {
+    pairing = persistence_pairing(fc)
+    d2 = {
         (0, 0): 1, (0, 1): 2, (0, 2): 1,
         (1, 0): 2, (1, 1): 4, (1, 2): 2,
         (2, 0): 1, (2, 1): 2, (2, 2): 1,
     }
+    assert page_two_dims(second_page(fc, pairing)) == pairing.summary(2).dims == d2
     for r in (3, 4, 5):
-        assert page(fc, r).dims() == d2
+        assert pairing.summary(r).dims == d2
 
 
 def test_abutment_check_per_card():
@@ -225,8 +240,8 @@ def differential_test_models():
 
 def oracle_z_space(fc, r, p, m):
     """Z_r by its definition: F^p meeting the preimage of F^(p+r), by Zassenhaus."""
-    if fc.ambient(m) == 0:
-        return Subspace.prefix_space(0, 0)
+    if ambient(fc, m) == 0:
+        return Subspace.from_echelon(0, {})
     return sum_and_intersect(filt(fc, p, m), preimage(dmat(fc, m), filt(fc, p + r, m + 1)))[1]
 
 
@@ -300,27 +315,69 @@ def test_su2_cubed_over_the_2_torus_matches_kunneth():
     assert an.stabilization == 2
 
 
-def test_every_page_cell_matches_the_seed_quotient_and_dense_d():
-    """Cards, S^3..S^25 and su(2) + su(2) over the 2-torus, every cell of
-    pages 0 .. E_infinity and of one page past it, against the full divisor
-    of the old engine."""
+def page_two_mismatches(fc, cells, want) -> list:
+    """The spots where page 2's cells read classes unlike the oracle page 2
+    `want`, up to a change of basis of each E_2.
+
+    Per spot, the classes of the basis rows of the oracle's Z_2, read by the
+    cell and by the oracle's dense proj, must have the same row space and
+    full rank: the two class maps then differ by an invertible matrix.  The
+    classes of d of those rows in the target cell must have the rank of the
+    oracle's d_2 there and factor through the cell's classes.  A cell of
+    the oracle off the E_0 support must be zero."""
+    bad = []
+    for pq, oracle in want.cells.items():
+        cell = cells.get(pq)
+        if cell is None:
+            if oracle.dim:
+                bad.append(pq)
+            continue
+        rows = oracle.space.basis.data
+        k = len(rows)
+        got = [cell.class_of(sparse(row)) for row in rows]
+        if None in got:
+            bad.append(pq)
+            continue
+        mine = from_columns(got, cell.dim).data
+        theirs = [dense_apply(oracle.proj, row) for row in rows]
+        theirs = [[col[i] for col in theirs] for i in range(oracle.dim)]
+        if (cell.dim != oracle.dim or rank(Matrix.of(mine, cols=k)) != cell.dim
+                or seed_span(k, mine) != seed_span(k, theirs)):
+            bad.append(pq)
+            continue
+        tgt = cells.get((pq[0] + 2, pq[1] - 1))
+        if tgt is None or not tgt.dim:
+            continue
+        dm = dmat(fc, sum(pq))
+        images = [tgt.class_of(sparse(dense_apply(dm, row))) for row in rows]
+        if None in images:
+            bad.append(pq)
+            continue
+        images = from_columns(images, tgt.dim).data
+        if (rank(Matrix.of(images, cols=k)) != want.ranks.get(pq, 0)
+                or seed_span(k, mine + images) != seed_span(k, mine)):
+            bad.append(pq)
+    return bad
+
+
+def test_page_two_reads_the_classes_of_the_seed_quotient_and_dense_d():
+    """Cards, S^3..S^25 and su(2) + su(2) over the 2-torus: every cell of
+    page 2 reads the classes and the d_2 images of the oracle page, and d
+    applied sparse to the oracle's Z_2 and divisor rows is the dense d."""
     cells = 0
     models = [get_model(name).model for name in MODEL_NAMES]
     models += [sphere_model(k) for k in range(1, 13)]
     models.append(su2_pair_model((0, 1, 1, 2)))
     for model in models:
         fc = cartan_filtration(model)
-        for pg in walked_pages(fc):
-            r = pg.r
-            for (p, q), cell in pg.cells.items():
-                divisor = oracle_divisor(fc, r, p, p + q, {})
-                reps, proj = seed_quotient_map(cell.space, divisor)
-                assert (cell.reps, cell.proj) == (reps, proj), (model.name, r, p, q)
-                dense = dmat(fc, p + q)
-                for row in cell.space.basis.data + divisor.basis.data:
-                    y = apply_sparse(fc.d_columns[p + q], {j: a for j, a in enumerate(row) if a})
-                    assert y == {i: a for i, a in enumerate(dense_apply(dense, row)) if a}
-                cells += 1
+        want = oracle_page(fc, 2)
+        assert page_two_mismatches(fc, Analysis(model).page2, want) == [], model.name
+        for (p, q), cell in want.cells.items():
+            dense = dmat(fc, p + q)
+            for row in cell.space.basis.data + cell.divisor.basis.data:
+                y = apply_sparse(fc.d_columns[p + q], sparse(row))
+                assert y == sparse(dense_apply(dense, row))
+            cells += 1
     assert cells > 300
 
 
@@ -333,29 +390,22 @@ def oracle_test_models():
     return models
 
 
-def test_window_pages_match_the_full_triangle_oracle():
-    """Every page up to E_infinity and one past it: same dims and d_r ranks as
-    the old engine, the same cells where it is built, and zero where a cell is
-    skipped."""
+def test_pairing_pages_match_the_full_triangle_oracle():
+    """Every page up to E_infinity and one past it: the pairing's dims and
+    d_r ranks are the oracle page's, every spot off the E_0 support is zero
+    there, and page 2's cells sit on the support."""
     skipped = 0
     for model in oracle_test_models():
         fc = cartan_filtration(model)
-        cache = {}
-        for pg in walked_pages(fc):
-            r = pg.r
-            want = oracle_page(fc, r, cache)
-            assert pg.dims() == want.dims(), (model.name, r)
-            assert pg.ranks == want.ranks, (model.name, r)
-            for pq, cell in want.cells.items():
-                got = pg.cells.get(pq)
-                if got is None:
-                    assert cell.dim == 0, (model.name, r, pq)
-                    assert fc.cut(pq[0], sum(pq)) == fc.cut(pq[0] + 1, sum(pq))
+        pairing = persistence_pairing(fc)
+        assert set(second_page(fc, pairing)) == {(p, q) for p, q, _, _ in fc.support}
+        for want in walked_pages(fc):
+            r = want.r
+            assert pairing.summary(r) == (r, want.dims(), nonzero_ranks(want)), (model.name, r)
+            for (p, q), cell in want.cells.items():
+                if fc.cut(p, p + q) == fc.cut(p + 1, p + q):
+                    assert cell.dim == 0, (model.name, r, (p, q))
                     skipped += 1
-                else:
-                    assert (got.reps, got.proj, got.space) == (
-                        cell.reps, cell.proj, cell.space), (model.name, r, pq)
-            assert set(pg.cells) <= set(want.cells)
     assert skipped > 5000
 
 
@@ -380,20 +430,13 @@ def test_support_is_the_triangle_scan_of_nonempty_windows():
 
 
 def test_page_pass_counts_on_the_sphere_chain(monkeypatch):
-    """The page pass over each of S^3..S^25, the persistence pairing and page
-    2 built alone, runs one quotient per cell of the E_0 support and reads
-    three cuts per cell: the two blocks' and k(p+1, m-1), where the rows of
-    Z_1^(p-1) whose images can reach the window start.  It runs one kernel
-    per block of d it needs: Z_2 in every cell, and Z_1^(p-1) only where it
-    has columns at or past k(p+1, m-1), in 90 of the 180 cells.  d_2 is the
-    one differential here, so each of those 270 blocks is zero and all of
-    its F^p: none runs sparse_kernel."""
+    """The page pass over each of S^3..S^25, the persistence pairing and
+    page 2's cells, runs no elimination of qlinalg and applies d nowhere.
+    d_2 is the one differential here, so every gap is 2: no cell holds a
+    tail, and the one cut read per cell is the bound of its Z_2."""
     fcs = [cartan_filtration(sphere_model(k)) for k in range(1, 13)]
-    born = sum(fc.cut(p + 1, p + q - 1) < fc.cut(p - 1, p + q - 1)
-               for fc in fcs for p, q, _, _ in fc.support)
-    assert born == 90
-    counts = dict.fromkeys(("sparse_kernel", "quotient_map", "cut", "_kernel"), 0)
-    blocks = set()
+    counts = dict.fromkeys(("_eliminate", "sparse_kernel", "quotient_map", "apply_sparse",
+                            "cut"), 0)
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -401,25 +444,15 @@ def test_page_pass_counts_on_the_sphere_chain(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    kernel = counted("_kernel", specseq._kernel)
-
-    def logged_kernel(fc, block):
-        blocks.add((fcs.index(fc), block))
-        return kernel(fc, block)
-
-    for name in ("sparse_kernel", "quotient_map"):
-        monkeypatch.setattr(specseq, name, counted(name, getattr(specseq, name)))
+    for name in ("_eliminate", "sparse_kernel", "quotient_map"):
+        monkeypatch.setattr(qlinalg, name, counted(name, getattr(qlinalg, name)))
+    monkeypatch.setattr(specseq, "apply_sparse", counted("apply_sparse", specseq.apply_sparse))
     monkeypatch.setattr(FilteredComplex, "cut", counted("cut", FilteredComplex.cut))
-    monkeypatch.setattr(specseq, "_kernel", logged_kernel)
-    for fc in fcs:
-        persistence_pairing(fc)
-        page(fc, 2)
-    assert sum(len(fc.support) for fc in fcs) == 180
-    assert counts == {"sparse_kernel": 0, "quotient_map": 180, "cut": 540, "_kernel": 270}
-    assert len(blocks) == 270
-    nonzero = [(i, (m, k, row)) for i, (m, k, row) in blocks
-               if k and column_rows(fcs[i].d_columns[m][:k], row)]
-    assert nonzero == []
+    pages = [second_page(fc, persistence_pairing(fc)) for fc in fcs]
+    assert sum(map(len, pages)) == sum(len(fc.support) for fc in fcs) == 180
+    assert counts == {"_eliminate": 0, "sparse_kernel": 0, "quotient_map": 0,
+                      "apply_sparse": 0, "cut": 180}
+    assert not any(cell.tails for cells in pages for cell in cells.values())
 
 
 def walk_test_models():
@@ -466,47 +499,59 @@ def digest_models():
     return models
 
 
-def test_page_two_divides_only_by_boundaries_that_reach_the_window(monkeypatch):
-    """page(fc, 2) hands quotient_map only the images of d Z_1 that have an
-    entry on the cell's window.  Every image it leaves out is zero there and
-    still lies in the cell's Z_2 with class zero, as d^2 = 0 makes it, and
-    the cells are the full-triangle oracle's: on every digest model and on
-    heisenberg_nil:1..4, whose d_2 is Euler data that maps past the window."""
-    calls = []
-    run = specseq.quotient_map
+def random_batch_models():
+    """The benchmark's random_batch: the first 100 cards of
+    random_trivial_product(Random(0)), named as its workload names them."""
+    rng = random.Random(0)
+    return [random_trivial_product(rng, tag=f"random_{j:03d}").model for j in range(100)]
 
-    def logged(v, w, window=None):
-        calls.append((window, list(w)))
-        return run(v, w, window=window)
 
-    monkeypatch.setattr(specseq, "quotient_map", logged)
-    seen = {"passed": 0, "left out": 0, "heisenberg left out": 0}
-    for model in digest_models() + [heisenberg_nilmanifold(k) for k in range(1, 5)]:
-        fc = cartan_filtration(model)
-        calls.clear()
-        pg = page(fc, 2)
-        assert [window for window, _ in calls] == [(lo, hi) for _, _, lo, hi in fc.support]
-        for (p, q, lo, hi), (_, w) in zip(fc.support, calls):
-            assert all(any(lo <= j < hi for j in y) for y in w), (model.name, p, q)
-            # every nonzero image of Z_1^(p-1), as the divisor held it before
-            born = specseq._kernel(fc, (p + q - 1, fc.cut(p - 1, p + q - 1), hi))
-            images = [y for y in (apply_sparse(fc.d_columns[p + q - 1], born.sparse_row(j))
-                                  for j in born.echelon()) if y]
-            left_out = [y for y in images if y not in w]
-            assert len(images) == len(w) + len(left_out), (model.name, p, q)
-            for y in left_out:
-                assert max(y) < lo and pg.cells[(p, q)].class_of(dict(y)) == {}, (
-                    model.name, p, q)
-            seen["passed"] += len(w)
-            seen["left out"] += len(left_out)
-            seen["heisenberg left out"] += len(left_out) * model.name.startswith("heis")
-        want = oracle_page(fc, 2)
-        assert pg.dims() == want.dims() and pg.ranks == want.ranks, model.name
-        for pq, cell in pg.cells.items():
-            oracle = want.cells[pq]
-            assert (cell.reps, cell.proj, cell.space) == (
-                oracle.reps, oracle.proj, oracle.space), (model.name, pq)
-    assert min(seen.values()) > 50, seen
+def page_two_against_the_oracle(model, seen) -> None:
+    """Page 2 of model against the oracle page 2: cell dims, d_2 ranks as
+    the report counts them and as the frames' d_2 images have them, and
+    each frame's rank against the rank of the dense frame read through the
+    oracle's quotient.  test_sparse_reads.py checks the transgression
+    against the dense one."""
+    an = Analysis(model)
+    fc = an.filtration
+    want = oracle_page(fc, 2)
+    assert page_two_dims(an.page2) == want.dims(), model.name
+    assert an.pages[2].d_ranks == nonzero_ranks(want), model.name
+    frames = an.frames
+    fmats = dense_frames(model, frames, want.cells)
+    for cell in frames.cells:
+        pq = (cell.p, cell.q)
+        assert cell.f_rank == rank(fmats[pq]), (model.name, pq)
+        images = frames.d2_columns.get(pq)
+        if images is not None and an.e2.passed:
+            tgt = an.page2[(cell.p + 2, cell.q - 1)]
+            assert rank(from_columns(images, tgt.dim)) == want.ranks.get(pq, 0), (model.name, pq)
+            seen["d_2 images"] += 1
+        seen["frames"] += 1
+    seen["nonzero d_2"] += bool(want.ranks) and any(want.ranks.values())
+    seen["models"] += 1
+
+
+# the digest models the dense oracle takes more than a few seconds on
+ORACLE_SKIPS = ("group_torus(10)",)
+
+
+def test_page_two_matches_the_oracle_page_on_the_digest_models():
+    """Every digest model but ORACLE_SKIPS, and heisenberg_nil:1..4, whose
+    d_2 is Euler data: dims, d_2 ranks and frame ranks against the oracle."""
+    seen = dict.fromkeys(("models", "frames", "d_2 images", "nonzero d_2"), 0)
+    models = [m for m in digest_models() if m.name not in ORACLE_SKIPS]
+    assert len(models) == len(digest_models()) - len(ORACLE_SKIPS)
+    for model in models + [heisenberg_nilmanifold(k) for k in range(1, 5)]:
+        page_two_against_the_oracle(model, seen)
+    assert seen == {"models": 18, "frames": 154, "d_2 images": 29, "nonzero d_2": 9}, seen
+
+
+def test_page_two_matches_the_oracle_page_on_the_random_batch():
+    seen = dict.fromkeys(("models", "frames", "d_2 images", "nonzero d_2"), 0)
+    for model in random_batch_models():
+        page_two_against_the_oracle(model, seen)
+    assert seen["models"] == 100 and seen["frames"] > 500 and seen["d_2 images"] > 100, seen
 
 
 def brute_force_test_models():
@@ -519,12 +564,13 @@ def brute_force_test_models():
 
 
 def test_stabilization_and_e_infinity_against_every_page_to_the_bound():
-    """Walk page(fc, r) for r = 2 .. max_degree + 2 with no stopping rule:
+    """Walk the oracle pages r = 2 .. max_degree + 2 with no stopping rule:
     stabilization is one past the last nonzero d_r and E_infinity is the
     last walked page."""
     for model in brute_force_test_models():
         fc = cartan_filtration(model)
-        walked = [page(fc, r) for r in range(2, len(fc.dims) + 2)]
+        cache = {}
+        walked = [oracle_page(fc, r, cache) for r in range(2, len(fc.dims) + 2)]
         last_d = max((pg.r for pg in walked if nonzero_ranks(pg)), default=1)
         an = Analysis(model)
         assert an.stabilization == last_d + 1, model.name
@@ -539,7 +585,6 @@ def test_d3_model_reaches_e_infinity_at_page_four(capsys):
     assert "stabilization: r = 4" in table and "abutment: ok" in table
     an = Analysis(load_model_file(path))
     assert an.valid
-    assert not nonzero_ranks(an.page2)
     assert [s.d_ranks for s in an.pages[2:]] == [{}, {(0, 2): 1}, {}]
     assert an.stabilization == 4 and an.stable.r == 4
     assert an.stable.dims == {(0, 0): 1, (0, 1): 2, (3, 1): 2, (3, 2): 1}
@@ -558,21 +603,28 @@ def pairing_test_models():
 
 
 def test_persistence_pairing_gives_every_page_up_to_one_past_stabilization():
-    """The pairing's summary of page r is page(fc, r)'s nonzero dims and
-    nonzero d_r ranks, in the same order, for r = 0 .. stabilization + 1."""
+    """Each summary of the pairing, r = 0 .. stabilization + 1, lists its
+    cells in the order of the E_0 support, and the next one's dims follow
+    from its dims and d_r ranks, cell by cell; page 2's cells have the
+    dims of its summary, and E_infinity's totals are the total cohomology."""
     seen = {"pages": 0, "nonzero d_r at r >= 3": 0, "gap 0": 0, "gap 1": 0}
     for model in pairing_test_models():
         fc = cartan_filtration(model)
         pairing = persistence_pairing(fc)
         assert sum(pairing.sizes.values()) == sum(fc.dims), model.name
+        assert page_two_dims(second_page(fc, pairing)) == pairing.summary(2).dims, model.name
         for r in range(pairing.stabilization + 2):
-            pg = page(fc, r)
-            got = pairing.summary(r)
-            assert got == (r, pg.dims(), nonzero_ranks(pg)), (model.name, r)
+            got, nxt = pairing.summary(r), pairing.summary(r + 1)
+            assert nxt.dims == recurrence_dims(got.dims, got.d_ranks, r), (model.name, r)
             assert (list(got.dims), list(got.d_ranks)) == (
-                list(pg.dims()), list(nonzero_ranks(pg))), (model.name, r)
+                [pq for pq in pairing.sizes if pq in got.dims],
+                [pq for pq in pairing.sizes if pq in got.d_ranks]), (model.name, r)
             seen["pages"] += 1
             seen["nonzero d_r at r >= 3"] += r >= 3 and bool(got.d_ranks)
+        totals = [0] * len(fc.dims)
+        for (p, q), d in pairing.summary(pairing.stabilization).dims.items():
+            totals[p + q] += d
+        assert tuple(totals) == qlinalg.cohomology_dims(fc.d_columns), model.name
         seen["gap 0"] += any(g == 0 for _, _, g in pairing.pairs)
         seen["gap 1"] += any(g == 1 for _, _, g in pairing.pairs)
     assert seen["pages"] > 700 and min(seen.values()) >= 1, seen
@@ -593,8 +645,9 @@ def sheared(fc, rng):
 
 def test_persistence_pairing_is_kept_by_a_change_of_basis_that_keeps_the_filtration():
     """After `sheared`, reducing a column crosses levels; the pairing still
-    gives the unsheared pairing's pages and page(fc, r) of the sheared
-    complex, for r = 0 .. stabilization + 1."""
+    gives the unsheared pairing's pages and the oracle pages of the sheared
+    complex, for r = 0 .. stabilization + 1, and page 2's cells read the
+    oracle's classes there."""
     rng = random.Random(20261025)
     models = [get_model(name).model for name in MODEL_NAMES]
     models += [sphere_model(k) for k in range(1, 7)]
@@ -607,10 +660,14 @@ def test_persistence_pairing_is_kept_by_a_change_of_basis_that_keeps_the_filtrat
         check_structure(twisted)
         want, got = persistence_pairing(fc), persistence_pairing(twisted)
         assert got.stabilization == want.stabilization, model.name
+        cache = {}
         for r in range(want.stabilization + 2):
-            pg = page(twisted, r)
+            pg = oracle_page(twisted, r, cache)
             assert got.summary(r) == want.summary(r) == (r, pg.dims(), nonzero_ranks(pg)), (
                 model.name, r)
+            if r == 2:
+                assert page_two_mismatches(twisted, second_page(twisted, got), pg) == [], (
+                    model.name)
         level = {(p + q, j): p for p, q, lo, hi in fc.support for j in range(lo, hi)}
         crossing += sum(len({level[(m + 1, i)] for i, _ in col}) > 1
                         for m, cols in enumerate(twisted.d_columns) for col in cols)
@@ -660,28 +717,31 @@ def dropped_pair(monkeypatch, k):
 
     def dropped(fc):
         pairing = real(fc)
-        return pairing._replace(pairs=pairing.pairs[:k] + pairing.pairs[k + 1:])
+        return pairing._replace(pairs=pairing.pairs[:k] + pairing.pairs[k + 1:],
+                                ends=pairing.ends[:k] + pairing.ends[k + 1:])
 
     monkeypatch.setattr(verify, "persistence_pairing", dropped)
 
 
-def test_a_pairing_that_disagrees_with_page_two_is_a_named_certificate(monkeypatch):
+def test_a_pairing_with_a_dropped_pair_fails_the_abutment_or_the_e2_check(monkeypatch):
+    """Page 2 and every page are read off the pairing, so a broken pairing
+    is caught by the checks that do not read it: hopf's one pair has gap 2,
+    so E_2 stays and E_infinity is too big for the total cohomology; a pair
+    of gap 0 or 1 leaves a class at either end that no tensor frame reaches."""
     dropped_pair(monkeypatch, 0)
-    with pytest.raises(CertificateError) as err:
-        Analysis(get_model("hopf").model).page2
-    assert (err.value.cell, err.value.page) == ((0, 1), 2)
-    assert str(err.value) == (
-        "page 2 dims = pairing dims fails: dim and d_2 rank (1, 1) on page 2, (1, 0) "
-        "by the pairing at page E_2, cell (p,q)=(0,1)")
-    # a pair of gap 0 or 1 is a dim on page 2: either end's cell names it
+    an = Analysis(get_model("hopf").model)
+    assert an.e2.passed and an.stabilization == 2
+    assert [(row.degree, row.ok) for row in an.abutment.rows] == [
+        (0, True), (1, False), (2, False), (3, True)]
     model = random_trivial_product(random.Random(0)).model
     pairs = persistence_pairing(cartan_filtration(model)).pairs
     k = next(k for k, (_, _, g) in enumerate(pairs) if g < 2)
     p, q, g = pairs[k]
     dropped_pair(monkeypatch, k)
-    with pytest.raises(CertificateError, match="page 2 dims = pairing dims") as err:
-        Analysis(model).stabilization
-    assert err.value.page == 2 and err.value.cell in {(p, q), (p + g, q - g + 1)}
+    an = Analysis(model)
+    assert an.e2.verdict == "mismatch" and not an.abutment.passed
+    assert {(c.p, c.q) for c in an.e2.cells if not c.ok} <= {(p, q), (p + g, q - g + 1)}
+    assert not an.transgression
 
 
 def test_filtration_stores_prefix_lengths():
@@ -705,20 +765,25 @@ def bad_complex():
     return FilteredComplex((1, 1, 1), (one, one, ((),)), ((1, 0), (1, 0, 0), (1, 0, 0, 0)))
 
 
-def test_a_broken_divisor_is_a_typed_error_naming_cell_and_page():
-    with pytest.raises(CertificateError) as info:
-        page(bad_complex(), 1)
-    err = info.value
-    assert (err.cell, err.page) == ((0, 1), 1)
-    assert str(err) == "divisor escapes Z_1 at page E_1, cell (p,q)=(0,1)"
+def test_a_vector_outside_z_two_has_no_class():
+    """The class read refuses a vector with an entry past its window, and
+    one whose image under d is not deep enough: on bad_complex d^2 != 0, so
+    at (0,1) the boundary of e_0 has d of it at level 0, not 2."""
+    fc = cartan_filtration(get_model("hopf").model)
+    cell = second_page(fc, persistence_pairing(fc))[(0, 1)]
+    assert cell.class_of({0: 1}) == {0: 1}
+    assert cell.class_of({1: 1}) is None
+    broken = bad_complex()
+    cells = second_page(broken, persistence_pairing(broken))
+    assert cells[(0, 1)].class_of({0: Q(1)}) is None
+    assert [cells[pq].dim for pq in ((0, 0), (0, 1), (0, 2))] == [0, 0, 1]
 
 
 def test_every_matrix_reduced_by_pages_matches_the_seed_rref(tmp_path, monkeypatch, capsys):
     """Cards, S^3..S^25, su(2) + su(2) over a circle (128 monomials) and
     over the 2-torus (256), and thirty random trivial products with dense
-    rational bases: each distinct matrix `pages` reduces, and each that
-    page(fc, r) reduces on the pages up to one past E_infinity, against the
-    seed code.  A block of d with no nonzero entry is reduced by no
+    rational bases: each distinct matrix `pages` reduces, against the seed
+    code.  A block of d with no nonzero entry is reduced by no
     one, so the floor on distinct matrices needs the thirty.  The row reduction `_reduced` and the kernel routine
     `sparse_kernel` take sparse rows; the matrix of those rows is checked
     with seed_mismatches, and each kernel against the seed kernel.  A
@@ -759,10 +824,9 @@ def test_every_matrix_reduced_by_pages_matches_the_seed_rref(tmp_path, monkeypat
         return got
 
     monkeypatch.setattr(qlinalg, "_reduced", captured)
-    for module in (qlinalg, specseq, liealg):
+    for module in (qlinalg, liealg):
         monkeypatch.setattr(module, "sparse_kernel", captured_kernel)
-    for module in (specseq, verify):
-        monkeypatch.setattr(module, "sparse_rank", captured_rank)
+    monkeypatch.setattr(verify, "sparse_rank", captured_rank)
     models = [get_model(name).model for name in MODEL_NAMES]
     models += [sphere_model(k) for k in range(1, 13)]
     models += [su2_pair_model((0, 1)), su2_pair_model((0, 1, 1, 2))]
@@ -773,13 +837,12 @@ def test_every_matrix_reduced_by_pages_matches_the_seed_rref(tmp_path, monkeypat
         path = str(tmp_path / f"{model.name}.json")
         save_model_file(model, path)
         assert main(["pages", path, "--format", "machine"]) == 0, model.name
-        # `pages` builds page 2 alone; the other pages' d_r are ranked too
-        walked_pages(cartan_filtration(model))
     capsys.readouterr()
     monkeypatch.undo()
-    # the ranks of d_r and of the frames moved from rref to sparse_rank
-    assert sum(seen.values()) + rank_calls[0] > 700 and len(seen) > 80
-    assert max(m.rows * m.cols for m in seen) >= 2000
+    # the pages reduce nothing past the pairing: what is left is the
+    # cohomology and invariant kernels and the ranks of the frames
+    assert sum(seen.values()) + rank_calls[0] > 500 and len(seen) > 50
+    assert max(m.rows * m.cols for m in seen) >= 1000
     for m in seen:
         assert seed_mismatches(m) == [], m
     assert len(kernels) > 20

@@ -2,8 +2,8 @@
 the Name(field=...) repr, and an import that generates no code for them.
 
 Plain records are named tuples, so they also compare equal to the tuple of
-their fields.  The other types keep state outside equality (derived tables,
-caches, a quotient's window) or compare in their own way.
+their fields.  The other types keep state outside equality (derived tables
+and caches) or compare in their own way.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from cartanss.specseq import (
     FilteredComplex,
     PageSummary,
     Pairing,
-    SpectralPage,
+    WindowCell,
     persistence_pairing,
 )
 from cartanss.verify import Analysis, E2Cell, E2Frames, E2Report
@@ -66,7 +66,7 @@ def records(card, an):
         (an.e2, "verdict"),
         (an.pages[0], "dims"),
         (persistence_pairing(an.filtration), "pairs"),
-        (an.page2, "ranks"),
+        (an.page2[(0, 0)], "alive"),
         (an.frames, "f_columns"),
         (card.expected, "e2_dims"),
         (card, "note"),
@@ -78,7 +78,7 @@ def others(card, an):
     return [
         (Matrix.of([[1, Fraction(1, 2)]]), "cols"),
         (Subspace.full(2), "ambient_dim"),
-        (an.page2.cells[(0, 0)], "window"),
+        (an.frames.basic[0], "pivots"),
         (card.model.basic, "generators"),
         (card.model, "lie"),
         (card.model.lie, "c"),
@@ -89,7 +89,7 @@ def test_every_value_type_is_covered(kronecker):
     covered = {type(x) for x, _ in records(*kronecker) + others(*kronecker)}
     assert covered == {
         CheckResult, ValidationReport, Matrix, Subspace, Quotient, FilteredComplex,
-        SpectralPage, AbutmentRow, AbutmentReport, E2Cell, E2Report, E2Frames, PageSummary,
+        WindowCell, AbutmentRow, AbutmentReport, E2Cell, E2Report, E2Frames, PageSummary,
         Pairing, BasicComplex, EquivariantModel, LieData, ExpectedResults, ModelCard}
 
 
@@ -132,7 +132,8 @@ def test_records_are_named_tuples_with_the_field_repr(kronecker):
     assert repr(an.pages[2]) == (
         "PageSummary(r=2, dims={(0, 0): 1, (0, 1): 1, (1, 0): 1, (1, 1): 1}, d_ranks={})")
     assert repr(persistence_pairing(an.filtration)) == (
-        "Pairing(sizes={(0, 0): 1, (0, 1): 1, (1, 0): 1, (1, 1): 1}, pairs=())")
+        "Pairing(sizes={(0, 0): 1, (0, 1): 1, (1, 0): 1, (1, 1): 1}, pairs=(), ends=(), "
+        "tails=({}, {}, {}))")
     assert repr(an.e2.cells[0]) == "E2Cell(p=0, q=0, product_dim=1, e2_dim=1, f_rank=1)"
     assert repr(an.e2).startswith("E2Report(cells=(E2Cell(p=0, ")
     assert repr(an.e2).endswith("), verdict='isomorphism', lie_realization_ok=True)")
@@ -143,13 +144,13 @@ def test_records_are_named_tuples_with_the_field_repr(kronecker):
         "(1, 0): 1, (1, 1): 1}, stabilization=2, basic_cohomology=(1, 1), d2_abs_at_01=None)")
     assert repr(card) == (f"ModelCard(model={card.model!r}, expected={card.expected!r}, "
                           f"note={card.note!r})")
-    assert repr(an.page2) == (f"SpectralPage(r=2, cells={an.page2.cells!r}, "
-                              f"dr={an.page2.dr!r}, ranks={an.page2.ranks!r})")
+    assert repr(an.page2[(0, 0)]) == (
+        "WindowCell(lo=0, hi=1, bound=0, alive={0: 0}, tails={}, d_columns=((),))")
     frames = an.frames
     assert repr(frames) == (
         f"E2Frames(page2={frames.page2!r}, cells={frames.cells!r}, "
-        f"f_columns={frames.f_columns!r}, basic={frames.basic!r}, "
-        f"invariants={frames.invariants!r})")
+        f"f_columns={frames.f_columns!r}, d2_columns={frames.d2_columns!r}, "
+        f"basic={frames.basic!r}, invariants={frames.invariants!r})")
     # a card's defaults
     assert ExpectedResults((1,), {}) == ((1,), {}, 2, (1,), None)
     assert ModelCard(card.model, card.expected) == (card.model, card.expected, "")
@@ -161,8 +162,8 @@ def test_the_other_types_keep_the_field_repr(kronecker):
         "Matrix(data=((Fraction(1, 1), Fraction(1, 2)),), cols=2)")
     one = "Subspace(ambient_dim=1, basis=Matrix(data=((Fraction(1, 1),),), cols=1))"
     assert repr(Subspace.full(1)) == one
-    assert repr(an.page2.cells[(0, 0)]) == (
-        f"Quotient(space={one}, pivots=(0,), classes={{0: {{0: 1}}}}, window=(0, 1))")
+    assert repr(an.frames.basic[0]) == (
+        f"Quotient(space={one}, pivots=(0,), classes={{0: {{0: 1}}}})")
     assert repr(card.model) == (
         "EquivariantModel(name='kronecker', lie=LieData(n=1, c=()), "
         "basic=BasicComplex(generators=(('1', 0), ('kappa', 1)), d_hor_entries=(), "
@@ -183,12 +184,11 @@ def same(a, b) -> bool:
 
 def test_equality_and_hash_ignore_exactly_the_uncompared_fields(kronecker):
     card, an = kronecker
-    quot = an.page2.cells[(0, 1)]
-    assert quot.window == (1, 2)
-    assert same(quot, Quotient(quot.space, quot.pivots, quot.classes))
-    assert quot != Quotient(Subspace.full(3), quot.pivots, quot.classes, quot.window)
-    assert quot != Quotient(quot.space, (0,), quot.classes, quot.window)
-    assert quot != Quotient(quot.space, quot.pivots, {0: {0: 1}, 1: {}}, quot.window)
+    quot = an.frames.basic[1]
+    assert same(quot, Quotient(Subspace.full(1), (0,), {0: {0: 1}}))
+    assert quot != Quotient(Subspace.full(3), quot.pivots, quot.classes)
+    assert quot != Quotient(quot.space, (), quot.classes)
+    assert quot != Quotient(quot.space, quot.pivots, {0: {}})
 
     # a value that holds a dict among its compared fields is not hashable;
     # a quotient is refused by its type, before any field is hashed
@@ -200,7 +200,7 @@ def test_equality_and_hash_ignore_exactly_the_uncompared_fields(kronecker):
     # derived tables and caches: filled on one side only
     model = card.model
     twin = get_model("kronecker").model
-    an.filtration.reach
+    an.filtration.support
     assert model._images and not twin._images and model.lie._delta_squared
     assert same(model, twin) and same(model.lie, twin.lie) and same(model.basic, twin.basic)
     assert same(an.filtration, Analysis(twin).filtration)
@@ -216,6 +216,6 @@ def test_equality_and_hash_ignore_exactly_the_uncompared_fields(kronecker):
 
 def test_no_value_equals_another_type_with_the_same_fields():
     q = quotient_map(Subspace.full(2), [])
-    assert q != (q.space, q.pivots, q.classes, q.window)
+    assert q != (q.space, q.pivots, q.classes)
     assert Matrix.of([[1]]) != Matrix.of([[1]]).data
     assert LieData.abelian(1) != (1, ())
