@@ -152,14 +152,13 @@ class PageSummary(namedtuple("PageSummary", "r dims d_ranks")):
     __slots__ = ()
 
 
-class Pairing(namedtuple("Pairing", "sizes pairs ends tails")):
+class Pairing(namedtuple("Pairing", "sizes pairs tails")):
     """The persistence pairing of d, and every page's dims and d_r ranks from it.
 
     sizes[(p, q)] is dim E_0^(p,q), in the order of the E_0 support; pairs
-    holds (p, q, g) per pair: its column's spot and its gap g, so its row
-    sits at d_g's target (p + g, q - g + 1).  ends holds (m, j, low) per
-    pair, in the same order: column j of d^m and the lowest row of its
-    reduced column R_j.  tails[m] holds, for each lowest row l in C^m of a
+    holds (p, q, g, j, low) per pair: its column's spot, its gap g, so its
+    row sits at d_g's target (p + g, q - g + 1), column j of d^(p+q) and
+    the lowest row of its reduced column R_j.  tails[m] holds, for each lowest row l in C^m of a
     pair of gap 0 or 1, the part of b_l = R_j / lead strictly inside l's E_0
     window, as {index: value}, where that part is nonzero.
     """
@@ -170,7 +169,7 @@ class Pairing(namedtuple("Pairing", "sizes pairs ends tails")):
         """Page r: a basis element counts at its spot unless it is paired with gap < r."""
         dims = dict(self.sizes)
         ranks: dict[tuple[int, int], int] = {}
-        for p, q, g in self.pairs:
+        for p, q, g, _, _ in self.pairs:
             if g < r:
                 dims[(p, q)] -= 1
                 dims[(p + g, q - g + 1)] -= 1
@@ -182,7 +181,7 @@ class Pairing(namedtuple("Pairing", "sizes pairs ends tails")):
     @property
     def stabilization(self) -> int:
         """One past the largest gap >= 2, or 2 when there is none: E_infinity's page."""
-        return 1 + max((g for _, _, g in self.pairs if g >= 2), default=1)
+        return 1 + max((g for _, _, g, _, _ in self.pairs if g >= 2), default=1)
 
 
 def persistence_pairing(fc: FilteredComplex) -> Pairing:
@@ -203,7 +202,7 @@ def persistence_pairing(fc: FilteredComplex) -> Pairing:
     levels = [[0] * dim for dim in fc.dims]
     for p, q, lo, hi in fc.support:
         levels[p + q][lo:hi] = [p] * (hi - lo)
-    pairs, ends = [], []
+    pairs = []
     tails: list[dict] = [{} for _ in fc.dims]
     cleared: set = set()
     for m, cols in enumerate(fc.d_columns):
@@ -227,8 +226,7 @@ def persistence_pairing(fc: FilteredComplex) -> Pairing:
                 reduced[low] = scaled = {i: _ratio(v, a) for i, v in x.items()}
                 p = levels[m][j]
                 g = levels[m + 1][low] - p
-                pairs.append((p, m - p, g))
-                ends.append((m, j, low))
+                pairs.append((p, m - p, g, j, low))
                 if g < 2:
                     lo = fc.cut(p + g + 1, m + 1)
                     tail = {i: v for i, v in scaled.items() if i >= lo}
@@ -236,7 +234,7 @@ def persistence_pairing(fc: FilteredComplex) -> Pairing:
                         tails[m + 1][low] = tail
         cleared = set(reduced)
     return Pairing({(p, q): hi - lo for p, q, lo, hi in fc.support}, tuple(pairs),
-                   tuple(ends), tuple(tails))
+                   tuple(tails))
 
 
 class WindowCell(namedtuple("WindowCell", "lo hi bound alive tails d_columns")):
@@ -255,11 +253,13 @@ class WindowCell(namedtuple("WindowCell", "lo hi bound alive tails d_columns")):
     def dim(self) -> int:
         return len(self.alive)
 
-    def class_of(self, x: dict[int, Fraction]) -> dict[int, Fraction] | None:
+    def class_of(self, x: dict[int, Fraction],
+                 dx: dict[int, Fraction] | None = None) -> dict[int, Fraction] | None:
         """The class of x, given by its nonzero entries, or None when x is not in Z_2.
 
         x lies in Z_2^p when it has no entry at or past hi and d x none at or
-        past bound.  On the window, x is then a combination of the unit
+        past bound.  dx is d x where the caller already has it; otherwise it
+        is computed here.  On the window, x is then a combination of the unit
         vectors at the alive indices and the b_l of the boundaries, which
         together are triangular: from the top down, what is left of x at a
         boundary l is b_l's coefficient, and b_l's tail takes it off the
@@ -269,12 +269,13 @@ class WindowCell(namedtuple("WindowCell", "lo hi bound alive tails d_columns")):
         """
         if x and max(x) >= self.hi:
             return None
-        y = apply_sparse(self.d_columns, x)
-        if y and max(y) >= self.bound:
+        if dx is None:
+            dx = apply_sparse(self.d_columns, x)
+        if dx and max(dx) >= self.bound:
             return None
         alive, tails = self.alive, self.tails
-        rest = {j: a for j, a in x.items() if j >= self.lo}
-        heap = [-j for j in rest if j in tails]
+        heap = [-j for j in x if j in tails]
+        rest = dict(x) if heap else x
         heapify(heap)
         while heap:
             l = -heappop(heap)
@@ -301,10 +302,10 @@ def second_page(fc: FilteredComplex, pairing: Pairing) -> dict[tuple[int, int], 
     window's boundaries are the pairing's.
     """
     dead: list[set] = [set() for _ in fc.dims]
-    for (m, j, low), (_, _, g) in zip(pairing.ends, pairing.pairs):
+    for p, q, g, j, low in pairing.pairs:
         if g < 2:
-            dead[m].add(j)
-            dead[m + 1].add(low)
+            dead[p + q].add(j)
+            dead[p + q + 1].add(low)
     cells = {}
     for p, q, lo, hi in fc.support:
         m = p + q

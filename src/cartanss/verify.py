@@ -7,8 +7,13 @@ d_hor and the invariant subcomplex, the right from the persistence pairing
 of the total differential (specseq.second_page).  The verdict is
 "isomorphism" exactly when F has full rank equal to both dimensions at every
 (p, q); any mismatch pinpoints the first failing cell.  Page 2 is read off
-the pairing, so this check and the abutment are what certify the pairing:
-neither reads it to compute its other side.
+the pairing, whose pairs of gap 0 or 1 decide its cells, so this check
+certifies those pairs.  Its pairs of gap 2 give the report's d_2 ranks,
+and the frames read d_2 apart from them, as the classes of d(alpha (x)
+beta), which depend only on the pairs of gap 0 or 1: once the check
+passes, F spans each cell, and `d2_rank_check` holds each d_2 rank against
+the rank of d_2 F.  The pairs of larger gap show only in E_infinity,
+which the abutment compares with the total cohomology.
 
 The invariant subcomplex realizes the algebra cohomology in each degree; this
 identification is itself re-derived here (invariants are closed, and project
@@ -22,7 +27,8 @@ representative's pivot in the cocycles, alpha (x) beta and each invariant
 are {coordinate: value} dicts.  The class of alpha (x) beta is one class
 read in its page-2 cell (specseq.WindowCell.class_of), which checks that it
 lies in Z_2 and solves for its class over the cell's window; where d_2 has
-a nonzero target, the class of d(alpha (x) beta) is read there too.  An
+a nonzero target, the class of d(alpha (x) beta) is read there too, with d
+applied once per representative.  An
 invariant's class is one elimination through the cocycles' echelon
 (qlinalg.Quotient.class_of).  The ranks come from those sparse columns by
 qlinalg.sparse_rank.  The transgression stays sparse too: the d_2 images
@@ -153,7 +159,10 @@ def _e2_frames(model: EquivariantModel, page2: dict[tuple[int, int], WindowCell]
     basic_cohomology's representatives, beta each invariant basis row.  Its
     class is one class read in the cell, which also checks that it lies in
     Z_2, and where the target of d_2 is nonzero, d of it is read there too.
-    f_rank is the rank of the class columns.
+    d is applied once per representative: the class read in the cell takes
+    it as given, and the read in the target skips the check of d(d x) in
+    F^(p+4), since d^2 = 0 (validate_model).  f_rank is the rank of the
+    class columns.
     """
     bc = basic_cohomology(model)
     inv = invariant_subcomplex(model.lie)
@@ -186,14 +195,15 @@ def _e2_frames(model: EquivariantModel, page2: dict[tuple[int, int], WindowCell]
             for alpha in alphas:
                 for beta in betas[q]:
                     x = {pos[(g, I)]: a * b for g, a in alpha for I, b in beta}
-                    y = cell.class_of(x)
+                    dx = apply_sparse(cell.d_columns, x)
+                    y = cell.class_of(x, dx)
                     if y is None:
                         raise CertificateError(
                             "tensor representative not d-compatible", (p, q), 2
                         )
                     cols.append(y)
                     if tgt is not None:
-                        z = tgt.class_of(apply_sparse(cell.d_columns, x))
+                        z = tgt.class_of(dx, {})
                         if z is None:
                             raise CertificateError("d of a tensor representative escapes Z_2",
                                                    (p + 2, q - 1), 2)
@@ -216,6 +226,21 @@ def e2_tensor_check(model: EquivariantModel, frames: E2Frames) -> E2Report:
         "isomorphism" if ok else "mismatch",
         _lie_realization_ok(model.lie, frames.invariants),
     )
+
+
+def d2_rank_check(frames: E2Frames, ranks: dict[tuple[int, int], int]) -> None:
+    """The pairing's d_2 ranks against the frames' d_2 images, cell by cell.
+
+    ranks are page 2's d_ranks, the pairing's pairs of gap 2 per spot.  With
+    the tensor check passed, F_source spans its cell, so d_2 F_source, the
+    classes of d(alpha (x) beta) in the target cell, has d_2's rank; where
+    the target cell is zero there are none, and the rank must be zero.  A
+    mismatch raises CertificateError at the source cell, page 2.
+    """
+    for cell in frames.cells:
+        pq = (cell.p, cell.q)
+        if sparse_rank(frames.d2_columns.get(pq, [])) != ranks.get(pq, 0):
+            raise CertificateError("d_2 rank differs from the pairing's pairs of gap 2", pq, 2)
 
 
 class Transgression(namedtuple("Transgression", "rows columns")):
@@ -342,4 +367,8 @@ class Analysis:
 
     @cached_property
     def transgression(self) -> dict[tuple[int, int], Transgression]:
-        return d2_transgression(self.frames) if self.e2.passed else {}
+        """d_2 in the tensor bases, once its ranks are checked against the pairing's."""
+        if not self.e2.passed:
+            return {}
+        d2_rank_check(self.frames, self.pages[2].d_ranks)
+        return d2_transgression(self.frames)

@@ -17,7 +17,7 @@ from fractions import Fraction
 import pytest
 from oracles import direct_sum, rotated
 from test_liealg import _random_algebras
-from test_specseq import dropped_pair
+from test_specseq import edited_pairing
 
 from cartanss.cli import (
     ModelFileError,
@@ -648,15 +648,20 @@ def test_machine_document_writes_the_bytes_of_json_dumps(monkeypatch, capsys):
 
 
 # trivial_product's card, unlike hopf's, reads no transgression among its checks
-@pytest.mark.parametrize("plant, card", [("escaping tensor", "hopf"),
+@pytest.mark.parametrize("plant, card", [("dropped pair", "hopf"),
+                                         ("escaping tensor", "hopf"),
                                          ("unsolvable d_2", "hopf"),
                                          ("unsolvable d_2", "trivial_product")])
 def test_a_certificate_failure_writes_nothing_to_stdout(tmp_path, monkeypatch, capsys,
                                                         plant, card):
-    """A CertificateError in the frames' class reads or in the transgression,
-    the last stage, leaves stdout empty in both commands."""
-    if plant == "escaping tensor":
-        monkeypatch.setattr(specseq.WindowCell, "class_of", lambda cell, x: None)
+    """A CertificateError in the frames' class reads, in the d_2 rank check
+    or in the transgression, the last stage, leaves stdout empty in both
+    commands.  Hopf's one pair, dropped, leaves d_2 rank 0 in the pairing
+    where the frames read 1."""
+    if plant == "dropped pair":
+        edited_pairing(monkeypatch, 0)
+    elif plant == "escaping tensor":
+        monkeypatch.setattr(specseq.WindowCell, "class_of", lambda cell, x, dx=None: None)
     else:
         def unsolvable(*args):
             raise ValueError("planted")
@@ -673,18 +678,19 @@ def test_a_certificate_failure_writes_nothing_to_stdout(tmp_path, monkeypatch, c
 
 def test_a_dropped_pair_fails_the_abutment_of_the_report_and_the_card(tmp_path, monkeypatch,
                                                                         capsys):
-    """Page 2 is read off the pairing, so a pairing with hopf's one pair left
-    out keeps E_2 and its check, but reports E_infinity as E_2 and fails the
-    abutment in degrees 1 and 2: `pages` reports it and `examples --run`
-    fails its card."""
-    dropped_pair(monkeypatch, 0)
+    """Page 2 is read off the pairing, so a pairing with one of group_su2's
+    pairs of gap 0 left out leaves its column alive at (0, 1), where no
+    tensor frame reaches it, and counts it in E_infinity: `pages` reports
+    the failed E_2 check and abutment with no transgression, and `examples
+    --run` fails its card."""
+    edited_pairing(monkeypatch, 0)
     path = str(tmp_path / "model.json")
-    save_model_file(get_model("hopf").model, path)
+    save_model_file(get_model("group_su2").model, path)
     assert main(["pages", path, "--format", "machine"]) == 0
     doc = json.loads(capsys.readouterr().out)
-    assert (doc["e2_check"]["verdict"], doc["stabilization"]) == ("isomorphism", 2)
+    assert (doc["e2_check"]["verdict"], doc["transgression"]) == ("mismatch", {})
     assert [row["match"] for row in doc["abutment"]["rows"]] == [True, False, False, True]
-    assert main(["examples", "--run", "hopf", "--format", "machine"]) == 1
+    assert main(["examples", "--run", "group_su2", "--format", "machine"]) == 1
     doc = json.loads(capsys.readouterr().out)
     assert doc["passed"] is False and doc["report"]["abutment"]["passed"] is False
 

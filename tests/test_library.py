@@ -159,11 +159,16 @@ OPTIMIZED_SCRIPT = textwrap.dedent(
     except CertificateError as exc:
         print("library:", exc)
     library.comb = comb
-    # a pairing with its one pair dropped: E_infinity is E_2, too big
+    # a pairing with its one pair dropped: E_infinity is E_2, too big, and
+    # d_2 has rank 0 in the pairing, 1 in the frames
     pairing = verify.persistence_pairing
-    verify.persistence_pairing = lambda fc: pairing(fc)._replace(pairs=(), ends=())
+    verify.persistence_pairing = lambda fc: pairing(fc)._replace(pairs=())
     an = verify.Analysis(hopf)
     print("abutment:", [row.ok for row in an.abutment.rows], an.e2.verdict)
+    try:
+        an.transgression
+    except CertificateError as exc:
+        print("d_2:", exc)
     """
 )
 
@@ -179,4 +184,5 @@ def test_certificate_checks_still_fire_under_python_O():
         "verify: tensor representative not d-compatible at page E_2, cell (p,q)=(2,1)",
         "library: group_torus(2): algebra cohomology (1, 2, 1) is not the binomials (0, 0, 0)",
         "abutment: [True, False, False, True] isomorphism",
+        "d_2: d_2 rank differs from the pairing's pairs of gap 2 at page E_2, cell (p,q)=(0,1)",
     ]

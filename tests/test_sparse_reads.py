@@ -301,9 +301,9 @@ def test_pages_make_no_dense_containment_test_or_dense_apply(tmp_path, monkeypat
     counted("entry")
     counted("rref")
     for cls in (Quotient, WindowCell):
-        def logged(self, x, _read=cls.class_of):
+        def logged(self, x, *dx, _read=cls.class_of):
             reads.append(type(x))
-            return _read(self, x)
+            return _read(self, x, *dx)
         monkeypatch.setattr(cls, "class_of", logged)
     assert main(["pages", path, "--format", "machine"]) == 0
     capsys.readouterr()

@@ -6,6 +6,7 @@ import random
 from fractions import Fraction as Q
 from pathlib import Path
 
+import pytest
 from oracles import (
     ambient,
     check_structure,
@@ -43,6 +44,7 @@ from cartanss.liealg import LieData, multi_indices
 from cartanss.model import BasicComplex, EquivariantModel, monomial_basis
 from cartanss import liealg, qlinalg, specseq, verify
 from cartanss.qlinalg import Matrix, Subspace, apply_sparse, exact, sparse_rank
+from cartanss.reports import CertificateError
 from cartanss.specseq import (
     FilteredComplex,
     cartan_filtration,
@@ -625,8 +627,8 @@ def test_persistence_pairing_gives_every_page_up_to_one_past_stabilization():
         for (p, q), d in pairing.summary(pairing.stabilization).dims.items():
             totals[p + q] += d
         assert tuple(totals) == qlinalg.cohomology_dims(fc.d_columns), model.name
-        seen["gap 0"] += any(g == 0 for _, _, g in pairing.pairs)
-        seen["gap 1"] += any(g == 1 for _, _, g in pairing.pairs)
+        seen["gap 0"] += any(g == 0 for _, _, g, _, _ in pairing.pairs)
+        seen["gap 1"] += any(g == 1 for _, _, g, _, _ in pairing.pairs)
     assert seen["pages"] > 700 and min(seen.values()) >= 1, seen
 
 
@@ -711,37 +713,60 @@ def test_persistence_pairing_matches_a_dense_column_reduction_on_every_page():
     assert seen["pages"] > 500 and seen["pairs"] > 600 and seen["nonzero d_r at r >= 3"], seen
 
 
-def dropped_pair(monkeypatch, k):
-    """Analysis reads a pairing with its k-th pair left out."""
+def edited_pairing(monkeypatch, k, gap=None):
+    """Analysis reads a pairing with its k-th pair left out, or given gap `gap`."""
     real = verify.persistence_pairing
 
-    def dropped(fc):
+    def edited(fc):
         pairing = real(fc)
-        return pairing._replace(pairs=pairing.pairs[:k] + pairing.pairs[k + 1:],
-                                ends=pairing.ends[:k] + pairing.ends[k + 1:])
+        p, q, _, j, low = pairing.pairs[k]
+        put = () if gap is None else ((p, q, gap, j, low),)
+        return pairing._replace(pairs=pairing.pairs[:k] + put + pairing.pairs[k + 1:])
 
-    monkeypatch.setattr(verify, "persistence_pairing", dropped)
+    monkeypatch.setattr(verify, "persistence_pairing", edited)
 
 
 def test_a_pairing_with_a_dropped_pair_fails_the_abutment_or_the_e2_check(monkeypatch):
     """Page 2 and every page are read off the pairing, so a broken pairing
     is caught by the checks that do not read it: hopf's one pair has gap 2,
-    so E_2 stays and E_infinity is too big for the total cohomology; a pair
-    of gap 0 or 1 leaves a class at either end that no tensor frame reaches."""
-    dropped_pair(monkeypatch, 0)
+    so E_2 stays and E_infinity is too big for the total cohomology, and the
+    frames' d_2 image has rank 1 where the pairing says 0; a pair of gap 0
+    or 1 leaves a class at either end that no tensor frame reaches."""
+    edited_pairing(monkeypatch, 0)
     an = Analysis(get_model("hopf").model)
     assert an.e2.passed and an.stabilization == 2
     assert [(row.degree, row.ok) for row in an.abutment.rows] == [
         (0, True), (1, False), (2, False), (3, True)]
+    with pytest.raises(CertificateError, match=r"d_2 rank .* at page E_2, cell \(p,q\)=\(0,1\)"):
+        an.transgression
     model = random_trivial_product(random.Random(0)).model
     pairs = persistence_pairing(cartan_filtration(model)).pairs
-    k = next(k for k, (_, _, g) in enumerate(pairs) if g < 2)
-    p, q, g = pairs[k]
-    dropped_pair(monkeypatch, k)
+    k = next(k for k, pair in enumerate(pairs) if pair[2] < 2)
+    p, q, g, _, _ = pairs[k]
+    edited_pairing(monkeypatch, k)
     an = Analysis(model)
     assert an.e2.verdict == "mismatch" and not an.abutment.passed
     assert {(c.p, c.q) for c in an.e2.cells if not c.ok} <= {(p, q), (p + g, q - g + 1)}
     assert not an.transgression
+
+
+def test_a_pairing_with_a_shifted_gap_fails_the_d2_rank_check(monkeypatch):
+    """T^2 over a base with two Euler classes u, v and a class w in degree 3:
+    d_2 takes chi_1 chi_2 at (0, 2) to u chi_2 - v chi_1 at (2, 1).  Read as
+    a pair of gap 3, its row moves to (3, 0), in the same total degree, and
+    both ends stay alive on page 2: the E_2 check and the abutment pass, and
+    only the d_2 rank at (0, 2), 0 where the frames read 1, shows it."""
+    model = EquivariantModel("t2_over_w", LieData.abelian(2), BasicComplex.build(
+        [("1", 0), ("u", 2), ("v", 2), ("w", 3)], euler=[(1, 0, 1, 1), (2, 0, 2, 1)]))
+    pairs = persistence_pairing(cartan_filtration(model)).pairs
+    assert [pair[:3] for pair in pairs] == [(0, 1, 2), (0, 1, 2), (0, 2, 2)]
+    assert Analysis(model).transgression[(0, 2)].shape == (4, 1)
+    edited_pairing(monkeypatch, 2, gap=3)
+    an = Analysis(model)
+    assert an.e2.passed and an.abutment.passed and an.stabilization == 4
+    assert (an.pages[2].d_ranks, an.pages[3].d_ranks) == ({(0, 1): 2}, {(0, 2): 1})
+    with pytest.raises(CertificateError, match=r"d_2 rank .* at page E_2, cell \(p,q\)=\(0,2\)"):
+        an.transgression
 
 
 def test_filtration_stores_prefix_lengths():

@@ -132,7 +132,7 @@ def test_records_are_named_tuples_with_the_field_repr(kronecker):
     assert repr(an.pages[2]) == (
         "PageSummary(r=2, dims={(0, 0): 1, (0, 1): 1, (1, 0): 1, (1, 1): 1}, d_ranks={})")
     assert repr(persistence_pairing(an.filtration)) == (
-        "Pairing(sizes={(0, 0): 1, (0, 1): 1, (1, 0): 1, (1, 1): 1}, pairs=(), ends=(), "
+        "Pairing(sizes={(0, 0): 1, (0, 1): 1, (1, 0): 1, (1, 1): 1}, pairs=(), "
         "tails=({}, {}, {}))")
     assert repr(an.e2.cells[0]) == "E2Cell(p=0, q=0, product_dim=1, e2_dim=1, f_rank=1)"
     assert repr(an.e2).startswith("E2Report(cells=(E2Cell(p=0, ")
