@@ -36,14 +36,25 @@ graded commutator of derivations is a derivation, coadjoint is evaluated as
 the even derivation with those generator values, each term signed by the
 position where its new generator is inserted.
 
-Both operators reach the linear algebra by their columns on each Lambda^q
-(delta_columns, coadjoint_columns), read off those tables as plain
-(multi-index, coefficient) terms; no element of the exterior algebra is
-built.  lie_cohomology is qlinalg.graded_cohomology of delta_columns, one
-Quotient per degree, built as it is asked for.  The element algebra of the
-formulas above (wedge, contract, delta by wedge products and coadjoint by
-the homotopy) lives in tests/oracles.py, and the tests check every table
-entry by entry against it.
+delta reaches the linear algebra by its columns on each Lambda^q
+(delta_columns), read off the table as plain (multi-index, coefficient)
+terms; no element of the exterior algebra is built.  lie_cohomology is
+qlinalg.graded_cohomology of delta_columns, one Quotient per degree, built
+as it is asked for.
+
+The invariant subcomplex is found as the harmonic forms, ker delta_q meet
+ker delta_(q-1)^T in the orthonormal basis chi_I (Chevalley-Eilenberg 1948,
+Koszul 1950), and coadjoint is applied only to certify them.  Both sides
+are derivations equal on generators, so delta = 1/2 sum_l chi_l ^
+coadjoint(l, -).  With constants antisymmetric under both index swaps of
+validate_lie (ad-invariant), each coadjoint(l, -) is skew, so delta^T =
+-1/2 sum_l coadjoint(l, contract(l, -)); as coadjoint(l, -) commutes with
+contract(l, -), every invariant form is harmonic.  The certificate applies
+every coadjoint(l, -) to every harmonic basis row and checks the converse;
+on other data the first half can fail, and invariant_subcomplex refuses
+it.  The element algebra of the formulas above (wedge, contract, delta by
+wedge products and coadjoint by the homotopy) lives in tests/oracles.py,
+and the tests check every table entry by entry against it.
 """
 
 from __future__ import annotations
@@ -63,7 +74,7 @@ from .qlinalg import (
     graded_cohomology,
     sparse_kernel,
 )
-from .reports import CheckResult, ReadOnly, ValidationReport
+from .reports import CertificateError, CheckResult, ReadOnly, ValidationReport
 
 MultiIndex = tuple[int, ...]
 
@@ -241,11 +252,6 @@ def delta_terms(L: LieData, I: MultiIndex) -> Terms:
     return terms
 
 
-def _check_direction(L: LieData, ell) -> None:
-    if not _is_index(ell, L.n):
-        raise ValueError(f"direction index out of range: {ell!r}")
-
-
 def _coadjoint_terms(L: LieData, ell: int, I: MultiIndex) -> Terms:
     """coadjoint(ell, chi_I) as the even derivation with L's generator values.
 
@@ -288,13 +294,6 @@ def delta_columns(L: LieData, q: int) -> SparseColumns:
     return _columns([delta_terms(L, I) for I in multi_indices(L.n, q)], _positions(L, q + 1))
 
 
-def coadjoint_columns(L: LieData, ell: int, q: int) -> SparseColumns:
-    """The ell-th infinitesimal action on Lambda^q, column by column."""
-    _check_direction(L, ell)
-    terms = [_coadjoint_terms(L, ell, I) for I in multi_indices(L.n, q)]
-    return _columns(terms, _positions(L, q))
-
-
 def lie_cohomology(L: LieData) -> Iterator[Quotient]:
     """ker(delta) / im(delta) per degree q = 0 .. n, lazily, as Quotients.
 
@@ -311,23 +310,41 @@ def lie_cohomology(L: LieData) -> Iterator[Quotient]:
 def invariant_subcomplex(L: LieData) -> tuple[Subspace, ...]:
     """Per degree q, the joint kernel of all infinitesimal actions on Lambda^q.
 
-    It is one `sparse_kernel` of the rows of all the coadjoint actions
-    stacked, gathered from their columns by `column_rows`.  A degree whose
-    coadjoint columns are all empty (degree 0 always, every degree of an
-    abelian algebra) is all of Lambda^q, with no elimination.
     When coadjoint is zero on every generator, which the generator table
-    tells by being empty, it is zero in every degree and no column is built.
+    tells by being empty, every form is invariant and no column is built.
+    Otherwise constants that fail either antisymmetry of validate_lie raise
+    ValueError, and the invariants are the harmonic forms: per degree, one
+    `sparse_kernel` of the rows of delta_q and of delta_(q-1)^T, the nonzero
+    columns of delta_(q-1), each delta_q built once.  Invariant forms are
+    harmonic (the module docstring); the converse is certified by applying
+    every coadjoint(l, -) to every kernel row, on its support only, and a
+    nonzero image raises CertificateError naming the degree and l.  So the
+    result is the joint kernel, in its reduced echelon form.
     """
     if not L.coadjoint_gens:
         return tuple(Subspace.full(comb(L.n, q)) for q in range(L.n + 1))
+    for name, swap, detail in _ANTISYMMETRIES:
+        bad = _first_antisymmetry_failure(L, swap)
+        if bad is not None:
+            raise ValueError(f"no invariant forms without {name}: " + detail.format(*bad))
     out = []
+    below: SparseColumns = ()
     for q in range(L.n + 1):
-        size = comb(L.n, q)
-        # row i of the ell-th action is row ell * size + i of the stack (ell from 0)
-        actions = zip(*(coadjoint_columns(L, ell, q) for ell in range(1, L.n + 1)))
-        stacked = [[(ell * size + i, v) for ell, col in enumerate(cols) for i, v in col]
-                   for cols in actions]
-        out.append(Subspace.from_echelon(size, sparse_kernel(column_rows(stacked), size)))
+        idx = multi_indices(L.n, q)
+        columns = delta_columns(L, q)
+        kernel = sparse_kernel(column_rows(columns) + [col for col in below if col], len(idx))
+        for free, tail in kernel.items():
+            row = [(idx[free], 1)] + [(idx[j], v) for j, v in tail.items()]
+            for ell in range(1, L.n + 1):
+                image: dict[MultiIndex, Fraction] = {}
+                for I, x in row:
+                    for K, w in _coadjoint_terms(L, ell, I):
+                        image[K] = image.get(K, 0) + x * w
+                if any(image.values()):
+                    raise CertificateError(
+                        f"coadjoint({ell}) of a harmonic form of degree {q} is nonzero")
+        out.append(Subspace.from_echelon(len(idx), kernel))
+        below = columns
     return tuple(out)
 
 
@@ -390,17 +407,19 @@ def _first_jacobi_failure(L: LieData) -> tuple | None:
     return None if bad is None else bad + (sums[bad],)
 
 
+# the same sign test at two index swaps: (a,b,k) -> (b,a,k) and -> (a,k,b)
+_ANTISYMMETRIES = (
+    ("bracket antisymmetry", lambda a, b, k: (b, a, k),
+     "c[{1}][{0}][{2}] != -c[{0}][{1}][{2}]"),
+    ("full antisymmetry", lambda a, b, k: (a, k, b),
+     "c[{0}][{2}][{1}] != -c[{0}][{1}][{2}] (structure constants are not ad-invariant)"),
+)
+
+
 def validate_lie(L: LieData) -> ValidationReport:
     """Check bracket antisymmetry, full antisymmetry, Jacobi, and delta^2 = 0."""
-    # the same sign test at two index swaps: (a,b,k) -> (b,a,k) and -> (a,k,b)
-    antisymmetries = (
-        ("bracket antisymmetry", lambda a, b, k: (b, a, k),
-         "c[{1}][{0}][{2}] != -c[{0}][{1}][{2}]"),
-        ("full antisymmetry", lambda a, b, k: (a, k, b),
-         "c[{0}][{2}][{1}] != -c[{0}][{1}][{2}] (structure constants are not ad-invariant)"),
-    )
     checks = []
-    for name, swap, detail in antisymmetries:
+    for name, swap, detail in _ANTISYMMETRIES:
         bad = _first_antisymmetry_failure(L, swap)
         checks.append(CheckResult(name, bad is None, "" if bad is None else detail.format(*bad)))
 

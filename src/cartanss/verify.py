@@ -15,9 +15,10 @@ passes, F spans each cell, and `d2_rank_check` holds each d_2 rank against
 the rank of d_2 F.  The pairs of larger gap show only in E_infinity,
 which the abutment compares with the total cohomology.
 
-The invariant subcomplex realizes the algebra cohomology in each degree; this
-identification is itself re-derived here (invariants are closed, and project
-isomorphically onto cocycles-mod-coboundaries) rather than assumed.
+The invariant subcomplex (liealg's certified harmonic forms) realizes the
+algebra cohomology in each degree; this identification is itself re-derived
+here (invariants are closed, and project isomorphically onto
+cocycles-mod-coboundaries) rather than assumed.
 
 Both factors of E_2 are qlinalg.graded_cohomology of columns, and both stay
 its per-degree Quotients: basic_cohomology over d_hor, per basic degree,

@@ -30,7 +30,11 @@ constants, and `homotopy_coadjoint` the coadjoint action as the Cartan
 homotopy contract o delta + delta o contract.  The engine reads both from
 sparse per-algebra tables instead; `oracle_delta_matrix` and
 `oracle_coadjoint_matrix` build their matrices one `chi_to_vector` column at
-a time.
+a time.  `coadjoint_columns` extends the engine's generator table
+`LieData.coadjoint_gens` by wedge products, the columns the tests hold
+against the homotopy (the engine applies coadjoint only row by row, to
+certify its invariants), and `oracle_invariant_subcomplex` is the joint
+kernel of the stacked homotopy matrices.
 
 `ModelElement` is a linear combination of monomials g (x) chi_I of the
 invariant-forms model, and `d10`, `d01`, `d21` and `total_d` apply the three
@@ -95,6 +99,7 @@ from __future__ import annotations
 from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction as Q
+from functools import lru_cache
 from itertools import combinations, product
 from math import comb
 
@@ -424,14 +429,15 @@ def wedge(a: ChiElement, b: ChiElement) -> ChiElement:
     """a ^ b: chi_I ^ chi_J is zero when I and J meet, else chi_(I u J) signed by
     the parity of the pairs (x in I, y in J) with x > y, the transpositions
     that sort I + J."""
-    out = ChiElement()
+    out: dict = {}
     for I, v in a.coeffs.items():
         for J, w in b.coeffs.items():
             if set(I) & set(J):
                 continue
             sign = (-1) ** sum(x > y for x in I for y in J)
-            out = out + ChiElement({tuple(sorted(I + J)): sign * v * w})
-    return out
+            K = tuple(sorted(I + J))
+            out[K] = out.get(K, 0) + sign * v * w
+    return ChiElement(out)
 
 
 def contract(i: int, a: ChiElement) -> ChiElement:
@@ -439,23 +445,27 @@ def contract(i: int, a: ChiElement) -> ChiElement:
     chi_I goes to (-1)^s chi_(I minus i) where i sits at position s of I."""
     if not isinstance(i, int) or isinstance(i, bool) or i < 1:
         raise ValueError(f"generator index must be a positive integer: {i!r}")
-    out = ChiElement()
+    out = {}
     for I, v in a.coeffs.items():
         if i in I:
             s = I.index(i)
-            out = out + ChiElement({I[:s] + I[s + 1:]: (-1) ** s * v})
-    return out
+            out[I[:s] + I[s + 1:]] = (-1) ** s * v
+    return ChiElement(out)
 
 
+@lru_cache(maxsize=None)
 def delta_gen(L: LieData, k: int) -> ChiElement:
-    """delta chi_k = sum_{a<b} c[a][b][k] chi_a ^ chi_b, read off the structure constants."""
+    """delta chi_k = sum_{a<b} c[a][b][k] chi_a ^ chi_b, read off the structure constants.
+
+    Kept per (L, k): an algebra compares by its constants, and no caller
+    changes the element it gets."""
     return ChiElement({(a, b): L.bracket_coeff(a, b, k)
                        for a in range(1, L.n + 1) for b in range(a + 1, L.n + 1)})
 
 
 def wedge_ce_delta(L: LieData, a: ChiElement) -> ChiElement:
     """delta(a), each term chi_{I[:j]} ^ delta chi_{i_j} ^ chi_{I[j+1:]} by two wedges."""
-    out = ChiElement.zero()
+    out: dict = {}
     for I, v in a.coeffs.items():
         for pos, gen in enumerate(I):
             dg = delta_gen(L, gen)
@@ -463,8 +473,9 @@ def wedge_ce_delta(L: LieData, a: ChiElement) -> ChiElement:
                 continue
             sign = -1 if pos % 2 else 1
             term = wedge(ChiElement.basis(I[:pos]), wedge(dg, ChiElement.basis(I[pos + 1:])))
-            out = out + (sign * v) * term
-    return out
+            for K, w in term.coeffs.items():
+                out[K] = out.get(K, 0) + sign * v * w
+    return ChiElement(out)
 
 
 def homotopy_coadjoint(L: LieData, ell: int, a: ChiElement) -> ChiElement:
@@ -500,6 +511,28 @@ def oracle_delta_matrix(L: LieData, q: int) -> Matrix:
 
 def oracle_coadjoint_matrix(L: LieData, ell: int, q: int) -> Matrix:
     return operator_matrix(lambda x: homotopy_coadjoint(L, ell, x), L.n, q, q)
+
+
+def coadjoint_columns(L: LieData, ell: int, q: int) -> tuple:
+    """The ell-th infinitesimal action on Lambda^q from the engine's generator
+    table, column by column, as `sparse_columns` gives them.
+
+    Each column is the even derivation with the values L.coadjoint_gens[(ell,
+    i)] on generators, applied to chi_I by wedge products: the sum over j of
+    chi_{I[:j]} ^ coadjoint(ell, chi_{i_j}) ^ chi_{I[j+1:]}.
+    """
+    if not isinstance(ell, int) or isinstance(ell, bool) or not 1 <= ell <= L.n:
+        raise ValueError(f"direction index out of range: {ell!r}")
+
+    def act(a: ChiElement) -> ChiElement:
+        (I,) = a.coeffs
+        out = ChiElement.zero()
+        for j, i in enumerate(I):
+            image = ChiElement({(k,): w for k, w in L.coadjoint_gens.get((ell, i), ())})
+            out = out + wedge(ChiElement.basis(I[:j]), wedge(image, ChiElement.basis(I[j + 1:])))
+        return out
+
+    return sparse_columns(operator_matrix(act, L.n, q, q))
 
 
 def oracle_invariant_subcomplex(L: LieData) -> tuple[Subspace, ...]:

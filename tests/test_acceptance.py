@@ -27,7 +27,6 @@ from cartanss.library import (
 )
 from cartanss.liealg import (
     LieData,
-    coadjoint_columns,
     delta_columns,
     invariant_subcomplex,
     lie_cohomology,
@@ -50,6 +49,7 @@ from cartanss.verify import Analysis, basic_cohomology
 from oracles import (
     ChiElement,
     ModelElement,
+    coadjoint_columns,
     dense_d_hor,
     dmat,
     recurrence_dims,

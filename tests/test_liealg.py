@@ -2,9 +2,17 @@
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
+import textwrap
+import time
 from fractions import Fraction as Q
+from functools import reduce
 from itertools import combinations, product
+from math import comb
+from pathlib import Path
 
 import pytest
 
@@ -13,7 +21,6 @@ from cartanss.cli import main, save_model_file
 from cartanss.liealg import (
     LieData,
     all_multi_indices,
-    coadjoint_columns,
     delta_columns,
     first_delta_squared_failure,
     invariant_subcomplex,
@@ -22,16 +29,19 @@ from cartanss.liealg import (
     validate_lie,
 )
 from cartanss.library import (
+    get_model,
     heisenberg_lie,
     mutated_jacobi_lie,
     rescaled_su2_lie,
     su2_lie,
 )
 from cartanss.model import BasicComplex, EquivariantModel, validate_model
-from cartanss.qlinalg import apply_sparse
+from cartanss.qlinalg import Matrix, apply_sparse, column_rows, sparse_kernel
+from cartanss.reports import CertificateError
 from oracles import (
     ChiElement,
     chi_from_vector,
+    coadjoint_columns,
     contract,
     direct_sum,
     chi_to_vector,
@@ -39,10 +49,15 @@ from oracles import (
     oracle_coadjoint_matrix,
     oracle_delta_matrix,
     oracle_invariant_subcomplex,
+    rotated,
+    scaled,
+    seed_kernel_basis,
+    seed_span,
     sparse_columns,
     wedge,
     wedge_ce_delta,
 )
+from test_specseq import _convolve
 
 
 def table_chi(columns, n, q, j):
@@ -573,12 +588,59 @@ def _random_algebras(rng, count, max_n):
     return out
 
 
+def jacobi_breaking_compact_constants():
+    """Fully antisymmetric constants on five generators that fail Jacobi:
+    [u_1, u_2] = u_3 with one more bracket touching u_1 or u_3."""
+    return [LieData.from_structure_constants(5, {(1, 2, 3): 1, other: v})
+            for other, v in (((1, 4, 5), 1), ((3, 4, 5), Q(1, 2)), ((2, 4, 5), -2))]
+
+
+def compact_type_algebras():
+    """su(2) with abelian summands, scaled and turned by the rational
+    rotations (3/5, 4/5) and (5/13, 12/13), and su(2) + su(2)/3: fully
+    antisymmetric Lie algebras whose invariants are not all of Lambda."""
+    su2, r1, r2 = su2_lie(), LieData.abelian(1), LieData.abelian(2)
+    r3, r4, r5, r12 = Q(3, 5), Q(4, 5), Q(5, 13), Q(12, 13)
+    return [direct_sum(su2, r1), direct_sum(su2, r2), direct_sum(r1, su2),
+            scaled(su2, Q(3, 2)), scaled(su2, -2), scaled(su2, 5),
+            rotated(su2, 0, 1, r3, r4), rotated(su2, 0, 2, r5, r12),
+            scaled(rotated(su2, 1, 2, r5, r12), Q(-1, 2)),
+            rotated(direct_sum(su2, r1), 0, 3, r3, r4),
+            rotated(direct_sum(r1, su2), 0, 2, r3, r4),
+            rotated(direct_sum(su2, r2), 1, 4, r5, r12),
+            direct_sum(scaled(su2, 2), r1), direct_sum(scaled(su2, Q(1, 7)), r2),
+            direct_sum(su2, scaled(su2, Q(1, 3)))]
+
+
+def dense_harmonic(L):
+    """ker delta_q meet ker delta_(q-1)^T per degree, from the wedge formula's
+    matrices, by the seed kernel."""
+    out = []
+    for q in range(L.n + 1):
+        rows = [list(row) for row in oracle_delta_matrix(L, q).data]
+        if q:
+            rows += [list(col) for col in zip(*oracle_delta_matrix(L, q - 1).data)]
+        out.append(seed_kernel_basis(Matrix.of(rows, cols=len(multi_indices(L.n, q)))))
+    return tuple(out)
+
+
 def test_table_matrices_match_the_wedge_and_homotopy_formulas():
+    """The delta table and the coadjoint generator table against the wedge
+    and homotopy formulas, column by column, and the engine's per-row
+    coadjoint against the homotopy.  Invariants: on fully antisymmetric
+    data either the oracle's joint kernel, or a CertificateError where the
+    data fails Jacobi and the joint kernel lies strictly inside the harmonic
+    forms; on other data with a nonzero coadjoint table a ValueError."""
     algebras = [su2_lie(), direct_sum(su2_lie(), su2_lie()), heisenberg_lie(),
                 rescaled_su2_lie(), mutated_jacobi_lie()]
     algebras += [LieData.abelian(n) for n in range(1, 8)]
     algebras += _random_algebras(random.Random(20261020), 20, 4)
+    algebras += compact_type_algebras()
+    algebras += jacobi_breaking_compact_constants()
+    # antisymmetric under (a,b,k) -> (a,k,b) only: coadjoint(2, -) is not skew
+    algebras.append(LieData(3, [((1, 2, 3), 1), ((1, 3, 2), -1)]))
     nonzero = {"delta": 0, "coadjoint": 0, "eliminated": 0}
+    outcomes = {"oracle": 0, "refused": 0, "not ad-invariant": 0}
     for L in algebras:
         for q in range(L.n + 1):
             d = delta_columns(L, q)
@@ -588,10 +650,133 @@ def test_table_matrices_match_the_wedge_and_homotopy_formulas():
                 m = coadjoint_columns(L, ell, q)
                 assert m == sparse_columns(oracle_coadjoint_matrix(L, ell, q)), (L, ell, q)
                 nonzero["coadjoint"] += any(m)
-        inv = invariant_subcomplex(L)
-        assert inv == oracle_invariant_subcomplex(L), L
+                for I in multi_indices(L.n, q):
+                    assert (ChiElement(dict(liealg._coadjoint_terms(L, ell, I)))
+                            == homotopy_coadjoint(L, ell, ChiElement.basis(I))), (L, ell, I)
+        if L.coadjoint_gens and not all(c.passed for c in validate_lie(L).checks[:2]):
+            with pytest.raises(ValueError, match="no invariant forms without"):
+                invariant_subcomplex(L)
+            outcomes["not ad-invariant"] += 1
+            continue
+        want = oracle_invariant_subcomplex(L)
+        try:
+            inv = invariant_subcomplex(L)
+        except CertificateError as exc:
+            assert "of a harmonic form of degree" in str(exc)
+            assert not validate_lie(L).passed, L
+            harmonic = dense_harmonic(L)
+            assert all(seed_span(h.ambient_dim, list(w.basis.data) + list(h.basis.data)) == h
+                       for w, h in zip(want, harmonic)), L
+            assert want != harmonic, L
+            outcomes["refused"] += 1
+            continue
+        assert inv == want, L
+        outcomes["oracle"] += 1
         nonzero["eliminated"] += any(s.dim < s.ambient_dim for s in inv)
     assert min(nonzero.values()) > 15, nonzero
+    assert min(outcomes.values()) > 0, outcomes
+
+
+def su2_power(k):
+    return direct_sum(*[su2_lie()] * k)
+
+
+R3, R4 = Q(3, 5), Q(4, 5)
+
+
+@pytest.mark.parametrize("L", [
+    su2_power(1), su2_power(2), su2_power(3), direct_sum(su2_lie(), LieData.abelian(2)),
+    scaled(su2_lie(), Q(3, 2)), rotated(rotated(su2_power(2), 0, 3, R3, R4), 1, 4, R3, R4)],
+    ids=["su2", "su2^2", "su2^3", "su2+R^2", "su2*3/2", "su2^2 turned"])
+def test_invariants_equal_the_oracle_on_compact_type_algebras(L):
+    assert invariant_subcomplex(L) == oracle_invariant_subcomplex(L)
+
+
+def test_each_degree_is_one_kernel_of_delta_and_the_transpose_below(monkeypatch):
+    """Per degree, sparse_kernel gets at most C(n, q+1) + C(n, q-1) rows,
+    those of delta_q and delta_(q-1)^T, and each delta_q is built once."""
+    for L in (su2_power(2), rotated(direct_sum(su2_lie(), LieData.abelian(1)), 0, 3, R3, R4)):
+        built, rows = [], []
+        monkeypatch.setattr(liealg, "delta_columns",
+                            lambda L, q: built.append(q) or delta_columns(L, q))
+        monkeypatch.setattr(liealg, "sparse_kernel",
+                            lambda r, cols: rows.append((len(r), cols)) or sparse_kernel(r, cols))
+        inv = invariant_subcomplex(L)
+        monkeypatch.undo()
+        n = L.n
+        assert built == list(range(n + 1))
+        assert [cols for _, cols in rows] == [comb(n, q) for q in range(n + 1)]
+        assert all(k <= comb(n, q + 1) + (comb(n, q - 1) if q else 0)
+                   for q, (k, _) in enumerate(rows))
+        assert inv == oracle_invariant_subcomplex(L)
+
+
+def without_transpose_rows(L):
+    """A stand-in for liealg's sparse_kernel that keeps, per degree q (one
+    call each, in order), only the rows of delta_q: the delta_(q-1)^T rows
+    are dropped, and the kernel is all of ker delta_q."""
+    degrees = iter(range(L.n + 1))
+
+    def kernel(rows, cols):
+        q = next(degrees)
+        return sparse_kernel(rows[:len(column_rows(delta_columns(L, q)))], cols)
+
+    return kernel
+
+
+DROPPED_TRANSPOSE_SCRIPT = textwrap.dedent(
+    """
+    import sys
+    from test_liealg import without_transpose_rows
+    from cartanss import liealg
+    from cartanss.cli import main
+    from cartanss.library import su2_lie
+    from cartanss.reports import CertificateError
+
+    liealg.sparse_kernel = without_transpose_rows(su2_lie())
+    try:
+        main(["pages", sys.argv[1], "--format", "machine"])
+    except CertificateError as exc:
+        print(exc)
+    """
+)
+
+DROPPED_MESSAGE = "coadjoint(1) of a harmonic form of degree 2 is nonzero"
+
+
+def test_kernels_without_the_transpose_rows_fail_the_certificate(tmp_path, monkeypatch, capsys):
+    """ker delta_2 of su(2) is all of Lambda^2, which is not invariant: with
+    the delta^T rows dropped, `pages` on group_su2 raises the certificate,
+    in process and under python -O."""
+    from test_cli import source_env  # test_cli imports this module
+
+    path = str(tmp_path / "model.json")
+    save_model_file(get_model("group_su2").model, path)
+    monkeypatch.setattr(liealg, "sparse_kernel", without_transpose_rows(su2_lie()))
+    with pytest.raises(CertificateError) as info:
+        main(["pages", path, "--format", "machine"])
+    assert str(info.value) == DROPPED_MESSAGE
+    assert capsys.readouterr().out == ""
+    env = source_env()
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parent) + os.pathsep + env["PYTHONPATH"]
+    proc = subprocess.run([sys.executable, "-O", "-c", DROPPED_TRANSPOSE_SCRIPT, path],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [DROPPED_MESSAGE]
+
+
+@pytest.mark.skipif(os.environ.get("CARTANSS_SLOW") != "1", reason="set CARTANSS_SLOW=1")
+def test_frontier_invariants_of_su2_powers():
+    """su(2)^4 and su(2)^5: the certified invariants have the Kunneth dims
+    of (1, 0, 0, 1), and su(2)^5 takes under 3 s."""
+    for k in (4, 5):
+        L = su2_power(k)
+        assert validate_lie(L).passed
+        t0 = time.perf_counter()
+        inv = invariant_subcomplex(L)
+        elapsed = time.perf_counter() - t0
+        assert tuple(s.dim for s in inv) == reduce(_convolve, [(1, 0, 0, 1)] * k)
+    assert elapsed < 3.0, elapsed
 
 
 def test_first_delta_squared_failure_matches_the_wedge_formula():

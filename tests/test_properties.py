@@ -17,13 +17,13 @@ from hypothesis import strategies as st  # noqa: E402
 
 from cartanss.liealg import (  # noqa: E402
     LieData,
-    coadjoint_columns,
     delta_columns,
     first_delta_squared_failure,
 )
 from cartanss.library import su2_lie  # noqa: E402
 from cartanss.qlinalg import Matrix, apply_sparse  # noqa: E402
 from oracles import (  # noqa: E402
+    coadjoint_columns,
     direct_sum,
     oracle_coadjoint_matrix,
     scaled,

@@ -806,10 +806,12 @@ def test_a_vector_outside_z_two_has_no_class():
 
 def test_every_matrix_reduced_by_pages_matches_the_seed_rref(tmp_path, monkeypatch, capsys):
     """Cards, S^3..S^25, su(2) + su(2) over a circle (128 monomials) and
-    over the 2-torus (256), and thirty random trivial products with dense
-    rational bases: each distinct matrix `pages` reduces, against the seed
-    code.  A block of d with no nonzero entry is reduced by no
-    one, so the floor on distinct matrices needs the thirty.  The row reduction `_reduced` and the kernel routine
+    over the 2-torus (256), su(2) + su(2) + R over a point (128), and thirty
+    random trivial products with dense rational bases: each distinct matrix
+    `pages` reduces, against the seed code.  The harmonic kernels of su(2)
+    + su(2) + R in degrees 3 and 4, 42 rows by 35 columns, are the largest.
+    A block of d with no nonzero entry is reduced by no one, so the floor on
+    distinct matrices needs the thirty.  The row reduction `_reduced` and the kernel routine
     `sparse_kernel` take sparse rows; the matrix of those rows is checked
     with seed_mismatches, and each kernel against the seed kernel.  A
     sparse_rank call reduces the matrix whose rows are its vectors; its rank
@@ -855,6 +857,9 @@ def test_every_matrix_reduced_by_pages_matches_the_seed_rref(tmp_path, monkeypat
     models = [get_model(name).model for name in MODEL_NAMES]
     models += [sphere_model(k) for k in range(1, 13)]
     models += [su2_pair_model((0, 1)), su2_pair_model((0, 1, 1, 2))]
+    models.append(EquivariantModel("su2_pair_line",
+                                   direct_sum(su2_lie(), su2_lie(), LieData.abelian(1)),
+                                   BasicComplex.build([("1", 0)])))
     # dense rational bases: blocks with non-unit rational entries
     rng = random.Random(20261018)
     models += [random_trivial_product(rng, tag=f"r{i}").model for i in range(30)]
