@@ -38,9 +38,16 @@ position where its new generator is inserted.
 
 delta reaches the linear algebra by its columns on each Lambda^q
 (delta_columns), read off the table as plain (multi-index, coefficient)
-terms; no element of the exterior algebra is built.  lie_cohomology is
-qlinalg.graded_cohomology of delta_columns, one Quotient per degree, built
-as it is asked for.
+terms, each degree once per algebra and kept on it; no element of the
+exterior algebra is built.  lie_cohomology is qlinalg.graded_cohomology of
+delta_columns, one Quotient per degree, built as it is asked for; the
+report does not call it.
+
+delta is the odd derivation with the generator values delta chi_k, whatever
+the constants, so delta^2 = 1/2 [delta, delta] is an even derivation: it is
+zero as soon as it is zero on every chi_k, and its first failure in basis
+order, if any, is a generator.  first_delta_squared_failure scans the n
+generators only.
 
 The invariant subcomplex is found as the harmonic forms, ker delta_q meet
 ker delta_(q-1)^T in the orthonormal basis chi_I (Chevalley-Eilenberg 1948,
@@ -117,8 +124,10 @@ class LieData(ReadOnly):
     (k, coefficient) pairs over the nonzero (l, i) only, both at
     construction; delta(chi_I) per multi-index I, filled by delta_terms on
     first use; the position of each multi-index in its degree's basis,
-    per degree; and the first failure of delta^2 = 0, derived once and kept
-    as the one item of _delta_squared.  Equality, hash and repr read n and c.
+    per degree; delta_columns per degree, built once by delta_columns and
+    shared by the invariants and the realization check; and the first
+    failure of delta^2 = 0, derived once and kept as the one item of
+    _delta_squared.  Equality, hash and repr read n and c.
     """
 
     def __init__(self, n: int, c: tuple[tuple[Slot, Fraction], ...]):
@@ -151,6 +160,7 @@ class LieData(ReadOnly):
             coadjoint_gens={li: tuple(g.items()) for li, g in coad.items()},
             _delta={},
             _positions={},
+            _columns={},
             _delta_squared=[],
         )
 
@@ -290,8 +300,15 @@ def _columns(terms: list[Terms], pos: dict[MultiIndex, int]) -> SparseColumns:
 
 
 def delta_columns(L: LieData, q: int) -> SparseColumns:
-    """The differential Lambda^q -> Lambda^{q+1}, column by column, from the delta table."""
-    return _columns([delta_terms(L, I) for I in multi_indices(L.n, q)], _positions(L, q + 1))
+    """The differential Lambda^q -> Lambda^{q+1}, column by column, from the delta table.
+
+    Built once per L and q and kept on L.
+    """
+    columns = L._columns.get(q)
+    if columns is None:
+        columns = L._columns[q] = _columns([delta_terms(L, I) for I in multi_indices(L.n, q)],
+                                           _positions(L, q + 1))
+    return columns
 
 
 def lie_cohomology(L: LieData) -> Iterator[Quotient]:
@@ -351,8 +368,11 @@ def invariant_subcomplex(L: LieData) -> tuple[Subspace, ...]:
 def first_delta_squared_failure(L: LieData) -> MultiIndex | None:
     """The first multi-index in basis order with delta(delta chi_I) != 0, or None.
 
-    Derived once per algebra and kept on it, so validate_lie and
-    validate_model share one scan of the 2^n multi-indices.
+    delta^2 is an even derivation (the module docstring), so it vanishes
+    iff it vanishes on chi_1 .. chi_n, and chi_() = 1 never fails: the
+    first failure is the first failing generator.  Derived once per algebra
+    and kept on it, so validate_lie and validate_model share one scan of
+    the n generators.
     """
     if not L._delta_squared:
         L._delta_squared.append(_delta_squared_scan(L))
@@ -360,7 +380,8 @@ def first_delta_squared_failure(L: LieData) -> MultiIndex | None:
 
 
 def _delta_squared_scan(L: LieData) -> MultiIndex | None:
-    for I in all_multi_indices(L.n):
+    """The first generator chi_k, as the multi-index (k,), with delta(delta chi_k) != 0."""
+    for I in multi_indices(L.n, 1):
         acc: dict[MultiIndex, Fraction] = {}
         for J, v in delta_terms(L, I):
             for K, w in delta_terms(L, J):

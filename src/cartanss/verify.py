@@ -18,27 +18,26 @@ which the abutment compares with the total cohomology.
 The invariant subcomplex (liealg's certified harmonic forms) realizes the
 algebra cohomology in each degree; this identification is itself re-derived
 here (invariants are closed, and project isomorphically onto
-cocycles-mod-coboundaries) rather than assumed.
+cocycles-mod-coboundaries) rather than assumed, by ranks alone: the
+dimension of H^q from the ranks of delta, closedness by applying delta_q,
+and independence modulo the coboundaries by one stacked rank, with no
+kernel or quotient of delta built.
 
-Both factors of E_2 are qlinalg.graded_cohomology of columns, and both stay
-its per-degree Quotients: basic_cohomology over d_hor, per basic degree,
-and liealg.lie_cohomology over delta, per chi-degree, read lazily.  Both
-checks read classes sparse.  Each alpha is the echelon row of a
-representative's pivot in the cocycles, alpha (x) beta and each invariant
-are {coordinate: value} dicts.  The class of alpha (x) beta is one class
-read in its page-2 cell (specseq.WindowCell.class_of), which checks that it
+The basic factor of E_2 is qlinalg.graded_cohomology over d_hor, one
+Quotient per basic degree (basic_cohomology).  Each alpha is the echelon
+row of a representative's pivot in the cocycles, and alpha (x) beta is a
+{coordinate: value} dict.  The class of alpha (x) beta is one class read
+in its page-2 cell (specseq.WindowCell.class_of), which checks that it
 lies in Z_2 and solves for its class over the cell's window; where d_2 has
 a nonzero target, the class of d(alpha (x) beta) is read there too, with d
-applied once per representative.  An
-invariant's class is one elimination through the cocycles' echelon
-(qlinalg.Quotient.class_of).  The ranks come from those sparse columns by
-qlinalg.sparse_rank.  The transgression stays sparse too: the d_2 images
-of each source frame column, then one solve through a tagged echelon of
-the target frame's columns, whose solutions are kept as they come, one
-`Transgression` record of sparse columns per source cell; only the renders
-write its zeros.  Where delta is zero into and out of degree q, H^q is
-Lambda^q with the identity projection, and the realization check there is a
-comparison of dimensions with no elimination.
+applied once per representative.  The ranks come from those sparse
+columns by qlinalg.sparse_rank.  The transgression stays sparse too: the
+d_2 images of each source frame column, then one solve through a tagged
+echelon of the target frame's columns, whose solutions are kept as they
+come, one `Transgression` record of sparse columns per source cell; only
+the renders write its zeros.  Where delta is zero into and out of degree
+q, H^q is Lambda^q, and the realization check there is a comparison of
+dimensions with no elimination.
 
 `Analysis(model)`, given the model alone, is the whole report of one model,
 from validation to the transgression.  Each stage is computed once, on
@@ -53,8 +52,8 @@ from functools import cached_property
 
 from .liealg import (
     LieData,
+    delta_columns,
     invariant_subcomplex,
-    lie_cohomology,
     multi_indices,
     validate_lie,
 )
@@ -115,26 +114,39 @@ class E2Report(namedtuple("E2Report", "cells verdict lie_realization_ok")):
 def _lie_realization_ok(lie: LieData, inv) -> bool:
     """Invariants are closed and map isomorphically onto degree-q cohomology.
 
-    Each invariant basis row is read sparse: one class read in ker / im
-    checks that it is closed and gives its class, and the classes must have
-    full rank.  Where H^q is all of Lambda^q (delta is zero into and out of
-    degree q), invariants of its dimension are all of Lambda^q, and nothing
-    is read or reduced there.  When delta is zero on every generator, which
-    its generator table tells in O(n^2), that holds in every degree and no
-    column is built.  lie_cohomology is read degree by degree, so the first
-    failing degree ends the check before the next degree's cohomology is
-    built.
+    By ranks, with no kernel or quotient: dim H^q = C(n, q) - rk delta_q -
+    rk delta_(q-1), each rank one `sparse_rank` of delta_columns, taken once
+    and carried to the next degree.  The invariants must have that
+    dimension, each basis row must be closed (delta_q of it is zero), and
+    the rows must be independent modulo the coboundaries: the rank of the
+    rows with the nonzero columns of delta_(q-1) is dim inv_q + rk
+    delta_(q-1).  So their classes are a basis of ker / im.  A zero
+    delta_q has rank 0 with no elimination, and where H^q is all of
+    Lambda^q (delta is zero into and out of degree q), invariants of its
+    dimension are all of Lambda^q, and nothing is read or reduced there.
+    When delta is zero on every generator, which its generator table tells
+    in O(n^2), that holds in every degree and no column is built.  The
+    first failing degree ends the check before the next degree's columns
+    are reduced.
     """
     if not any(lie.delta_gens):
         return all(s.dim == s.ambient_dim for s in inv)
-    for q, quot in enumerate(lie_cohomology(lie)):
-        if inv[q].dim != quot.dim:
+    below: list[dict] = []  # the nonzero columns of delta_(q-1)
+    below_rank = 0
+    for q in range(lie.n + 1):
+        columns = delta_columns(lie, q)
+        image = [dict(col) for col in columns if col]
+        rank = sparse_rank(image) if image else 0
+        h_dim = len(columns) - rank - below_rank
+        if inv[q].dim != h_dim:
             return False
-        if quot.dim == quot.space.ambient_dim:
-            continue
-        classes = [quot.class_of(inv[q].sparse_row(pivot)) for pivot in inv[q].echelon()]
-        if None in classes or sparse_rank(classes) != quot.dim:
-            return False
+        if h_dim and h_dim != len(columns):
+            rows = [inv[q].sparse_row(pivot) for pivot in inv[q].echelon()]
+            if any(apply_sparse(columns, h) for h in rows):
+                return False
+            if sparse_rank(rows + below) != h_dim + below_rank:
+                return False
+        below, below_rank = image, rank
     return True
 
 
@@ -235,12 +247,14 @@ def d2_rank_check(frames: E2Frames, ranks: dict[tuple[int, int], int]) -> None:
     ranks are page 2's d_ranks, the pairing's pairs of gap 2 per spot.  With
     the tensor check passed, F_source spans its cell, so d_2 F_source, the
     classes of d(alpha (x) beta) in the target cell, has d_2's rank; where
-    the target cell is zero there are none, and the rank must be zero.  A
-    mismatch raises CertificateError at the source cell, page 2.
+    the target cell is zero there are none, and the rank must be zero with
+    no `sparse_rank` called.  A mismatch raises CertificateError at the
+    source cell, page 2.
     """
     for cell in frames.cells:
         pq = (cell.p, cell.q)
-        if sparse_rank(frames.d2_columns.get(pq, [])) != ranks.get(pq, 0):
+        images = frames.d2_columns.get(pq)
+        if (sparse_rank(images) if images else 0) != ranks.get(pq, 0):
             raise CertificateError("d_2 rank differs from the pairing's pairs of gap 2", pq, 2)
 
 

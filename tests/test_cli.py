@@ -583,9 +583,9 @@ def test_examples_run_computes_the_algebra_cohomology_once(monkeypatch, capsys):
     calls = count_calls(monkeypatch, (("qlinalg", "graded_cohomology"),))
     assert main(["examples", "--run", "group_su2", "--format", "machine"]) == 0
     assert json.loads(capsys.readouterr().out)["passed"] is True
-    # basic_cohomology and the Lie realization check; the card counts the
-    # algebra's dims by ranks alone
-    assert len(calls["graded_cohomology"]) == 2
+    # basic_cohomology only: the Lie realization check and the card read
+    # the algebra's cohomology by ranks alone
+    assert len(calls["graded_cohomology"]) == 1
 
 
 def test_examples_run_computes_every_stage_once(monkeypatch, capsys):
@@ -760,8 +760,8 @@ def test_analysis_of_an_invalid_model_raises_and_builds_no_filtration(monkeypatc
             len(calls["persistence_pairing"])) == (0, 0, 0)
 
 
-def _eliminations_inside(monkeypatch, function_name):
-    """Log, for every elimination, whether function_name is on the call stack.
+def _eliminations_inside(monkeypatch, *function_names):
+    """Log, for every elimination, whether one of function_names is on the call stack.
 
     qlinalg eliminates in three places: `_reduced` (the row reduction of
     Matrix.rref and of every sparse_kernel), sparse_rank and the
@@ -774,7 +774,7 @@ def _eliminations_inside(monkeypatch, function_name):
     def logged(run):
         def wrapper(*args):
             frame = sys._getframe(1)
-            while frame is not None and frame.f_code.co_name != function_name:
+            while frame is not None and frame.f_code.co_name not in function_names:
                 frame = frame.f_back
             log.append(frame is not None)
             return run(*args)
@@ -811,9 +811,9 @@ def test_invariants_are_eliminated_only_where_coadjoint_is_nonzero(
 def test_zero_differentials_are_not_eliminated(tmp_path, monkeypatch, capsys, spec, eliminates):
     path = str(tmp_path / "model.json")
     save_model_file(get_model(*spec).model, path)
-    # basic_cohomology and the Lie realization check take each degree's
-    # kernel and quotient inside graded_cohomology
-    eliminations = _eliminations_inside(monkeypatch, "graded_cohomology")
+    # basic_cohomology takes each degree's kernel and quotient inside
+    # graded_cohomology, and the Lie realization check reads ranks of delta
+    eliminations = _eliminations_inside(monkeypatch, "graded_cohomology", "_lie_realization_ok")
     assert main(["pages", path, "--format", "machine"]) == 0
     capsys.readouterr()
     assert len(eliminations) > 5
@@ -822,10 +822,9 @@ def test_zero_differentials_are_not_eliminated(tmp_path, monkeypatch, capsys, sp
 
 
 def test_each_kernel_basis_runs_one_elimination(tmp_path, monkeypatch, capsys):
-    """Every kernel, of the basic cohomology, the invariants and the Lie
-    realization check, is one sparse_kernel, which runs the forward pass `_forward` of the
-    elimination once: on su(2) acting on itself and on su(2) + su(2) over a
-    circle."""
+    """Every kernel, of the basic cohomology and the invariants, is one
+    sparse_kernel, which runs the forward pass `_forward` of the elimination
+    once: on su(2) acting on itself and on su(2) + su(2) over a circle."""
     models = [get_model("group_su2").model,
               EquivariantModel("su2_pair_circle", direct_sum(su2_lie(), su2_lie()),
                                BasicComplex.build([("1", 0), ("a", 1)]))]

@@ -38,6 +38,7 @@ from cartanss.library import (
 from cartanss.model import BasicComplex, EquivariantModel, validate_model
 from cartanss.qlinalg import Matrix, apply_sparse, column_rows, sparse_kernel
 from cartanss.reports import CertificateError
+from cartanss.verify import _lie_realization_ok
 from oracles import (
     ChiElement,
     chi_from_vector,
@@ -543,8 +544,8 @@ def test_lie_data_refuses_a_bool_n():
 
 def test_one_pages_run_derives_delta_squared_once(tmp_path, monkeypatch, capsys):
     """validate_lie and validate_model both read delta^2 = 0 off one scan of
-    the 2^n multi-indices, kept on the LieData; a mutated algebra still
-    fails both checks with the same message."""
+    the n generators, kept on the LieData; a mutated algebra still fails
+    both checks with the same message."""
     scans = []
     scan = liealg._delta_squared_scan
 
@@ -768,29 +769,40 @@ def test_kernels_without_the_transpose_rows_fail_the_certificate(tmp_path, monke
 @pytest.mark.skipif(os.environ.get("CARTANSS_SLOW") != "1", reason="set CARTANSS_SLOW=1")
 def test_frontier_invariants_of_su2_powers():
     """su(2)^4 and su(2)^5: the certified invariants have the Kunneth dims
-    of (1, 0, 0, 1), and su(2)^5 takes under 3 s."""
+    of (1, 0, 0, 1) and realize the algebra's cohomology.  On su(2)^5 the
+    invariants take under 3 s, and validate_lie with the realization check
+    under 0.6 s."""
     for k in (4, 5):
         L = su2_power(k)
+        t0 = time.perf_counter()
         assert validate_lie(L).passed
+        checks = time.perf_counter() - t0
         t0 = time.perf_counter()
         inv = invariant_subcomplex(L)
         elapsed = time.perf_counter() - t0
         assert tuple(s.dim for s in inv) == reduce(_convolve, [(1, 0, 0, 1)] * k)
+        t0 = time.perf_counter()
+        assert _lie_realization_ok(L, inv)
+        checks += time.perf_counter() - t0
     assert elapsed < 3.0, elapsed
+    assert checks < 0.6, checks
 
 
 def test_first_delta_squared_failure_matches_the_wedge_formula():
+    """The engine scans the generators only; the oracle scans every
+    multi-index by wedge products, and its first failure is a generator."""
     rng = random.Random(20261022)
     algebras = [su2_lie(), heisenberg_lie(), rescaled_su2_lie(), mutated_jacobi_lie()]
-    algebras += _random_algebras(rng, 30, 4)
+    algebras += _random_algebras(rng, 30, 4) + _random_algebras(rng, 60, 6)
     failing = 0
     for L in algebras:
         want = next((I for I in all_multi_indices(L.n)
                      if not wedge_ce_delta(L, wedge_ce_delta(L, ChiElement.basis(I))).is_zero),
                     None)
+        assert want is None or len(want) == 1, (L, want)
         assert first_delta_squared_failure(L) == want, L
         failing += want is not None
-    assert failing > 5
+    assert failing > 20
 
 
 def test_coadjoint_matrix_rejects_bad_directions():

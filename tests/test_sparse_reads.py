@@ -19,6 +19,8 @@ from pathlib import Path
 
 import pytest
 from oracles import (
+    ChiElement,
+    chi_to_vector,
     contains,
     dense_apply,
     dense_d_hor,
@@ -31,11 +33,15 @@ from oracles import (
     oracle_delta_matrix,
     oracle_page,
     rank,
+    rotated,
+    scaled,
     seed_graded_cohomology,
     seed_span,
     transgression_matrix,
+    wedge_ce_delta,
 )
 from test_cli import _eliminations_inside, count_calls, source_env
+from test_liealg import R3, R4, su2_power
 from test_specseq import sphere_model
 
 from cartanss.cli import load_model_file, main, save_model_file
@@ -249,6 +255,37 @@ def test_a_planted_invariant_that_is_not_closed_fails_the_realization_check():
     assert not _lie_realization_ok(lie, bad) and not dense_realization_ok(lie, bad)
 
 
+@pytest.mark.parametrize("lie", [
+    su2_power(2), su2_power(3), direct_sum(su2_lie(), LieData.abelian(2)),
+    scaled(su2_lie(), Q(3, 2)), rotated(rotated(su2_power(2), 0, 3, R3, R4), 1, 4, R3, R4)],
+    ids=["su2^2", "su2^3", "su2+R^2", "su2*3/2", "su2^2 turned"])
+def test_the_realization_by_ranks_agrees_with_the_dense_route(lie):
+    inv = invariant_subcomplex(lie)
+    assert _lie_realization_ok(lie, inv) and dense_realization_ok(lie, inv)
+
+
+def test_planted_rows_in_degree_3_of_su2_squared_fail_both_checks():
+    """H^3 of su(2) + su(2) is spanned by the two volume forms.  One of them
+    alone has the wrong dimension; with an exact form, or with a form that
+    is not closed, the dimension is right but only the stacked rank, or
+    only the closedness test, sees the fault.  The true rows recombined,
+    and shifted by a coboundary, still realize H^3."""
+    lie = su2_power(2)
+    inv = invariant_subcomplex(lie)
+    a, b = (list(row) for row in inv[3].basis.data)
+    exact = list(chi_to_vector(wedge_ce_delta(lie, ChiElement.basis((1, 4))), 6, 3))
+    not_closed = list(chi_to_vector(ChiElement.basis((1, 2, 4)), 6, 3))
+    assert any(exact)
+    assert any(dense_apply(oracle_delta_matrix(lie, 3), not_closed))
+    for rows in ([a], [a, exact], [b, not_closed]):
+        bad = planted(inv, 3, rows)
+        assert not _lie_realization_ok(lie, bad) and not dense_realization_ok(lie, bad)
+    for rows in ([[x + 2 * y for x, y in zip(a, b)], [x - y for x, y in zip(a, b)]],
+                 [[x + y for x, y in zip(a, exact)], b]):
+        good = planted(inv, 3, rows)
+        assert _lie_realization_ok(lie, good) and dense_realization_ok(lie, good)
+
+
 def test_a_wrong_invariant_dimension_where_delta_is_zero_fails_without_a_delta_matrix(
         monkeypatch):
     """Where delta is zero into and out of degree q, the check eliminates
@@ -262,16 +299,17 @@ def test_a_wrong_invariant_dimension_where_delta_is_zero_fails_without_a_delta_m
     assert not _lie_realization_ok(torus, planted_2)
     assert sum(inside) == 0
     # su(2): delta_1 is the only nonzero delta, so degrees 0 and 3 are
-    # identity degrees and degrees 1 and 2 read classes through delta_1
+    # identity degrees, and degrees 1 and 2 have no cohomology: the rank of
+    # delta_1 is the one elimination, and no invariant row is read
     su2 = su2_lie()
     inv = invariant_subcomplex(su2)
     planted_0, planted_3 = planted(inv, 0, []), planted(inv, 3, [])
     assert not _lie_realization_ok(su2, planted_0)
-    assert sum(inside) == 0  # degree 0 fails before the kernel of delta_1
+    assert sum(inside) == 0  # degree 0 fails before delta_1 is reduced
     assert not _lie_realization_ok(su2, planted_3)
-    assert sum(inside) == 3  # only degrees 1 and 2 eliminate
+    assert sum(inside) == 1  # the rank of delta_1 only
     assert _lie_realization_ok(su2, inv)
-    assert sum(inside) == 6
+    assert sum(inside) == 2
 
 
 @pytest.mark.parametrize("spec", [("group_torus", 6), ("group_su2",)])

@@ -769,6 +769,19 @@ def test_a_pairing_with_a_shifted_gap_fails_the_d2_rank_check(monkeypatch):
         an.transgression
 
 
+def test_the_d2_rank_check_ranks_only_cells_with_d2_images(monkeypatch):
+    """On S^25 most of the grid has no d_2 target: the check ranks the
+    cells that hold d_2 images, one sparse_rank each, and reads the rest
+    off the pairing's ranks directly."""
+    an = Analysis(sphere_model(12))
+    frames = an.frames
+    ranked = []
+    monkeypatch.setattr(verify, "sparse_rank", lambda v: ranked.append(len(v)) or sparse_rank(v))
+    verify.d2_rank_check(frames, an.pages[2].d_ranks)
+    assert len(ranked) == len(frames.d2_columns) == 12 and len(frames.cells) == 50
+    assert all(ranked)
+
+
 def test_filtration_stores_prefix_lengths():
     fc = cartan_filtration(get_model("hopf").model)
     # C^2 = span(v (x) 1): horizontal degree 2, so F^0 = F^1 = F^2 = C^2
