@@ -16,14 +16,19 @@ sum.  validate_model checks that each bidegree component of total_d^2
 vanishes, which is exactly the compatibility required of (d_hor, E_i, delta).
 
 The model holds these operators only as tables.  Each model keeps, outside
-equality and filled on first use, the sparse image of every monomial under
-total_d, its three parts read straight from d_hor_table, euler_table and
-delta_terms (total_images), and the basis of each total degree with its
-position map (degree_basis), each built by one monomial_basis call.
-validate_model composes total_d's images monomial by monomial, once, and
-total_columns reads each degree's column-sparse total_d off them.  The
-tests check both against the element operators of tests/oracles.py, which
-apply the formulas above to linear combinations of monomials.
+equality and filled on first use, the sparse image under total_d of every
+monomial whose image is nonzero, its three parts read straight from
+d_hor_table, euler_table and delta_terms (total_images), and the basis of
+each total degree with its position map (degree_basis), each built by one
+monomial_basis call.  total_d is mostly zero on the models of an abelian
+algebra (on a torus acting on itself it is zero), so the table costs what
+total_d holds: where delta is zero, a generator with no d_hor and no Euler
+entry is not visited at all.  validate_model composes the kept images, once,
+and total_columns reads each degree's column-sparse total_d off them, with
+an empty column for a monomial that has no image.  The tests check both
+against the element operators of tests/oracles.py, which apply the formulas
+above to linear combinations of monomials, and the certificate against the
+composition of every monomial's image there.
 """
 
 from __future__ import annotations
@@ -174,12 +179,13 @@ class EquivariantModel(ReadOnly):
 
     Derived tables, taking no part in equality, hash or repr and never built
     at construction (so an oversized model is refused before any monomial
-    is listed): _images, the table of total_images, and
-    _bases, the per-degree bases of degree_basis.  Both start empty.
+    is listed): _images, the table of the nonzero images of total_images,
+    None until it is built, and _bases, the per-degree bases of
+    degree_basis, which starts empty.
     """
 
     def __init__(self, name: str, lie: LieData, basic: BasicComplex):
-        vars(self).update(name=name, lie=lie, basic=basic, _images={}, _bases={})
+        vars(self).update(name=name, lie=lie, basic=basic, _images=None, _bases={})
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -218,9 +224,11 @@ def max_total_degree(model: EquivariantModel) -> int:
 
 
 # Largest total number of monomials a model may have.  Every library card and
-# benchmark model has at most 2^8 = 256; a model with lie.n = 40 would have
-# 2^40 multi-indices, and enumerating them would exhaust memory.
-MAX_AMBIENT_DIM = 1 << 13
+# benchmark model has at most 2^8 = 256; the Heisenberg nilmanifold of
+# dimension 15 and su(2)^3 over the 6-torus reach the limit, 2^15.  A model
+# with lie.n = 40 would have 2^40 multi-indices, and enumerating them would
+# exhaust memory.
+MAX_AMBIENT_DIM = 1 << 15
 
 # Largest total degree (top basic degree + lie.n) a model may reach.  The
 # largest card or benchmark model, S^25, reaches 25.  The pages walk only the
@@ -281,20 +289,29 @@ def _add(out: Image, key: Monomial, value: Fraction) -> None:
 
 
 def total_images(model: EquivariantModel) -> dict[Monomial, Image]:
-    """The sparse image of every monomial under total_d, built once per model, on first use.
+    """The nonzero images of the monomials under total_d, built once per model, on first use.
 
-    Maps (g, I) to {(g', J): coefficient} with zeros dropped, and lists the
-    monomials in generator order, then all_multi_indices order.
+    Maps (g, I) to {(g', J): coefficient} with zeros dropped, in generator
+    order, then all_multi_indices order; a monomial whose image is zero has
+    no key.  Where delta is zero on every generator, a generator with no
+    d_hor and no Euler entry has a zero image on every I, and its
+    multi-indices are not visited.  An empty table counts as built: the
+    model's _images is None until the first call.
     """
-    if model._images:
-        return model._images
+    table = model._images
+    if table is not None:
+        return table
     basic, lie = model.basic, model.lie
     dm, em = basic.d_hor_table, basic.euler_table
+    euler_sources = {g for _, g in em}
+    flat = not any(lie.delta_gens)
     indices = all_multi_indices(lie.n)
     table = {}
     for g in range(basic.num_generators):
-        p = basic.degree_of(g)
         hor = dm.get(g, ())
+        if flat and not hor and g not in euler_sources:
+            continue
+        p = basic.degree_of(g)
         for I in indices:
             # d21, d10 and d01 change the chi-count by -1, 0 and +1: disjoint
             # supports, summed into one image in that order
@@ -311,24 +328,31 @@ def total_images(model: EquivariantModel) -> dict[Monomial, Image]:
                 _add(image, (dst, I), coeff)
             for J, w in delta_terms(lie, I):
                 image[(g, J)] = w if p % 2 else -w
-            table[(g, I)] = {k: v for k, v in image.items() if v}
-    model._images.update(table)
-    return model._images
+            image = {k: v for k, v in image.items() if v}
+            if image:
+                table[(g, I)] = image
+    vars(model)["_images"] = table
+    return table
 
 
 def total_columns(model: EquivariantModel, k: int) -> SparseColumns:
     """total_d from degree k to k+1 in the monomial bases, column by column.
 
     Column j holds the (row, value) pairs of the image of the j-th monomial
-    of degree k, in increasing row order, zeros left out.
+    of degree k, in increasing row order, zeros left out: () for a monomial
+    with no key in total_images.
     """
     src, _ = degree_basis(model, k)
     _, pos = degree_basis(model, k + 1)
     total = total_images(model)
     cols = []
     for x in src:
+        image = total.get(x)
+        if image is None:
+            cols.append(())
+            continue
         col = []
-        for y, v in total[x].items():
+        for y, v in image.items():
             i = pos.get(y)
             if i is None:
                 raise ValueError(
@@ -366,12 +390,16 @@ def _square_failures(model: EquivariantModel) -> dict[str, Monomial]:
 
     Keyed by check name: "d_hor squared", the five bidegree components and
     "total differential squared"; an identity that holds has no key.  One
-    walk of total_d o total_d per monomial x.  A step of d10, d01 or d21
-    changes the chi-count by 0, +1 or -1, so every path from x to z lies in
-    the component named by the change from x to z, and total_d^2 x at z is
-    that component at z: a component fails at x iff total_d^2 x is nonzero
-    at such a z, and total_d^2 fails iff one of them does.  d_hor^2 x sums
-    the paths of two steps that keep the chi-count.
+    walk of total_d o total_d per monomial x of the table, through the kept
+    images only: a monomial with no image has total_d^2 x = 0, so no
+    identity fails there, and a step into a y with no image ends the path.
+    The table keeps the order of all monomials, so the first failure is the
+    same as over every monomial.  A step of d10, d01 or d21 changes the
+    chi-count by 0, +1 or -1, so every path from x to z lies in the
+    component named by the change from x to z, and total_d^2 x at z is that
+    component at z: a component fails at x iff total_d^2 x is nonzero at
+    such a z, and total_d^2 fails iff one of them does.  d_hor^2 x sums the
+    paths of two steps that keep the chi-count.
     """
     total = total_images(model)
     first: dict[str, Monomial] = {}
@@ -380,8 +408,11 @@ def _square_failures(model: EquivariantModel) -> dict[str, Monomial]:
         acc: Image = {}
         hor: Image = {}
         for y, v in image.items():
+            after = total.get(y)
+            if after is None:
+                continue
             flat = len(y[1]) == q
-            for z, w in total[y].items():
+            for z, w in after.items():
                 vw = v * w
                 _add(acc, z, vw)
                 if flat and len(z[1]) == q:

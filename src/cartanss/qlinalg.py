@@ -599,13 +599,13 @@ def cohomology_dims(maps) -> tuple[int, ...]:
 
     The dimension-only counterpart of graded_cohomology, on the same
     columns, with no kernels, images or representatives: each rank is the
-    `sparse_rank` of d_q's columns, and each d_q is read once.  It trusts
-    d^2 = 0.
+    `sparse_rank` of d_q's nonzero columns alone, and each d_q is read
+    once, so a zero d_q ranks no column.  It trusts d^2 = 0.
     """
     dims = []
     below = 0  # rank d_(q-1)
     for cols in maps:
-        rk = sparse_rank(map(dict, cols))
+        rk = sparse_rank([dict(col) for col in cols if col])
         dims.append(len(cols) - rk - below)
         below = rk
     return tuple(dims)

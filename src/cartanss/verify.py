@@ -49,15 +49,15 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import cached_property
+from math import comb
 
 from .liealg import (
     LieData,
     delta_columns,
     invariant_subcomplex,
-    multi_indices,
     validate_lie,
 )
-from .model import EquivariantModel, degree_basis, validate_model
+from .model import EquivariantModel, validate_model
 from .qlinalg import (
     Quotient,
     apply_sparse,
@@ -169,9 +169,12 @@ def _e2_frames(model: EquivariantModel, page2: dict[tuple[int, int], WindowCell]
 
     alpha (x) beta is built sparse, {position: a b}, from alpha's and
     beta's echelon rows: alpha is the cocycle row at each pivot of
-    basic_cohomology's representatives, beta each invariant basis row.  Its
-    class is one class read in the cell, which also checks that it lies in
-    Z_2, and where the target of d_2 is nonzero, d of it is read there too.
+    basic_cohomology's representatives, beta each invariant basis row.
+    The cell's window is the block B^p (x) Lambda^q, generator by
+    generator, so the entry of the j-th generator of degree p and the i-th
+    multi-index of degree q sits at cell.lo + j C(n, q) + i.  Its class is
+    one class read in the cell, which also checks that it lies in Z_2, and
+    where the target of d_2 is nonzero, d of it is read there too.
     d is applied once per representative: the class read in the cell takes
     it as given, and the read in the target skips the check of d(d x) in
     F^(p+4), since d^2 = 0 (validate_model).  f_rank is the rank of the
@@ -183,15 +186,10 @@ def _e2_frames(model: EquivariantModel, page2: dict[tuple[int, int], WindowCell]
     cells = []
     f_columns = {}
     d2_columns = {}
-    betas = []
-    for q in range(n + 1):
-        idx = multi_indices(n, q)
-        betas.append([[(idx[j], b) for j, b in inv[q].sparse_row(pivot).items()]
-                      for pivot in inv[q].echelon()])
+    betas = [[tuple(inv[q].sparse_row(pivot).items()) for pivot in inv[q].echelon()]
+             for q in range(n + 1)]
     for p, hp in enumerate(bc):
-        gens_p = model.basic.gens_of_degree(p)
-        alphas = [[(gens_p[j], a) for j, a in hp.space.sparse_row(pivot).items()]
-                  for pivot in hp.pivots]
+        alphas = [tuple(hp.space.sparse_row(pivot).items()) for pivot in hp.pivots]
         for q in range(n + 1):
             cell = page2.get((p, q))
             prod = hp.dim * inv[q].dim
@@ -203,11 +201,11 @@ def _e2_frames(model: EquivariantModel, page2: dict[tuple[int, int], WindowCell]
             tgt = page2.get((p + 2, q - 1))
             if tgt is not None and not tgt.dim:
                 tgt = None
-            _, pos = degree_basis(model, p + q)
+            lo, width = cell.lo, comb(n, q)
             cols, images = [], []
             for alpha in alphas:
                 for beta in betas[q]:
-                    x = {pos[(g, I)]: a * b for g, a in alpha for I, b in beta}
+                    x = {lo + j * width + i: a * b for j, a in alpha for i, b in beta}
                     dx = apply_sparse(cell.d_columns, x)
                     y = cell.class_of(x, dx)
                     if y is None:

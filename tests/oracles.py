@@ -43,7 +43,10 @@ entries and `wedge_ce_delta`, not off the model's tables.
 `oracle_total_matrix` and `oracle_identity_checks` are the model layer
 before it read the operators from per-model monomial tables: every column
 and every component of d^2 is a composition of these operators, one element
-per monomial per operator.
+per monomial per operator.  `oracle_total_images` is total_d of every
+monomial, zero images included, and `oracle_square_failures` the d^2
+certificate composed through that full table, as the model layer ran it
+before it kept only the nonzero images.
 
 `annihilator`, `preimage` and `sum_and_intersect` (Zassenhaus) are the
 subspace lattice operations that the engine no longer needs; here they
@@ -639,6 +642,13 @@ def split_images(model: EquivariantModel) -> dict[str, dict]:
             for op in (d10, d01, d21)}
 
 
+def oracle_total_images(model: EquivariantModel) -> dict:
+    """total_d of every monomial by the element operators, zero images included,
+    in generator order, then all_multi_indices order."""
+    return {(g, I): total_d(model, ModelElement.monomial(g, I)).coeffs
+            for g in range(model.basic.num_generators) for I in all_multi_indices(model.lie.n)}
+
+
 def element_to_vector(model: EquivariantModel, x: ModelElement, k: int) -> tuple[Q, ...]:
     """Coordinates of x in the monomial basis of total degree k; ValueError off that degree."""
     basis, pos = degree_basis(model, k)
@@ -691,6 +701,47 @@ def oracle_identity_checks(model: EquivariantModel) -> list[CheckResult]:
         ("total differential squared", lambda x: T(T(x))),
     ]
     return [_element_check(model, name, op) for name, op in identities]
+
+
+# the bidegree component of total_d^2 that a path x -> y -> z lies in, by
+# the change of chi-count from x to z
+_COMPONENT_NAMES = {
+    2: "bidegree (0,2) component",
+    1: "bidegree (1,1) component",
+    0: "bidegree (2,0) component",
+    -1: "bidegree (3,-1) component",
+    -2: "bidegree (4,-2) component",
+}
+
+
+def oracle_square_failures(model: EquivariantModel) -> dict:
+    """The first monomial, in oracle_total_images order, on which each identity of d^2 = 0 fails.
+
+    The d^2 certificate as the model layer first ran it: total_d o total_d
+    composed on every monomial, through every image of the full table, zero
+    ones included.  Keyed as `model._square_failures` is: a component fails
+    at x where total_d^2 x is nonzero at a z whose chi-count differs from
+    x's by its change, "total differential squared" where any does, and
+    "d_hor squared" where the paths that keep the chi-count do not cancel.
+    """
+    table = oracle_total_images(model)
+    first = {}
+    for x, image in table.items():
+        q = len(x[1])
+        acc, hor = {}, {}
+        for y, v in image.items():
+            for z, w in table[y].items():
+                acc[z] = acc.get(z, 0) + v * w
+                if len(y[1]) == q == len(z[1]):
+                    hor[z] = hor.get(z, 0) + v * w
+        failed = {_COMPONENT_NAMES[len(z[1]) - q] for z, a in acc.items() if a}
+        if failed:
+            failed.add("total differential squared")
+        if any(hor.values()):
+            failed.add("d_hor squared")
+        for name in failed:
+            first.setdefault(name, x)
+    return first
 
 
 def sparse_columns(m: Matrix) -> tuple:

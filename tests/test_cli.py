@@ -40,6 +40,7 @@ from cartanss.library import (
 )
 from cartanss.liealg import LieData, all_multi_indices, validate_lie
 from cartanss.model import (
+    MAX_AMBIENT_DIM,
     MAX_TOTAL_DEGREE,
     BasicComplex,
     EquivariantModel,
@@ -986,6 +987,25 @@ def test_total_degree_budget_admits_every_card_and_benchmark_model():
     assert "total degree 129" in size_error(1, 1, MAX_TOTAL_DEGREE)
 
 
+def test_pages_on_a_torus_builds_no_image_and_ranks_no_total_column(tmp_path, monkeypatch,
+                                                                    capsys):
+    """group_torus:7 has d = 0: after `pages`, its image table is built and
+    empty, the d^2 certificate composed no path, and the total ranks ranked
+    no column."""
+    path = str(tmp_path / "model.json")
+    save_model_file(get_model("group_torus", 7).model, path)
+    calls = count_calls(monkeypatch, (("model", "total_columns"), ("model", "_square_failures"),
+                                      ("model", "_add")))
+    ranked = []
+    rank = qlinalg.sparse_rank
+    monkeypatch.setattr(qlinalg, "sparse_rank", lambda v: (ranked.append(len(v)), rank(v))[1])
+    assert main(["pages", path, "--format", "machine"]) == 0
+    capsys.readouterr()
+    assert calls["total_columns"][0][0]._images == {}
+    assert len(calls["_square_failures"]) == 1 and calls["_add"] == []
+    assert len(ranked) == 8 and not any(ranked)
+
+
 def test_pages_builds_each_delta_once_per_multi_index(tmp_path, monkeypatch, capsys):
     model = get_model("group_su2").model
     path = str(tmp_path / "model.json")
@@ -1054,7 +1074,8 @@ def test_oversized_models_exit_2_before_enumerating(tmp_path):
     assert proc.stdout.split() == ["2", "2", "2"], proc.stderr
     lines = proc.stderr.splitlines()
     assert len(lines) == 3
-    assert all("ambient dimension 1 x 2^40" in line and "8192" in line for line in lines)
+    assert all("ambient dimension 1 x 2^40" in line and f"limit {MAX_AMBIENT_DIM}" in line
+               for line in lines)
     assert "Traceback" not in proc.stderr
 
 
@@ -1067,11 +1088,13 @@ def test_lie_n_is_refused_before_the_structure_constants_exist(tmp_path):
     assert proc.stdout.split() == ["2", "2", "2"], proc.stderr
     lines = proc.stderr.splitlines()
     assert lines[:2] == ["input error: model too large: ambient dimension 1 x 2^1000000 "
-                         "(basic generators x multi-indices) exceeds the limit 8192"] * 2
+                         "(basic generators x multi-indices) exceeds the limit "
+                         f"{MAX_AMBIENT_DIM}"] * 2
 
 
 @pytest.mark.parametrize("doc, limit", [
-    ({"lie": {"n": 10**4000}, "basic": {"generators": [{"name": "1", "degree": 0}]}}, 8192),
+    ({"lie": {"n": 10**4000}, "basic": {"generators": [{"name": "1", "degree": 0}]}},
+     MAX_AMBIENT_DIM),
     ({"lie": {"n": 1}, "basic": {"generators": [{"name": "1", "degree": 10**4000}]}}, 128),
 ])
 def test_an_oversized_count_is_refused_with_a_short_message(tmp_path, capsys, doc, limit):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction as Q
+from pathlib import Path
 
 import pytest
 from oracles import (
@@ -13,14 +14,18 @@ from oracles import (
     d21,
     direct_sum,
     element_to_vector,
+    heisenberg_nilmanifold,
     oracle_identity_checks,
+    oracle_square_failures,
+    oracle_total_images,
     oracle_total_matrix,
     sparse_columns,
     split_images,
     total_d,
 )
 
-from cartanss.liealg import LieData, all_multi_indices
+from cartanss.cli import load_model_file
+from cartanss.liealg import LieData
 from cartanss.library import (
     MODEL_NAMES,
     get_model,
@@ -34,6 +39,7 @@ from cartanss.library import (
 from cartanss.model import (
     BasicComplex,
     EquivariantModel,
+    _square_failures,
     max_total_degree,
     monomial_basis,
     size_error,
@@ -331,14 +337,93 @@ def table_test_models():
 
 
 def test_operator_images_match_the_element_operators():
+    """The table keeps exactly the monomials with a nonzero image, in the
+    full table's order, and each image is the element operators' total_d."""
     for model in table_test_models():
         table = total_images(model)
-        monomials = [(g, I) for g in range(model.basic.num_generators)
-                     for I in all_multi_indices(model.lie.n)]
-        assert list(table) == monomials, model.name
-        for (g, I), image in table.items():
-            assert image == total_d(model, mono(g, I)).coeffs, (model.name, g, I)
-            assert all(image.values())
+        want = oracle_total_images(model)
+        assert list(table) == [x for x, image in want.items() if image], model.name
+        for x, image in want.items():
+            assert table.get(x, {}) == image, (model.name, x)
+        assert all(all(image.values()) for image in table.values())
+
+
+def mutants(rng, bases, count):
+    """count models, each a base with one to three random d_hor or Euler entries added.
+
+    A new entry's target is one degree up for d_hor and two up for an
+    Euler operator where the base has such a generator, so that most
+    mutants break a d^2 identity rather than only the degree bookkeeping.
+    """
+    out = []
+    while len(out) < count:
+        model = rng.choice(bases)
+        basic, n = model.basic, model.lie.n
+        gens = range(basic.num_generators)
+        d_hor, euler = list(basic.d_hor_entries), list(basic.euler_entries)
+        for _ in range(rng.randint(1, 3)):
+            src = rng.choice(gens)
+            shift = rng.choice((1, 2))
+            dsts = basic.gens_of_degree(basic.degree_of(src) + shift) or gens
+            dst, coeff = rng.choice(dsts), Q(rng.choice((1, -1, 2, 3)), rng.choice((1, 2)))
+            if shift == 1 and (src, dst) not in {e[:2] for e in d_hor}:
+                d_hor.append((src, dst, coeff))
+            elif shift == 2:
+                i = rng.randint(1, n)
+                if (i, src, dst) not in {e[:3] for e in euler}:
+                    euler.append((i, src, dst, coeff))
+        out.append(EquivariantModel(f"{model.name}+", model.lie, BasicComplex.build(
+            basic.generators, d_hor=d_hor, euler=euler)))
+    return out
+
+
+def test_square_failures_match_the_full_table_oracle():
+    """The certificate composes only the nonzero images; the oracle composes
+    every monomial's.  Their failure maps agree, keys and first monomials,
+    on every card and sample model, heisenberg_nil:1..4, 200 random
+    products and at least 300 invalid models."""
+    samples = sorted((Path(__file__).resolve().parent.parent / "sample_models").glob("*.json"))
+    models = [get_model(name).model for name in MODEL_NAMES]
+    models += [load_model_file(str(path)) for path in samples]
+    models += [heisenberg_nilmanifold(k) for k in range(1, 5)]
+    rng = random.Random(20261020)
+    models += [random_trivial_product(rng, tag=f"sq{i}").model for i in range(200)]
+    bases = table_test_models() + [get_model("group_torus", 3).model]
+    for model in models:
+        assert _square_failures(model) == oracle_square_failures(model), model.name
+    failed = []
+    for model in mutants(rng, bases, 420):
+        want = oracle_square_failures(model)
+        assert _square_failures(model) == want, model.name
+        failed += [want] if want else []
+    assert len(failed) >= 300, len(failed)
+    assert len({name for want in failed for name in want}) == 7
+
+
+def test_work_follows_the_nonzero_images_of_total_d(monkeypatch):
+    """Where d = 0 the table is empty, and an empty table is built once: the
+    certificate composes no path and the total ranks rank no column.  On
+    group_su2 the keys are the monomials whose oracle image is nonzero."""
+    from cartanss import model as model_module
+    from cartanss import qlinalg
+
+    composed, ranked = [], []
+    add = model_module._add
+    monkeypatch.setattr(model_module, "_add", lambda *a: (composed.append(a), add(*a))[1])
+    rank = qlinalg.sparse_rank
+    monkeypatch.setattr(qlinalg, "sparse_rank", lambda v: (ranked.append(len(v)), rank(v))[1])
+    model = get_model("kronecker").model
+    assert validate_model(model).passed
+    table = model._images
+    assert table == {} and total_images(model) is table
+    assert _square_failures(model) == {} and composed == []
+    fc = cartan_filtration(model)
+    assert qlinalg.cohomology_dims(fc.d_columns) == (1, 2, 1)
+    assert ranked == [0] * len(fc.dims) and model._images is table
+
+    su2 = get_model("group_su2").model
+    want = oracle_total_images(su2)
+    assert list(total_images(su2)) == [x for x, image in want.items() if image]
 
 
 def test_total_matrix_matches_the_element_oracle():
@@ -374,10 +459,10 @@ def test_validate_model_matches_the_element_oracle():
 def test_model_tables_are_built_on_first_use_and_stay_out_of_equality():
     huge = EquivariantModel("huge", LieData.abelian(40), BasicComplex.build([("1", 0)]))
     assert "2^40" in size_error(huge.basic.num_generators, huge.lie.n, huge.basic.max_degree)
-    assert not huge._images and not huge._bases
+    assert huge._images is None and not huge._bases
     model = get_model("group_su2").model
     twin = get_model("group_su2").model
     assert validate_model(model).passed and len(total_columns(model, 1)) == 3
-    assert model._images and model._bases and not twin._images
+    assert model._images and model._bases and twin._images is None
     assert model == twin and hash(model) == hash(twin)
     assert "_images" not in repr(model)

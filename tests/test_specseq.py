@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import os
 import random
 from fractions import Fraction as Q
+from functools import reduce
+from itertools import combinations
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -27,6 +31,7 @@ from oracles import (
     preimage,
     rank,
     recurrence_dims,
+    santharoubane_betti,
     seed_image,
     seed_inverse,
     seed_mismatches,
@@ -41,7 +46,13 @@ from oracles import (
 from cartanss.cli import load_model_file, main, save_model_file
 from cartanss.library import MODEL_NAMES, get_model, random_trivial_product, su2_lie
 from cartanss.liealg import LieData, multi_indices
-from cartanss.model import BasicComplex, EquivariantModel, monomial_basis
+from cartanss.model import (
+    MAX_AMBIENT_DIM,
+    BasicComplex,
+    EquivariantModel,
+    monomial_basis,
+    size_error,
+)
 from cartanss import liealg, qlinalg, specseq, verify
 from cartanss.qlinalg import Matrix, Subspace, apply_sparse, exact, sparse_rank
 from cartanss.reports import CertificateError
@@ -302,6 +313,14 @@ def su2_cubed_over_the_2_torus():
                             BasicComplex.build([("1", 0), ("a", 1), ("b", 1), ("ab", 2)]))
 
 
+def su2_cubed_over_a_torus(rank):
+    """su(2)^3 over T^rank: B = Lambda(a_1..a_rank), one generator per monomial, d_hor = 0."""
+    monomials = [s for d in range(rank + 1) for s in combinations(range(1, rank + 1), d)]
+    generators = [("".join(f"a{i}" for i in s) or "1", len(s)) for s in monomials]
+    return EquivariantModel(f"su2x3_t{rank}", direct_sum(su2_lie(), su2_lie(), su2_lie()),
+                            BasicComplex.build(generators))
+
+
 def test_su2_cubed_over_the_2_torus_matches_kunneth():
     """su(2)^3 over the 2-torus, 2048 monomials, non-abelian in every factor:
     H = H(T^2) (x) H(su(2))^(x)3 by Kunneth counting, with the abutment and
@@ -315,6 +334,30 @@ def test_su2_cubed_over_the_2_torus_matches_kunneth():
     assert an.total_cohomology == _convolve((1, 2, 1), lie_dims)
     assert an.abutment.passed and an.e2.passed
     assert an.stabilization == 2
+
+
+@pytest.mark.skipif(os.environ.get("CARTANSS_SLOW") != "1", reason="set CARTANSS_SLOW=1")
+@pytest.mark.parametrize("name", ["heisenberg_nil:7", "su2x3_t6"])
+def test_frontier_models_at_the_ambient_limit(name):
+    """The two 2^15-monomial models the ambient limit admits, each against its
+    closed form: heisenberg_nil:7 (nonzero Euler data on 2^14 generators)
+    against Santharoubane's Betti numbers, and su(2)^3 over T^6 against
+    H(T^6) (x) H(su(2))^(x)3 by Kunneth counting, with the abutment and the
+    E_2 certificate passing."""
+    if name == "heisenberg_nil:7":
+        model, total, stabilization = heisenberg_nilmanifold(7), santharoubane_betti(7), 3
+    else:
+        model, stabilization = su2_cubed_over_a_torus(6), 2
+        total = _convolve(tuple(comb(6, j) for j in range(7)),
+                          reduce(_convolve, [(1, 0, 0, 1)] * 3))
+    assert model.basic.num_generators << model.lie.n == MAX_AMBIENT_DIM
+    assert size_error(model.basic.num_generators, model.lie.n, model.basic.max_degree) is None
+    an = Analysis(model)
+    assert an.valid
+    assert an.total_cohomology == total
+    assert an.abutment.passed and an.e2.passed
+    assert an.stabilization == stabilization
+    assert len(an.transgression) > 0
 
 
 def page_two_mismatches(fc, cells, want) -> list:
