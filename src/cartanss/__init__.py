@@ -11,14 +11,12 @@ algebra cohomology.
 from .liealg import (
     LieData,
     invariant_subcomplex,
-    lie_cohomology,
     multi_indices,
     validate_lie,
 )
 from .model import (
     BasicComplex,
     EquivariantModel,
-    total_cohomology,
     validate_model,
 )
 from .qlinalg import Matrix, Subspace, quotient_map
@@ -51,13 +49,11 @@ __all__ = [
     "e2_tensor_check",
     "get_model",
     "invariant_subcomplex",
-    "lie_cohomology",
     "multi_indices",
     "persistence_pairing",
     "quotient_map",
     "random_trivial_product",
     "second_page",
-    "total_cohomology",
     "validate_lie",
     "validate_model",
     "__version__",

@@ -62,6 +62,16 @@ def _fail(where: str, msg: str):
 # Fraction() alone would also take decimals and exponents ("1e6000000"),
 # whose parse time grows steeply with the exponent.
 _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?", re.ASCII)
+# its integer part: int() alone would also take spaces, underscores and
+# non-ASCII digits ("1_0", " 3", "٣")
+_INTEGER = re.compile(r"[+-]?[0-9]+", re.ASCII)
+
+
+def _ascii_int(text: str) -> int:
+    """int(text) for ASCII digits with an optional sign; ValueError for any other text."""
+    if not _INTEGER.fullmatch(text):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
 
 
 def _as_rational(value, where: str) -> Fraction:
@@ -449,7 +459,7 @@ def _run_card(spec: str, fmt: str) -> int:
     param = None
     if param_text:
         try:
-            param = int(param_text)
+            param = _ascii_int(param_text)
         except ValueError:
             print(f"usage error: parameter must be an integer: {shown(param_text)}",
                   file=sys.stderr)
@@ -515,7 +525,7 @@ def cmd_examples(list_flag: bool, run_spec: str | None, fmt: str) -> int:
 def _int_arg(text: str) -> int:
     """An integer option's value; argparse names a refused one by its shown text."""
     try:
-        return int(text)
+        return _ascii_int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {shown(text)}") from None
 

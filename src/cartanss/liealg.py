@@ -39,9 +39,7 @@ position where its new generator is inserted.
 delta reaches the linear algebra by its columns on each Lambda^q
 (delta_columns), read off the table as plain (multi-index, coefficient)
 terms, each degree once per algebra and kept on it; no element of the
-exterior algebra is built.  lie_cohomology is qlinalg.graded_cohomology of
-delta_columns, one Quotient per degree, built as it is asked for; the
-report does not call it.
+exterior algebra is built.
 
 delta is the odd derivation with the generator values delta chi_k, whatever
 the constants, so delta^2 = 1/2 [delta, delta] is an even derivation: it is
@@ -67,18 +65,15 @@ and the tests check every table entry by entry against it.
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections.abc import Iterator
 from fractions import Fraction
 from itertools import combinations
 from math import comb
 
 from .qlinalg import (
-    Quotient,
     SparseColumns,
     Subspace,
     column_rows,
     exact,
-    graded_cohomology,
     sparse_kernel,
 )
 from .reports import CertificateError, CheckResult, ReadOnly, ValidationReport
@@ -309,19 +304,6 @@ def delta_columns(L: LieData, q: int) -> SparseColumns:
         columns = L._columns[q] = _columns([delta_terms(L, I) for I in multi_indices(L.n, q)],
                                            _positions(L, q + 1))
     return columns
-
-
-def lie_cohomology(L: LieData) -> Iterator[Quotient]:
-    """ker(delta) / im(delta) per degree q = 0 .. n, lazily, as Quotients.
-
-    graded_cohomology over delta_columns: each degree's quotient is built
-    when it is asked for, so a consumer that stops early builds no more.
-    Its space is the cocycles in Lambda^q coordinates, its reps represent a
-    basis of H^q, and `class_of` reads the class of a cocycle.  The data
-    must pass validate_lie; on invalid data the coboundaries need not sit
-    inside the cocycles and this raises ValueError.
-    """
-    return graded_cohomology(delta_columns(L, q) for q in range(L.n + 1))
 
 
 def invariant_subcomplex(L: LieData) -> tuple[Subspace, ...]:

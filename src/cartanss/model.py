@@ -43,7 +43,7 @@ from .liealg import (
     first_delta_squared_failure,
     multi_indices,
 )
-from .qlinalg import SparseColumns, as_q, cohomology_dims, exact
+from .qlinalg import SparseColumns, as_q, exact
 from .reports import CheckResult, ReadOnly, ValidationReport
 
 
@@ -362,16 +362,6 @@ def total_columns(model: EquivariantModel, k: int) -> SparseColumns:
         col.sort()
         cols.append(tuple(col))
     return tuple(cols)
-
-
-def total_cohomology(model: EquivariantModel) -> tuple[int, ...]:
-    """Cohomology dimensions of (total complex, total_d), degree by degree.
-
-    Straight rank computation on the columns of total_d, independent of any
-    filtration: the abutment oracle for the spectral machinery.
-    """
-    top = max_total_degree(model)
-    return cohomology_dims(total_columns(model, k) for k in range(top + 1))
 
 
 # the bidegree component of total_d^2 that a path x -> y -> z of two

@@ -9,27 +9,24 @@ sparse value (echelon tails, classes, tags, sparse columns) is an `int`
 where it is integral and a `fractions.Fraction` where it is not; `exact`
 puts a value in that form, and `_ratio` is the one division, which keeps
 an integral quotient an `int`.  Every entry of a dense `Matrix` is a
-`Fraction`: the dense edges convert with `as_q`.  An `int` and a `Fraction`
-of the same value compare and hash alike, so the two forms never change an
-answer.  A subspace is always given by the reduced row echelon basis of its
-row space, which makes subspace equality a plain structural comparison.
+`Fraction`, converted with `as_q`.  An `int` and a `Fraction` of the same
+value compare and hash alike, so the two forms never change an answer.  A
+subspace is always given by the reduced row echelon basis of its row
+space, which makes subspace equality a plain structural comparison.
 
 Conventions: a dense vector is a coordinate tuple, a sparse one a {column:
 value} dict, and a linear map acts on column vectors.  The engine gives each
 map it reduces by its columns (SparseColumns), and `column_rows` gathers the
 rows of one for elimination.
 
-Spaces are sparse first.  A Subspace keeps only its echelon, {pivot:
-{column: value} past the pivot}, and builds its dense `basis` matrix only
-when something reads it; a `Quotient` keeps its representatives by their
-pivots and the projection as the class of each pivot, and builds the dense
-`reps` and `proj` only when read.  Neither keeps a dense form once built.
-Every cohomology is a `Quotient` per degree, so the results handed on stay
-sparse too.  Dense rows are built at the edges only: the public `basis`,
-`reps` and `proj`, and the tests; the renders write the transgression's
-rows from its sparse columns.  `Matrix` is that dense form: it is built
-from rows, read by entry, and reduced by `Matrix.rref`, which no report
-calls.
+Spaces are sparse.  A Subspace keeps only its echelon, {pivot: {column:
+value} past the pivot}, and a `Quotient` keeps its representatives by their
+pivots and the projection as the class of each pivot.  Every cohomology is
+a `Quotient` per degree, so the results handed on stay sparse too; the
+renders write the transgression's rows from its sparse columns.  `Matrix`
+is the one dense form: it is built from rows, read by entry, and reduced
+by `Matrix.rref`, and no report builds one.  The tests read spaces and
+quotients into it with the readers of tests/oracles.py.
 
 Row reduction has one core, a sparse echelon over Q: `_eliminate` reduces a
 sparse row through echelon rows {pivot: tail}, each 1 at its pivot, visiting
@@ -300,10 +297,8 @@ class Subspace(ReadOnly):
     """Subspace of Q^ambient_dim, given by its RREF row basis (canonical).
 
     A Subspace keeps its RREF rows in sparse form, its echelon: each row's
-    pivot and its other nonzero entries (from_echelon).  The dense `basis`
-    matrix is built each time it is read.  Equality and hash compare
-    ambient_dim and the echelon, which is canonical; repr names those two
-    as Subspace(ambient_dim=..., basis=...), with the dense basis.
+    pivot and its other nonzero entries (from_echelon).  Equality, hash and
+    repr read ambient_dim and the echelon, which is canonical.
     """
 
     __slots__ = ("ambient_dim", "_echelon")
@@ -314,11 +309,6 @@ class Subspace(ReadOnly):
 
     def __reduce__(self):  # copy and pickle rebuild it through __init__
         return type(self), (self.ambient_dim, self._echelon)
-
-    @property
-    def basis(self) -> Matrix:
-        """The RREF basis rows as a dense matrix."""
-        return Matrix(tuple(_dense_rows(self._echelon, self.ambient_dim)), self.ambient_dim)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -331,7 +321,8 @@ class Subspace(ReadOnly):
                      frozenset((p, frozenset(tail.items())) for p, tail in self._echelon.items())))
 
     def __repr__(self):
-        return f"{type(self).__qualname__}(ambient_dim={self.ambient_dim!r}, basis={self.basis!r})"
+        return (f"{type(self).__qualname__}(ambient_dim={self.ambient_dim!r}, "
+                f"echelon={self._echelon!r})")
 
     def echelon(self) -> dict[int, dict[int, Fraction]]:
         """{pivot: {column: value} past the pivot} for the basis rows, in order."""
@@ -451,10 +442,8 @@ class Quotient(ReadOnly):
     the nonzero coordinates along the representatives.  Any x in v is the
     sum of x[pivot] times v's basis rows, so its class is those classes
     weighted by x at v's pivots: `class_of` reads it from x's nonzero
-    entries.  The dense forms are built each time they are read: `reps`,
-    the representatives as a k x ambient matrix, and `proj`, the same map
-    as `class_of` as a k x ambient matrix.  Equality compares space, pivots
-    and classes.  A quotient is not hashable: classes is a dict.
+    entries.  Equality compares space, pivots and classes.  A quotient is
+    not hashable: classes is a dict.
     """
 
     __slots__ = ("space", "pivots", "classes")
@@ -482,21 +471,6 @@ class Quotient(ReadOnly):
     def dim(self) -> int:
         return len(self.pivots)
 
-    @property
-    def reps(self) -> Matrix:
-        ech = self.space.echelon()
-        d = self.space.ambient_dim
-        return Matrix(tuple(_dense_rows({p: ech[p] for p in self.pivots}, d)), d)
-
-    @property
-    def proj(self) -> Matrix:
-        d = self.space.ambient_dim
-        rows = [[_ZERO] * d for _ in range(self.dim)]
-        for pivot, cls in self.classes.items():
-            for i, a in cls.items():
-                rows[i][pivot] = as_q(a)
-        return Matrix(tuple(tuple(row) for row in rows), d)
-
     def class_of(self, x: dict[int, Fraction]) -> dict[int, Fraction] | None:
         """The class of x, given as {column: value}, or None when x is not in v.
 
@@ -514,12 +488,10 @@ def quotient_map(v: Subspace, w) -> Quotient:
     """Coset representatives and coordinate projection for v / span w.
 
     w is a list of vectors of v, each given by its nonzero entries as
-    {column: value}.  In the result, reps has k rows which represent a
-    basis of v / span w, and proj is a k x ambient matrix such that for any
-    x in v the quotient coordinates of [x] are proj @ x.
-    In particular proj @ x = 0 iff x in span w, and proj @ reps[i] = e_i.
-    The Quotient also keeps proj sparse, as the class of each of v's pivots,
-    and reads the class of a sparse vector with `class_of`.
+    {column: value}.  In the result, the k rows of v at `pivots` represent
+    a basis of v / span w, and `classes` holds the quotient coordinates of
+    each of v's basis rows, so `class_of(x)` is the coordinates of [x] for
+    any x in v: empty iff x is in span w, and e_i at the i-th representative.
 
     One pass: the vectors of w, then v's basis rows in order, go into one
     sparse echelon whose rows carry their class modulo w as coordinates along

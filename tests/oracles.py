@@ -19,8 +19,13 @@ sparse echelon of `qlinalg.quotient_map`, `_reduced` and `sparse_kernel`,
 and agreement entry by entry is a real check.  `seed_graded_cohomology` is the
 cohomology of a complex of dense matrices built from `seed_kernel_basis`,
 `seed_span` and `seed_quotient_map` alone, the reference for the engine's
-`graded_cohomology` over sparse columns; `dense_d_hor` places the entries of
+`graded_cohomology` over sparse columns, and `seed_cohomology_dims` its
+dimensions from `seed_rref` ranks alone; `dense_d_hor` places the entries of
 d_hor into such a matrix one by one, apart from `BasicComplex.d_hor_columns`.
+`dense_basis`, `dense_reps` and `dense_proj` read a `Subspace` or a
+`Quotient`, which keep only sparse forms, into dense matrices: the basis rows
+off the echelon, the representatives off the pivots and the projection off
+the classes.
 
 `ChiElement` is an element of the exterior algebra on chi_1, chi_2, ...,
 with `wedge` and `contract` (the interior product) on it.  `wedge_ce_delta`
@@ -30,8 +35,9 @@ constants, and `homotopy_coadjoint` the coadjoint action as the Cartan
 homotopy contract o delta + delta o contract.  The engine reads both from
 sparse per-algebra tables instead; `oracle_delta_matrix` and
 `oracle_coadjoint_matrix` build their matrices one `chi_to_vector` column at
-a time.  `coadjoint_columns` extends the engine's generator table
-`LieData.coadjoint_gens` by wedge products, the columns the tests hold
+a time, and `oracle_lie_dims` counts the Lie algebra cohomology from the
+ranks of the former.  `coadjoint_columns` extends the engine's generator
+table `LieData.coadjoint_gens` by wedge products, the columns the tests hold
 against the homotopy (the engine applies coadjoint only row by row, to
 certify its invariants), and `oracle_invariant_subcomplex` is the joint
 kernel of the stacked homotopy matrices.
@@ -43,8 +49,10 @@ entries and `wedge_ce_delta`, not off the model's tables.
 `oracle_total_matrix` and `oracle_identity_checks` are the model layer
 before it read the operators from per-model monomial tables: every column
 and every component of d^2 is a composition of these operators, one element
-per monomial per operator.  `oracle_total_images` is total_d of every
-monomial, zero images included, and `oracle_square_failures` the d^2
+per monomial per operator.  `oracle_total_cohomology` counts the total
+cohomology from the ranks of those matrices, the abutment apart from the
+engine's `total_columns` and `cohomology_dims`.  `oracle_total_images` is
+total_d of every monomial, zero images included, and `oracle_square_failures` the d^2
 certificate composed through that full table, as the model layer ran it
 before it kept only the nonzero images.
 
@@ -83,7 +91,8 @@ the pairs, basis vector by basis vector.  Neither calls `qlinalg` or
 
 `dense_dr`, `dense_frames` and `dense_transgression` are the dense route on
 the oracle page: every d(rep) and every alpha (x) beta is a dense vector of
-C^m, tested with `contains` and projected with the dense `proj`.
+C^m, tested with `contains` and projected with the oracle cell's dense
+`proj`.
 `f_matrix` and `transgression_matrix` make the frames' sparse columns and a
 transgression record into dense matrices; `from_columns` and `zero_matrix`
 build a dense matrix from sparse columns or of zeros.
@@ -108,7 +117,7 @@ from math import comb
 
 from cartanss.liealg import LieData, all_multi_indices, multi_indices
 from cartanss.model import BasicComplex, EquivariantModel, degree_basis, monomial_basis
-from cartanss.qlinalg import Matrix, Subspace, column_rows, sparse_kernel
+from cartanss.qlinalg import Matrix, Quotient, Subspace, column_rows, sparse_kernel
 from cartanss.reports import CertificateError, CheckResult
 from cartanss.specseq import FilteredComplex
 
@@ -200,12 +209,46 @@ def is_zero(m: Matrix) -> bool:
     return not any(map(any, m.data))
 
 
+def _echelon_rows(echelon: dict, d: int) -> list[list[Q]]:
+    """Rows {pivot: tail} as dense Fraction rows of length d: 1 at the pivot, tail after."""
+    rows = []
+    for pivot, tail in echelon.items():
+        row = [Q(0)] * d
+        row[pivot] = Q(1)
+        for j, a in tail.items():
+            row[j] = Q(a)
+        rows.append(row)
+    return rows
+
+
+def dense_basis(sub: Subspace) -> Matrix:
+    """The RREF basis rows of sub as a dense matrix, read off its echelon."""
+    return Matrix.of(_echelon_rows(sub.echelon(), sub.ambient_dim), cols=sub.ambient_dim)
+
+
+def dense_reps(quot: Quotient) -> Matrix:
+    """The representatives of quot, the rows of its space at its pivots, as a dense matrix."""
+    ech, d = quot.space.echelon(), quot.space.ambient_dim
+    return Matrix.of(_echelon_rows({p: ech[p] for p in quot.pivots}, d), cols=d)
+
+
+def dense_proj(quot: Quotient) -> Matrix:
+    """The projection of quot as a dim x ambient matrix: column pivot holds the
+    class of the space's basis row at that pivot, and every other column is zero."""
+    d = quot.space.ambient_dim
+    rows = [[Q(0)] * d for _ in range(quot.dim)]
+    for pivot, cls in quot.classes.items():
+        for i, a in cls.items():
+            rows[i][pivot] = Q(a)
+    return Matrix.of(rows, cols=d)
+
+
 def contains(sub: Subspace, vec) -> bool:
     """Whether vec lies in sub: vec minus vec[pivot] times each RREF basis row is zero."""
     if len(vec) != sub.ambient_dim:
         raise ValueError("ambient dimension mismatch")
     rest = [Q(x) for x in vec]
-    for pivot, row in zip(sub.echelon(), sub.basis.data):
+    for pivot, row in zip(sub.echelon(), dense_basis(sub).data):
         c = rest[pivot]
         if c:
             rest = [x - c * y for x, y in zip(rest, row)]
@@ -214,12 +257,12 @@ def contains(sub: Subspace, vec) -> bool:
 
 def seed_image(m: Matrix, sub: Subspace) -> Subspace:
     """m(sub), spanned by the images of sub's basis rows."""
-    return seed_span(m.rows, [dense_apply(m, row) for row in sub.basis.data])
+    return seed_span(m.rows, [dense_apply(m, row) for row in dense_basis(sub).data])
 
 
 def annihilator(w: Subspace) -> Matrix:
     """Rows spanning the orthogonal complement: x in w iff annihilator(w) @ x = 0."""
-    return seed_kernel_basis(w.basis).basis
+    return dense_basis(seed_kernel_basis(dense_basis(w)))
 
 
 def preimage(m: Matrix, sub: Subspace) -> Subspace:
@@ -235,8 +278,8 @@ def sum_and_intersect(a: Subspace, b: Subspace) -> tuple[Subspace, Subspace]:
         raise ValueError("ambient dimension mismatch")
     d = a.ambient_dim
     zero = [Q(0)] * d
-    rows = [list(r) + list(r) for r in a.basis.data]
-    rows += [list(r) + zero for r in b.basis.data]
+    rows = [list(r) + list(r) for r in dense_basis(a).data]
+    rows += [list(r) + zero for r in dense_basis(b).data]
     red, pivots = seed_rref(Matrix.of(rows, cols=2 * d))
     sum_rows, int_rows = [], []
     for i, p in enumerate(pivots):
@@ -276,8 +319,8 @@ def seed_quotient_map(v: Subspace, w: Subspace) -> tuple[Matrix, Matrix]:
     if v.ambient_dim != w.ambient_dim:
         raise ValueError("ambient dimension mismatch")
     d = v.ambient_dim
-    w_rows = [list(r) for r in w.basis.data]
-    if seed_span(d, [list(r) for r in v.basis.data] + w_rows).dim != v.dim:
+    w_rows = [list(r) for r in dense_basis(w).data]
+    if seed_span(d, [list(r) for r in dense_basis(v).data] + w_rows).dim != v.dim:
         raise ValueError("quotient undefined: denominator is not contained in numerator")
     kept: list[tuple[int, list]] = []  # (pivot, row 1 at its pivot), zero at earlier pivots
 
@@ -293,7 +336,7 @@ def seed_quotient_map(v: Subspace, w: Subspace) -> tuple[Matrix, Matrix]:
 
     for row in w_rows:
         independent(row)
-    reps = [list(cand) for cand in v.basis.data if independent(list(cand))]
+    reps = [list(cand) for cand in dense_basis(v).data if independent(list(cand))]
     rows = w_rows + reps
     k = len(reps)
     if k == 0:
@@ -327,6 +370,17 @@ def seed_graded_cohomology(maps) -> list[tuple[Subspace, Subspace, tuple[Matrix,
         out.append((ker, img, seed_quotient_map(ker, img)))
         below = [tuple(row[j] for row in m.data) for j in range(m.cols)]
     return out
+
+
+def seed_cohomology_dims(maps) -> tuple[int, ...]:
+    """dim C^k - rank d_k - rank d_(k-1) per degree of dense d_0, d_1, ..., by seed_rref ranks."""
+    dims = []
+    below = 0  # rank d_(k-1)
+    for m in maps:
+        rk = rank(m)
+        dims.append(m.cols - rk - below)
+        below = rk
+    return tuple(dims)
 
 
 def divisor_vectors(sub: Subspace) -> list[dict]:
@@ -512,6 +566,11 @@ def oracle_delta_matrix(L: LieData, q: int) -> Matrix:
     return operator_matrix(lambda x: wedge_ce_delta(L, x), L.n, q, q + 1)
 
 
+def oracle_lie_dims(L: LieData) -> tuple[int, ...]:
+    """dim H^q of the Lie algebra, q = 0 .. n, from the ranks of the wedge-product delta."""
+    return seed_cohomology_dims(oracle_delta_matrix(L, q) for q in range(L.n + 1))
+
+
 def oracle_coadjoint_matrix(L: LieData, ell: int, q: int) -> Matrix:
     return operator_matrix(lambda x: homotopy_coadjoint(L, ell, x), L.n, q, q)
 
@@ -669,6 +728,12 @@ def oracle_total_matrix(model: EquivariantModel, k: int) -> Matrix:
     ]
     data = [[cols[j][i] for j in range(len(src))] for i in range(tgt_len)]
     return Matrix.of(data, cols=len(src))
+
+
+def oracle_total_cohomology(model: EquivariantModel) -> tuple[int, ...]:
+    """dim H^k of the total complex per degree, from the ranks of oracle_total_matrix."""
+    top = model.basic.max_degree + model.lie.n
+    return seed_cohomology_dims(oracle_total_matrix(model, k) for k in range(top + 1))
 
 
 def _element_check(model: EquivariantModel, name: str, op) -> CheckResult:
@@ -832,10 +897,10 @@ def oracle_divisor(fc: FilteredComplex, r: int, p: int, m: int, cache: dict) -> 
     born = z_space(fc, r - 1, p - r + 1, m - 1, cache)
     other = z_space(fc, r - 1, p + 1, m, cache)
     d = dmat(fc, m - 1)
-    rows = [y for y in (dense_apply(d, row) for row in born.basis.data) if any(y)]
+    rows = [y for y in (dense_apply(d, row) for row in dense_basis(born).data) if any(y)]
     if not rows:
         return other
-    rows.extend(other.basis.data)
+    rows.extend(dense_basis(other).data)
     return seed_span(ambient(fc, m), rows)
 
 
@@ -997,8 +1062,8 @@ def dense_frames(model: EquivariantModel, frames, cells: dict) -> dict:
         cols = []
         if pc is not None:
             z, proj = pc.space, pc.proj
-            betas = frames.invariants[cell.q].basis.data
-        for alpha in frames.basic[cell.p].reps.data if pc is not None else ():
+            betas = dense_basis(frames.invariants[cell.q]).data
+        for alpha in dense_reps(frames.basic[cell.p]).data if pc is not None else ():
             for beta in betas:
                 vec = dense_tensor_vector(model, alpha, cell.p, beta, cell.q)
                 if not contains(z, vec):

@@ -29,14 +29,12 @@ from cartanss.liealg import (
     LieData,
     delta_columns,
     invariant_subcomplex,
-    lie_cohomology,
     multi_indices,
     validate_lie,
 )
 from cartanss.model import (
     max_total_degree,
     monomial_basis,
-    total_cohomology,
     validate_model,
 )
 from cartanss.specseq import (
@@ -52,6 +50,8 @@ from oracles import (
     coadjoint_columns,
     dense_d_hor,
     dmat,
+    oracle_lie_dims,
+    oracle_total_cohomology,
     recurrence_dims,
     seed_graded_cohomology,
     total_d,
@@ -68,7 +68,7 @@ def page_two_dims(an):
 def test_criterion_01_hopf_card():
     t0 = time.perf_counter()
     card = get_model("hopf")
-    assert total_cohomology(card.model) == (1, 0, 0, 1)
+    assert oracle_total_cohomology(card.model) == (1, 0, 0, 1)
     an = Analysis(card.model)
     four = {(0, 0): 1, (0, 1): 1, (2, 0): 1, (2, 1): 1}
     assert page_two_dims(an) == an.pages[2].dims == four
@@ -81,7 +81,7 @@ def test_criterion_01_hopf_card():
 def test_criterion_02_kronecker_card():
     t0 = time.perf_counter()
     card = get_model("kronecker")
-    assert total_cohomology(card.model) == (1, 2, 1)
+    assert oracle_total_cohomology(card.model) == (1, 2, 1)
     an = Analysis(card.model)
     assert page_two_dims(an) == {(0, 0): 1, (0, 1): 1, (1, 0): 1, (1, 1): 1}
     assert an.stabilization == 2
@@ -92,7 +92,7 @@ def test_criterion_02_kronecker_card():
 def test_criterion_03_group_su2_card():
     t0 = time.perf_counter()
     card = get_model("group_su2")
-    hdims = tuple(h.dim for h in lie_cohomology(card.model.lie))
+    hdims = oracle_lie_dims(card.model.lie)
     assert hdims == (1, 0, 0, 1)
     inv = invariant_subcomplex(card.model.lie)
     assert tuple(s.dim for s in inv) == hdims
@@ -114,7 +114,7 @@ def test_criterion_04_tensor_dims_and_full_rank_batch():
         an = Analysis(model)
         rep = an.e2
         assert rep.passed, model.name
-        hq = [h.dim for h in lie_cohomology(model.lie)]
+        hq = oracle_lie_dims(model.lie)
         bdims = tuple(h.dim for h in basic_cohomology(model))
         # the rank-only count and graded_cohomology agree with the seed
         # kernels and images
@@ -188,7 +188,7 @@ def test_criterion_07_abutment_oracle():
         fc = cartan_filtration(model)
         # past the top degree no d_r has room: this page is E_infinity
         stable = persistence_pairing(fc).summary(len(fc.dims) + 1)
-        hdims = total_cohomology(model)
+        hdims = oracle_total_cohomology(model)
         sums = [0] * len(hdims)
         for (p, q), d in stable.dims.items():
             sums[p + q] += d

@@ -474,6 +474,25 @@ def test_a_long_max_r_is_a_short_usage_error(capsys):
     assert capsys.readouterr().err.endswith("argument --max-r: invalid int value: '5x'\n")
 
 
+@pytest.mark.parametrize("text", ["1_0", " 3", "٣", "３"])
+def test_integers_are_ascii_digits_only(capsys, text):
+    """A card parameter and --max-r take an optional sign and ASCII digits,
+    as model files do: int() alone would read an underscore, a space, an
+    Arabic-Indic or a fullwidth digit."""
+    assert main(["examples", "--run", f"group_torus:{text}"]) == 2
+    assert capsys.readouterr().err == f"usage error: parameter must be an integer: {text!r}\n"
+    path = str(Path(__file__).resolve().parent.parent / "sample_models" / "hopf.json")
+    with pytest.raises(SystemExit) as exc:
+        main(["pages", path, "--max-r", text])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(f"argument --max-r: invalid int value: {text!r}\n")
+    # a sign is still read, and -1 reaches the range check
+    assert main(["examples", "--run", "group_torus:+2"]) == 0
+    capsys.readouterr()
+    assert main(["pages", path, "--max-r", "-1"]) == 2
+    assert capsys.readouterr().err == "usage error: --max-r must be >= 0\n"
+
+
 def test_examples_needs_exactly_one_mode(capsys):
     assert main(["examples"]) == 2
     capsys.readouterr()

@@ -5,9 +5,11 @@ and class of src/cartanss is used somewhere in the package outside its own
 definition, unless the root exports it or it is one of the few names that
 only callers outside the package use.  Every method and property of a class
 there, apart from the dunders, is named somewhere in the package outside
-its own body, with the same kind of short list of exceptions.  Reference
-definitions the tests compare the engine against live in tests/oracles.py,
-not in the package.
+its own body, with the same kind of short list of exceptions.  No module
+builds a dense Matrix outside the class itself: the engine keeps only
+sparse forms.  Reference definitions the tests compare the engine against,
+and the readers that make its spaces dense, live in tests/oracles.py, not
+in the package.
 """
 
 from __future__ import annotations
@@ -29,14 +31,12 @@ OUTSIDE_CALLERS = {
     ("library", "rescaled_su2_lie"),
 }
 
-# methods named only from outside the package: the dense Matrix forms that
-# the tests build and reduce (perfbench's trace wraps Matrix.rref), and a
-# quotient's dense representatives and projection, which the tests read
+# methods named only from outside the package: Matrix.of builds the tests'
+# dense references, and Matrix.rref is the reduction they compare against
+# and the hook of perfbench's trace
 OUTSIDE_METHODS = {
     "Matrix.of",
     "Matrix.rref",
-    "Quotient.reps",
-    "Quotient.proj",
 }
 
 
@@ -132,6 +132,44 @@ def test_every_method_is_named_in_the_package_outside_its_body():
              "    def __repr__(self):\n        return ''\n",
         "b": "from .a import A\n\ndef caller():\n    return A().used()\n",
     }) == ["A.lonely", "A.size"]
+
+
+def dense_constructions(sources: dict[str, str]) -> list[tuple[str, int]]:
+    """(module, line) of each call of Matrix, or of an attribute of it such as
+    Matrix.of, in sources, a map module -> text, outside the body of class
+    Matrix; a module's import alias of Matrix counts as Matrix."""
+    out = []
+    for module, text in sources.items():
+        tree = ast.parse(text)
+        names = {"Matrix"} | {alias.asname for node in ast.walk(tree)
+                              if isinstance(node, ast.ImportFrom)
+                              for alias in node.names if alias.name == "Matrix" and alias.asname}
+        inside = {id(node) for cls in ast.walk(tree)
+                  if isinstance(cls, ast.ClassDef) and cls.name == "Matrix"
+                  for node in ast.walk(cls)}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call) or id(node) in inside:
+                continue
+            func = node.func
+            if isinstance(func, ast.Attribute) and func.attr not in names:
+                func = func.value
+            if (isinstance(func, ast.Name) and func.id in names
+                    or isinstance(func, ast.Attribute) and func.attr in names):
+                out.append((module, node.lineno))
+    return sorted(out)
+
+
+def test_no_module_builds_a_dense_matrix_outside_the_class():
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
+    assert dense_constructions(sources) == []
+    # the guard sees a call of the class, of a classmethod, of an alias and
+    # through the module, and not the class's own calls or a lookalike name
+    assert dense_constructions({
+        "a": "class Matrix:\n    def rref(self):\n        return Matrix()\n",
+        "b": "from .a import Matrix as Dense\nfrom . import a\n\n\ndef build():\n"
+             "    x = Matrix(), Matrix.of([])\n    y = Dense(), a.Matrix()\n"
+             "    return x, y, MatrixLike()\n",
+    }) == [("b", 6), ("b", 6), ("b", 7), ("b", 7)]
 
 
 ORACLES = Path(__file__).resolve().parent / "oracles.py"

@@ -14,7 +14,7 @@ import pytest
 
 import cartanss
 from cartanss import library
-from cartanss.liealg import lie_cohomology, validate_lie
+from cartanss.liealg import validate_lie
 from cartanss.library import (
     MODEL_NAMES,
     all_default_cards,
@@ -22,9 +22,10 @@ from cartanss.library import (
     heisenberg_model,
     random_trivial_product,
 )
-from cartanss.model import total_cohomology, validate_model
+from cartanss.model import validate_model
 from cartanss.reports import CertificateError
 from cartanss.verify import Analysis
+from oracles import oracle_lie_dims, oracle_total_cohomology
 
 
 def test_model_name_census():
@@ -48,8 +49,9 @@ def test_default_cards_are_valid_and_annotated():
 
 def test_card_expectations_match_engine():
     for card in all_default_cards():
-        assert total_cohomology(card.model) == card.expected.total_cohomology
         an = Analysis(card.model)
+        assert (oracle_total_cohomology(card.model) == an.total_cohomology
+                == card.expected.total_cohomology)
         rep = an.abutment
         assert rep.passed and rep.stabilization == card.expected.stabilization
         e2 = an.e2
@@ -82,7 +84,7 @@ def test_torus_parameter_and_binomials():
             len(list(combinations(range(n), k))) for k in range(n + 1)
         )
         assert card.expected.total_cohomology == binom
-        assert total_cohomology(card.model) == binom
+        assert oracle_total_cohomology(card.model) == binom
     with pytest.raises(ValueError, match="positive integer"):
         get_model("group_torus", 0)
     with pytest.raises(ValueError, match="positive integer"):
@@ -110,14 +112,14 @@ def test_random_trivial_products_are_valid_and_kunneth():
         card = random_trivial_product(rng, tag=f"rand{i}")
         assert validate_lie(card.model.lie).passed
         assert validate_model(card.model).passed, card.model.name
-        assert total_cohomology(card.model) == card.expected.total_cohomology
+        assert oracle_total_cohomology(card.model) == card.expected.total_cohomology
         e2 = Analysis(card.model).e2
         assert e2.passed
         got = {(c.p, c.q): c.e2_dim for c in e2.cells if c.e2_dim}
         assert got == card.expected.e2_dims
         # Kunneth: E_2 dims factor as products of the two expectation vectors
         b = card.expected.basic_cohomology
-        h = [quot.dim for quot in lie_cohomology(card.model.lie)]
+        h = oracle_lie_dims(card.model.lie)
         for (p, q), d in got.items():
             assert d == b[p] * h[q]
 

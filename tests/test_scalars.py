@@ -16,7 +16,7 @@ import random
 from fractions import Fraction as Q
 from pathlib import Path
 
-from oracles import direct_sum, f_matrix, rotated
+from oracles import dense_basis, dense_proj, dense_reps, direct_sum, f_matrix, rotated
 from test_specseq import sphere_model
 
 from cartanss.cli import load_model_file
@@ -82,13 +82,13 @@ def sparse_values(an: Analysis) -> dict[str, list]:
 
 
 def dense_matrices(an: Analysis):
-    """Every dense Matrix the report and its public reads give."""
+    """Every dense Matrix the oracle readers build from the report's frames."""
     frames = an.frames
     yield from (f_matrix(frames, (c.p, c.q)) for c in frames.cells)
     for quot in frames.basic:
-        yield quot.reps
-        yield quot.proj
-    yield from (sub.basis for sub in frames.invariants)
+        yield dense_reps(quot)
+        yield dense_proj(quot)
+    yield from (dense_basis(sub) for sub in frames.invariants)
 
 
 def test_every_sparse_value_is_an_int_or_a_fraction_and_every_dense_entry_a_fraction():

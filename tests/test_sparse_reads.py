@@ -23,8 +23,11 @@ from oracles import (
     chi_to_vector,
     contains,
     dense_apply,
+    dense_basis,
     dense_d_hor,
     dense_frames,
+    dense_proj,
+    dense_reps,
     dense_transgression,
     direct_sum,
     from_columns,
@@ -53,7 +56,7 @@ from cartanss.library import (
     su2_lie,
 )
 from cartanss.liealg import LieData, delta_columns, invariant_subcomplex, multi_indices
-from cartanss.qlinalg import Matrix, Quotient, Subspace, graded_cohomology, quotient_map
+from cartanss.qlinalg import Matrix, Quotient, Subspace, graded_cohomology
 from cartanss.reports import CertificateError
 from cartanss.specseq import WindowCell, persistence_pairing
 from cartanss.verify import (
@@ -89,9 +92,10 @@ def dense_realization_ok(lie: LieData, inv) -> bool:
         h_dim = ker.dim - img.dim
         if inv[q].dim != h_dim:
             return False
-        if not all(contains(ker, row) for row in inv[q].basis.data):
+        rows = dense_basis(inv[q]).data
+        if not all(contains(ker, row) for row in rows):
             return False
-        classes = [dense_apply(proj, row) for row in inv[q].basis.data]
+        classes = [dense_apply(proj, row) for row in rows]
         if rank(Matrix.of(classes, cols=h_dim)) != h_dim:
             return False
     return True
@@ -124,9 +128,9 @@ def test_graded_cohomology_matches_the_seed_cohomology_entry_by_entry():
         assert len(got) == len(want) == len(dense)
         for quot, (ker, img, (reps, proj)) in zip(got, want):
             assert quot.space == ker
-            assert (quot.reps.data, quot.reps.cols) == (reps.data, reps.cols)
-            assert (quot.proj.data, quot.proj.cols) == (proj.data, proj.cols)
-            assert all(type(x) is Q for m in (quot.reps, quot.proj) for row in m.data for x in row)
+            got_reps, got_proj = dense_reps(quot), dense_proj(quot)
+            assert (got_reps.data, got_reps.cols) == (reps.data, reps.cols)
+            assert (got_proj.data, got_proj.cols) == (proj.data, proj.cols)
             seen["H^q != 0"] += quot.dim > 0
             seen["nonzero image"] += img.dim > 0
             seen["proper kernel"] += 0 < ker.dim < ker.ambient_dim
@@ -272,7 +276,7 @@ def test_planted_rows_in_degree_3_of_su2_squared_fail_both_checks():
     and shifted by a coboundary, still realize H^3."""
     lie = su2_power(2)
     inv = invariant_subcomplex(lie)
-    a, b = (list(row) for row in inv[3].basis.data)
+    a, b = (list(row) for row in dense_basis(inv[3]).data)
     exact = list(chi_to_vector(wedge_ce_delta(lie, ChiElement.basis((1, 4))), 6, 3))
     not_closed = list(chi_to_vector(ChiElement.basis((1, 2, 4)), 6, 3))
     assert any(exact)
@@ -355,51 +359,23 @@ def test_pages_make_no_dense_containment_test_or_dense_apply(tmp_path, monkeypat
 
 
 @pytest.mark.parametrize("spec", [("group_torus", 6), ("group_su2",)])
-def test_the_page_pass_builds_no_dense_total_matrix_and_reads_no_dense_basis(
-        tmp_path, monkeypatch, capsys, spec):
-    """The page pass builds no Matrix, and the whole run reads no dense
-    basis of a space nor the dense reps or proj of a cell or a cohomology."""
+def test_a_pages_run_builds_no_dense_matrix(tmp_path, monkeypatch, capsys, spec):
+    """A whole pages run, its page pass included, constructs no Matrix: every
+    space, quotient and cohomology it hands on keeps only sparse forms."""
     path = str(tmp_path / "model.json")
     save_model_file(get_model(*spec).model, path)
     calls = count_calls(monkeypatch, (("model", "total_columns"),))
-    dense_reads = {"Subspace.basis": [], "Quotient.reps": [], "Quotient.proj": [],
-                   "Matrix.__init__": []}
-
-    def in_page_pass() -> bool:
-        frame = sys._getframe(2)
-        while frame is not None and frame.f_code.co_name != "_page_pass":
-            frame = frame.f_back
-        return frame is not None
-
-    def logged(cls, name):
-        read = getattr(cls, name).fget
-
-        def wrapper(self):
-            dense_reads[f"{cls.__name__}.{name}"].append(in_page_pass())
-            return read(self)
-        monkeypatch.setattr(cls, name, property(wrapper))
-
-    logged(Subspace, "basis")
-    logged(Quotient, "reps")
-    logged(Quotient, "proj")
+    built = []
     init = Matrix.__init__
 
     def counted_init(self, *args):
-        dense_reads["Matrix.__init__"].append(in_page_pass())
+        built.append(args)
         init(self, *args)
     monkeypatch.setattr(Matrix, "__init__", counted_init)
     assert main(["pages", path, "--format", "machine"]) == 0
     capsys.readouterr()
     assert len(calls["total_columns"]) >= 4
-    assert {name: any(log) for name, log in dense_reads.items()} == {
-        "Subspace.basis": False, "Quotient.reps": False, "Quotient.proj": False,
-        "Matrix.__init__": False}
-    assert all(dense_reads[name] == [] for name in (
-        "Subspace.basis", "Quotient.reps", "Quotient.proj"))
-    # the wrappers are live
-    before = {name: len(log) for name, log in dense_reads.items()}
-    Subspace.full(2).basis
-    quot = quotient_map(Subspace.full(2), [])
-    quot.reps, quot.proj
-    assert {name: len(log) - before[name] for name, log in dense_reads.items()} == {
-        "Subspace.basis": 1, "Quotient.reps": 1, "Quotient.proj": 1, "Matrix.__init__": 3}
+    assert built == []
+    # the counter is live
+    Matrix.of([[1]])
+    assert len(built) == 1

@@ -15,6 +15,7 @@ from oracles import (
     ambient,
     check_structure,
     dense_apply,
+    dense_basis,
     dense_frames,
     heisenberg_nilmanifold,
     direct_sum,
@@ -200,7 +201,7 @@ def test_page_two_classes_ignore_divisor_perturbations():
             tgt = cells.get((p + 2, q - 1))
             for rep in oracle.reps.data:
                 noise = [0] * len(rep)
-                for row in oracle.divisor.basis.data:
+                for row in dense_basis(oracle.divisor).data:
                     c = rng.randint(-2, 2)
                     noise = [x + c * y for x, y in zip(noise, row)]
                 pert = [x + y for x, y in zip(rep, noise)]
@@ -377,7 +378,7 @@ def page_two_mismatches(fc, cells, want) -> list:
             if oracle.dim:
                 bad.append(pq)
             continue
-        rows = oracle.space.basis.data
+        rows = dense_basis(oracle.space).data
         k = len(rows)
         got = [cell.class_of(sparse(row)) for row in rows]
         if None in got:
@@ -419,7 +420,7 @@ def test_page_two_reads_the_classes_of_the_seed_quotient_and_dense_d():
         assert page_two_mismatches(fc, Analysis(model).page2, want) == [], model.name
         for (p, q), cell in want.cells.items():
             dense = dmat(fc, p + q)
-            for row in cell.space.basis.data + cell.divisor.basis.data:
+            for row in dense_basis(cell.space).data + dense_basis(cell.divisor).data:
                 y = apply_sparse(fc.d_columns[p + q], sparse(row))
                 assert y == sparse(dense_apply(dense, row))
             cells += 1
