@@ -20,9 +20,15 @@ or a d_hor or euler entry's indices, twice is a parse error.  Unknown keys
 anywhere are parse errors.
 
 Each command reads one verify.Analysis of its model, which computes each
-stage once, on first use.  render_table renders it as text; machine_document
-writes it as JSON, json.dumps(doc, indent=2) of a fixed key order, section
-by section and only after every stage it reads is computed.
+stage once, on first use.  render_table writes it as text and
+machine_document as JSON, json.dumps(doc, indent=2) of a fixed key order;
+both write section by section, the transgression row by row, and only after
+every stage they read is computed.
+
+main reads a command line of the documented grammar with _plain_command, an
+exact recognizer whose fields, where it accepts a line, equal those of
+_parser().parse_args on it.  Every line it declines (help, usage errors and
+any other form) goes to argparse, which is imported and built only then.
 
 Exit codes: 0 success, 1 a validation or expectation failure, 2 parse or
 usage error, or a model with more than model.MAX_AMBIENT_DIM monomials or a
@@ -32,13 +38,13 @@ file, before the algebra is built or any monomial is listed).
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import os
 import re
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 from .library import DESCRIPTIONS, MODEL_NAMES, get_model
 from .liealg import LieData
@@ -360,55 +366,41 @@ def machine_document(an: Analysis, max_r: int | None, write, pad: str = "") -> N
           f"\n{pad}}}")
 
 
-def render_table(an: Analysis, max_r: int | None) -> str:
-    """The report of a valid model as aligned text; pages past max_r are left out."""
-    out = [f"model: {an.model.name}"]
-    out.extend(_check_lines(an))
-    out.append("")
+def render_table(an: Analysis, max_r: int | None, write) -> None:
+    """Write the report of a valid model as aligned text through write, section
+    by section and with no final newline; pages past max_r are left out.  Every
+    stage it reads is computed before the first write, so a CertificateError
+    writes nothing."""
+    abutment, transgression, e2 = an.abutment, an.transgression, an.e2
+    write("\n".join([f"model: {an.model.name}", *_check_lines(an)]) + "\n")
     for s in _shown_pages(an, max_r):
         note = "  (bigraded bookkeeping page)" if s.r < 2 else ""
-        out.append(f"page E_{s.r}{note}")
-        out.append("  p  q  dim  d_rank")
-        for (p, q), d in sorted(s.dims.items()):
-            rk = s.d_ranks.get((p, q), 0)
-            out.append(f"  {p}  {q}  {d}    {rk}")
-    out.append("")
-    out.append(f"stabilization: r = {an.stabilization}")
-    out.append("E_infinity cells:")
-    out.append("  p  q  dim")
-    for (p, q), d in sorted(an.stable.dims.items()):
-        out.append(f"  {p}  {q}  {d}")
-    out.append("")
-    out.append("abutment:")
-    out.append("  degree  e_infinity  total  match")
-    for row in an.abutment.rows:
-        out.append(
-            f"  {row.degree}       {row.stable_total}           {row.cohomology_dim}"
-            f"      {'yes' if row.ok else 'NO'}"
-        )
-    out.append(f"abutment: {'ok' if an.abutment.passed else 'FAIL'}")
-    out.append("")
-    out.append(f"tensor factorization verdict: {an.e2.verdict}")
-    out.append("  p  q  product  e2  rankF  ok")
-    for c in an.e2.cells:
-        out.append(
-            f"  {c.p}  {c.q}  {c.product_dim}        {c.e2_dim}   {c.f_rank}      "
-            f"{'yes' if c.ok else 'NO'}"
-        )
-    out.append(
-        f"invariant realization of algebra cohomology: "
-        f"{'ok' if an.e2.lie_realization_ok else 'FAIL'}"
-    )
-    if an.transgression:
-        out.append("")
-        out.append("transgression d_2 in tensor bases:")
-        for (p, q), t in sorted(an.transgression.items()):
-            rows = [[str(t.entry(i, j)) for j in range(len(t.columns))] for i in range(t.rows)]
-            out.append(f"  ({p},{q}) -> ({p + 2},{q - 1}): {rows}")
-    out.append("")
-    out.append(f"total cohomology dims: {list(an.total_cohomology)}")
-    out.append(f"basic cohomology dims: {[h.dim for h in an.frames.basic]}")
-    return "\n".join(out)
+        write(f"\npage E_{s.r}{note}\n  p  q  dim  d_rank"
+              + "".join(f"\n  {p}  {q}  {d}    {s.d_ranks.get((p, q), 0)}"
+                        for (p, q), d in sorted(s.dims.items())))
+    write(f"\n\nstabilization: r = {an.stabilization}\nE_infinity cells:\n  p  q  dim"
+          + "".join(f"\n  {p}  {q}  {d}" for (p, q), d in sorted(an.stable.dims.items())))
+    write("\n\nabutment:\n  degree  e_infinity  total  match"
+          + "".join(f"\n  {row.degree}       {row.stable_total}           {row.cohomology_dim}"
+                    f"      {'yes' if row.ok else 'NO'}" for row in abutment.rows)
+          + f"\nabutment: {'ok' if abutment.passed else 'FAIL'}")
+    write(f"\n\ntensor factorization verdict: {e2.verdict}\n  p  q  product  e2  rankF  ok"
+          + "".join(f"\n  {c.p}  {c.q}  {c.product_dim}        {c.e2_dim}   {c.f_rank}      "
+                    f"{'yes' if c.ok else 'NO'}" for c in e2.cells)
+          + "\ninvariant realization of algebra cohomology: "
+          + ("ok" if e2.lie_realization_ok else "FAIL"))
+    if transgression:
+        write("\n\ntransgression d_2 in tensor bases:")
+    for (p, q), t in sorted(transgression.items()):  # one write per matrix row
+        write(f"\n  ({p},{q}) -> ({p + 2},{q - 1}): ")
+        lead = "["
+        for i in range(t.rows):
+            write(lead + "[" + ", ".join([f"'{col[i]}'" if i in col else "'0'"
+                                          for col in t.columns]) + "]")
+            lead = ", "
+        write("[]" if lead == "[" else "]")
+    write(f"\n\ntotal cohomology dims: {list(an.total_cohomology)}"
+          f"\nbasic cohomology dims: {[h.dim for h in an.frames.basic]}")
 
 
 # ---------------------------------------------------------------------------
@@ -445,12 +437,9 @@ def cmd_pages(path: str, max_r: int | None, fmt: str) -> int:
         print("\n".join(_check_lines(an)), file=sys.stderr)
         print(f"{model.name}: INVALID, no pages computed", file=sys.stderr)
         return 1
-    if fmt == "machine":
-        write = sys.stdout.write
-        machine_document(an, max_r, write)
-        write("\n")
-    else:
-        print(render_table(an, max_r))
+    write = sys.stdout.write
+    (machine_document if fmt == "machine" else render_table)(an, max_r, write)
+    write("\n")
     return 0
 
 
@@ -493,8 +482,10 @@ def _run_card(spec: str, fmt: str) -> int:
         )
         results.append(("transgression magnitude", good))
     ok = all(flag for _, flag in results)
+    # certified before the first write in both formats, though only the
+    # machine report shows it
+    an.transgression
     if fmt == "machine":
-        an.transgression  # computed before the first write, as the report's other stages are
         checks = _block([f'{{\n      "name": {_quoted(label)},'
                          f'\n      "passed": {_TRUTH[flag]}\n    }}' for label, flag in results],
                         "  ")
@@ -522,8 +513,19 @@ def cmd_examples(list_flag: bool, run_spec: str | None, fmt: str) -> int:
     return _run_card(run_spec, fmt)
 
 
+_FORMATS = ("table", "machine")
+
+
+def _format_arg(text: str) -> str:
+    if text not in _FORMATS:
+        raise ValueError(f"not a format: {text!r}")
+    return text
+
+
 def _int_arg(text: str) -> int:
     """An integer option's value; argparse names a refused one by its shown text."""
+    import argparse
+
     try:
         return _ascii_int(text)
     except ValueError:
@@ -532,7 +534,10 @@ def _int_arg(text: str) -> int:
 
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
-    """The command line parser, built once per process and reused by every main call."""
+    """The command line parser, built once per process on the first command
+    line that _plain_command declines, and reused by every later one."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="cartanss",
         description="Exact spectral sequences for invariant forms of locally free actions.",
@@ -545,18 +550,76 @@ def _parser() -> argparse.ArgumentParser:
     p_pages = sub.add_parser("pages", help="compute pages, abutment and the tensor check")
     p_pages.add_argument("file")
     p_pages.add_argument("--max-r", type=_int_arg, default=None, dest="max_r")
-    p_pages.add_argument("--format", choices=("table", "machine"), default="table")
+    p_pages.add_argument("--format", choices=_FORMATS, default="table")
 
     p_ex = sub.add_parser("examples", help="list or run the library cards")
     p_ex.add_argument("--list", action="store_true")
     p_ex.add_argument("--run", metavar="NAME[:param]")
-    p_ex.add_argument("--format", choices=("table", "machine"), default="table")
+    p_ex.add_argument("--format", choices=_FORMATS, default="table")
     return parser
 
 
+# each command's count of FILEs, and its options' fields with their
+# defaults and value readers (None for a flag), as _parser declares them
+_GRAMMAR = {
+    "validate": (1, {}),
+    "pages": (1, {"--max-r": ("max_r", None, _ascii_int),
+                  "--format": ("format", "table", _format_arg)}),
+    "examples": (0, {"--list": ("list", False, None),
+                     "--run": ("run", None, str),
+                     "--format": ("format", "table", _format_arg)}),
+}
+
+
+def _plain_command(argv: list) -> SimpleNamespace | None:
+    """The fields of a command line in the documented grammar, or None.
+
+    It reads the command first, then its options and FILE in any order,
+    each option spaced or with "=", the last of a repeated option winning.
+    Anything else is None and left to argparse, which words all help and
+    usage errors: an unknown or abbreviated option, "-h", "--", "-", a
+    value that is empty, missing, refused or starts with "-", a token that
+    is not a str, or a wrong count of FILEs.  Where it is not None, it
+    equals _parser().parse_args(argv)'s fields.
+    """
+    if not argv or not all(isinstance(a, str) and a for a in argv) or argv[0] not in _GRAMMAR:
+        return None
+    nfiles, options = _GRAMMAR[argv[0]]
+    fields = {"command": argv[0], **{f: default for f, default, _ in options.values()}}
+    files = []
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if not token.startswith("-"):
+            files.append(token)
+            continue
+        name, eq, value = token.partition("=")
+        if name not in options:
+            return None
+        field, _, read = options[name]
+        if read is None:  # a flag takes no value
+            if eq:
+                return None
+            fields[field] = True
+            continue
+        if not eq:
+            value = next(tokens, "")
+        if not value or value.startswith("-"):
+            return None
+        try:
+            fields[field] = read(value)
+        except ValueError:
+            return None
+    if len(files) != nfiles:
+        return None
+    if nfiles:
+        fields["file"] = files[0]
+    return SimpleNamespace(**fields)
+
+
 def main(argv=None) -> int:
+    argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        code = _dispatch(_parser().parse_args(argv))
+        code = _dispatch(_plain_command(argv) or _parser().parse_args(argv))
         sys.stdout.flush()
     except BrokenPipeError:  # the reader closed the pipe early: end quietly, exit 1
         # Python's SIGPIPE recipe: the flush at exit then writes to devnull

@@ -6,6 +6,7 @@ The conftest hook prints one pass/fail line per criterion after the run.
 
 from __future__ import annotations
 
+import io
 import json
 import random
 import time
@@ -230,7 +231,9 @@ def test_criterion_10_cli_round_trip(capsys):
         chunks = []
         machine_document(an, None, chunks.append)
         doc = json.loads("".join(chunks))
-        table = render_table(an, None)
+        out = io.StringIO()
+        render_table(an, None, out.write)
+        table = out.getvalue()
         parsed = parse_table_pages(table)
         for page_doc in doc["pages"]:
             cells = parsed[page_doc["r"]]

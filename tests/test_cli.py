@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import random
@@ -513,7 +514,9 @@ def test_missing_subcommand_exits_2():
     assert err.value.code == 2
 
 
-def test_a_second_main_call_builds_no_argument_parser(monkeypatch, capsys):
+@pytest.fixture
+def built_parsers(monkeypatch):
+    """The prog of every ArgumentParser built in the test, from an empty parser cache."""
     built = []
     init = argparse.ArgumentParser.__init__
 
@@ -523,18 +526,120 @@ def test_a_second_main_call_builds_no_argument_parser(monkeypatch, capsys):
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted_init)
     cli._parser.cache_clear()
+    yield built
+    cli._parser.cache_clear()
+
+
+def test_a_plain_command_line_builds_no_argument_parser(built_parsers, capsys):
+    path = str(Path(__file__).resolve().parent.parent / "sample_models" / "hopf.json")
+    assert main(["pages", path, "--format", "machine"]) == 0
+    assert main(["validate", path]) == 0
+    assert main(["examples", "--list"]) == 0
+    assert "hopf" in capsys.readouterr().out
+    assert built_parsers == []
+
+
+def test_the_first_usage_error_builds_the_parsers_and_a_second_builds_none(built_parsers,
+                                                                           capsys):
     usage = []
     for _ in range(2):
         with pytest.raises(SystemExit) as err:
             main([])
         assert err.value.code == 2
         usage.append(capsys.readouterr().err)
-        # the parser and its three subcommands, built by the first call only
-        assert len(built) == 4
-    assert main(["examples", "--list"]) == 0
-    assert "hopf" in capsys.readouterr().out
-    assert len(built) == 4
+        # the parser and its three subcommands, built by the first error only
+        assert len(built_parsers) == 4
     assert usage[0] == usage[1] and usage[0].startswith("usage: cartanss ")
+
+
+def test_a_plain_report_imports_no_argparse_and_help_still_does():
+    path = str(Path(__file__).resolve().parent.parent / "sample_models" / "hopf.json")
+    script = ("import sys\n"
+              f"sys.argv = ['cartanss', 'pages', {path!r}, '--format', 'machine']\n"
+              "from cartanss.cli import main\n"
+              "code = main()\n"
+              "print(code, sorted({'argparse', 'gettext'} & set(sys.modules)), file=sys.stderr)\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=source_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == "0 []\n"
+    assert json.loads(proc.stdout)["name"] == "hopf"
+    proc = subprocess.run([sys.executable, "-m", "cartanss", "-h"], capture_output=True,
+                          text=True, env=source_env())
+    assert proc.returncode == 0
+    assert proc.stdout.startswith("usage: cartanss ")
+
+
+# The differential corpus: the tokens of the documented grammar, with good and
+# bad values, and the forms that only argparse reads (help, "--", abbreviations).
+LONG_INT = "7" * 5000
+ALPHABET = (
+    "validate", "pages", "examples", "m.json", "a b", "", "-",
+    "--format", "--max-r", "--run", "--list",
+    "table", "machine", "tab", "3", "+2", "-1", "5x", LONG_INT, "hopf:2",
+    "--format=machine", "--format=", "--max-r=0", "--max-r=-1", "--max-r=5x",
+    "--max-r=" + LONG_INT, "--run=hopf", "--run=", "--list=1",
+    "-h", "--", "--form", "--ma",
+)
+# the pieces each command's options are written in, both forms, good values
+GRAMMAR_PIECES = {
+    "validate": [],
+    "pages": [("--format", "machine"), ("--format=table",), ("--max-r", "3"),
+              ("--max-r=+2",), ("--max-r", "0")],
+    "examples": [("--list",), ("--run", "hopf"), ("--run=group_torus:2",),
+                 ("--format", "machine"), ("--format=table",)],
+}
+
+
+def grammar_argvs() -> list[list[str]]:
+    """Every command line of the documented grammar with at most three option
+    pieces, repeats included, FILE at every place among them."""
+    out = []
+    for command, pieces in GRAMMAR_PIECES.items():
+        for shape in {s for k in range(4) for s in itertools.product(pieces, repeat=k)}:
+            if command == "examples":
+                out.append([command, *(t for piece in shape for t in piece)])
+                continue
+            for at in range(len(shape) + 1):
+                parts = shape[:at] + (("m.json",),) + shape[at:]
+                out.append([command, *(t for piece in parts for t in piece)])
+    return out
+
+
+class Refused(Exception):
+    """argparse would exit: a usage error, or help."""
+
+
+def test_the_plain_recognizer_agrees_with_argparse(monkeypatch):
+    """_plain_command is None or equal to argparse's fields on every command
+    line of a fixed corpus: every token sequence of length up to 3, a seeded
+    sample of longer ones, and every shape of the documented grammar, all of
+    which it accepts."""
+    def refuse(self, *args, **kwargs):
+        raise Refused
+
+    for name in ("error", "exit", "print_help"):
+        monkeypatch.setattr(argparse.ArgumentParser, name, refuse)
+    parser = cli._parser()
+    rng = random.Random(33)
+    seqs = [list(s) for k in range(4) for s in itertools.product(ALPHABET, repeat=k)]
+    seqs += [[rng.choice(ALPHABET[:3])] + rng.choices(ALPHABET, k=rng.randint(3, 5))
+             for _ in range(4000)]
+    grammar = grammar_argvs()
+    accepted = 0
+    for argv in seqs + grammar:
+        rec = cli._plain_command(argv)
+        try:
+            fields = vars(parser.parse_args(argv))
+        except Refused:
+            assert rec is None, argv
+            continue
+        if rec is not None:
+            assert vars(rec) == fields, argv
+            accepted += 1
+    assert all(cli._plain_command(argv) is not None for argv in grammar)
+    assert accepted > len(grammar)
+    assert cli._plain_command(["pages", Path("m.json")]) is None
 
 
 def test_module_entry_point_runs():
@@ -690,7 +795,9 @@ def test_a_certificate_failure_writes_nothing_to_stdout(tmp_path, monkeypatch, c
     path = str(tmp_path / "model.json")
     save_model_file(get_model(card).model, path)
     for argv in (["pages", path, "--format", "machine"],
-                 ["examples", "--run", card, "--format", "machine"]):
+                 ["examples", "--run", card, "--format", "machine"],
+                 ["pages", path, "--format", "table"],
+                 ["examples", "--run", card, "--format", "table"]):
         with pytest.raises(CertificateError):
             main(argv)
         assert capsys.readouterr().out == "", argv

@@ -59,7 +59,8 @@ def runs() -> list[tuple[str, ...]]:
         for fmt in ("table", "machine"):
             out.append(("examples", "--run", spec, "--format", fmt))
     for name in BUILT:
-        out.append(("pages", name, "--format", "machine"))
+        for fmt in ("table", "machine"):
+            out.append(("pages", name, "--format", fmt))
     return out
 
 
@@ -149,8 +150,12 @@ DIGESTS = {
         "0ce026ac6778d527a9fa235f6834e93fb33c845bf4635978b6b2d37dd0c161c4",
     "examples --run weighted_hopf:3 --format machine":
         "5d0da477840dbbdebd5e416c2ff892cca3a18cb292f3621f0310153290af2d3c",
+    "pages su2_pair_t2.json --format table":
+        "32abd71986083b46a45234a9aecf8b64d43ff3b2637025b890c4566f9bfad279",
     "pages su2_pair_t2.json --format machine":
         "674fd7dff0d920388a640e0c6f70d716427ae775bbdd2e95aa9bb607a21709d7",
+    "pages group_torus_10.json --format table":
+        "a643b2c0bb102e464e3a2649c7b1f4bf1f939298b4f2e4fb7e2fbb8e6d9e2a67",
     "pages group_torus_10.json --format machine":
         "ecc367075c93f805f65ad869f85016f3ee47e321e3a63a2613ecae6fff6225f3",
 }
