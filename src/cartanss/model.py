@@ -18,30 +18,33 @@ vanishes, which is exactly the compatibility required of (d_hor, E_i, delta).
 The model holds these operators only as tables.  Each model keeps, outside
 equality and filled on first use, the sparse image under total_d of every
 monomial whose image is nonzero, its three parts read straight from
-d_hor_table, euler_table and delta_terms (total_images), and the basis of
-each total degree with its position map (degree_basis), each built by one
-monomial_basis call.  total_d is mostly zero on the models of an abelian
-algebra (on a torus acting on itself it is zero), so the table costs what
-total_d holds: where delta is zero, a generator with no d_hor and no Euler
-entry is not visited at all.  validate_model composes the kept images, once,
-and total_columns reads each degree's column-sparse total_d off them, with
-an empty column for a monomial that has no image.  The tests check both
-against the element operators of tests/oracles.py, which apply the formulas
-above to linear combinations of monomials, and the certificate against the
-composition of every monomial's image there.
+d_hor_table, euler_table and delta_terms (total_images).  No monomial basis
+is listed: the basis of total degree m is the stack of blocks
+B^p (x) Lambda^(m-p), p from the top down, so every filtration level and
+every monomial's position is counted (prefix_levels).  total_d is mostly
+zero on the models of an abelian algebra (on a torus acting on itself it is
+zero), so the table costs what total_d holds: where delta is zero, a
+generator with no d_hor and no Euler entry is not visited at all.
+validate_model composes the kept images, once, and total_columns places
+them into every degree's column-sparse total_d in one pass, with an empty
+column for a monomial that has no image.  The tests check both against the
+element operators and the listed basis of tests/oracles.py, which apply the
+formulas above to linear combinations of monomials, and the certificate
+against the composition of every monomial's image there.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
 
 from .liealg import (
     LieData,
     MultiIndex,
+    _positions,
     all_multi_indices,
     delta_terms,
     first_delta_squared_failure,
-    multi_indices,
 )
 from .qlinalg import SparseColumns, as_q, exact
 from .reports import CheckResult, ReadOnly, ValidationReport
@@ -177,15 +180,14 @@ Image = dict[Monomial, Fraction]
 class EquivariantModel(ReadOnly):
     """A metric Lie algebra acting on a basic complex.
 
-    Derived tables, taking no part in equality, hash or repr and never built
-    at construction (so an oversized model is refused before any monomial
-    is listed): _images, the table of the nonzero images of total_images,
-    None until it is built, and _bases, the per-degree bases of
-    degree_basis, which starts empty.
+    A derived table, taking no part in equality, hash or repr and never
+    built at construction (so an oversized model is refused before any
+    image is taken): _images, the table of the nonzero images of
+    total_images, None until it is built.
     """
 
     def __init__(self, name: str, lie: LieData, basic: BasicComplex):
-        vars(self).update(name=name, lie=lie, basic=basic, _images=None, _bases={})
+        vars(self).update(name=name, lie=lie, basic=basic, _images=None)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -198,25 +200,6 @@ class EquivariantModel(ReadOnly):
     def __repr__(self):
         return (f"{type(self).__qualname__}(name={self.name!r}, lie={self.lie!r}, "
                 f"basic={self.basic!r})")
-
-
-def monomial_basis(model: EquivariantModel, k: int) -> tuple[tuple[int, MultiIndex], ...]:
-    """Basis of total degree k, ordered by descending horizontal degree.
-
-    Within one horizontal degree: generators in declaration order, then
-    multi-indices lexicographically.  The descending order makes every
-    filtration step a coordinate prefix.  Only the horizontal degrees p
-    with 0 <= k - p <= n hold monomials of degree k, and only those are
-    visited.
-    """
-    out: list[tuple[int, MultiIndex]] = []
-    n = model.lie.n
-    for p in range(min(model.basic.max_degree, k), max(k - n, 0) - 1, -1):
-        q = k - p
-        for g in model.basic.gens_of_degree(p):
-            for I in multi_indices(n, q):
-                out.append((g, I))
-    return tuple(out)
 
 
 def max_total_degree(model: EquivariantModel) -> int:
@@ -232,8 +215,8 @@ MAX_AMBIENT_DIM = 1 << 15
 
 # Largest total degree (top basic degree + lie.n) a model may reach.  The
 # largest card or benchmark model, S^25, reaches 25.  The pages walk only the
-# E_0 support (B^p != 0), but the filtration lists a basis, a column table
-# and a prefix of length m + 2 for every degree m up to the top, the
+# E_0 support (B^p != 0), but the filtration counts a prefix of length m + 2
+# and keeps a column table for every degree m up to the top, the
 # cohomology of (B, d_hor) takes a differential per basic degree, and
 # stabilization may take up to top + 2 pages, so a basic generator of degree
 # 10^6 would never finish.
@@ -270,17 +253,6 @@ def size_error(num_generators: int, n: int, max_degree: int) -> str | None:
 def _monomial_name(model: EquivariantModel, key: Monomial) -> str:
     g, I = key
     return f"{model.basic.name_of(g)} (x) chi{list(I)}"
-
-
-def degree_basis(
-    model: EquivariantModel, k: int
-) -> tuple[tuple[Monomial, ...], dict[Monomial, int]]:
-    """monomial_basis(model, k) and each monomial's position in it, built once per degree."""
-    hit = model._bases.get(k)
-    if hit is None:
-        basis = monomial_basis(model, k)
-        hit = model._bases[k] = (basis, {key: i for i, key in enumerate(basis)})
-    return hit
 
 
 def _add(out: Image, key: Monomial, value: Fraction) -> None:
@@ -335,33 +307,59 @@ def total_images(model: EquivariantModel) -> dict[Monomial, Image]:
     return table
 
 
-def total_columns(model: EquivariantModel, k: int) -> SparseColumns:
-    """total_d from degree k to k+1 in the monomial bases, column by column.
+def prefix_levels(model: EquivariantModel) -> tuple[tuple[int, ...], ...]:
+    """k(p, m) = dim F^p C^m for 0 <= p <= m + 1, per total degree m up to the top.
 
-    Column j holds the (row, value) pairs of the image of the j-th monomial
-    of degree k, in increasing row order, zeros left out: () for a monomial
-    with no key in total_images.
+    The basis of C^m is the stack of blocks B^p (x) Lambda^(m-p), p from
+    m down to 0, so the levels are counts, and no monomial is listed:
+    k(p, m) = sum over p' >= p of |B^p'| C(n, m - p'), with k(0, m) =
+    dim C^m and k(m + 1, m) = 0.  Inside its block, g (x) chi_I, of
+    bidegree (p, q), sits at k(p + 1, m) + j C(n, q) + i: j is
+    basic.degree_index[g], g's position among the generators of degree p
+    in declaration order, and i is I's position among the degree-q
+    multi-indices in lexicographic order (liealg._positions).
     """
-    src, _ = degree_basis(model, k)
-    _, pos = degree_basis(model, k + 1)
-    total = total_images(model)
-    cols = []
-    for x in src:
-        image = total.get(x)
-        if image is None:
-            cols.append(())
-            continue
+    n, blocks = model.lie.n, model.basic.by_degree
+    out = []
+    for m in range(max_total_degree(model) + 1):
+        levels = [0] * (m + 2)
+        k = 0
+        for p in range(m, -1, -1):
+            k += len(blocks.get(p, ())) * comb(n, m - p)
+            levels[p] = k
+        out.append(tuple(levels))
+    return tuple(out)
+
+
+def total_columns(model: EquivariantModel,
+                  levels: tuple[tuple[int, ...], ...]) -> tuple[SparseColumns, ...]:
+    """total_d from each degree m to m + 1 in the monomial bases, column by column.
+
+    levels is prefix_levels(model), whose position rule places every
+    monomial.  One pass over total_images: the column of a monomial of
+    degree m holds the (row, value) pairs of its image, in increasing row
+    order, zeros left out, and a monomial with no key in total_images gets
+    ().  An image that leaves degree m + 1 raises ValueError naming the
+    monomial there, for the first such image in table order.
+    """
+    lie, n = model.lie, model.lie.n
+    gens, index = model.basic.generators, model.basic.degree_index
+    columns = [[()] * k[0] for k in levels]
+    for (g, I), image in total_images(model).items():
+        p, q = gens[g][1], len(I)
+        m = p + q
         col = []
         for y, v in image.items():
-            i = pos.get(y)
-            if i is None:
+            h, J = y
+            s, r = gens[h][1], len(J)
+            if s + r != m + 1:
                 raise ValueError(
-                    f"monomial {_monomial_name(model, y)} is not in total degree {k + 1}"
+                    f"monomial {_monomial_name(model, y)} is not in total degree {m + 1}"
                 )
-            col.append((i, v))
+            col.append((levels[m + 1][s + 1] + index[h] * comb(n, r) + _positions(lie, r)[J], v))
         col.sort()
-        cols.append(tuple(col))
-    return tuple(cols)
+        columns[m][levels[m][p + 1] + index[g] * comb(n, q) + _positions(lie, q)[I]] = tuple(col)
+    return tuple(map(tuple, columns))
 
 
 # the bidegree component of total_d^2 that a path x -> y -> z of two

@@ -51,7 +51,9 @@ pairs of gap 2 there.  No page is built as quotients and no kernel is taken.
 
 The filtration of the invariant-forms model is by chi-count complement:
 F^p C^m is spanned by monomials of horizontal degree >= p, which come first
-in the monomial basis.  The window of spot (p, q) is then B^p (x) Lambda^q,
+in the monomial basis, and the filtration reads every k(p, m) off
+model.prefix_levels, a count over the blocks B^p (x) Lambda^(m-p) that
+lists no monomial.  The window of spot (p, q) is then B^p (x) Lambda^q,
 so only the spots with B^p != 0 and q <= n get cells, not the whole
 triangle 0 <= p <= m up to the top degree.  Page r = 0 and r = 1 are
 bookkeeping pages of the bigraded model; the geometric content starts at
@@ -69,7 +71,7 @@ from functools import cached_property
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 
-from .model import EquivariantModel, degree_basis, max_total_degree, total_columns
+from .model import EquivariantModel, prefix_levels, total_columns
 from .qlinalg import _ratio, apply_sparse
 
 
@@ -120,30 +122,14 @@ class FilteredComplex(namedtuple("FilteredComplex", "dims d_columns prefix")):
 def cartan_filtration(model: EquivariantModel) -> FilteredComplex:
     """Filtration by horizontal degree of the invariant-forms model.
 
-    Monomial bases are ordered by descending horizontal degree, so each F^p
-    is a coordinate prefix, and k(p, m), the count of basis degrees >= p,
-    is read off one walk down the basis: the walk stops at each level p,
-    from m + 1 down to 0, where the degrees fall below p.  d is read
-    column-sparse off the model's monomial images (model.total_columns).
-    The model must pass validate_model.
+    The monomial basis of each degree is ordered by descending horizontal
+    degree, so each F^p is a coordinate prefix, and its length k(p, m) is
+    counted, not read off a basis (model.prefix_levels).  d is read
+    column-sparse off the model's monomial images, placed by the same
+    count (model.total_columns).  The model must pass validate_model.
     """
-    top = max_total_degree(model)
-    gens = model.basic.generators
-    dims = []
-    columns = []
-    prefix = []
-    for m in range(top + 1):
-        basis, _ = degree_basis(model, m)
-        levels = [0] * (m + 2)
-        i, size = 0, len(basis)
-        for p in range(m + 1, -1, -1):
-            while i < size and gens[basis[i][0]][1] >= p:
-                i += 1
-            levels[p] = i
-        dims.append(size)
-        columns.append(total_columns(model, m))
-        prefix.append(tuple(levels))
-    return FilteredComplex(tuple(dims), tuple(columns), tuple(prefix))
+    levels = prefix_levels(model)
+    return FilteredComplex(tuple(k[0] for k in levels), total_columns(model, levels), levels)
 
 
 class PageSummary(namedtuple("PageSummary", "r dims d_ranks")):

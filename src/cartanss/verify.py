@@ -172,9 +172,10 @@ def _e2_frames(model: EquivariantModel, page2: dict[tuple[int, int], WindowCell]
     basic_cohomology's representatives, beta each invariant basis row.
     The cell's window is the block B^p (x) Lambda^q, generator by
     generator, so the entry of the j-th generator of degree p and the i-th
-    multi-index of degree q sits at cell.lo + j C(n, q) + i.  Its class is
-    one class read in the cell, which also checks that it lies in Z_2, and
-    where the target of d_2 is nonzero, d of it is read there too.
+    multi-index of degree q sits at cell.lo + j C(n, q) + i, the position
+    rule of model.prefix_levels.  Its class is one class read in the cell,
+    which also checks that it lies in Z_2, and where the target of d_2 is
+    nonzero, d of it is read there too.
     d is applied once per representative: the class read in the cell takes
     it as given, and the read in the target skips the check of d(d x) in
     F^(p+4), since d^2 = 0 (validate_model).  f_rank is the rank of the

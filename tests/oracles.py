@@ -46,6 +46,12 @@ kernel of the stacked homotopy matrices.
 invariant-forms model, and `d10`, `d01`, `d21` and `total_d` apply the three
 parts of the model's differential to it, read off the `d_hor` and Euler
 entries and `wedge_ce_delta`, not off the model's tables.
+`monomial_basis` lists the basis of one total degree in the documented
+order, monomial by monomial, and `degree_basis` adds each monomial's
+position; the engine lists no basis and counts every position instead
+(`model.prefix_levels`), so `element_to_vector`, `oracle_total_matrix` and
+`dense_tensor_vector`, which place coordinates by this listing, check the
+count from outside.
 `oracle_total_matrix` and `oracle_identity_checks` are the model layer
 before it read the operators from per-model monomial tables: every column
 and every component of d^2 is a composition of these operators, one element
@@ -116,7 +122,7 @@ from itertools import combinations, product
 from math import comb
 
 from cartanss.liealg import LieData, all_multi_indices, multi_indices
-from cartanss.model import BasicComplex, EquivariantModel, degree_basis, monomial_basis
+from cartanss.model import BasicComplex, EquivariantModel
 from cartanss.qlinalg import Matrix, Quotient, Subspace, column_rows, sparse_kernel
 from cartanss.reports import CertificateError, CheckResult
 from cartanss.specseq import FilteredComplex
@@ -708,6 +714,24 @@ def oracle_total_images(model: EquivariantModel) -> dict:
             for g in range(model.basic.num_generators) for I in all_multi_indices(model.lie.n)}
 
 
+def monomial_basis(model: EquivariantModel, k: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """The monomials of total degree k, listed in the documented order:
+    horizontal degree p from k down to 0, at each the generators of degree p
+    in declaration order, each with the degree-(k - p) multi-indices in
+    lexicographic order."""
+    basic, n = model.basic, model.lie.n
+    return tuple((g, I) for p in range(k, -1, -1)
+                 for g in range(basic.num_generators) if basic.degree_of(g) == p
+                 for I in combinations(range(1, n + 1), k - p))
+
+
+@lru_cache(maxsize=64)
+def degree_basis(model: EquivariantModel, k: int) -> tuple[tuple, dict]:
+    """monomial_basis(model, k) and each monomial's position in it."""
+    basis = monomial_basis(model, k)
+    return basis, {key: i for i, key in enumerate(basis)}
+
+
 def element_to_vector(model: EquivariantModel, x: ModelElement, k: int) -> tuple[Q, ...]:
     """Coordinates of x in the monomial basis of total degree k; ValueError off that degree."""
     basis, pos = degree_basis(model, k)
@@ -1044,7 +1068,9 @@ def dense_tensor_vector(model: EquivariantModel, alpha_row, p: int, beta_row, q:
     """alpha (x) beta as a dense vector of C^(p+q), alpha and beta as dense rows."""
     _, pos = degree_basis(model, p + q)
     vec = [Q(0)] * len(pos)
-    for g, a in zip(model.basic.gens_of_degree(p), alpha_row):
+    basic = model.basic
+    gens = [g for g in range(basic.num_generators) if basic.degree_of(g) == p]
+    for g, a in zip(gens, alpha_row):
         for I, b in zip(multi_indices(model.lie.n, q), beta_row):
             if a and b:
                 vec[pos[(g, I)]] = a * b

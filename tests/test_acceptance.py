@@ -35,7 +35,6 @@ from cartanss.liealg import (
 )
 from cartanss.model import (
     max_total_degree,
-    monomial_basis,
     validate_model,
 )
 from cartanss.specseq import (
@@ -51,6 +50,7 @@ from oracles import (
     coadjoint_columns,
     dense_d_hor,
     dmat,
+    monomial_basis,
     oracle_lie_dims,
     oracle_total_cohomology,
     recurrence_dims,

@@ -834,9 +834,10 @@ def test_pages_builds_each_total_matrix_once(tmp_path, monkeypatch, capsys, sour
     calls = count_calls(monkeypatch, (("model", "total_columns"),))
     assert main(["pages", path, "--format", "machine"]) == 0
     capsys.readouterr()
-    # the filtration reads each degree's d column-sparse once, and the
-    # abutment's rank count reuses those columns
-    assert sorted(args[1] for args in calls["total_columns"]) == list(range(top + 1))
+    # the filtration places every degree's d column-sparse in one call, and
+    # the abutment's rank count reuses those columns
+    ((_, levels),) = calls["total_columns"]
+    assert len(levels) == top + 1
 
 
 def test_validation_alone_builds_no_filtration_and_no_page(tmp_path, monkeypatch, capsys):
@@ -858,8 +859,7 @@ def test_one_analysis_builds_each_stage_once(monkeypatch):
     an = Analysis(model)
     assert an.abutment.passed and an.e2.passed and an.transgression
     assert an.frames.page2 is an.page2
-    assert sorted(args[1] for args in calls["total_columns"]) == list(
-        range(max_total_degree(model) + 1))
+    assert len(calls["total_columns"]) == 1
     # the filtration is gated on validation, so each validator runs once
     assert {f: len(calls[f]) for f in ("cartan_filtration", "_e2_frames", "validate_lie",
                                        "validate_model", "persistence_pairing",
@@ -1230,22 +1230,27 @@ def test_an_oversized_count_is_refused_with_a_short_message(tmp_path, capsys, do
     assert f"exceeds the limit {limit}" in err
 
 
-@pytest.mark.parametrize("source", ["sample_models/hopf.json", "group_su2"])
-def test_pages_builds_no_model_element_and_each_basis_once(tmp_path, monkeypatch, capsys,
-                                                            source):
-    if source.endswith(".json"):
-        path = str(Path(__file__).resolve().parent.parent / source)
-    else:
-        path = str(tmp_path / "model.json")
-        save_model_file(get_model(source).model, path)
-    top = max_total_degree(load_model_file(path))
-    calls = count_calls(monkeypatch, (("model", "monomial_basis"),))
+def test_a_report_lists_no_monomial_basis(tmp_path, monkeypatch, capsys):
+    """The filtration counts every level and position: on an abelian n = 12
+    model, loaded from a file so that no card builds the algebra's
+    differential, `pages` indexes no multi-index and every one of the 4,096
+    columns of d is empty."""
+    path = str(tmp_path / "model.json")
+    save_model_file(EquivariantModel("torus12", LieData.abelian(12),
+                                     BasicComplex.build([("1", 0)])), path)
+    placed = []
+    total_columns = specseq.total_columns
+
+    def recorded(*args):
+        placed.append((args, total_columns(*args)))
+        return placed[-1][1]
+    monkeypatch.setattr(specseq, "total_columns", recorded)
     assert main(["pages", path, "--format", "machine"]) == 0
     capsys.readouterr()
-    # validation, the total columns, the E_2 frames and the algebra's
-    # cohomology all read the model's and the algebra's tables, which list
-    # each degree's basis once
-    assert sorted(args[1] for args in calls["monomial_basis"]) == list(range(top + 2))
+    (((model, _), columns),) = placed
+    assert model.lie._positions == {}
+    assert sum(map(len, columns)) == 1 << 12
+    assert all(col == () for cols in columns for col in cols)
 
 
 def test_an_unreadable_path_is_named_once_and_cut(tmp_path, capsys):

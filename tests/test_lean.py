@@ -192,6 +192,35 @@ def test_the_oracles_import_no_private_name_of_the_engine():
                            "from fractions import _gcd\n") == ["cartanss.qlinalg._reduced"]
 
 
+def model_imports(source: str) -> list[str]:
+    """Each name source takes from cartanss.model, and "cartanss.model" for
+    the module itself, by `import` or `from cartanss import model`."""
+    names = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.module == "cartanss.model":
+            names += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module == "cartanss":
+            names += ["cartanss.model" for alias in node.names if alias.name == "model"]
+        elif isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names if alias.name == "cartanss.model"]
+    return names
+
+
+def test_the_oracles_take_only_the_model_types_from_the_model_layer():
+    """tests/oracles.py lists the monomial basis itself, so the positions it
+    places coordinates by check the engine's counted layout from outside:
+    from cartanss.model it imports BasicComplex and EquivariantModel only."""
+    assert model_imports(ORACLES.read_text(encoding="utf-8")) == [
+        "BasicComplex", "EquivariantModel"]
+    # the guard sees a layout function beside the types and the module
+    # itself, and no other module
+    assert model_imports("from cartanss.model import BasicComplex, prefix_levels\n"
+                         "from cartanss import model, specseq\n"
+                         "import cartanss.model, cartanss.specseq\n"
+                         "from cartanss.specseq import cartan_filtration\n") == [
+        "BasicComplex", "prefix_levels", "cartanss.model", "cartanss.model"]
+
+
 def assert_statements(source: str) -> list[int]:
     """The line of every assert statement in source."""
     return [node.lineno for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Assert)]

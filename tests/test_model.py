@@ -15,6 +15,7 @@ from oracles import (
     direct_sum,
     element_to_vector,
     heisenberg_nilmanifold,
+    monomial_basis,
     oracle_identity_checks,
     oracle_square_failures,
     oracle_total_cohomology,
@@ -41,8 +42,9 @@ from cartanss.model import (
     BasicComplex,
     EquivariantModel,
     _square_failures,
+    MAX_TOTAL_DEGREE,
     max_total_degree,
-    monomial_basis,
+    prefix_levels,
     size_error,
     total_columns,
     total_images,
@@ -96,8 +98,8 @@ def test_d21_on_hopf_generator():
 
 def test_kronecker_total_d_vanishes():
     model = get_model("kronecker").model
+    assert not any(map(any, total_columns(model, prefix_levels(model))))
     for k in range(max_total_degree(model) + 1):
-        assert not any(total_columns(model, k))
         for g, I in monomial_basis(model, k):
             assert total_d(model, mono(g, I)).is_zero
 
@@ -186,6 +188,7 @@ def test_vector_round_trip_and_matrix_consistency():
     rng = random.Random(67)
     for name in ("hopf", "kronecker", "group_su2"):
         model = get_model(name).model
+        columns = total_columns(model, prefix_levels(model))
         for k in range(max_total_degree(model) + 1):
             basis = monomial_basis(model, k)
             if not basis:
@@ -195,7 +198,7 @@ def test_vector_round_trip_and_matrix_consistency():
                 x = x + mono(g, I, Q(rng.randint(-3, 3)))
             vec = element_to_vector(model, x, k)
             assert ModelElement({key: v for key, v in zip(basis, vec)}) == x
-            out = apply_sparse(total_columns(model, k), {i: v for i, v in enumerate(vec) if v})
+            out = apply_sparse(columns[k], {i: v for i, v in enumerate(vec) if v})
             target = monomial_basis(model, k + 1)
             assert ModelElement({target[i]: v for i, v in out.items()}) == total_d(model, x)
 
@@ -429,22 +432,67 @@ def test_work_follows_the_nonzero_images_of_total_d(monkeypatch):
     assert list(total_images(su2)) == [x for x, image in want.items() if image]
 
 
+def layout_test_models():
+    """table_test_models(), heisenberg_nil:1..4, generators in degrees 0, 5
+    and 9 over n = 2, so that most blocks B^p are empty, with delta nonzero,
+    and a degree-127 generator over n = 1, at MAX_TOTAL_DEGREE."""
+    models = table_test_models() + [heisenberg_nilmanifold(k) for k in range(1, 5)]
+    affine = LieData.from_structure_constants(2, [(1, 2, 2, 1)], completion="bracket")
+    models.append(EquivariantModel("gaps", affine, BasicComplex.build(
+        [("1", 0), ("u", 5), ("w", 9)])))
+    models.append(EquivariantModel("edge", LieData.abelian(1), BasicComplex.build(
+        [("1", 0), ("top", MAX_TOTAL_DEGREE - 1)])))
+    return models
+
+
+def first_image_error(model) -> str | None:
+    """The oracle's message for the first monomial, in table order, whose
+    image leaves the next total degree; None when every image stays."""
+    degree = model.basic.degree_of
+    for (g, I), image in oracle_total_images(model).items():
+        try:
+            element_to_vector(model, ModelElement(image), degree(g) + len(I) + 1)
+        except ValueError as exc:
+            return str(exc)
+    return None
+
+
+def test_counted_layout_equals_the_listed_basis():
+    """prefix_levels against the level counts of the oracle's listed basis,
+    and total_columns, placed by the count, against the element-operator
+    matrix in every degree."""
+    for model in layout_test_models():
+        levels = prefix_levels(model)
+        top = max_total_degree(model)
+        assert len(levels) == top + 1 and monomial_basis(model, top + 1) == ()
+        for m, counted in enumerate(levels):
+            degrees = [model.basic.degree_of(g) for g, _ in monomial_basis(model, m)]
+            assert counted == tuple(sum(deg >= p for deg in degrees)
+                                    for p in range(m + 2)), (model.name, m)
+        if first_image_error(model) is not None:
+            continue
+        got = total_columns(model, levels)
+        for m in range(top + 1):
+            assert got[m] == sparse_columns(oracle_total_matrix(model, m)), (model.name, m)
+
+
 def test_total_matrix_matches_the_element_oracle():
+    """Where an image leaves its degree, total_columns raises the oracle's
+    message for the first such monomial in table order; elsewhere every
+    entry is in qlinalg's scalar form (the values are checked by
+    test_counted_layout_equals_the_listed_basis)."""
     raised = 0
     for model in table_test_models():
-        for k in range(max_total_degree(model) + 2):
-            try:
-                want = oracle_total_matrix(model, k)
-            except ValueError as exc:
-                with pytest.raises(ValueError) as err:
-                    total_columns(model, k)
-                assert str(err.value) == str(exc), (model.name, k)
-                raised += 1
-                continue
-            got = total_columns(model, k)
-            assert got == sparse_columns(want), (model.name, k)
-            assert all(type(x) is (int if x.denominator == 1 else Q)
-                       for col in got for _, x in col)
+        want = first_image_error(model)
+        if want is not None:
+            with pytest.raises(ValueError) as err:
+                total_columns(model, prefix_levels(model))
+            assert str(err.value) == want, model.name
+            raised += 1
+            continue
+        got = total_columns(model, prefix_levels(model))
+        assert all(type(x) is (int if x.denominator == 1 else Q)
+                   for cols in got for col in cols for _, x in col)
     assert raised >= 1
 
 
@@ -462,10 +510,11 @@ def test_validate_model_matches_the_element_oracle():
 def test_model_tables_are_built_on_first_use_and_stay_out_of_equality():
     huge = EquivariantModel("huge", LieData.abelian(40), BasicComplex.build([("1", 0)]))
     assert "2^40" in size_error(huge.basic.num_generators, huge.lie.n, huge.basic.max_degree)
-    assert huge._images is None and not huge._bases
+    assert huge._images is None
     model = get_model("group_su2").model
     twin = get_model("group_su2").model
-    assert validate_model(model).passed and len(total_columns(model, 1)) == 3
-    assert model._images and model._bases and twin._images is None
+    assert validate_model(model).passed
+    assert len(total_columns(model, prefix_levels(model))[1]) == 3
+    assert model._images and twin._images is None
     assert model == twin and hash(model) == hash(twin)
     assert "_images" not in repr(model)

@@ -25,6 +25,7 @@ from oracles import (
     homology_dims,
     is_zero,
     matmul,
+    monomial_basis,
     oracle_counts,
     oracle_divisor,
     oracle_page,
@@ -51,7 +52,6 @@ from cartanss.model import (
     MAX_AMBIENT_DIM,
     BasicComplex,
     EquivariantModel,
-    monomial_basis,
     size_error,
 )
 from cartanss import liealg, qlinalg, specseq, verify
@@ -511,11 +511,11 @@ def walk_test_models():
 
 
 def test_prefix_tables_and_bases_match_their_definitions():
-    """cartan_filtration reads each prefix table off one walk down the basis,
-    and monomial_basis visits only the horizontal degrees that hold
-    monomials: each against its definition, the count of basis degrees >= p
-    and the filter over every horizontal degree.  The support's walk is
-    checked against the triangle scan by
+    """cartan_filtration counts each prefix table (model.prefix_levels), and
+    the oracles' monomial_basis lists the basis by degree_of: each against
+    its definition, the count of basis degrees >= p and the listing by
+    gens_of_degree over the horizontal degrees that hold monomials.  The
+    support's walk is checked against the triangle scan by
     test_support_is_the_triangle_scan_of_nonempty_windows."""
     for model in walk_test_models():
         fc = cartan_filtration(model)
