@@ -19,7 +19,7 @@ from .model import (
     EquivariantModel,
     validate_model,
 )
-from .qlinalg import Matrix, Subspace, quotient_map
+from .qlinalg import Matrix, Subspace
 from .reports import CertificateError
 from .specseq import (
     FilteredComplex,
@@ -51,7 +51,6 @@ __all__ = [
     "invariant_subcomplex",
     "multi_indices",
     "persistence_pairing",
-    "quotient_map",
     "random_trivial_product",
     "second_page",
     "validate_lie",

@@ -444,9 +444,9 @@ def cmd_pages(path: str, max_r: int | None, fmt: str) -> int:
 
 
 def _run_card(spec: str, fmt: str) -> int:
-    name, _, param_text = spec.partition(":")
+    name, sep, param_text = spec.partition(":")
     param = None
-    if param_text:
+    if sep:
         try:
             param = _ascii_int(param_text)
         except ValueError:

@@ -342,7 +342,7 @@ def invariant_subcomplex(L: LieData) -> tuple[Subspace, ...]:
                 if any(image.values()):
                     raise CertificateError(
                         f"coadjoint({ell}) of a harmonic form of degree {q} is nonzero")
-        out.append(Subspace.from_echelon(len(idx), kernel))
+        out.append(Subspace(len(idx), kernel))
         below = columns
     return tuple(out)
 

@@ -1,7 +1,7 @@
 """Exact linear algebra over the rationals.
 
 The cohomologies, invariants, E_2 frames and transgression downstream reduce
-to the row reduction, kernels, quotients and solves done here; the spectral
+to the row reduction, kernels, cohomologies and solves done here; the spectral
 sequence's own column reduction is specseq.persistence_pairing, which
 shares only `_ratio` and `apply_sparse` with this module.  Every
 coefficient is exact and results are deterministic.  The scalar rule: a
@@ -20,13 +20,13 @@ map it reduces by its columns (SparseColumns), and `column_rows` gathers the
 rows of one for elimination.
 
 Spaces are sparse.  A Subspace keeps only its echelon, {pivot: {column:
-value} past the pivot}, and a `Quotient` keeps its representatives by their
-pivots and the projection as the class of each pivot.  Every cohomology is
-a `Quotient` per degree, so the results handed on stay sparse too; the
-renders write the transgression's rows from its sparse columns.  `Matrix`
-is the one dense form: it is built from rows, read by entry, and reduced
-by `Matrix.rref`, and no report builds one.  The tests read spaces and
-quotients into it with the readers of tests/oracles.py.
+value} past the pivot}, and a `Cohomology` keeps its cocycles as a
+Subspace and its representatives by their pivots there, so the results
+handed on stay sparse too; the renders write the transgression's rows from
+its sparse columns.  `Matrix` is the one dense form: it is built from rows,
+read by entry, and reduced by `Matrix.rref`, and no report builds one.  The
+tests read spaces and cohomologies into it with the readers of
+tests/oracles.py.
 
 Row reduction has one core, a sparse echelon over Q: `_eliminate` reduces a
 sparse row through echelon rows {pivot: tail}, each 1 at its pivot, visiting
@@ -36,7 +36,7 @@ elimination here runs on it.  `_forward` is the forward pass over a list
 of rows, and `sparse_rank` counts its rows; `_reduced` adds the back
 substitution, from the last pivot down, and puts every value in the scalar
 form with `exact`, once.  The reduced echelon form is unique, so
-`Matrix.rref` and `quotient_map` give the same values as dense Gauss-Jordan
+`Matrix.rref` and `sparse_kernel` give the same values as dense Gauss-Jordan
 elimination.
 There is one kernel routine, `sparse_kernel`, over sparse rows: it reduces
 once, with the columns reversed, and the kernel vectors solved from that
@@ -45,17 +45,16 @@ form are already the reduced echelon basis of the kernel.
 The matrices of the spectral sequence are mostly zero, so the hot paths skip
 zeros: `apply_sparse` applies a map from the nonzero entries of its columns,
 and elimination against an echelon visits only the rows whose pivots it
-meets.  `quotient_map` builds v / span w, w given as sparse vectors, in one
-pass of a sparse echelon over w and then v's rows.  `Quotient.class_of`
-reads the class of a sparse vector in one elimination through v's echelon,
-whose residual is also the check that the vector lies in v.
-`solve_columns` solves A x = y for sparse columns of A the same way,
-through one echelon of A's columns whose rows carry, as their tags, the
-combination of columns each one is.  `sparse_rank` counts the rank of
-sparse vectors by the forward pass alone.
+meets.  `solve_columns` solves A x = y for sparse columns of A through one
+echelon of A's columns whose rows carry, as their tags, the combination of
+columns each one is.  `sparse_rank` counts the rank of sparse vectors by
+the forward pass alone.
 `graded_cohomology` is the one cohomology of a graded complex with
 representatives and `cohomology_dims` its dimensions from ranks alone; both
 take each differential by its columns, and neither reduces a zero one.
+The representatives are the cocycle rows whose pivots are not the lows,
+the largest coordinates, of the coboundaries' echelon in the cocycles'
+basis, so no quotient is built.
 Products, inverses, images, preimages, sums and intersections of dense
 matrices and subspaces are not needed by the engine; `tests/oracles.py`
 keeps them, by dense elimination, as the definitions the tests check it
@@ -64,6 +63,7 @@ against.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 
@@ -134,12 +134,11 @@ def _forward(rows) -> dict[int, dict[int, Fraction]]:
     after, and a tail may hold an integral `Fraction`.
     """
     echelon: dict[int, dict[int, Fraction]] = {}
-    tags: dict[int, dict[int, Fraction]] = {}  # unused: the rows name no combination
     for x in rows:
         if _eliminate(x, echelon):
             x = {j: a for j, a in x.items() if a}
         if x:
-            _insert(echelon, tags, x, {})
+            _insert(echelon, x)
     return echelon
 
 
@@ -297,8 +296,9 @@ class Subspace(ReadOnly):
     """Subspace of Q^ambient_dim, given by its RREF row basis (canonical).
 
     A Subspace keeps its RREF rows in sparse form, its echelon: each row's
-    pivot and its other nonzero entries (from_echelon).  Equality, hash and
-    repr read ambient_dim and the echelon, which is canonical.
+    pivot and its other nonzero entries, as `Subspace(ambient_dim, echelon)`
+    takes them.  Equality, hash and repr read ambient_dim and the echelon,
+    which is canonical.
     """
 
     __slots__ = ("ambient_dim", "_echelon")
@@ -331,11 +331,6 @@ class Subspace(ReadOnly):
     def sparse_row(self, pivot: int) -> dict[int, Fraction]:
         """The basis row with this pivot, as {column: value}."""
         return {pivot: 1, **self._echelon[pivot]}
-
-    @classmethod
-    def from_echelon(cls, ambient_dim: int, echelon: dict[int, dict[int, Fraction]]) -> "Subspace":
-        """The subspace whose RREF rows are given in sparse form, as echelon() returns them."""
-        return cls(ambient_dim, echelon)
 
     @classmethod
     def full(cls, ambient_dim: int) -> "Subspace":
@@ -388,20 +383,19 @@ def _weigh(used: list[tuple[int, Fraction]], tags: dict[int, dict[int, Fraction]
     return {i: a for i, a in acc.items() if a}
 
 
-def _insert(rows: dict[int, dict[int, Fraction]], tags: dict[int, dict[int, Fraction]],
-            residual: dict[int, Fraction], tag: dict[int, Fraction]) -> None:
-    """Add the reduced, nonzero residual to a tagged echelon as a row with 1 at its pivot.
+def _insert(rows: dict[int, dict[int, Fraction]],
+            residual: dict[int, Fraction]) -> tuple[int, Fraction]:
+    """Add the reduced, nonzero residual to an echelon as a row with 1 at its pivot.
 
-    The residual and its tag are both divided by its leading entry, so each
-    row stays the combination its tag names.
+    The residual is divided by its leading entry; returns (pivot, leading
+    entry), so a caller that tags its rows divides the tag alike.
     """
     pivot = min(residual)
     lead = residual.pop(pivot)
     if lead != 1:
         residual = {j: _ratio(a, lead) for j, a in residual.items()}
-        tag = {i: _ratio(a, lead) for i, a in tag.items()}
     rows[pivot] = residual
-    tags[pivot] = tag
+    return pivot, lead
 
 
 def solve_columns(columns, targets) -> list[dict[int, Fraction]]:
@@ -422,7 +416,8 @@ def solve_columns(columns, targets) -> list[dict[int, Fraction]]:
         if not residual:
             raise ValueError(f"column {k} depends on the columns before it")
         tag[k] = 1
-        _insert(rows, tags, residual, tag)
+        pivot, lead = _insert(rows, residual)
+        tags[pivot] = tag if lead == 1 else {i: _ratio(a, lead) for i, a in tag.items()}
     out = []
     for y in targets:
         x = dict(y)
@@ -433,136 +428,56 @@ def solve_columns(columns, targets) -> list[dict[int, Fraction]]:
     return out
 
 
-class Quotient(ReadOnly):
-    """v/w as quotient_map presents it: representatives and a sparse projection.
+class Cohomology(namedtuple("Cohomology", "space pivots")):
+    """H^q of a complex as graded_cohomology gives it: the cocycles and the
+    pivots of the representatives.
 
-    The representatives are k rows of v that represent a basis of v/w, kept
-    by their pivots in v's echelon: pivots[i] is the pivot of the i-th.
-    classes maps each pivot of v to the class of its basis row, {i: a} for
-    the nonzero coordinates along the representatives.  Any x in v is the
-    sum of x[pivot] times v's basis rows, so its class is those classes
-    weighted by x at v's pivots: `class_of` reads it from x's nonzero
-    entries.  Equality compares space, pivots and classes.  A quotient is
-    not hashable: classes is a dict.
+    space is ker d_q, and its echelon rows at pivots represent a basis of
+    H^q, the first rows of the echelon independent modulo the coboundaries.
     """
 
-    __slots__ = ("space", "pivots", "classes")
-
-    def __init__(self, space: Subspace, pivots: tuple[int, ...],
-                 classes: dict[int, dict[int, Fraction]]):
-        _set(self, "space", space)
-        _set(self, "pivots", pivots)
-        _set(self, "classes", classes)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.space, self.pivots, self.classes)
-                == (other.space, other.pivots, other.classes))
-
-    def __repr__(self):
-        return (f"{type(self).__qualname__}(space={self.space!r}, pivots={self.pivots!r}, "
-                f"classes={self.classes!r})")
-
-    def __reduce__(self):  # copy and pickle rebuild it through __init__
-        return type(self), (self.space, self.pivots, self.classes)
+    __slots__ = ()
 
     @property
     def dim(self) -> int:
         return len(self.pivots)
-
-    def class_of(self, x: dict[int, Fraction]) -> dict[int, Fraction] | None:
-        """The class of x, given as {column: value}, or None when x is not in v.
-
-        One `_eliminate` pass through v's echelon: a nonzero residual means x
-        is not in v, and otherwise the multipliers, which are x at v's
-        pivots, weigh the classes of those pivots.  x is used up.
-        """
-        used = _eliminate(x, self.space.echelon())
-        if any(x.values()):
-            return None
-        return _weigh(used, self.classes)
-
-
-def quotient_map(v: Subspace, w) -> Quotient:
-    """Coset representatives and coordinate projection for v / span w.
-
-    w is a list of vectors of v, each given by its nonzero entries as
-    {column: value}.  In the result, the k rows of v at `pivots` represent
-    a basis of v / span w, and `classes` holds the quotient coordinates of
-    each of v's basis rows, so `class_of(x)` is the coordinates of [x] for
-    any x in v: empty iff x is in span w, and e_i at the i-th representative.
-
-    One pass: the vectors of w, then v's basis rows in order, go into one
-    sparse echelon whose rows carry their class modulo w as coordinates along
-    the representatives.  A row of v that the echelon does not reduce to
-    zero is the next representative (the first k rows of v independent
-    modulo w), so the result is canonical however w is spanned; one that it
-    does reduce has its class read off the multipliers.  Each vector of w,
-    reduced by v's basis rows, must leave nothing: that is the containment
-    check, and a failing one raises ValueError, as does a vector with an
-    entry past the ambient dimension.
-    """
-    d = v.ambient_dim
-    rows: dict[int, dict[int, Fraction]] = {}
-    tags: dict[int, dict[int, Fraction]] = {}  # class of each row
-    for y in w:
-        if y and max(y) >= d:
-            raise ValueError("ambient dimension mismatch")
-        residual = dict(y)
-        _eliminate(residual, v.echelon())
-        if any(residual.values()):
-            raise ValueError("quotient undefined: denominator is not contained in numerator")
-        x = dict(y)
-        _eliminate(x, rows)
-        x = {j: a for j, a in x.items() if a}
-        if x:
-            _insert(rows, tags, x, {})
-    pivots = []  # of the representatives
-    classes = {}  # class of each basis row of v, by its pivot
-    for vpivot, vtail in v.echelon().items():
-        x = {vpivot: 1, **vtail}
-        acc = _weigh(_eliminate(x, rows), tags)
-        residual = {j: a for j, a in x.items() if a}
-        if not residual:
-            classes[vpivot] = acc
-            continue
-        # residual = v's row - (rows subtracted), so its class is e_i - acc
-        i = len(pivots)
-        pivots.append(vpivot)
-        classes[vpivot] = {i: 1}
-        acc = {j: -a for j, a in acc.items()}
-        acc[i] = 1
-        _insert(rows, tags, residual, acc)
-    return Quotient(v, tuple(pivots), classes)
 
 
 def graded_cohomology(maps):
     """Cohomology of a cochain complex given by its differentials d_0, d_1, ...
 
     Each d_q is SparseColumns, one column per basis vector of C^q.  Per
-    degree q, in order, yields the Quotient ker d_q / im d_(q-1), whose reps
-    represent a basis of H^q: ker d_q is one `sparse_kernel` of d_q's rows,
-    and d_(q-1)'s nonzero columns are the divisor of `quotient_map`, which
-    raises ValueError where one is not in ker d_q (d^2 != 0).  A zero d_q
-    has all of C^q as kernel, with no rows gathered, and a zero d_(q-1)
-    leaves ker d_q as it is, with no elimination.  maps may be lazy: each
-    d_q is read once, used as a kernel and kept as the next degree's image,
-    and a consumer that stops early builds no more.
+    degree q, in order, yields the Cohomology of ker d_q / im d_(q-1), with
+    no quotient built.  ker d_q is one `sparse_kernel` of d_q's rows, or
+    all of C^q with no rows gathered where d_q is zero.  Each nonzero column
+    y of d_(q-1) is reduced through the kernel's echelon, and a residual
+    raises ValueError (d^2 != 0); the kernel is in RREF, so the multipliers
+    are y's coordinates along its rows.  One `_forward` pass over those
+    coordinates, the row of pivot k keyed as -k, has the largest coordinates
+    of the image, its lows, as its pivots, and a kernel row is a
+    representative unless its pivot is a low: e_k lies in the span of the
+    image and the e_k' with k' < k exactly when k is the largest coordinate
+    of an image vector.  A zero d_(q-1) reduces nothing.  maps may be lazy:
+    each d_q is read once, used as a kernel and kept as the next degree's
+    image, and a consumer that stops early builds no more.
     """
     below: list[dict[int, Fraction]] = []  # the nonzero columns of d_(q-1)
-    for cols in maps:
+    for q, cols in enumerate(maps):
         size = len(cols)
         image = [dict(col) for col in cols if col]
         if image:
-            ker = Subspace.from_echelon(size, sparse_kernel(column_rows(cols), size))
+            ker = Subspace(size, sparse_kernel(column_rows(cols), size))
         else:
             ker = Subspace.full(size)
-        if below:
-            yield quotient_map(ker, below)
-        else:
-            ech = ker.echelon()
-            yield Quotient(ker, tuple(ech), {pivot: {i: 1} for i, pivot in enumerate(ech)})
+        echelon = ker.echelon()
+        coords = []
+        for y in below:
+            used = _eliminate(y, echelon)
+            if any(y.values()):
+                raise ValueError(f"d^2 != 0: a column of d_{q - 1} is not in ker d_{q}")
+            coords.append({-k: c for k, c in used})
+        lows = _forward(coords)
+        yield Cohomology(ker, tuple(k for k in echelon if -k not in lows))
         below = image
 
 

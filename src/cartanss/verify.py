@@ -24,9 +24,10 @@ and independence modulo the coboundaries by one stacked rank, with no
 kernel or quotient of delta built.
 
 The basic factor of E_2 is qlinalg.graded_cohomology over d_hor, one
-Quotient per basic degree (basic_cohomology).  Each alpha is the echelon
-row of a representative's pivot in the cocycles, and alpha (x) beta is a
-{coordinate: value} dict.  The class of alpha (x) beta is one class read
+Cohomology per basic degree (basic_cohomology), whose representatives are
+read off the lows of the coboundaries with no quotient built.  Each alpha
+is the echelon row of a representative's pivot in the cocycles, and
+alpha (x) beta is a {coordinate: value} dict.  The class of alpha (x) beta is one class read
 in its page-2 cell (specseq.WindowCell.class_of), which checks that it
 lies in Z_2 and solves for its class over the cell's window; where d_2 has
 a nonzero target, the class of d(alpha (x) beta) is read there too, with d
@@ -59,7 +60,7 @@ from .liealg import (
 )
 from .model import EquivariantModel, validate_model
 from .qlinalg import (
-    Quotient,
+    Cohomology,
     apply_sparse,
     cohomology_dims,
     graded_cohomology,
@@ -78,12 +79,12 @@ from .specseq import (
 )
 
 
-def basic_cohomology(model: EquivariantModel) -> tuple[Quotient, ...]:
-    """Cohomology of (B, d_hor), one graded_cohomology Quotient per basic degree.
+def basic_cohomology(model: EquivariantModel) -> tuple[Cohomology, ...]:
+    """Cohomology of (B, d_hor), one graded_cohomology Cohomology per basic degree.
 
-    Coordinates in degree p follow gens_of_degree(p) order: each Quotient's
-    space is the d_hor-cocycles and its reps represent a basis of H^p.
-    Requires d_hor^2 = 0 and clean degree bookkeeping (validate_model).
+    Coordinates in degree p follow gens_of_degree(p) order: each space is
+    the d_hor-cocycles, and its echelon rows at pivots represent a basis of
+    H^p.  Requires d_hor^2 = 0 and clean degree bookkeeping (validate_model).
     """
     basic = model.basic
     return tuple(graded_cohomology(basic.d_hor_columns(p) for p in range(basic.max_degree + 1)))
@@ -157,8 +158,8 @@ class E2Frames(namedtuple("E2Frames", "page2 cells f_columns d2_columns basic in
     beta, each as {class index: value}.  d2_columns[(p, q)] holds d_2 F's
     columns there, where the target cell (p + 2, q - 1) is nonzero: the
     class in it of d(alpha (x) beta), one per column of F.  basic is
-    basic_cohomology's Quotients and invariants the invariant subspaces, per
-    degree.
+    basic_cohomology's result, one Cohomology per degree, and invariants the
+    invariant subspaces, per degree.
     """
 
     __slots__ = ()

@@ -14,18 +14,17 @@ products, membership and images the tests need, by their definitions.
 of the numerator independent of the divisor and of the rows taken before
 them, each found by dense elimination, then a row reduction of [C | I] to
 read the projection off the tracked transform.  Its reductions are dense
-`Fraction` rows and `seed_rref`, so it shares no code with the one-pass
-sparse echelon of `qlinalg.quotient_map`, `_reduced` and `sparse_kernel`,
+`Fraction` rows and `seed_rref`, so it shares no code with the sparse
+echelons of `qlinalg.graded_cohomology`, `_reduced` and `sparse_kernel`,
 and agreement entry by entry is a real check.  `seed_graded_cohomology` is the
 cohomology of a complex of dense matrices built from `seed_kernel_basis`,
 `seed_span` and `seed_quotient_map` alone, the reference for the engine's
 `graded_cohomology` over sparse columns, and `seed_cohomology_dims` its
 dimensions from `seed_rref` ranks alone; `dense_d_hor` places the entries of
 d_hor into such a matrix one by one, apart from `BasicComplex.d_hor_columns`.
-`dense_basis`, `dense_reps` and `dense_proj` read a `Subspace` or a
-`Quotient`, which keep only sparse forms, into dense matrices: the basis rows
-off the echelon, the representatives off the pivots and the projection off
-the classes.
+`dense_basis` and `dense_reps` read a `Subspace` or a `Cohomology`, which
+keep only sparse forms, into dense matrices: the basis rows off the echelon
+and the representatives off the pivots.
 
 `ChiElement` is an element of the exterior algebra on chi_1, chi_2, ...,
 with `wedge` and `contract` (the interior product) on it.  `wedge_ce_delta`
@@ -123,7 +122,7 @@ from math import comb
 
 from cartanss.liealg import LieData, all_multi_indices, multi_indices
 from cartanss.model import BasicComplex, EquivariantModel
-from cartanss.qlinalg import Matrix, Quotient, Subspace, column_rows, sparse_kernel
+from cartanss.qlinalg import Cohomology, Matrix, Subspace, column_rows, sparse_kernel
 from cartanss.reports import CertificateError, CheckResult
 from cartanss.specseq import FilteredComplex
 
@@ -161,7 +160,7 @@ def rank(m: Matrix) -> int:
 def seed_span(d: int, rows) -> Subspace:
     """The row space of rows in Q^d, its echelon read off the seed_rref rows."""
     red, pivots = seed_rref(Matrix.of(rows, cols=d))
-    return Subspace.from_echelon(d, {
+    return Subspace(d, {
         p: {j: x for j, x in enumerate(row) if x and j != p} for p, row in zip(pivots, red.data)})
 
 
@@ -232,21 +231,10 @@ def dense_basis(sub: Subspace) -> Matrix:
     return Matrix.of(_echelon_rows(sub.echelon(), sub.ambient_dim), cols=sub.ambient_dim)
 
 
-def dense_reps(quot: Quotient) -> Matrix:
-    """The representatives of quot, the rows of its space at its pivots, as a dense matrix."""
-    ech, d = quot.space.echelon(), quot.space.ambient_dim
-    return Matrix.of(_echelon_rows({p: ech[p] for p in quot.pivots}, d), cols=d)
-
-
-def dense_proj(quot: Quotient) -> Matrix:
-    """The projection of quot as a dim x ambient matrix: column pivot holds the
-    class of the space's basis row at that pivot, and every other column is zero."""
-    d = quot.space.ambient_dim
-    rows = [[Q(0)] * d for _ in range(quot.dim)]
-    for pivot, cls in quot.classes.items():
-        for i, a in cls.items():
-            rows[i][pivot] = Q(a)
-    return Matrix.of(rows, cols=d)
+def dense_reps(coh: Cohomology) -> Matrix:
+    """The representatives of coh, the rows of its space at its pivots, as a dense matrix."""
+    ech, d = coh.space.echelon(), coh.space.ambient_dim
+    return Matrix.of(_echelon_rows({p: ech[p] for p in coh.pivots}, d), cols=d)
 
 
 def contains(sub: Subspace, vec) -> bool:
@@ -310,7 +298,7 @@ def seed_mismatches(m: Matrix) -> list[str]:
             or not all(type(x) is Q for row in red.data for x in row)):
         bad.append("rref")
     kernel = sparse_kernel(column_rows(m.sparse_columns()), m.cols)
-    if Subspace.from_echelon(m.cols, kernel) != seed_kernel_basis(m):
+    if Subspace(m.cols, kernel) != seed_kernel_basis(m):
         bad.append("kernel")
     return bad
 
@@ -387,11 +375,6 @@ def seed_cohomology_dims(maps) -> tuple[int, ...]:
         dims.append(m.cols - rk - below)
         below = rk
     return tuple(dims)
-
-
-def divisor_vectors(sub: Subspace) -> list[dict]:
-    """The basis rows of sub as sparse vectors, the divisor form quotient_map takes."""
-    return [sub.sparse_row(pivot) for pivot in sub.echelon()]
 
 
 def dense_d_hor(basic: BasicComplex, p: int) -> Matrix:
@@ -898,7 +881,7 @@ def check_structure(fc: FilteredComplex) -> None:
 
 def filt(fc: FilteredComplex, p: int, m: int) -> Subspace:
     """F^p C^m as a subspace: the first cut(p, m) coordinate vectors."""
-    return Subspace.from_echelon(ambient(fc, m), {i: {} for i in range(fc.cut(p, m))})
+    return Subspace(ambient(fc, m), {i: {} for i in range(fc.cut(p, m))})
 
 
 def z_space(fc: FilteredComplex, r: int, p: int, m: int, cache: dict) -> Subspace:
@@ -912,7 +895,7 @@ def z_space(fc: FilteredComplex, r: int, p: int, m: int, cache: dict) -> Subspac
         k, row = block[1:]
         rows = [line[:k] for line in dmat(fc, m).data[row:]]
         kernel = seed_kernel_basis(Matrix.of(rows, cols=k))
-        hit = cache[block] = Subspace.from_echelon(ambient(fc, m), kernel.echelon())
+        hit = cache[block] = Subspace(ambient(fc, m), kernel.echelon())
     return hit
 
 

@@ -454,6 +454,14 @@ def test_a_card_parameter_past_the_digit_limit_is_a_short_usage_error(capsys):
     assert len(err.encode()) < 300, len(err)
 
 
+@pytest.mark.parametrize("spec", ["group_torus:", "hopf:"])
+def test_an_empty_card_parameter_is_a_usage_error(capsys, spec):
+    """A separator with nothing after it is an empty parameter, refused like
+    any other text that is not an integer, not the card's default."""
+    assert main(["examples", "--run", spec]) == 2
+    assert capsys.readouterr().err == "usage error: parameter must be an integer: ''\n"
+
+
 def test_a_long_card_name_is_a_short_usage_error(capsys):
     assert main(["examples", "--run", "x" * 3000]) == 2
     err = capsys.readouterr().err
@@ -891,10 +899,13 @@ def _eliminations_inside(monkeypatch, *function_names):
     """Log, for every elimination, whether one of function_names is on the call stack.
 
     qlinalg eliminates in three places: `_reduced` (the row reduction of
-    Matrix.rref and of every sparse_kernel), sparse_rank and the
-    class read Quotient.class_of, which reduces a vector through an echelon.
-    A sparse_kernel given no nonzero row eliminates nothing and calls no
-    `_reduced`, so it is not logged.
+    Matrix.rref and of every sparse_kernel), sparse_rank and a direct
+    `_eliminate` of one vector through an echelon (graded_cohomology's
+    images of d_(q-1), solve_columns' columns).  An `_eliminate` called by
+    `_reduced` or `_forward` is a step of a logged elimination, or of
+    graded_cohomology's pass over coordinates it has already reduced, and is
+    not logged again.  A sparse_kernel given no nonzero row eliminates
+    nothing and calls no `_reduced`, so it is not logged.
     """
     log = []
 
@@ -908,7 +919,14 @@ def _eliminations_inside(monkeypatch, *function_names):
         return wrapper
 
     monkeypatch.setattr(qlinalg, "_reduced", logged(qlinalg._reduced))
-    monkeypatch.setattr(qlinalg.Quotient, "class_of", logged(qlinalg.Quotient.class_of))
+    eliminate = qlinalg._eliminate
+    direct = logged(eliminate)
+
+    def step(x, rows):
+        inner = sys._getframe(1).f_code.co_name in ("_forward", "_reduced")
+        return (eliminate if inner else direct)(x, rows)
+
+    monkeypatch.setattr(qlinalg, "_eliminate", step)
     rank = logged(qlinalg.sparse_rank)
     for module in (qlinalg, verify):
         monkeypatch.setattr(module, "sparse_rank", rank)
@@ -938,8 +956,9 @@ def test_invariants_are_eliminated_only_where_coadjoint_is_nonzero(
 def test_zero_differentials_are_not_eliminated(tmp_path, monkeypatch, capsys, spec, eliminates):
     path = str(tmp_path / "model.json")
     save_model_file(get_model(*spec).model, path)
-    # basic_cohomology takes each degree's kernel and quotient inside
-    # graded_cohomology, and the Lie realization check reads ranks of delta
+    # basic_cohomology takes each degree's kernel and reduces the images of
+    # d_hor through it inside graded_cohomology, and the Lie realization
+    # check reads ranks of delta
     eliminations = _eliminations_inside(monkeypatch, "graded_cohomology", "_lie_realization_ok")
     assert main(["pages", path, "--format", "machine"]) == 0
     capsys.readouterr()

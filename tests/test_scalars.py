@@ -16,7 +16,7 @@ import random
 from fractions import Fraction as Q
 from pathlib import Path
 
-from oracles import dense_basis, dense_proj, dense_reps, direct_sum, f_matrix, rotated
+from oracles import dense_basis, dense_reps, direct_sum, f_matrix, rotated
 from test_specseq import sphere_model
 
 from cartanss.cli import load_model_file
@@ -51,10 +51,6 @@ def echelon_values(space):
     return [a for tail in space.echelon().values() for a in tail.values()]
 
 
-def quotient_values(quot):
-    return echelon_values(quot.space) + [a for cls in quot.classes.values() for a in cls.values()]
-
-
 def sparse_values(an: Analysis) -> dict[str, list]:
     """Every sparse value of one model's whole Analysis, by where it was read."""
     model = an.model
@@ -74,7 +70,7 @@ def sparse_values(an: Analysis) -> dict[str, list]:
                             for col in cols for a in col.values()]
     out["d_2 columns"] = [a for cols in frames.d2_columns.values()
                           for col in cols for a in col.values()]
-    out["basic cohomology"] = [a for quot in frames.basic for a in quotient_values(quot)]
+    out["basic cohomology"] = [a for coh in frames.basic for a in echelon_values(coh.space)]
     out["invariant rows"] = [a for sub in frames.invariants for a in echelon_values(sub)]
     out["transgression columns"] = [a for t in an.transgression.values()
                                     for col in t.columns for a in col.values()]
@@ -85,9 +81,7 @@ def dense_matrices(an: Analysis):
     """Every dense Matrix the oracle readers build from the report's frames."""
     frames = an.frames
     yield from (f_matrix(frames, (c.p, c.q)) for c in frames.cells)
-    for quot in frames.basic:
-        yield dense_reps(quot)
-        yield dense_proj(quot)
+    yield from (dense_reps(coh) for coh in frames.basic)
     yield from (dense_basis(sub) for sub in frames.invariants)
 
 

@@ -24,10 +24,7 @@ from oracles import (
     contains,
     dense_apply,
     dense_basis,
-    dense_d_hor,
     dense_frames,
-    dense_proj,
-    dense_reps,
     dense_transgression,
     direct_sum,
     from_columns,
@@ -51,12 +48,11 @@ from cartanss.cli import load_model_file, main, save_model_file
 from cartanss.library import (
     MODEL_NAMES,
     get_model,
-    heisenberg_lie,
     random_trivial_product,
     su2_lie,
 )
-from cartanss.liealg import LieData, delta_columns, invariant_subcomplex, multi_indices
-from cartanss.qlinalg import Matrix, Quotient, Subspace, graded_cohomology
+from cartanss.liealg import LieData, invariant_subcomplex, multi_indices
+from cartanss.qlinalg import Matrix, Subspace
 from cartanss.reports import CertificateError
 from cartanss.specseq import WindowCell, persistence_pairing
 from cartanss.verify import (
@@ -99,42 +95,6 @@ def dense_realization_ok(lie: LieData, inv) -> bool:
         if rank(Matrix.of(classes, cols=h_dim)) != h_dim:
             return False
     return True
-
-
-def test_graded_cohomology_matches_the_seed_cohomology_entry_by_entry():
-    """graded_cohomology over sparse columns against seed_graded_cohomology
-    over dense matrices built apart from them: d_hor from the entry list and
-    delta from wedge products.  Kernel, reps and proj must agree exactly."""
-    rng = random.Random(20261103)
-    complexes = []
-    samples = [load_model_file(str(path)) for path in sorted(SAMPLES.glob("*.json"))]
-    basics = [get_model(name).model.basic for name in MODEL_NAMES]
-    basics += [m.basic for m in samples if Analysis(m).valid]
-    basics += [random_trivial_product(rng, tag=f"g{i}").model.basic for i in range(20)]
-    for basic in basics:
-        degrees = range(basic.max_degree + 1)
-        complexes.append(([basic.d_hor_columns(p) for p in degrees],
-                          [dense_d_hor(basic, p) for p in degrees]))
-    algebras = [su2_lie(), heisenberg_lie(), direct_sum(su2_lie(), su2_lie()), su2_plus_line()]
-    algebras += [LieData.abelian(n) for n in range(1, 6)]
-    for lie in algebras:
-        degrees = range(lie.n + 1)
-        complexes.append(([delta_columns(lie, q) for q in degrees],
-                          [oracle_delta_matrix(lie, q) for q in degrees]))
-    seen = {"H^q != 0": 0, "nonzero image": 0, "proper kernel": 0}
-    for columns, dense in complexes:
-        got = list(graded_cohomology(columns))
-        want = seed_graded_cohomology(dense)
-        assert len(got) == len(want) == len(dense)
-        for quot, (ker, img, (reps, proj)) in zip(got, want):
-            assert quot.space == ker
-            got_reps, got_proj = dense_reps(quot), dense_proj(quot)
-            assert (got_reps.data, got_reps.cols) == (reps.data, reps.cols)
-            assert (got_proj.data, got_proj.cols) == (proj.data, proj.cols)
-            seen["H^q != 0"] += quot.dim > 0
-            seen["nonzero image"] += img.dim > 0
-            seen["proper kernel"] += 0 < ker.dim < ker.ambient_dim
-    assert min(seen.values()) >= 10, seen
 
 
 def test_sparse_reads_match_the_dense_route_on_every_page_frame_and_transgression():
@@ -342,11 +302,10 @@ def test_pages_make_no_dense_containment_test_or_dense_apply(tmp_path, monkeypat
 
     counted("entry")
     counted("rref")
-    for cls in (Quotient, WindowCell):
-        def logged(self, x, *dx, _read=cls.class_of):
-            reads.append(type(x))
-            return _read(self, x, *dx)
-        monkeypatch.setattr(cls, "class_of", logged)
+    def logged(self, x, *dx, _read=WindowCell.class_of):
+        reads.append(type(x))
+        return _read(self, x, *dx)
+    monkeypatch.setattr(WindowCell, "class_of", logged)
     assert main(["pages", path, "--format", "machine"]) == 0
     capsys.readouterr()
     assert dense == {"entry": 0, "rref": 0}
@@ -361,7 +320,7 @@ def test_pages_make_no_dense_containment_test_or_dense_apply(tmp_path, monkeypat
 @pytest.mark.parametrize("spec", [("group_torus", 6), ("group_su2",)])
 def test_a_pages_run_builds_no_dense_matrix(tmp_path, monkeypatch, capsys, spec):
     """A whole pages run, its page pass included, constructs no Matrix: every
-    space, quotient and cohomology it hands on keeps only sparse forms."""
+    space and cohomology it hands on keeps only sparse forms."""
     path = str(tmp_path / "model.json")
     save_model_file(get_model(*spec).model, path)
     calls = count_calls(monkeypatch, (("model", "total_columns"),))

@@ -255,7 +255,7 @@ def differential_test_models():
 def oracle_z_space(fc, r, p, m):
     """Z_r by its definition: F^p meeting the preimage of F^(p+r), by Zassenhaus."""
     if ambient(fc, m) == 0:
-        return Subspace.from_echelon(0, {})
+        return Subspace(0, {})
     return sum_and_intersect(filt(fc, p, m), preimage(dmat(fc, m), filt(fc, p + r, m + 1)))[1]
 
 
@@ -481,7 +481,7 @@ def test_page_pass_counts_on_the_sphere_chain(monkeypatch):
     d_2 is the one differential here, so every gap is 2: no cell holds a
     tail, and the one cut read per cell is the bound of its Z_2."""
     fcs = [cartan_filtration(sphere_model(k)) for k in range(1, 13)]
-    counts = dict.fromkeys(("_eliminate", "sparse_kernel", "quotient_map", "apply_sparse",
+    counts = dict.fromkeys(("_eliminate", "sparse_kernel", "graded_cohomology", "apply_sparse",
                             "cut"), 0)
 
     def counted(name, fn):
@@ -490,13 +490,13 @@ def test_page_pass_counts_on_the_sphere_chain(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    for name in ("_eliminate", "sparse_kernel", "quotient_map"):
+    for name in ("_eliminate", "sparse_kernel", "graded_cohomology"):
         monkeypatch.setattr(qlinalg, name, counted(name, getattr(qlinalg, name)))
     monkeypatch.setattr(specseq, "apply_sparse", counted("apply_sparse", specseq.apply_sparse))
     monkeypatch.setattr(FilteredComplex, "cut", counted("cut", FilteredComplex.cut))
     pages = [second_page(fc, persistence_pairing(fc)) for fc in fcs]
     assert sum(map(len, pages)) == sum(len(fc.support) for fc in fcs) == 180
-    assert counts == {"_eliminate": 0, "sparse_kernel": 0, "quotient_map": 0,
+    assert counts == {"_eliminate": 0, "sparse_kernel": 0, "graded_cohomology": 0,
                       "apply_sparse": 0, "cut": 180}
     assert not any(cell.tails for cells in pages for cell in cells.values())
 
@@ -934,7 +934,7 @@ def test_every_matrix_reduced_by_pages_matches_the_seed_rref(tmp_path, monkeypat
         assert seed_mismatches(m) == [], m
     assert len(kernels) > 20
     for m, got in kernels.items():
-        assert Subspace.from_echelon(m.cols, got) == seed_kernel_basis(m), m
+        assert Subspace(m.cols, got) == seed_kernel_basis(m), m
     assert len(ranked) > 20
     for m, rank in ranked.items():
         assert len(seed_rref(m)[1]) == rank, m

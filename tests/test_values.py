@@ -20,7 +20,7 @@ import pytest
 from cartanss.library import ExpectedResults, ModelCard, get_model
 from cartanss.liealg import LieData
 from cartanss.model import BasicComplex, EquivariantModel
-from cartanss.qlinalg import Matrix, Quotient, Subspace, quotient_map
+from cartanss.qlinalg import Cohomology, Matrix, Subspace
 from cartanss.reports import CheckResult, ValidationReport
 from cartanss.specseq import (
     AbutmentReport,
@@ -68,6 +68,7 @@ def records(card, an):
         (persistence_pairing(an.filtration), "pairs"),
         (an.page2[(0, 0)], "alive"),
         (an.frames, "f_columns"),
+        (an.frames.basic[0], "pivots"),
         (card.expected, "e2_dims"),
         (card, "note"),
     ]
@@ -78,7 +79,6 @@ def others(card, an):
     return [
         (Matrix.of([[1, Fraction(1, 2)]]), "cols"),
         (Subspace.full(2), "ambient_dim"),
-        (an.frames.basic[0], "pivots"),
         (card.model.basic, "generators"),
         (card.model, "lie"),
         (card.model.lie, "c"),
@@ -88,7 +88,7 @@ def others(card, an):
 def test_every_value_type_is_covered(kronecker):
     covered = {type(x) for x, _ in records(*kronecker) + others(*kronecker)}
     assert covered == {
-        CheckResult, ValidationReport, Matrix, Subspace, Quotient, FilteredComplex,
+        CheckResult, ValidationReport, Matrix, Subspace, Cohomology, FilteredComplex,
         WindowCell, AbutmentRow, AbutmentReport, E2Cell, E2Report, E2Frames, PageSummary,
         Pairing, BasicComplex, EquivariantModel, LieData, ExpectedResults, ModelCard}
 
@@ -144,6 +144,8 @@ def test_records_are_named_tuples_with_the_field_repr(kronecker):
         "(1, 0): 1, (1, 1): 1}, stabilization=2, basic_cohomology=(1, 1), d2_abs_at_01=None)")
     assert repr(card) == (f"ModelCard(model={card.model!r}, expected={card.expected!r}, "
                           f"note={card.note!r})")
+    assert repr(an.frames.basic[0]) == (
+        "Cohomology(space=Subspace(ambient_dim=1, echelon={0: {}}), pivots=(0,))")
     assert repr(an.page2[(0, 0)]) == (
         "WindowCell(lo=0, hi=1, bound=0, alive={0: 0}, tails={}, d_columns=((),))")
     frames = an.frames
@@ -160,10 +162,7 @@ def test_the_other_types_keep_the_field_repr(kronecker):
     card, an = kronecker
     assert repr(Matrix.of([[1, Fraction(1, 2)]])) == (
         "Matrix(data=((Fraction(1, 1), Fraction(1, 2)),), cols=2)")
-    one = "Subspace(ambient_dim=1, echelon={0: {}})"
-    assert repr(Subspace.full(1)) == one
-    assert repr(an.frames.basic[0]) == (
-        f"Quotient(space={one}, pivots=(0,), classes={{0: {{0: 1}}}})")
+    assert repr(Subspace.full(1)) == "Subspace(ambient_dim=1, echelon={0: {}})"
     assert repr(card.model) == (
         "EquivariantModel(name='kronecker', lie=LieData(n=1, c=()), "
         "basic=BasicComplex(generators=(('1', 0), ('kappa', 1)), d_hor_entries=(), "
@@ -184,16 +183,13 @@ def same(a, b) -> bool:
 
 def test_equality_and_hash_ignore_exactly_the_uncompared_fields(kronecker):
     card, an = kronecker
-    quot = an.frames.basic[1]
-    assert same(quot, Quotient(Subspace.full(1), (0,), {0: {0: 1}}))
-    assert quot != Quotient(Subspace.full(3), quot.pivots, quot.classes)
-    assert quot != Quotient(quot.space, (), quot.classes)
-    assert quot != Quotient(quot.space, quot.pivots, {0: {}})
+    coh = an.frames.basic[1]
+    assert same(coh, Cohomology(Subspace.full(1), (0,)))
+    assert coh != Cohomology(Subspace.full(3), coh.pivots)
+    assert coh != Cohomology(coh.space, ())
 
-    # a value that holds a dict among its compared fields is not hashable;
-    # a quotient is refused by its type, before any field is hashed
-    assert Quotient.__hash__ is None
-    for value in (quot, an.page2, an.frames, card.expected, card):
+    # a value that holds a dict among its compared fields is not hashable
+    for value in (an.page2, an.frames, card.expected, card):
         with pytest.raises(TypeError, match="unhashable"):
             hash(value)
 
@@ -216,7 +212,6 @@ def test_equality_and_hash_ignore_exactly_the_uncompared_fields(kronecker):
 
 
 def test_no_value_equals_another_type_with_the_same_fields():
-    q = quotient_map(Subspace.full(2), [])
-    assert q != (q.space, q.pivots, q.classes)
+    assert Subspace.full(1) != (1, {0: {}})
     assert Matrix.of([[1]]) != Matrix.of([[1]]).data
     assert LieData.abelian(1) != (1, ())
