@@ -63,29 +63,10 @@ def su2_lie() -> LieData:
     return LieData.from_structure_constants(3, {(1, 2, 3): 1}, completion="full")
 
 
-def heisenberg_lie() -> LieData:
-    """Bracket-antisymmetric but not ad-invariant: rejected by the validator."""
-    return LieData.from_structure_constants(3, {(1, 2, 3): 1}, completion="bracket")
-
-
-def mutated_jacobi_lie() -> LieData:
-    """Fails the Jacobi identity (and so delta^2 = 0): c[1][2][3] = c[1][3][1] = 1."""
-    return LieData.from_structure_constants(
-        3, {(1, 2, 3): 1, (1, 3, 1): 1}, completion="bracket"
-    )
-
-
 def rescaled_su2_lie() -> LieData:
     """Passes Jacobi and delta^2 = 0 but fails full antisymmetry (rescaled su(2))."""
     return LieData.from_structure_constants(
         3, {(1, 2, 3): 1, (2, 3, 1): 2, (3, 1, 2): 1}, completion="bracket"
-    )
-
-
-def heisenberg_model() -> EquivariantModel:
-    """Heisenberg data over a point: the canonical validator-rejection fixture."""
-    return EquivariantModel(
-        "heisenberg", heisenberg_lie(), BasicComplex.build([("1", 0)])
     )
 
 
@@ -208,10 +189,6 @@ def get_model(name: str, param=None) -> ModelCard:
             )
         return card
     raise ValueError(f"unknown model name: {shown(name)}")
-
-
-def all_default_cards() -> list[ModelCard]:
-    return [get_model(name) for name in MODEL_NAMES]
 
 
 def _random_invertible(rng: random.Random, size: int) -> list[list[int]]:

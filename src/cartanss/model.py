@@ -15,27 +15,30 @@ with p = deg g and E_i the degree +2 Euler operators on B; total_d is their
 sum.  validate_model checks that each bidegree component of total_d^2
 vanishes, which is exactly the compatibility required of (d_hor, E_i, delta).
 
-The model holds these operators only as tables.  Each model keeps, outside
-equality and filled on first use, the sparse image under total_d of every
-monomial whose image is nonzero, its three parts read straight from
-d_hor_table, euler_table and delta_terms (total_images).  No monomial basis
-is listed: the basis of total degree m is the stack of blocks
-B^p (x) Lambda^(m-p), p from the top down, so every filtration level and
-every monomial's position is counted (prefix_levels).  total_d is mostly
-zero on the models of an abelian algebra (on a torus acting on itself it is
-zero), so the table costs what total_d holds: where delta is zero, a
-generator with no d_hor and no Euler entry is not visited at all.
-validate_model composes the kept images, once, and total_columns places
-them into every degree's column-sparse total_d in one pass, with an empty
-column for a monomial that has no image.  The tests check both against the
-element operators and the listed basis of tests/oracles.py, which apply the
-formulas above to linear combinations of monomials, and the certificate
-against the composition of every monomial's image there.
+The model keeps no derived state: _image reads total_d of one monomial
+straight from d_hor_table, euler_table and delta_terms, and where delta is
+zero a generator with no d_hor and no Euler entry is not visited at all.
+No monomial basis is listed either: the basis of total degree m is the
+stack of blocks B^p (x) Lambda^(m-p), p from the top down, so every
+filtration level and every monomial's position is counted (prefix_levels).
+
+d10, d01 and d21 act on the chi factor by the identity, delta and the
+interior products iota_i, derivations of Lambda(g*), each up to a sign
+fixed by the generators.  So from g (x) - to h (x) -, each bidegree part of
+total_d^2 is a differential operator of order <= 2 on Lambda(g*), which
+vanishes once it vanishes on Lambda^(<=2) (Koszul, Crochet de
+Schouten-Nijenhuis et cohomologie, 1985).  The d^2 certificate walks only
+the monomials with |I| <= 2: a failing identity fails, at its first failing
+generator, on one of them, and they come before that generator's longer
+multi-indices, so the first failing monomial is the same as over every
+monomial.  The tests check images, columns and certificate against the
+element operators and the listed basis of tests/oracles.py.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 from math import comb
 
 from .liealg import (
@@ -45,6 +48,7 @@ from .liealg import (
     all_multi_indices,
     delta_terms,
     first_delta_squared_failure,
+    multi_indices,
 )
 from .qlinalg import SparseColumns, as_q, exact
 from .reports import CheckResult, ReadOnly, ValidationReport
@@ -178,16 +182,10 @@ Image = dict[Monomial, Fraction]
 
 
 class EquivariantModel(ReadOnly):
-    """A metric Lie algebra acting on a basic complex.
-
-    A derived table, taking no part in equality, hash or repr and never
-    built at construction (so an oversized model is refused before any
-    image is taken): _images, the table of the nonzero images of
-    total_images, None until it is built.
-    """
+    """A metric Lie algebra acting on a basic complex: name, lie and basic."""
 
     def __init__(self, name: str, lie: LieData, basic: BasicComplex):
-        vars(self).update(name=name, lie=lie, basic=basic, _images=None)
+        vars(self).update(name=name, lie=lie, basic=basic)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -260,51 +258,45 @@ def _add(out: Image, key: Monomial, value: Fraction) -> None:
     out[key] = value if y is None else y + value
 
 
-def total_images(model: EquivariantModel) -> dict[Monomial, Image]:
-    """The nonzero images of the monomials under total_d, built once per model, on first use.
+def _sources(model: EquivariantModel) -> list[int]:
+    """The generators g whose monomials g (x) chi_I may have a nonzero image.
 
-    Maps (g, I) to {(g', J): coefficient} with zeros dropped, in generator
-    order, then all_multi_indices order; a monomial whose image is zero has
-    no key.  Where delta is zero on every generator, a generator with no
-    d_hor and no Euler entry has a zero image on every I, and its
-    multi-indices are not visited.  An empty table counts as built: the
-    model's _images is None until the first call.
+    Every generator where delta is nonzero; where it is zero, only those
+    with a d_hor or an Euler entry.
     """
-    table = model._images
-    if table is not None:
-        return table
+    basic = model.basic
+    if any(model.lie.delta_gens):
+        return list(range(basic.num_generators))
+    euler_sources = {g for _, g in basic.euler_table}
+    return [g for g in range(basic.num_generators)
+            if g in basic.d_hor_table or g in euler_sources]
+
+
+def _image(model: EquivariantModel, g: int, I: MultiIndex) -> list[tuple[Monomial, Fraction]]:
+    """total_d(g (x) chi_I) as ((h, J), value) pairs, zeros left out.
+
+    The d21, d10 and d01 parts in that order, read straight from
+    euler_table, d_hor_table and delta_terms.  They change the chi-count
+    by -1, 0 and +1, and no two terms of one part share a monomial (d21
+    drops a different i_j per j, and the targets of one generator and the
+    terms of delta_terms are distinct), so the pairs need no summing.
+    """
     basic, lie = model.basic, model.lie
-    dm, em = basic.d_hor_table, basic.euler_table
-    euler_sources = {g for _, g in em}
-    flat = not any(lie.delta_gens)
-    indices = all_multi_indices(lie.n)
-    table = {}
-    for g in range(basic.num_generators):
-        hor = dm.get(g, ())
-        if flat and not hor and g not in euler_sources:
-            continue
-        p = basic.degree_of(g)
-        for I in indices:
-            # d21, d10 and d01 change the chi-count by -1, 0 and +1: disjoint
-            # supports, summed into one image in that order
-            image: Image = {}
-            for j, gen in enumerate(I):
-                hits = em.get((gen, g))
-                if not hits:
-                    continue
-                odd = (p + j) % 2
-                J = I[:j] + I[j + 1:]
-                for dst, coeff in hits:
-                    _add(image, (dst, J), -coeff if odd else coeff)
-            for dst, coeff in hor:
-                _add(image, (dst, I), coeff)
-            for J, w in delta_terms(lie, I):
-                image[(g, J)] = w if p % 2 else -w
-            image = {k: v for k, v in image.items() if v}
-            if image:
-                table[(g, I)] = image
-    vars(model)["_images"] = table
-    return table
+    p = basic.generators[g][1]
+    euler = basic.euler_table
+    out = []
+    if euler:
+        for j, gen in enumerate(I):
+            for dst, c in euler.get((gen, g), ()):
+                if c:
+                    out.append(((dst, I[:j] + I[j + 1:]), -c if (p + j) % 2 else c))
+    for dst, c in basic.d_hor_table.get(g, ()):
+        if c:
+            out.append(((dst, I), c))
+    if lie.c:
+        for J, w in delta_terms(lie, I):
+            out.append(((g, J), w if p % 2 else -w))
+    return out
 
 
 def prefix_levels(model: EquivariantModel) -> tuple[tuple[int, ...], ...]:
@@ -336,20 +328,24 @@ def total_columns(model: EquivariantModel,
     """total_d from each degree m to m + 1 in the monomial bases, column by column.
 
     levels is prefix_levels(model), whose position rule places every
-    monomial.  One pass over total_images: the column of a monomial of
-    degree m holds the (row, value) pairs of its image, in increasing row
-    order, zeros left out, and a monomial with no key in total_images gets
-    ().  An image that leaves degree m + 1 raises ValueError naming the
-    monomial there, for the first such image in table order.
+    monomial.  One pass over the monomials, generator then
+    all_multi_indices order: the column of a monomial of degree m holds the
+    (row, value) pairs of its _image, in increasing row order, and is ()
+    where that image is zero.  An image that leaves degree m + 1 raises
+    ValueError naming the monomial there, for the first such image in that
+    order.
     """
     lie, n = model.lie, model.lie.n
     gens, index = model.basic.generators, model.basic.degree_index
     columns = [[()] * k[0] for k in levels]
-    for (g, I), image in total_images(model).items():
+    for g, I in product(_sources(model), all_multi_indices(n)):
+        image = _image(model, g, I)
+        if not image:
+            continue
         p, q = gens[g][1], len(I)
         m = p + q
         col = []
-        for y, v in image.items():
+        for y, v in image:
             h, J = y
             s, r = gens[h][1], len(J)
             if s + r != m + 1:
@@ -374,33 +370,39 @@ _COMPONENTS = {
 
 
 def _square_failures(model: EquivariantModel) -> dict[str, Monomial]:
-    """The first monomial, in table order, on which each identity of d^2 = 0 fails.
+    """The first monomial (generator, then all_multi_indices order) where each d^2 identity fails.
 
     Keyed by check name: "d_hor squared", the five bidegree components and
-    "total differential squared"; an identity that holds has no key.  One
-    walk of total_d o total_d per monomial x of the table, through the kept
-    images only: a monomial with no image has total_d^2 x = 0, so no
-    identity fails there, and a step into a y with no image ends the path.
-    The table keeps the order of all monomials, so the first failure is the
-    same as over every monomial.  A step of d10, d01 or d21 changes the
-    chi-count by 0, +1 or -1, so every path from x to z lies in the
-    component named by the change from x to z, and total_d^2 x at z is that
-    component at z: a component fails at x iff total_d^2 x is nonzero at
-    such a z, and total_d^2 fails iff one of them does.  d_hor^2 x sums the
-    paths of two steps that keep the chi-count.
+    "total differential squared"; an identity that holds has no key.  Each
+    identity is of order <= 2 in the chi factor (the module docstring), so
+    for the first failing generator it fails on some chi_I with |I| <= 2,
+    and those come before every longer I: the walk visits only them, and
+    composes through images with |J| <= 3, each taken once and kept only
+    for the walk.  A step of d10, d01 or d21 changes the chi-count by 0, +1
+    or -1, so every path from x to z lies in the component named by the
+    change from x to z: a component fails at x iff total_d^2 x is nonzero
+    at such a z, and total_d^2 fails iff one of them does.  d_hor^2 x sums
+    the paths of two steps that keep the chi-count.
     """
-    total = total_images(model)
+    n = model.lie.n
+    short = multi_indices(n, 0) + multi_indices(n, 1) + multi_indices(n, 2)
+    images: dict[Monomial, list] = {}
     first: dict[str, Monomial] = {}
-    for x, image in total.items():
+    for x in product(_sources(model), short):
+        image = images.get(x)
+        if image is None:
+            image = images[x] = _image(model, *x)
+        if not image:
+            continue
         q = len(x[1])
         acc: Image = {}
         hor: Image = {}
-        for y, v in image.items():
-            after = total.get(y)
+        for y, v in image:
+            after = images.get(y)
             if after is None:
-                continue
+                after = images[y] = _image(model, *y)
             flat = len(y[1]) == q
-            for z, w in after.items():
+            for z, w in after:
                 vw = v * w
                 _add(acc, z, vw)
                 if flat and len(z[1]) == q:

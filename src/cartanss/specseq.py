@@ -16,8 +16,8 @@ E_0^{p,q} = F^p C^m / F^(p+1) C^m is the coordinate window [k(p+1, m),
 k(p, m)), m = p + q.  Where the window is empty the spot is zero on every
 page; `FilteredComplex.support` lists the others once.  The differentials
 are very sparse (for a torus acting on itself d is zero), so the complex
-keeps each d^m only by the nonzero entries of its columns, read straight off
-the model's monomial images; no dense d is built.
+keeps each d^m only by the nonzero entries of its columns, built from the
+image of each monomial (model.total_columns); no dense d is built.
 
 Every page comes from one column reduction of d, the persistence pairing
 (`persistence_pairing`).  Reducing the columns in index order writes R = D V
@@ -124,9 +124,9 @@ def cartan_filtration(model: EquivariantModel) -> FilteredComplex:
 
     The monomial basis of each degree is ordered by descending horizontal
     degree, so each F^p is a coordinate prefix, and its length k(p, m) is
-    counted, not read off a basis (model.prefix_levels).  d is read
-    column-sparse off the model's monomial images, placed by the same
-    count (model.total_columns).  The model must pass validate_model.
+    counted, not read off a basis (model.prefix_levels).  d is built
+    column-sparse from each monomial's image, placed by the same count
+    (model.total_columns).  The model must pass validate_model.
     """
     levels = prefix_levels(model)
     return FilteredComplex(tuple(k[0] for k in levels), total_columns(model, levels), levels)

@@ -57,9 +57,10 @@ and every component of d^2 is a composition of these operators, one element
 per monomial per operator.  `oracle_total_cohomology` counts the total
 cohomology from the ranks of those matrices, the abutment apart from the
 engine's `total_columns` and `cohomology_dims`.  `oracle_total_images` is
-total_d of every monomial, zero images included, and `oracle_square_failures` the d^2
-certificate composed through that full table, as the model layer ran it
-before it kept only the nonzero images.
+total_d of every monomial, zero images included, and `oracle_square_failures`
+the d^2 certificate composed through that full table, on every monomial; the
+engine walks only the monomials with at most two chi factors, which the
+order-2 argument of the `model` docstring makes enough.
 
 `annihilator`, `preimage` and `sum_and_intersect` (Zassenhaus) are the
 subspace lattice operations that the engine no longer needs; here they
@@ -109,6 +110,11 @@ wedge with the Euler class omega = sum a_i b_i, over the abelian algebra of
 rank 1.  `santharoubane_betti(k)` is its Betti numbers in closed form
 (Santharoubane, 1983): C(2k, j) - C(2k, j-2) for j <= k, and the rest by
 Poincare duality.
+
+`heisenberg_lie`, `mutated_jacobi_lie`, `heisenberg_model` and
+`all_default_cards` are test fixtures: an algebra that is not ad-invariant,
+one that breaks the Jacobi identity, the first over a point, which the
+validators reject, and every library card at its default parameter.
 """
 
 from __future__ import annotations
@@ -120,6 +126,7 @@ from functools import lru_cache
 from itertools import combinations, product
 from math import comb
 
+from cartanss.library import MODEL_NAMES, ModelCard, get_model
 from cartanss.liealg import LieData, all_multi_indices, multi_indices
 from cartanss.model import BasicComplex, EquivariantModel
 from cartanss.qlinalg import Cohomology, Matrix, Subspace, column_rows, sparse_kernel
@@ -626,6 +633,29 @@ def rotated(L: LieData, i: int, j: int, cos: Q, sin: Q) -> LieData:
             a, b, k = slot
             c[slot] = c.get(slot, 0) + rot[a][x - 1] * rot[b][y - 1] * rot[k][z - 1] * v
     return LieData(n, [((a + 1, b + 1, k + 1), v) for (a, b, k), v in c.items()])
+
+
+def heisenberg_lie() -> LieData:
+    """Bracket-antisymmetric but not ad-invariant: rejected by the validator."""
+    return LieData.from_structure_constants(3, {(1, 2, 3): 1}, completion="bracket")
+
+
+def mutated_jacobi_lie() -> LieData:
+    """Fails the Jacobi identity (and so delta^2 = 0): c[1][2][3] = c[1][3][1] = 1."""
+    return LieData.from_structure_constants(
+        3, {(1, 2, 3): 1, (1, 3, 1): 1}, completion="bracket"
+    )
+
+
+def heisenberg_model() -> EquivariantModel:
+    """Heisenberg data over a point: the canonical validator-rejection fixture."""
+    return EquivariantModel(
+        "heisenberg", heisenberg_lie(), BasicComplex.build([("1", 0)])
+    )
+
+
+def all_default_cards() -> list[ModelCard]:
+    return [get_model(name) for name in MODEL_NAMES]
 
 
 class ModelElement(_Combination):

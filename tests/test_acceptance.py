@@ -22,8 +22,6 @@ from cartanss.cli import (
 from cartanss.library import (
     MODEL_NAMES,
     get_model,
-    heisenberg_lie,
-    mutated_jacobi_lie,
     random_trivial_product,
 )
 from cartanss.liealg import (
@@ -50,7 +48,9 @@ from oracles import (
     coadjoint_columns,
     dense_d_hor,
     dmat,
+    heisenberg_lie,
     monomial_basis,
+    mutated_jacobi_lie,
     oracle_lie_dims,
     oracle_total_cohomology,
     recurrence_dims,

@@ -16,7 +16,7 @@ from pathlib import Path
 from fractions import Fraction
 
 import pytest
-from oracles import direct_sum, rotated
+from oracles import direct_sum, heisenberg_lie, heisenberg_model, mutated_jacobi_lie, rotated
 from test_liealg import _random_algebras
 from test_specseq import edited_pairing
 
@@ -32,9 +32,6 @@ from cartanss.cli import (
 from cartanss.library import (
     MODEL_NAMES,
     get_model,
-    heisenberg_lie,
-    heisenberg_model,
-    mutated_jacobi_lie,
     random_trivial_product,
     rescaled_su2_lie,
     su2_lie,
@@ -1134,20 +1131,18 @@ def test_total_degree_budget_admits_every_card_and_benchmark_model():
 
 def test_pages_on_a_torus_builds_no_image_and_ranks_no_total_column(tmp_path, monkeypatch,
                                                                     capsys):
-    """group_torus:7 has d = 0: after `pages`, its image table is built and
-    empty, the d^2 certificate composed no path, and the total ranks ranked
-    no column."""
+    """group_torus:7 has d = 0: `pages` takes no image of total_d, the d^2
+    certificate composes no path, and the total ranks rank no column."""
     path = str(tmp_path / "model.json")
     save_model_file(get_model("group_torus", 7).model, path)
-    calls = count_calls(monkeypatch, (("model", "total_columns"), ("model", "_square_failures"),
+    calls = count_calls(monkeypatch, (("model", "_image"), ("model", "_square_failures"),
                                       ("model", "_add")))
     ranked = []
     rank = qlinalg.sparse_rank
     monkeypatch.setattr(qlinalg, "sparse_rank", lambda v: (ranked.append(len(v)), rank(v))[1])
     assert main(["pages", path, "--format", "machine"]) == 0
     capsys.readouterr()
-    assert calls["total_columns"][0][0]._images == {}
-    assert len(calls["_square_failures"]) == 1 and calls["_add"] == []
+    assert len(calls["_square_failures"]) == 1 and calls["_image"] == calls["_add"] == []
     assert len(ranked) == 8 and not any(ranked)
 
 
@@ -1159,7 +1154,7 @@ def test_pages_builds_each_delta_once_per_multi_index(tmp_path, monkeypatch, cap
     assert main(["pages", path, "--format", "machine"]) == 0
     capsys.readouterr()
     built = sorted(args[1] for args in calls["_derive_delta"])
-    # validate_lie, validate_model, total_columns and the E_2 check all read the table
+    # validate_lie, the d^2 walk, total_columns and the E_2 check all read delta_terms
     assert built == sorted(all_multi_indices(model.lie.n))
 
 

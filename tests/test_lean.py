@@ -22,12 +22,9 @@ import cartanss
 SRC = Path(__file__).resolve().parent.parent / "src" / "cartanss"
 
 # called only from outside the package: the model-file writer, and the
-# library fixtures and card list that the tests load
+# rescaled su(2) fixture that the tests load
 OUTSIDE_CALLERS = {
     ("cli", "save_model_file"),
-    ("library", "all_default_cards"),
-    ("library", "heisenberg_model"),
-    ("library", "mutated_jacobi_lie"),
     ("library", "rescaled_su2_lie"),
 }
 

@@ -17,15 +17,13 @@ from cartanss import library
 from cartanss.liealg import validate_lie
 from cartanss.library import (
     MODEL_NAMES,
-    all_default_cards,
     get_model,
-    heisenberg_model,
     random_trivial_product,
 )
 from cartanss.model import validate_model
 from cartanss.reports import CertificateError
 from cartanss.verify import Analysis
-from oracles import oracle_lie_dims, oracle_total_cohomology
+from oracles import all_default_cards, heisenberg_model, oracle_lie_dims, oracle_total_cohomology
 
 
 def test_model_name_census():

@@ -29,8 +29,6 @@ from cartanss.liealg import (
 )
 from cartanss.library import (
     get_model,
-    heisenberg_lie,
-    mutated_jacobi_lie,
     rescaled_su2_lie,
     su2_lie,
 )
@@ -47,7 +45,9 @@ from oracles import (
     dense_reps,
     direct_sum,
     chi_to_vector,
+    heisenberg_lie,
     homotopy_coadjoint,
+    mutated_jacobi_lie,
     oracle_coadjoint_matrix,
     oracle_delta_matrix,
     oracle_invariant_subcomplex,

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 import random
 from fractions import Fraction as Q
 from pathlib import Path
@@ -14,8 +15,11 @@ from oracles import (
     d21,
     direct_sum,
     element_to_vector,
+    heisenberg_lie,
+    heisenberg_model,
     heisenberg_nilmanifold,
     monomial_basis,
+    mutated_jacobi_lie,
     oracle_identity_checks,
     oracle_square_failures,
     oracle_total_cohomology,
@@ -27,13 +31,10 @@ from oracles import (
 )
 
 from cartanss.cli import load_model_file
-from cartanss.liealg import LieData
+from cartanss.liealg import LieData, all_multi_indices
 from cartanss.library import (
     MODEL_NAMES,
     get_model,
-    heisenberg_lie,
-    heisenberg_model,
-    mutated_jacobi_lie,
     random_trivial_product,
     rescaled_su2_lie,
     su2_lie,
@@ -41,13 +42,14 @@ from cartanss.library import (
 from cartanss.model import (
     BasicComplex,
     EquivariantModel,
+    _image,
+    _sources,
     _square_failures,
     MAX_TOTAL_DEGREE,
     max_total_degree,
     prefix_levels,
     size_error,
     total_columns,
-    total_images,
     validate_model,
 )
 from cartanss.qlinalg import apply_sparse
@@ -109,7 +111,7 @@ def test_group_model_total_d_is_minus_delta():
     # d01 carries the Koszul sign; on 1 (tensor) chi_3 it gives -1 (x) chi_12
     x = mono(0, (3,))
     assert total_d(model, x) == d01(model, x) == mono(0, (1, 2), -1)
-    assert total_images(model)[(0, (3,))] == {(0, (1, 2)): -1}
+    assert _image(model, 0, (3,)) == [((0, (1, 2)), -1)]
 
 
 def test_d10_has_no_sign_and_koszul_sign_sits_in_d01():
@@ -135,11 +137,14 @@ def test_total_d_splits_into_three_terms():
     for name in ("hopf", "group_su2", "trivial_product"):
         model = get_model(name).model
         images = split_images(model)
-        for x, image in total_images(model).items():
-            parts = [images[part][x] for part in ("d10", "d01", "d21")]
-            # the three parts change the chi-count by 0, +1 and -1
+        for x in images["d10"]:
+            image = _image(model, *x)
+            parts = [images[part][x] for part in ("d21", "d10", "d01")]
+            # the three parts change the chi-count by -1, 0 and +1, and come in that order
             assert len({len(I) for part in parts for _, I in part}) == sum(map(bool, parts))
-            assert image == {key: v for part in parts for key, v in part.items()}
+            changes = [len(J) - len(x[1]) for (_, J), _ in image]
+            assert changes == sorted(changes) and len(dict(image)) == len(image)
+            assert dict(image) == {key: v for part in parts for key, v in part.items()}
 
 
 def test_monomial_basis_order():
@@ -273,8 +278,9 @@ def test_total_d_never_lowers_horizontal_degree():
     for name in MODEL_NAMES:
         model = get_model(name).model
         degree = model.basic.degree_of
-        for (g, _), image in total_images(model).items():
-            assert all(degree(h) >= degree(g) for h, _ in image), (name, g)
+        for g in range(model.basic.num_generators):
+            for I in all_multi_indices(model.lie.n):
+                assert all(degree(h) >= degree(g) for (h, _), _ in _image(model, g, I)), (name, g)
 
 
 def test_basic_tables_list_every_entry_and_stay_out_of_equality():
@@ -343,15 +349,15 @@ def table_test_models():
 
 
 def test_operator_images_match_the_element_operators():
-    """The table keeps exactly the monomials with a nonzero image, in the
-    full table's order, and each image is the element operators' total_d."""
+    """_image of every monomial, zero images included, is the element
+    operators' total_d, each monomial once and no zero kept, and every
+    monomial with a nonzero image has its generator among _sources."""
     for model in table_test_models():
-        table = total_images(model)
-        want = oracle_total_images(model)
-        assert list(table) == [x for x, image in want.items() if image], model.name
-        for x, image in want.items():
-            assert table.get(x, {}) == image, (model.name, x)
-        assert all(all(image.values()) for image in table.values())
+        sources = set(_sources(model))
+        for x, want in oracle_total_images(model).items():
+            image = _image(model, *x)
+            assert dict(image) == want and len(image) == len(want), (model.name, x)
+            assert all(v for _, v in image) and (not image or x[0] in sources), (model.name, x)
 
 
 def mutants(rng, bases, count):
@@ -404,32 +410,71 @@ def test_square_failures_match_the_full_table_oracle():
         failed += [want] if want else []
     assert len(failed) >= 300, len(failed)
     assert len({name for want in failed for name in want}) == 7
+    # where the walk prunes: n = 6 and 9, against 64 and 512 multi-indices
+    powers = [su2_power_model(2), su2_power_model(3)]
+    for model in powers + mutants(rng, powers, 24):
+        assert _square_failures(model) == oracle_square_failures(model), model.name
+
+
+def su2_power_model(k):
+    """su(2)^k over the basic complex 1, a, w in degrees 0, 1 and 2."""
+    return EquivariantModel(f"su2^{k}", direct_sum(*[su2_lie()] * k),
+                            BasicComplex.build([("1", 0), ("a", 1), ("w", 2)]))
+
+
+def test_the_square_walk_takes_images_only_up_to_three_chi(monkeypatch):
+    """On su(2)^3 (n = 9) the walk takes each image at most once, on
+    multi-indices of length <= 3 only: at most 1 + 9 + 36 + 84 = 130 per
+    generator, against 512."""
+    from cartanss import model as model_module
+
+    taken = []
+    image = model_module._image
+    monkeypatch.setattr(model_module, "_image", lambda *a: (taken.append(a[1:]), image(*a))[1])
+    model = su2_power_model(3)
+    assert _square_failures(model) == {}
+    assert len(set(taken)) == len(taken) and max(len(I) for _, I in taken) == 3
+    per_generator = [sum(g == h for h, _ in taken) for g in range(3)]
+    assert all(46 < count <= 130 for count in per_generator), per_generator
+
+
+@pytest.mark.skipif(os.environ.get("CARTANSS_SLOW") != "1", reason="set CARTANSS_SLOW=1")
+def test_frontier_square_walk_matches_the_full_table_oracle_on_su2_to_the_4():
+    """su(2)^4 (n = 12, 4096 multi-indices) and 10 of its mutants: the walk
+    over |I| <= 2 finds the oracle's first failures over every monomial."""
+    base = su2_power_model(4)
+    models = [base] + mutants(random.Random(20261023), [base], 10)
+    failed = 0
+    for model in models:
+        want = oracle_square_failures(model)
+        assert _square_failures(model) == want, model.name
+        failed += bool(want)
+    assert failed >= 5, failed
 
 
 def test_work_follows_the_nonzero_images_of_total_d(monkeypatch):
-    """Where d = 0 the table is empty, and an empty table is built once: the
-    certificate composes no path and the total ranks rank no column.  On
-    group_su2 the keys are the monomials whose oracle image is nonzero."""
+    """Where d = 0 no image is taken: the certificate composes no path and
+    the total ranks rank no column.  On group_su2 total_columns takes each
+    monomial's image once, in generator then all_multi_indices order."""
     from cartanss import model as model_module
     from cartanss import qlinalg
 
-    composed, ranked = [], []
-    add = model_module._add
+    composed, ranked, taken = [], [], []
+    add, image = model_module._add, model_module._image
     monkeypatch.setattr(model_module, "_add", lambda *a: (composed.append(a), add(*a))[1])
+    monkeypatch.setattr(model_module, "_image", lambda *a: (taken.append(a[1:]), image(*a))[1])
     rank = qlinalg.sparse_rank
     monkeypatch.setattr(qlinalg, "sparse_rank", lambda v: (ranked.append(len(v)), rank(v))[1])
     model = get_model("kronecker").model
     assert validate_model(model).passed
-    table = model._images
-    assert table == {} and total_images(model) is table
     assert _square_failures(model) == {} and composed == []
     fc = cartan_filtration(model)
     assert qlinalg.cohomology_dims(fc.d_columns) == (1, 2, 1)
-    assert ranked == [0] * len(fc.dims) and model._images is table
+    assert ranked == [0] * len(fc.dims) and taken == []
 
     su2 = get_model("group_su2").model
-    want = oracle_total_images(su2)
-    assert list(total_images(su2)) == [x for x, image in want.items() if image]
+    total_columns(su2, prefix_levels(su2))
+    assert taken == list(oracle_total_images(su2))
 
 
 def layout_test_models():
@@ -507,14 +552,13 @@ def test_validate_model_matches_the_element_oracle():
     assert failing == names
 
 
-def test_model_tables_are_built_on_first_use_and_stay_out_of_equality():
+def test_a_model_keeps_no_derived_state_and_compares_by_its_fields():
     huge = EquivariantModel("huge", LieData.abelian(40), BasicComplex.build([("1", 0)]))
     assert "2^40" in size_error(huge.basic.num_generators, huge.lie.n, huge.basic.max_degree)
-    assert huge._images is None
     model = get_model("group_su2").model
     twin = get_model("group_su2").model
     assert validate_model(model).passed
     assert len(total_columns(model, prefix_levels(model))[1]) == 3
-    assert model._images and twin._images is None
+    assert set(vars(model)) == set(vars(huge)) == {"name", "lie", "basic"}
     assert model == twin and hash(model) == hash(twin)
-    assert "_images" not in repr(model)
+    assert model != EquivariantModel("other", model.lie, model.basic)

@@ -16,6 +16,7 @@ from oracles import (
     dense_reps,
     direct_sum,
     from_columns,
+    heisenberg_lie,
     identity_rows,
     matmul,
     oracle_delta_matrix,
@@ -35,7 +36,7 @@ from oracles import (
 )
 
 from cartanss.cli import load_model_file
-from cartanss.library import MODEL_NAMES, get_model, heisenberg_lie, random_trivial_product, su2_lie
+from cartanss.library import MODEL_NAMES, get_model, random_trivial_product, su2_lie
 from cartanss.liealg import LieData, delta_columns
 from cartanss.qlinalg import (
     Matrix,

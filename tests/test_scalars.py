@@ -21,7 +21,8 @@ from test_specseq import sphere_model
 
 from cartanss.cli import load_model_file
 from cartanss.library import MODEL_NAMES, get_model, random_trivial_product, su2_lie
-from cartanss.model import BasicComplex, EquivariantModel, total_images
+from cartanss.liealg import all_multi_indices
+from cartanss.model import BasicComplex, EquivariantModel, _image
 from cartanss.verify import Analysis
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -60,7 +61,8 @@ def sparse_values(an: Analysis) -> dict[str, list]:
         + [c for terms in basic.euler_table.values() for _, c in terms]
         + [v for terms in lie.delta_gens for _, v in terms]
         + [v for terms in lie.coadjoint_gens.values() for _, v in terms]
-        + [v for image in total_images(model).values() for v in image.values()],
+        + [v for g in range(basic.num_generators) for I in all_multi_indices(lie.n)
+           for _, v in _image(model, g, I)],
         "d columns": [a for cols in an.filtration.d_columns for col in cols for _, a in col],
         "page 2 tails": [a for cell in an.page2.values() for tail in cell.tails.values()
                          for a in tail.values()],
